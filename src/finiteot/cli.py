@@ -55,6 +55,8 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
+TOL_HELP = "solver pricing tolerance (default: 0 in rational mode, scaled 1e-9 in float)"
+
 SUITES = ("coupling", "metric", "glue", "restriction", "moreau-yosida", "liminf", "tail")
 
 
@@ -66,7 +68,7 @@ def _emit(doc, out_path):
 
 def cmd_solve(args) -> int:
     mu1, mu2, cost = load_problem(args.problem, args.mode)
-    sol = solve_kantorovich(mu1, mu2, cost, mode=args.mode)
+    sol = solve_kantorovich(mu1, mu2, cost, mode=args.mode, tol=args.tol)
     doc = {
         "mode": sol.mode,
         "optimal_cost": sol.optimal_cost,
@@ -85,7 +87,7 @@ def cmd_distance(args) -> int:
     space = load_space(args.space, args.mode)
     mu1 = load_measure(args.mu1, args.mode, space)
     mu2 = load_measure(args.mu2, args.mode, space)
-    params = WassersteinParams(p=args.p, mode=args.mode)
+    params = WassersteinParams(p=args.p, mode=args.mode, tol=args.tol)
     value, plan = wasserstein_distance(mu1, mu2, space, params)
     _emit({"p": args.p, "w_p": value, "plan": [list(r) for r in plan.matrix]}, args.out)
     return EXIT_OK
@@ -323,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--mode", choices=("rational", "float"), default=default_mode)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write JSON output to this path")
 
     p = sub.add_parser("solve", help="solve a Kantorovich problem file")
     p.add_argument("problem")
+    p.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -337,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu1")
     p.add_argument("mu2")
     p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     common(p)
     p.set_defaults(func=cmd_distance)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .measure import DiscreteMeasure, TestFunction, indicator, integrate
 from .numerics import (
-    DomainError,
     EmptyRestrictionError,
     ShapeError,
     check_extended,
@@ -202,12 +201,3 @@ def restrict_and_normalize(plan: TransportPlan, mask):
     )
     return TransportPlan(normalized, mu1p, mu2p), Z, mu1p, mu2p
 
-
-def plan_between(matrix, mu1, mu2, tol=None) -> TransportPlan:
-    """Construct a plan and insist it couples the given measures."""
-    plan = TransportPlan(tuple(tuple(row) for row in matrix), mu1, mu2)
-    ok, report = is_coupling(plan, mu1, mu2, tol)
-    if not ok:
-        kind, idx, mag = report[0]
-        raise DomainError(f"not a coupling: {kind} violated at {idx} by {mag}")
-    return plan

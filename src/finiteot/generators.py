@@ -34,20 +34,8 @@ def random_positive_rational_measure(rng, n, max_weight=10) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(Fraction(w, total) for w in raw))
 
 
-def random_float_measure(rng, n) -> DiscreteMeasure:
-    raw = [rng.random() + 1e-3 for _ in range(n)]
-    total = sum(raw)
-    w = [x / total for x in raw]
-    w[-1] = 1.0 - sum(w[:-1])  # absorb roundoff so the sum is exact
-    return DiscreteMeasure(tuple(w))
-
-
 def random_cost(rng, n, m, low=0, high=20):
     return tuple(tuple(Fraction(rng.randint(low, high)) for _ in range(m)) for _ in range(n))
-
-
-def random_float_cost(rng, n, m, high=20.0):
-    return tuple(tuple(rng.random() * high for _ in range(m)) for _ in range(n))
 
 
 def random_rational_metric_space(rng, n, high=20) -> FiniteMetricSpace:

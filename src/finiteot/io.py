@@ -124,11 +124,3 @@ def dump_json(doc, path=None) -> str:
             fh.write(text + "\n")
     return text
 
-
-def plan_to_doc(plan: TransportPlan) -> dict:
-    doc = {"matrix": [list(row) for row in plan.matrix]}
-    if plan.mu1 is not None:
-        doc["mu1"] = list(plan.mu1.weights)
-    if plan.mu2 is not None:
-        doc["mu2"] = list(plan.mu2.weights)
-    return doc

@@ -1,19 +1,32 @@
 """Exact solution of the discrete Kantorovich problem.
 
-The public entry point is solve_kantorovich.  Rational-mode problems (and
-any problem with forbidden +inf cells) go through the generic exact
-simplex; large all-finite float problems go through the dense float
-kernel.  That is the C kernel in _dense.c, loaded through ctypes by
-_compiled (which builds it with the system C compiler on first import),
-or the numpy fallback _core_py when it cannot be built or loaded, or when
-FINITEOT_FORCE_PURE=1 forces the fallback.  KERNEL names the kernel in
-use; KERNEL_INFO adds its library and the reason it was chosen, and is
-logged at DEBUG on the "finiteot" logger.
+The public entry point is solve_kantorovich, the one place that decides the
+numeric mode and the path:
+
+- rational mode goes through the generic simplex (simplex.py) on Python
+  ints: weights and finite costs are scaled by the least common multiple of
+  their denominators, and the integer flows are divided back by the weight
+  scale;
+- float problems with forbidden +inf cells, and small float problems, go
+  through the same generic simplex on floats, +inf cells priced as an
+  (M, value) pair;
+- larger all-finite float problems go through the dense float kernel.  That
+  is the C kernel in _dense.c, loaded through ctypes by _compiled (which
+  builds it with the system C compiler on first import), or the numpy
+  fallback _core_py when it cannot be built or loaded, or when
+  FINITEOT_FORCE_PURE=1 forces the fallback.  KERNEL names the kernel in
+  use; KERNEL_INFO adds its library and the reason it was chosen, and is
+  logged at DEBUG on the "finiteot" logger.
+
+Problems with +inf cells are first checked for feasibility by max-flow
+(feasibility.py), which gives the Hall-type certificate when they have no
+finite-cost plan.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +37,6 @@ from ..numerics import (
     FLOAT,
     INF,
     RATIONAL,
-    DomainError,
     ParameterError,
     ShapeError,
     infer_mode,
@@ -34,11 +46,7 @@ from ..numerics import (
 from ..space import CostMatrix
 from . import _compiled, _core_py
 from .feasibility import max_flow_feasible
-from .simplex import (
-    flow_to_matrix,
-    transportation_simplex,
-    wrap_costs_with_bigm,
-)
+from .simplex import flow_to_matrix, transportation_simplex
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,28 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
     return bound, value, is_inf(value) or value >= bound
 
 
+def _solve_scaled(a, b, c, tol):
+    """Rational simplex run on Python ints; returns (Fraction matrix, pivots).
+
+    Weights are scaled by the least common multiple of their denominators
+    and finite costs by that of theirs.  Both scales are positive, so every
+    comparison, and hence every pivot, is the one the Fractions would give.
+    """
+    wscale = math.lcm(*(x.denominator for x in (*a, *b)))
+    cscale = math.lcm(*(x.denominator for row in c for x in row if not is_inf(x)))
+    flow, iters = transportation_simplex(
+        [x.numerator * (wscale // x.denominator) for x in a],
+        [x.numerator * (wscale // x.denominator) for x in b],
+        [
+            [x if is_inf(x) else x.numerator * (cscale // x.denominator) for x in row]
+            for row in c
+        ],
+        tol=tol * cscale,
+    )
+    exact = {cell: Fraction(f, wscale) for cell, f in flow.items()}
+    return flow_to_matrix(exact, len(a), len(b), zero=Fraction(0)), iters
+
+
 def _resolve_mode(mu1, mu2, c, mode):
     if mode is not None:
         return mode
@@ -155,25 +185,23 @@ def solve_kantorovich(
         b = [float(w) for w in mu2.weights]
         c = [[x if is_inf(x) else float(x) for x in row] for row in cm.cost]
 
-    if cm.has_infinite_entries():
+    forbidden = cm.has_infinite_entries()
+    if forbidden:
         feasible, certificate = max_flow_feasible(a, b, c, tol=tol)
         if not feasible:
             return OTSolution(None, INF, 0, mode, certificate)
-        wrapped, _ = wrap_costs_with_bigm(c)
-        flow, iters = transportation_simplex(a, b, wrapped, tol=tol)
-        matrix = flow_to_matrix(flow, n, m, zero=a[0] - a[0])
-        if mode == FLOAT:
-            # roundoff can leave dust on forbidden basic cells; sweep it
-            for i in range(n):
-                for j in range(m):
-                    if is_inf(c[i][j]) and abs(matrix[i][j]) <= tol:
-                        matrix[i][j] = 0.0
-    elif mode == FLOAT and n * m > _KERNEL_CUTOFF:
+    if mode == RATIONAL:
+        matrix, iters = _solve_scaled(a, b, c, tol)
+    elif n * m > _KERNEL_CUTOFF and not forbidden:
         X, iters = _kernel.solve_dense(a, b, c, tol)
         matrix = [[float(x) for x in row] for row in X]
     else:
         flow, iters = transportation_simplex(a, b, c, tol=tol)
-        matrix = flow_to_matrix(flow, n, m, zero=a[0] - a[0])
+        matrix = flow_to_matrix(flow, n, m, zero=0.0)
+        # roundoff can leave dust on forbidden basic cells; sweep it
+        for i, j in flow:
+            if is_inf(c[i][j]) and abs(matrix[i][j]) <= tol:
+                matrix[i][j] = 0.0
 
     plan = TransportPlan(tuple(map(tuple, matrix)), mu1, mu2)
     ok, report = is_coupling(plan, mu1, mu2, tol=None if mode == RATIONAL else 1e-9)

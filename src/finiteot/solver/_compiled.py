@@ -5,8 +5,9 @@ compiler (no Python headers, no Cython) and cached in
 $XDG_CACHE_HOME/finiteot/ (default ~/.cache/finiteot/) under a name that
 carries the hash of the source and flags, so an edited source gets a new
 library.  Concurrent first imports serialize on a lock file and publish the
-library with an atomic os.replace; a warm load only hashes the source and
-opens the cached library, starting no child process.
+library with an atomic os.replace; a build then deletes leftover temporary
+files and the libraries and lock files of other keys.  A warm load only
+hashes the source and opens the cached library, starting no child process.
 
 load() returns a kernel with the same contract as _core_py: KERNEL_NAME
 and solve_dense(a, b, C, tol) -> (X, iterations).  It raises
@@ -106,10 +107,37 @@ def _build(lib: Path, compiler) -> bool:
                     f"compile error ({' '.join(cmd)}, exit {proc.returncode}):\n{tail}"
                 )
             os.replace(tmp, lib)
+            _sweep(lib)
             return True
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+
+def _sweep(keep: Path):
+    """Delete the cache's other dense-* libraries, lock files and temporaries.
+
+    Runs after keep is published, under its lock, so a temporary of keep's
+    own key is left over from a killed build.  Another key's files go only
+    when its lock can be taken without waiting: a build of another source
+    that is under way keeps them.
+    """
+    if fcntl is None:
+        return
+    folder = keep.parent
+    for stem in {p.name.partition(".so")[0] for p in folder.glob("dense-*")}:
+        base = stem + ".so"
+        if base == keep.name:
+            for tmp in folder.glob(base + "*.tmp"):
+                tmp.unlink(missing_ok=True)
+            continue
+        try:
+            with open(folder / (base + ".lock"), "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                for path in folder.glob(base + "*"):
+                    path.unlink(missing_ok=True)
+        except OSError:  # locked by a build in progress, or not removable
+            continue
 
 
 class CompiledKernel:

@@ -1,74 +1,35 @@
-"""Transportation simplex over an arbitrary ordered number type.
+"""Transportation simplex on a persistent spanning tree, over any ordered numbers.
 
-This is the exact engine: it runs unchanged on Fractions (rational mode)
-and on floats (small problems, or as a reference).  Forbidden cells
-(+inf cost) are handled by a two-component lexicographic cost (M, value):
-a unit of M outweighs any finite value, so the optimum carries mass on a
-forbidden cell only when no finite-cost feasible plan exists.
+This is the exact engine.  It runs unchanged on Python ints (rational mode:
+solve_kantorovich scales weights and costs by the least common multiple of
+their denominators, so every pivot is the one Fractions would take) and on
+floats (small problems, and problems with forbidden cells).
 
-Basis handling is the classic spanning-tree scheme: north-west corner
-start, dual values by tree traversal, entering and leaving cells chosen by
-least index (Bland's rule), which terminates even under degeneracy.
+Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
+value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
+and 0 elsewhere, and a value part, 0 on a forbidden cell.  A unit of M
+outweighs any value, so the optimum carries mass on a forbidden cell only
+when no finite-cost feasible plan exists.
+
+The basis is a spanning tree over the n row nodes 0..n-1 and the m column
+nodes n..n+m-1, rooted at row 0 and kept across pivots as parent, depth and
+children arrays.  The edge from a node to its parent is a basic cell, and a
+node's potential is c_ij - pot[parent] along that edge (pot[row 0] = 0).
+The entering cell's cycle is found by climbing depths to the common
+ancestor.  After a pivot only the re-hung subtree changes: its parent links
+are reversed along the cut path, and its depths and potentials are
+recomputed top-down with the same c_ij - pot[parent], so float potentials
+are bit-identical to a full recompute.
+
+Pivot rule: north-west corner start, the first cell in row-major order with
+a negative reduced cost enters (Bland's rule, which terminates even under
+degeneracy), and the cell with the least (flow, (i, j)) among the cycle's
+decreasing cells leaves.
 """
 
 from __future__ import annotations
 
-from ..numerics import INF, is_inf
-
-
-class BigM:
-    """Lexicographic pair m*M + v where M is larger than any value."""
-
-    __slots__ = ("m", "v")
-
-    def __init__(self, m, v):
-        self.m = m
-        self.v = v
-
-    def __add__(self, other):
-        if isinstance(other, BigM):
-            return BigM(self.m + other.m, self.v + other.v)
-        return BigM(self.m, self.v + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, BigM):
-            return BigM(self.m - other.m, self.v - other.v)
-        return BigM(self.m, self.v - other)
-
-    def __rsub__(self, other):
-        return BigM(-self.m, other - self.v)
-
-    def __neg__(self):
-        return BigM(-self.m, -self.v)
-
-    def __mul__(self, scalar):
-        return BigM(self.m * scalar, self.v * scalar)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        if isinstance(other, BigM):
-            return (self.m, self.v) < (other.m, other.v)
-        return (self.m, self.v) < (0, other)
-
-    def __eq__(self, other):
-        if isinstance(other, BigM):
-            return self.m == other.m and self.v == other.v
-        return self.m == 0 and self.v == other
-
-    def __repr__(self):
-        return f"BigM({self.m}, {self.v})"
-
-
-def _is_negative(rc, tol):
-    """rc < -tol, with the M-component compared exactly."""
-    if isinstance(rc, BigM):
-        if rc.m != 0:
-            return rc.m < 0
-        rc = rc.v
-    return rc < -tol
+from ..numerics import is_inf
 
 
 def northwest_corner(a, b):
@@ -99,98 +60,157 @@ def northwest_corner(a, b):
     return flow, basis
 
 
-def _tree_adjacency(basis, n):
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((n + j, (i, j)))
-        adj.setdefault(n + j, []).append((i, (i, j)))
-    return adj
+def _split_costs(cost):
+    """(M part or None when no cell is forbidden, value part)."""
+    value = [[0 if is_inf(c) else c for c in row] for row in cost]
+    if not any(is_inf(c) for row in cost for c in row):
+        return None, value
+    big = [[1 if is_inf(c) else 0 for c in row] for row in cost]
+    return big, value
 
 
-def _compute_duals(basis, cost, n, m, zero):
-    """Solve u_i + v_j = c_ij over the basis tree, rooted at row 0."""
-    adj = _tree_adjacency(basis, n)
-    u = [None] * n
-    v = [None] * m
-    u[0] = zero
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt, (i, j) in adj.get(node, ()):
-            if nxt < n:
-                if u[nxt] is None:
-                    u[nxt] = cost[i][j] - v[j]
+class _Tree:
+    """Spanning-tree basis rooted at row 0, with potentials for each cost part."""
+
+    def __init__(self, n, m, basis, value, big):
+        self.n = n
+        self.value = value
+        self.big = big
+        size = n + m
+        self.parent = [-1] * size
+        self.depth = [0] * size
+        self.children = [[] for _ in range(size)]
+        self.pot = [0] * size
+        self.pot_big = [0] * size if big is not None else None
+        adj = [[] for _ in range(size)]
+        for i, j in basis:
+            adj[i].append(n + j)
+            adj[n + j].append(i)
+        seen = [False] * size
+        seen[0] = True
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    self.parent[nxt] = node
+                    self.children[node].append(nxt)
                     stack.append(nxt)
+        self._refresh(self.children[0])
+
+    def _refresh(self, tops):
+        """Recompute depth and potentials of tops and everything below them."""
+        n, parent, depth, children = self.n, self.parent, self.depth, self.children
+        pot, value, big, pot_big = self.pot, self.value, self.big, self.pot_big
+        stack = list(tops)
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            i, j = (node, up - n) if node < n else (up, node - n)
+            depth[node] = depth[up] + 1
+            pot[node] = value[i][j] - pot[up]
+            if big is not None:
+                pot_big[node] = big[i][j] - pot_big[up]
+            stack.extend(children[node])
+
+    def cycle(self, ei, ej):
+        """Cells of the cycle closed by (ei, ej), split by sign.
+
+        Returns (decreasing, increasing).  An increasing entry is a cell; a
+        decreasing one is (cell, lower node, entering endpoint below it),
+        where the cell is the tree edge from the lower node to its parent.
+        Going round the cycle from the entering cell the edges alternate in
+        sign: below the common ancestor, an edge on the row's side decreases
+        when its lower node is a row, and one on the column's side when its
+        lower node is a column.
+        """
+        n, parent, depth = self.n, self.parent, self.depth
+        x, y = ei, n + ej
+        down, up = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                above = parent[x]
+                if x < n:
+                    down.append(((x, above - n), x, ei))
+                else:
+                    up.append((above, x - n))
+                x = above
             else:
-                if v[nxt - n] is None:
-                    v[nxt - n] = cost[i][j] - u[i]
-                    stack.append(nxt)
-    return u, v
+                above = parent[y]
+                if y < n:
+                    up.append((y, above - n))
+                else:
+                    down.append(((above, y - n), y, n + ej))
+                y = above
+        return down, up
 
+    def pivot(self, ei, ej, lower, endpoint):
+        """Add (ei, ej) and drop the edge from lower to its parent.
 
-def _find_cycle(basis, entering, n):
-    """Cells of the unique cycle closed by the entering cell, signed.
+        endpoint is the end of (ei, ej) inside lower's subtree: it hangs
+        from the other end, and the path from it up to lower reverses.
+        """
+        n, parent, children = self.n, self.parent, self.children
+        other = n + ej if endpoint == ei else ei
+        children[parent[lower]].remove(lower)
+        prev, node = other, endpoint
+        while True:
+            above = parent[node]
+            if node != lower:
+                children[above].remove(node)
+            parent[node] = prev
+            children[prev].append(node)
+            if node == lower:
+                break
+            prev, node = node, above
+        self._refresh((endpoint,))
 
-    Returns a list of ((i, j), sign) starting with (entering, +1); signs
-    alternate along the traversal.
-    """
-    ei, ej = entering
-    adj = _tree_adjacency(basis, n)
-    start, goal = ei, n + ej
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                stack.append(nxt)
-    path_cells = []
-    node = goal
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        path_cells.append(cell)
-        node = prev
-    # traversal order: entering edge, then tree path from the column node
-    # back to the row node; signs alternate around the (even) cycle
-    cycle = [((ei, ej), 1)]
-    sign = -1
-    for cell in path_cells:
-        cycle.append((cell, sign))
-        sign = -sign
-    return cycle
+    def entering(self, ntol):
+        """First non-basic cell in row-major order whose reduced cost is
+        negative: M part below 0, or M part 0 and value part below ntol."""
+        n, parent, pot, pot_big = self.n, self.parent, self.pot, self.pot_big
+        v = pot[n:]
+        m = len(v)
+        if self.big is None:
+            for i, ci in enumerate(self.value):
+                ui = pot[i]
+                for j in range(m):
+                    if ci[j] - ui - v[j] < ntol and parent[i] != n + j and parent[n + j] != i:
+                        return i, j
+            return None
+        v_big = pot_big[n:]
+        for i, (ci, bi) in enumerate(zip(self.value, self.big)):
+            ui = pot[i]
+            ui_big = pot_big[i]
+            for j in range(m):
+                d = bi[j] - ui_big - v_big[j]
+                if (d < 0 if d else ci[j] - ui - v[j] < ntol) and (
+                    parent[i] != n + j and parent[n + j] != i
+                ):
+                    return i, j
+        return None
 
 
 def transportation_simplex(a, b, cost, tol=0, max_iter=None):
     """Minimize sum c_ij x_ij subject to row sums a and column sums b.
 
-    cost entries may be numbers or BigM pairs; a and b are positive-sum
-    supplies/demands with equal totals.  Returns (flow dict on basic cells,
+    cost entries are numbers of one ordered type, or +inf for a forbidden
+    cell; a and b are positive-sum supplies/demands with equal totals.  A
+    cell enters when its reduced cost has a negative M part, or a zero M
+    part and a value part below -tol.  Returns (flow dict on basic cells,
     iterations).
     """
     n, m = len(a), len(b)
     flow, basis = northwest_corner(a, b)
-    basis_set = set(basis)
-    zero_cost = cost[0][0] - cost[0][0]  # typed zero (BigM or plain)
+    big, value = _split_costs(cost)
+    tree = _Tree(n, m, basis, value, big)
+    ntol = -tol
     if max_iter is None:
         max_iter = 10000 + 200 * (n + m) * max(n, m)
     iterations = 0
     while True:
-        u, v = _compute_duals(basis, cost, n, m, zero_cost)
-        entering = None
-        for i in range(n):
-            ui = u[i]
-            ci = cost[i]
-            for j in range(m):
-                if (i, j) in basis_set:
-                    continue
-                if _is_negative(ci[j] - ui - v[j], tol):
-                    entering = (i, j)
-                    break
-            if entering:
-                break
+        entering = tree.entering(ntol)
         if entering is None:
             return flow, iterations
         iterations += 1
@@ -198,53 +218,19 @@ def transportation_simplex(a, b, cost, tol=0, max_iter=None):
             raise RuntimeError(
                 f"simplex exceeded {max_iter} pivots on a {n}x{m} problem"
             )
-        cycle = _find_cycle(basis, entering, n)
-        theta = None
-        leaving = None
-        for cell, sign in cycle:
-            if sign < 0:
-                f = flow[cell]
-                if theta is None or f < theta or (f == theta and cell < leaving):
-                    theta = f
-                    leaving = cell
-        for cell, sign in cycle:
-            if cell == entering:
-                flow[cell] = theta
-            else:
-                flow[cell] = flow[cell] + sign * theta
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis[basis.index(leaving)] = entering
+        down, up = tree.cycle(*entering)
+        theta = leaving = None
+        for cell, node, endpoint in down:
+            f = flow[cell]
+            if theta is None or f < theta or (f == theta and cell < leaving):
+                theta, leaving, lower, below = f, cell, node, endpoint
+        for cell, _, _ in down:
+            flow[cell] -= theta
+        for cell in up:
+            flow[cell] += theta
+        flow[entering] = theta
         del flow[leaving]
-
-
-def wrap_costs_with_bigm(cost):
-    """Finite c -> (0, c); +inf -> (1, 0).  Returns (wrapped, had_inf)."""
-    wrapped = []
-    had_inf = False
-    for row in cost:
-        out = []
-        for c in row:
-            if is_inf(c):
-                out.append(BigM(1, 0))
-                had_inf = True
-            else:
-                out.append(BigM(0, c))
-        wrapped.append(out)
-    return wrapped, had_inf
-
-
-def flow_cost(flow, cost):
-    """Cost of a basic flow; +inf when positive mass sits on an inf cell."""
-    total = 0
-    for (i, j), f in flow.items():
-        if f == 0:
-            continue
-        c = cost[i][j]
-        if is_inf(c):
-            return INF
-        total += c * f
-    return total
+        tree.pivot(*entering, lower, below)
 
 
 def flow_to_matrix(flow, n, m, zero=0):

@@ -30,7 +30,7 @@ from .solver import cost_of_plan, solve_kantorovich
 class WassersteinParams:
     p: object = 1
     mode: str = None  # None = infer from the data
-    tol: object = None
+    tol: object = None  # solver and comparison tolerance; None = the mode default
 
     def __post_init__(self):
         if self.p < 1:
@@ -56,7 +56,7 @@ def wasserstein_distance(mu1, mu2, space, params: WassersteinParams = None):
     if mu1.n != space.n or mu2.n != space.n:
         raise DomainError("measures do not live on the given space")
     cost = space.power_cost(params.p)
-    sol = solve_kantorovich(mu1, mu2, cost, mode=params.mode)
+    sol = solve_kantorovich(mu1, mu2, cost, mode=params.mode, tol=params.tol)
     return _root(sol.optimal_cost, params.p, sol.mode), sol.plan
 
 

@@ -138,6 +138,17 @@ class TestCLISolve:
         main(["solve", path, "--mode", "rational", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_tol_reaches_the_solver(self, tmp_path, capsys):
+        # the north-west start costs 1 and cell (0, 1) prices at -2: the
+        # default tolerance pivots to the optimum 0, a tolerance of 5 stops
+        path = self.problem(tmp_path, [["1", "0"], ["0", "1"]])
+        assert main(["solve", path, "--mode", "float"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (float(doc["optimal_cost"]), doc["iterations"]) == (0.0, 1)
+        assert main(["solve", path, "--mode", "float", "--tol", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (float(doc["optimal_cost"]), doc["iterations"]) == (1.0, 0)
+
     def test_mode_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OT_KANTOR_MODE", "rational")
         path = self.problem(tmp_path, [["0", "1"], ["1", "0"]])
@@ -155,6 +166,21 @@ class TestCLIDistance:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["w_p"] == "1"
+
+    def test_tol_reaches_the_solver(self, tmp_path, two_point_space, capsys, monkeypatch):
+        import finiteot.wasserstein as w
+
+        seen = []
+        solve = w.solve_kantorovich
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(w, "solve_kantorovich", spy)
+        mu = write(tmp_path, "mu.json", {"weights": [HALF, HALF]})
+        assert main(["distance", two_point_space, mu, mu, "--tol", "0.25"]) == 0
+        assert seen == [0.25]
 
     def test_rejects_p_below_one(self, tmp_path, two_point_space, capsys):
         mu = write(tmp_path, "mu.json", {"weights": [HALF, HALF]})

@@ -76,6 +76,21 @@ def test_concurrent_first_imports_build_one_library(tmp_path):
     assert warm["reason"] == "loaded from the cache"
 
 
+@needs_compiler
+@pytest.mark.skipif(_compiled.fcntl is None, reason="the sweep needs flock")
+def test_build_deletes_stale_cache_files(tmp_path):
+    folder = tmp_path / "cache" / "finiteot"
+    folder.mkdir(parents=True)
+    current = _compiled.library_path().name
+    stale = ["dense-00000000.so", "dense-00000000.so.lock", "dense-00000000.soq1w2e3r4.tmp",
+             current + "z9x8c7v6.tmp"]
+    for name in stale:
+        (folder / name).write_text("stale")
+    info = report(start(tmp_path / "cache"))
+    assert info["reason"] == "built into the cache", info
+    assert sorted(os.listdir(folder)) == [current, current + ".lock"]
+
+
 def test_force_pure_compiles_nothing(tmp_path):
     cache = tmp_path / "cache"
     info = report(start(cache, FINITEOT_FORCE_PURE="1"))

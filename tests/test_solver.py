@@ -7,7 +7,9 @@ from finiteot.coupling import TransportPlan, is_coupling, product_coupling
 from finiteot.generators import (
     random_cost,
     random_coupling,
+    random_positive_rational_measure,
     random_rational_measure,
+    random_rational_metric_space,
 )
 from finiteot.measure import DiscreteMeasure, new_measure
 from finiteot.numerics import INF, ParameterError, ShapeError, is_inf
@@ -272,3 +274,48 @@ class TestFloatMode:
                 mode="float",
             )
             assert fl.optimal_cost == pytest.approx(float(exact.optimal_cost), abs=1e-9)
+
+
+class TestPivotIdentity:
+    """Pivot counts and exact optima pinned from the generic simplex's
+    earlier implementation (adjacency rebuilt every pivot, BigM objects,
+    Fraction arithmetic).  The pivot rule is unchanged, so they must repeat
+    exactly; a different entering or leaving choice shows as another count.
+    """
+
+    def test_rational_w1_on_integer_metric(self):
+        rng = random.Random(20)
+        space = random_rational_metric_space(rng, 20)
+        mu1 = random_positive_rational_measure(rng, 20)
+        mu2 = random_positive_rational_measure(rng, 20)
+        sol = solve_kantorovich(mu1, mu2, space.power_cost(1))
+        assert (sol.mode, sol.iterations, sol.optimal_cost) == (
+            "rational", 171, F(2061, 2650)
+        )
+
+    def test_float_with_forbidden_cells(self):
+        # +inf at (0, 0) puts a forbidden cell in the north-west start, so
+        # the M part of the reduced costs decides the first pivots
+        rng = random.Random(25)
+
+        def weights():
+            raw = [rng.randint(1, 1000) for _ in range(25)]
+            return DiscreteMeasure(tuple(x / sum(raw) for x in raw))
+
+        mu1, mu2 = weights(), weights()
+        cost = [
+            [INF if rng.random() < 0.1 else float(rng.randint(0, 1000)) for _ in range(25)]
+            for _ in range(25)
+        ]
+        cost[0][0] = INF
+        sol = solve_kantorovich(mu1, mu2, cost, mode="float")
+        assert (sol.iterations, sol.optimal_cost) == (669, 61.3737411371152)
+
+    def test_degenerate_rational_assignment(self):
+        rng = random.Random(12)
+        uniform = DiscreteMeasure(tuple(F(1, 12) for _ in range(12)))
+        cost = [[rng.randint(0, 99) for _ in range(12)] for _ in range(12)]
+        sol = solve_kantorovich(uniform, uniform, cost)
+        assert (sol.mode, sol.iterations, sol.optimal_cost) == (
+            "rational", 156, F(113, 12)
+        )
