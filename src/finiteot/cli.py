@@ -32,7 +32,7 @@ from .generators import (
 )
 from .io import dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
-from .numerics import INF, is_inf
+from .numerics import FLOAT_TOL, INF, default_tol, is_inf
 from .solver import (
     KERNEL,
     oracle_basis_enumeration,
@@ -55,7 +55,7 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-TOL_HELP = "solver pricing tolerance (default: 0 in rational mode, scaled 1e-9 in float)"
+TOL_HELP = f"solver pricing tolerance (default: 0 in rational mode, scaled {FLOAT_TOL:g} in float)"
 
 SUITES = ("coupling", "metric", "glue", "restriction", "moreau-yosida", "liminf", "tail")
 
@@ -290,7 +290,7 @@ def cmd_validate(args) -> int:
             dist = tuple(
                 tuple(parse_number(x, args.mode) for x in row) for row in doc["dist"]
             )
-        report = validate_metric(dist, 0 if args.mode == "rational" else 1e-9)
+        report = validate_metric(dist, default_tol(args.mode))
         _emit({"valid": not report, "violations": [list(map(str, r)) for r in report]}, args.out)
         return EXIT_OK if not report else EXIT_VERIFY
     if args.kind == "measure":

@@ -98,6 +98,11 @@ def default_tol(mode: str):
     return 0 if mode == RATIONAL else FLOAT_TOL
 
 
+def pricing_tol(mode: str, max_abs_cost):
+    """Default solver tolerance: 0 in rational mode, FLOAT_TOL scaled by the costs."""
+    return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(max_abs_cost))
+
+
 def close(x, y, tol) -> bool:
     if is_inf(x) or is_inf(y):
         return is_inf(x) and is_inf(y)

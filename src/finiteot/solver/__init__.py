@@ -8,8 +8,7 @@ numeric mode and the path:
   their denominators, and the integer flows are divided back by the weight
   scale;
 - float problems with forbidden +inf cells, and small float problems, go
-  through the same generic simplex on floats, +inf cells priced as an
-  (M, value) pair;
+  through the same generic simplex on floats;
 - larger all-finite float problems go through the dense float kernel.  That
   is the C kernel in _dense.c, loaded through ctypes by _compiled (which
   builds it with the system C compiler on first import), or the numpy
@@ -18,9 +17,12 @@ numeric mode and the path:
   use; KERNEL_INFO adds its library and the reason it was chosen, and is
   logged at DEBUG on the "finiteot" logger.
 
-Problems with +inf cells are first checked for feasibility by max-flow
-(feasibility.py), which gives the Hall-type certificate when they have no
-finite-cost plan.
+The generic simplex prices a forbidden +inf cell as an (M, value) pair, so
+its optimal plan puts the least possible mass on forbidden cells: the
+finite part of that plan is a maximum flow.  The problem has no finite-cost
+plan exactly when that mass exceeds the tolerance, and then the rows that
+reach each other through the plan's residual graph give the Hall-type cut
+certificate.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from ..numerics import (
     RATIONAL,
     ParameterError,
     ShapeError,
+    default_tol,
     infer_mode,
     is_inf,
     mul0,
+    pricing_tol,
 )
 from ..space import CostMatrix
 from . import _compiled, _core_py
-from .feasibility import max_flow_feasible
 from .simplex import flow_to_matrix, transportation_simplex
 
 
@@ -79,7 +82,11 @@ _KERNEL_CUTOFF = 64
 
 @dataclass(frozen=True)
 class OTSolution:
-    """Optimal plan with its cost; cost is +inf when no finite plan exists."""
+    """Optimal plan with its cost; cost is +inf when no finite plan exists.
+
+    iterations is the pivot count of the kernel that ran, also on an
+    infeasible result (plan None, with infeasibility_certificate set).
+    """
 
     plan: TransportPlan
     optimal_cost: object
@@ -144,6 +151,44 @@ def _solve_scaled(a, b, c, tol):
     return flow_to_matrix(exact, len(a), len(b), zero=Fraction(0)), iters
 
 
+def _hall_certificate(a, b, c, matrix, tol):
+    """Hall-type cut read off an optimal plan that has to use forbidden cells.
+
+    The finite cells of the plan form a maximum flow.  Starting from the rows
+    whose forbidden cells carry more than tol, walk row -> column over finite
+    cells and column -> row over finite cells whose flow exceeds tol: the rows
+    reached are the source side of a minimum cut, and their finite
+    neighbourhood cannot take their mass.
+    """
+    n, m = len(a), len(b)
+    finite = [[j for j in range(m) if not is_inf(c[i][j])] for i in range(n)]
+    rows = {
+        i for i in range(n)
+        if sum(matrix[i][j] for j in range(m) if is_inf(c[i][j])) > tol
+    }
+    cols = set()
+    stack = list(rows)
+    while stack:
+        for j in finite[stack.pop()]:
+            if j in cols:
+                continue
+            cols.add(j)
+            for k in range(n):
+                if k not in rows and not is_inf(c[k][j]) and matrix[k][j] > tol:
+                    rows.add(k)
+                    stack.append(k)
+    rows, cols = sorted(rows), sorted(cols)
+    certificate = {
+        "rows": rows,
+        "reachable_columns": cols,
+        "row_mass": sum(a[i] for i in rows),
+        "column_mass": sum(b[j] for j in cols),
+    }
+    if not certificate["row_mass"] > certificate["column_mass"]:
+        raise RuntimeError(f"solver found no Hall cut: {certificate}")
+    return certificate
+
+
 def _resolve_mode(mu1, mu2, c, mode):
     if mode is not None:
         return mode
@@ -172,7 +217,7 @@ def solve_kantorovich(
     if mode not in (RATIONAL, FLOAT):
         raise ParameterError(f"unknown mode {mode!r}")
     if tol is None:
-        tol = 0 if mode == RATIONAL else 1e-9 * (1 + float(cm.max_abs_finite()))
+        tol = pricing_tol(mode, cm.max_abs_finite())
 
     if mode == RATIONAL:
         a = [Fraction(w) for w in mu1.weights]
@@ -186,10 +231,6 @@ def solve_kantorovich(
         c = [[x if is_inf(x) else float(x) for x in row] for row in cm.cost]
 
     forbidden = cm.has_infinite_entries()
-    if forbidden:
-        feasible, certificate = max_flow_feasible(a, b, c, tol=tol)
-        if not feasible:
-            return OTSolution(None, INF, 0, mode, certificate)
     if mode == RATIONAL:
         matrix, iters = _solve_scaled(a, b, c, tol)
     elif n * m > _KERNEL_CUTOFF and not forbidden:
@@ -198,13 +239,20 @@ def solve_kantorovich(
     else:
         flow, iters = transportation_simplex(a, b, c, tol=tol)
         matrix = flow_to_matrix(flow, n, m, zero=0.0)
-        # roundoff can leave dust on forbidden basic cells; sweep it
-        for i, j in flow:
-            if is_inf(c[i][j]) and abs(matrix[i][j]) <= tol:
+    if forbidden:
+        cells = [(i, j) for i in range(n) for j in range(m) if is_inf(c[i][j])]
+        if sum(matrix[i][j] for i, j in cells) > tol:
+            certificate = _hall_certificate(a, b, c, matrix, tol)
+            return OTSolution(None, INF, iters, mode, certificate)
+        if mode == FLOAT:
+            # roundoff can leave dust on forbidden basic cells; sweep it
+            for i, j in cells:
                 matrix[i][j] = 0.0
 
     plan = TransportPlan(tuple(map(tuple, matrix)), mu1, mu2)
-    ok, report = is_coupling(plan, mu1, mu2, tol=None if mode == RATIONAL else 1e-9)
+    # None: an exact plan is checked at the precision of the weights it was given
+    tol = None if mode == RATIONAL else default_tol(mode)
+    ok, report = is_coupling(plan, mu1, mu2, tol=tol)
     if not ok:
         raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
     value = cost_of_plan(plan, cm)
@@ -224,9 +272,7 @@ def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
     restricted_cost = cost_of_plan(restricted, cm)
     resolved = solve_kantorovich(mu1p, mu2p, cm, mode=solution.mode)
     if tol is None:
-        tol = 0 if solution.mode == RATIONAL else 1e-9 * (
-            1 + float(cm.max_abs_finite())
-        )
+        tol = pricing_tol(solution.mode, cm.max_abs_finite())
     if is_inf(restricted_cost) or is_inf(resolved.optimal_cost):
         holds = is_inf(restricted_cost) and is_inf(resolved.optimal_cost)
     else:

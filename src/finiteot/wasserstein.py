@@ -121,26 +121,25 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
             f"middle marginals differ at index {worst_j} by {worst_gap}"
         )
     mu2 = mid_from_12
+    # a basic plan has few nonzero cells; every other (i, j) row is zero
+    zeros = (0,) * n3
     tensor = tuple(
         tuple(
-            tuple(
-                (pi12.matrix[i][j] * pi23.matrix[j][k] / mu2[j]) if mu2[j] > 0 else 0
-                for k in range(n3)
-            )
-            for j in range(n2)
+            tuple(x * y / mu2[j] for y in pi23.matrix[j]) if x and mu2[j] > 0 else zeros
+            for j, x in enumerate(row)
         )
-        for i in range(n1)
+        for row in pi12.matrix
     )
     return GluedPlan(tensor)
 
 
 def glued_marginal_13(g: GluedPlan) -> TransportPlan:
     """Collapse the middle coordinate; couples the two outer marginals."""
-    n1, n2, n3 = g.shape
-    matrix = tuple(
-        tuple(sum(g.tensor[i][j][k] for j in range(n2)) for k in range(n3))
-        for i in range(n1)
-    )
+    n3 = g.shape[2]
+    matrix = []
+    for sl in g.tensor:
+        rows = [r for r in sl if any(r)]
+        matrix.append(tuple(map(sum, zip(*rows))) if rows else (0,) * n3)
     return TransportPlan(matrix)
 
 

@@ -12,7 +12,7 @@ from finiteot.generators import (
     random_rational_metric_space,
 )
 from finiteot.measure import DiscreteMeasure, new_measure
-from finiteot.numerics import INF, ParameterError, ShapeError, is_inf
+from finiteot.numerics import INF, ParameterError, ShapeError, is_inf, pricing_tol
 from finiteot.solver import (
     check_lower_bound,
     cost_of_plan,
@@ -21,11 +21,50 @@ from finiteot.solver import (
     solve_kantorovich,
     verify_restriction_optimality,
 )
+from finiteot.solver.simplex import transportation_simplex
 from finiteot.space import CostMatrix
 
 HALF = F(1, 2)
 UNIFORM2 = new_measure([HALF, HALF])
 D2 = ((0, 1), (1, 0))  # two-point unit space distance
+
+
+def forbidden_instance(seed, n, exact, density=0.75):
+    """Seeded n x n problem with about `density` of its cells at +inf."""
+    rng = random.Random(seed)
+    mu1 = random_positive_rational_measure(rng, n)
+    mu2 = random_positive_rational_measure(rng, n)
+    cost = tuple(
+        tuple(INF if rng.random() < density else F(rng.randint(0, 20)) for _ in range(n))
+        for _ in range(n)
+    )
+    if exact:
+        return mu1, mu2, cost
+    return (
+        DiscreteMeasure(tuple(map(float, mu1.weights))),
+        DiscreteMeasure(tuple(map(float, mu2.weights))),
+        tuple(tuple(map(float, row)) for row in cost),
+    )
+
+
+def check_hall_cut(cert, mu1, mu2, cost):
+    """Check an infeasibility certificate from the cost matrix alone."""
+    rows = cert["rows"]
+    cols = sorted({j for i in rows for j in range(mu2.n) if not is_inf(cost[i][j])})
+    assert cert["reachable_columns"] == cols
+    assert cert["row_mass"] == sum(mu1.weights[i] for i in rows)
+    assert cert["column_mass"] == sum(mu2.weights[j] for j in cols)
+    assert cert["row_mass"] > cert["column_mass"]
+
+
+#: (seed, n, exact, rows, reachable_columns) of forbidden_instance cuts, as
+#: found by the max-flow (Edmonds-Karp) feasibility check the solver ran
+#: before it read infeasibility off its own optimal plan
+PINNED_CUTS = [
+    (1, 12, True, [8, 9, 10], [6, 7, 9, 11]),
+    (7, 12, True, [0, 2, 4, 7, 10, 11], [0, 2, 3, 4, 9]),
+    (7, 10, False, [0, 1, 2, 5, 9], [1, 2, 4, 8]),
+]
 
 
 class TestCostOfPlan:
@@ -138,6 +177,17 @@ class TestSolve:
         cert = sol.infeasibility_certificate
         assert cert["rows"] == [0]
         assert cert["row_mass"] > cert["column_mass"]
+        for seed, n, exact, rows, cols in PINNED_CUTS:
+            mu1, mu2, cost = forbidden_instance(seed, n, exact)
+            sol = solve_kantorovich(mu1, mu2, cost)
+            assert sol.plan is None and not sol.feasible
+            cert = sol.infeasibility_certificate
+            assert (cert["rows"], cert["reachable_columns"]) == (rows, cols)
+            check_hall_cut(cert, mu1, mu2, cost)
+            # iterations counts the simplex pivots that found the cut
+            tol = pricing_tol(sol.mode, max(x for r in cost for x in r if not is_inf(x)))
+            _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, tol=tol)
+            assert sol.iterations == pivots > 0
 
     def test_lower_bound_respected(self):
         rng = random.Random(23)
@@ -155,6 +205,45 @@ class TestSolve:
             sol = solve_kantorovich(mu1, mu2, cm)
             bound, cost, holds = check_lower_bound(cm, mu1, mu2, sol.plan)
             assert holds and sol.optimal_cost >= bound
+
+
+class TestFeasibilityBattery:
+    """The +inf feasibility decision and its Hall cut against basis enumeration."""
+
+    @staticmethod
+    def weights(rng, n, exact):
+        # sixteenths, so float sums are exact; a repeated cut gives a zero weight
+        cuts = sorted(rng.randint(0, 16) for _ in range(n - 1))
+        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 16])]
+        return DiscreteMeasure(tuple(F(p, 16) if exact else p / 16 for p in parts))
+
+    def test_decision_matches_basis_enumeration(self):
+        rng = random.Random(67)
+        infeasible = 0
+        for trial in range(240):
+            exact = trial % 2 == 0
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 8 - n)
+            density = rng.uniform(0.2, 0.8)
+            mu1, mu2 = self.weights(rng, n, exact), self.weights(rng, m, exact)
+            cost = tuple(
+                tuple(
+                    INF if rng.random() < density else (F if exact else float)(rng.randint(0, 9))
+                    for _ in range(m)
+                )
+                for _ in range(n)
+            )
+            sol = solve_kantorovich(mu1, mu2, cost)
+            oracle = oracle_basis_enumeration(mu1, mu2, cost)
+            assert sol.feasible == (not is_inf(oracle.optimal_cost)), (trial, cost)
+            if sol.feasible:
+                if exact:
+                    assert sol.optimal_cost == oracle.optimal_cost
+                continue
+            infeasible += 1
+            check_hall_cut(sol.infeasibility_certificate, mu1, mu2, cost)
+        # both answers occur often (187 infeasible, 53 feasible with this seed)
+        assert infeasible >= 100 and 240 - infeasible >= 30
 
 
 class TestOracles:

@@ -9,9 +9,10 @@ from finiteot.generators import (
     random_point_cloud_space,
     random_rational_measure,
     random_rational_metric_space,
+    random_vertex_coupling,
 )
-from finiteot.measure import dirac, new_measure
-from finiteot.numerics import GlueError, ParameterError
+from finiteot.measure import DiscreteMeasure, dirac, new_measure
+from finiteot.numerics import GlueError, ParameterError, infer_mode
 from finiteot.space import FiniteMetricSpace
 from finiteot.wasserstein import (
     GluedPlan,
@@ -145,6 +146,44 @@ class TestGlue:
             assert ok, report
             pi13 = glued_marginal_13(g)
             assert is_coupling(pi13, mu1, mu3, tol=0)[0]
+
+    def test_tensor_and_marginal_13_match_the_formula(self):
+        rng = random.Random(89)
+        for trial in range(60):
+            exact = trial % 2 == 0
+            n1, n2, n3 = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+            raw = [0] + [rng.randint(1, 9) for _ in range(n2 - 1)]
+            rng.shuffle(raw)  # one middle point of zero mass
+            mus = [
+                random_rational_measure(rng, n1),
+                DiscreteMeasure(tuple(F(w, sum(raw)) for w in raw)),
+                random_rational_measure(rng, n3),
+            ]
+            if not exact:
+                mus = [DiscreteMeasure(tuple(map(float, mu.weights))) for mu in mus]
+            # vertices are sparse, mixtures dense
+            make = random_vertex_coupling if trial % 4 < 2 else random_coupling
+            pi12 = make(rng, mus[0], mus[1]).matrix
+            pi23 = make(rng, mus[1], mus[2]).matrix
+            mu2 = [sum(pi12[i][j] for i in range(n1)) for j in range(n2)]
+            want = [
+                [
+                    [pi12[i][j] * pi23[j][k] / mu2[j] if mu2[j] > 0 else 0 for k in range(n3)]
+                    for j in range(n2)
+                ]
+                for i in range(n1)
+            ]
+            want13 = [
+                [sum(want[i][j][k] for j in range(n2)) for k in range(n3)]
+                for i in range(n1)
+            ]
+            g = glue(TransportPlan(pi12), TransportPlan(pi23))
+            assert [[list(r) for r in sl] for sl in g.tensor] == want
+            flat = [x for sl in g.tensor for r in sl for x in r]
+            assert infer_mode(flat) == infer_mode(x for sl in want for r in sl for x in r)
+            pi13 = glued_marginal_13(g)
+            assert [list(r) for r in pi13.matrix] == want13
+            assert pi13.mode == TransportPlan(want13).mode == ("rational" if exact else "float")
 
 
 class TestTriangleWitness:
