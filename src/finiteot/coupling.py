@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measure import DiscreteMeasure, TestFunction, indicator, integrate
 from .numerics import (
     EmptyRestrictionError,
     ShapeError,
-    check_extended,
+    FLOAT,
+    check_extended_matrix,
     default_tol,
     infer_mode,
 )
@@ -30,16 +33,13 @@ class TransportPlan:
     mu2: DiscreteMeasure = None
 
     def __post_init__(self):
-        mat = tuple(tuple(row) for row in self.matrix)
+        mat = tuple(map(tuple, self.matrix))
         object.__setattr__(self, "matrix", mat)
         if not mat or not mat[0]:
             raise ShapeError("empty plan matrix")
-        m = len(mat[0])
-        for row in mat:
-            if len(row) != m:
-                raise ShapeError("plan matrix is not rectangular")
-            for x in row:
-                check_extended(x, "plan entry")
+        if set(map(len, mat)) != {len(mat[0])}:
+            raise ShapeError("plan matrix is not rectangular")
+        check_extended_matrix(mat, "plan entry")
 
     @property
     def shape(self):
@@ -71,33 +71,59 @@ def is_coupling(plan, mu1, mu2, tol=None):
     """Check the coupling invariants; returns (ok, report).
 
     The report lists ("nonnegativity" | "row" | "column", index, magnitude)
-    entries, worst violation first.
+    entries, worst violation first.  A float64 array plan is checked with
+    array operations against the weights as floats; any other plan, exact
+    entries included, cell by cell in its own arithmetic.
     """
+    if isinstance(plan, np.ndarray):
+        return _is_coupling_array(plan, mu1, mu2, default_tol(FLOAT) if tol is None else tol)
     matrix = plan.matrix if isinstance(plan, TransportPlan) else tuple(
         tuple(row) for row in plan
     )
     n = len(matrix)
     m = len(matrix[0]) if matrix else 0
+    _check_plan_shape(n, m, mu1, mu2)
+    if tol is None:
+        vals = [x for row in matrix for x in row]
+        tol = default_tol(infer_mode(vals + list(mu1.weights) + list(mu2.weights)))
+    # zero cells are skipped: they change no sum, and an exact zero costs a
+    # Fraction addition or comparison in Python
+    report = []
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x and x < -tol:
+                report.append(("nonnegativity", (i, j), -x))
+    for i, (row, w) in enumerate(zip(matrix, mu1.weights)):
+        gap = abs(sum(filter(None, row)) - w)
+        if gap > tol:
+            report.append(("row", i, gap))
+    for j, (column, w) in enumerate(zip(zip(*matrix), mu2.weights)):
+        gap = abs(sum(filter(None, column)) - w)
+        if gap > tol:
+            report.append(("column", j, gap))
+    report.sort(key=lambda v: v[2], reverse=True)
+    return (not report), report
+
+
+def _check_plan_shape(n, m, mu1, mu2):
     if n != mu1.n or m != mu2.n:
         raise ShapeError(
             f"plan is {n}x{m} but measures have {mu1.n} and {mu2.n} points"
         )
-    if tol is None:
-        vals = [x for row in matrix for x in row]
-        tol = default_tol(infer_mode(vals + list(mu1.weights) + list(mu2.weights)))
-    report = []
-    for i in range(n):
-        for j in range(m):
-            if matrix[i][j] < -tol:
-                report.append(("nonnegativity", (i, j), -matrix[i][j]))
-    for i in range(n):
-        gap = abs(sum(matrix[i]) - mu1.weights[i])
-        if gap > tol:
-            report.append(("row", i, gap))
-    for j in range(m):
-        gap = abs(sum(matrix[i][j] for i in range(n)) - mu2.weights[j])
-        if gap > tol:
-            report.append(("column", j, gap))
+
+
+def _is_coupling_array(X, mu1, mu2, tol):
+    """is_coupling's report for a float64 array plan, from array operations."""
+    n, m = X.shape
+    _check_plan_shape(n, m, mu1, mu2)
+    report = [
+        ("nonnegativity", (i, j), -X[i, j].item())
+        for i, j in np.argwhere(X < -tol).tolist()
+    ]
+    for kind, sums, weights in (("row", X.sum(axis=1), mu1.weights),
+                                ("column", X.sum(axis=0), mu2.weights)):
+        gaps = np.abs(sums - np.array(weights, dtype=np.float64))
+        report += [(kind, k, gaps[k].item()) for k in np.flatnonzero(gaps > tol).tolist()]
     report.sort(key=lambda v: v[2], reverse=True)
     return (not report), report
 

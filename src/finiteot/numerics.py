@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 INF = float("inf")
 
@@ -35,6 +36,28 @@ def check_extended(x, where: str = "entry"):
         if x == -INF:
             raise DataError(f"-inf {where}")
     return x
+
+
+def check_extended_matrix(rows, where: str = "entry"):
+    """check_extended on every cell of a matrix, with no Python call per cell.
+
+    Only float cells can be NaN or -inf, and comparing a Fraction runs
+    Python code, so the cells are told apart by type first.  The float cells
+    are then screened by one C-level sum, which is NaN or -inf whenever a
+    cell is (or finite cells overflow); only then are they checked one by one.
+    """
+    cells = list(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        floats = cells
+    elif any(issubclass(kind, float) for kind in kinds):
+        floats = [x for x in cells if isinstance(x, float)]
+    else:
+        return
+    total = sum(floats)
+    if math.isnan(total) or total == -INF:
+        for x in floats:
+            check_extended(x, where)
 
 
 def parse_number(value, mode: str):

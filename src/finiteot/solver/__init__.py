@@ -6,7 +6,9 @@ numeric mode and the path:
 - rational mode goes through the generic simplex (simplex.py) on Python
   ints: weights and finite costs are scaled by the least common multiple of
   their denominators, and the integer flows are divided back by the weight
-  scale;
+  scale.  Float weights are read as the binary fractions they are, so two
+  measures whose exact totals differ are refused rather than solved into a
+  plan that couples neither;
 - float problems with forbidden +inf cells, and small float problems, go
   through the same generic simplex on floats;
 - larger all-finite float problems go through the dense float kernel.  That
@@ -16,6 +18,13 @@ numeric mode and the path:
   FINITEOT_FORCE_PURE=1 forces the fallback.  KERNEL names the kernel in
   use; KERNEL_INFO adds its library and the reason it was chosen, and is
   logged at DEBUG on the "finiteot" logger.
+
+A float solve converts the weights and costs to float64 arrays once and
+stays on arrays until the plan is built: the forbidden cells, the pricing
+tolerance, the forbidden-mass decision, the dust sweep, the coupling check
+and the cost are array operations, and the generic simplex alone gets
+Python lists.  The returned plan's matrix is still a tuple of tuples of
+Python floats, and its cost a Python float.
 
 The generic simplex prices a forbidden +inf cell as an (M, value) pair, so
 its optimal plan puts the least possible mass on forbidden cells: the
@@ -33,6 +42,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ..coupling import TransportPlan, is_coupling
 from ..measure import DiscreteMeasure, integrate
 from ..numerics import (
@@ -44,7 +55,6 @@ from ..numerics import (
     default_tol,
     infer_mode,
     is_inf,
-    mul0,
     pricing_tol,
 )
 from ..space import CostMatrix
@@ -100,7 +110,15 @@ class OTSolution:
 
 
 def cost_of_plan(plan, cost) -> object:
-    """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell."""
+    """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell.
+
+    The terms on cells with nonzero mass are added left to right in
+    row-major order, starting from 0.  A float64 array plan is computed with
+    array operations against the costs as floats, in that same order; any
+    other plan, exact entries included, cell by cell in its own arithmetic.
+    """
+    if isinstance(plan, np.ndarray):
+        return _cost_of_array_plan(plan, cost.cost if isinstance(cost, CostMatrix) else cost)
     matrix = plan.matrix if isinstance(plan, TransportPlan) else plan
     c = cost.cost if isinstance(cost, CostMatrix) else cost
     if len(matrix) != len(c) or len(matrix[0]) != len(c[0]):
@@ -108,11 +126,32 @@ def cost_of_plan(plan, cost) -> object:
     total = 0
     for crow, prow in zip(c, matrix):
         for cij, pij in zip(crow, prow):
-            term = mul0(cij, pij)
-            if is_inf(term):
-                return INF
-            total += term
+            if pij:
+                term = INF if is_inf(cij) else cij * pij
+                if is_inf(term):
+                    return INF
+                total += term
     return total
+
+
+def _cost_of_array_plan(X, cost):
+    C = np.asarray(cost, dtype=np.float64)
+    if X.shape != C.shape:
+        raise ShapeError("plan and cost shapes differ")
+    mass = X != 0
+    terms = C[mass] * X[mass]
+    if np.isinf(terms).any():
+        return INF
+    return _sum_in_order(terms)
+
+
+def _sum_in_order(values):
+    """0 + values[0] + values[1] + ... as Python floats, added left to right.
+
+    np.sum adds pairwise, and sum() compensates from Python 3.12 on; either
+    can change the last bits of a result that a plain loop produces.
+    """
+    return 0 + np.cumsum(values)[-1].item() if values.size else 0
 
 
 def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
@@ -151,20 +190,21 @@ def _solve_scaled(a, b, c, tol):
     return flow_to_matrix(exact, len(a), len(b), zero=Fraction(0)), iters
 
 
-def _hall_certificate(a, b, c, matrix, tol):
+def _hall_certificate(a, b, forbidden, matrix, tol):
     """Hall-type cut read off an optimal plan that has to use forbidden cells.
 
-    The finite cells of the plan form a maximum flow.  Starting from the rows
-    whose forbidden cells carry more than tol, walk row -> column over finite
-    cells and column -> row over finite cells whose flow exceeds tol: the rows
-    reached are the source side of a minimum cut, and their finite
-    neighbourhood cannot take their mass.
+    forbidden is the n x m truth matrix of the +inf cells.  The finite cells
+    of the plan form a maximum flow.  Starting from the rows whose forbidden
+    cells carry more than tol, walk row -> column over finite cells and
+    column -> row over finite cells whose flow exceeds tol: the rows reached
+    are the source side of a minimum cut, and their finite neighbourhood
+    cannot take their mass.
     """
     n, m = len(a), len(b)
-    finite = [[j for j in range(m) if not is_inf(c[i][j])] for i in range(n)]
+    finite = [[j for j in range(m) if not forbidden[i][j]] for i in range(n)]
     rows = {
         i for i in range(n)
-        if sum(matrix[i][j] for j in range(m) if is_inf(c[i][j])) > tol
+        if sum(x for x, f in zip(matrix[i], forbidden[i]) if f) > tol
     }
     cols = set()
     stack = list(rows)
@@ -174,7 +214,7 @@ def _hall_certificate(a, b, c, matrix, tol):
                 continue
             cols.add(j)
             for k in range(n):
-                if k not in rows and not is_inf(c[k][j]) and matrix[k][j] > tol:
+                if k not in rows and not forbidden[k][j] and matrix[k][j] > tol:
                     rows.add(k)
                     stack.append(k)
     rows, cols = sorted(rows), sorted(cols)
@@ -192,9 +232,9 @@ def _hall_certificate(a, b, c, matrix, tol):
 def _resolve_mode(mu1, mu2, c, mode):
     if mode is not None:
         return mode
-    vals = list(mu1.weights) + list(mu2.weights)
-    vals += [x for row in c for x in row if not is_inf(x)]
-    return infer_mode(vals)
+    if infer_mode(mu1.weights + mu2.weights) == FLOAT:
+        return FLOAT
+    return infer_mode(x for row in c for x in row if not is_inf(x))
 
 
 def solve_kantorovich(
@@ -214,49 +254,73 @@ def solve_kantorovich(
     if n != mu1.n or m != mu2.n:
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     mode = _resolve_mode(mu1, mu2, cm.cost, mode)
-    if mode not in (RATIONAL, FLOAT):
-        raise ParameterError(f"unknown mode {mode!r}")
+    if mode == RATIONAL:
+        return _solve_rational(mu1, mu2, cm, tol)
+    if mode == FLOAT:
+        return _solve_float(mu1, mu2, cm, tol)
+    raise ParameterError(f"unknown mode {mode!r}")
+
+
+def _solve_rational(mu1, mu2, cm, tol):
+    a = [Fraction(w) for w in mu1.weights]
+    b = [Fraction(w) for w in mu2.weights]
+    gap = sum(a) - sum(b)
+    if gap:
+        raise ParameterError(
+            f"rational mode needs weights whose exact totals agree; the first "
+            f"measure's total minus the second's is {float(gap)!r} ({gap})"
+        )
     if tol is None:
-        tol = pricing_tol(mode, cm.max_abs_finite())
-
-    if mode == RATIONAL:
-        a = [Fraction(w) for w in mu1.weights]
-        b = [Fraction(w) for w in mu2.weights]
-        c = [
-            [x if is_inf(x) else Fraction(x) for x in row] for row in cm.cost
-        ]
-    else:
-        a = [float(w) for w in mu1.weights]
-        b = [float(w) for w in mu2.weights]
-        c = [[x if is_inf(x) else float(x) for x in row] for row in cm.cost]
-
-    forbidden = cm.has_infinite_entries()
-    if mode == RATIONAL:
-        matrix, iters = _solve_scaled(a, b, c, tol)
-    elif n * m > _KERNEL_CUTOFF and not forbidden:
-        X, iters = _kernel.solve_dense(a, b, c, tol)
-        matrix = [[float(x) for x in row] for row in X]
-    else:
-        flow, iters = transportation_simplex(a, b, c, tol=tol)
-        matrix = flow_to_matrix(flow, n, m, zero=0.0)
-    if forbidden:
-        cells = [(i, j) for i in range(n) for j in range(m) if is_inf(c[i][j])]
-        if sum(matrix[i][j] for i, j in cells) > tol:
-            certificate = _hall_certificate(a, b, c, matrix, tol)
-            return OTSolution(None, INF, iters, mode, certificate)
-        if mode == FLOAT:
-            # roundoff can leave dust on forbidden basic cells; sweep it
-            for i, j in cells:
-                matrix[i][j] = 0.0
-
+        tol = default_tol(RATIONAL)
+    c = [[x if is_inf(x) else Fraction(x) for x in row] for row in cm.cost]
+    matrix, iters = _solve_scaled(a, b, c, tol)
+    if cm.has_infinite_entries():
+        forbidden = [[is_inf(x) for x in row] for row in c]
+        mass = sum(x for prow, frow in zip(matrix, forbidden) for x, f in zip(prow, frow) if f)
+        if mass > tol:
+            certificate = _hall_certificate(a, b, forbidden, matrix, tol)
+            return OTSolution(None, INF, iters, RATIONAL, certificate)
     plan = TransportPlan(tuple(map(tuple, matrix)), mu1, mu2)
-    # None: an exact plan is checked at the precision of the weights it was given
-    tol = None if mode == RATIONAL else default_tol(mode)
-    ok, report = is_coupling(plan, mu1, mu2, tol=tol)
+    ok, report = is_coupling(plan, mu1, mu2, tol=default_tol(RATIONAL))
     if not ok:
         raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
-    value = cost_of_plan(plan, cm)
-    return OTSolution(plan, value, iters, mode)
+    return OTSolution(plan, cost_of_plan(plan, cm), iters, RATIONAL)
+
+
+def _solve_float(mu1, mu2, cm, tol):
+    """Float solve on float64 arrays from the input to the finished plan."""
+    a = np.array(mu1.weights, dtype=np.float64)
+    b = np.array(mu2.weights, dtype=np.float64)
+    C = np.array(cm.cost, dtype=np.float64)
+    n, m = C.shape
+    forbidden = np.isinf(C)  # only +inf: CostMatrix rejects -inf and NaN
+    has_forbidden = bool(forbidden.any())
+    if tol is None:
+        finite = np.abs(C[~forbidden] if has_forbidden else C)
+        tol = pricing_tol(FLOAT, finite.max() if finite.size else 0)
+
+    if n * m > _KERNEL_CUTOFF and not has_forbidden:
+        X, iters = _kernel.solve_dense(a, b, C, tol)
+    else:
+        flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
+        X = np.zeros((n, m))
+        for (i, j), f in flow.items():
+            X[i, j] = f
+    if has_forbidden:
+        if _sum_in_order(X[forbidden]) > tol:
+            certificate = _hall_certificate(
+                a.tolist(), b.tolist(), forbidden.tolist(), X.tolist(), tol
+            )
+            return OTSolution(None, INF, iters, FLOAT, certificate)
+        # roundoff can leave dust on forbidden basic cells; sweep it
+        X[forbidden] = 0.0
+
+    ok, report = is_coupling(X, mu1, mu2, tol=default_tol(FLOAT))
+    if not ok:
+        raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
+    value = cost_of_plan(X, C)
+    plan = TransportPlan(tuple(map(tuple, X.tolist())), mu1, mu2)
+    return OTSolution(plan, value, iters, FLOAT)
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):

@@ -16,7 +16,7 @@ from .numerics import (
     DataError,
     ParameterError,
     ShapeError,
-    check_extended,
+    check_extended_matrix,
     default_tol,
     infer_mode,
     is_inf,
@@ -152,14 +152,12 @@ class CostMatrix:
     tol: float = field(default=0, compare=False)
 
     def __post_init__(self):
-        cost = tuple(tuple(row) for row in self.cost)
+        cost = tuple(map(tuple, self.cost))
         object.__setattr__(self, "cost", cost)
         m = len(cost[0]) if cost else 0
-        for row in cost:
-            if len(row) != m:
-                raise ShapeError("cost matrix is not rectangular")
-            for x in row:
-                check_extended(x, "cost entry")
+        if cost and set(map(len, cost)) != {m}:
+            raise ShapeError("cost matrix is not rectangular")
+        check_extended_matrix(cost, "cost entry")
         if self.lower_bound is not None:
             a1, a2 = self.lower_bound
             a1, a2 = tuple(a1), tuple(a2)

@@ -1,8 +1,11 @@
 import random
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from finiteot import solver
 from finiteot.coupling import TransportPlan, is_coupling, product_coupling
 from finiteot.generators import (
     random_cost,
@@ -12,8 +15,10 @@ from finiteot.generators import (
     random_rational_metric_space,
 )
 from finiteot.measure import DiscreteMeasure, new_measure
-from finiteot.numerics import INF, ParameterError, ShapeError, is_inf, pricing_tol
+from finiteot.numerics import INF, DataError, ParameterError, ShapeError, is_inf, pricing_tol
 from finiteot.solver import (
+    KERNEL,
+    _core_py,
     check_lower_bound,
     cost_of_plan,
     oracle_basis_enumeration,
@@ -27,6 +32,7 @@ from finiteot.space import CostMatrix
 HALF = F(1, 2)
 UNIFORM2 = new_measure([HALF, HALF])
 D2 = ((0, 1), (1, 0))  # two-point unit space distance
+D3 = ((0, 1, 2), (1, 0, 1), (2, 1, 0))  # three points on a line
 
 
 def forbidden_instance(seed, n, exact, density=0.75):
@@ -365,6 +371,117 @@ class TestFloatMode:
             assert fl.optimal_cost == pytest.approx(float(exact.optimal_cost), abs=1e-9)
 
 
+class TestRationalModeOnFloatWeights:
+    """Rational mode reads float weights as the exact binary fractions they are."""
+
+    def test_refuses_weights_whose_exact_totals_differ(self):
+        # both sum to 1.0 in floats, but not as exact binary fractions
+        mu1 = DiscreteMeasure((0.1, 0.2, 0.7))
+        mu2 = DiscreteMeasure((0.3, 0.3, 0.4))
+        with pytest.raises(ParameterError, match=r"-2\.7755575615628914e-17"):
+            solve_kantorovich(mu1, mu2, D3, mode="rational")
+
+    def test_balanced_dyadic_floats_solve_exactly(self):
+        mu1 = DiscreteMeasure((0.5, 0.25, 0.25))
+        mu2 = DiscreteMeasure((0.125, 0.375, 0.5))
+        sol = solve_kantorovich(mu1, mu2, D3, mode="rational")
+        exact = solve_kantorovich(
+            DiscreteMeasure(tuple(map(F, mu1.weights))),
+            DiscreteMeasure(tuple(map(F, mu2.weights))),
+            D3,
+        )
+        assert sol.optimal_cost == exact.optimal_cost == F(5, 8)
+        assert sol.plan.matrix == exact.plan.matrix
+        assert all(isinstance(x, F) for row in sol.plan.matrix for x in row)
+        assert is_coupling(sol.plan, mu1, mu2, tol=0)[0]
+
+
+class TestArrayChecks:
+    """The float64-array paths of cost_of_plan and is_coupling against the
+    cell-by-cell loops, which stay the reference."""
+
+    @staticmethod
+    def random_plan(rng, n, m):
+        X = np.array([[rng.random() if rng.random() < 0.3 else 0.0 for _ in range(m)]
+                      for _ in range(n)])
+        X[0, 0] += 0.1
+        return X / X.sum()
+
+    def test_cost_is_the_loop_sum_bit_for_bit(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n, m = rng.randint(1, 15), rng.randint(1, 15)
+            X = self.random_plan(rng, n, m)
+            C = [[rng.uniform(-1e3, 1e6) for _ in range(m)] for _ in range(n)]
+            # +inf where the plan puts no mass costs nothing
+            for i, j in zip(*np.nonzero(X == 0)):
+                if rng.random() < 0.3:
+                    C[i][j] = INF
+            value = cost_of_plan(X, C)
+            assert type(value) is float
+            assert value == cost_of_plan(tuple(map(tuple, X.tolist())), C)
+
+    def test_mass_on_inf_cell_costs_inf(self):
+        X = np.array([[0.5, 0.5], [0.0, 0.0]])
+        assert is_inf(cost_of_plan(X, ((0.0, INF), (0.0, INF))))
+        assert cost_of_plan(X, ((1.0, 2.0), (INF, INF))) == 1.5
+
+    def test_coupling_report_matches_the_loops(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            X = self.random_plan(rng, n, m)
+            mu1 = DiscreteMeasure(tuple(X.sum(axis=1).tolist()))
+            mu2 = DiscreteMeasure(tuple(X.sum(axis=0).tolist()))
+            if rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(m)
+                X[i, j] -= rng.choice((1e-12, 1e-3, 0.5))
+            ok, report = is_coupling(X, mu1, mu2)
+            ok_loop, report_loop = is_coupling(tuple(map(tuple, X.tolist())), mu1, mu2)
+            assert ok == ok_loop
+            assert sorted(r[:2] for r in report) == sorted(r[:2] for r in report_loop)
+            assert all(type(r[2]) is float for r in report)
+
+    def test_array_plan_shape_checked(self):
+        with pytest.raises(ShapeError):
+            is_coupling(np.ones((1, 1)), UNIFORM2, UNIFORM2)
+        with pytest.raises(ShapeError):
+            cost_of_plan(np.ones((1, 1)), D2)
+
+
+def criterion10_instance(n):
+    """Criterion-10-style float problem: integer weights and costs, seeded by n."""
+    rng = random.Random(n)
+    raw1 = [rng.randint(1, 1000) for _ in range(n)]
+    raw2 = [rng.randint(1, 1000) for _ in range(n)]
+    cost = tuple(tuple(float(rng.randint(0, 1000)) for _ in range(n)) for _ in range(n))
+    mu1 = DiscreteMeasure(tuple(float(F(x, sum(raw1))) for x in raw1))
+    mu2 = DiscreteMeasure(tuple(float(F(x, sum(raw2))) for x in raw2))
+    return mu1, mu2, cost
+
+
+def assignment_instance(n):
+    """Degenerate float assignment: uniform 1/n weights, integer costs."""
+    rng = random.Random(n)
+    uniform = DiscreteMeasure((1.0 / n,) * n)
+    cost = tuple(tuple(float(rng.randint(0, 999)) for _ in range(n)) for _ in range(n))
+    return uniform, uniform, cost
+
+
+#: instance -> dense kernel -> (iterations, optimal_cost), pinned from the
+#: float path that turned its data into lists around the kernel
+FLOAT_PINS = {
+    "criterion10_120": (
+        lambda: criterion10_instance(120),
+        {"compiled": (1723, 17.687001057222353), "python": (1003, 17.687001057222353)},
+    ),
+    "assignment_90": (
+        lambda: assignment_instance(90),
+        {"compiled": (1958, 17.999999999999996), "python": (678, 17.999999999999996)},
+    ),
+}
+
+
 class TestPivotIdentity:
     """Pivot counts and exact optima pinned from the generic simplex's
     earlier implementation (adjacency rebuilt every pivot, BigM objects,
@@ -408,3 +525,109 @@ class TestPivotIdentity:
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
             "rational", 156, F(113, 12)
         )
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
+    def test_float_on_the_selected_kernel(self, name):
+        make, pins = FLOAT_PINS[name]
+        sol = solve_kantorovich(*make(), mode="float")
+        assert (sol.iterations, sol.optimal_cost) == pins[KERNEL]
+        assert type(sol.optimal_cost) is float
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
+    def test_float_on_the_fallback_kernel(self, name, monkeypatch):
+        # the fallback gets the same float64 arrays as the compiled kernel
+        monkeypatch.setattr(solver, "_kernel", _core_py)
+        make, pins = FLOAT_PINS[name]
+        sol = solve_kantorovich(*make(), mode="float")
+        assert (sol.iterations, sol.optimal_cost) == pins["python"]
+        assert type(sol.optimal_cost) is float
+
+
+class TestFloatValidation:
+    """NaN, -inf and ragged input are still refused on the float array path."""
+
+    N = 9  # 81 cells, above the dense kernel's cutoff
+
+    def problem(self, bad=None):
+        rng = random.Random(41)
+        cost = [[float(rng.randint(0, 50)) for _ in range(self.N)] for _ in range(self.N)]
+        if bad is not None:
+            cost[4][7] = bad
+        uniform = DiscreteMeasure((1.0 / self.N,) * self.N)
+        return uniform, uniform, cost
+
+    @pytest.mark.parametrize("bad, message", [(float("nan"), "NaN cost entry"),
+                                              (-INF, "-inf cost entry")])
+    def test_bad_cost_entry_refused_by_cost_matrix(self, bad, message):
+        mu1, mu2, cost = self.problem(bad)
+        with pytest.raises(DataError, match=message):
+            solve_kantorovich(mu1, mu2, cost, mode="float")
+        with pytest.raises(DataError, match=message):
+            CostMatrix(cost)
+
+    def test_bad_cells_found_among_exact_and_infinite_cells(self):
+        with pytest.raises(DataError, match="NaN cost entry"):
+            CostMatrix(((F(1), 2), (INF, float("nan"))))
+        # +inf and -inf screen as NaN; the cell scan then names the -inf
+        with pytest.raises(DataError, match="-inf cost entry"):
+            CostMatrix(((INF, 0.0), (-INF, 1.0)))
+
+    def test_overflowing_finite_cells_pass(self):
+        # their sum overflows to -inf, but no cell is -inf
+        assert CostMatrix(((-1e308, -1e308), (-1e308, 0.0))).shape == (2, 2)
+
+    def test_nan_plan_entry_refused(self):
+        with pytest.raises(DataError, match="NaN plan entry"):
+            TransportPlan(((0.5, 0.0), (0.0, float("nan"))))
+        with pytest.raises(DataError, match="-inf plan entry"):
+            TransportPlan(((F(1, 2), 0), (0, -INF)))
+
+    def test_ragged_input_refused(self):
+        mu1, mu2, cost = self.problem()
+        cost[3] = cost[3][:-1]
+        with pytest.raises(ShapeError):
+            solve_kantorovich(mu1, mu2, cost, mode="float")
+        with pytest.raises(ShapeError):
+            CostMatrix(cost)
+        with pytest.raises(ShapeError):
+            TransportPlan(((0.5, 0.0), (0.5,)))
+
+
+def test_float_solve_does_no_python_work_per_cell(monkeypatch):
+    """Python-level calls during a 150 x 150 float solve stay far below one
+    per ten cells (the list-based float path made about four per cell).
+    Counting calls, unlike timing them, does not depend on the host's speed.
+    The kernel runs uncounted: the fallback's pivots are its own work."""
+    n = 150
+    rng = random.Random(150)
+    mu1, mu2 = (
+        DiscreteMeasure(tuple(x / sum(raw) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+    )
+    cost = [[float(rng.randint(0, 1000)) for _ in range(n)] for _ in range(n)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    kernel = solver._kernel
+
+    class Uncounted:
+        @staticmethod
+        def solve_dense(*args):
+            sys.setprofile(None)
+            try:
+                return kernel.solve_dense(*args)
+            finally:
+                sys.setprofile(count)
+
+    monkeypatch.setattr(solver, "_kernel", Uncounted)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        sol = solve_kantorovich(mu1, mu2, cost)
+    finally:
+        sys.setprofile(previous)
+    assert sol.feasible
+    assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
