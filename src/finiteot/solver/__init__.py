@@ -3,30 +3,32 @@
 The public entry point is solve_kantorovich, the one place that decides the
 numeric mode and the path:
 
-- rational mode goes through the generic simplex (simplex.py) on Python
-  ints: weights and finite costs are scaled by the least common multiple of
-  their denominators, and the integer flows are divided back by the weight
-  scale.  Float weights are read as the binary fractions they are, so two
-  measures whose exact totals differ are refused rather than solved into a
-  plan that couples neither;
-- float problems with forbidden +inf cells, and small float problems, go
-  through the same generic simplex on floats;
-- larger all-finite float problems go through the dense float kernel.  That
-  is the C kernel in _dense.c, loaded through ctypes by _compiled (which
-  builds it with the system C compiler on first import), or the numpy
-  fallback _core_py when it cannot be built or loaded, or when
-  FINITEOT_FORCE_PURE=1 forces the fallback.  KERNEL names the kernel in
-  use; KERNEL_INFO adds its library and the reason it was chosen, and is
-  logged at DEBUG on the "finiteot" logger.
+- rational mode goes through the transportation simplex (simplex.py) on
+  Python ints: weights and finite costs are scaled by the least common
+  multiple of their denominators, and the integer flows are divided back by
+  the weight scale.  Float weights are read as the binary fractions they
+  are, so two measures whose exact totals differ are refused rather than
+  solved into a plan that couples neither;
+- all-finite float problems go through the dense C kernel in _dense.c,
+  loaded through ctypes by _compiled (which builds it with the system C
+  compiler on first import);
+- float problems with forbidden +inf cells go through the same simplex on
+  floats, and so do all float problems when the C kernel cannot be built or
+  loaded, or when FINITEOT_FORCE_PURE=1 turns it off.  simplex.py takes the
+  C kernel's pivots one for one, so either engine returns the same plan, bit
+  for bit, after the same number of pivots.  KERNEL names the engine of
+  all-finite float problems ("compiled" or "python"); KERNEL_INFO adds its
+  library and the reason it was chosen, and is logged at DEBUG on the
+  "finiteot" logger.
 
 A float solve converts the weights and costs to float64 arrays once and
 stays on arrays until the plan is built: the forbidden cells, the pricing
 tolerance, the forbidden-mass decision, the dust sweep, the coupling check
-and the cost are array operations, and the generic simplex alone gets
+and the cost are array operations, and the Python simplex alone gets
 Python lists.  The returned plan's matrix is still a tuple of tuples of
 Python floats, and its cost a Python float.
 
-The generic simplex prices a forbidden +inf cell as an (M, value) pair, so
+The simplex prices a forbidden +inf cell as an (M, value) pair, so
 its optimal plan puts the least possible mass on forbidden cells: the
 finite part of that plan is a maximum flow.  The problem has no finite-cost
 plan exactly when that mass exceeds the tolerance, and then the rows that
@@ -58,26 +60,27 @@ from ..numerics import (
     pricing_tol,
 )
 from ..space import CostMatrix
-from . import _compiled, _core_py
+from . import _compiled
 from .simplex import flow_to_matrix, transportation_simplex
 
 
 @dataclass(frozen=True)
 class KernelInfo:
-    """Which dense float kernel is in use, from which library, and why."""
+    """Which engine solves all-finite float problems, from which library, and why."""
 
     kernel: str
-    library: str  # None for the fallback
+    library: str  # None for the Python simplex
     reason: str
 
 
 def _select_kernel():
+    """(C kernel or None, KernelInfo); None sends every float solve to simplex.py."""
     if os.environ.get("FINITEOT_FORCE_PURE"):
-        return _core_py, KernelInfo("python", None, "forced by FINITEOT_FORCE_PURE")
+        return None, KernelInfo("python", None, "forced by FINITEOT_FORCE_PURE")
     try:
         kernel = _compiled.load()
     except _compiled.KernelUnavailable as exc:
-        return _core_py, KernelInfo("python", None, f"compiled kernel unavailable: {exc}")
+        return None, KernelInfo("python", None, f"compiled kernel unavailable: {exc}")
     how = "built into" if kernel.built else "loaded from"
     return kernel, KernelInfo(kernel.KERNEL_NAME, str(kernel.path), f"{how} the cache")
 
@@ -86,15 +89,12 @@ _kernel, KERNEL_INFO = _select_kernel()
 KERNEL = KERNEL_INFO.kernel
 logging.getLogger("finiteot").debug("dense float kernel: %s", KERNEL_INFO)
 
-#: below this cell count the generic simplex is fast enough even on floats
-_KERNEL_CUTOFF = 64
-
 
 @dataclass(frozen=True)
 class OTSolution:
     """Optimal plan with its cost; cost is +inf when no finite plan exists.
 
-    iterations is the pivot count of the kernel that ran, also on an
+    iterations is the pivot count of the engine that ran, also on an
     infeasible result (plan None, with infeasibility_certificate set).
     """
 
@@ -168,21 +168,25 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
     return bound, value, is_inf(value) or value >= bound
 
 
-def _solve_scaled(a, b, c, tol):
+def _solve_scaled(a, b, c, forbidden, tol):
     """Rational simplex run on Python ints; returns (Fraction matrix, pivots).
 
     Weights are scaled by the least common multiple of their denominators
-    and finite costs by that of theirs.  Both scales are positive, so every
-    comparison, and hence every pivot, is the one the Fractions would give.
+    and finite costs by that of theirs; forbidden is the n x m truth matrix
+    of the +inf cells.  Both scales are positive, so every comparison, and
+    hence every pivot, is the one the Fractions would give.
     """
     wscale = math.lcm(*(x.denominator for x in (*a, *b)))
-    cscale = math.lcm(*(x.denominator for row in c for x in row if not is_inf(x)))
+    rows = list(zip(c, forbidden))
+    cscale = math.lcm(
+        *(x.denominator for row, frow in rows for x, f in zip(row, frow) if not f)
+    )
     flow, iters = transportation_simplex(
         [x.numerator * (wscale // x.denominator) for x in a],
         [x.numerator * (wscale // x.denominator) for x in b],
         [
-            [x if is_inf(x) else x.numerator * (cscale // x.denominator) for x in row]
-            for row in c
+            [x if f else x.numerator * (cscale // x.denominator) for x, f in zip(row, frow)]
+            for row, frow in rows
         ],
         tol=tol * cscale,
     )
@@ -272,10 +276,13 @@ def _solve_rational(mu1, mu2, cm, tol):
         )
     if tol is None:
         tol = default_tol(RATIONAL)
-    c = [[x if is_inf(x) else Fraction(x) for x in row] for row in cm.cost]
-    matrix, iters = _solve_scaled(a, b, c, tol)
-    if cm.has_infinite_entries():
-        forbidden = [[is_inf(x) for x in row] for row in c]
+    forbidden = [[is_inf(x) for x in row] for row in cm.cost]
+    c = [
+        [x if f else Fraction(x) for x, f in zip(row, frow)]
+        for row, frow in zip(cm.cost, forbidden)
+    ]
+    matrix, iters = _solve_scaled(a, b, c, forbidden, tol)
+    if any(map(any, forbidden)):
         mass = sum(x for prow, frow in zip(matrix, forbidden) for x, f in zip(prow, frow) if f)
         if mass > tol:
             certificate = _hall_certificate(a, b, forbidden, matrix, tol)
@@ -299,7 +306,7 @@ def _solve_float(mu1, mu2, cm, tol):
         finite = np.abs(C[~forbidden] if has_forbidden else C)
         tol = pricing_tol(FLOAT, finite.max() if finite.size else 0)
 
-    if n * m > _KERNEL_CUTOFF and not has_forbidden:
+    if _kernel is not None and not has_forbidden:
         X, iters = _kernel.solve_dense(a, b, C, tol)
     else:
         flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)

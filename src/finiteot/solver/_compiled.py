@@ -9,10 +9,10 @@ library with an atomic os.replace; a build then deletes leftover temporary
 files and the libraries and lock files of other keys.  A warm load only
 hashes the source and opens the cached library, starting no child process.
 
-load() returns a kernel with the same contract as _core_py: KERNEL_NAME
-and solve_dense(a, b, C, tol) -> (X, iterations).  It raises
-KernelUnavailable, whose message is the reason, when the library can be
-neither found nor built.
+load() returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol) ->
+(X, iterations), whose pivots simplex.transportation_simplex repeats one
+for one.  It raises KernelUnavailable, whose message is the reason, when
+the library can be neither found nor built.
 """
 
 from __future__ import annotations

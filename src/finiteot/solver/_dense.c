@@ -1,11 +1,14 @@
 /*
  * Dense float transportation simplex: the compiled kernel.
  *
- * Hot path for large float-mode problems.  Same contract as the pure
- * fallback (_core_py.solve_dense): balanced float supplies/demands,
- * finite costs, returns the plan and the pivot count.  Loaded through
- * ctypes by finiteot.solver._compiled, which builds it on first import
- * with the system C compiler; it needs no Python or numpy headers.
+ * Runs every all-finite float problem: balanced float supplies/demands,
+ * finite costs, returns the plan and the pivot count.  Its pivot rule is
+ * mirrored by transportation_simplex in simplex.py, which runs without a
+ * compiler and on forbidden cells: on the same float input both take the
+ * same pivots and return bit-identical plans, so a change to the rule here
+ * must be made there too.  Loaded through ctypes by
+ * finiteot.solver._compiled, which builds it on first import with the
+ * system C compiler; it needs no Python or numpy headers.
  *
  * Start: north-west corner.  Entering cells come from a wraparound block
  * search over the reduced costs (best candidate within the first block

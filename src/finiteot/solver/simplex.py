@@ -1,9 +1,12 @@
 """Transportation simplex on a persistent spanning tree, over any ordered numbers.
 
-This is the exact engine.  It runs unchanged on Python ints (rational mode:
-solve_kantorovich scales weights and costs by the least common multiple of
-their denominators, so every pivot is the one Fractions would take) and on
-floats (small problems, and problems with forbidden cells).
+This is the exact engine and the Python twin of the C kernel (_dense.c).
+It runs unchanged on Python ints (rational mode: solve_kantorovich scales
+weights and costs by the least common multiple of their denominators, so
+every pivot is the one Fractions would take) and on floats (problems with
+forbidden cells, and every float problem when the C kernel is off).  On an
+all-finite float problem it takes the C kernel's pivots one for one and
+returns the same plan, bit for bit.
 
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
@@ -21,13 +24,21 @@ are reversed along the cut path, and its depths and potentials are
 recomputed top-down with the same c_ij - pot[parent], so float potentials
 are bit-identical to a full recompute.
 
-Pivot rule: north-west corner start, the first cell in row-major order with
-a negative reduced cost enters (Bland's rule, which terminates even under
-degeneracy), and the cell with the least (flow, (i, j)) among the cycle's
-decreasing cells leaves.
+Pivot rule, the C kernel's: north-west corner start.  The entering cell
+comes from a block search (LEMON's NetworkSimplex, which POT's emd uses):
+the cells are scanned in row-major order in blocks of
+max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
+last scan stopped, and the most negative reduced cost in the first block
+that holds a negative one enters.  The cell with the least (flow, (i, j))
+among the cycle's decreasing cells leaves.  After more than 3 (n + m)
+consecutive pivots with theta <= tol the rule becomes Bland's for good: the
+first cell in row-major order with a negative reduced cost enters, which
+terminates even under degeneracy.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..numerics import is_inf
 
@@ -61,11 +72,11 @@ def northwest_corner(a, b):
 
 
 def _split_costs(cost):
-    """(M part or None when no cell is forbidden, value part)."""
-    value = [[0 if is_inf(c) else c for c in row] for row in cost]
-    if not any(is_inf(c) for row in cost for c in row):
-        return None, value
+    """(M part or None when no cell is forbidden, value part), in one scan."""
     big = [[1 if is_inf(c) else 0 for c in row] for row in cost]
+    if not any(map(any, big)):
+        return None, cost
+    value = [[0 if f else c for c, f in zip(row, flags)] for row, flags in zip(cost, big)]
     return big, value
 
 
@@ -74,6 +85,7 @@ class _Tree:
 
     def __init__(self, n, m, basis, value, big):
         self.n = n
+        self.m = m
         self.value = value
         self.big = big
         size = n + m
@@ -166,29 +178,50 @@ class _Tree:
             prev, node = node, above
         self._refresh((endpoint,))
 
-    def entering(self, ntol):
-        """First non-basic cell in row-major order whose reduced cost is
-        negative: M part below 0, or M part 0 and value part below ntol."""
-        n, parent, pot, pot_big = self.n, self.parent, self.pot, self.pot_big
+    def block_search(self, ntol, start, block):
+        """Wraparound block search for the entering cell.
+
+        Scans the cells in row-major order from position start (i * m + j),
+        block cells at a time, until a block holds a non-basic cell whose
+        reduced cost is negative: M part below 0, or M part 0 and value part
+        below ntol.  Returns the least reduced cost in that block, (M, value)
+        pairs compared lexicographically and the first cell winning ties, as
+        (i, j, position after the block), or None when no cell qualifies.
+        """
+        n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
+        value, big = self.value, self.big
         v = pot[n:]
-        m = len(v)
-        if self.big is None:
-            for i, ci in enumerate(self.value):
-                ui = pot[i]
-                for j in range(m):
-                    if ci[j] - ui - v[j] < ntol and parent[i] != n + j and parent[n + j] != i:
-                        return i, j
-            return None
-        v_big = pot_big[n:]
-        for i, (ci, bi) in enumerate(zip(self.value, self.big)):
-            ui = pot[i]
-            ui_big = pot_big[i]
-            for j in range(m):
-                d = bi[j] - ui_big - v_big[j]
-                if (d < 0 if d else ci[j] - ui - v[j] < ntol) and (
-                    parent[i] != n + j and parent[n + j] != i
-                ):
-                    return i, j
+        v_big = pot_big[n:] if big is not None else None
+        best_big, best, found = 0, ntol, None
+        total = n * m
+        pos = start
+        scanned = 0
+        while scanned < total:
+            size = min(block, total - scanned)
+            scanned += size
+            end = pos + size  # past total when the block wraps round
+            while pos < end:
+                i, j0 = divmod(pos % total, m)
+                stop = min(m, j0 + end - pos)
+                pos += stop - j0
+                ci, ui = value[i], pot[i]
+                up = parent[i] - n  # column of the basic cell to row i's parent
+                if big is None:
+                    for j in range(j0, stop):
+                        r = ci[j] - ui - v[j]
+                        if r < best and j != up and parent[n + j] != i:
+                            best, found = r, (i, j)
+                else:
+                    bi, ui_big = big[i], pot_big[i]
+                    for j in range(j0, stop):
+                        d = bi[j] - ui_big - v_big[j]
+                        if d <= best_big:
+                            r = ci[j] - ui - v[j]
+                            if (d < best_big or r < best) and j != up and parent[n + j] != i:
+                                best_big, best, found = d, r, (i, j)
+            pos %= total
+            if found is not None:
+                return (*found, pos)
         return None
 
 
@@ -208,17 +241,22 @@ def transportation_simplex(a, b, cost, tol=0, max_iter=None):
     ntol = -tol
     if max_iter is None:
         max_iter = 10000 + 200 * (n + m) * max(n, m)
-    iterations = 0
+    # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
+    block = max(64, int(math.exp(0.5 * math.log(n * m))))
+    pos = stall = iterations = 0
+    bland = False
     while True:
-        entering = tree.entering(ntol)
-        if entering is None:
+        found = tree.block_search(ntol, 0, 1) if bland else tree.block_search(ntol, pos, block)
+        if found is None:
             return flow, iterations
+        ei, ej, pos = found
+        entering = ei, ej
         iterations += 1
         if iterations > max_iter:
             raise RuntimeError(
                 f"simplex exceeded {max_iter} pivots on a {n}x{m} problem"
             )
-        down, up = tree.cycle(*entering)
+        down, up = tree.cycle(ei, ej)
         theta = leaving = None
         for cell, node, endpoint in down:
             f = flow[cell]
@@ -230,7 +268,13 @@ def transportation_simplex(a, b, cost, tol=0, max_iter=None):
             flow[cell] += theta
         flow[entering] = theta
         del flow[leaving]
-        tree.pivot(*entering, lower, below)
+        tree.pivot(ei, ej, lower, below)
+        if theta <= tol:
+            stall += 1
+            if stall > 3 * (n + m):
+                bland = True
+        else:
+            stall = 0
 
 
 def flow_to_matrix(flow, n, m, zero=0):

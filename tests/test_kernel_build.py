@@ -15,11 +15,21 @@ import pytest
 import finiteot
 from finiteot.solver import _compiled
 
+from test_solver import FLOAT_PINS
+
 SRC = str(Path(finiteot.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 REPORT = (
     "import dataclasses, json, finiteot; "
     "print(json.dumps(dataclasses.asdict(finiteot.KERNEL_INFO)))"
+)
+#: REPORT, with the pivots and cost of a criterion-10 solve under "solved"
+SOLVE = (
+    "import dataclasses, json, finiteot; from test_solver import criterion10_instance; "
+    "sol = finiteot.solve_kantorovich(*criterion10_instance(120), mode='float'); "
+    "print(json.dumps({**dataclasses.asdict(finiteot.KERNEL_INFO), "
+    "'solved': [sol.iterations, repr(sol.optimal_cost)]}))"
 )
 
 needs_compiler = pytest.mark.skipif(
@@ -27,15 +37,15 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def start(cache, **env):
+def start(cache, script=REPORT, **env):
     full = dict(os.environ)
     full.pop("FINITEOT_FORCE_PURE", None)
     full.update(env, XDG_CACHE_HOME=str(cache))
     full["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+        p for p in (SRC, TESTS, os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.Popen(
-        [sys.executable, "-c", REPORT],
+        [sys.executable, "-c", script],
         env=full,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -93,7 +103,10 @@ def test_build_deletes_stale_cache_files(tmp_path):
 
 def test_force_pure_compiles_nothing(tmp_path):
     cache = tmp_path / "cache"
-    info = report(start(cache, FINITEOT_FORCE_PURE="1"))
+    info = report(start(cache, SOLVE, FINITEOT_FORCE_PURE="1"))
+    # the Python simplex repeats the compiled kernel's pivots and plan
+    iterations, cost = FLOAT_PINS["criterion10_120"][1]
+    assert info["solved"] == [iterations, repr(cost)]
     assert info["kernel"] == "python"
     assert info["library"] is None
     assert "forced" in info["reason"]

@@ -17,8 +17,6 @@ from finiteot.generators import (
 from finiteot.measure import DiscreteMeasure, new_measure
 from finiteot.numerics import INF, DataError, ParameterError, ShapeError, is_inf, pricing_tol
 from finiteot.solver import (
-    KERNEL,
-    _core_py,
     check_lower_bound,
     cost_of_plan,
     oracle_basis_enumeration,
@@ -468,25 +466,21 @@ def assignment_instance(n):
     return uniform, uniform, cost
 
 
-#: instance -> dense kernel -> (iterations, optimal_cost), pinned from the
-#: float path that turned its data into lists around the kernel
+#: instance -> (iterations, optimal_cost), pinned from the compiled kernel
+#: on the float path that turned its data into lists around it; the Python
+#: simplex takes the same pivots, so one pin holds for both engines
 FLOAT_PINS = {
-    "criterion10_120": (
-        lambda: criterion10_instance(120),
-        {"compiled": (1723, 17.687001057222353), "python": (1003, 17.687001057222353)},
-    ),
-    "assignment_90": (
-        lambda: assignment_instance(90),
-        {"compiled": (1958, 17.999999999999996), "python": (678, 17.999999999999996)},
-    ),
+    "criterion10_120": (lambda: criterion10_instance(120), (1723, 17.687001057222353)),
+    "assignment_90": (lambda: assignment_instance(90), (1958, 17.999999999999996)),
 }
 
 
 class TestPivotIdentity:
-    """Pivot counts and exact optima pinned from the generic simplex's
-    earlier implementation (adjacency rebuilt every pivot, BigM objects,
-    Fraction arithmetic).  The pivot rule is unchanged, so they must repeat
-    exactly; a different entering or leaving choice shows as another count.
+    """Pivot counts and optima pinned for the simplex's pivot rule, the C
+    kernel's block search (re-recorded when simplex.py took that rule over
+    from its first-negative-cell scan; the exact optima did not change).
+    They must repeat exactly: a different entering or leaving choice shows
+    as another count.
     """
 
     def test_rational_w1_on_integer_metric(self):
@@ -496,7 +490,7 @@ class TestPivotIdentity:
         mu2 = random_positive_rational_measure(rng, 20)
         sol = solve_kantorovich(mu1, mu2, space.power_cost(1))
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
-            "rational", 171, F(2061, 2650)
+            "rational", 54, F(2061, 2650)
         )
 
     def test_float_with_forbidden_cells(self):
@@ -515,7 +509,7 @@ class TestPivotIdentity:
         ]
         cost[0][0] = INF
         sol = solve_kantorovich(mu1, mu2, cost, mode="float")
-        assert (sol.iterations, sol.optimal_cost) == (669, 61.3737411371152)
+        assert (sol.iterations, sol.optimal_cost) == (113, 61.37374113711523)
 
     def test_degenerate_rational_assignment(self):
         rng = random.Random(12)
@@ -523,30 +517,30 @@ class TestPivotIdentity:
         cost = [[rng.randint(0, 99) for _ in range(12)] for _ in range(12)]
         sol = solve_kantorovich(uniform, uniform, cost)
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
-            "rational", 156, F(113, 12)
+            "rational", 38, F(113, 12)
         )
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
     def test_float_on_the_selected_kernel(self, name):
-        make, pins = FLOAT_PINS[name]
+        make, pin = FLOAT_PINS[name]
         sol = solve_kantorovich(*make(), mode="float")
-        assert (sol.iterations, sol.optimal_cost) == pins[KERNEL]
+        assert (sol.iterations, sol.optimal_cost) == pin
         assert type(sol.optimal_cost) is float
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
     def test_float_on_the_fallback_kernel(self, name, monkeypatch):
-        # the fallback gets the same float64 arrays as the compiled kernel
-        monkeypatch.setattr(solver, "_kernel", _core_py)
-        make, pins = FLOAT_PINS[name]
+        # without the C kernel the Python simplex solves every float problem
+        monkeypatch.setattr(solver, "_kernel", None)
+        make, pin = FLOAT_PINS[name]
         sol = solve_kantorovich(*make(), mode="float")
-        assert (sol.iterations, sol.optimal_cost) == pins["python"]
+        assert (sol.iterations, sol.optimal_cost) == pin
         assert type(sol.optimal_cost) is float
 
 
 class TestFloatValidation:
     """NaN, -inf and ragged input are still refused on the float array path."""
 
-    N = 9  # 81 cells, above the dense kernel's cutoff
+    N = 9
 
     def problem(self, bad=None):
         rng = random.Random(41)
@@ -597,7 +591,8 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
     """Python-level calls during a 150 x 150 float solve stay far below one
     per ten cells (the list-based float path made about four per cell).
     Counting calls, unlike timing them, does not depend on the host's speed.
-    The kernel runs uncounted: the fallback's pivots are its own work."""
+    Whichever engine runs, the C kernel or the Python simplex, runs uncounted:
+    its pivots are its own work."""
     n = 150
     rng = random.Random(150)
     mu1, mu2 = (
@@ -611,18 +606,26 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
         nonlocal calls
         calls += event == "call"
 
-    kernel = solver._kernel
-
-    class Uncounted:
-        @staticmethod
-        def solve_dense(*args):
+    def uncounted(engine):
+        def run(*args, **kwargs):
             sys.setprofile(None)
             try:
-                return kernel.solve_dense(*args)
+                return engine(*args, **kwargs)
             finally:
                 sys.setprofile(count)
 
-    monkeypatch.setattr(solver, "_kernel", Uncounted)
+        return run
+
+    if solver._kernel is not None:
+        kernel = solver._kernel
+
+        class Uncounted:
+            solve_dense = staticmethod(uncounted(kernel.solve_dense))
+
+        monkeypatch.setattr(solver, "_kernel", Uncounted)
+    monkeypatch.setattr(
+        solver, "transportation_simplex", uncounted(solver.transportation_simplex)
+    )
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
