@@ -1,7 +1,7 @@
 """finiteot: exact discrete optimal transport with verification suites.
 
 Finite metric spaces, discrete measures, transport plans, an exact
-Kantorovich solver (rational and float modes, compiled kernel for large
+Kantorovich solver (rational and float modes, a compiled kernel for
 float problems), Wasserstein-p distances with the gluing construction,
 and lower-semicontinuity checks.
 """

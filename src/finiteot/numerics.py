@@ -21,8 +21,6 @@ FLOAT_TOL = 1e-9
 RATIONAL = "rational"
 FLOAT = "float"
 
-MODES = (RATIONAL, FLOAT)
-
 
 def is_inf(x) -> bool:
     return isinstance(x, float) and math.isinf(x)
@@ -124,12 +122,6 @@ def default_tol(mode: str):
 def pricing_tol(mode: str, max_abs_cost):
     """Default solver tolerance: 0 in rational mode, FLOAT_TOL scaled by the costs."""
     return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(max_abs_cost))
-
-
-def close(x, y, tol) -> bool:
-    if is_inf(x) or is_inf(y):
-        return is_inf(x) and is_inf(y)
-    return abs(x - y) <= tol
 
 
 class ShapeError(ValueError):

@@ -9,17 +9,15 @@ numeric mode and the path:
   the weight scale.  Float weights are read as the binary fractions they
   are, so two measures whose exact totals differ are refused rather than
   solved into a plan that couples neither;
-- all-finite float problems go through the dense C kernel in _dense.c,
-  loaded through ctypes by _compiled (which builds it with the system C
-  compiler on first import);
-- float problems with forbidden +inf cells go through the same simplex on
-  floats, and so do all float problems when the C kernel cannot be built or
-  loaded, or when FINITEOT_FORCE_PURE=1 turns it off.  simplex.py takes the
-  C kernel's pivots one for one, so either engine returns the same plan, bit
-  for bit, after the same number of pivots.  KERNEL names the engine of
-  all-finite float problems ("compiled" or "python"); KERNEL_INFO adds its
-  library and the reason it was chosen, and is logged at DEBUG on the
-  "finiteot" logger.
+- float problems go through the dense C kernel in _dense.c, forbidden +inf
+  cells included, loaded through ctypes by _compiled (which builds it with
+  the system C compiler on first import).  When the C kernel cannot be built
+  or loaded, or FINITEOT_FORCE_PURE=1 turns it off, they go through the same
+  simplex on floats.  _dense.c is a port of simplex.py, so either engine
+  returns the same plan, bit for bit, after the same number of pivots.
+  KERNEL names the engine of float problems ("compiled" or "python");
+  KERNEL_INFO adds its library and the reason it was chosen, and is logged
+  at DEBUG on the "finiteot" logger.
 
 A float solve converts the weights and costs to float64 arrays once and
 stays on arrays until the plan is built: the forbidden cells, the pricing
@@ -28,9 +26,9 @@ and the cost are array operations, and the Python simplex alone gets
 Python lists.  The returned plan's matrix is still a tuple of tuples of
 Python floats, and its cost a Python float.
 
-The simplex prices a forbidden +inf cell as an (M, value) pair, so
-its optimal plan puts the least possible mass on forbidden cells: the
-finite part of that plan is a maximum flow.  The problem has no finite-cost
+Both engines price a forbidden +inf cell as an (M, value) pair, so the
+optimal plan they return puts the least possible mass on forbidden cells:
+the finite part of that plan is a maximum flow.  The problem has no finite-cost
 plan exactly when that mass exceeds the tolerance, and then the rows that
 reach each other through the plan's residual graph give the Hall-type cut
 certificate.
@@ -66,7 +64,7 @@ from .simplex import flow_to_matrix, transportation_simplex
 
 @dataclass(frozen=True)
 class KernelInfo:
-    """Which engine solves all-finite float problems, from which library, and why."""
+    """Which engine solves float problems, from which library, and why."""
 
     kernel: str
     library: str  # None for the Python simplex
@@ -306,7 +304,7 @@ def _solve_float(mu1, mu2, cm, tol):
         finite = np.abs(C[~forbidden] if has_forbidden else C)
         tol = pricing_tol(FLOAT, finite.max() if finite.size else 0)
 
-    if _kernel is not None and not has_forbidden:
+    if _kernel is not None:
         X, iters = _kernel.solve_dense(a, b, C, tol)
     else:
         flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)

@@ -1,4 +1,4 @@
-"""Loader for the compiled dense float kernel (_dense.c, called through ctypes).
+"""Loader for the compiled float kernel (_dense.c, called through ctypes).
 
 The shared library is built from _dense.c on first use with the system C
 compiler (no Python headers, no Cython) and cached in
@@ -10,8 +10,9 @@ files and the libraries and lock files of other keys.  A warm load only
 hashes the source and opens the cached library, starting no child process.
 
 load() returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol) ->
-(X, iterations), whose pivots simplex.transportation_simplex repeats one
-for one.  It raises KernelUnavailable, whose message is the reason, when
+(X, iterations), the C port of simplex.transportation_simplex: on the same
+float input, +inf cells included, both take the same pivots and return the
+same plan.  It raises KernelUnavailable, whose message is the reason, when
 the library can be neither found nor built.
 """
 
@@ -161,7 +162,11 @@ class CompiledKernel:
         ]
 
     def solve_dense(self, a, b, C, tol):
-        """Minimize <C, X> over the transportation polytope (floats, no inf)."""
+        """Minimize <C, X> over the transportation polytope; +inf cells are forbidden.
+
+        On a problem with no finite-cost plan, X puts the least possible
+        mass on +inf cells, as transportation_simplex does.
+        """
         a = np.ascontiguousarray(a, dtype=np.float64)
         b = np.ascontiguousarray(b, dtype=np.float64)
         C = np.ascontiguousarray(C, dtype=np.float64)

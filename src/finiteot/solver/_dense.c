@@ -1,20 +1,35 @@
 /*
- * Dense float transportation simplex: the compiled kernel.
+ * Transportation simplex on a persistent spanning tree: the compiled kernel.
  *
- * Runs every all-finite float problem: balanced float supplies/demands,
- * finite costs, returns the plan and the pivot count.  Its pivot rule is
- * mirrored by transportation_simplex in simplex.py, which runs without a
- * compiler and on forbidden cells: on the same float input both take the
- * same pivots and return bit-identical plans, so a change to the rule here
- * must be made there too.  Loaded through ctypes by
+ * Runs every float problem while it is loaded: balanced float supplies and
+ * demands, costs finite or +inf for a forbidden cell; returns the plan and
+ * the pivot count.  It is a port of transportation_simplex in simplex.py,
+ * the exact engine and the fallback without a compiler: on the same float
+ * input both take the same pivots and return bit-identical plans, so a
+ * change here must be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
  * system C compiler; it needs no Python or numpy headers.
  *
- * Start: north-west corner.  Entering cells come from a wraparound block
- * search over the reduced costs (best candidate within the first block
- * containing one); the leaving cell is the least (row, column) among the
- * cells that attain theta.  After a degenerate stall longer than
- * 3 * (n + m) pivots the rule drops to least-index to rule out cycling.
+ * The basis is a spanning tree over the row nodes 0..n-1 and the column
+ * nodes n..n+m-1, rooted at row 0: parent, depth, first child and next
+ * sibling of each node, and the flow on the edge to its parent.  A node's
+ * potential is c_ij - pot[parent] along that edge, in two parts: a +inf
+ * cell costs (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M
+ * outweighs any value.  The north-west corner start hangs one new node per
+ * cell, so the start tree is built during that walk.
+ *
+ * Pivot rule: the cells are scanned in row-major order in blocks of
+ * max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
+ * last scan stopped, and the least (M, value) reduced cost in the first
+ * block that holds a negative one enters.  The cycle is found by climbing
+ * depths to the common ancestor, and the decreasing cell with the least
+ * (flow, row, column) leaves.  The path from the entering cell's end below
+ * the leaving edge up to that edge reverses, each flow moving one edge
+ * along it, and only the re-hung subtree gets new depths and potentials.
+ * After more than 3 (n + m) consecutive pivots with theta <= tol the scan
+ * becomes Bland's for good: one block of all cells from position 0 that
+ * stops at its first candidate, so the first cell with a negative reduced
+ * cost enters, as blocks of one cell would give without a block per cell.
  */
 
 #include <math.h>
@@ -24,280 +39,257 @@
 #define FOT_PIVOT_LIMIT (-1)
 #define FOT_NO_MEMORY (-2)
 
+typedef struct {
+    int64_t n, m;
+    const double *C;
+    int64_t *parent, *depth, *child, *sibling, *pot_big;
+    double *pot, *flow;
+} Tree;
+
+/* row-major index of the cell on the edge from node to its parent up */
+static int64_t edge_cell(const Tree *t, int64_t node, int64_t up)
+{
+    return node < t->n ? node * t->m + up - t->n : up * t->m + node - t->n;
+}
+
+/* depth and potentials of node, from its parent's */
+static void derive(Tree *t, int64_t node)
+{
+    int64_t up = t->parent[node];
+    double c = t->C[edge_cell(t, node, up)];
+    int forbidden = c == INFINITY;
+    t->depth[node] = t->depth[up] + 1;
+    t->pot[node] = (forbidden ? 0.0 : c) - t->pot[up];
+    t->pot_big[node] = forbidden - t->pot_big[up];
+}
+
+/* make node the first child of up */
+static void hang(Tree *t, int64_t node, int64_t up)
+{
+    t->parent[node] = up;
+    t->sibling[node] = t->child[up];
+    t->child[up] = node;
+}
+
+/* take node out of its parent's list of children */
+static void unhang(Tree *t, int64_t node)
+{
+    int64_t *link = &t->child[t->parent[node]];
+    while (*link != node)
+        link = &t->sibling[*link];
+    *link = t->sibling[node];
+}
+
+/* derive top and every node below it, depth first */
+static void refresh(Tree *t, int64_t top)
+{
+    int64_t node = top;
+    for (;;) {
+        derive(t, node);
+        if (t->child[node] >= 0) {
+            node = t->child[node];
+            continue;
+        }
+        while (node != top && t->sibling[node] < 0)
+            node = t->parent[node];
+        if (node == top)
+            return;
+        node = t->sibling[node];
+    }
+}
+
 /*
- * a: n supplies, b: m demands, C: n x m row-major costs, X: n x m output
- * (overwritten).  Returns the pivot count, FOT_PIVOT_LIMIT when the pivot
- * limit 20000 + 200 * (n + m) is exceeded, or FOT_NO_MEMORY.
+ * a: n supplies, b: m demands, C: n x m row-major costs (+inf forbidden),
+ * X: n x m output (overwritten).  Returns the pivot count, FOT_PIVOT_LIMIT
+ * when the pivot limit 10000 + 200 (n + m) max(n, m) is exceeded, or
+ * FOT_NO_MEMORY.
  */
 int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
                         const double *b, const double *C, double tol,
                         double *X)
 {
-    int64_t nb = n + m - 1;
-    int64_t nodes = n + m;
-    int64_t total_arcs = n * m;
-    int64_t max_iter = 20000 + 200 * nodes;
+    int64_t nodes = n + m, total = n * m;
+    int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
     /* about sqrt(n m) cells per block, but floor(exp(log(n m) / 2)): the
      * earlier Cython build computed the root as a complex pow, which falls
      * just short of the integer at most perfect squares (499 at 500 x 500),
      * and the block size decides which entering cell is found first */
-    int64_t block = (int64_t)exp(0.5 * log((double)total_arcs));
-    int64_t result = FOT_NO_MEMORY;
-    int64_t iterations = 0, stall = 0, scan_pos = 0;
-    int bland = 0;
-    int64_t i, j, k, t, node, nxt, cell, top, scanned, pos;
-    int64_t ei, ej, path_len, leave, li, lj;
-    double q, rc, best_rc, theta, f;
-    int sign;
-
-    int64_t *bi = malloc(nb * sizeof *bi);
-    int64_t *bj = malloc(nb * sizeof *bj);
-    double *bf = malloc(nb * sizeof *bf);
-    int64_t *basic_at = malloc(total_arcs * sizeof *basic_at);
-    double *supply = malloc(n * sizeof *supply);
-    double *demand = malloc(m * sizeof *demand);
-    /* scratch arrays reused across pivots */
-    double *u = malloc(n * sizeof *u);
-    double *v = malloc(m * sizeof *v);
-    unsigned char *seen = malloc(nodes);
-    int64_t *deg = malloc(nodes * sizeof *deg);
-    int64_t *off = malloc((nodes + 1) * sizeof *off);
-    int64_t *adj_cell = malloc(2 * nb * sizeof *adj_cell);
-    int64_t *fill = malloc(nodes * sizeof *fill);
-    int64_t *stack = malloc(nodes * sizeof *stack);
-    int64_t *parent_cell = malloc(nodes * sizeof *parent_cell);
-    int64_t *parent_node = malloc(nodes * sizeof *parent_node);
-    int64_t *path = malloc(nodes * sizeof *path);
-    if (!bi || !bj || !bf || !basic_at || !supply || !demand || !u || !v
-        || !seen || !deg || !off || !adj_cell || !fill || !stack
-        || !parent_cell || !parent_node || !path)
+    int64_t block = (int64_t)exp(0.5 * log((double)total));
+    int64_t result = FOT_NO_MEMORY, iterations = 0, stall = 0, scan_pos = 0;
+    int bland = 0, row_side;
+    int64_t i, j, j0, stop, k, pos, end, scanned, size, node, up, prev;
+    int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
+    double q, c, r, best, ui, theta, f, carried;
+    const double *row;
+    Tree t = {.n = n, .m = m, .C = C};
+    double *rest = malloc(nodes * sizeof *rest); /* supplies, then demands */
+    t.parent = malloc(nodes * sizeof *t.parent);
+    t.depth = malloc(nodes * sizeof *t.depth);
+    t.child = malloc(nodes * sizeof *t.child);
+    t.sibling = malloc(nodes * sizeof *t.sibling);
+    t.pot_big = malloc(nodes * sizeof *t.pot_big);
+    t.pot = malloc(nodes * sizeof *t.pot);
+    t.flow = malloc(nodes * sizeof *t.flow);
+    if (!rest || !t.parent || !t.depth || !t.child || !t.sibling
+        || !t.pot_big || !t.pot || !t.flow)
         goto done;
 
-    for (t = 0; t < total_arcs; t++)
-        basic_at[t] = -1;
-    for (i = 0; i < n; i++)
-        supply[i] = a[i];
-    for (j = 0; j < m; j++)
-        demand[j] = b[j];
+    for (node = 0; node < nodes; node++) {
+        t.child[node] = -1;
+        rest[node] = node < n ? a[node] : b[node - n];
+    }
+    t.parent[0] = -1;
+    t.depth[0] = t.pot_big[0] = 0;
+    t.pot[0] = 0.0;
 
-    /* north-west corner start */
-    i = 0;
-    j = 0;
-    k = 0;
+    /* north-west corner start: cell (i, j) hangs the node that the last
+     * step advanced to, column 0 first */
+    i = j = 0;
+    node = n;
+    up = 0;
     for (;;) {
-        q = supply[i] < demand[j] ? supply[i] : demand[j];
-        bi[k] = i;
-        bj[k] = j;
-        bf[k] = q;
-        basic_at[i * m + j] = k;
-        k++;
-        supply[i] -= q;
-        demand[j] -= q;
+        q = rest[i] < rest[n + j] ? rest[i] : rest[n + j];
+        hang(&t, node, up);
+        derive(&t, node);
+        t.flow[node] = q;
+        rest[i] -= q;
+        rest[n + j] -= q;
         if (i == n - 1 && j == m - 1)
             break;
-        if (supply[i] <= 0 && i < n - 1)
-            i++;
-        else if (demand[j] <= 0 && j < m - 1)
-            j++;
-        else if (i < n - 1)
-            i++;
-        else
-            j++;
+        /* advance one index per step so degenerate ties add zero-flow
+         * cells: the row once its supply is used up, else the column once
+         * its demand is, else the row while one is left */
+        if (i < n - 1 && (rest[i] == 0 || rest[n + j] != 0 || j == m - 1)) {
+            node = ++i;
+            up = n + j;
+        } else {
+            node = n + ++j;
+            up = i;
+        }
     }
 
     if (block < 64)
         block = 64;
 
     for (;;) {
-        /* adjacency of the basis tree (counting-sort layout) */
-        for (node = 0; node < nodes; node++)
-            deg[node] = 0;
-        for (t = 0; t < nb; t++) {
-            deg[bi[t]]++;
-            deg[n + bj[t]]++;
-        }
-        off[0] = 0;
-        for (node = 0; node < nodes; node++) {
-            off[node + 1] = off[node] + deg[node];
-            fill[node] = off[node];
-        }
-        for (t = 0; t < nb; t++) {
-            adj_cell[fill[bi[t]]++] = t;
-            adj_cell[fill[n + bj[t]]++] = t;
-        }
-
-        /* duals by tree traversal from row 0 */
-        for (node = 0; node < nodes; node++)
-            seen[node] = 0;
-        u[0] = 0.0;
-        seen[0] = 1;
-        stack[0] = 0;
-        top = 1;
-        while (top > 0) {
-            node = stack[--top];
-            for (t = off[node]; t < off[node + 1]; t++) {
-                cell = adj_cell[t];
-                nxt = node < n ? n + bj[cell] : bi[cell];
-                if (!seen[nxt]) {
-                    seen[nxt] = 1;
-                    if (nxt < n)
-                        u[nxt] = C[bi[cell] * m + bj[cell]] - v[bj[cell]];
-                    else
-                        v[nxt - n] = C[bi[cell] * m + bj[cell]] - u[bi[cell]];
-                    stack[top++] = nxt;
+        /* entering cell: wraparound block search on (M, value) pairs */
+        ei = ej = -1;
+        best_big = 0;
+        best = -tol;
+        pos = bland ? 0 : scan_pos;
+        size = bland ? total : block;
+        for (scanned = 0; ei < 0 && scanned < total; scanned += k) {
+            k = size < total - scanned ? size : total - scanned;
+            end = pos + k;
+            while (pos < end && !(bland && ei >= 0)) {
+                if (pos >= total) {
+                    pos -= total;
+                    end -= total;
                 }
-            }
-        }
-
-        /* entering arc */
-        ei = -1;
-        ej = -1;
-        if (bland) {
-            for (pos = 0; pos < total_arcs; pos++) {
                 i = pos / m;
-                j = pos - i * m;
-                if (basic_at[pos] >= 0)
-                    continue;
-                rc = C[pos] - u[i] - v[j];
-                if (rc < -tol) {
-                    ei = i;
-                    ej = j;
-                    break;
-                }
-            }
-        } else {
-            best_rc = -tol;
-            scanned = 0;
-            while (scanned < total_arcs) {
-                pos = scan_pos;
-                /* one block */
-                for (t = 0; t < block; t++) {
-                    if (scanned >= total_arcs)
-                        break;
-                    if (basic_at[pos] < 0) {
-                        i = pos / m;
-                        j = pos - i * m;
-                        rc = C[pos] - u[i] - v[j];
-                        if (rc < best_rc) {
-                            best_rc = rc;
+                j0 = pos - i * m;
+                stop = j0 + end - pos < m ? j0 + end - pos : m;
+                pos += stop - j0;
+                row = C + i * m;
+                ui = t.pot[i];
+                ui_big = t.pot_big[i];
+                col_up = t.parent[i] - n; /* row i's basic cell to its parent */
+                for (j = j0; j < stop; j++) {
+                    c = row[j];
+                    d = (c == INFINITY) - ui_big - t.pot_big[n + j];
+                    if (d <= best_big) {
+                        r = (c == INFINITY ? 0.0 : c) - ui - t.pot[n + j];
+                        if ((d < best_big || r < best) && j != col_up
+                            && t.parent[n + j] != i) {
+                            best_big = d;
+                            best = r;
                             ei = i;
                             ej = j;
+                            if (bland)
+                                break;
                         }
                     }
-                    pos++;
-                    if (pos == total_arcs)
-                        pos = 0;
-                    scanned++;
                 }
-                scan_pos = pos;
-                if (ei >= 0)
-                    break;
             }
         }
+        scan_pos = pos; /* total wraps to 0 in the next search */
         if (ei < 0)
             break;
 
-        iterations++;
-        if (iterations > max_iter) {
+        if (++iterations > limit) {
             result = FOT_PIVOT_LIMIT;
             goto done;
         }
 
-        /* cycle: tree path from row node ei to column node n + ej */
-        for (node = 0; node < nodes; node++)
-            seen[node] = 0;
-        seen[ei] = 1;
-        parent_node[ei] = -1;
-        stack[0] = ei;
-        top = 1;
-        while (top > 0) {
-            node = stack[--top];
-            if (node == n + ej)
+        /* cycle: climb from both ends to the common ancestor.  Edges are
+         * named by their lower node; the decreasing ones are those below a
+         * row on the row's side and below a column on the column's side */
+        leave = below = -1;
+        theta = 0.0;
+        x = ei;
+        y = n + ej;
+        while (x != y) {
+            row_side = t.depth[x] >= t.depth[y];
+            node = row_side ? x : y;
+            if (row_side)
+                x = t.parent[x];
+            else
+                y = t.parent[y];
+            if ((node < n) != row_side)
+                continue;
+            f = t.flow[node];
+            if (leave < 0 || f < theta
+                || (f == theta && edge_cell(&t, node, t.parent[node])
+                                      < edge_cell(&t, leave, t.parent[leave]))) {
+                theta = f;
+                leave = node;
+                below = row_side ? ei : n + ej;
+            }
+        }
+        apex = x;
+        for (x = ei; x != apex; x = t.parent[x])
+            t.flow[x] += x < n ? -theta : theta;
+        for (y = n + ej; y != apex; y = t.parent[y])
+            t.flow[y] += y < n ? theta : -theta;
+
+        /* re-hang: below, the entering cell's end under the leaving edge,
+         * hangs from the other end, and the path up to leave reverses */
+        prev = below == ei ? n + ej : ei;
+        node = below;
+        carried = theta;
+        for (;;) {
+            up = t.parent[node];
+            f = t.flow[node];
+            unhang(&t, node);
+            hang(&t, node, prev);
+            t.flow[node] = carried;
+            if (node == leave)
                 break;
-            for (t = off[node]; t < off[node + 1]; t++) {
-                cell = adj_cell[t];
-                nxt = node < n ? n + bj[cell] : bi[cell];
-                if (!seen[nxt]) {
-                    seen[nxt] = 1;
-                    parent_node[nxt] = node;
-                    parent_cell[nxt] = cell;
-                    stack[top++] = nxt;
-                }
-            }
+            carried = f;
+            prev = node;
+            node = up;
         }
+        refresh(&t, below);
 
-        path_len = 0;
-        node = n + ej;
-        while (parent_node[node] >= 0) {
-            path[path_len++] = parent_cell[node];
-            node = parent_node[node];
-        }
-
-        /* theta and leaving arc (least index on ties) */
-        theta = -1.0;
-        leave = -1;
-        sign = -1;
-        for (t = 0; t < path_len; t++) {
-            cell = path[t];
-            if (sign < 0) {
-                f = bf[cell];
-                if (leave < 0 || f < theta
-                    || (f == theta
-                        && (bi[cell] < bi[leave]
-                            || (bi[cell] == bi[leave] && bj[cell] < bj[leave])))) {
-                    theta = f;
-                    leave = cell;
-                }
-            }
-            sign = -sign;
-        }
-
-        sign = -1;
-        for (t = 0; t < path_len; t++) {
-            bf[path[t]] += sign * theta;
-            sign = -sign;
-        }
-
-        li = bi[leave];
-        lj = bj[leave];
-        basic_at[li * m + lj] = -1;
-        basic_at[ei * m + ej] = leave;
-        bi[leave] = ei;
-        bj[leave] = ej;
-        bf[leave] = theta;
-
-        if (theta <= tol) {
-            stall++;
-            if (stall > 3 * nodes)
-                bland = 1;
-        } else {
-            stall = 0;
-        }
+        stall = theta <= tol ? stall + 1 : 0;
+        if (stall > 3 * nodes)
+            bland = 1;
     }
 
-    for (t = 0; t < total_arcs; t++)
-        X[t] = 0.0;
-    for (t = 0; t < nb; t++)
-        X[bi[t] * m + bj[t]] = bf[t];
+    for (k = 0; k < total; k++)
+        X[k] = 0.0;
+    for (node = 1; node < nodes; node++)
+        X[edge_cell(&t, node, t.parent[node])] = t.flow[node];
     result = iterations;
 
 done:
-    free(bi);
-    free(bj);
-    free(bf);
-    free(basic_at);
-    free(supply);
-    free(demand);
-    free(u);
-    free(v);
-    free(seen);
-    free(deg);
-    free(off);
-    free(adj_cell);
-    free(fill);
-    free(stack);
-    free(parent_cell);
-    free(parent_node);
-    free(path);
+    free(rest);
+    free(t.parent);
+    free(t.depth);
+    free(t.child);
+    free(t.sibling);
+    free(t.pot_big);
+    free(t.pot);
+    free(t.flow);
     return result;
 }

@@ -1,12 +1,13 @@
 """Transportation simplex on a persistent spanning tree, over any ordered numbers.
 
-This is the exact engine and the Python twin of the C kernel (_dense.c).
-It runs unchanged on Python ints (rational mode: solve_kantorovich scales
-weights and costs by the least common multiple of their denominators, so
-every pivot is the one Fractions would take) and on floats (problems with
-forbidden cells, and every float problem when the C kernel is off).  On an
-all-finite float problem it takes the C kernel's pivots one for one and
-returns the same plan, bit for bit.
+This is the exact engine and the Python twin of the C kernel (_dense.c),
+which is a port of it.  It runs unchanged on Python ints (rational mode:
+solve_kantorovich scales weights and costs by the least common multiple of
+their denominators, so every pivot is the one Fractions would take), and on
+floats only when the C kernel is off (it cannot be built or loaded, or
+FINITEOT_FORCE_PURE=1).  On any float problem, forbidden cells included, it
+takes the C kernel's pivots one for one and returns the same plan, bit for
+bit.
 
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
@@ -16,13 +17,14 @@ when no finite-cost feasible plan exists.
 
 The basis is a spanning tree over the n row nodes 0..n-1 and the m column
 nodes n..n+m-1, rooted at row 0 and kept across pivots as parent, depth and
-children arrays.  The edge from a node to its parent is a basic cell, and a
-node's potential is c_ij - pot[parent] along that edge (pot[row 0] = 0).
-The entering cell's cycle is found by climbing depths to the common
-ancestor.  After a pivot only the re-hung subtree changes: its parent links
-are reversed along the cut path, and its depths and potentials are
-recomputed top-down with the same c_ij - pot[parent], so float potentials
-are bit-identical to a full recompute.
+children arrays.  The north-west corner start hangs one new node per cell,
+so the start tree is built during that walk.  The edge from a node to its
+parent is a basic cell, and a node's potential is c_ij - pot[parent] along
+that edge (pot[row 0] = 0).  The entering cell's cycle is found by climbing
+depths to the common ancestor.  After a pivot only the re-hung subtree
+changes: its parent links are reversed along the cut path, and its depths
+and potentials are recomputed top-down with the same c_ij - pot[parent], so
+float potentials are bit-identical to a full recompute.
 
 Pivot rule, the C kernel's: north-west corner start.  The entering cell
 comes from a block search (LEMON's NetworkSimplex, which POT's emd uses):
@@ -43,32 +45,36 @@ import math
 from ..numerics import is_inf
 
 
-def northwest_corner(a, b):
-    """Initial basic feasible solution; always n + m - 1 basic cells."""
+def northwest_corner(a, b, tree):
+    """Initial basic feasible solution, always n + m - 1 basic cells.
+
+    Each cell hangs one new node on tree, the node that the walk last
+    advanced to (column 0 first), so the start tree is built during the walk.
+    """
     n, m = len(a), len(b)
     supply = list(a)
     demand = list(b)
     flow = {}
-    basis = []
     i = j = 0
+    node, up = n, 0  # cell (0, 0) hangs column 0 from row 0
     while True:
         q = supply[i] if supply[i] < demand[j] else demand[j]
-        basis.append((i, j))
+        tree.hang(node, up)
         flow[(i, j)] = q
         supply[i] -= q
         demand[j] -= q
         if i == n - 1 and j == m - 1:
             break
-        # advance one index per step so degenerate ties add zero-flow cells
-        if supply[i] == 0 and i < n - 1:
+        # advance one index per step so degenerate ties add zero-flow cells:
+        # the row once its supply is used up, else the column once its
+        # demand is, else the row while one is left
+        if i < n - 1 and (supply[i] == 0 or demand[j] != 0 or j == m - 1):
             i += 1
-        elif demand[j] == 0 and j < m - 1:
-            j += 1
-        elif i < n - 1:
-            i += 1
+            node, up = i, n + j
         else:
             j += 1
-    return flow, basis
+            node, up = n + j, i
+    return flow
 
 
 def _split_costs(cost):
@@ -83,7 +89,7 @@ def _split_costs(cost):
 class _Tree:
     """Spanning-tree basis rooted at row 0, with potentials for each cost part."""
 
-    def __init__(self, n, m, basis, value, big):
+    def __init__(self, n, m, value, big):
         self.n = n
         self.m = m
         self.value = value
@@ -94,22 +100,12 @@ class _Tree:
         self.children = [[] for _ in range(size)]
         self.pot = [0] * size
         self.pot_big = [0] * size if big is not None else None
-        adj = [[] for _ in range(size)]
-        for i, j in basis:
-            adj[i].append(n + j)
-            adj[n + j].append(i)
-        seen = [False] * size
-        seen[0] = True
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    self.parent[nxt] = node
-                    self.children[node].append(nxt)
-                    stack.append(nxt)
-        self._refresh(self.children[0])
+
+    def hang(self, node, up):
+        """Make the leaf node a child of up, with its depth and potentials."""
+        self.parent[node] = up
+        self.children[up].append(node)
+        self._refresh((node,))
 
     def _refresh(self, tops):
         """Recompute depth and potentials of tops and everything below them."""
@@ -178,7 +174,7 @@ class _Tree:
             prev, node = node, above
         self._refresh((endpoint,))
 
-    def block_search(self, ntol, start, block):
+    def block_search(self, ntol, start, block, first=False):
         """Wraparound block search for the entering cell.
 
         Scans the cells in row-major order from position start (i * m + j),
@@ -187,6 +183,9 @@ class _Tree:
         below ntol.  Returns the least reduced cost in that block, (M, value)
         pairs compared lexicographically and the first cell winning ties, as
         (i, j, position after the block), or None when no cell qualifies.
+        With first set, the first cell that qualifies is returned at once
+        (the position is then of no use): Bland's rule, the same cell as
+        blocks of one cell would give, without the cost of a block per cell.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
         value, big = self.value, self.big
@@ -211,6 +210,8 @@ class _Tree:
                         r = ci[j] - ui - v[j]
                         if r < best and j != up and parent[n + j] != i:
                             best, found = r, (i, j)
+                            if first:
+                                return i, j, pos
                 else:
                     bi, ui_big = big[i], pot_big[i]
                     for j in range(j0, stop):
@@ -219,13 +220,15 @@ class _Tree:
                             r = ci[j] - ui - v[j]
                             if (d < best_big or r < best) and j != up and parent[n + j] != i:
                                 best_big, best, found = d, r, (i, j)
+                                if first:
+                                    return i, j, pos
             pos %= total
             if found is not None:
                 return (*found, pos)
         return None
 
 
-def transportation_simplex(a, b, cost, tol=0, max_iter=None):
+def transportation_simplex(a, b, cost, tol=0):
     """Minimize sum c_ij x_ij subject to row sums a and column sums b.
 
     cost entries are numbers of one ordered type, or +inf for a forbidden
@@ -235,27 +238,27 @@ def transportation_simplex(a, b, cost, tol=0, max_iter=None):
     iterations).
     """
     n, m = len(a), len(b)
-    flow, basis = northwest_corner(a, b)
     big, value = _split_costs(cost)
-    tree = _Tree(n, m, basis, value, big)
+    tree = _Tree(n, m, value, big)
+    flow = northwest_corner(a, b, tree)
     ntol = -tol
-    if max_iter is None:
-        max_iter = 10000 + 200 * (n + m) * max(n, m)
+    limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
     block = max(64, int(math.exp(0.5 * math.log(n * m))))
     pos = stall = iterations = 0
     bland = False
     while True:
-        found = tree.block_search(ntol, 0, 1) if bland else tree.block_search(ntol, pos, block)
+        if bland:
+            found = tree.block_search(ntol, 0, n * m, first=True)
+        else:
+            found = tree.block_search(ntol, pos, block)
         if found is None:
             return flow, iterations
         ei, ej, pos = found
         entering = ei, ej
         iterations += 1
-        if iterations > max_iter:
-            raise RuntimeError(
-                f"simplex exceeded {max_iter} pivots on a {n}x{m} problem"
-            )
+        if iterations > limit:
+            raise RuntimeError(f"simplex exceeded {limit} pivots on a {n}x{m} problem")
         down, up = tree.cycle(ei, ej)
         theta = leaving = None
         for cell, node, endpoint in down:

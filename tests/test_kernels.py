@@ -2,7 +2,8 @@
 
 The compiled kernel's solve_dense(a, b, C, tol) returns (flow_matrix,
 iterations); the twin, which is the fallback when the kernel cannot load,
-must return the same pivot count and the same plan, bit for bit.  The
+must return the same pivot count and the same plan, bit for bit, also on
++inf cells and on problems that they leave without a finite-cost plan.  The
 compiled kernel is built by its loader with the system C compiler, so the
 cross-checks are skipped only where no C compiler is found; a failed build
 with a compiler present fails them.
@@ -75,7 +76,18 @@ def identity_instances(family):
             C = np.array([[float(rng.randint(0, 10**6)) for _ in range(n)] for _ in range(n)])
             instances.append((a, b, C, 1.0))
         return instances
-    return [(a, b, C, 1e-9 * (1 + C.max())) for a, b, C in instances]
+    elif family == "forbidden":  # +inf cells at densities 0.1..0.9
+        for k in range(90):
+            a, b, C = random_instance(rng, rng.randint(1, 30), rng.randint(1, 30))
+            if k % 3 == 1:  # tied costs 0..3
+                C = np.floor(C / 5)
+            if k % 4 == 2 and len(a) > 1 and len(b) > 1:  # a zero weight a side
+                a[0] = b[-1] = 0.0
+                a, b = a / a.sum(), b / b.sum()
+            density = rng.uniform(0.1, 0.9)
+            C[np.array([[rng.random() < density for _ in row] for row in C])] = np.inf
+            instances.append((a, b, C))
+    return [(a, b, C, 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))) for a, b, C in instances]
 
 
 def twin(a, b, C, tol):
@@ -99,6 +111,7 @@ def check_same_pivots(compiled, a, b, C, tol):
     X_twin, iterations_twin = twin(a, b, C, tol)
     assert iterations_twin == iterations
     assert np.array_equal(X_twin, X)
+    return X
 
 
 class TestFallback:
@@ -140,10 +153,15 @@ class TestCompiled:
         a, b, C = random_instance(rng, 60, 60)
         check_same_pivots(compiled, a, b, C, 1e-9 * (1 + C.max()))
 
-    @pytest.mark.parametrize("family", ["tied", "assignment", "edge", "bland"])
+    @pytest.mark.parametrize("family", ["tied", "assignment", "edge", "bland", "forbidden"])
     def test_twin_takes_the_same_pivots(self, compiled, family):
-        for a, b, C, tol in identity_instances(family):
-            check_same_pivots(compiled, a, b, C, tol)
+        instances = identity_instances(family)
+        infeasible = 0
+        for a, b, C, tol in instances:
+            X = check_same_pivots(compiled, a, b, C, tol)
+            infeasible += X[np.isinf(C)].sum() > tol  # mass on +inf cells
+        if family == "forbidden":  # problems with and without a finite plan
+            assert 0 < infeasible < len(instances)
 
     def test_pivots_match_cython_kernel(self, compiled):
         # pivot counts of the Cython kernel that _dense.c ports, whose block

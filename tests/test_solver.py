@@ -493,7 +493,7 @@ class TestPivotIdentity:
             "rational", 54, F(2061, 2650)
         )
 
-    def test_float_with_forbidden_cells(self):
+    def test_float_with_forbidden_cells(self, monkeypatch):
         # +inf at (0, 0) puts a forbidden cell in the north-west start, so
         # the M part of the reduced costs decides the first pivots
         rng = random.Random(25)
@@ -508,8 +508,12 @@ class TestPivotIdentity:
             for _ in range(25)
         ]
         cost[0][0] = INF
-        sol = solve_kantorovich(mu1, mu2, cost, mode="float")
-        assert (sol.iterations, sol.optimal_cost) == (113, 61.37374113711523)
+        # on the selected kernel, then on the Python simplex, as the FLOAT_PINS
+        # tests run
+        for kernel in (solver._kernel, None):
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            sol = solve_kantorovich(mu1, mu2, cost, mode="float")
+            assert (sol.iterations, sol.optimal_cost) == (113, 61.37374113711523)
 
     def test_degenerate_rational_assignment(self):
         rng = random.Random(12)
@@ -588,11 +592,13 @@ class TestFloatValidation:
 
 
 def test_float_solve_does_no_python_work_per_cell(monkeypatch):
-    """Python-level calls during a 150 x 150 float solve stay far below one
-    per ten cells (the list-based float path made about four per cell).
-    Counting calls, unlike timing them, does not depend on the host's speed.
-    Whichever engine runs, the C kernel or the Python simplex, runs uncounted:
-    its pivots are its own work."""
+    """Python-level calls during a 150 x 150 float solve, all-finite and with
+    about 10% +inf cells, stay far below one per ten cells (the list-based
+    float path made about four per cell).  Counting calls, unlike timing
+    them, does not depend on the host's speed.  The engine of float solves
+    runs uncounted, its pivots being its own work: the C kernel when it is
+    loaded, else the Python simplex.  So with the kernel loaded, a solve
+    sent to the Python simplex instead counts its calls for every pivot."""
     n = 150
     rng = random.Random(150)
     mu1, mu2 = (
@@ -600,6 +606,7 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
         for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
     )
     cost = [[float(rng.randint(0, 1000)) for _ in range(n)] for _ in range(n)]
+    forbidden = [[INF if rng.random() < 0.1 else c for c in row] for row in cost]
     calls = 0
 
     def count(frame, event, arg):
@@ -623,14 +630,17 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
             solve_dense = staticmethod(uncounted(kernel.solve_dense))
 
         monkeypatch.setattr(solver, "_kernel", Uncounted)
-    monkeypatch.setattr(
-        solver, "transportation_simplex", uncounted(solver.transportation_simplex)
-    )
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        sol = solve_kantorovich(mu1, mu2, cost)
-    finally:
-        sys.setprofile(previous)
-    assert sol.feasible
-    assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
+    else:
+        monkeypatch.setattr(
+            solver, "transportation_simplex", uncounted(solver.transportation_simplex)
+        )
+    for case in (cost, forbidden):
+        calls = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            sol = solve_kantorovich(mu1, mu2, case)
+        finally:
+            sys.setprofile(previous)
+        assert sol.feasible
+        assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
