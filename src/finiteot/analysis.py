@@ -153,7 +153,8 @@ def narrow_limit_check(seq: MeasureSequence, limit: DiscreteMeasure, tol) -> boo
     True iff the final element is within tol of the limit per coordinate
     and the deviations over the tail never grow by more than tol per step.
     The weight comparison is cross-checked against integrals of singleton
-    indicators (the two are the same sums, grouped differently).
+    indicators, which must agree exactly: integrating an indicator only adds
+    zeros to one weight.
     """
     if isinstance(seq, (list, tuple)):
         seq = MeasureSequence(tuple(seq))
@@ -169,7 +170,7 @@ def narrow_limit_check(seq: MeasureSequence, limit: DiscreteMeasure, tol) -> boo
         abs(integrate(last, indicator(i, n)) - integrate(limit, indicator(i, n)))
         for i in range(n)
     )
-    assert abs(indicator_dev - devs[-1]) <= 1e-15 or indicator_dev == devs[-1]
+    assert indicator_dev == devs[-1]
     if devs[-1] > tol:
         return False
     tail_start = len(devs) - max(1, math.ceil(len(devs) / 4))

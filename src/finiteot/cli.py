@@ -32,7 +32,7 @@ from .generators import (
 )
 from .io import dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
-from .numerics import FLOAT_TOL, INF, default_tol, is_inf
+from .numerics import FLOAT, FLOAT_TOL, INF, default_tol, is_inf
 from .solver import (
     KERNEL,
     oracle_basis_enumeration,
@@ -73,7 +73,8 @@ def cmd_solve(args) -> int:
         "mode": sol.mode,
         "optimal_cost": sol.optimal_cost,
         "iterations": sol.iterations,
-        "kernel": KERNEL,
+        # rational solves always run the Python simplex
+        "kernel": KERNEL if sol.mode == FLOAT else "python",
     }
     if sol.feasible:
         doc["plan"] = [list(row) for row in sol.plan.matrix]

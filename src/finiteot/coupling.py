@@ -71,18 +71,19 @@ def is_coupling(plan, mu1, mu2, tol=None):
     """Check the coupling invariants; returns (ok, report).
 
     The report lists ("nonnegativity" | "row" | "column", index, magnitude)
-    entries, worst violation first.  A float64 array plan is checked with
-    array operations against the weights as floats; any other plan, exact
-    entries included, cell by cell in its own arithmetic.
+    entries, worst violation first.  An array plan is checked with array
+    operations against the weights as floats; any other plan, exact entries
+    included, cell by cell in its own arithmetic.
     """
     if isinstance(plan, np.ndarray):
-        return _is_coupling_array(plan, mu1, mu2, default_tol(FLOAT) if tol is None else tol)
+        a, b = (np.array(mu.weights, dtype=np.float64) for mu in (mu1, mu2))
+        return _is_coupling_array(plan, a, b, default_tol(FLOAT) if tol is None else tol)
     matrix = plan.matrix if isinstance(plan, TransportPlan) else tuple(
         tuple(row) for row in plan
     )
     n = len(matrix)
     m = len(matrix[0]) if matrix else 0
-    _check_plan_shape(n, m, mu1, mu2)
+    _check_plan_shape(n, m, mu1.n, mu2.n)
     if tol is None:
         vals = [x for row in matrix for x in row]
         tol = default_tol(infer_mode(vals + list(mu1.weights) + list(mu2.weights)))
@@ -105,25 +106,26 @@ def is_coupling(plan, mu1, mu2, tol=None):
     return (not report), report
 
 
-def _check_plan_shape(n, m, mu1, mu2):
-    if n != mu1.n or m != mu2.n:
-        raise ShapeError(
-            f"plan is {n}x{m} but measures have {mu1.n} and {mu2.n} points"
-        )
+def _check_plan_shape(n, m, n1, n2):
+    if n != n1 or m != n2:
+        raise ShapeError(f"plan is {n}x{m} but measures have {n1} and {n2} points")
 
 
-def _is_coupling_array(X, mu1, mu2, tol):
-    """is_coupling's report for a float64 array plan, from array operations."""
+def _is_coupling_array(X, a, b, tol):
+    """is_coupling's report for an array plan, from array operations.
+
+    a and b are the weights as arrays in the plan's arithmetic: float64, or
+    object arrays of exact numbers, which are compared exactly.
+    """
     n, m = X.shape
-    _check_plan_shape(n, m, mu1, mu2)
+    _check_plan_shape(n, m, a.size, b.size)
     report = [
-        ("nonnegativity", (i, j), -X[i, j].item())
+        ("nonnegativity", (i, j), -X.item(i, j))
         for i, j in np.argwhere(X < -tol).tolist()
     ]
-    for kind, sums, weights in (("row", X.sum(axis=1), mu1.weights),
-                                ("column", X.sum(axis=0), mu2.weights)):
-        gaps = np.abs(sums - np.array(weights, dtype=np.float64))
-        report += [(kind, k, gaps[k].item()) for k in np.flatnonzero(gaps > tol).tolist()]
+    for kind, sums, weights in (("row", X.sum(axis=1), a), ("column", X.sum(axis=0), b)):
+        gaps = np.abs(sums - weights)
+        report += [(kind, k, gaps.item(k)) for k in np.flatnonzero(gaps > tol).tolist()]
     report.sort(key=lambda v: v[2], reverse=True)
     return (not report), report
 

@@ -1,30 +1,32 @@
 """Exact solution of the discrete Kantorovich problem.
 
 The public entry point is solve_kantorovich, the one place that decides the
-numeric mode and the path:
+numeric mode and the path.  It converts the problem once into the engine's
+numbers, and everything after that is written once for both modes:
 
-- rational mode goes through the transportation simplex (simplex.py) on
-  Python ints: weights and finite costs are scaled by the least common
-  multiple of their denominators, and the integer flows are divided back by
-  the weight scale.  Float weights are read as the binary fractions they
-  are, so two measures whose exact totals differ are refused rather than
-  solved into a plan that couples neither;
-- float problems go through the dense C kernel in _dense.c, forbidden +inf
-  cells included, loaded through ctypes by _compiled (which builds it with
-  the system C compiler on first import).  When the C kernel cannot be built
-  or loaded, or FINITEOT_FORCE_PURE=1 turns it off, they go through the same
-  simplex on floats.  _dense.c is a port of simplex.py, so either engine
-  returns the same plan, bit for bit, after the same number of pivots.
-  KERNEL names the engine of float problems ("compiled" or "python");
-  KERNEL_INFO adds its library and the reason it was chosen, and is logged
-  at DEBUG on the "finiteot" logger.
+- float mode works on float64 arrays of the weights and costs;
+- rational mode works on object arrays of Python ints: the weights are
+  scaled by the least common multiple of their denominators and the finite
+  costs by that of theirs, and +inf cells stay.  Float numbers are read as
+  the binary fractions they are, so two measures whose exact totals differ
+  are refused rather than solved into a plan that couples neither.
 
-A float solve converts the weights and costs to float64 arrays once and
-stays on arrays until the plan is built: the forbidden cells, the pricing
-tolerance, the forbidden-mass decision, the dust sweep, the coupling check
-and the cost are array operations, and the Python simplex alone gets
-Python lists.  The returned plan's matrix is still a tuple of tuples of
-Python floats, and its cost a Python float.
+On those arrays come the forbidden-cell mask and the tolerance, the engine,
+the forbidden-mass decision and its certificate, the coupling check and the
+cost.  Only the result is converted back: the plan's matrix is a tuple of
+tuples of Python floats, or of Fractions (f / weight scale), and the cost a
+Python float, or a Fraction (divided once by both scales).
+
+The engine of float problems is the dense C kernel in _dense.c, forbidden
++inf cells included, loaded through ctypes by _compiled (which builds it
+with the system C compiler on first import).  Rational problems, and float
+problems when the C kernel cannot be built or loaded or FINITEOT_FORCE_PURE=1
+turns it off, go through the same simplex in Python (simplex.py), on
+Python lists of the arrays.  _dense.c is a port of simplex.py, so either
+engine returns the same float plan, bit for bit, after the same number of
+pivots.  KERNEL names the engine of float problems ("compiled" or
+"python"); KERNEL_INFO adds its library and the reason it was chosen, and
+is logged at DEBUG on the "finiteot" logger.
 
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..coupling import TransportPlan, is_coupling
+from ..coupling import TransportPlan, _is_coupling_array
 from ..measure import DiscreteMeasure, integrate
 from ..numerics import (
     FLOAT,
@@ -59,7 +61,7 @@ from ..numerics import (
 )
 from ..space import CostMatrix
 from . import _compiled
-from .simplex import flow_to_matrix, transportation_simplex
+from .simplex import transportation_simplex
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,11 @@ def cost_of_plan(plan, cost) -> object:
     """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell.
 
     The terms on cells with nonzero mass are added left to right in
-    row-major order, starting from 0.  A float64 array plan is computed with
-    array operations against the costs as floats, in that same order; any
-    other plan, exact entries included, cell by cell in its own arithmetic.
+    row-major order, starting from 0.  An array plan is computed with array
+    operations in that same order: an object array (exact entries) against
+    the costs as they are, any other array against the costs as float64.
+    Any other plan, exact entries included, is computed cell by cell in its
+    own arithmetic.
     """
     if isinstance(plan, np.ndarray):
         return _cost_of_array_plan(plan, cost.cost if isinstance(cost, CostMatrix) else cost)
@@ -133,23 +137,23 @@ def cost_of_plan(plan, cost) -> object:
 
 
 def _cost_of_array_plan(X, cost):
-    C = np.asarray(cost, dtype=np.float64)
+    C = np.asarray(cost, dtype=object if X.dtype == object else np.float64)
     if X.shape != C.shape:
         raise ShapeError("plan and cost shapes differ")
     mass = X != 0
     terms = C[mass] * X[mass]
-    if np.isinf(terms).any():
+    if (abs(terms) == INF).any():  # np.isinf takes no object arrays
         return INF
     return _sum_in_order(terms)
 
 
 def _sum_in_order(values):
-    """0 + values[0] + values[1] + ... as Python floats, added left to right.
+    """0 + values[0] + values[1] + ... as Python numbers, added left to right.
 
-    np.sum adds pairwise, and sum() compensates from Python 3.12 on; either
-    can change the last bits of a result that a plain loop produces.
+    np.sum adds pairwise, and sum() compensates floats from Python 3.12 on;
+    either can change the last bits of a result that a plain loop produces.
     """
-    return 0 + np.cumsum(values)[-1].item() if values.size else 0
+    return 0 + values.cumsum().item(-1) if values.size else 0
 
 
 def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
@@ -166,43 +170,20 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
     return bound, value, is_inf(value) or value >= bound
 
 
-def _solve_scaled(a, b, c, forbidden, tol):
-    """Rational simplex run on Python ints; returns (Fraction matrix, pivots).
-
-    Weights are scaled by the least common multiple of their denominators
-    and finite costs by that of theirs; forbidden is the n x m truth matrix
-    of the +inf cells.  Both scales are positive, so every comparison, and
-    hence every pivot, is the one the Fractions would give.
-    """
-    wscale = math.lcm(*(x.denominator for x in (*a, *b)))
-    rows = list(zip(c, forbidden))
-    cscale = math.lcm(
-        *(x.denominator for row, frow in rows for x, f in zip(row, frow) if not f)
-    )
-    flow, iters = transportation_simplex(
-        [x.numerator * (wscale // x.denominator) for x in a],
-        [x.numerator * (wscale // x.denominator) for x in b],
-        [
-            [x if f else x.numerator * (cscale // x.denominator) for x, f in zip(row, frow)]
-            for row, frow in rows
-        ],
-        tol=tol * cscale,
-    )
-    exact = {cell: Fraction(f, wscale) for cell, f in flow.items()}
-    return flow_to_matrix(exact, len(a), len(b), zero=Fraction(0)), iters
-
-
-def _hall_certificate(a, b, forbidden, matrix, tol):
+def _hall_certificate(a, b, forbidden, X, tol, scale=None):
     """Hall-type cut read off an optimal plan that has to use forbidden cells.
 
-    forbidden is the n x m truth matrix of the +inf cells.  The finite cells
-    of the plan form a maximum flow.  Starting from the rows whose forbidden
-    cells carry more than tol, walk row -> column over finite cells and
-    column -> row over finite cells whose flow exceeds tol: the rows reached
-    are the source side of a minimum cut, and their finite neighbourhood
-    cannot take their mass.
+    a, b, the n x m mask forbidden of the +inf cells and the plan X are the
+    engine's arrays, and tol is in the units of X.  The finite cells of the
+    plan form a maximum flow.  Starting from the rows whose forbidden cells
+    carry more than tol, walk row -> column over finite cells and column ->
+    row over finite cells whose flow exceeds tol: the rows reached are the
+    source side of a minimum cut, and their finite neighbourhood cannot take
+    their mass.  The masses are reported in input units: as Fractions over
+    scale when one is given (rational mode), else as they are.
     """
-    n, m = len(a), len(b)
+    n, m = X.shape
+    a, b, forbidden, matrix = a.tolist(), b.tolist(), forbidden.tolist(), X.tolist()
     finite = [[j for j in range(m) if not forbidden[i][j]] for i in range(n)]
     rows = {
         i for i in range(n)
@@ -220,13 +201,16 @@ def _hall_certificate(a, b, forbidden, matrix, tol):
                     rows.add(k)
                     stack.append(k)
     rows, cols = sorted(rows), sorted(cols)
+    row_mass, column_mass = sum(a[i] for i in rows), sum(b[j] for j in cols)
+    if scale is not None:
+        row_mass, column_mass = Fraction(row_mass, scale), Fraction(column_mass, scale)
     certificate = {
         "rows": rows,
         "reachable_columns": cols,
-        "row_mass": sum(a[i] for i in rows),
-        "column_mass": sum(b[j] for j in cols),
+        "row_mass": row_mass,
+        "column_mass": column_mass,
     }
-    if not certificate["row_mass"] > certificate["column_mass"]:
+    if not row_mass > column_mass:
         raise RuntimeError(f"solver found no Hall cut: {certificate}")
     return certificate
 
@@ -256,76 +240,82 @@ def solve_kantorovich(
     if n != mu1.n or m != mu2.n:
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     mode = _resolve_mode(mu1, mu2, cm.cost, mode)
-    if mode == RATIONAL:
-        return _solve_rational(mu1, mu2, cm, tol)
     if mode == FLOAT:
-        return _solve_float(mu1, mu2, cm, tol)
-    raise ParameterError(f"unknown mode {mode!r}")
+        a, b, C = (np.array(x, dtype=np.float64) for x in (mu1.weights, mu2.weights, cm.cost))
+        wscale = cscale = 1
+    elif mode == RATIONAL:
+        a, b, C, wscale, cscale = _exact_input(mu1.weights, mu2.weights, cm.cost)
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    forbidden = C == INF  # only +inf: CostMatrix rejects -inf and NaN
+    if tol is None:
+        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, np.abs(C[~forbidden]).max(initial=0))
+
+    if mode == FLOAT and _kernel is not None:
+        X, iters = _kernel.solve_dense(a, b, C, tol)
+    else:
+        flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol * cscale)
+        X = np.zeros(C.shape, dtype=C.dtype)
+        for (i, j), f in flow.items():
+            X[i, j] = f
+    plan, value, certificate = None, INF, None
+    flow_tol = tol * wscale
+    if forbidden.any() and _sum_in_order(X[forbidden]) > flow_tol:
+        certificate = _hall_certificate(
+            a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
+        )
+    else:
+        if mode == FLOAT:
+            # roundoff can leave dust on forbidden basic cells; sweep it
+            X[forbidden] = 0.0
+        ok, report = _is_coupling_array(X, a, b, default_tol(mode))
+        if not ok:
+            raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
+        value = cost_of_plan(X, C)
+        if mode == FLOAT:
+            matrix = X.tolist()
+        else:
+            zero = Fraction(0)
+            matrix = [[Fraction(f, wscale) if f else zero for f in row] for row in X.tolist()]
+            value = value if is_inf(value) else Fraction(value, wscale * cscale)
+        plan = TransportPlan(matrix, mu1, mu2)
+    return OTSolution(plan, value, iters, mode, certificate)
 
 
-def _solve_rational(mu1, mu2, cm, tol):
-    a = [Fraction(w) for w in mu1.weights]
-    b = [Fraction(w) for w in mu2.weights]
-    gap = sum(a) - sum(b)
-    if gap:
+def _exact_input(w1, w2, cost):
+    """Rational mode's engine input: (a, b, C, weight scale, cost scale).
+
+    The weights are scaled by the least common multiple of their
+    denominators and the finite costs by that of theirs, into object arrays
+    of Python ints; +inf cells stay.  Both scales are positive, so every
+    comparison, and hence every pivot, is the one the Fractions would give.
+    Float numbers count as the binary fractions they are, so two measures
+    whose exact totals differ are refused rather than solved into a plan
+    that couples neither.
+    """
+    weights, wscale = _scaled((*w1, *w2))
+    a, b = weights[: len(w1)], weights[len(w1):]
+    if sum(a) != sum(b):
+        gap = Fraction(sum(a) - sum(b), wscale)
         raise ParameterError(
             f"rational mode needs weights whose exact totals agree; the first "
             f"measure's total minus the second's is {float(gap)!r} ({gap})"
         )
-    if tol is None:
-        tol = default_tol(RATIONAL)
-    forbidden = [[is_inf(x) for x in row] for row in cm.cost]
-    c = [
-        [x if f else Fraction(x) for x, f in zip(row, frow)]
-        for row, frow in zip(cm.cost, forbidden)
-    ]
-    matrix, iters = _solve_scaled(a, b, c, forbidden, tol)
-    if any(map(any, forbidden)):
-        mass = sum(x for prow, frow in zip(matrix, forbidden) for x, f in zip(prow, frow) if f)
-        if mass > tol:
-            certificate = _hall_certificate(a, b, forbidden, matrix, tol)
-            return OTSolution(None, INF, iters, RATIONAL, certificate)
-    plan = TransportPlan(tuple(map(tuple, matrix)), mu1, mu2)
-    ok, report = is_coupling(plan, mu1, mu2, tol=default_tol(RATIONAL))
-    if not ok:
-        raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
-    return OTSolution(plan, cost_of_plan(plan, cm), iters, RATIONAL)
+    C = np.array(cost, dtype=object)
+    finite = C != INF
+    costs, cscale = _scaled(C[finite].tolist())
+    C[finite] = costs
+    return np.array(a, dtype=object), np.array(b, dtype=object), C, wscale, cscale
 
 
-def _solve_float(mu1, mu2, cm, tol):
-    """Float solve on float64 arrays from the input to the finished plan."""
-    a = np.array(mu1.weights, dtype=np.float64)
-    b = np.array(mu2.weights, dtype=np.float64)
-    C = np.array(cm.cost, dtype=np.float64)
-    n, m = C.shape
-    forbidden = np.isinf(C)  # only +inf: CostMatrix rejects -inf and NaN
-    has_forbidden = bool(forbidden.any())
-    if tol is None:
-        finite = np.abs(C[~forbidden] if has_forbidden else C)
-        tol = pricing_tol(FLOAT, finite.max() if finite.size else 0)
-
-    if _kernel is not None:
-        X, iters = _kernel.solve_dense(a, b, C, tol)
-    else:
-        flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
-        X = np.zeros((n, m))
-        for (i, j), f in flow.items():
-            X[i, j] = f
-    if has_forbidden:
-        if _sum_in_order(X[forbidden]) > tol:
-            certificate = _hall_certificate(
-                a.tolist(), b.tolist(), forbidden.tolist(), X.tolist(), tol
-            )
-            return OTSolution(None, INF, iters, FLOAT, certificate)
-        # roundoff can leave dust on forbidden basic cells; sweep it
-        X[forbidden] = 0.0
-
-    ok, report = is_coupling(X, mu1, mu2, tol=default_tol(FLOAT))
-    if not ok:
-        raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
-    value = cost_of_plan(X, C)
-    plan = TransportPlan(tuple(map(tuple, X.tolist())), mu1, mu2)
-    return OTSolution(plan, value, iters, FLOAT)
+def _scaled(values):
+    """(ints, scale): exact numbers times the lcm of their denominators."""
+    try:
+        ratios = [x.as_integer_ratio() for x in values]
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        ratios = [(int(x.numerator), int(x.denominator)) for x in map(Fraction, values)]
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):

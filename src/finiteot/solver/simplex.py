@@ -278,10 +278,3 @@ def transportation_simplex(a, b, cost, tol=0):
                 bland = True
         else:
             stall = 0
-
-
-def flow_to_matrix(flow, n, m, zero=0):
-    mat = [[zero] * m for _ in range(n)]
-    for (i, j), f in flow.items():
-        mat[i][j] = f
-    return mat

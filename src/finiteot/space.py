@@ -176,9 +176,6 @@ class CostMatrix:
     def shape(self):
         return (len(self.cost), len(self.cost[0]) if self.cost else 0)
 
-    def has_infinite_entries(self) -> bool:
-        return any(is_inf(c) for row in self.cost for c in row)
-
     def max_abs_finite(self):
         vals = [abs(c) for row in self.cost for c in row if not is_inf(c)]
         return max(vals) if vals else 0

@@ -94,6 +94,14 @@ class TestNarrowLimit:
         ]
         assert narrow_limit_check(seq, new_measure([HALF, HALF]), tol=F(1, 8))
 
+    def test_float_sequence_fraction_limit(self):
+        # float weights against an exact limit: the deviations are floats,
+        # computed the same way by the weight and the indicator comparison
+        seq = [new_measure([1 / 3 + 2.0**-k, 1 / 3 - 2.0**-k, 1 / 3]) for k in range(3, 12)]
+        limit = new_measure([F(1, 3)] * 3)
+        assert narrow_limit_check(seq, limit, tol=2.0**-10)
+        assert not narrow_limit_check(seq, limit, tol=2.0**-12)
+
     def test_wrong_limit_rejected(self):
         mu = new_measure([HALF, HALF])
         assert not narrow_limit_check([mu] * 4, dirac(0, 2), tol=F(1, 100))

@@ -6,6 +6,7 @@ import pytest
 from finiteot.cli import main
 from finiteot.io import dump_json, load_measure, load_plan, load_problem, load_space
 from finiteot.numerics import INF, DataError
+from finiteot.solver import KERNEL
 
 HALF = "1/2"
 
@@ -155,6 +156,14 @@ class TestCLISolve:
         assert main(["solve", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == "rational"
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_names_the_engine_that_ran(self, tmp_path, capsys, mode):
+        # float solves run the selected kernel, rational ones the Python simplex
+        path = self.problem(tmp_path, [["0", "1"], ["1", "0"]])
+        assert main(["solve", path, "--mode", mode]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel"] == (KERNEL if mode == "float" else "python")
 
 
 class TestCLIDistance:

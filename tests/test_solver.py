@@ -193,6 +193,25 @@ class TestSolve:
             _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, tol=tol)
             assert sol.iterations == pivots > 0
 
+    def test_numpy_integer_costs_in_rational_mode(self):
+        mu1, mu2 = new_measure([HALF, F(1, 4), F(1, 4)]), new_measure([F(1, 8), F(3, 8), HALF])
+        sol = solve_kantorovich(mu1, mu2, D3, mode="rational")
+        numpy_ints = [[np.int64(x) for x in row] for row in D3]
+        assert solve_kantorovich(mu1, mu2, numpy_ints, mode="rational") == sol
+        assert type(sol.optimal_cost) is F
+
+    def test_rational_certificate_masses_are_fractions(self):
+        # integer weights included: the masses are Fractions all the same
+        cases = [(DiscreteMeasure((1, 0)), DiscreteMeasure((1, 0)), ((INF, 0), (0, 0)))]
+        cases += [forbidden_instance(seed, n, True) for seed, n, exact, _, _ in PINNED_CUTS if exact]
+        for mu1, mu2, cost in cases:
+            sol = solve_kantorovich(mu1, mu2, cost)
+            assert sol.mode == "rational" and not sol.feasible
+            cert = sol.infeasibility_certificate
+            assert type(cert["row_mass"]) is F and type(cert["column_mass"]) is F
+            assert cert["reachable_columns"]
+            check_hall_cut(cert, mu1, mu2, cost)
+
     def test_lower_bound_respected(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -392,6 +411,28 @@ class TestRationalModeOnFloatWeights:
         assert sol.plan.matrix == exact.plan.matrix
         assert all(isinstance(x, F) for row in sol.plan.matrix for x in row)
         assert is_coupling(sol.plan, mu1, mu2, tol=0)[0]
+
+    def test_dyadic_float_costs_price_as_their_fractions(self):
+        # costs in eighths, with +inf cells, against weights with non-dyadic
+        # denominators: a float sum of the terms would round
+        rng = random.Random(8)
+        for _ in range(20):
+            n, m = rng.randint(2, 6), rng.randint(2, 6)
+            mu1 = random_positive_rational_measure(rng, n)
+            mu2 = random_positive_rational_measure(rng, m)
+            cost = [
+                [INF if rng.random() < 0.2 else F(rng.randint(-8, 80), 8) for _ in range(m)]
+                for _ in range(n)
+            ]
+            floats = [[float(x) for x in row] for row in cost]
+            sol = solve_kantorovich(mu1, mu2, floats, mode="rational")
+            exact = solve_kantorovich(mu1, mu2, cost, mode="rational")
+            assert sol.feasible == exact.feasible
+            assert sol.optimal_cost == exact.optimal_cost
+            assert type(sol.optimal_cost) is type(exact.optimal_cost)
+            if exact.feasible:
+                assert type(sol.optimal_cost) is F
+                assert sol.plan.matrix == exact.plan.matrix
 
 
 class TestArrayChecks:
@@ -644,3 +685,43 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
             sys.setprofile(previous)
         assert sol.feasible
         assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
+
+
+def test_rational_solve_builds_few_fractions(monkeypatch):
+    """A 30 x 30 rational solve with integer costs and Fraction weights runs
+    on scaled ints from input to plan: Fractions are built for the plan's
+    nonzero cells and the cost, not per cell (the Fraction-list path built
+    about 1.6 per cell).  Counted, not timed, so the bound holds on any host;
+    the simplex runs uncounted, as its pivots are its own work."""
+    n = 30
+    rng = random.Random(30)
+    mu1, mu2 = (
+        DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+    )
+    cost = [[rng.randint(0, 1000) for _ in range(n)] for _ in range(n)]
+    new = F.__new__.__code__
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    engine = solver.transportation_simplex
+
+    def uncounted(*args, **kwargs):
+        sys.setprofile(None)
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            sys.setprofile(count)
+
+    monkeypatch.setattr(solver, "transportation_simplex", uncounted)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        sol = solve_kantorovich(mu1, mu2, cost)
+    finally:
+        sys.setprofile(previous)
+    assert sol.mode == "rational" and type(sol.optimal_cost) is F
+    assert built < 4 * (n + n), f"{built} Fractions built for {n * n} cells"
