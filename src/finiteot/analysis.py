@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .coupling import TransportPlan
 from .measure import DiscreteMeasure, indicator, integrate
@@ -24,6 +25,7 @@ from .numerics import (
     is_inf,
 )
 from .solver import cost_of_plan
+from .space import CostMatrix
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def check_moreau_yosida_properties(f, space, N, tol=None):
     """
     fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
     if tol is None:
-        tol = default_tol(infer_mode(v for v in fn.values if not is_inf(v)))
+        tol = default_tol(infer_mode(chain(fn.values, *space.dist)))
     tables = {n: moreau_yosida(fn, space, n) for n in range(1, N + 1)}
     failures = {"monotone": [], "dominated": [], "lipschitz": [], "convergence": []}
     size = fn.n
@@ -200,7 +202,9 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
         if p.shape != shape:
             raise ShapeError("plans have mismatched shapes")
     if tol is None:
-        tol = default_tol(infer_mode(x for row in limit.matrix for x in row))
+        cells = cost.cost if isinstance(cost, CostMatrix) else cost
+        rows = chain(limit.matrix, *(p.matrix for p in plans), cells)
+        tol = default_tol(infer_mode(chain.from_iterable(rows)))
     # entrywise convergence toward the limit: the worst entry gap must
     # never grow along the tail of the sequence
     def worst_gap(p):

@@ -10,6 +10,7 @@ bound, and restriction with renormalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class TransportPlan:
 
     @property
     def mode(self) -> str:
-        return infer_mode(x for row in self.matrix for x in row)
+        return infer_mode(chain(*self.matrix))
 
     def total_mass(self):
         return sum(sum(row) for row in self.matrix)
@@ -85,8 +86,7 @@ def is_coupling(plan, mu1, mu2, tol=None):
     m = len(matrix[0]) if matrix else 0
     _check_plan_shape(n, m, mu1.n, mu2.n)
     if tol is None:
-        vals = [x for row in matrix for x in row]
-        tol = default_tol(infer_mode(vals + list(mu1.weights) + list(mu2.weights)))
+        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *matrix)))
     # zero cells are skipped: they change no sum, and an exact zero costs a
     # Fraction addition or comparison in Python
     report = []
@@ -145,7 +145,7 @@ def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> 
     if n != mu1.n or m != mu2.n:
         raise ShapeError("plan shape does not match the measures")
     if tol is None:
-        tol = default_tol(infer_mode(x for row in matrix for x in row))
+        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *matrix)))
     if pairs is None:
         pairs = all_indicator_pairs(n, m)
     # a negative cell can hide behind cancelling integrals; reject it up front

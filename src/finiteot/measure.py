@@ -13,13 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .numerics import (
+    RATIONAL,
     DomainError,
     NormalizationError,
     ShapeError,
     check_extended,
     default_tol,
     infer_mode,
-    is_exact,
     is_inf,
 )
 
@@ -48,7 +48,7 @@ class DiscreteMeasure:
             if x < 0:
                 raise DomainError(f"negative weight {x}")
         total = sum(w)
-        if infer_mode(w) == "rational":
+        if infer_mode(w) == RATIONAL:
             if total != 1:
                 raise NormalizationError(f"weights sum to {total}, not 1")
         elif abs(total - 1) > WEIGHT_SUM_TOL:
@@ -160,8 +160,7 @@ def measures_equal(mu1, mu2, mode="weights", tol=None) -> bool:
     """
     _check_same_space(mu1, mu2)
     if tol is None:
-        exact = is_exact(sum(mu1.weights)) and is_exact(sum(mu2.weights))
-        tol = 0 if exact else default_tol("float")
+        tol = default_tol(infer_mode(mu1.weights + mu2.weights))
     if mode == "weights":
         return all(abs(a - b) <= tol for a, b in zip(mu1.weights, mu2.weights))
     if mode == "test_functions":

@@ -5,6 +5,9 @@ quantities are `fractions.Fraction` (or int) and comparisons are exact; in
 "float" mode quantities are floats and comparisons carry a tolerance.
 +inf is always represented by the float infinity, even in rational mode,
 where it marks forbidden cost cells.  -inf and NaN are rejected at the door.
+The mode of a routine is infer_mode over all the numbers it compares, and
+its default tolerance default_tol of that mode; only the solver's pricing
+tolerance also scales with the costs.
 """
 
 from __future__ import annotations
@@ -106,13 +109,18 @@ def mul0(cost, mass):
     return cost * mass
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def infer_mode(values) -> str:
-    """Rational iff every value is an int or Fraction."""
-    return RATIONAL if all(is_exact(v) for v in values) else FLOAT
+    """Rational iff every value other than +inf is an int or Fraction.
+
+    +inf is any float equal to it, as is_inf sees it: it marks forbidden
+    cells in both modes, so it decides nothing.  As in check_extended_matrix,
+    values are told apart by type, with no Python call per value.
+    """
+    values = list(values)
+    if not all(issubclass(kind, (int, float, Fraction)) for kind in set(map(type, values))):
+        return FLOAT
+    floats = [x for x in values if isinstance(x, float)]
+    return RATIONAL if floats.count(INF) == len(floats) else FLOAT
 
 
 def default_tol(mode: str):

@@ -43,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -215,14 +216,6 @@ def _hall_certificate(a, b, forbidden, X, tol, scale=None):
     return certificate
 
 
-def _resolve_mode(mu1, mu2, c, mode):
-    if mode is not None:
-        return mode
-    if infer_mode(mu1.weights + mu2.weights) == FLOAT:
-        return FLOAT
-    return infer_mode(x for row in c for x in row if not is_inf(x))
-
-
 def solve_kantorovich(
     mu1: DiscreteMeasure,
     mu2: DiscreteMeasure,
@@ -239,7 +232,8 @@ def solve_kantorovich(
     n, m = cm.shape
     if n != mu1.n or m != mu2.n:
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
-    mode = _resolve_mode(mu1, mu2, cm.cost, mode)
+    if mode is None:
+        mode = infer_mode(chain(mu1.weights, mu2.weights, *cm.cost))
     if mode == FLOAT:
         a, b, C = (np.array(x, dtype=np.float64) for x in (mu1.weights, mu2.weights, cm.cost))
         wscale = cscale = 1

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from ..numerics import is_inf
+from ..numerics import INF
 
 
 def northwest_corner(a, b, tree):
@@ -79,7 +79,7 @@ def northwest_corner(a, b, tree):
 
 def _split_costs(cost):
     """(M part or None when no cell is forbidden, value part), in one scan."""
-    big = [[1 if is_inf(c) else 0 for c in row] for row in cost]
+    big = [[1 if c == INF else 0 for c in row] for row in cost]
     if not any(map(any, big)):
         return None, cost
     value = [[0 if f else c for c, f in zip(row, flags)] for row, flags in zip(cost, big)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .numerics import (
     INF,
@@ -135,7 +136,7 @@ def from_point_cloud(points, norm_order=2, labels=None) -> FiniteMetricSpace:
             dist[i][j] = dist[j][i] = d(points[i], points[j])
     if labels is None:
         labels = tuple(str(i) for i in range(n))
-    mode = infer_mode(v for row in dist for v in row)
+    mode = infer_mode(chain(*dist))
     return FiniteMetricSpace(labels, tuple(map(tuple, dist)), tol=default_tol(mode))
 
 
@@ -166,7 +167,7 @@ class CostMatrix:
                 raise ShapeError("lower-bound vectors do not match cost shape")
             for i, row in enumerate(cost):
                 for j, c in enumerate(row):
-                    if not is_inf(c) and c < a1[i] + a2[j] - self.tol:
+                    if c < a1[i] + a2[j] - self.tol:
                         raise DataError(
                             f"cost[{i}][{j}] = {c} below lower bound "
                             f"{a1[i]} + {a2[j]}"

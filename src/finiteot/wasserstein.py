@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .coupling import TransportPlan, is_coupling, marginals
 from .measure import DiscreteMeasure, measures_equal
@@ -21,7 +22,6 @@ from .numerics import (
     ParameterError,
     default_tol,
     infer_mode,
-    is_exact,
 )
 from .solver import cost_of_plan, solve_kantorovich
 
@@ -104,11 +104,7 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     if n2 != n2b:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
     if tol is None:
-        mode = infer_mode(
-            [x for row in pi12.matrix for x in row]
-            + [x for row in pi23.matrix for x in row]
-        )
-        tol = default_tol(mode)
+        tol = default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))
     mid_from_12 = [sum(pi12.matrix[i][j] for i in range(n1)) for j in range(n2)]
     mid_from_23 = [sum(row) for row in pi23.matrix]
     worst_j, worst_gap = None, 0
@@ -157,11 +153,10 @@ def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):
     glued = glue(pi12, pi23)
     pi13 = glued_marginal_13(glued)
     cost = space.power_cost(params.p)
-    mode = RATIONAL if is_exact(w13) else "float"
-    glued_cost_13 = _root(cost_of_plan(pi13, cost), params.p, mode)
+    glued_cost_13 = _root(cost_of_plan(pi13, cost), params.p, infer_mode((w13,)))
     tol = params.tol
     if tol is None:
-        tol = 0 if is_exact(glued_cost_13) and is_exact(w13) else default_tol("float")
+        tol = default_tol(infer_mode((w12, w23, w13, glued_cost_13)))
     holds = (w13 <= glued_cost_13 + tol) and (glued_cost_13 <= w12 + w23 + tol)
     return {
         "w12": w12,
@@ -184,14 +179,6 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
     if len(measures) < 2:
         raise DomainError("need at least two measures")
     k = len(measures)
-    tol = params.tol
-    if tol is None:
-        tol = default_tol(
-            RATIONAL
-            if all(m.mode == RATIONAL for m in measures) and params.p == 1
-            else "float"
-        )
-
     dist = {}
     plans = {}
     for i in range(k):
@@ -200,6 +187,9 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
                 w, plan = wasserstein_distance(measures[i], measures[j], space, params)
                 dist[(i, j)] = w
                 plans[(i, j)] = plan
+    tol = params.tol
+    if tol is None:
+        tol = default_tol(infer_mode(dist.values()))
 
     failures = {
         "nonnegativity": [],
@@ -265,7 +255,7 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
 def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
     """Both marginal invariants and unit mass; returns (ok, report)."""
     if tol is None:
-        tol = default_tol(infer_mode(x for sl in g.tensor for r in sl for x in r))
+        tol = default_tol(infer_mode(chain(*chain(*g.tensor), *pi12.matrix, *pi23.matrix)))
     report = []
     m12 = g.marginal_12()
     m23 = g.marginal_23()

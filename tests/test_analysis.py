@@ -16,7 +16,7 @@ from finiteot.coupling import TransportPlan
 from finiteot.generators import random_rational_metric_space
 from finiteot.measure import dirac, new_measure
 from finiteot.numerics import INF, DomainError, is_inf
-from finiteot.space import FiniteMetricSpace
+from finiteot.space import FiniteMetricSpace, from_point_cloud
 
 HALF = F(1, 2)
 TWO_POINT = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
@@ -80,6 +80,15 @@ class TestMoreauYosida:
                 ExtendedFunction(vals), space, N=6, tol=0
             )
             assert report["passed"], (vals, report["failures"])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_values_on_float_space(self, seed):
+        # the tolerance follows the space's float distances, not f's Fractions
+        rng = random.Random(seed)
+        pts = [[rng.random() * 10, rng.random() * 10] for _ in range(6)]
+        f = [F(rng.randint(0, 40), rng.randint(1, 4)) for _ in range(6)]
+        report = check_moreau_yosida_properties(f, from_point_cloud(pts), 12)
+        assert report["passed"], (f, report["failures"])
 
 
 class TestNarrowLimit:

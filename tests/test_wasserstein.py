@@ -233,6 +233,15 @@ class TestMetricSuite:
             )
             assert report["passed"], report["failures"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_mode_on_rational_measures(self, seed):
+        # the tolerance follows the float distances, not the exact weights
+        rng = random.Random(seed)
+        space = random_rational_metric_space(rng, 8)
+        measures = [random_rational_measure(rng, 8) for _ in range(5)]
+        report = metric_axiom_suite(measures, space, WassersteinParams(p=1, mode="float"))
+        assert report["passed"], report["failures"]
+
     def test_duplicate_measures_share_identity(self):
         report = metric_axiom_suite([UNIFORM2, UNIFORM2], TWO_POINT)
         assert report["passed"]
