@@ -32,9 +32,8 @@ from .generators import (
 )
 from .io import dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
-from .numerics import FLOAT, FLOAT_TOL, INF, default_tol, is_inf
+from .numerics import FLOAT_TOL, INF, default_tol, is_inf
 from .solver import (
-    KERNEL,
     oracle_basis_enumeration,
     oracle_permutation,
     solve_kantorovich,
@@ -73,8 +72,7 @@ def cmd_solve(args) -> int:
         "mode": sol.mode,
         "optimal_cost": sol.optimal_cost,
         "iterations": sol.iterations,
-        # rational solves always run the Python simplex
-        "kernel": KERNEL if sol.mode == FLOAT else "python",
+        "kernel": sol.engine,
     }
     if sol.feasible:
         doc["plan"] = [list(row) for row in sol.plan.matrix]

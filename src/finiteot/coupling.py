@@ -177,12 +177,13 @@ def all_indicator_pairs(n: int, m: int):
     return pairs
 
 
-def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=0):
+def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=None):
     """Mass outside K1 x K2 against the sum of marginal tail masses.
 
     Returns (lhs, rhs, holds) with lhs = pi((K1 x K2)^c) and
     rhs = mu1(K1^c) + mu2(K2^c); the union bound makes holds always true
-    for genuine couplings.
+    for genuine couplings.  The default tol is that of the mode of the plan
+    and both weight vectors.
     """
     n, m = plan.shape
     K1, K2 = set(K1), set(K2)
@@ -194,6 +195,8 @@ def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=0
             raise IndexError(f"column index {j} out of range")
     if mu1 is None or mu2 is None:
         mu1, mu2 = marginals(plan)
+    if tol is None:
+        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *plan.matrix)))
     lhs = sum(
         plan.matrix[i][j]
         for i in range(n)

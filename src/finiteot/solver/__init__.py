@@ -17,16 +17,24 @@ cost.  Only the result is converted back: the plan's matrix is a tuple of
 tuples of Python floats, or of Fractions (f / weight scale), and the cost a
 Python float, or a Fraction (divided once by both scales).
 
-The engine of float problems is the dense C kernel in _dense.c, forbidden
-+inf cells included, loaded through ctypes by _compiled (which builds it
-with the system C compiler on first import).  Rational problems, and float
-problems when the C kernel cannot be built or loaded or FINITEOT_FORCE_PURE=1
-turns it off, go through the same simplex in Python (simplex.py), on
-Python lists of the arrays.  _dense.c is a port of simplex.py, so either
-engine returns the same float plan, bit for bit, after the same number of
-pivots.  KERNEL names the engine of float problems ("compiled" or
-"python"); KERNEL_INFO adds its library and the reason it was chosen, and
-is logged at DEBUG on the "finiteot" logger.
+The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
+(which builds it with the system C compiler on first import).  Its float
+build runs every float problem, forbidden +inf cells included.  Its int64
+build runs every rational problem whose scaled data provably fit in int64:
+the total scaled supply is below 2^62, (n + m) max|scaled finite cost| and
+floor(tol * cost scale) below 2^60 (a potential is a signed sum of at most
+n + m costs, and a reduced cost adds two of them).  It gets that floor as
+its tolerance: on integers r < -t iff r < -floor(t), and theta <= t iff
+theta <= floor(t), so it pivots as the Python engine does on the unfloored
+tolerance.  Its plan comes back as Python ints, so the cost and the checks
+stay exact.  Rational problems that do not fit, and every problem when the
+C kernel cannot be built or loaded or FINITEOT_FORCE_PURE=1 turns it off, go
+through the same simplex in Python (simplex.py), on Python lists of the
+arrays.  _dense.c is a port of simplex.py, so either engine returns the same
+plan, bit for bit on floats, after the same number of pivots.
+OTSolution.engine names the engine that ran ("compiled" or "python").
+KERNEL names the engine of float problems; KERNEL_INFO adds its library and
+the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
 
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
@@ -67,7 +75,11 @@ from .simplex import transportation_simplex
 
 @dataclass(frozen=True)
 class KernelInfo:
-    """Which engine solves float problems, from which library, and why."""
+    """Which engine solves float problems, from which library, and why.
+
+    The compiled kernel also solves the rational problems whose scaled data
+    fit in int64.
+    """
 
     kernel: str
     library: str  # None for the Python simplex
@@ -75,7 +87,7 @@ class KernelInfo:
 
 
 def _select_kernel():
-    """(C kernel or None, KernelInfo); None sends every float solve to simplex.py."""
+    """(C kernel or None, KernelInfo); None sends every solve to simplex.py."""
     if os.environ.get("FINITEOT_FORCE_PURE"):
         return None, KernelInfo("python", None, "forced by FINITEOT_FORCE_PURE")
     try:
@@ -88,7 +100,7 @@ def _select_kernel():
 
 _kernel, KERNEL_INFO = _select_kernel()
 KERNEL = KERNEL_INFO.kernel
-logging.getLogger("finiteot").debug("dense float kernel: %s", KERNEL_INFO)
+logging.getLogger("finiteot").debug("dense kernel: %s", KERNEL_INFO)
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,7 @@ class OTSolution:
 
     iterations is the pivot count of the engine that ran, also on an
     infeasible result (plan None, with infeasibility_certificate set).
+    engine is "compiled" when the C kernel ran, else "python".
     """
 
     plan: TransportPlan
@@ -104,6 +117,7 @@ class OTSolution:
     iterations: int
     mode: str
     infeasibility_certificate: dict = None
+    engine: str = "python"
 
     @property
     def feasible(self) -> bool:
@@ -245,15 +259,27 @@ def solve_kantorovich(
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, np.abs(C[~forbidden]).max(initial=0))
 
-    if mode == FLOAT and _kernel is not None:
-        X, iters = _kernel.solve_dense(a, b, C, tol)
+    kernel_input = None
+    if _kernel is not None:
+        if mode == FLOAT:
+            kernel_input = a, b, C, tol
+        else:
+            kernel_input = _int64_input(a, b, C, forbidden, tol * cscale)
+    if kernel_input is not None:
+        X, iters = _kernel.solve_dense(*kernel_input)
+        if mode == RATIONAL:
+            X = X.astype(object)  # Python ints: exact cost products, no float path
+        engine = _compiled.KERNEL_NAME
     else:
         flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol * cscale)
         X = np.zeros(C.shape, dtype=C.dtype)
         for (i, j), f in flow.items():
             X[i, j] = f
+        engine = "python"
     plan, value, certificate = None, INF, None
-    flow_tol = tol * wscale
+    # the engines minimise the M part exactly whatever tol is, so in rational
+    # mode any mass on forbidden cells proves that no finite-cost plan exists
+    flow_tol = tol if mode == FLOAT else 0
     if forbidden.any() and _sum_in_order(X[forbidden]) > flow_tol:
         certificate = _hall_certificate(
             a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
@@ -273,7 +299,7 @@ def solve_kantorovich(
             matrix = [[Fraction(f, wscale) if f else zero for f in row] for row in X.tolist()]
             value = value if is_inf(value) else Fraction(value, wscale * cscale)
         plan = TransportPlan(matrix, mu1, mu2)
-    return OTSolution(plan, value, iters, mode, certificate)
+    return OTSolution(plan, value, iters, mode, certificate, engine)
 
 
 def _exact_input(w1, w2, cost):
@@ -300,6 +326,40 @@ def _exact_input(w1, w2, cost):
     costs, cscale = _scaled(C[finite].tolist())
     C[finite] = costs
     return np.array(a, dtype=object), np.array(b, dtype=object), C, wscale, cscale
+
+
+#: rational mode's scaled data run the int64 build only below these bounds
+_SUPPLY_BOUND = 2**62
+_COST_BOUND = 2**60
+
+
+def _int64_input(a, b, C, forbidden, tol):
+    """The int64 build's (a, b, C, tol), or None when the scaled data may overflow.
+
+    a, b and C are rational mode's scaled ints (+inf on forbidden cells) and
+    tol the tolerance in the costs' units.  They fit when the total supply
+    is below _SUPPLY_BOUND and (n + m) max|finite cost| and |floor(tol)| are
+    below _COST_BOUND: every flow is then at most the total supply, and every
+    potential and reduced cost at most 2 (n + m) max|c| + |floor(tol)| in
+    size.  The tolerance is floored, which gives the same pivots on
+    integers; forbidden cells are marked FORBIDDEN_INT64.
+    """
+    try:
+        floor_tol = math.floor(tol)
+    except (OverflowError, ValueError):  # an infinite or NaN tolerance
+        return None
+    finite = ~forbidden
+    costs = C[finite].tolist()
+    n, m = C.shape
+    if (
+        sum(a.tolist()) >= _SUPPLY_BOUND
+        or (n + m) * max(map(abs, costs), default=0) >= _COST_BOUND
+        or abs(floor_tol) >= _COST_BOUND
+    ):
+        return None
+    C64 = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
+    C64[finite] = costs
+    return a.astype(np.int64), b.astype(np.int64), C64, floor_tol
 
 
 def _scaled(values):

@@ -1,4 +1,4 @@
-"""Loader for the compiled float kernel (_dense.c, called through ctypes).
+"""Loader for the compiled kernel (_dense.c, called through ctypes).
 
 The shared library is built from _dense.c on first use with the system C
 compiler (no Python headers, no Cython) and cached in
@@ -9,11 +9,15 @@ library with an atomic os.replace; a build then deletes leftover temporary
 files and the libraries and lock files of other keys.  A warm load only
 hashes the source and opens the cached library, starting no child process.
 
-load() returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol) ->
-(X, iterations), the C port of simplex.transportation_simplex: on the same
-float input, +inf cells included, both take the same pivots and return the
-same plan.  It raises KernelUnavailable, whose message is the reason, when
-the library can be neither found nor built.
+The one library holds two builds of the same algorithm, the C port of
+simplex.transportation_simplex: fot_solve_dense over doubles, and
+fot_solve_exact over int64 numbers, which runs rational problems whose
+scaled data fit.  load() returns a kernel with KERNEL_NAME and
+solve_dense(a, b, C, tol) -> (X, iterations), which picks the build by the
+dtype of C.  On the same input, +inf cells included, both builds take the
+Python simplex's pivots and return its plan.  load() raises
+KernelUnavailable, whose message is the reason, when the library can be
+neither found nor built.
 """
 
 from __future__ import annotations
@@ -38,13 +42,17 @@ CFLAGS = ("-O3", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 #: C compilers looked for on PATH, in order
 COMPILERS = ("cc", "gcc", "clang")
 
-#: fot_solve_dense's error returns
+#: the error returns of fot_solve_dense and fot_solve_exact
 _PIVOT_LIMIT = -1
 _NO_MEMORY = -2
 #: lines of compiler stderr kept in a failure reason
 _STDERR_TAIL = 10
 
 _DOUBLES = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_INT64S = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+#: the mark of a forbidden cell in an int64 cost array, where +inf has no
+#: place; the caller keeps every finite cost below it (see _dense.c)
+FORBIDDEN_INT64 = np.iinfo(np.int64).max
 
 
 class KernelUnavailable(RuntimeError):
@@ -142,47 +150,50 @@ def _sweep(keep: Path):
 
 
 class CompiledKernel:
-    """ctypes binding of fot_solve_dense from one shared library."""
+    """ctypes binding of fot_solve_dense and fot_solve_exact from one shared library."""
 
     KERNEL_NAME = KERNEL_NAME
 
     def __init__(self, path: Path, built: bool):
         self.path = path
         self.built = built
-        self._fn = ctypes.CDLL(str(path)).fot_solve_dense
-        self._fn.restype = ctypes.c_int64
-        self._fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _DOUBLES,
-            _DOUBLES,
-            _DOUBLES,
-            ctypes.c_double,
-            _DOUBLES,
-        ]
+        lib = ctypes.CDLL(str(path))
+        self._fns = {
+            np.float64: _bind(lib.fot_solve_dense, _DOUBLES, ctypes.c_double),
+            np.int64: _bind(lib.fot_solve_exact, _INT64S, ctypes.c_int64),
+        }
 
     def solve_dense(self, a, b, C, tol):
         """Minimize <C, X> over the transportation polytope; +inf cells are forbidden.
 
-        On a problem with no finite-cost plan, X puts the least possible
-        mass on +inf cells, as transportation_simplex does.
+        An int64 array C runs the exact build, on int64 weights and an int
+        tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
+        the float build on float64 arrays.  On a problem with no finite-cost
+        plan, X puts the least possible mass on forbidden cells, as
+        transportation_simplex does.
         """
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        C = np.ascontiguousarray(C, dtype=np.float64)
+        dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
+        a, b, C = (np.ascontiguousarray(x, dtype=dtype) for x in (a, b, C))
         n, m = C.shape
         if n == 0 or m == 0 or a.shape != (n,) or b.shape != (m,):
             raise ValueError(
                 f"solve_dense needs a (n,), b (m,), C (n, m) with n, m >= 1; "
                 f"got {a.shape}, {b.shape}, {C.shape}"
             )
-        X = np.empty((n, m), dtype=np.float64)
-        iterations = self._fn(n, m, a, b, C, tol, X)
+        X = np.empty((n, m), dtype=dtype)
+        iterations = self._fns[dtype](n, m, a, b, C, tol, X)
         if iterations == _PIVOT_LIMIT:
-            raise RuntimeError("float simplex exceeded pivot limit")
+            raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
         return X, iterations
+
+
+def _bind(fn, array, number):
+    """fn with the argument types of fot_solve_dense over one number type."""
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array]
+    return fn
 
 
 def load() -> CompiledKernel:

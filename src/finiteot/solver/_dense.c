@@ -1,19 +1,33 @@
 /*
  * Transportation simplex on a persistent spanning tree: the compiled kernel.
  *
- * Runs every float problem while it is loaded: balanced float supplies and
- * demands, costs finite or +inf for a forbidden cell; returns the plan and
- * the pivot count.  It is a port of transportation_simplex in simplex.py,
- * the exact engine and the fallback without a compiler: on the same float
- * input both take the same pivots and return bit-identical plans, so a
- * change here must be made there too.  Loaded through ctypes by
+ * One algorithm, built twice from this file into one library, over two
+ * number types:
+ *
+ *   fot_solve_dense  doubles, a forbidden cell costing +inf.  It runs every
+ *                    float problem while it is loaded.
+ *   fot_solve_exact  int64_t, a forbidden cell marked INT64_MAX.  It runs
+ *                    every rational problem whose scaled weights and costs
+ *                    fit: the caller checks that the total supply is below
+ *                    2^62, (n + m) max|finite cost| below 2^60 and |tol|
+ *                    below 2^60.  A potential is a signed sum of at most
+ *                    n + m costs and a reduced cost adds two of them, so no
+ *                    sum overflows and no finite cost reaches the mark.
+ *
+ * Both take balanced supplies and demands and return the plan and the pivot
+ * count.  They are a port of transportation_simplex in simplex.py, the
+ * exact twin and the fallback without a compiler: on the same input both
+ * take the same pivots and return the same plan (bit for bit on floats),
+ * so a change here must be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
- * system C compiler; it needs no Python or numpy headers.
+ * system C compiler; it needs no Python or numpy headers.  The file
+ * includes itself once per number type: the part under FOT_NUM below is
+ * the algorithm, written once over num.
  *
  * The basis is a spanning tree over the row nodes 0..n-1 and the column
  * nodes n..n+m-1, rooted at row 0: parent, depth, first child and next
  * sibling of each node, and the flow on the edge to its parent.  A node's
- * potential is c_ij - pot[parent] along that edge, in two parts: a +inf
+ * potential is c_ij - pot[parent] along that edge, in two parts: a forbidden
  * cell costs (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M
  * outweighs any value.  The north-west corner start hangs one new node per
  * cell, so the start tree is built during that walk.
@@ -32,6 +46,8 @@
  * cost enters, as blocks of one cell would give without a block per cell.
  */
 
+#ifndef FOT_NUM
+
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -39,11 +55,34 @@
 #define FOT_PIVOT_LIMIT (-1)
 #define FOT_NO_MEMORY (-2)
 
+#define FOT_NUM double
+#define FOT(name) name##_dense
+#define FORBIDDEN(c) ((c) == INFINITY)
+#include "_dense.c"
+#undef FOT_NUM
+#undef FOT
+#undef FORBIDDEN
+
+#define FOT_NUM int64_t
+#define FOT(name) name##_exact
+#define FORBIDDEN(c) ((c) == INT64_MAX)
+#include "_dense.c"
+
+#else /* one build over FOT_NUM numbers; FOT names its functions */
+
+#define num FOT_NUM
+#define Tree FOT(Tree)
+#define edge_cell FOT(edge_cell)
+#define derive FOT(derive)
+#define hang FOT(hang)
+#define unhang FOT(unhang)
+#define refresh FOT(refresh)
+
 typedef struct {
     int64_t n, m;
-    const double *C;
+    const num *C;
     int64_t *parent, *depth, *child, *sibling, *pot_big;
-    double *pot, *flow;
+    num *pot, *flow;
 } Tree;
 
 /* row-major index of the cell on the edge from node to its parent up */
@@ -56,10 +95,10 @@ static int64_t edge_cell(const Tree *t, int64_t node, int64_t up)
 static void derive(Tree *t, int64_t node)
 {
     int64_t up = t->parent[node];
-    double c = t->C[edge_cell(t, node, up)];
-    int forbidden = c == INFINITY;
+    num c = t->C[edge_cell(t, node, up)];
+    int forbidden = FORBIDDEN(c);
     t->depth[node] = t->depth[up] + 1;
-    t->pot[node] = (forbidden ? 0.0 : c) - t->pot[up];
+    t->pot[node] = (forbidden ? 0 : c) - t->pot[up];
     t->pot_big[node] = forbidden - t->pot_big[up];
 }
 
@@ -99,14 +138,13 @@ static void refresh(Tree *t, int64_t top)
 }
 
 /*
- * a: n supplies, b: m demands, C: n x m row-major costs (+inf forbidden),
- * X: n x m output (overwritten).  Returns the pivot count, FOT_PIVOT_LIMIT
- * when the pivot limit 10000 + 200 (n + m) max(n, m) is exceeded, or
- * FOT_NO_MEMORY.
+ * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
+ * is +inf, or INT64_MAX), X: n x m output (overwritten).  Returns the pivot
+ * count, FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m)
+ * is exceeded, or FOT_NO_MEMORY.
  */
-int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
-                        const double *b, const double *C, double tol,
-                        double *X)
+int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
+                       const num *C, num tol, num *X)
 {
     int64_t nodes = n + m, total = n * m;
     int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
@@ -119,10 +157,10 @@ int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
     int bland = 0, row_side;
     int64_t i, j, j0, stop, k, pos, end, scanned, size, node, up, prev;
     int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
-    double q, c, r, best, ui, theta, f, carried;
-    const double *row;
+    num q, c, r, best, ui, theta, f, carried;
+    const num *row;
     Tree t = {.n = n, .m = m, .C = C};
-    double *rest = malloc(nodes * sizeof *rest); /* supplies, then demands */
+    num *rest = malloc(nodes * sizeof *rest); /* supplies, then demands */
     t.parent = malloc(nodes * sizeof *t.parent);
     t.depth = malloc(nodes * sizeof *t.depth);
     t.child = malloc(nodes * sizeof *t.child);
@@ -140,7 +178,7 @@ int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
     }
     t.parent[0] = -1;
     t.depth[0] = t.pot_big[0] = 0;
-    t.pot[0] = 0.0;
+    t.pot[0] = 0;
 
     /* north-west corner start: cell (i, j) hangs the node that the last
      * step advanced to, column 0 first */
@@ -196,9 +234,9 @@ int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
                 col_up = t.parent[i] - n; /* row i's basic cell to its parent */
                 for (j = j0; j < stop; j++) {
                     c = row[j];
-                    d = (c == INFINITY) - ui_big - t.pot_big[n + j];
+                    d = FORBIDDEN(c) - ui_big - t.pot_big[n + j];
                     if (d <= best_big) {
-                        r = (c == INFINITY ? 0.0 : c) - ui - t.pot[n + j];
+                        r = (FORBIDDEN(c) ? 0 : c) - ui - t.pot[n + j];
                         if ((d < best_big || r < best) && j != col_up
                             && t.parent[n + j] != i) {
                             best_big = d;
@@ -225,7 +263,7 @@ int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
          * named by their lower node; the decreasing ones are those below a
          * row on the row's side and below a column on the column's side */
         leave = below = -1;
-        theta = 0.0;
+        theta = 0;
         x = ei;
         y = n + ej;
         while (x != y) {
@@ -277,7 +315,7 @@ int64_t fot_solve_dense(int64_t n, int64_t m, const double *a,
     }
 
     for (k = 0; k < total; k++)
-        X[k] = 0.0;
+        X[k] = 0;
     for (node = 1; node < nodes; node++)
         X[edge_cell(&t, node, t.parent[node])] = t.flow[node];
     result = iterations;
@@ -293,3 +331,13 @@ done:
     free(t.flow);
     return result;
 }
+
+#undef num
+#undef Tree
+#undef edge_cell
+#undef derive
+#undef hang
+#undef unhang
+#undef refresh
+
+#endif

@@ -1,13 +1,15 @@
 """Transportation simplex on a persistent spanning tree, over any ordered numbers.
 
-This is the exact engine and the Python twin of the C kernel (_dense.c),
-which is a port of it.  It runs unchanged on Python ints (rational mode:
+This is the Python twin of the C kernel (_dense.c), which is a port of it,
+and its fallback.  It runs unchanged on Python ints (rational mode:
 solve_kantorovich scales weights and costs by the least common multiple of
-their denominators, so every pivot is the one Fractions would take), and on
-floats only when the C kernel is off (it cannot be built or loaded, or
-FINITEOT_FORCE_PURE=1).  On any float problem, forbidden cells included, it
-takes the C kernel's pivots one for one and returns the same plan, bit for
-bit.
+their denominators, so every pivot is the one Fractions would take) and on
+floats.  The C kernel's float build runs every float problem and its int64
+build every rational problem whose scaled data fit in int64; this engine
+runs the rational problems that do not fit, and every problem when the C
+kernel is off (it cannot be built or loaded, or FINITEOT_FORCE_PURE=1).  On
+any problem, forbidden cells included, it takes the C kernel's pivots one
+for one and returns the same plan, bit for bit on floats.
 
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell

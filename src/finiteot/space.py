@@ -178,5 +178,4 @@ class CostMatrix:
         return (len(self.cost), len(self.cost[0]) if self.cost else 0)
 
     def max_abs_finite(self):
-        vals = [abs(c) for row in self.cost for c in row if not is_inf(c)]
-        return max(vals) if vals else 0
+        return max((abs(c) for row in self.cost for c in row if c != INF), default=0)

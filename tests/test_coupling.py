@@ -138,6 +138,20 @@ class TestTailBound:
             K2 = {j for j in range(m) if rng.random() < 0.5}
             assert tail_mass_bound_check(plan, K1, K2, mu1, mu2)[2]
 
+    def test_float_couplings_hold_under_the_default_tol(self):
+        # float roundoff in the plan's sums broke the bound on 27 of these
+        # 300 seeds while the default tol was 0 in float mode too
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, m = rng.randint(2, 6), rng.randint(2, 6)
+            mu1, mu2 = (
+                new_measure(map(float, random_rational_measure(rng, k).weights))
+                for k in (n, m)
+            )
+            plan = random_coupling(rng, mu1, mu2)
+            K2 = set(rng.sample(range(m), rng.randint(0, m)))
+            assert tail_mass_bound_check(plan, range(n), K2, mu1, mu2)[2], seed
+
     def test_bad_index(self):
         with pytest.raises(IndexError):
             tail_mass_bound_check(product_coupling(UNIFORM2, UNIFORM2), {5}, set())

@@ -157,13 +157,20 @@ class TestCLISolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == "rational"
 
-    @pytest.mark.parametrize("mode", ["float", "rational"])
-    def test_names_the_engine_that_ran(self, tmp_path, capsys, mode):
-        # float solves run the selected kernel, rational ones the Python simplex
-        path = self.problem(tmp_path, [["0", "1"], ["1", "0"]])
+    @pytest.mark.parametrize(
+        "mode, unit",
+        [("float", "1"), ("rational", "1"), ("rational", str(2**60))],
+        ids=["float", "rational", "rational-costs-too-large-for-int64"],
+    )
+    def test_names_the_engine_that_ran(self, tmp_path, capsys, mode, unit):
+        # float solves and rational ones whose scaled data fit in int64 run
+        # the selected kernel; a rational cost of 2^60 breaks the fit bound
+        # (n + m) max|c| < 2^60, so that solve runs the Python simplex
+        path = self.problem(tmp_path, [["0", unit], [unit, "0"]])
         assert main(["solve", path, "--mode", mode]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["kernel"] == (KERNEL if mode == "float" else "python")
+        assert doc["optimal_cost"] == "0"
+        assert doc["kernel"] == (KERNEL if unit == "1" else "python")
 
 
 class TestCLIDistance:

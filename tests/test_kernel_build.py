@@ -113,6 +113,39 @@ def test_force_pure_compiles_nothing(tmp_path):
     assert libraries(cache) == []
 
 
+#: REPORT, with a rational solve's engine, pivots, cost and plan under "solved"
+RATIONAL_SOLVE = (
+    "import dataclasses, json, finiteot; from test_kernels import rational_instance; "
+    "sol = finiteot.solve_kantorovich(*rational_instance(12)); "
+    "print(json.dumps({**dataclasses.asdict(finiteot.KERNEL_INFO), 'solved': [sol.engine, "
+    "sol.iterations, str(sol.optimal_cost), [list(map(str, r)) for r in sol.plan.matrix]]}))"
+)
+#: the entry points of the cached library, as [float build, int64 build]
+EXPORTS = (
+    "import ctypes, json, finiteot; lib = ctypes.CDLL(finiteot.KERNEL_INFO.library); "
+    "print(json.dumps([hasattr(lib, 'fot_solve_dense'), hasattr(lib, 'fot_solve_exact')]))"
+)
+
+
+@needs_compiler
+def test_one_library_exports_both_builds(tmp_path):
+    cache = tmp_path / "cache"
+    assert report(start(cache))["reason"] == "built into the cache"
+    # a warm import loads the one library, which holds both entry points
+    assert report(start(cache, EXPORTS)) == [True, True]
+    assert len(libraries(cache)) == 1
+
+
+@needs_compiler
+def test_force_pure_rational_solve_compiles_nothing(tmp_path):
+    compiled = report(start(tmp_path / "warm", RATIONAL_SOLVE))
+    assert compiled["solved"][0] == "compiled"
+    cache = tmp_path / "cache"
+    pure = report(start(cache, RATIONAL_SOLVE, FINITEOT_FORCE_PURE="1"))
+    assert pure["solved"] == ["python", *compiled["solved"][1:]]
+    assert libraries(cache) == []
+
+
 def test_missing_compiler_falls_back_with_reason(tmp_path):
     cache = tmp_path / "cache"
     info = report(start(cache, PATH=str(tmp_path)))

@@ -1,7 +1,9 @@
 """The compiled kernel and its Python twin, simplex.transportation_simplex.
 
 The compiled kernel's solve_dense(a, b, C, tol) returns (flow_matrix,
-iterations); the twin, which is the fallback when the kernel cannot load,
+iterations), from its float build on float arrays and from its int64 build
+on the scaled ints of rational problems; the twin, which is the fallback
+when the kernel cannot load and for rational data that do not fit in int64,
 must return the same pivot count and the same plan, bit for bit, also on
 +inf cells and on problems that they leave without a finite-cost plan.  The
 compiled kernel is built by its loader with the system C compiler, so the
@@ -11,11 +13,15 @@ with a compiler present fails them.
 
 import os
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from finiteot.solver import KERNEL, KERNEL_INFO, _compiled
+import finiteot.solver as solver
+from finiteot.measure import DiscreteMeasure
+from finiteot.numerics import INF
+from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration
 from finiteot.solver.simplex import transportation_simplex
 
 needs_compiler = pytest.mark.skipif(
@@ -87,16 +93,90 @@ def identity_instances(family):
             density = rng.uniform(0.1, 0.9)
             C[np.array([[rng.random() < density for _ in row] for row in C])] = np.inf
             instances.append((a, b, C))
+    elif family == "rational":  # as the int64 build gets them from the solver
+        return [int64_input(*problem) for problem in rational_problems(1000)]
     return [(a, b, C, 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))) for a, b, C in instances]
 
 
+def rational_problems(count):
+    """(mu1, mu2, cost, tol): seeded rational problems whose scaled data fit.
+
+    Up to 16 points a side, with +inf cells at densities 0..0.7 (enough to
+    leave some problems without a finite plan), zero weights, tied integer
+    costs 0..3 or Fraction costs, and tol None, 0 or a Fraction.  At tol
+    7/10 and integer costs the floor 0 and the nearest integer 1 of
+    tol * cost scale pick different entering cells.
+    """
+    rng = random.Random(11)
+    problems = []
+    for _ in range(count):
+        n, m = rng.randint(1, 16), rng.randint(1, 16)
+        mu1, mu2 = (
+            DiscreteMeasure(tuple(F(w, sum(raw)) for w in raw))
+            for raw in (
+                [rng.choice((0, rng.randint(1, 30))) for _ in range(k - 1)] + [rng.randint(1, 30)]
+                for k in (n, m)
+            )
+        )
+        tied = rng.random() < 0.5
+        density = rng.uniform(0, 0.7)
+        cost = [
+            [
+                INF if rng.random() < density
+                else rng.randint(0, 3) if tied
+                else F(rng.randint(-40, 90), rng.randint(1, 9))
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+        problems.append((mu1, mu2, cost, rng.choice((None, 0, F(1, 100), F(7, 10)))))
+    return problems
+
+
+def rational_instance(n):
+    """Seeded n x n rational problem with a finite plan and about 10% +inf cells."""
+    rng = random.Random(n)
+    mu1, mu2 = (
+        DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+    )
+    cost = [
+        [INF if i != j and rng.random() < 0.1 else F(rng.randint(0, 1000), 7) for j in range(n)]
+        for i in range(n)
+    ]
+    return mu1, mu2, cost
+
+
+def int64_input(mu1, mu2, cost, tol):
+    """The int64 build's input for a rational problem, as solve_kantorovich makes it."""
+    a, b, C, _, cscale = solver._exact_input(mu1.weights, mu2.weights, cost)
+    return solver._int64_input(a, b, C, C == INF, (tol or 0) * cscale)
+
+
+def forbidden_cells(C):
+    return C == _compiled.FORBIDDEN_INT64 if C.dtype == np.int64 else np.isinf(C)
+
+
 def twin(a, b, C, tol):
-    """transportation_simplex on the kernel's input, as (plan, iterations)."""
-    flow, iterations = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
-    X = np.zeros(C.shape)
+    """transportation_simplex on the kernel's input, as (plan, iterations).
+
+    An int64 input runs on Python ints, its forbidden cells as +inf.
+    """
+    cells = C.tolist()
+    if C.dtype == np.int64:
+        cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
+    flow, iterations = transportation_simplex(a.tolist(), b.tolist(), cells, tol=tol)
+    X = np.zeros(C.shape, dtype=C.dtype)
     for (i, j), f in flow.items():
         X[i, j] = f
     return X, iterations
+
+
+def outcome(mu1, mu2, cost, tol):
+    """What a solve returns: the engine that ran and the solution's fields."""
+    sol = solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
+    plan = sol.plan.matrix if sol.feasible else None
+    return sol.engine, (sol.iterations, plan, repr(sol.optimal_cost), sol.infeasibility_certificate)
 
 
 def check_feasible(a, b, flow, tol=1e-9):
@@ -153,15 +233,86 @@ class TestCompiled:
         a, b, C = random_instance(rng, 60, 60)
         check_same_pivots(compiled, a, b, C, 1e-9 * (1 + C.max()))
 
-    @pytest.mark.parametrize("family", ["tied", "assignment", "edge", "bland", "forbidden"])
+    @pytest.mark.parametrize(
+        "family", ["tied", "assignment", "edge", "bland", "forbidden", "rational"]
+    )
     def test_twin_takes_the_same_pivots(self, compiled, family):
         instances = identity_instances(family)
         infeasible = 0
         for a, b, C, tol in instances:
             X = check_same_pivots(compiled, a, b, C, tol)
-            infeasible += X[np.isinf(C)].sum() > tol  # mass on +inf cells
-        if family == "forbidden":  # problems with and without a finite plan
+            infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
+        if family in ("forbidden", "rational"):  # with and without a finite plan
             assert 0 < infeasible < len(instances)
+
+    def test_rational_solves_repeat_the_python_simplex(self, compiled, monkeypatch):
+        # the same pivots, Fraction plans, costs and Hall cuts from the int64
+        # build as from transportation_simplex on the unfloored tolerance
+        infeasible = 0
+        for problem in rational_problems(1000):
+            monkeypatch.setattr(solver, "_kernel", compiled)
+            engine, solved = outcome(*problem)
+            assert engine == "compiled"
+            monkeypatch.setattr(solver, "_kernel", None)
+            assert outcome(*problem) == ("python", solved)
+            infeasible += solved[1] is None
+        assert 0 < infeasible < 1000
+
+    def test_int64_fit_bounds(self, compiled, monkeypatch):
+        # data just under each bound run the int64 build, data at it the
+        # Python simplex, and both give the exact optimum
+        half = DiscreteMeasure((F(1, 2), F(1, 2)))
+        at = 2**58  # (n + m) max|c| < 2^60 with n + m = 4
+
+        def thin(d):  # total scaled supply d
+            return DiscreteMeasure((F(1, d), F(d - 1, d)))
+
+        cases = [
+            (half, half, [[at - 1, 0], [-at + 1, at - 2]], None, "compiled"),
+            (half, half, [[at, 0], [-at + 1, at - 2]], None, "python"),
+            (half, half, [[0, -at], [at - 1, 1]], None, "python"),
+            (thin(2**62 - 2), half, [[3, 1], [1, INF]], None, "compiled"),
+            (thin(2**62), half, [[3, 1], [1, INF]], None, "python"),
+            (thin(2**61 + 1), thin(2**61 - 1), [[0, 5], [7, 2]], None, "python"),
+            (half, half, [[0, 1], [1, 0]], 2**60 - 1, "compiled"),
+            (half, half, [[0, 1], [1, 0]], 2**60, "python"),
+            (half, half, [[0, 1], [1, 0]], F(3 * 2**60 - 1, 3), "compiled"),  # floored
+        ]
+        for mu1, mu2, cost, tol, engine in cases:
+            monkeypatch.setattr(solver, "_kernel", compiled)
+            ran, solved = outcome(mu1, mu2, cost, tol)
+            assert ran == engine, (cost, tol)
+            monkeypatch.setattr(solver, "_kernel", None)
+            assert outcome(mu1, mu2, cost, tol) == ("python", solved)
+            if tol is None:
+                assert solved[2] == repr(oracle_basis_enumeration(mu1, mu2, cost).optimal_cost)
+
+    def test_int64_solves_near_the_cost_bound(self, compiled, monkeypatch):
+        # potentials and reduced costs near 2^61 stay exact
+        rng = random.Random(58)
+        for n in (3, 10, 25):
+            top = (2**60 - 1) // (2 * n)
+            mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
+            cost = [[rng.choice((top, -top, rng.randint(-top, top))) for _ in range(n)]
+                    for _ in range(n)]
+            monkeypatch.setattr(solver, "_kernel", compiled)
+            engine, solved = outcome(mu, mu, cost, None)
+            assert engine == "compiled"
+            monkeypatch.setattr(solver, "_kernel", None)
+            assert outcome(mu, mu, cost, None) == ("python", solved)
+
+    @pytest.mark.skipif(
+        bool(os.environ.get("FINITEOT_FORCE_PURE")),
+        reason="FINITEOT_FORCE_PURE selects the fallback",
+    )
+    def test_fitting_rational_solve_skips_the_python_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fitting rational solve ran the Python simplex")
+
+        monkeypatch.setattr(solver, "transportation_simplex", refuse)
+        sol = solver.solve_kantorovich(*rational_instance(30))
+        assert sol.engine == "compiled" and sol.feasible
+        assert type(sol.optimal_cost) is F
 
     def test_pivots_match_cython_kernel(self, compiled):
         # pivot counts of the Cython kernel that _dense.c ports, whose block

@@ -212,6 +212,22 @@ class TestSolve:
             assert cert["reachable_columns"]
             check_hall_cut(cert, mu1, mu2, cost)
 
+    def test_rational_tol_leaves_the_infeasibility_decision_exact(self):
+        # tol prices costs; a flow decision that read it as mass raised "no
+        # Hall cut" when each row's forbidden mass was under tol and their
+        # sum over it, and returned a plan with cost +inf and no cut when
+        # the sum was under it too
+        thirds = new_measure([F(1, 3)] * 3)
+        cases = [
+            (thirds, new_measure([1]), ((INF,), (INF,), (INF,)), HALF, [0, 1, 2]),
+            (UNIFORM2, UNIFORM2, ((0, INF), (INF, INF)), 1, [1]),
+        ]
+        for mu1, mu2, cost, tol, rows in cases:
+            sol = solve_kantorovich(mu1, mu2, cost, tol=tol)
+            assert sol.plan is None and not sol.feasible
+            assert sol.infeasibility_certificate["rows"] == rows
+            check_hall_cut(sol.infeasibility_certificate, mu1, mu2, cost)
+
     def test_lower_bound_respected(self):
         rng = random.Random(23)
         for _ in range(30):
