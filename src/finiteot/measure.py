@@ -11,16 +11,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .numerics import (
-    RATIONAL,
     DomainError,
     NormalizationError,
     ShapeError,
+    all_exact,
     check_extended,
     default_tol,
     infer_mode,
     is_inf,
+    scaled_ints,
 )
 
 WEIGHT_SUM_TOL = 1e-12  # float-mode slack on the total mass
@@ -41,18 +43,23 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if not w:
             raise DomainError("measure needs at least one point")
-        for x in w:
-            check_extended(x, "weight")
-            if is_inf(x):
-                raise DomainError("infinite weight")
-            if x < 0:
-                raise DomainError(f"negative weight {x}")
-        total = sum(w)
-        if infer_mode(w) == RATIONAL:
-            if total != 1:
-                raise NormalizationError(f"weights sum to {total}, not 1")
-        elif abs(total - 1) > WEIGHT_SUM_TOL:
-            raise NormalizationError(f"weights sum to {total!r}, not 1")
+        if all_exact(w):
+            # rational mode, checked on the weights' scaled ints
+            ints, scale = scaled_ints(w)
+            if min(ints) < 0:
+                raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
+            if sum(ints) != scale:
+                raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
+        else:
+            for x in w:
+                check_extended(x, "weight")
+                if is_inf(x):
+                    raise DomainError("infinite weight")
+                if x < 0:
+                    raise DomainError(f"negative weight {x}")
+            total = sum(w)
+            if abs(total - 1) > WEIGHT_SUM_TOL:
+                raise NormalizationError(f"weights sum to {total!r}, not 1")
         if self.space is not None and self.space.n != len(w):
             raise ShapeError("weights do not match the space size")
 
@@ -79,8 +86,6 @@ def dirac(i: int, n: int, space=None) -> DiscreteMeasure:
 
 
 def empirical_from_samples(sample_indices, n: int, space=None) -> DiscreteMeasure:
-    from fractions import Fraction
-
     if not sample_indices:
         raise DomainError("no samples")
     counts = Counter(sample_indices)

@@ -117,10 +117,42 @@ def infer_mode(values) -> str:
     values are told apart by type, with no Python call per value.
     """
     values = list(values)
-    if not all(issubclass(kind, (int, float, Fraction)) for kind in set(map(type, values))):
+    kinds = set(map(type, values))
+    if not all(issubclass(kind, (int, float, Fraction)) for kind in kinds):
         return FLOAT
+    if not any(issubclass(kind, float) for kind in kinds):
+        return RATIONAL
     floats = [x for x in values if isinstance(x, float)]
     return RATIONAL if floats.count(INF) == len(floats) else FLOAT
+
+
+def all_exact(values) -> bool:
+    """True iff every value is an int or Fraction: no float, not even +inf.
+
+    As in infer_mode, values are told apart by type, with no Python call per
+    value; these are the values scaled_ints takes.
+    """
+    return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, values)))
+
+
+def scaled_ints(values):
+    """(ints, scale): exact numbers as integers over one positive scale.
+
+    scale is the least common multiple of the denominators and ints[k] is
+    values[k] * scale, so ints compare, add and multiply as the numbers do.
+    When every value is an int they come back as they are with scale 1,
+    with no per-value call.  Floats are read as the binary fractions they
+    are; +inf has no ratio, and as_integer_ratio raises OverflowError on it.
+    """
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    try:
+        ratios = [x.as_integer_ratio() for x in values]
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        ratios = [(int(x.numerator), int(x.denominator)) for x in map(Fraction, values)]
+    scale = math.lcm(*{q for _, q in ratios})
+    return [p * (scale // q) if p else 0 for p, q in ratios], scale
 
 
 def default_tol(mode: str):

@@ -51,7 +51,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import mul
 
 import numpy as np
 
@@ -63,10 +64,12 @@ from ..numerics import (
     RATIONAL,
     ParameterError,
     ShapeError,
+    all_exact,
     default_tol,
     infer_mode,
     is_inf,
     pricing_tol,
+    scaled_ints,
 )
 from ..space import CostMatrix
 from . import _compiled
@@ -128,27 +131,37 @@ def cost_of_plan(plan, cost) -> object:
     """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell.
 
     The terms on cells with nonzero mass are added left to right in
-    row-major order, starting from 0.  An array plan is computed with array
-    operations in that same order: an object array (exact entries) against
-    the costs as they are, any other array against the costs as float64.
-    Any other plan, exact entries included, is computed cell by cell in its
-    own arithmetic.
+    row-major order, starting from 0.  A plan and costs that are all exact
+    (+inf costs allowed) are scaled to integers: the cost is one integer dot
+    product over the cells with mass, and one Fraction at the end, or an int
+    when every such cell holds an int mass at an int cost.  An object array
+    plan (exact entries) is computed against the costs as they are, and
+    every other plan as float64 arrays, which add in that same order.
     """
-    if isinstance(plan, np.ndarray):
-        return _cost_of_array_plan(plan, cost.cost if isinstance(cost, CostMatrix) else cost)
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else plan
     c = cost.cost if isinstance(cost, CostMatrix) else cost
+    if isinstance(plan, np.ndarray):
+        return _cost_of_array_plan(plan, c)
+    matrix = plan.matrix if isinstance(plan, TransportPlan) else plan
     if len(matrix) != len(c) or len(matrix[0]) != len(c[0]):
         raise ShapeError("plan and cost shapes differ")
-    total = 0
-    for crow, prow in zip(c, matrix):
-        for cij, pij in zip(crow, prow):
-            if pij:
-                term = INF if is_inf(cij) else cij * pij
-                if is_inf(term):
-                    return INF
-                total += term
-    return total
+    cells = list(chain.from_iterable(matrix))
+    costs = list(chain.from_iterable(c))
+    if all_exact(cells) and infer_mode(costs) == RATIONAL:
+        return _cost_of_exact_plan(cells, costs)
+    return _cost_of_array_plan(np.array(matrix, dtype=np.float64), c)
+
+
+def _cost_of_exact_plan(cells, costs):
+    """cost_of_plan of flat exact cells against flat exact or +inf costs."""
+    P, pscale = scaled_ints(cells)
+    costs = list(compress(costs, P))  # the cells with mass
+    if not all_exact(costs):
+        return INF  # the only inexact cost rational mode allows is +inf
+    C, cscale = scaled_ints(costs)
+    total = sum(map(mul, C, compress(P, P)))
+    if all(issubclass(kind, int) for kind in set(map(type, chain(costs, compress(cells, P))))):
+        return total
+    return Fraction(total, pscale * cscale)
 
 
 def _cost_of_array_plan(X, cost):
@@ -313,7 +326,7 @@ def _exact_input(w1, w2, cost):
     whose exact totals differ are refused rather than solved into a plan
     that couples neither.
     """
-    weights, wscale = _scaled((*w1, *w2))
+    weights, wscale = scaled_ints((*w1, *w2))
     a, b = weights[: len(w1)], weights[len(w1):]
     if sum(a) != sum(b):
         gap = Fraction(sum(a) - sum(b), wscale)
@@ -323,7 +336,7 @@ def _exact_input(w1, w2, cost):
         )
     C = np.array(cost, dtype=object)
     finite = C != INF
-    costs, cscale = _scaled(C[finite].tolist())
+    costs, cscale = scaled_ints(C[finite].tolist())
     C[finite] = costs
     return np.array(a, dtype=object), np.array(b, dtype=object), C, wscale, cscale
 
@@ -360,16 +373,6 @@ def _int64_input(a, b, C, forbidden, tol):
     C64 = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
     C64[finite] = costs
     return a.astype(np.int64), b.astype(np.int64), C64, floor_tol
-
-
-def _scaled(values):
-    """(ints, scale): exact numbers times the lcm of their denominators."""
-    try:
-        ratios = [x.as_integer_ratio() for x in values]
-    except AttributeError:  # numpy integers have no as_integer_ratio
-        ratios = [(int(x.numerator), int(x.denominator)) for x in map(Fraction, values)]
-    scale = math.lcm(*(q for _, q in ratios))
-    return [p * (scale // q) for p, q in ratios], scale
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):

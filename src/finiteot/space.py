@@ -68,6 +68,9 @@ class FiniteMetricSpace:
     labels: tuple
     dist: tuple  # tuple of row tuples
     tol: float = 0
+    # power_cost's CostMatrix per (type(p), p): 2, 2.0 and Fraction(2) are
+    # equal keys, but 2.0 gives float costs and the others int costs
+    _power_costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dist = tuple(tuple(row) for row in self.dist)
@@ -96,7 +99,16 @@ class FiniteMetricSpace:
         )
 
     def power_cost(self, p=1) -> "CostMatrix":
-        """Ground cost d^p with the zero lower-bound pair attached."""
+        """Ground cost d^p with the zero lower-bound pair attached.
+
+        The space is frozen, so the matrix is built once per p and kept.
+        """
+        key = (type(p), p)
+        if key not in self._power_costs:
+            self._power_costs[key] = self._build_power_cost(p)
+        return self._power_costs[key]
+
+    def _build_power_cost(self, p):
         if is_inf(p):
             raise ParameterError("p = inf is not supported")
         if p < 1:

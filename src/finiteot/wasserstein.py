@@ -4,14 +4,22 @@ W_p is the p-th root of the optimal transport cost under ground cost d^p.
 Gluing two plans sharing a middle marginal is done by the explicit
 disintegration tensor pi12[i][j] * pi23[j][k] / mu2[j] (zero on zero-mass
 middle atoms), which makes every statement here checkable exactly in
-rational mode.
+rational mode.  A GluedPlan keeps its factors, the two plans, and builds
+that n1 x n2 x n3 tensor only when asked for it.  Exact plans are glued on
+scaled integers: pi12 = P / s12 and pi23 = Q / s23, so the middle marginals
+compare as integer sums and the 1-3 plan is one integer matrix product, with
+one Fraction per nonzero cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
+
+import numpy as np
 
 from .coupling import TransportPlan, is_coupling, marginals
 from .measure import DiscreteMeasure, measures_equal
@@ -20,8 +28,10 @@ from .numerics import (
     DomainError,
     GlueError,
     ParameterError,
+    all_exact,
     default_tol,
     infer_mode,
+    scaled_ints,
 )
 from .solver import cost_of_plan, solve_kantorovich
 
@@ -62,16 +72,63 @@ def wasserstein_distance(mu1, mu2, space, params: WassersteinParams = None):
 
 @dataclass(frozen=True)
 class GluedPlan:
-    """Three-coordinate joint mass whose (1,2) and (2,3) marginals are plans."""
+    """Three-coordinate joint mass whose (1,2) and (2,3) marginals are plans.
 
-    tensor: tuple  # n1 x n2 x n3 nested tuples
+    It keeps its factors, the matrices of the two plans; the middle
+    marginal mu2, the integer factors and the n1 x n2 x n3 tensor
+    pi12[i][j] * pi23[j][k] / mu2[j] are derived from them on first use.
+    """
+
+    pi12: tuple  # n1 x n2 matrix
+    pi23: tuple  # n2 x n3 matrix
 
     @property
     def shape(self):
-        return (
-            len(self.tensor),
-            len(self.tensor[0]),
-            len(self.tensor[0][0]),
+        return len(self.pi12), len(self.pi23), len(self.pi23[0])
+
+    @cached_property
+    def _integer_factors(self):
+        """(P, s12, Q, s23) with pi12 = P / s12 and pi23 = Q / s23, or None.
+
+        P and Q are object arrays of Python ints.  They exist when every
+        tensor cell is exact arithmetic: every cell is an int or a Fraction,
+        and one of the plans holds only Fractions (int x * int y / int
+        mu2[j] is a float division, and stays one in the tensor).
+        """
+        cells12, cells23 = (list(chain(*m)) for m in (self.pi12, self.pi23))
+        only_fractions = {Fraction}.issuperset
+        if not (
+            only_fractions(map(type, cells12)) and all_exact(cells23)
+            or only_fractions(map(type, cells23)) and all_exact(cells12)
+        ):
+            return None
+        (n1, n2, n3), factors = self.shape, []
+        for c, shape in ((cells12, (n1, n2)), (cells23, (n2, n3))):
+            ints, scale = scaled_ints(c)
+            factors += [np.array(ints, dtype=object).reshape(shape), scale]
+        return tuple(factors)
+
+    @cached_property
+    def mu2(self):
+        """The middle marginal: the column sums of pi12."""
+        exact = self._integer_factors
+        if exact is None:
+            n1, n2, _ = self.shape
+            return tuple(sum(self.pi12[i][j] for i in range(n1)) for j in range(n2))
+        P, s12, _, _ = exact
+        return tuple(Fraction(c, s12) for c in P.sum(axis=0).tolist())
+
+    @cached_property
+    def tensor(self):
+        """n1 x n2 x n3 nested tuples, zero on zero-mass middle atoms."""
+        # a basic plan has few nonzero cells; every other (i, j) row is zero
+        zeros = (0,) * self.shape[2]
+        return tuple(
+            tuple(
+                tuple(x * y / m for y in row23) if x and m > 0 else zeros
+                for x, m, row23 in zip(row, self.mu2, self.pi23)
+            )
+            for row in self.pi12
         )
 
     def marginal_12(self):
@@ -95,48 +152,61 @@ class GluedPlan:
 def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     """Join two plans through their common middle marginal.
 
-    Requires column sums of pi12 to equal row sums of pi23; the glued
-    tensor makes the outer coordinates conditionally independent given the
-    middle one.
+    Requires column sums of pi12 to equal row sums of pi23; the glued plan
+    makes the outer coordinates conditionally independent given the middle
+    one.  Exact plans are compared on their integer factors, with no
+    Fraction arithmetic; the tensor is not built here.
     """
-    n1, n2 = pi12.shape
-    n2b, n3 = pi23.shape
+    n2, n2b = pi12.shape[1], pi23.shape[0]
     if n2 != n2b:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
+    g = GluedPlan(pi12.matrix, pi23.matrix)
+    exact = g._integer_factors
     if tol is None:
-        tol = default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))
-    mid_from_12 = [sum(pi12.matrix[i][j] for i in range(n1)) for j in range(n2)]
-    mid_from_23 = [sum(row) for row in pi23.matrix]
+        tol = 0 if exact else default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))
+    if exact:
+        P, s12, Q, s23 = exact
+        # both sums over the common scale s12 * s23
+        gaps = np.abs(P.sum(axis=0) * s23 - Q.sum(axis=1) * s12).tolist()
+    else:
+        gaps = [abs(x - sum(row)) for x, row in zip(g.mu2, pi23.matrix)]
     worst_j, worst_gap = None, 0
-    for j in range(n2):
-        gap = abs(mid_from_12[j] - mid_from_23[j])
+    for j, gap in enumerate(gaps):
         if gap > worst_gap:
             worst_gap, worst_j = gap, j
+    if exact and worst_gap:
+        worst_gap = Fraction(worst_gap, s12 * s23)
     if worst_gap > tol:
         raise GlueError(
             f"middle marginals differ at index {worst_j} by {worst_gap}"
         )
-    mu2 = mid_from_12
-    # a basic plan has few nonzero cells; every other (i, j) row is zero
-    zeros = (0,) * n3
-    tensor = tuple(
-        tuple(
-            tuple(x * y / mu2[j] for y in pi23.matrix[j]) if x and mu2[j] > 0 else zeros
-            for j, x in enumerate(row)
-        )
-        for row in pi12.matrix
-    )
-    return GluedPlan(tensor)
+    return g
 
 
 def glued_marginal_13(g: GluedPlan) -> TransportPlan:
-    """Collapse the middle coordinate; couples the two outer marginals."""
-    n3 = g.shape[2]
-    matrix = []
-    for sl in g.tensor:
-        rows = [r for r in sl if any(r)]
-        matrix.append(tuple(map(sum, zip(*rows))) if rows else (0,) * n3)
-    return TransportPlan(matrix)
+    """Collapse the middle coordinate; couples the two outer marginals.
+
+    On integer factors this is one matrix product: with M = P.sum(0),
+    L = lcm of the positive M_j and f_j = L // M_j (0 where M_j is not
+    positive), pi13 = (P * f) @ Q / (s23 * L), and only its nonzero cells
+    become Fractions.  Any other plan sums the tensor over the middle.
+    """
+    exact = g._integer_factors
+    if exact is None:
+        n3 = g.shape[2]
+        matrix = []
+        for sl in g.tensor:
+            rows = [r for r in sl if any(r)]
+            matrix.append(tuple(map(sum, zip(*rows))) if rows else (0,) * n3)
+        return TransportPlan(matrix)
+    P, _, Q, s23 = exact
+    mass = P.sum(axis=0).tolist()
+    L = math.lcm(*(m for m in mass if m > 0))
+    f = np.array([L // m if m > 0 else 0 for m in mass], dtype=object)
+    scale = s23 * L
+    return TransportPlan(
+        [[Fraction(x, scale) if x else 0 for x in row] for row in ((P * f) @ Q).tolist()]
+    )
 
 
 def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):

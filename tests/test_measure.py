@@ -15,7 +15,7 @@ from finiteot.measure import (
     new_measure,
     pushforward,
 )
-from finiteot.numerics import DomainError, NormalizationError, ShapeError
+from finiteot.numerics import INF, DataError, DomainError, NormalizationError, ShapeError
 
 
 def rational_measures(max_n=6):
@@ -41,6 +41,31 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             new_measure([F(3, 2), F(-1, 2)])
+
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [
+            ([F(3, 2), F(-1, 2)], DomainError, "negative weight -1/2"),
+            ([2, -1], DomainError, "negative weight -1"),
+            ([F(1, 2), F(1, 3)], NormalizationError, "weights sum to 5/6, not 1"),
+            ([1, 1], NormalizationError, "weights sum to 2, not 1"),
+            ([F(1, 2), 1, F(-1, 2)], DomainError, "negative weight -1/2"),
+            ([0.5, 0.25], NormalizationError, "weights sum to 0.75, not 1"),
+            ([F(1, 2), INF], DomainError, "infinite weight"),
+            ([INF, F(-1, 2)], DomainError, "infinite weight"),
+            ([F(-1, 2), INF], DomainError, "negative weight -1/2"),
+            ([1, float("nan")], DataError, "NaN weight"),
+        ],
+    )
+    def test_error_messages(self, weights, error, message):
+        with pytest.raises(error) as info:
+            new_measure(weights)
+        assert str(info.value) == message
+
+    def test_exact_weights_of_every_exact_type(self):
+        assert new_measure([True, False]).weights == (1, 0)
+        assert new_measure([F(1, 3), 0, F(2, 3)]).mode == "rational"
+        assert new_measure([F(1, 2), 0.5]).mode == "float"
 
 
 class TestDirac:

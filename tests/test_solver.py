@@ -91,6 +91,61 @@ class TestCostOfPlan:
         with pytest.raises(ShapeError):
             cost_of_plan(((1,),), D2)
 
+    @staticmethod
+    def loop_reference(matrix, cost):
+        """cost_of_plan as the cell-by-cell loop it used to be."""
+        total = 0
+        for crow, prow in zip(cost, matrix):
+            for cij, pij in zip(crow, prow):
+                if pij:
+                    term = INF if is_inf(cij) else cij * pij
+                    if is_inf(term):
+                        return INF
+                    total += term
+        return total
+
+    #: (plan cell kinds, cost cell kinds) of each family
+    FAMILIES = {
+        "exact": ("int fraction", "int fraction"),
+        "int": ("int", "int"),
+        "fraction plan, float costs": ("fraction", "float"),
+        "float plan, exact costs": ("float", "int fraction"),
+        "float": ("float", "float"),
+    }
+
+    @staticmethod
+    def number(rng, kinds, low, high):
+        kind = rng.choice(kinds.split())
+        if kind == "int":
+            return rng.randint(low, high)
+        if kind == "fraction":
+            return F(rng.randint(low * 7, high * 7), rng.choice((1, 3, 7, 10**6)))
+        return rng.uniform(low, high)
+
+    def test_every_family_matches_the_loop(self):
+        rng = random.Random(43)
+        for trial in range(500):
+            plan_kinds, cost_kinds = list(self.FAMILIES.values())[trial % len(self.FAMILIES)]
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            zero = {"int": 0, "fraction": F(0), "float": 0.0}[rng.choice(plan_kinds.split())]
+            mass = 0 if trial % 11 == 0 else 0.4  # some plans carry no mass
+            plan = [
+                [self.number(rng, plan_kinds, 0, 9) if rng.random() < mass else zero
+                 for _ in range(m)]
+                for _ in range(n)
+            ]
+            cost = [[self.number(rng, cost_kinds, -5, 20) for _ in range(m)] for _ in range(n)]
+            for i in range(n):
+                for j in range(m):
+                    # +inf on cells without mass, and on a cell with mass in a few plans
+                    if rng.random() < 0.2 and (not plan[i][j] or trial % 3 == 0):
+                        cost[i][j] = INF
+            if trial % 2:
+                cost = CostMatrix(cost)
+            value = cost_of_plan(TransportPlan(plan), cost)
+            want = self.loop_reference(plan, cost.cost if trial % 2 else cost)
+            assert (type(value), repr(value)) == (type(want), repr(want)), (plan, cost)
+
 
 class TestLowerBound:
     def test_zero_pair(self):

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
-from finiteot.numerics import INF, DataError, ParameterError, ShapeError
+from finiteot.numerics import INF, DataError, ParameterError, ShapeError, infer_mode
 from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
 
 
@@ -95,6 +96,18 @@ class TestPowerCost:
         s = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
         with pytest.raises(ParameterError):
             s.power_cost(INF)
+
+    def test_built_once_per_p_and_type(self):
+        s = FiniteMetricSpace(("a", "b", "c"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+        assert s.power_cost(2) is s.power_cost(2)
+        # 2 == 2.0 and they hash alike, but 2.0 stays a float power
+        assert infer_mode(chain(*s.power_cost(2).cost)) == "rational"
+        assert infer_mode(chain(*s.power_cost(2.0).cost)) == "float"
+        assert s.power_cost(2.0).cost == ((0.0, 1.0, 4.0), (1.0, 0.0, 1.0), (4.0, 1.0, 0.0))
+        assert infer_mode(chain(*s.power_cost(F(2)).cost)) == "rational"
+        # the cache is not part of the space's value
+        t = FiniteMetricSpace(s.labels, s.dist)
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
 
     def test_lower_bound_pair_is_zero(self):
         s = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))

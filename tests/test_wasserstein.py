@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from finiteot import solver
 from finiteot.coupling import TransportPlan, is_coupling, product_coupling
 from finiteot.generators import (
     random_coupling,
@@ -147,6 +149,63 @@ class TestGlue:
             pi13 = glued_marginal_13(g)
             assert is_coupling(pi13, mu1, mu3, tol=0)[0]
 
+    @staticmethod
+    def check_against_the_formula(pi12, pi23, mode, tol=None):
+        """glue's tensor and glued_marginal_13 against the gluing formula,
+        evaluated cell by cell in the plans' own arithmetic."""
+        n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
+        mu2 = [sum(pi12[i][j] for i in range(n1)) for j in range(n2)]
+        want = [
+            [
+                [pi12[i][j] * pi23[j][k] / mu2[j] if mu2[j] > 0 else 0 for k in range(n3)]
+                for j in range(n2)
+            ]
+            for i in range(n1)
+        ]
+        want13 = [
+            [sum(want[i][j][k] for j in range(n2)) for k in range(n3)]
+            for i in range(n1)
+        ]
+        g = glue(TransportPlan(pi12), TransportPlan(pi23), tol)
+        assert [[list(r) for r in sl] for sl in g.tensor] == want
+        flat = [x for sl in g.tensor for r in sl for x in r]
+        assert infer_mode(flat) == infer_mode(x for sl in want for r in sl for x in r)
+        pi13 = glued_marginal_13(g)
+        assert [list(r) for r in pi13.matrix] == want13
+        assert pi13.mode == TransportPlan(want13).mode == mode
+
+    @staticmethod
+    def int_plans(rng):
+        """Two nonnegative int matrices whose middle marginals agree, with one
+        middle point of zero mass."""
+        n1, n2, n3 = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+        pi12 = [[rng.choice((0, 0, rng.randint(1, 9))) for _ in range(n2)] for _ in range(n1)]
+        pi12[0][0] += 1
+        j0 = rng.randrange(1, n2)
+        for row in pi12:
+            row[j0] = 0
+        pi23 = []
+        for j in range(n2):
+            total = sum(row[j] for row in pi12)
+            cuts = sorted(rng.randint(0, total) for _ in range(n3 - 1))
+            pi23.append([b - a for a, b in zip([0] + cuts, cuts + [total])])
+        return pi12, pi23
+
+    @staticmethod
+    def middle_check_message(pi12, pi23, tol):
+        """The message of glue's marginal check, from the check written out on
+        the plans' own numbers; None when the plans glue."""
+        n2 = len(pi23)
+        mid12 = [sum(row[j] for row in pi12) for j in range(n2)]
+        worst_j, worst_gap = None, 0
+        for j in range(n2):
+            gap = abs(mid12[j] - sum(pi23[j]))
+            if gap > worst_gap:
+                worst_gap, worst_j = gap, j
+        if worst_gap > tol:
+            return f"middle marginals differ at index {worst_j} by {worst_gap}"
+        return None
+
     def test_tensor_and_marginal_13_match_the_formula(self):
         rng = random.Random(89)
         for trial in range(60):
@@ -165,25 +224,50 @@ class TestGlue:
             make = random_vertex_coupling if trial % 4 < 2 else random_coupling
             pi12 = make(rng, mus[0], mus[1]).matrix
             pi23 = make(rng, mus[1], mus[2]).matrix
-            mu2 = [sum(pi12[i][j] for i in range(n1)) for j in range(n2)]
-            want = [
-                [
-                    [pi12[i][j] * pi23[j][k] / mu2[j] if mu2[j] > 0 else 0 for k in range(n3)]
-                    for j in range(n2)
-                ]
-                for i in range(n1)
-            ]
-            want13 = [
-                [sum(want[i][j][k] for j in range(n2)) for k in range(n3)]
-                for i in range(n1)
-            ]
-            g = glue(TransportPlan(pi12), TransportPlan(pi23))
-            assert [[list(r) for r in sl] for sl in g.tensor] == want
-            flat = [x for sl in g.tensor for r in sl for x in r]
-            assert infer_mode(flat) == infer_mode(x for sl in want for r in sl for x in r)
-            pi13 = glued_marginal_13(g)
-            assert [list(r) for r in pi13.matrix] == want13
-            assert pi13.mode == TransportPlan(want13).mode == ("rational" if exact else "float")
+            self.check_against_the_formula(pi12, pi23, "rational" if exact else "float")
+            if exact:
+                self.check_against_the_formula(pi12, pi23, "rational", tol=F(1, 10**9))
+        # int x * int y / int mu2[j] divides into a float, as the formula
+        # does; an int plan glued to a Fraction plan stays exact
+        rng = random.Random(97)
+        for _ in range(40):
+            pi12, pi23 = self.int_plans(rng)
+            self.check_against_the_formula(pi12, pi23, "float")
+            self.check_against_the_formula(pi12, [[F(y) for y in row] for row in pi23], "rational")
+        # mismatched middles raise with the message of the check written out
+        rng = random.Random(101)
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            mus = [random_rational_measure(rng, n) for _ in range(3)]
+            pi12 = [list(r) for r in random_coupling(rng, mus[0], mus[1]).matrix]
+            pi23 = [list(r) for r in random_coupling(rng, mus[1], mus[2]).matrix]
+            # move some mass of pi23 from one middle row to another
+            j, k = rng.sample(range(n), 2)
+            delta = F(rng.randint(1, 5), rng.choice((7, 10**6, 10**12)))
+            pi23[j][0] += delta
+            pi23[k][-1] += delta * rng.choice((-1, 0, 2))
+            exact = trial % 3 != 1
+            if not exact:
+                pi12 = [[float(x) for x in r] for r in pi12]
+                pi23 = [[float(x) for x in r] for r in pi23]
+            for tol in (None, 0, F(1, 10**9), 1e-9, F(1, 5)):
+                want_tol = (0 if exact else 1e-9) if tol is None else tol
+                want = self.middle_check_message(pi12, pi23, want_tol)
+                if want is None:
+                    glue(TransportPlan(pi12), TransportPlan(pi23), tol)
+                    continue
+                with pytest.raises(GlueError) as info:
+                    glue(TransportPlan(pi12), TransportPlan(pi23), tol)
+                assert str(info.value) == want
+
+    def test_glued_plan_keeps_its_factors(self):
+        pi12 = TransportPlan(((F(1, 4), F(1, 4)), (HALF, 0)))
+        pi23 = TransportPlan(((F(3, 4), 0), (0, F(1, 4))))
+        g = glue(pi12, pi23)
+        assert (g.pi12, g.pi23) == (pi12.matrix, pi23.matrix)
+        assert "tensor" not in vars(g)  # built on demand only
+        assert g.mu2 == (F(3, 4), F(1, 4)) and g.shape == (2, 2, 2)
+        assert g == glue(pi12, pi23) and hash(g) == hash(glue(pi12, pi23))
 
 
 class TestTriangleWitness:
@@ -207,6 +291,54 @@ class TestTriangleWitness:
                 mus = [random_rational_measure(rng, n) for _ in range(3)]
                 out = triangle_witness(*mus, space, params)
                 assert out["holds"], out
+
+
+def test_rational_witness_builds_few_fractions(monkeypatch):
+    """A rational triangle witness on a 16-point integer metric space glues
+    its plans on scaled ints: Fractions are built for the nonzero cells of
+    the three optimal plans and of the 1-3 plan, not per cell of the
+    n^3 = 4,096-cell tensor.  Counted, not timed, so the bound holds on any
+    host; the simplex runs uncounted, as its pivots are its own work."""
+    n = 16
+    rng = random.Random(16)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, 20)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    space = FiniteMetricSpace(tuple(map(str, range(n))), d)
+    mus = [
+        DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(3))
+    ]
+    new = F.__new__.__code__
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    engine = solver.transportation_simplex
+
+    def uncounted(*args, **kwargs):
+        sys.setprofile(None)
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            sys.setprofile(count)
+
+    monkeypatch.setattr(solver, "transportation_simplex", uncounted)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        out = triangle_witness(*mus, space)
+    finally:
+        sys.setprofile(previous)
+    assert out["holds"] and type(out["glued_cost_13"]) is F
+    assert built < n * n, f"{built} Fractions built for a {n}-point witness"
 
 
 class TestMetricSuite:
