@@ -13,7 +13,12 @@ numbers, and everything after that is written once for both modes:
 
 On those arrays come the forbidden-cell mask and the tolerance, the engine,
 the forbidden-mass decision and its certificate, the coupling check and the
-cost.  Only the result is converted back: the plan's matrix is a tuple of
+cost.  The engines need positive weights (a zero weight can leave them no
+strongly feasible tree), so when a weight is zero the engine runs on the
+support, the rows and columns of positive weight, and its plan is
+scattered back into the full n x m array with zeros elsewhere; everything
+else runs on the full arrays.  When every weight is positive nothing is
+copied.  Only the result is converted back: the plan's matrix is a tuple of
 tuples of Python floats, or of Fractions (f / weight scale), and the cost a
 Python float, or a Fraction (divided once by both scales).
 
@@ -24,14 +29,14 @@ build runs every rational problem whose scaled data provably fit in int64:
 the total scaled supply is below 2^62, (n + m) max|scaled finite cost| and
 floor(tol * cost scale) below 2^60 (a potential is a signed sum of at most
 n + m costs, and a reduced cost adds two of them).  It gets that floor as
-its tolerance: on integers r < -t iff r < -floor(t), and theta <= t iff
-theta <= floor(t), so it pivots as the Python engine does on the unfloored
-tolerance.  Its plan comes back as Python ints, so the cost and the checks
-stay exact.  Rational problems that do not fit, and every problem when the
-C kernel cannot be built or loaded or FINITEOT_FORCE_PURE=1 turns it off, go
-through the same simplex in Python (simplex.py), on Python lists of the
-arrays.  _dense.c is a port of simplex.py, so either engine returns the same
-plan, bit for bit on floats, after the same number of pivots.
+its tolerance: on integers r < -t iff r < -floor(t), so it pivots as the
+Python engine does on the unfloored tolerance.  Its plan comes back as
+Python ints, so the cost and the checks stay exact.  Rational problems that
+do not fit, and every problem when the C kernel cannot be built or loaded
+or FINITEOT_FORCE_PURE=1 turns it off, go through the same simplex in
+Python (simplex.py), on Python lists of the arrays.  _dense.c is a port of
+simplex.py, so either engine returns the same plan, bit for bit on floats,
+after the same number of pivots.
 OTSolution.engine names the engine that ran ("compiled" or "python").
 KERNEL names the engine of float problems; KERNEL_INFO adds its library and
 the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
@@ -272,23 +277,16 @@ def solve_kantorovich(
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, np.abs(C[~forbidden]).max(initial=0))
 
-    kernel_input = None
-    if _kernel is not None:
-        if mode == FLOAT:
-            kernel_input = a, b, C, tol
-        else:
-            kernel_input = _int64_input(a, b, C, forbidden, tol * cscale)
-    if kernel_input is not None:
-        X, iters = _kernel.solve_dense(*kernel_input)
-        if mode == RATIONAL:
-            X = X.astype(object)  # Python ints: exact cost products, no float path
-        engine = _compiled.KERNEL_NAME
-    else:
-        flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol * cscale)
-        X = np.zeros(C.shape, dtype=C.dtype)
-        for (i, j), f in flow.items():
-            X[i, j] = f
-        engine = "python"
+    if np.count_nonzero(a) == n and np.count_nonzero(b) == m:  # weights are >= 0
+        X, iters, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale)
+    else:  # the engines need positive weights: solve on the support
+        rows, cols = a > 0, b > 0
+        support = np.ix_(rows, cols)
+        on_support, iters, engine = _run_engine(
+            mode, a[rows], b[cols], C[support], forbidden[support], tol * cscale
+        )
+        X = np.zeros(C.shape, dtype=on_support.dtype)
+        X[support] = on_support
     plan, value, certificate = None, INF, None
     # the engines minimise the M part exactly whatever tol is, so in rational
     # mode any mass on forbidden cells proves that no finite-cost plan exists
@@ -313,6 +311,28 @@ def solve_kantorovich(
             value = value if is_inf(value) else Fraction(value, wscale * cscale)
         plan = TransportPlan(matrix, mu1, mu2)
     return OTSolution(plan, value, iters, mode, certificate, engine)
+
+
+def _run_engine(mode, a, b, C, forbidden, tol):
+    """(plan array, pivots, engine name) of the engine that solves (a, b, C).
+
+    The weights are positive; tol is in the units of C.  The C kernel runs
+    every float problem and the rational ones that fit in int64, and the
+    Python simplex the rest; a rational plan comes back as Python ints.
+    """
+    kernel_input = None
+    if _kernel is not None:
+        kernel_input = (a, b, C, tol) if mode == FLOAT else _int64_input(a, b, C, forbidden, tol)
+    if kernel_input is not None:
+        X, iters = _kernel.solve_dense(*kernel_input)
+        if mode == RATIONAL:
+            X = X.astype(object)  # Python ints: exact cost products, no float path
+        return X, iters, _compiled.KERNEL_NAME
+    flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
+    X = np.zeros(C.shape, dtype=C.dtype)
+    for (i, j), f in flow.items():
+        X[i, j] = f
+    return X, iters, "python"
 
 
 def _exact_input(w1, w2, cost):

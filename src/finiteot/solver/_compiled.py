@@ -45,6 +45,7 @@ COMPILERS = ("cc", "gcc", "clang")
 #: the error returns of fot_solve_dense and fot_solve_exact
 _PIVOT_LIMIT = -1
 _NO_MEMORY = -2
+_NOT_POSITIVE = -3
 #: lines of compiler stderr kept in a failure reason
 _STDERR_TAIL = 10
 
@@ -168,9 +169,10 @@ class CompiledKernel:
 
         An int64 array C runs the exact build, on int64 weights and an int
         tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
-        the float build on float64 arrays.  On a problem with no finite-cost
-        plan, X puts the least possible mass on forbidden cells, as
-        transportation_simplex does.
+        the float build on float64 arrays.  Every weight must be positive,
+        as the strongly feasible start needs (ValueError otherwise).  On a
+        problem with no finite-cost plan, X puts the least possible mass on
+        forbidden cells, as transportation_simplex does.
         """
         dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
         a, b, C = (np.ascontiguousarray(x, dtype=dtype) for x in (a, b, C))
@@ -186,6 +188,8 @@ class CompiledKernel:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
+        if iterations == _NOT_POSITIVE:
+            raise ValueError("solve_dense needs positive weights; pass the support")
         return X, iterations
 
 

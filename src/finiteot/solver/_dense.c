@@ -36,14 +36,16 @@
  * max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
  * last scan stopped, and the least (M, value) reduced cost in the first
  * block that holds a negative one enters.  The cycle is found by climbing
- * depths to the common ancestor, and the decreasing cell with the least
- * (flow, row, column) leaves.  The path from the entering cell's end below
- * the leaving edge up to that edge reverses, each flow moving one edge
- * along it, and only the re-hung subtree gets new depths and potentials.
- * After more than 3 (n + m) consecutive pivots with theta <= tol the scan
- * becomes Bland's for good: one block of all cells from position 0 that
- * stops at its first candidate, so the first cell with a negative reduced
- * cost enters, as blocks of one cell would give without a block per cell.
+ * depths to the common ancestor.  The tree stays strongly feasible (every
+ * zero-flow edge hangs a row from its column): of the decreasing cells with
+ * the least flow, the last one met walking from the ancestor down to the
+ * entering row, across the entering cell and up from its column leaves, so
+ * a column-side cell wins a tie.  Degenerate pivots then never cycle, with
+ * no second rule.  The path from the entering cell's end below the leaving
+ * edge up to that edge reverses, each flow moving one edge along it, and
+ * only the re-hung subtree gets new depths and potentials.  The north-west
+ * start is strongly feasible when every weight is positive, so a weight
+ * that is not is refused (see simplex.py).
  */
 
 #ifndef FOT_NUM
@@ -54,6 +56,7 @@
 
 #define FOT_PIVOT_LIMIT (-1)
 #define FOT_NO_MEMORY (-2)
+#define FOT_NOT_POSITIVE (-3)
 
 #define FOT_NUM double
 #define FOT(name) name##_dense
@@ -141,7 +144,8 @@ static void refresh(Tree *t, int64_t top)
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
  * is +inf, or INT64_MAX), X: n x m output (overwritten).  Returns the pivot
  * count, FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m)
- * is exceeded, or FOT_NO_MEMORY.
+ * is exceeded, FOT_NOT_POSITIVE when a weight is not positive, or
+ * FOT_NO_MEMORY.
  */
 int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                        const num *C, num tol, num *X)
@@ -153,9 +157,9 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
      * just short of the integer at most perfect squares (499 at 500 x 500),
      * and the block size decides which entering cell is found first */
     int64_t block = (int64_t)exp(0.5 * log((double)total));
-    int64_t result = FOT_NO_MEMORY, iterations = 0, stall = 0, scan_pos = 0;
-    int bland = 0, row_side;
-    int64_t i, j, j0, stop, k, pos, end, scanned, size, node, up, prev;
+    int64_t result = FOT_NO_MEMORY, iterations = 0, scan_pos = 0;
+    int row_side;
+    int64_t i, j, j0, stop, k, pos, end, scanned, node, up, prev;
     int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
     num q, c, r, best, ui, theta, f, carried;
     const num *row;
@@ -175,6 +179,10 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
     for (node = 0; node < nodes; node++) {
         t.child[node] = -1;
         rest[node] = node < n ? a[node] : b[node - n];
+        if (!(rest[node] > 0)) {
+            result = FOT_NOT_POSITIVE;
+            goto done;
+        }
     }
     t.parent[0] = -1;
     t.depth[0] = t.pot_big[0] = 0;
@@ -214,12 +222,11 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
         ei = ej = -1;
         best_big = 0;
         best = -tol;
-        pos = bland ? 0 : scan_pos;
-        size = bland ? total : block;
+        pos = scan_pos;
         for (scanned = 0; ei < 0 && scanned < total; scanned += k) {
-            k = size < total - scanned ? size : total - scanned;
+            k = block < total - scanned ? block : total - scanned;
             end = pos + k;
-            while (pos < end && !(bland && ei >= 0)) {
+            while (pos < end) {
                 if (pos >= total) {
                     pos -= total;
                     end -= total;
@@ -243,8 +250,6 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                             best = r;
                             ei = i;
                             ej = j;
-                            if (bland)
-                                break;
                         }
                     }
                 }
@@ -276,9 +281,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
             if ((node < n) != row_side)
                 continue;
             f = t.flow[node];
-            if (leave < 0 || f < theta
-                || (f == theta && edge_cell(&t, node, t.parent[node])
-                                      < edge_cell(&t, leave, t.parent[leave]))) {
+            if (leave < 0 || f < theta || (f == theta && !row_side)) {
                 theta = f;
                 leave = node;
                 below = row_side ? ei : n + ej;
@@ -308,10 +311,6 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
             node = up;
         }
         refresh(&t, below);
-
-        stall = theta <= tol ? stall + 1 : 0;
-        if (stall > 3 * nodes)
-            bland = 1;
     }
 
     for (k = 0; k < total; k++)

@@ -33,11 +33,21 @@ comes from a block search (LEMON's NetworkSimplex, which POT's emd uses):
 the cells are scanned in row-major order in blocks of
 max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
 last scan stopped, and the most negative reduced cost in the first block
-that holds a negative one enters.  The cell with the least (flow, (i, j))
-among the cycle's decreasing cells leaves.  After more than 3 (n + m)
-consecutive pivots with theta <= tol the rule becomes Bland's for good: the
-first cell in row-major order with a negative reduced cost enters, which
-terminates even under degeneracy.
+that holds a negative one enters.  The tree is kept strongly feasible
+(Cunningham, Math. Programming 11, 1976; Ahuja, Magnanti & Orlin, Network
+Flows, section 11.6): every edge with zero flow hangs a row from its column,
+so each node can send a little flow up to the root.  Among the cycle's
+decreasing cells with the least flow, the last one met on the walk from the
+common ancestor down the row side to the entering row, across the entering
+cell and up the column side leaves: the column-side one nearest the
+ancestor if there is one, else the row-side one nearest the entering row.
+That keeps the tree strongly feasible, and a degenerate pivot then never
+repeats a basis, so the rule terminates without an anti-cycling switch.
+With positive weights the north-west corner, whose row advances on a tie,
+is the start of the perturbed problem a_i + e (i > 0), a_0 - (n + m - 1) e,
+b_j - e, and so already strongly feasible.  A zero-weight column, or a
+zero-weight row 0, has only zero-flow edges and so admits no strongly
+feasible tree: the engines need positive weights.
 """
 
 from __future__ import annotations
@@ -176,7 +186,7 @@ class _Tree:
             prev, node = node, above
         self._refresh((endpoint,))
 
-    def block_search(self, ntol, start, block, first=False):
+    def block_search(self, ntol, start, block):
         """Wraparound block search for the entering cell.
 
         Scans the cells in row-major order from position start (i * m + j),
@@ -185,9 +195,6 @@ class _Tree:
         below ntol.  Returns the least reduced cost in that block, (M, value)
         pairs compared lexicographically and the first cell winning ties, as
         (i, j, position after the block), or None when no cell qualifies.
-        With first set, the first cell that qualifies is returned at once
-        (the position is then of no use): Bland's rule, the same cell as
-        blocks of one cell would give, without the cost of a block per cell.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
         value, big = self.value, self.big
@@ -212,8 +219,6 @@ class _Tree:
                         r = ci[j] - ui - v[j]
                         if r < best and j != up and parent[n + j] != i:
                             best, found = r, (i, j)
-                            if first:
-                                return i, j, pos
                 else:
                     bi, ui_big = big[i], pot_big[i]
                     for j in range(j0, stop):
@@ -222,8 +227,6 @@ class _Tree:
                             r = ci[j] - ui - v[j]
                             if (d < best_big or r < best) and j != up and parent[n + j] != i:
                                 best_big, best, found = d, r, (i, j)
-                                if first:
-                                    return i, j, pos
             pos %= total
             if found is not None:
                 return (*found, pos)
@@ -234,10 +237,11 @@ def transportation_simplex(a, b, cost, tol=0):
     """Minimize sum c_ij x_ij subject to row sums a and column sums b.
 
     cost entries are numbers of one ordered type, or +inf for a forbidden
-    cell; a and b are positive-sum supplies/demands with equal totals.  A
-    cell enters when its reduced cost has a negative M part, or a zero M
-    part and a value part below -tol.  Returns (flow dict on basic cells,
-    iterations).
+    cell; a and b are positive supplies/demands with equal totals (a zero
+    weight admits no strongly feasible start, so solve_kantorovich passes
+    only the support).  A cell enters when its reduced cost has a negative
+    M part, or a zero M part and a value part below -tol.  Returns (flow
+    dict on basic cells, iterations).
     """
     n, m = len(a), len(b)
     big, value = _split_costs(cost)
@@ -247,13 +251,9 @@ def transportation_simplex(a, b, cost, tol=0):
     limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
     block = max(64, int(math.exp(0.5 * math.log(n * m))))
-    pos = stall = iterations = 0
-    bland = False
+    pos = iterations = 0
     while True:
-        if bland:
-            found = tree.block_search(ntol, 0, n * m, first=True)
-        else:
-            found = tree.block_search(ntol, pos, block)
+        found = tree.block_search(ntol, pos, block)
         if found is None:
             return flow, iterations
         ei, ej, pos = found
@@ -262,10 +262,11 @@ def transportation_simplex(a, b, cost, tol=0):
         if iterations > limit:
             raise RuntimeError(f"simplex exceeded {limit} pivots on a {n}x{m} problem")
         down, up = tree.cycle(ei, ej)
-        theta = leaving = None
+        theta = None
         for cell, node, endpoint in down:
             f = flow[cell]
-            if theta is None or f < theta or (f == theta and cell < leaving):
+            # a column-side tie wins: it is met later on the walk from the apex
+            if theta is None or f < theta or (f == theta and endpoint != ei):
                 theta, leaving, lower, below = f, cell, node, endpoint
         for cell, _, _ in down:
             flow[cell] -= theta
@@ -274,9 +275,3 @@ def transportation_simplex(a, b, cost, tol=0):
         flow[entering] = theta
         del flow[leaving]
         tree.pivot(ei, ej, lower, below)
-        if theta <= tol:
-            stall += 1
-            if stall > 3 * (n + m):
-                bland = True
-        else:
-            stall = 0

@@ -5,10 +5,12 @@ iterations), from its float build on float arrays and from its int64 build
 on the scaled ints of rational problems; the twin, which is the fallback
 when the kernel cannot load and for rational data that do not fit in int64,
 must return the same pivot count and the same plan, bit for bit, also on
-+inf cells and on problems that they leave without a finite-cost plan.  The
-compiled kernel is built by its loader with the system C compiler, so the
-cross-checks are skipped only where no C compiler is found; a failed build
-with a compiler present fails them.
++inf cells and on problems that they leave without a finite-cost plan.
+Both engines need positive weights, so a problem with zero weights is fed
+to them as solve_kantorovich feeds it, on its support.  The compiled kernel
+is built by its loader with the system C compiler, so the cross-checks are
+skipped only where no C compiler is found; a failed build with a compiler
+present fails them.
 """
 
 import os
@@ -21,8 +23,10 @@ import pytest
 import finiteot.solver as solver
 from finiteot.measure import DiscreteMeasure
 from finiteot.numerics import INF
-from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration
+from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
 from finiteot.solver.simplex import transportation_simplex
+
+from test_solver import check_hall_cut
 
 needs_compiler = pytest.mark.skipif(
     _compiled.find_compiler() is None, reason="no C compiler found"
@@ -52,6 +56,12 @@ def integer_instance(n):
     return a / a.sum(), b / b.sum(), C
 
 
+def support(a, b, C):
+    """The problem on its rows and columns of positive weight, as the engines get it."""
+    rows, cols = a > 0, b > 0
+    return a[rows], b[cols], C[np.ix_(rows, cols)]
+
+
 def identity_instances(family):
     """(a, b, C, tol) of one family on which the twin must repeat the kernel."""
     rng = random.Random(family)
@@ -65,7 +75,7 @@ def identity_instances(family):
             uniform = np.full(n, 1.0 / n)
             C = np.array([[float(rng.randint(0, 99)) for _ in range(n)] for _ in range(n)])
             instances.append((uniform, uniform, C))
-    elif family == "edge":  # 2x2 swap, one row or column, zero weights
+    elif family == "edge":  # 2x2 swap, one row or column, zero-weight problems' supports
         half = np.array([0.5, 0.5])
         instances.append((half, half, np.array([[0.0, 1.0], [1.0, 0.0]])))
         for n, m in ((1, 1), (1, 7), (7, 1), (1, 70), (70, 1)):
@@ -73,10 +83,10 @@ def identity_instances(family):
         for n, m in ((2, 2), (5, 9), (12, 4)):
             a, b, C = random_instance(rng, n, m)
             a[0] = b[-1] = 0.0
-            instances.append((a / a.sum(), b / b.sum(), C))
-    elif family == "bland":
-        # tol 1 is above every flow, so every pivot counts as degenerate and
-        # both engines switch to Bland's rule after 3 (n + m) of them
+            instances.append(support(a / a.sum(), b / b.sum(), C))
+    elif family == "large_tol":
+        # tol 1 is above every flow: no pivot rule may read tol, a cost
+        # tolerance, as a flow (the deleted switch to Bland's rule did)
         for n in (40, 60):
             a, b, _ = random_instance(rng, n, n)
             C = np.array([[float(rng.randint(0, 10**6)) for _ in range(n)] for _ in range(n)])
@@ -92,7 +102,7 @@ def identity_instances(family):
                 a, b = a / a.sum(), b / b.sum()
             density = rng.uniform(0.1, 0.9)
             C[np.array([[rng.random() < density for _ in row] for row in C])] = np.inf
-            instances.append((a, b, C))
+            instances.append(support(a, b, C))
     elif family == "rational":  # as the int64 build gets them from the solver
         return [int64_input(*problem) for problem in rational_problems(1000)]
     return [(a, b, C, 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))) for a, b, C in instances]
@@ -133,6 +143,69 @@ def rational_problems(count):
     return problems
 
 
+def zero_weight_problems(count):
+    """(mu1, mu2, cost): seeded float problems with zero weights and +inf cells.
+
+    Up to 20 points a side, every weight but the last zero with probability
+    1/3, tied costs 0..3 or spread ones, and +inf cells at densities 0..0.8
+    (enough to leave some problems without a finite plan).
+    """
+    rng = random.Random(13)
+    problems = []
+    for _ in range(count):
+        n, m = rng.randint(1, 20), rng.randint(1, 20)
+        mu1, mu2 = (
+            DiscreteMeasure(tuple(x / sum(raw) for x in raw))
+            for raw in (
+                [rng.choice((0, rng.randint(1, 30), rng.randint(1, 30))) for _ in range(k - 1)]
+                + [rng.randint(1, 30)]
+                for k in (n, m)
+            )
+        )
+        tied = rng.random() < 0.5
+        density = rng.uniform(0, 0.8)
+        cost = [
+            [
+                INF if rng.random() < density
+                else float(rng.randint(0, 3)) if tied
+                else rng.uniform(0, 20)
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+        problems.append((mu1, mu2, cost))
+    return problems
+
+
+def sixtyfourths(rng, k):
+    """k weights in 64ths, some zero: float sums of them are exact."""
+    cuts = sorted(rng.randint(0, 64) for _ in range(k - 1))
+    return DiscreteMeasure(tuple((hi - lo) / 64 for lo, hi in zip([0, *cuts], [*cuts, 64])))
+
+
+def strong_feasibility_battery():
+    """(mu1, mu2, cost, tol): tied, degenerate, +inf and zero-weight problems.
+
+    300 of rational_problems' problems, degenerate rational assignments,
+    and float problems with weights in 64ths, tied costs and +inf cells, so
+    that every flow and every subtree's net supply is exact.
+    """
+    rng = random.Random(17)
+    problems = rational_problems(300)
+    for n in range(2, 31, 4):
+        mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
+        problems.append((mu, mu, [[rng.randint(0, 99) for _ in range(n)] for _ in range(n)], None))
+    for _ in range(150):
+        n, m = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.uniform(0, 0.6)
+        cost = [
+            [INF if rng.random() < density else float(rng.randint(0, 3)) for _ in range(m)]
+            for _ in range(n)
+        ]
+        problems.append((sixtyfourths(rng, n), sixtyfourths(rng, m), cost, None))
+    return problems
+
+
 def rational_instance(n):
     """Seeded n x n rational problem with a finite plan and about 10% +inf cells."""
     rng = random.Random(n)
@@ -150,6 +223,7 @@ def rational_instance(n):
 def int64_input(mu1, mu2, cost, tol):
     """The int64 build's input for a rational problem, as solve_kantorovich makes it."""
     a, b, C, _, cscale = solver._exact_input(mu1.weights, mu2.weights, cost)
+    a, b, C = support(a, b, C)
     return solver._int64_input(a, b, C, C == INF, (tol or 0) * cscale)
 
 
@@ -194,6 +268,59 @@ def check_same_pivots(compiled, a, b, C, tol):
     return X
 
 
+class TestStrongFeasibility:
+    """The Python simplex keeps its tree strongly feasible.
+
+    Each tree edge's flow is the net supply of the subtree below it; it is
+    never negative, and zero only on an edge that hangs a row from its
+    column.  The C kernel takes the same pivots (TestCompiled), so it keeps
+    the same trees.
+    """
+
+    @staticmethod
+    def zero_edges(tree, a, b):
+        """The tree's zero-flow edges, after asserting the property."""
+        n = len(a)
+        # each node's supply minus demand, gathered into its parent's as the
+        # loop climbs, so a node's entry is its subtree's when it is reached
+        net = [*a, *(-w for w in b)]
+        zeros = 0
+        for node in sorted(range(1, n + len(b)), key=tree.depth.__getitem__, reverse=True):
+            flow = net[node] if node < n else -net[node]
+            assert flow > 0 or (flow == 0 and node < n), (node, tree.parent[node], flow)
+            zeros += flow == 0
+            net[tree.parent[node]] += net[node]
+        return zeros
+
+    def test_start_and_every_pivot_keep_the_tree_strongly_feasible(self, monkeypatch):
+        trees = zeros = 0
+        start, pivot = simplex.northwest_corner, simplex._Tree.pivot
+
+        def check(tree):
+            nonlocal trees, zeros
+            trees += 1
+            zeros += self.zero_edges(tree, *tree.weights)
+
+        def checked_start(a, b, tree):
+            flow = start(a, b, tree)
+            tree.weights = a, b
+            check(tree)
+            return flow
+
+        def checked_pivot(tree, *args):
+            pivot(tree, *args)
+            check(tree)
+
+        monkeypatch.setattr(simplex, "northwest_corner", checked_start)
+        monkeypatch.setattr(simplex._Tree, "pivot", checked_pivot)
+        monkeypatch.setattr(solver, "_kernel", None)
+        battery = strong_feasibility_battery()
+        for mu1, mu2, cost, tol in battery:
+            solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
+        # every start and thousands of pivots, on degenerate trees
+        assert trees > 5 * len(battery) and zeros > trees
+
+
 class TestFallback:
     def test_random_instances_feasible(self):
         rng = random.Random(89)
@@ -234,7 +361,7 @@ class TestCompiled:
         check_same_pivots(compiled, a, b, C, 1e-9 * (1 + C.max()))
 
     @pytest.mark.parametrize(
-        "family", ["tied", "assignment", "edge", "bland", "forbidden", "rational"]
+        "family", ["tied", "assignment", "edge", "large_tol", "forbidden", "rational"]
     )
     def test_twin_takes_the_same_pivots(self, compiled, family):
         instances = identity_instances(family)
@@ -257,6 +384,42 @@ class TestCompiled:
             assert outcome(*problem) == ("python", solved)
             infeasible += solved[1] is None
         assert 0 < infeasible < 1000
+
+    def test_float_zero_weight_solves_repeat_the_python_simplex(self, compiled, monkeypatch):
+        # both engines solve on the support: the same pivots, plans, costs
+        # and Hall cuts from the float build as from the Python simplex,
+        # exact zeros off the support, and cuts that hold on the full problem
+        problems = zero_weight_problems(300)
+        infeasible = zero_weighted = 0
+        for mu1, mu2, cost in problems:
+            monkeypatch.setattr(solver, "_kernel", compiled)
+            engine, solved = outcome(mu1, mu2, cost, None)
+            assert engine == "compiled"
+            monkeypatch.setattr(solver, "_kernel", None)
+            assert outcome(mu1, mu2, cost, None) == ("python", solved)
+            zero_weighted += 0 in mu1.weights or 0 in mu2.weights
+            plan, cut = solved[1], solved[3]
+            if plan is None:
+                infeasible += 1
+                check_hall_cut(cut, mu1, mu2, cost)
+                continue
+            for i, row in enumerate(plan):
+                for j, x in enumerate(row):
+                    if mu1.weights[i] == 0 or mu2.weights[j] == 0:
+                        assert x == 0, (i, j, x)
+        assert 0 < infeasible < len(problems) and zero_weighted > len(problems) // 2
+
+    def test_weights_must_be_positive(self, compiled):
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cases = [
+            ([1.0, 0.0], [0.5, 0.5], C, 1e-9),
+            ([0.5, 0.5], [0.0, 1.0], C, 1e-9),
+            ([np.nan, 1.0], [0.5, 0.5], C, 1e-9),
+            ([2, 0], [1, 1], C.astype(np.int64), 0),  # the int64 build
+        ]
+        for a, b, costs, tol in cases:
+            with pytest.raises(ValueError, match="positive weights"):
+                compiled.solve_dense(np.array(a), np.array(b), costs, tol)
 
     def test_int64_fit_bounds(self, compiled, monkeypatch):
         # data just under each bound run the int64 build, data at it the

@@ -243,7 +243,9 @@ class TestSolve:
             cert = sol.infeasibility_certificate
             assert (cert["rows"], cert["reachable_columns"]) == (rows, cols)
             check_hall_cut(cert, mu1, mu2, cost)
-            # iterations counts the simplex pivots that found the cut
+            # iterations counts the simplex pivots that found the cut; every
+            # weight is positive, so the engine's input is the whole problem
+            assert min(mu1.weights) > 0 and min(mu2.weights) > 0
             tol = pricing_tol(sol.mode, max(x for r in cost for x in r if not is_inf(x)))
             _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, tol=tol)
             assert sol.iterations == pivots > 0
@@ -570,29 +572,39 @@ def criterion10_instance(n):
     return mu1, mu2, cost
 
 
-def assignment_instance(n):
-    """Degenerate float assignment: uniform 1/n weights, integer costs."""
-    rng = random.Random(n)
-    uniform = DiscreteMeasure((1.0 / n,) * n)
-    cost = tuple(tuple(float(rng.randint(0, 999)) for _ in range(n)) for _ in range(n))
+def assignment_instance(n, seed, exact=False):
+    """Degenerate assignment: uniform 1/n weights, integer costs 0..999.
+
+    Float weights and costs, or with exact set Fraction weights and int costs.
+    """
+    rng = random.Random(seed)
+    uniform = DiscreteMeasure((F(1, n) if exact else 1.0 / n,) * n)
+    cost = tuple(tuple(rng.randint(0, 999) for _ in range(n)) for _ in range(n))
+    if not exact:
+        cost = tuple(tuple(map(float, row)) for row in cost)
     return uniform, uniform, cost
 
 
-#: instance -> (iterations, optimal_cost), pinned from the compiled kernel
-#: on the float path that turned its data into lists around it; the Python
-#: simplex takes the same pivots, so one pin holds for both engines
+#: instance -> (iterations, optimal_cost), pinned from the compiled kernel;
+#: the Python simplex takes the same pivots, so one pin holds for both
+#: engines.  assignment_300 pins termination under heavy degeneracy: its
+#: 8,166 pivots are a fifth of the 38,190 the switch to Bland's rule took
 FLOAT_PINS = {
     "criterion10_120": (lambda: criterion10_instance(120), (1723, 17.687001057222353)),
-    "assignment_90": (lambda: assignment_instance(90), (1958, 17.999999999999996)),
+    "assignment_90": (lambda: assignment_instance(90, 90), (1153, 17.999999999999996)),
+    "assignment_300": (lambda: assignment_instance(300, 0), (8166, 5.25)),
 }
 
 
 class TestPivotIdentity:
-    """Pivot counts and optima pinned for the simplex's pivot rule, the C
-    kernel's block search (re-recorded when simplex.py took that rule over
-    from its first-negative-cell scan; the exact optima did not change).
-    They must repeat exactly: a different entering or leaving choice shows
-    as another count.
+    """Pivot counts and optima pinned for the simplex's pivot rule: the C
+    kernel's block search enters, and the strongly feasible rule picks the
+    leaving cell.  They were re-recorded when simplex.py took the block
+    search over from its first-negative-cell scan, and where a degenerate
+    tie moved when the strongly feasible rule replaced the least (flow, row,
+    column) tie-break; the exact optima did not change either time.  They
+    must repeat exactly: a different entering or leaving choice shows as
+    another count.
     """
 
     def test_rational_w1_on_integer_metric(self):
@@ -633,7 +645,7 @@ class TestPivotIdentity:
         cost = [[rng.randint(0, 99) for _ in range(12)] for _ in range(12)]
         sol = solve_kantorovich(uniform, uniform, cost)
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
-            "rational", 38, F(113, 12)
+            "rational", 39, F(113, 12)
         )
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
@@ -642,6 +654,13 @@ class TestPivotIdentity:
         sol = solve_kantorovich(*make(), mode="float")
         assert (sol.iterations, sol.optimal_cost) == pin
         assert type(sol.optimal_cost) is float
+
+    @pytest.mark.parametrize("n, seed", [(90, 90), (300, 0)])
+    def test_assignment_pins_are_the_exact_optima(self, n, seed):
+        exact = solve_kantorovich(*assignment_instance(n, seed, exact=True))
+        pinned = FLOAT_PINS[f"assignment_{n}"][1][1]
+        assert exact.mode == "rational"
+        assert abs(pinned - exact.optimal_cost) <= 1e-9 * exact.optimal_cost
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
     def test_float_on_the_fallback_kernel(self, name, monkeypatch):
