@@ -10,6 +10,7 @@ bound, and restriction with renormalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -17,21 +18,33 @@ import numpy as np
 from .measure import DiscreteMeasure, TestFunction, indicator, integrate
 from .numerics import (
     EmptyRestrictionError,
-    ShapeError,
     FLOAT,
-    check_extended_matrix,
+    RATIONAL,
+    ShapeError,
     default_tol,
+    extended_array,
     infer_mode,
 )
 
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Joint mass matrix coupling mu1 (rows) with mu2 (columns)."""
+    """Joint mass matrix coupling mu1 (rows) with mu2 (columns).
+
+    A plan built from a matrix holds that matrix, as a tuple of row tuples.
+    A plan the solver returns holds the solver's read-only array instead,
+    and builds matrix from it on first use: a float64 plan gives Python
+    floats; an exact one holds Python ints X over a positive scale s, and
+    its cells are Fraction(x, s), or the plan's zero where x is 0.
+    Equality, hashing and repr go by the matrix and the measures.
+    """
 
     matrix: tuple
     mu1: DiscreteMeasure = None
     mu2: DiscreteMeasure = None
+
+    #: the solver's array, and the scale and zero of an exact one (see _of_array)
+    _array = _scale = _zero = None
 
     def __post_init__(self):
         mat = tuple(map(tuple, self.matrix))
@@ -40,14 +53,49 @@ class TransportPlan:
             raise ShapeError("empty plan matrix")
         if set(map(len, mat)) != {len(mat[0])}:
             raise ShapeError("plan matrix is not rectangular")
-        check_extended_matrix(mat, "plan entry")
+        extended_array(mat, "plan")
+
+    @classmethod
+    def _of_array(cls, X, mu1=None, mu2=None, scale=None, zero=0):
+        """The plan of an n x m array that has been checked already.
+
+        X is float64, or, with scale, Python ints (an object array) whose
+        cells stand for Fraction(x, scale), and zero for x = 0.  The plan
+        keeps X, read-only, and builds matrix only when it is asked for.
+        """
+        plan = object.__new__(cls)
+        X.flags.writeable = False
+        for name, value in (("mu1", mu1), ("mu2", mu2), ("_array", X), ("_scale", scale),
+                            ("_zero", zero)):
+            object.__setattr__(plan, name, value)
+        return plan
+
+    def __getattr__(self, name):
+        # only a plan of an array lacks its matrix, until it is asked for
+        if name != "matrix" or self._array is None:
+            raise AttributeError(name)
+        rows = self._array.tolist()
+        if self._scale is None:
+            matrix = tuple(map(tuple, rows))
+        else:
+            scale, zero = self._scale, self._zero
+            # lists first: a tuple built from a generator grows by resizing,
+            # which scatters the allocator's pools
+            cells = [[Fraction(x, scale) if x else zero for x in row] for row in rows]
+            matrix = tuple(map(tuple, cells))
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     @property
     def shape(self):
+        if self._array is not None:
+            return self._array.shape
         return (len(self.matrix), len(self.matrix[0]))
 
     @property
     def mode(self) -> str:
+        if self._array is not None:
+            return FLOAT if self._scale is None else RATIONAL
         return infer_mode(chain(*self.matrix))
 
     def total_mass(self):
@@ -72,12 +120,15 @@ def is_coupling(plan, mu1, mu2, tol=None):
     """Check the coupling invariants; returns (ok, report).
 
     The report lists ("nonnegativity" | "row" | "column", index, magnitude)
-    entries, worst violation first.  An array plan is checked with array
-    operations against the weights as floats; any other plan, exact entries
-    included, cell by cell in its own arithmetic.
+    entries, worst violation first; a NaN cell or sum is a violation, and
+    the worst.  An array plan, and a float plan the solver returned, is
+    checked with array operations against the weights as floats; any other
+    plan, exact entries included, cell by cell in its own arithmetic.
     """
+    if isinstance(plan, TransportPlan) and plan._array is not None and plan._scale is None:
+        plan = plan._array
     if isinstance(plan, np.ndarray):
-        a, b = (np.array(mu.weights, dtype=np.float64) for mu in (mu1, mu2))
+        a, b = mu1.float_weights, mu2.float_weights
         return _is_coupling_array(plan, a, b, default_tol(FLOAT) if tol is None else tol)
     matrix = plan.matrix if isinstance(plan, TransportPlan) else tuple(
         tuple(row) for row in plan
@@ -88,21 +139,27 @@ def is_coupling(plan, mu1, mu2, tol=None):
     if tol is None:
         tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *matrix)))
     # zero cells are skipped: they change no sum, and an exact zero costs a
-    # Fraction addition or comparison in Python
+    # Fraction addition or comparison in Python; the tests are written so
+    # that NaN fails them
     report = []
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
-            if x and x < -tol:
+            if x and not x >= -tol:
                 report.append(("nonnegativity", (i, j), -x))
     for i, (row, w) in enumerate(zip(matrix, mu1.weights)):
         gap = abs(sum(filter(None, row)) - w)
-        if gap > tol:
+        if not gap <= tol:
             report.append(("row", i, gap))
     for j, (column, w) in enumerate(zip(zip(*matrix), mu2.weights)):
         gap = abs(sum(filter(None, column)) - w)
-        if gap > tol:
+        if not gap <= tol:
             report.append(("column", j, gap))
-    report.sort(key=lambda v: v[2], reverse=True)
+    return _worst_first(report)
+
+
+def _worst_first(report):
+    """(ok, report) with the report sorted by magnitude, NaN first."""
+    report.sort(key=lambda v: (v[2] != v[2], v[2]), reverse=True)
     return (not report), report
 
 
@@ -115,19 +172,18 @@ def _is_coupling_array(X, a, b, tol):
     """is_coupling's report for an array plan, from array operations.
 
     a and b are the weights as arrays in the plan's arithmetic: float64, or
-    object arrays of exact numbers, which are compared exactly.
+    object arrays of exact numbers, which are compared exactly.  A NaN cell
+    fails the nonnegativity test, and its row and column sums fail theirs.
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
-    report = [
-        ("nonnegativity", (i, j), -X.item(i, j))
-        for i, j in np.argwhere(X < -tol).tolist()
-    ]
-    for kind, sums, weights in (("row", X.sum(axis=1), a), ("column", X.sum(axis=0), b)):
-        gaps = np.abs(sums - weights)
-        report += [(kind, k, gaps.item(k)) for k in np.flatnonzero(gaps > tol).tolist()]
-    report.sort(key=lambda v: v[2], reverse=True)
-    return (not report), report
+    i, j = np.logical_not(X >= -tol).nonzero()
+    report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
+    for kind, axis, weights in (("row", 1, a), ("column", 0, b)):
+        gaps = np.abs(np.add.reduce(X, axis=axis) - weights)
+        (bad,) = np.logical_not(gaps <= tol).nonzero()
+        report += [(kind, k, gaps.item(k)) for k in bad.tolist()]
+    return _worst_first(report)
 
 
 def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> bool:

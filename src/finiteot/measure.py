@@ -12,8 +12,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .numerics import (
+    FLOAT,
+    INF,
+    RATIONAL,
     DomainError,
     NormalizationError,
     ShapeError,
@@ -33,6 +39,10 @@ class DiscreteMeasure:
     """Probability weights on the points of a finite space.
 
     Zero-weight points are kept; indices stay aligned with the space.
+    Exact weights (ints and Fractions) are checked on their scaled ints,
+    and any others as one float64 array; the check keeps what it built as
+    the cached scaled_weights or float_weights, and the other is derived on
+    first use.
     """
 
     weights: tuple
@@ -50,16 +60,25 @@ class DiscreteMeasure:
                 raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
             if sum(ints) != scale:
                 raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
+            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale))  # cached
         else:
-            for x in w:
-                check_extended(x, "weight")
+            a = np.array(w, dtype=np.float64)
+            # every weight that is not a float in [0, inf) reads as one with
+            # its sign bit set, or as NaN or +inf; -0.0 passes, but a tiny
+            # negative Fraction also rounds to it, so each is judged as given
+            for k in np.logical_or(np.signbit(a), np.logical_not(a < INF)).nonzero()[0].tolist():
+                x = check_extended(w[k], "weight")
                 if is_inf(x):
                     raise DomainError("infinite weight")
                 if x < 0:
                     raise DomainError(f"negative weight {x}")
+            # added left to right: np.sum adds pairwise, which can change the
+            # last bits that WEIGHT_SUM_TOL is compared with
             total = sum(w)
             if abs(total - 1) > WEIGHT_SUM_TOL:
                 raise NormalizationError(f"weights sum to {total!r}, not 1")
+            a.flags.writeable = False
+            vars(self).update(mode=FLOAT, float_weights=a)  # cached
         if self.space is not None and self.space.n != len(w):
             raise ShapeError("weights do not match the space size")
 
@@ -67,9 +86,21 @@ class DiscreteMeasure:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return infer_mode(self.weights)
+
+    @cached_property
+    def float_weights(self):
+        """The weights as a read-only float64 array, exact ones rounded."""
+        a = np.array(self.weights, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def scaled_weights(self):
+        """(ints, scale) of scaled_ints: floats read as the binary fractions they are."""
+        return scaled_ints(self.weights)
 
     def support(self):
         return [i for i, w in enumerate(self.weights) if w > 0]

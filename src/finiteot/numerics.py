@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 INF = float("inf")
 
 #: default float-mode tolerance
@@ -39,26 +41,79 @@ def check_extended(x, where: str = "entry"):
     return x
 
 
-def check_extended_matrix(rows, where: str = "entry"):
-    """check_extended on every cell of a matrix, with no Python call per cell.
+def extended_array(rows, what: str):
+    """(array, mode) of a rectangular matrix: one read-only ndarray and its mode.
 
-    Only float cells can be NaN or -inf, and comparing a Fraction runs
-    Python code, so the cells are told apart by type first.  The float cells
-    are then screened by one C-level sum, which is NaN or -inf whenever a
-    cell is (or finite cells overflow); only then are they checked one by one.
+    rows is a 2-D ndarray or a sequence of rows of one length (the caller
+    checks that, with its own message); what names the matrix in errors.
+    The mode is infer_mode's over the cells, and the array holds them in
+    that mode's arithmetic: float64 in float mode (exact cells rounded as
+    float() rounds them); int64, bool, or an object array of the exact
+    cells and +inf in rational mode.  NaN and -inf are rejected as
+    check_extended rejects them ("NaN <what> entry", at the first such
+    cell), by array operations on the float64 cells.
+
+    The mode is read off the dtype wherever it can be:
+
+    - a finite float first cell settles float mode, and the cells are read
+      into float64 in one pass, with no dtype discovery;
+    - otherwise numpy's reading of the cells decides: int and bool arrays
+      are rational; a float64 array is float when every cell is below 2^63
+      in size, and else (+inf cells, or ints that numpy read as floats
+      because they fit neither int64 nor uint64 together) infer_mode reads
+      the cells' types; an object array gets that type scan too.
     """
-    cells = list(chain.from_iterable(rows))
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        floats = cells
-    elif any(issubclass(kind, float) for kind in kinds):
-        floats = [x for x in cells if isinstance(x, float)]
+    if isinstance(rows, np.ndarray):
+        A = np.array(rows)  # a copy: the caller keeps its own
+        if A.ndim != 2:
+            raise ShapeError(f"{what} matrix must be 2-D, not of shape {A.shape}")
+    elif rows and rows[0] and type(rows[0][0]) is float and abs(rows[0][0]) < INF:
+        n, m = len(rows), len(rows[0])
+        A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
+        _check_floats(A, what)
+        A.flags.writeable = False
+        return A, FLOAT
     else:
-        return
-    total = sum(floats)
-    if math.isnan(total) or total == -INF:
-        for x in floats:
-            check_extended(x, where)
+        A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
+    kind = A.dtype.kind
+    if A.size == 0:
+        mode = infer_mode(())
+    elif kind == "b" or kind in "iu" and np.can_cast(A.dtype, np.int64):
+        mode = RATIONAL
+        A = A if kind == "b" else A.astype(np.int64, copy=False)
+    elif kind == "f":
+        A = A.astype(np.float64, copy=False)
+        lo = _check_floats(A, what)
+        mode = FLOAT
+        if lo <= -_INT64_SIZE or np.maximum.reduce(A, axis=None) >= _INT64_SIZE:
+            cells = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            mode = infer_mode(chain.from_iterable(cells))
+            if mode == RATIONAL:
+                A = np.array(cells, dtype=object)
+    else:
+        A = A.astype(object, copy=False)
+        mode = infer_mode(A.ravel().tolist())
+        if mode == FLOAT:
+            A = A.astype(np.float64)
+            _check_floats(A, what)
+    A.flags.writeable = False
+    return A, mode
+
+
+#: the size from which a float64 cell may be an int that numpy read as a float
+_INT64_SIZE = 2.0**63
+
+
+def _check_floats(F, what):
+    """Raise check_extended's DataError at F's first NaN or -inf cell; else min(F).
+
+    The minimum over float64 cells is NaN or -inf exactly when a cell is,
+    so one reduction screens the array.
+    """
+    lo = np.minimum.reduce(F, axis=None, initial=INF)
+    if not lo > -INF:
+        check_extended(F.flat[np.argmax(np.isnan(F) | (F == -INF))].item(), f"{what} entry")
+    return lo
 
 
 def parse_number(value, mode: str):
@@ -113,8 +168,8 @@ def infer_mode(values) -> str:
     """Rational iff every value other than +inf is an int or Fraction.
 
     +inf is any float equal to it, as is_inf sees it: it marks forbidden
-    cells in both modes, so it decides nothing.  As in check_extended_matrix,
-    values are told apart by type, with no Python call per value.
+    cells in both modes, so it decides nothing.  Values are told apart by
+    type, with no Python call per value.
     """
     values = list(values)
     kinds = set(map(type, values))

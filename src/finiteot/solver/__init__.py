@@ -1,15 +1,20 @@
 """Exact solution of the discrete Kantorovich problem.
 
 The public entry point is solve_kantorovich, the one place that decides the
-numeric mode and the path.  It converts the problem once into the engine's
-numbers, and everything after that is written once for both modes:
+numeric mode and the path.  The problem arrives as arrays and leaves as
+one: the CostMatrix holds its costs as one ndarray and knows their mode
+(see numerics.extended_array), and each DiscreteMeasure keeps the array its
+own check built (float_weights) or its scaled ints (scaled_weights).  The
+mode is rational when all three are, and everything after it is written
+once for both modes:
 
-- float mode works on float64 arrays of the weights and costs;
-- rational mode works on object arrays of Python ints: the weights are
-  scaled by the least common multiple of their denominators and the finite
-  costs by that of theirs, and +inf cells stay.  Float numbers are read as
-  the binary fractions they are, so two measures whose exact totals differ
-  are refused rather than solved into a plan that couples neither.
+- float mode works on those float64 arrays as they are, with no copy;
+- rational mode works on Python ints: the weights are scaled by the least
+  common multiple of their denominators into object arrays, and the
+  finite costs by that of theirs (an int64 cost array stays as it is, with
+  scale 1), and +inf cells stay.  Float numbers are read as the binary
+  fractions they are, so two measures whose exact totals differ are
+  refused rather than solved into a plan that couples neither.
 
 On those arrays come the forbidden-cell mask and the tolerance, the engine,
 the forbidden-mass decision and its certificate, the coupling check and the
@@ -18,9 +23,12 @@ strongly feasible tree), so when a weight is zero the engine runs on the
 support, the rows and columns of positive weight, and its plan is
 scattered back into the full n x m array with zeros elsewhere; everything
 else runs on the full arrays.  When every weight is positive nothing is
-copied.  Only the result is converted back: the plan's matrix is a tuple of
-tuples of Python floats, or of Fractions (f / weight scale), and the cost a
-Python float, or a Fraction (divided once by both scales).
+copied.  The returned TransportPlan holds the engine's array, which the
+coupling check has just checked, and builds its matrix of Python floats,
+or of Fractions (x / weight scale), only when it is asked for; an exact
+plan's ints also serve cost_of_plan and glue as they are.  The cost is a
+Python float, or a Fraction (divided once by both scales).  So a solve
+makes no Python call per cell from input to plan.
 
 The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
 (which builds it with the system C compiler on first import).  Its float
@@ -139,32 +147,50 @@ def cost_of_plan(plan, cost) -> object:
     row-major order, starting from 0.  A plan and costs that are all exact
     (+inf costs allowed) are scaled to integers: the cost is one integer dot
     product over the cells with mass, and one Fraction at the end, or an int
-    when every such cell holds an int mass at an int cost.  An object array
+    when every such cell holds an int mass at an int cost.  An exact plan
+    the solver returned is read off its integer array.  An object array
     plan (exact entries) is computed against the costs as they are, and
     every other plan as float64 arrays, which add in that same order.
     """
-    c = cost.cost if isinstance(cost, CostMatrix) else cost
+    cost_mode = cost.mode if isinstance(cost, CostMatrix) else None
+    if isinstance(plan, TransportPlan) and plan._array is not None:
+        if plan._scale is None:
+            plan = plan._array
+        elif (cost_mode or infer_mode(chain.from_iterable(cost))) == RATIONAL:
+            X = plan._array
+            C = cost.array if cost_mode else np.array(cost, dtype=object)
+            if X.shape != C.shape:
+                raise ShapeError("plan and cost shapes differ")
+            return _cost_of_exact_plan(X.ravel().tolist(), plan._scale, False, C.ravel().tolist())
     if isinstance(plan, np.ndarray):
-        return _cost_of_array_plan(plan, c)
+        if cost_mode:
+            # a float-mode matrix holds float64: exact entries meet the costs as given
+            cost = cost.cost if plan.dtype == object and cost_mode == FLOAT else cost.array
+        return _cost_of_array_plan(plan, cost)
     matrix = plan.matrix if isinstance(plan, TransportPlan) else plan
+    c = cost.cost if cost_mode else cost
     if len(matrix) != len(c) or len(matrix[0]) != len(c[0]):
         raise ShapeError("plan and cost shapes differ")
     cells = list(chain.from_iterable(matrix))
-    costs = list(chain.from_iterable(c))
-    if all_exact(cells) and infer_mode(costs) == RATIONAL:
-        return _cost_of_exact_plan(cells, costs)
-    return _cost_of_array_plan(np.array(matrix, dtype=np.float64), c)
+    if all_exact(cells) and (cost_mode or infer_mode(chain.from_iterable(c))) == RATIONAL:
+        P, pscale = scaled_ints(cells)
+        ints_only = all(issubclass(kind, int) for kind in set(map(type, compress(cells, P))))
+        return _cost_of_exact_plan(P, pscale, ints_only, list(chain.from_iterable(c)))
+    return _cost_of_array_plan(np.array(matrix, dtype=np.float64), cost.array if cost_mode else c)
 
 
-def _cost_of_exact_plan(cells, costs):
-    """cost_of_plan of flat exact cells against flat exact or +inf costs."""
-    P, pscale = scaled_ints(cells)
+def _cost_of_exact_plan(P, pscale, ints_only, costs):
+    """cost_of_plan of a flat exact plan P / pscale against flat costs.
+
+    P holds ints, and the costs are exact or +inf; ints_only says whether
+    every cell with mass held an int mass.
+    """
     costs = list(compress(costs, P))  # the cells with mass
     if not all_exact(costs):
         return INF  # the only inexact cost rational mode allows is +inf
     C, cscale = scaled_ints(costs)
     total = sum(map(mul, C, compress(P, P)))
-    if all(issubclass(kind, int) for kind in set(map(type, chain(costs, compress(cells, P))))):
+    if ints_only and all(issubclass(kind, int) for kind in set(map(type, costs))):
         return total
     return Fraction(total, pscale * cscale)
 
@@ -260,24 +286,25 @@ def solve_kantorovich(
     +inf cost cells are forbidden moves; when they disconnect the problem
     the result has optimal_cost = +inf and a Hall-type cut certificate.
     """
-    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(tuple(map(tuple, cost)))
+    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     n, m = cm.shape
     if n != mu1.n or m != mu2.n:
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     if mode is None:
-        mode = infer_mode(chain(mu1.weights, mu2.weights, *cm.cost))
+        mode = RATIONAL if cm.mode == mu1.mode == mu2.mode == RATIONAL else FLOAT
     if mode == FLOAT:
-        a, b, C = (np.array(x, dtype=np.float64) for x in (mu1.weights, mu2.weights, cm.cost))
+        a, b = mu1.float_weights, mu2.float_weights
+        C = np.asarray(cm.array, dtype=np.float64)
         wscale = cscale = 1
     elif mode == RATIONAL:
-        a, b, C, wscale, cscale = _exact_input(mu1.weights, mu2.weights, cm.cost)
+        a, b, C, wscale, cscale = _exact_input(mu1, mu2, cm)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     forbidden = C == INF  # only +inf: CostMatrix rejects -inf and NaN
     if tol is None:
-        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, np.abs(C[~forbidden]).max(initial=0))
+        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
 
-    if np.count_nonzero(a) == n and np.count_nonzero(b) == m:  # weights are >= 0
+    if a.all() and b.all():  # weights are >= 0
         X, iters, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale)
     else:  # the engines need positive weights: solve on the support
         rows, cols = a > 0, b > 0
@@ -304,12 +331,10 @@ def solve_kantorovich(
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
         value = cost_of_plan(X, C)
         if mode == FLOAT:
-            matrix = X.tolist()
+            plan = TransportPlan._of_array(X, mu1, mu2)
         else:
-            zero = Fraction(0)
-            matrix = [[Fraction(f, wscale) if f else zero for f in row] for row in X.tolist()]
             value = value if is_inf(value) else Fraction(value, wscale * cscale)
-        plan = TransportPlan(matrix, mu1, mu2)
+            plan = TransportPlan._of_array(X, mu1, mu2, wscale, Fraction(0))
     return OTSolution(plan, value, iters, mode, certificate, engine)
 
 
@@ -329,36 +354,44 @@ def _run_engine(mode, a, b, C, forbidden, tol):
             X = X.astype(object)  # Python ints: exact cost products, no float path
         return X, iters, _compiled.KERNEL_NAME
     flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
-    X = np.zeros(C.shape, dtype=C.dtype)
+    X = np.zeros(C.shape, dtype=a.dtype)  # object (Python ints) in rational mode
     for (i, j), f in flow.items():
         X[i, j] = f
     return X, iters, "python"
 
 
-def _exact_input(w1, w2, cost):
+def _exact_input(mu1, mu2, cm):
     """Rational mode's engine input: (a, b, C, weight scale, cost scale).
 
     The weights are scaled by the least common multiple of their
-    denominators and the finite costs by that of theirs, into object arrays
-    of Python ints; +inf cells stay.  Both scales are positive, so every
-    comparison, and hence every pivot, is the one the Fractions would give.
-    Float numbers count as the binary fractions they are, so two measures
-    whose exact totals differ are refused rather than solved into a plan
-    that couples neither.
+    denominators, into object arrays of Python ints, from each measure's
+    scaled_weights; the finite costs by that of theirs, and +inf cells
+    stay.  An int64 or bool cost array has scale 1 and comes as int64
+    (with no +inf cell); any other as an object array of Python ints and
+    +inf.  Both scales are positive, so every comparison, and hence every
+    pivot, is the one the Fractions would give.  Float numbers count as
+    the binary fractions they are, so two measures whose exact totals
+    differ are refused rather than solved into a plan that couples neither.
     """
-    weights, wscale = scaled_ints((*w1, *w2))
-    a, b = weights[: len(w1)], weights[len(w1):]
-    if sum(a) != sum(b):
-        gap = Fraction(sum(a) - sum(b), wscale)
+    (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
+    wscale = math.lcm(s1, s2)
+    a = np.array(ints1, dtype=object) * (wscale // s1)
+    b = np.array(ints2, dtype=object) * (wscale // s2)
+    total_a, total_b = np.add.reduce(a), np.add.reduce(b)
+    if total_a != total_b:
+        gap = Fraction(total_a - total_b, wscale)
         raise ParameterError(
             f"rational mode needs weights whose exact totals agree; the first "
             f"measure's total minus the second's is {float(gap)!r} ({gap})"
         )
-    C = np.array(cost, dtype=object)
+    if cm.array.dtype.kind in "bi":
+        return a, b, cm.array.astype(np.int64, copy=False), wscale, 1
+    # a float-mode matrix holds float64: read its cells as they were given
+    C = np.array(cm.cost, dtype=object) if cm.mode == FLOAT else cm.array.astype(object)
     finite = C != INF
     costs, cscale = scaled_ints(C[finite].tolist())
     C[finite] = costs
-    return np.array(a, dtype=object), np.array(b, dtype=object), C, wscale, cscale
+    return a, b, C, wscale, cscale
 
 
 #: rational mode's scaled data run the int64 build only below these bounds
@@ -375,24 +408,30 @@ def _int64_input(a, b, C, forbidden, tol):
     below _COST_BOUND: every flow is then at most the total supply, and every
     potential and reduced cost at most 2 (n + m) max|c| + |floor(tol)| in
     size.  The tolerance is floored, which gives the same pivots on
-    integers; forbidden cells are marked FORBIDDEN_INT64.
+    integers; forbidden cells are marked FORBIDDEN_INT64.  An int64 C (no
+    forbidden cell) is passed on as it is.
     """
     try:
         floor_tol = math.floor(tol)
     except (OverflowError, ValueError):  # an infinite or NaN tolerance
         return None
-    finite = ~forbidden
-    costs = C[finite].tolist()
     n, m = C.shape
+    if C.dtype == np.int64:
+        max_cost = max(int(C.max()), -int(C.min()))
+    else:
+        finite = ~forbidden
+        costs = C[finite].tolist()
+        max_cost = max(map(abs, costs), default=0)
     if (
-        sum(a.tolist()) >= _SUPPLY_BOUND
-        or (n + m) * max(map(abs, costs), default=0) >= _COST_BOUND
+        np.add.reduce(a) >= _SUPPLY_BOUND
+        or (n + m) * max_cost >= _COST_BOUND
         or abs(floor_tol) >= _COST_BOUND
     ):
         return None
-    C64 = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
-    C64[finite] = costs
-    return a.astype(np.int64), b.astype(np.int64), C64, floor_tol
+    if C.dtype != np.int64:
+        C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
+        C[finite] = costs
+    return a.astype(np.int64), b.astype(np.int64), C, floor_tol
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
@@ -403,7 +442,7 @@ def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
     """
     from ..coupling import restrict_and_normalize
 
-    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(tuple(map(tuple, cost)))
+    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     restricted, Z, mu1p, mu2p = restrict_and_normalize(solution.plan, mask)
     restricted_cost = cost_of_plan(restricted, cm)
     resolved = solve_kantorovich(mu1p, mu2p, cm, mode=solution.mode)

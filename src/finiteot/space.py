@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from .numerics import (
     INF,
     DataError,
     ParameterError,
     ShapeError,
-    check_extended_matrix,
     default_tol,
+    extended_array,
     infer_mode,
     is_inf,
 )
@@ -158,6 +160,14 @@ class CostMatrix:
 
     An optional additive lower-bound pair (a1, a2) certifies
     cost[i][j] >= a1[i] + a2[j] on finite entries.
+
+    The numeric mode is decided once, here, mostly by a dtype test (see
+    numerics.extended_array), and array holds the costs, read-only, in that
+    mode's arithmetic: float64 in float mode; int64, bool, or an object
+    array of the exact cells and +inf in rational mode.  cost is the tuple
+    of row tuples: the input itself when it is one, built from the rows of
+    any other sequence, and from array on first use when the input is an
+    ndarray, whose cells then come back as Python numbers.
     """
 
     cost: tuple
@@ -165,29 +175,52 @@ class CostMatrix:
     tol: float = field(default=0, compare=False)
 
     def __post_init__(self):
-        cost = tuple(map(tuple, self.cost))
-        object.__setattr__(self, "cost", cost)
-        m = len(cost[0]) if cost else 0
-        if cost and set(map(len, cost)) != {m}:
-            raise ShapeError("cost matrix is not rectangular")
-        check_extended_matrix(cost, "cost entry")
+        cost = self.cost
+        if isinstance(cost, np.ndarray):
+            vars(self).pop("cost")  # built from the array when asked for
+        else:
+            cost = tuple(map(tuple, cost))
+            object.__setattr__(self, "cost", cost)
+            m = len(cost[0]) if cost else 0
+            if cost and set(map(len, cost)) != {m}:
+                raise ShapeError("cost matrix is not rectangular")
+        array, mode = extended_array(cost, "cost")
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "mode", mode)
         if self.lower_bound is not None:
             a1, a2 = self.lower_bound
             a1, a2 = tuple(a1), tuple(a2)
             object.__setattr__(self, "lower_bound", (a1, a2))
-            if len(a1) != len(cost) or len(a2) != m:
+            if len(a1) != len(array) or len(a2) != array.shape[1]:
                 raise ShapeError("lower-bound vectors do not match cost shape")
-            for i, row in enumerate(cost):
-                for j, c in enumerate(row):
-                    if c < a1[i] + a2[j] - self.tol:
-                        raise DataError(
-                            f"cost[{i}][{j}] = {c} below lower bound "
-                            f"{a1[i]} + {a2[j]}"
-                        )
+            # c < a1[i] + a2[j] - tol in Python arithmetic, cell by cell in C
+            bound = np.add.outer(np.array(a1, dtype=object), np.array(a2, dtype=object))
+            below = np.less(array, bound - self.tol).nonzero()
+            if below[0].size:
+                i, j = below[0].item(0), below[1].item(0)
+                raise DataError(
+                    f"cost[{i}][{j}] = {self.cost[i][j]} below lower bound "
+                    f"{a1[i]} + {a2[j]}"
+                )
+
+    def __getattr__(self, name):
+        # only a matrix built from an ndarray lacks cost, until it is asked for
+        if name != "cost" or "array" not in vars(self):
+            raise AttributeError(name)
+        cost = tuple(map(tuple, self.array.tolist()))
+        object.__setattr__(self, "cost", cost)
+        return cost
 
     @property
     def shape(self):
-        return (len(self.cost), len(self.cost[0]) if self.cost else 0)
+        return self.array.shape
 
     def max_abs_finite(self):
-        return max((abs(c) for row in self.cost for c in row if c != INF), default=0)
+        """The largest |cost| over the finite cells, 0 when there is none."""
+        A = self.array
+        if A.dtype == object:
+            return max((abs(c) for c in A.ravel().tolist() if c != INF), default=0)
+        if A.dtype.kind == "f":
+            finite = A != INF
+            return np.maximum.reduce(np.abs(A), axis=None, where=finite, initial=0).item()
+        return max(int(A.max(initial=0)), -int(A.min(initial=0)))

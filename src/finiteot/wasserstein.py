@@ -95,18 +95,7 @@ class GluedPlan:
         and one of the plans holds only Fractions (int x * int y / int
         mu2[j] is a float division, and stays one in the tensor).
         """
-        cells12, cells23 = (list(chain(*m)) for m in (self.pi12, self.pi23))
-        only_fractions = {Fraction}.issuperset
-        if not (
-            only_fractions(map(type, cells12)) and all_exact(cells23)
-            or only_fractions(map(type, cells23)) and all_exact(cells12)
-        ):
-            return None
-        (n1, n2, n3), factors = self.shape, []
-        for c, shape in ((cells12, (n1, n2)), (cells23, (n2, n3))):
-            ints, scale = scaled_ints(c)
-            factors += [np.array(ints, dtype=object).reshape(shape), scale]
-        return tuple(factors)
+        return _integer_factors(self.pi12, self.pi23, (None, None))
 
     @cached_property
     def mu2(self):
@@ -149,18 +138,46 @@ class GluedPlan:
         return sum(sum(sum(r) for r in sl) for sl in self.tensor)
 
 
+def _integer_factors(pi12, pi23, forms):
+    """GluedPlan._integer_factors of the matrices pi12 and pi23.
+
+    forms holds, for each, the (ints, scale) of the solver plan it is the
+    matrix of, or None; then its cells are not scaled again.
+    """
+    cells12, cells23 = (list(chain(*m)) for m in (pi12, pi23))
+    only_fractions = {Fraction}.issuperset
+    if not (
+        only_fractions(map(type, cells12)) and all_exact(cells23)
+        or only_fractions(map(type, cells23)) and all_exact(cells12)
+    ):
+        return None
+    n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
+    factors = []
+    for cells, shape, form in ((cells12, (n1, n2), forms[0]), (cells23, (n2, n3), forms[1])):
+        if form is None:
+            ints, scale = scaled_ints(cells)
+            form = np.array(ints, dtype=object).reshape(shape), scale
+        factors += form
+    return tuple(factors)
+
+
 def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     """Join two plans through their common middle marginal.
 
     Requires column sums of pi12 to equal row sums of pi23; the glued plan
     makes the outer coordinates conditionally independent given the middle
     one.  Exact plans are compared on their integer factors, with no
-    Fraction arithmetic; the tensor is not built here.
+    Fraction arithmetic; a plan the solver returned brings its own.  The
+    tensor is not built here.
     """
     n2, n2b = pi12.shape[1], pi23.shape[0]
     if n2 != n2b:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
     g = GluedPlan(pi12.matrix, pi23.matrix)
+    # the (ints, scale) an exact plan from the solver carries
+    forms = tuple(None if p._scale is None else (p._array, p._scale) for p in (pi12, pi23))
+    if forms != (None, None):
+        vars(g)["_integer_factors"] = _integer_factors(g.pi12, g.pi23, forms)
     exact = g._integer_factors
     if tol is None:
         tol = 0 if exact else default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))
@@ -188,8 +205,11 @@ def glued_marginal_13(g: GluedPlan) -> TransportPlan:
 
     On integer factors this is one matrix product: with M = P.sum(0),
     L = lcm of the positive M_j and f_j = L // M_j (0 where M_j is not
-    positive), pi13 = (P * f) @ Q / (s23 * L), and only its nonzero cells
-    become Fractions.  Any other plan sums the tensor over the middle.
+    positive), pi13 = (P * f) @ Q / (s23 * L).  The product is taken over
+    the nonzero cells of P only, at most n1 + n2 - 1 of them in a basic
+    plan: cell (i, j) adds P_ij f_j Q_j to row i.  The plan holds those
+    ints, and its matrix has a Fraction on each nonzero cell and an int 0
+    elsewhere.  Any other plan sums the tensor over the middle.
     """
     exact = g._integer_factors
     if exact is None:
@@ -203,10 +223,10 @@ def glued_marginal_13(g: GluedPlan) -> TransportPlan:
     mass = P.sum(axis=0).tolist()
     L = math.lcm(*(m for m in mass if m > 0))
     f = np.array([L // m if m > 0 else 0 for m in mass], dtype=object)
-    scale = s23 * L
-    return TransportPlan(
-        [[Fraction(x, scale) if x else 0 for x in row] for row in ((P * f) @ Q).tolist()]
-    )
+    i, j = P.nonzero()
+    product = np.zeros((P.shape[0], Q.shape[1]), dtype=object)  # int 0 cells
+    np.add.at(product, i, (P[i, j] * f[j])[:, None] * Q[j])
+    return TransportPlan._of_array(product, scale=s23 * L)
 
 
 def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):

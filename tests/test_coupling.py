@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from finiteot.coupling import (
     TransportPlan,
+    _is_coupling_array,
     is_coupling,
     marginals,
     product_coupling,
@@ -15,6 +17,7 @@ from finiteot.coupling import (
 from finiteot.generators import random_coupling, random_rational_measure
 from finiteot.measure import new_measure
 from finiteot.numerics import EmptyRestrictionError, ShapeError
+from finiteot.solver import solve_kantorovich
 
 HALF = F(1, 2)
 UNIFORM2 = new_measure([HALF, HALF])
@@ -74,6 +77,31 @@ class TestIsCoupling:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             is_coupling(((1,),), UNIFORM2, UNIFORM2)
+
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_nan_cell_is_a_violation(self, as_array):
+        """NaN compares False both ways, so a test written x < -tol passes it."""
+        nan = float("nan")
+        plan = ((0.5, nan), (0.0, 0.5))
+        mu = new_measure((0.5, 0.5))
+        ok, report = is_coupling(np.array(plan) if as_array else plan, mu, mu)
+        assert not ok
+        assert report[0][2] != report[0][2]  # NaN sorts first
+        assert {(kind, idx) for kind, idx, _ in report} == {
+            ("nonnegativity", (0, 1)), ("row", 0), ("column", 1)
+        }
+        ok, report = _is_coupling_array(np.array(plan), mu.float_weights, mu.float_weights, 1e-9)
+        assert not ok and len(report) == 3
+
+    def test_solver_plans_are_checked_on_their_arrays(self):
+        mu = new_measure((0.25, 0.75))
+        sol = solve_kantorovich(mu, mu, ((0.0, 1.0), (1.0, 0.0)))
+        assert "matrix" not in vars(sol.plan)
+        assert is_coupling(sol.plan, mu, mu) == (True, [])
+        assert "matrix" not in vars(sol.plan)  # read off the array, not built
+        other = new_measure((0.5, 0.5))
+        ok, report = is_coupling(sol.plan, other, other)
+        assert not ok and {kind for kind, _, _ in report} == {"row", "column"}
 
 
 class TestTestFunctionCharacterization:

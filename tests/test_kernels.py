@@ -23,6 +23,7 @@ import pytest
 import finiteot.solver as solver
 from finiteot.measure import DiscreteMeasure
 from finiteot.numerics import INF
+from finiteot.space import CostMatrix
 from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
 from finiteot.solver.simplex import transportation_simplex
 
@@ -222,7 +223,7 @@ def rational_instance(n):
 
 def int64_input(mu1, mu2, cost, tol):
     """The int64 build's input for a rational problem, as solve_kantorovich makes it."""
-    a, b, C, _, cscale = solver._exact_input(mu1.weights, mu2.weights, cost)
+    a, b, C, _, cscale = solver._exact_input(mu1, mu2, CostMatrix(cost))
     a, b, C = support(a, b, C)
     return solver._int64_input(a, b, C, C == INF, (tol or 0) * cscale)
 

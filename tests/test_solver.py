@@ -722,22 +722,16 @@ class TestFloatValidation:
             TransportPlan(((0.5, 0.0), (0.5,)))
 
 
-def test_float_solve_does_no_python_work_per_cell(monkeypatch):
-    """Python-level calls during a 150 x 150 float solve, all-finite and with
-    about 10% +inf cells, stay far below one per ten cells (the list-based
-    float path made about four per cell).  Counting calls, unlike timing
-    them, does not depend on the host's speed.  The engine of float solves
-    runs uncounted, its pivots being its own work: the C kernel when it is
-    loaded, else the Python simplex.  So with the kernel loaded, a solve
-    sent to the Python simplex instead counts its calls for every pivot."""
-    n = 150
-    rng = random.Random(150)
-    mu1, mu2 = (
-        DiscreteMeasure(tuple(x / sum(raw) for x in raw))
-        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
-    )
-    cost = [[float(rng.randint(0, 1000)) for _ in range(n)] for _ in range(n)]
-    forbidden = [[INF if rng.random() < 0.1 else c for c in row] for row in cost]
+def count_python_calls(monkeypatch, *solves):
+    """[(calls, result)] of each solve(): its Python-level calls, as "call"
+    events of sys.setprofile, and what it returned.
+
+    Counting calls, unlike timing them, does not depend on the host's
+    speed.  The engine runs uncounted, its pivots being its own work: the C
+    kernel when it is loaded, else the Python simplex.  So with the kernel
+    loaded, a solve sent to the Python simplex instead counts its calls for
+    every pivot.
+    """
     calls = 0
 
     def count(frame, event, arg):
@@ -765,16 +759,58 @@ def test_float_solve_does_no_python_work_per_cell(monkeypatch):
         monkeypatch.setattr(
             solver, "transportation_simplex", uncounted(solver.transportation_simplex)
         )
-    for case in (cost, forbidden):
+    counts = []
+    for solve in solves:
         calls = 0
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            sol = solve_kantorovich(mu1, mu2, case)
+            result = solve()
         finally:
             sys.setprofile(previous)
+        counts.append((calls, result))
+    return counts
+
+
+def test_float_solve_does_no_python_work_per_cell(monkeypatch):
+    """Python-level calls during a 150 x 150 float solve, all-finite and with
+    about 10% +inf cells, stay far below one per ten cells (the list-based
+    float path made about four per cell)."""
+    n = 150
+    rng = random.Random(150)
+    mu1, mu2 = (
+        DiscreteMeasure(tuple(x / sum(raw) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+    )
+    cost = [[float(rng.randint(0, 1000)) for _ in range(n)] for _ in range(n)]
+    forbidden = [[INF if rng.random() < 0.1 else c for c in row] for row in cost]
+    solves = (lambda case=case: solve_kantorovich(mu1, mu2, case) for case in (cost, forbidden))
+    counts = count_python_calls(monkeypatch, *solves)
+    for calls, sol in counts:
         assert sol.feasible
         assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
+
+
+@pytest.mark.parametrize("n, exact", [(150, False), (20, True)])
+def test_solve_from_tuples_makes_no_python_call_per_cell(monkeypatch, n, exact):
+    """From tuple costs to the returned plan, a solve makes fewer Python
+    calls than one per ten cells: the costs become one array, the weights
+    come as the arrays the measures keep (their own checks are made when
+    they are built, before the count), and the plan keeps the engine's
+    array; its matrix, and any Fraction cell, is built only when asked for."""
+    rng = random.Random(n)
+    raws = [[rng.randint(1, 1000) for _ in range(n)] for _ in range(2)]
+    if exact:
+        mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw)) for raw in raws)
+        cost = tuple(tuple(rng.randint(0, 1000) for _ in range(n)) for _ in range(n))
+    else:
+        mu1, mu2 = (DiscreteMeasure(tuple(x / sum(raw) for x in raw)) for raw in raws)
+        cost = tuple(tuple(float(rng.randint(0, 1000)) for _ in range(n)) for _ in range(n))
+    [(calls, sol)] = count_python_calls(monkeypatch, lambda: solve_kantorovich(mu1, mu2, cost))
+    assert sol.mode == ("rational" if exact else "float")
+    assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
+    assert is_coupling(sol.plan, mu1, mu2)[0]
+    assert sol.optimal_cost == cost_of_plan(sol.plan.matrix, cost)
 
 
 def test_rational_solve_builds_few_fractions(monkeypatch):

@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from finiteot import solver
@@ -259,6 +261,31 @@ class TestGlue:
                 with pytest.raises(GlueError) as info:
                     glue(TransportPlan(pi12), TransportPlan(pi23), tol)
                 assert str(info.value) == want
+
+    def test_sparse_marginal_13_matches_the_dense_product(self):
+        """The product over P's nonzero cells against (P * f) @ Q, cell for
+        cell in type and value, on vertex plans, mixtures and solver plans,
+        and on the solver plans' matrices glued from their cells."""
+        rng = random.Random(131)
+        for trial in range(120):
+            n = rng.randint(1, 6)
+            mus = [random_rational_measure(rng, n) for _ in range(3)]
+            if trial % 3 == 2:
+                space = random_rational_metric_space(rng, n)
+                plans = [wasserstein_distance(mus[k], mus[k + 1], space)[1] for k in (0, 1)]
+            else:
+                make = random_vertex_coupling if trial % 3 == 0 else random_coupling
+                plans = [make(rng, mus[k], mus[k + 1]) for k in (0, 1)]
+            g = glue(*plans)
+            P, _, Q, s23 = g._integer_factors
+            mass = P.sum(axis=0).tolist()
+            L = math.lcm(*(m for m in mass if m > 0))
+            f = np.array([L // m if m > 0 else 0 for m in mass], dtype=object)
+            dense = [[F(x, s23 * L) if x else 0 for x in row] for row in ((P * f) @ Q).tolist()]
+            typed = [[(type(x), x) for x in row] for row in dense]
+            for glued in (g, glue(*(TransportPlan(p.matrix) for p in plans))):
+                pi13 = glued_marginal_13(glued)
+                assert [[(type(x), x) for x in row] for row in pi13.matrix] == typed
 
     def test_glued_plan_keeps_its_factors(self):
         pi12 = TransportPlan(((F(1, 4), F(1, 4)), (HALF, 0)))
