@@ -9,6 +9,7 @@ bound, and restriction with renormalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -19,6 +20,7 @@ from .measure import DiscreteMeasure, TestFunction, indicator, integrate
 from .numerics import (
     EmptyRestrictionError,
     FLOAT,
+    INF,
     RATIONAL,
     ShapeError,
     default_tol,
@@ -122,11 +124,17 @@ def is_coupling(plan, mu1, mu2, tol=None):
     The report lists ("nonnegativity" | "row" | "column", index, magnitude)
     entries, worst violation first; a NaN cell or sum is a violation, and
     the worst.  An array plan, and a float plan the solver returned, is
-    checked with array operations against the weights as floats; any other
-    plan, exact entries included, cell by cell in its own arithmetic.
+    checked with array operations against the weights as floats.  An exact
+    plan the solver returned is checked on its scaled ints (see
+    _is_scaled_coupling) against exact weights and a tolerance in [0, inf),
+    as the default 0 is.  Any other plan is checked cell by cell in its own
+    arithmetic.
     """
-    if isinstance(plan, TransportPlan) and plan._array is not None and plan._scale is None:
-        plan = plan._array
+    if isinstance(plan, TransportPlan) and plan._array is not None:
+        if plan._scale is None:
+            plan = plan._array
+        elif mu1.mode == mu2.mode == RATIONAL and (tol is None or 0 <= tol < INF):
+            return _is_scaled_coupling(plan, mu1, mu2, tol or 0)
     if isinstance(plan, np.ndarray):
         a, b = mu1.float_weights, mu2.float_weights
         return _is_coupling_array(plan, a, b, default_tol(FLOAT) if tol is None else tol)
@@ -184,6 +192,26 @@ def _is_coupling_array(X, a, b, tol):
         (bad,) = np.logical_not(gaps <= tol).nonzero()
         report += [(kind, k, gaps.item(k)) for k in bad.tolist()]
     return _worst_first(report)
+
+
+def _is_scaled_coupling(plan, mu1, mu2, tol):
+    """is_coupling of an exact solver plan, in integer array operations.
+
+    The plan holds ints X over its scale s.  X and the measures' scaled
+    weights go over one common scale L (s itself for the measures the plan
+    was solved for), and tol to floor(tol L): on integers x >= -tol L iff
+    x >= -floor(tol L), and gap <= tol L iff gap <= floor(tol L), so every
+    test decides as in Fractions.  The magnitudes are Fractions over L.
+    """
+    X, scale = plan._array, plan._scale
+    (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
+    common = math.lcm(scale, s1, s2)
+    if common != scale:
+        X = X * (common // scale)
+    a = np.array(ints1, dtype=object) * (common // s1)
+    b = np.array(ints2, dtype=object) * (common // s2)
+    ok, report = _is_coupling_array(X, a, b, math.floor(Fraction(tol) * common))
+    return ok, [(kind, at, Fraction(size, common)) for kind, at, size in report]
 
 
 def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> bool:

@@ -49,8 +49,6 @@ _NOT_POSITIVE = -3
 #: lines of compiler stderr kept in a failure reason
 _STDERR_TAIL = 10
 
-_DOUBLES = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_INT64S = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 #: the mark of a forbidden cell in an int64 cost array, where +inf has no
 #: place; the caller keeps every finite cost below it (see _dense.c)
 FORBIDDEN_INT64 = np.iinfo(np.int64).max
@@ -160,8 +158,8 @@ class CompiledKernel:
         self.built = built
         lib = ctypes.CDLL(str(path))
         self._fns = {
-            np.float64: _bind(lib.fot_solve_dense, _DOUBLES, ctypes.c_double),
-            np.int64: _bind(lib.fot_solve_exact, _INT64S, ctypes.c_int64),
+            np.float64: _bind(lib.fot_solve_dense, ctypes.c_double),
+            np.int64: _bind(lib.fot_solve_exact, ctypes.c_int64),
         }
 
     def solve_dense(self, a, b, C, tol):
@@ -183,7 +181,11 @@ class CompiledKernel:
                 f"got {a.shape}, {b.shape}, {C.shape}"
             )
         X = np.empty((n, m), dtype=dtype)
-        iterations = self._fns[dtype](n, m, a, b, C, tol, X)
+        # the arrays pass as bare addresses: ascontiguousarray and empty have
+        # fixed their dtype and layout, and they outlive the call
+        iterations = self._fns[dtype](
+            n, m, a.ctypes.data, b.ctypes.data, C.ctypes.data, tol, X.ctypes.data
+        )
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
@@ -193,8 +195,13 @@ class CompiledKernel:
         return X, iterations
 
 
-def _bind(fn, array, number):
-    """fn with the argument types of fot_solve_dense over one number type."""
+def _bind(fn, number):
+    """fn with the argument types of fot_solve_dense over one number type.
+
+    The arrays go as bare addresses: numpy's ndpointer check costs about as
+    much as the kernel's own work on a small problem.
+    """
+    array = ctypes.c_void_p
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array]
     return fn

@@ -29,8 +29,21 @@
  * sibling of each node, and the flow on the edge to its parent.  A node's
  * potential is c_ij - pot[parent] along that edge, in two parts: a forbidden
  * cell costs (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M
- * outweighs any value.  The north-west corner start hangs one new node per
- * cell, so the start tree is built during that walk.
+ * outweighs any value.
+ *
+ * Start, the row-minimum rule: rows in index order ship their supply to
+ * their cheapest open column (a forbidden cell only when no finite one is
+ * open: the mark is above every finite cost, so comparing costs compares
+ * (M, value) pairs), the lowest column index winning ties.  Each shipment,
+ * min(row rest, column rest) > 0, closes its row or its column, so the
+ * shipped cells form a forest.  The last row ships every open column's
+ * whole remaining demand, so float dust ends there and every column has a
+ * positive cell.  grow then roots the tree at row 0: row 0's component
+ * first, and each further component, in the order of its lowest row, hangs
+ * that row from the cheapest column already in the tree by a zero-flow
+ * cell.  Components split where a row and a column close at once, and a
+ * row with dust left and no open column is one on its own.  Every other
+ * edge carries positive flow, so the start is strongly feasible (below).
  *
  * Pivot rule: the cells are scanned in row-major order in blocks of
  * max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
@@ -43,9 +56,8 @@
  * a column-side cell wins a tie.  Degenerate pivots then never cycle, with
  * no second rule.  The path from the entering cell's end below the leaving
  * edge up to that edge reverses, each flow moving one edge along it, and
- * only the re-hung subtree gets new depths and potentials.  The north-west
- * start is strongly feasible when every weight is positive, so a weight
- * that is not is refused (see simplex.py).
+ * only the re-hung subtree gets new depths and potentials.  A weight that
+ * is not positive is refused (see simplex.py).
  */
 
 #ifndef FOT_NUM
@@ -80,6 +92,7 @@
 #define hang FOT(hang)
 #define unhang FOT(unhang)
 #define refresh FOT(refresh)
+#define grow FOT(grow)
 
 typedef struct {
     int64_t n, m;
@@ -141,6 +154,69 @@ static void refresh(Tree *t, int64_t top)
 }
 
 /*
+ * Build the tree, rooted at row 0, on a forest of count cells (row-major
+ * indices cell, flows amount): row 0's component first, then each further
+ * one in the order of its lowest row, which hangs from the cheapest column
+ * already in the tree by a zero-flow cell.  Every column must lie on a
+ * cell.  head, next and stack are scratch space for n + m, 2 count and
+ * n + m entries.
+ */
+static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
+                 int64_t *head, int64_t *next, int64_t *stack)
+{
+    int64_t n = t->n, m = t->m, e, h, i, j, best, node, other, top;
+    const num *row;
+
+    for (node = 0; node < n + m; node++) {
+        head[node] = t->child[node] = -1;
+        t->depth[node] = -1; /* not in the tree yet */
+    }
+    /* half-edge 2 e leads from cell e's row to its column, 2 e + 1 back */
+    for (e = 0; e < count; e++) {
+        i = cell[e] / m;
+        j = n + cell[e] % m;
+        next[2 * e] = head[i];
+        head[i] = 2 * e;
+        next[2 * e + 1] = head[j];
+        head[j] = 2 * e + 1;
+    }
+    for (i = 0; i < n; i++) {
+        if (t->depth[i] >= 0)
+            continue;
+        if (i == 0) {
+            t->parent[0] = -1;
+            t->depth[0] = t->pot_big[0] = 0;
+            t->pot[0] = 0;
+        } else {
+            /* a forbidden cell is above every finite one, as in the start */
+            row = t->C + i * m;
+            best = -1;
+            for (j = 0; j < m; j++)
+                if (t->depth[n + j] >= 0 && (best < 0 || row[j] < row[best]))
+                    best = j;
+            hang(t, i, n + best);
+            derive(t, i);
+            t->flow[i] = 0;
+        }
+        stack[0] = i;
+        top = 1;
+        while (top > 0) {
+            node = stack[--top];
+            for (h = head[node]; h >= 0; h = next[h]) {
+                e = h >> 1;
+                other = h & 1 ? cell[e] / m : n + cell[e] % m;
+                if (t->depth[other] >= 0)
+                    continue; /* node's parent */
+                hang(t, other, node);
+                derive(t, other);
+                t->flow[other] = amount[e];
+                stack[top++] = other;
+            }
+        }
+    }
+}
+
+/*
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
  * is +inf, or INT64_MAX), X: n x m output (overwritten).  Returns the pivot
  * count, FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m)
@@ -159,12 +235,17 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
     int64_t block = (int64_t)exp(0.5 * log((double)total));
     int64_t result = FOT_NO_MEMORY, iterations = 0, scan_pos = 0;
     int row_side;
-    int64_t i, j, j0, stop, k, pos, end, scanned, node, up, prev;
+    int64_t i, j, j0, stop, k, pos, end, scanned, node, up, prev, count, kept, nopen;
     int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
     num q, c, r, best, ui, theta, f, carried;
     const num *row;
     Tree t = {.n = n, .m = m, .C = C};
     num *rest = malloc(nodes * sizeof *rest); /* supplies, then demands */
+    num *amount = malloc(nodes * sizeof *amount);
+    /* the start's scratch space: open columns, cells, and grow's */
+    int64_t *open = malloc((m + 5 * nodes) * sizeof *open);
+    int64_t *cell = open + m, *head = cell + nodes, *next = head + nodes;
+    int64_t *stack = next + 2 * nodes;
     t.parent = malloc(nodes * sizeof *t.parent);
     t.depth = malloc(nodes * sizeof *t.depth);
     t.child = malloc(nodes * sizeof *t.child);
@@ -172,47 +253,56 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
     t.pot_big = malloc(nodes * sizeof *t.pot_big);
     t.pot = malloc(nodes * sizeof *t.pot);
     t.flow = malloc(nodes * sizeof *t.flow);
-    if (!rest || !t.parent || !t.depth || !t.child || !t.sibling
+    if (!rest || !amount || !open || !t.parent || !t.depth || !t.child || !t.sibling
         || !t.pot_big || !t.pot || !t.flow)
         goto done;
 
     for (node = 0; node < nodes; node++) {
-        t.child[node] = -1;
         rest[node] = node < n ? a[node] : b[node - n];
         if (!(rest[node] > 0)) {
             result = FOT_NOT_POSITIVE;
             goto done;
         }
     }
-    t.parent[0] = -1;
-    t.depth[0] = t.pot_big[0] = 0;
-    t.pot[0] = 0;
 
-    /* north-west corner start: cell (i, j) hangs the node that the last
-     * step advanced to, column 0 first */
-    i = j = 0;
-    node = n;
-    up = 0;
-    for (;;) {
-        q = rest[i] < rest[n + j] ? rest[i] : rest[n + j];
-        hang(&t, node, up);
-        derive(&t, node);
-        t.flow[node] = q;
-        rest[i] -= q;
-        rest[n + j] -= q;
-        if (i == n - 1 && j == m - 1)
-            break;
-        /* advance one index per step so degenerate ties add zero-flow
-         * cells: the row once its supply is used up, else the column once
-         * its demand is, else the row while one is left */
-        if (i < n - 1 && (rest[i] == 0 || rest[n + j] != 0 || j == m - 1)) {
-            node = ++i;
-            up = n + j;
-        } else {
-            node = n + ++j;
-            up = i;
+    /* row-minimum start: each row but the last ships to its cheapest open
+     * column until its supply is used up; open lists the columns with
+     * demand left in index order, and each scan drops the closed ones */
+    for (j = 0; j < m; j++)
+        open[j] = j;
+    nopen = m;
+    count = 0;
+    for (i = 0; i < n - 1; i++) {
+        row = C + i * m;
+        while (rest[i] > 0) {
+            ej = -1;
+            for (k = kept = 0; k < nopen; k++) {
+                j = open[k];
+                if (!(rest[n + j] > 0))
+                    continue;
+                open[kept++] = j;
+                if (ej < 0 || row[j] < row[ej])
+                    ej = j;
+            }
+            nopen = kept;
+            if (ej < 0)
+                break; /* float dust left on the row, and no open column */
+            q = rest[i] < rest[n + ej] ? rest[i] : rest[n + ej];
+            cell[count] = i * m + ej;
+            amount[count++] = q;
+            rest[i] -= q;
+            rest[n + ej] -= q;
         }
     }
+    /* the last row takes every open column's remaining demand */
+    for (k = 0; k < nopen; k++) {
+        j = open[k];
+        if (rest[n + j] > 0) {
+            cell[count] = (n - 1) * m + j;
+            amount[count++] = rest[n + j];
+        }
+    }
+    grow(&t, count, cell, amount, head, next, stack);
 
     if (block < 64)
         block = 64;
@@ -321,6 +411,8 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
 
 done:
     free(rest);
+    free(amount);
+    free(open);
     free(t.parent);
     free(t.depth);
     free(t.child);
@@ -338,5 +430,6 @@ done:
 #undef hang
 #undef unhang
 #undef refresh
+#undef grow
 
 #endif

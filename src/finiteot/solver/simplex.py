@@ -19,33 +19,42 @@ when no finite-cost feasible plan exists.
 
 The basis is a spanning tree over the n row nodes 0..n-1 and the m column
 nodes n..n+m-1, rooted at row 0 and kept across pivots as parent, depth and
-children arrays.  The north-west corner start hangs one new node per cell,
-so the start tree is built during that walk.  The edge from a node to its
-parent is a basic cell, and a node's potential is c_ij - pot[parent] along
-that edge (pot[row 0] = 0).  The entering cell's cycle is found by climbing
-depths to the common ancestor.  After a pivot only the re-hung subtree
-changes: its parent links are reversed along the cut path, and its depths
-and potentials are recomputed top-down with the same c_ij - pot[parent], so
-float potentials are bit-identical to a full recompute.
+children arrays.  The edge from a node to its parent is a basic cell, and a
+node's potential is c_ij - pot[parent] along that edge (pot[row 0] = 0).
+The entering cell's cycle is found by climbing depths to the common
+ancestor.  After a pivot only the re-hung subtree changes: its parent links
+are reversed along the cut path, and its depths and potentials are
+recomputed top-down with the same c_ij - pot[parent], so float potentials
+are bit-identical to a full recompute.
 
-Pivot rule, the C kernel's: north-west corner start.  The entering cell
-comes from a block search (LEMON's NetworkSimplex, which POT's emd uses):
-the cells are scanned in row-major order in blocks of
-max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
-last scan stopped, and the most negative reduced cost in the first block
-that holds a negative one enters.  The tree is kept strongly feasible
-(Cunningham, Math. Programming 11, 1976; Ahuja, Magnanti & Orlin, Network
-Flows, section 11.6): every edge with zero flow hangs a row from its column,
-so each node can send a little flow up to the root.  Among the cycle's
-decreasing cells with the least flow, the last one met on the walk from the
-common ancestor down the row side to the entering row, across the entering
-cell and up the column side leaves: the column-side one nearest the
-ancestor if there is one, else the row-side one nearest the entering row.
-That keeps the tree strongly feasible, and a degenerate pivot then never
-repeats a basis, so the rule terminates without an anti-cycling switch.
-With positive weights the north-west corner, whose row advances on a tie,
-is the start of the perturbed problem a_i + e (i > 0), a_0 - (n + m - 1) e,
-b_j - e, and so already strongly feasible.  A zero-weight column, or a
+Start, the C kernel's row-minimum rule (the start of Gottschlich &
+Schuhmacher's shortlist method, PLoS ONE 2014): rows in index order ship
+their supply to their cheapest open column, lowest index first on ties,
+and the last row takes every column's remaining demand.  Each shipment
+closes its row or its column, so the shipped cells form a forest, and each
+carries positive flow.  _Tree.grow roots it at row 0 and hangs every
+further component, by its lowest row, from a column already in the tree
+through a zero-flow cell.
+
+Pivot rule, the C kernel's.  The entering cell comes from a block search
+(LEMON's NetworkSimplex, which POT's emd uses): the cells are scanned in
+row-major order in blocks of max(64, floor(exp(log(n m) / 2))) cells,
+wrapping around, from where the last scan stopped, and the most negative
+reduced cost in the first block that holds a negative one enters.  The tree
+is kept strongly feasible (Cunningham, Math. Programming 11, 1976; Ahuja,
+Magnanti & Orlin, Network Flows, section 11.6): every edge with zero flow
+hangs a row from its column, so each node can send a little flow up to the
+root.  Among the cycle's decreasing cells with the least flow, the last one
+met on the walk from the common ancestor down the row side to the entering
+row, across the entering cell and up the column side leaves: the
+column-side one nearest the ancestor if there is one, else the row-side one
+nearest the entering row.  That keeps the tree strongly feasible, and a
+degenerate pivot then never repeats a basis, so the rule terminates without
+an anti-cycling switch.  The start is strongly feasible by construction:
+within a component every edge carries positive flow, and the only zero-flow
+edges are those that join the components, each of which hangs a row from
+its column.  With positive weights every column gets a positive cell, so
+every component has a row to hang by.  A zero-weight column, or a
 zero-weight row 0, has only zero-flow edges and so admits no strongly
 feasible tree: the engines need positive weights.
 """
@@ -57,36 +66,36 @@ import math
 from ..numerics import INF
 
 
-def northwest_corner(a, b, tree):
-    """Initial basic feasible solution, always n + m - 1 basic cells.
+def row_minimum_start(a, b, cost, tree):
+    """Initial basic feasible solution on tree; returns each basic cell's flow.
 
-    Each cell hangs one new node on tree, the node that the walk last
-    advanced to (column 0 first), so the start tree is built during the walk.
+    Rows in index order ship their supply to their cheapest open column,
+    the lowest index winning ties; +inf is above every finite cost, so a
+    forbidden cell is used only when no finite one is open.  Each shipment
+    closes its row or its column, so the cells form a forest.  A row whose
+    float dust finds no open column ships nothing.  The last row ships every
+    open column's remaining demand, so every column gets a positive cell.
+    tree.grow joins the forest into the start tree by zero-flow cells.
     """
     n, m = len(a), len(b)
-    supply = list(a)
-    demand = list(b)
-    flow = {}
-    i = j = 0
-    node, up = n, 0  # cell (0, 0) hangs column 0 from row 0
-    while True:
-        q = supply[i] if supply[i] < demand[j] else demand[j]
-        tree.hang(node, up)
-        flow[(i, j)] = q
-        supply[i] -= q
-        demand[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        # advance one index per step so degenerate ties add zero-flow cells:
-        # the row once its supply is used up, else the column once its
-        # demand is, else the row while one is left
-        if i < n - 1 and (supply[i] == 0 or demand[j] != 0 or j == m - 1):
-            i += 1
-            node, up = i, n + j
-        else:
-            j += 1
-            node, up = n + j, i
-    return flow
+    rest = [*a, *b]
+    cells = {}
+    open_cols = list(range(m))  # the columns with demand left, in index order
+    for i in range(n - 1):
+        row = cost[i]
+        while rest[i] > 0:
+            open_cols = [j for j in open_cols if rest[n + j] > 0]
+            if not open_cols:
+                break  # float dust left on the row, and no open column
+            j = min(open_cols, key=row.__getitem__)
+            q = rest[i] if rest[i] < rest[n + j] else rest[n + j]
+            cells[(i, j)] = q
+            rest[i] -= q
+            rest[n + j] -= q
+    for j in open_cols:
+        if rest[n + j] > 0:
+            cells[(n - 1, j)] = rest[n + j]
+    return tree.grow(cells, cost)
 
 
 def _split_costs(cost):
@@ -112,6 +121,41 @@ class _Tree:
         self.children = [[] for _ in range(size)]
         self.pot = [0] * size
         self.pot_big = [0] * size if big is not None else None
+
+    def grow(self, cells, cost):
+        """Root the tree at row 0 on a forest of cells; returns their flows.
+
+        cells maps each cell of the forest to its flow, and every column
+        must lie on one.  Row 0's component comes first, then each further
+        one in the order of its lowest row, which hangs from the cheapest
+        column already in the tree (costs compared as in the start) by a
+        zero-flow cell, added to the returned flows.
+        """
+        n, m = self.n, self.m
+        near = [[] for _ in range(n + m)]
+        for i, j in cells:
+            near[i].append(n + j)
+            near[n + j].append(i)
+        flow = dict(cells)
+        placed = [False] * (n + m)
+        for i in range(n):
+            if placed[i]:
+                continue
+            placed[i] = True
+            if i:
+                row = cost[i]
+                j = min((j for j in range(m) if placed[n + j]), key=row.__getitem__)
+                self.hang(i, n + j)
+                flow[(i, j)] = 0
+            stack = [i]
+            while stack:
+                node = stack.pop()
+                for other in near[node]:
+                    if not placed[other]:
+                        placed[other] = True
+                        self.hang(other, node)
+                        stack.append(other)
+        return flow
 
     def hang(self, node, up):
         """Make the leaf node a child of up, with its depth and potentials."""
@@ -246,7 +290,7 @@ def transportation_simplex(a, b, cost, tol=0):
     n, m = len(a), len(b)
     big, value = _split_costs(cost)
     tree = _Tree(n, m, value, big)
-    flow = northwest_corner(a, b, tree)
+    flow = row_minimum_start(a, b, cost, tree)
     ntol = -tol
     limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size

@@ -14,7 +14,11 @@ from finiteot.coupling import (
     tail_mass_bound_check,
     verify_coupling_via_test_functions,
 )
-from finiteot.generators import random_coupling, random_rational_measure
+from finiteot.generators import (
+    random_coupling,
+    random_positive_rational_measure,
+    random_rational_measure,
+)
 from finiteot.measure import new_measure
 from finiteot.numerics import EmptyRestrictionError, ShapeError
 from finiteot.solver import solve_kantorovich
@@ -102,6 +106,36 @@ class TestIsCoupling:
         other = new_measure((0.5, 0.5))
         ok, report = is_coupling(sol.plan, other, other)
         assert not ok and {kind for kind, _, _ in report} == {"row", "column"}
+
+    def test_exact_solver_plans_are_checked_on_their_ints(self):
+        # the same (ok, report) as the cell-by-cell check of the plan's
+        # matrix: on solver plans, on copies with one unit of mass moved
+        # (from a cell that may hold none, so that it turns negative), and
+        # against measures of other scales, for tolerances of both kinds
+        rng = random.Random(31)
+        checks = bad = 0
+        for _ in range(60):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            mu1 = random_positive_rational_measure(rng, n)
+            mu2 = random_positive_rational_measure(rng, m)
+            cost = [[rng.choice((rng.randint(0, 9), F(rng.randint(0, 90), 7))) for _ in range(m)]
+                    for _ in range(n)]
+            plan = solve_kantorovich(mu1, mu2, cost).plan
+            X = plan._array.copy()
+            X[rng.randrange(n), rng.randrange(m)] -= 1
+            X[rng.randrange(n), rng.randrange(m)] += 1
+            moved = TransportPlan._of_array(X, mu1, mu2, plan._scale, F(0))
+            others = random_positive_rational_measure(rng, n), random_positive_rational_measure(rng, m)
+            cases = [(nu1, nu2, tol) for nu1, nu2 in ((mu1, mu2), others)
+                     for tol in (None, 0, F(1, plan._scale), 1e-3)]
+            for p in (plan, moved):
+                got = [is_coupling(p, *case) for case in cases]
+                assert "matrix" not in vars(p)  # read off the ints
+                cells = TransportPlan(p.matrix)
+                assert got == [is_coupling(cells, *case) for case in cases]
+                checks += len(got)
+                bad += sum(not ok for ok, _ in got)
+        assert 0 < bad < checks
 
 
 class TestTestFunctionCharacterization:

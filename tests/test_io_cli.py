@@ -140,15 +140,17 @@ class TestCLISolve:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_tol_reaches_the_solver(self, tmp_path, capsys):
-        # the north-west start costs 1 and cell (0, 1) prices at -2: the
-        # default tolerance pivots to the optimum 0, a tolerance of 5 stops
-        path = self.problem(tmp_path, [["1", "0"], ["0", "1"]])
+        # row 0 takes its cheapest cell (0, 0) and closes column 0, so the
+        # start ships row 1 over (1, 1) and costs 2; cell (0, 1) prices at
+        # 1 - 0 - 4 = -3: the default tolerance pivots to the optimum 0.5,
+        # a tolerance of 5 stops
+        path = self.problem(tmp_path, [["0", "1"], ["0", "4"]])
         assert main(["solve", path, "--mode", "float"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert (float(doc["optimal_cost"]), doc["iterations"]) == (0.0, 1)
+        assert (float(doc["optimal_cost"]), doc["iterations"]) == (0.5, 1)
         assert main(["solve", path, "--mode", "float", "--tol", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert (float(doc["optimal_cost"]), doc["iterations"]) == (1.0, 0)
+        assert (float(doc["optimal_cost"]), doc["iterations"]) == (2.0, 0)
 
     def test_mode_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OT_KANTOR_MODE", "rational")

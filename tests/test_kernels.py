@@ -269,42 +269,73 @@ def check_same_pivots(compiled, a, b, C, tol):
     return X
 
 
+def degenerate_starts():
+    """(name, mu1, mu2, cost, exact) of starts with the row-minimum rule's corner cases.
+
+    exact says whether every flow and subtree supply is exact; float dust
+    makes them differ from the weights' sums by a few ulps.
+    """
+    quarters = DiscreteMeasure((F(1, 4), F(1, 4), F(1, 2)))
+    half = DiscreteMeasure((F(1, 2), F(1, 2)))
+    return [
+        # rows 0 and 1 close their columns at once: three components
+        ("split", quarters, quarters, [[0, 2, 3], [2, 0, 1], [1, 3, 4]], True),
+        # 0.1 + 0.2 rests leave the last row shipping 0.7 with dust on it
+        ("last-row dust", DiscreteMeasure((0.1, 0.2, 0.7)), DiscreteMeasure((0.3, 0.3, 0.4)),
+         [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]], False),
+        # rows 0 and 1 close every column before the dust-sized rows come
+        ("isolated rows", DiscreteMeasure((0.6, 0.4, 1e-17, 1e-17)), DiscreteMeasure((0.6, 0.4)),
+         [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 3.0]], False),
+        # row 0 closes column 0, the one finite cell of row 1
+        ("forbidden", half, half, [[0, 5], [1, INF]], True),
+    ]
+
+
 class TestStrongFeasibility:
     """The Python simplex keeps its tree strongly feasible.
 
-    Each tree edge's flow is the net supply of the subtree below it; it is
-    never negative, and zero only on an edge that hangs a row from its
-    column.  The C kernel takes the same pivots (TestCompiled), so it keeps
-    the same trees.
+    Each tree edge's flow is never negative, and zero only on an edge that
+    hangs a row from its column.  Where every sum is exact, each edge's flow
+    is also the net supply of the subtree below it.  The C kernel takes the
+    same pivots (TestCompiled), so it keeps the same trees.
     """
 
     @staticmethod
-    def zero_edges(tree, a, b):
-        """The tree's zero-flow edges, after asserting the property."""
-        n = len(a)
+    def zero_edges(tree, flow, weights=None):
+        """The tree's zero-flow edges, after asserting the property.
+
+        flow is the simplex's flow on each basic cell; with weights, the
+        engine's (a, b), each flow must equal its subtree's net supply.
+        """
+        n, m = tree.n, tree.m
+        assert len(flow) == n + m - 1
         # each node's supply minus demand, gathered into its parent's as the
         # loop climbs, so a node's entry is its subtree's when it is reached
-        net = [*a, *(-w for w in b)]
+        net = [*weights[0], *(-w for w in weights[1])] if weights else None
         zeros = 0
-        for node in sorted(range(1, n + len(b)), key=tree.depth.__getitem__, reverse=True):
-            flow = net[node] if node < n else -net[node]
-            assert flow > 0 or (flow == 0 and node < n), (node, tree.parent[node], flow)
-            zeros += flow == 0
-            net[tree.parent[node]] += net[node]
+        for node in sorted(range(1, n + m), key=tree.depth.__getitem__, reverse=True):
+            up = tree.parent[node]
+            f = flow[(node, up - n) if node < n else (up, node - n)]
+            assert f > 0 or (f == 0 and node < n), (node, up, f)
+            if net is not None:
+                assert f == (net[node] if node < n else -net[node]), (node, up, f)
+                net[up] += net[node]
+            zeros += f == 0
         return zeros
 
     def test_start_and_every_pivot_keep_the_tree_strongly_feasible(self, monkeypatch):
         trees = zeros = 0
-        start, pivot = simplex.northwest_corner, simplex._Tree.pivot
+        exact = True
+        start, pivot = simplex.row_minimum_start, simplex._Tree.pivot
 
         def check(tree):
             nonlocal trees, zeros
             trees += 1
-            zeros += self.zero_edges(tree, *tree.weights)
+            zeros += self.zero_edges(tree, tree.flow, tree.weights if exact else None)
 
-        def checked_start(a, b, tree):
-            flow = start(a, b, tree)
-            tree.weights = a, b
+        def checked_start(a, b, cost, tree):
+            flow = start(a, b, cost, tree)
+            tree.flow, tree.weights = flow, (a, b)
             check(tree)
             return flow
 
@@ -312,14 +343,31 @@ class TestStrongFeasibility:
             pivot(tree, *args)
             check(tree)
 
-        monkeypatch.setattr(simplex, "northwest_corner", checked_start)
+        monkeypatch.setattr(simplex, "row_minimum_start", checked_start)
         monkeypatch.setattr(simplex._Tree, "pivot", checked_pivot)
         monkeypatch.setattr(solver, "_kernel", None)
-        battery = strong_feasibility_battery()
-        for mu1, mu2, cost, tol in battery:
+        battery = [(*problem, True) for problem in strong_feasibility_battery()]
+        battery += [(mu1, mu2, cost, None, exact) for _, mu1, mu2, cost, exact in degenerate_starts()]
+        for mu1, mu2, cost, tol, exact in battery:
             solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
         # every start and thousands of pivots, on degenerate trees
-        assert trees > 5 * len(battery) and zeros > trees
+        assert trees > 3 * len(battery) and zeros > trees
+
+    def test_degenerate_starts_are_what_they_claim(self):
+        starts = {}
+        for name, mu1, mu2, cost, _ in degenerate_starts():
+            a, b = list(mu1.weights), list(mu2.weights)
+            big, value = simplex._split_costs(cost)
+            tree = simplex._Tree(len(a), len(b), value, big)
+            starts[name] = a, b, cost, simplex.row_minimum_start(a, b, cost, tree)
+        a, b, cost, flow = starts["split"]
+        assert sorted(flow.values()).count(0) == 2
+        a, b, cost, flow = starts["last-row dust"]
+        assert sum(F(f) for (i, _), f in flow.items() if i == 2) != F(a[2])
+        a, b, cost, flow = starts["isolated rows"]
+        assert [f for (i, _), f in flow.items() if i >= 2] == [0, 0]
+        a, b, cost, flow = starts["forbidden"]
+        assert flow[(1, 1)] > 0 and cost[1][1] == INF
 
 
 class TestFallback:
@@ -410,6 +458,14 @@ class TestCompiled:
                         assert x == 0, (i, j, x)
         assert 0 < infeasible < len(problems) and zero_weighted > len(problems) // 2
 
+    def test_degenerate_starts_repeat_the_python_simplex(self, compiled, monkeypatch):
+        for _, mu1, mu2, cost, _ in degenerate_starts():
+            monkeypatch.setattr(solver, "_kernel", compiled)
+            engine, solved = outcome(mu1, mu2, cost, None)
+            assert engine == "compiled"
+            monkeypatch.setattr(solver, "_kernel", None)
+            assert outcome(mu1, mu2, cost, None) == ("python", solved)
+
     def test_weights_must_be_positive(self, compiled):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         cases = [
@@ -478,11 +534,11 @@ class TestCompiled:
         assert sol.engine == "compiled" and sol.feasible
         assert type(sol.optimal_cost) is F
 
-    def test_pivots_match_cython_kernel(self, compiled):
-        # pivot counts of the Cython kernel that _dense.c ports, whose block
-        # size fell one short of sqrt(n m) at these perfect squares; the
-        # twin repeats them
-        for n, pivots in ((120, 1723), (200, 3715)):
+    def test_pivots_at_perfect_square_sizes(self, compiled):
+        # at these sizes n m is a perfect square, and the block size
+        # floor(exp(log(n m) / 2)) falls one short of sqrt(n m); both
+        # engines take these pivot counts from the row-minimum start
+        for n, pivots in ((120, 796), (200, 1613)):
             a, b, C = integer_instance(n)
             flow, iterations = compiled.solve_dense(a, b, C, 1e-6)
             check_feasible(a, b, flow)

@@ -24,6 +24,7 @@ from finiteot.solver import (
     solve_kantorovich,
     verify_restriction_optimality,
 )
+from finiteot.solver import simplex
 from finiteot.solver.simplex import transportation_simplex
 from finiteot.space import CostMatrix
 
@@ -561,14 +562,21 @@ class TestArrayChecks:
             cost_of_plan(np.ones((1, 1)), D2)
 
 
-def criterion10_instance(n):
-    """Criterion-10-style float problem: integer weights and costs, seeded by n."""
+def criterion10_instance(n, exact=False):
+    """Criterion-10-style problem: integer weights and costs, seeded by n.
+
+    Float weights (the normalised Fractions, rounded) and float costs, or
+    with exact set the Fraction weights and int costs.
+    """
     rng = random.Random(n)
     raw1 = [rng.randint(1, 1000) for _ in range(n)]
     raw2 = [rng.randint(1, 1000) for _ in range(n)]
-    cost = tuple(tuple(float(rng.randint(0, 1000)) for _ in range(n)) for _ in range(n))
-    mu1 = DiscreteMeasure(tuple(float(F(x, sum(raw1))) for x in raw1))
-    mu2 = DiscreteMeasure(tuple(float(F(x, sum(raw2))) for x in raw2))
+    cost = tuple(tuple(rng.randint(0, 1000) for _ in range(n)) for _ in range(n))
+    weights = (lambda x: x) if exact else float
+    mu1 = DiscreteMeasure(tuple(weights(F(x, sum(raw1))) for x in raw1))
+    mu2 = DiscreteMeasure(tuple(weights(F(x, sum(raw2))) for x in raw2))
+    if not exact:
+        cost = tuple(tuple(map(float, row)) for row in cost)
     return mu1, mu2, cost
 
 
@@ -588,23 +596,33 @@ def assignment_instance(n, seed, exact=False):
 #: instance -> (iterations, optimal_cost), pinned from the compiled kernel;
 #: the Python simplex takes the same pivots, so one pin holds for both
 #: engines.  assignment_300 pins termination under heavy degeneracy: its
-#: 8,166 pivots are a fifth of the 38,190 the switch to Bland's rule took
+#: 3,216 pivots from the row-minimum start are under the 6,620 of a random
+#: 300x300 problem, where the north-west corner took 8,166 and the switch
+#: to Bland's rule before it 38,190
 FLOAT_PINS = {
-    "criterion10_120": (lambda: criterion10_instance(120), (1723, 17.687001057222353)),
-    "assignment_90": (lambda: assignment_instance(90, 90), (1153, 17.999999999999996)),
-    "assignment_300": (lambda: assignment_instance(300, 0), (8166, 5.25)),
+    "criterion10_120": (lambda: criterion10_instance(120), (796, 17.687001057222353)),
+    "assignment_90": (lambda: assignment_instance(90, 90), (434, 17.999999999999996)),
+    "assignment_300": (lambda: assignment_instance(300, 0), (3216, 5.25)),
+}
+
+#: FLOAT_PINS instance -> its exact twin (Fraction weights, int costs)
+EXACT_TWINS = {
+    "criterion10_120": lambda: criterion10_instance(120, exact=True),
+    "assignment_90": lambda: assignment_instance(90, 90, exact=True),
+    "assignment_300": lambda: assignment_instance(300, 0, exact=True),
 }
 
 
 class TestPivotIdentity:
-    """Pivot counts and optima pinned for the simplex's pivot rule: the C
-    kernel's block search enters, and the strongly feasible rule picks the
-    leaving cell.  They were re-recorded when simplex.py took the block
-    search over from its first-negative-cell scan, and where a degenerate
-    tie moved when the strongly feasible rule replaced the least (flow, row,
-    column) tie-break; the exact optima did not change either time.  They
-    must repeat exactly: a different entering or leaving choice shows as
-    another count.
+    """Pivot counts and optima pinned for the simplex's rules: the
+    row-minimum start, the C kernel's block search enters, and the strongly
+    feasible rule picks the leaving cell.  They were re-recorded when
+    simplex.py took the block search over from its first-negative-cell
+    scan, where a degenerate tie moved when the strongly feasible rule
+    replaced the least (flow, row, column) tie-break, and when the
+    row-minimum start replaced the north-west corner; the exact optima did
+    not change any time.  They must repeat exactly: a different start,
+    entering or leaving choice shows as another count.
     """
 
     def test_rational_w1_on_integer_metric(self):
@@ -614,30 +632,42 @@ class TestPivotIdentity:
         mu2 = random_positive_rational_measure(rng, 20)
         sol = solve_kantorovich(mu1, mu2, space.power_cost(1))
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
-            "rational", 54, F(2061, 2650)
+            "rational", 35, F(2061, 2650)
         )
 
     def test_float_with_forbidden_cells(self, monkeypatch):
-        # +inf at (0, 0) puts a forbidden cell in the north-west start, so
-        # the M part of the reduced costs decides the first pivots
+        # row 0 closes its cheapest column j0, the one finite cell of row 1,
+        # so the start ships row 1 over a forbidden cell and the M part of
+        # the reduced costs decides the first pivots
+        n = 25
         rng = random.Random(25)
-
-        def weights():
-            raw = [rng.randint(1, 1000) for _ in range(25)]
-            return DiscreteMeasure(tuple(x / sum(raw) for x in raw))
-
-        mu1, mu2 = weights(), weights()
         cost = [
-            [INF if rng.random() < 0.1 else float(rng.randint(0, 1000)) for _ in range(25)]
-            for _ in range(25)
+            [INF if rng.random() < 0.1 else float(rng.randint(0, 1000)) for _ in range(n)]
+            for _ in range(n)
         ]
-        cost[0][0] = INF
+        j0 = min(range(n), key=cost[0].__getitem__)
+        cost[1] = [INF] * n
+        cost[1][j0] = float(rng.randint(0, 1000))
+        raw1, raw2 = ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+        raw1[0], raw1[1], raw2[j0] = 1000, 1, 500  # a_0 > b_j0 > a_1
+        mu1, mu2 = (DiscreteMeasure(tuple(x / sum(raw) for x in raw)) for raw in (raw1, raw2))
+        starts = []
+        row_minimum_start = simplex.row_minimum_start
+
+        def recorded(*args):
+            flow = row_minimum_start(*args)
+            starts.append(dict(flow))  # the simplex updates flow in place
+            return flow
+
+        monkeypatch.setattr(simplex, "row_minimum_start", recorded)
         # on the selected kernel, then on the Python simplex, as the FLOAT_PINS
         # tests run
         for kernel in (solver._kernel, None):
             monkeypatch.setattr(solver, "_kernel", kernel)
             sol = solve_kantorovich(mu1, mu2, cost, mode="float")
-            assert (sol.iterations, sol.optimal_cost) == (113, 61.37374113711523)
+            assert (sol.iterations, sol.optimal_cost) == (78, 76.42411892499369)
+        start = starts[-1]  # the Python simplex's, the last run
+        assert any(f > 0 and cost[i][j] == INF for (i, j), f in start.items())
 
     def test_degenerate_rational_assignment(self):
         rng = random.Random(12)
@@ -645,7 +675,7 @@ class TestPivotIdentity:
         cost = [[rng.randint(0, 99) for _ in range(12)] for _ in range(12)]
         sol = solve_kantorovich(uniform, uniform, cost)
         assert (sol.mode, sol.iterations, sol.optimal_cost) == (
-            "rational", 39, F(113, 12)
+            "rational", 18, F(113, 12)
         )
 
     @pytest.mark.parametrize("name", sorted(FLOAT_PINS))
@@ -657,8 +687,17 @@ class TestPivotIdentity:
 
     @pytest.mark.parametrize("n, seed", [(90, 90), (300, 0)])
     def test_assignment_pins_are_the_exact_optima(self, n, seed):
-        exact = solve_kantorovich(*assignment_instance(n, seed, exact=True))
-        pinned = FLOAT_PINS[f"assignment_{n}"][1][1]
+        self.check_near_the_exact_optimum(f"assignment_{n}")
+
+    def test_criterion10_pin_is_near_the_exact_optimum(self):
+        # the float weights are the exact ones rounded, so the optima agree
+        # to far below the bound, whatever the last bits of the float one
+        self.check_near_the_exact_optimum("criterion10_120")
+
+    @staticmethod
+    def check_near_the_exact_optimum(name):
+        exact = solve_kantorovich(*EXACT_TWINS[name]())
+        pinned = FLOAT_PINS[name][1][1]
         assert exact.mode == "rational"
         assert abs(pinned - exact.optimal_cost) <= 1e-9 * exact.optimal_cost
 
