@@ -196,11 +196,7 @@ class CompiledKernel:
 
 
 def _bind(fn, number):
-    """fn with the argument types of fot_solve_dense over one number type.
-
-    The arrays go as bare addresses: numpy's ndpointer check costs about as
-    much as the kernel's own work on a small problem.
-    """
+    """fn with the argument types of fot_solve_dense over one number type."""
     array = ctypes.c_void_p
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array]

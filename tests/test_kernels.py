@@ -192,10 +192,12 @@ def strong_feasibility_battery():
     that every flow and every subtree's net supply is exact.
     """
     rng = random.Random(17)
-    problems = rational_problems(300)
-    for n in range(2, 31, 4):
+
+    def assignment(n):
         mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
-        problems.append((mu, mu, [[rng.randint(0, 99) for _ in range(n)] for _ in range(n)], None))
+        return mu, mu, [[rng.randint(0, 99) for _ in range(n)] for _ in range(n)], None
+
+    problems = rational_problems(300) + [assignment(n) for n in range(2, 31, 4)]
     for _ in range(150):
         n, m = rng.randint(1, 12), rng.randint(1, 12)
         density = rng.uniform(0, 0.6)
@@ -204,6 +206,8 @@ def strong_feasibility_battery():
             for _ in range(n)
         ]
         problems.append((sixtyfourths(rng, n), sixtyfourths(rng, m), cost, None))
+    # the larger assignments draw last, so the float problems do not depend on them
+    problems += [assignment(n) for n in range(34, 63, 4)]
     return problems
 
 
@@ -351,7 +355,7 @@ class TestStrongFeasibility:
         for mu1, mu2, cost, tol, exact in battery:
             solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
         # every start and thousands of pivots, on degenerate trees
-        assert trees > 3 * len(battery) and zeros > trees
+        assert trees > 5 * len(battery) and zeros > trees
 
     def test_degenerate_starts_are_what_they_claim(self):
         starts = {}

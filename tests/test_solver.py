@@ -593,23 +593,21 @@ def assignment_instance(n, seed, exact=False):
     return uniform, uniform, cost
 
 
-#: instance -> (iterations, optimal_cost), pinned from the compiled kernel;
-#: the Python simplex takes the same pivots, so one pin holds for both
-#: engines.  assignment_300 pins termination under heavy degeneracy: its
-#: 3,216 pivots from the row-minimum start are under the 6,620 of a random
-#: 300x300 problem, where the north-west corner took 8,166 and the switch
-#: to Bland's rule before it 38,190
+#: name -> (make, (iterations, optimal_cost)), pinned from the compiled
+#: kernel on make(); make(exact=True) gives the instance with Fraction
+#: weights and int costs.  The Python simplex takes the same pivots, so one
+#: pin holds for both engines.  assignment_300 pins termination under heavy
+#: degeneracy: its 3,216 pivots from the row-minimum start are under the
+#: 6,620 of a random 300x300 problem, where the north-west corner took 8,166
+#: and the switch to Bland's rule before it 38,190
 FLOAT_PINS = {
-    "criterion10_120": (lambda: criterion10_instance(120), (796, 17.687001057222353)),
-    "assignment_90": (lambda: assignment_instance(90, 90), (434, 17.999999999999996)),
-    "assignment_300": (lambda: assignment_instance(300, 0), (3216, 5.25)),
-}
-
-#: FLOAT_PINS instance -> its exact twin (Fraction weights, int costs)
-EXACT_TWINS = {
-    "criterion10_120": lambda: criterion10_instance(120, exact=True),
-    "assignment_90": lambda: assignment_instance(90, 90, exact=True),
-    "assignment_300": lambda: assignment_instance(300, 0, exact=True),
+    "criterion10_120": (
+        lambda exact=False: criterion10_instance(120, exact), (796, 17.687001057222353)
+    ),
+    "assignment_90": (
+        lambda exact=False: assignment_instance(90, 90, exact), (434, 17.999999999999996)
+    ),
+    "assignment_300": (lambda exact=False: assignment_instance(300, 0, exact), (3216, 5.25)),
 }
 
 
@@ -696,8 +694,8 @@ class TestPivotIdentity:
 
     @staticmethod
     def check_near_the_exact_optimum(name):
-        exact = solve_kantorovich(*EXACT_TWINS[name]())
-        pinned = FLOAT_PINS[name][1][1]
+        make, (_, pinned) = FLOAT_PINS[name]
+        exact = solve_kantorovich(*make(exact=True))
         assert exact.mode == "rational"
         assert abs(pinned - exact.optimal_cost) <= 1e-9 * exact.optimal_cost
 
