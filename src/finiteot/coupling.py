@@ -55,7 +55,7 @@ class TransportPlan:
             raise ShapeError("empty plan matrix")
         if set(map(len, mat)) != {len(mat[0])}:
             raise ShapeError("plan matrix is not rectangular")
-        extended_array(mat, "plan")
+        extended_array(mat, "plan")  # raises on NaN and -inf
 
     @classmethod
     def _of_array(cls, X, mu1=None, mu2=None, scale=None, zero=0):
@@ -179,18 +179,32 @@ def _check_plan_shape(n, m, n1, n2):
 def _is_coupling_array(X, a, b, tol):
     """is_coupling's report for an array plan, from array operations.
 
-    a and b are the weights as arrays in the plan's arithmetic: float64, or
-    object arrays of exact numbers, which are compared exactly.  A NaN cell
-    fails the nonnegativity test, and its row and column sums fail theirs.
+    a and b are the weights as arrays in the plan's arithmetic: float64;
+    int64, whose sums and gaps are exact while the total supply is below
+    2^62, as the solver keeps it; or object arrays of exact numbers, which
+    are compared exactly.  A NaN cell fails the nonnegativity test, and its row
+    and column sums fail theirs.  A passing plan costs one pass of
+    reductions: the least cell and the worst row and column gaps.  The
+    report, cell by cell, is built only when one of them fails.
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
+    gaps = [
+        (kind, np.abs(np.add.reduce(X, axis=axis) - weights))
+        for kind, axis, weights in (("row", 1, a), ("column", 0, b))
+    ]
+    if X.dtype == object or any(g.dtype == object for _, g in gaps):
+        # an object array's min and max can pass over a NaN: test every entry
+        passing = np.all(X >= -tol) and all(np.all(g <= tol) for _, g in gaps)
+    else:  # a float64 min or max is NaN when an entry is
+        passing = X.min() >= -tol and all(g.max() <= tol for _, g in gaps)
+    if passing:
+        return True, []
     i, j = np.logical_not(X >= -tol).nonzero()
     report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
-    for kind, axis, weights in (("row", 1, a), ("column", 0, b)):
-        gaps = np.abs(np.add.reduce(X, axis=axis) - weights)
-        (bad,) = np.logical_not(gaps <= tol).nonzero()
-        report += [(kind, k, gaps.item(k)) for k in bad.tolist()]
+    for kind, g in gaps:
+        (bad,) = np.logical_not(g <= tol).nonzero()
+        report += [(kind, k, g.item(k)) for k in bad.tolist()]
     return _worst_first(report)
 
 

@@ -42,7 +42,8 @@ def check_extended(x, where: str = "entry"):
 
 
 def extended_array(rows, what: str):
-    """(array, mode) of a rectangular matrix: one read-only ndarray and its mode.
+    """(array, mode, bounds) of a rectangular matrix: one read-only ndarray,
+    its mode, and its least and largest cell.
 
     rows is a 2-D ndarray or a sequence of rows of one length (the caller
     checks that, with its own message); what names the matrix in errors.
@@ -62,6 +63,11 @@ def extended_array(rows, what: str):
       in size, and else (+inf cells, or ints that numpy read as floats
       because they fit neither int64 nor uint64 together) infer_mode reads
       the cells' types; an object array gets that type scan too.
+
+    bounds is (min, max) over the cells as Python numbers, for a nonempty
+    float64, int64 or bool array: on floats from the two reductions that
+    the NaN and -inf check makes (max is +inf when a cell is).  An object
+    or empty array has bounds None.
     """
     if isinstance(rows, np.ndarray):
         A = np.array(rows)  # a copy: the caller keeps its own
@@ -70,34 +76,37 @@ def extended_array(rows, what: str):
     elif rows and rows[0] and type(rows[0][0]) is float and abs(rows[0][0]) < INF:
         n, m = len(rows), len(rows[0])
         A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
-        _check_floats(A, what)
+        bounds = _check_floats(A, what)
         A.flags.writeable = False
-        return A, FLOAT
+        return A, FLOAT, bounds
     else:
         A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
     kind = A.dtype.kind
+    bounds = None
     if A.size == 0:
         mode = infer_mode(())
     elif kind == "b" or kind in "iu" and np.can_cast(A.dtype, np.int64):
         mode = RATIONAL
         A = A if kind == "b" else A.astype(np.int64, copy=False)
+        bounds = A.min().item(), A.max().item()
     elif kind == "f":
         A = A.astype(np.float64, copy=False)
-        lo = _check_floats(A, what)
+        bounds = lo, hi = _check_floats(A, what)
         mode = FLOAT
-        if lo <= -_INT64_SIZE or np.maximum.reduce(A, axis=None) >= _INT64_SIZE:
+        if lo <= -_INT64_SIZE or hi >= _INT64_SIZE:
             cells = rows.tolist() if isinstance(rows, np.ndarray) else rows
             mode = infer_mode(chain.from_iterable(cells))
             if mode == RATIONAL:
                 A = np.array(cells, dtype=object)
+                bounds = None
     else:
         A = A.astype(object, copy=False)
         mode = infer_mode(A.ravel().tolist())
         if mode == FLOAT:
             A = A.astype(np.float64)
-            _check_floats(A, what)
+            bounds = _check_floats(A, what)
     A.flags.writeable = False
-    return A, mode
+    return A, mode, bounds
 
 
 #: the size from which a float64 cell may be an int that numpy read as a float
@@ -105,7 +114,8 @@ _INT64_SIZE = 2.0**63
 
 
 def _check_floats(F, what):
-    """Raise check_extended's DataError at F's first NaN or -inf cell; else min(F).
+    """Raise check_extended's DataError at F's first NaN or -inf cell; else
+    (min(F), max(F)) as Python floats.
 
     The minimum over float64 cells is NaN or -inf exactly when a cell is,
     so one reduction screens the array.
@@ -113,7 +123,7 @@ def _check_floats(F, what):
     lo = np.minimum.reduce(F, axis=None, initial=INF)
     if not lo > -INF:
         check_extended(F.flat[np.argmax(np.isnan(F) | (F == -INF))].item(), f"{what} entry")
-    return lo
+    return lo.item(), np.maximum.reduce(F, axis=None, initial=-INF).item()
 
 
 def parse_number(value, mode: str):

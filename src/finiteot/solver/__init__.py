@@ -9,26 +9,34 @@ mode is rational when all three are, and everything after it is written
 once for both modes:
 
 - float mode works on those float64 arrays as they are, with no copy;
-- rational mode works on Python ints: the weights are scaled by the least
-  common multiple of their denominators into object arrays, and the
+- rational mode works on integers: the weights are scaled by the least
+  common multiple of their denominators, into int64 arrays while their
+  scaled total is below 2^62 (else object arrays of Python ints), and the
   finite costs by that of theirs (an int64 cost array stays as it is, with
   scale 1), and +inf cells stay.  Float numbers are read as the binary
   fractions they are, so two measures whose exact totals differ are
   refused rather than solved into a plan that couples neither.
 
-On those arrays come the forbidden-cell mask and the tolerance, the engine,
-the forbidden-mass decision and its certificate, the coupling check and the
-cost.  The engines need positive weights (a zero weight can leave them no
+On those arrays come the tolerance, the engine, the forbidden-mass decision
+and its certificate, the coupling check and the cost, each once, on the
+engine's own plan array.  The CostMatrix has recorded whether a cell is
++inf and its largest |finite cost|, so a problem with no +inf cell builds
+no mask of forbidden cells and has no mass on them to decide or sweep.
+The engines need positive weights (a zero weight can leave them no
 strongly feasible tree), so when a weight is zero the engine runs on the
 support, the rows and columns of positive weight, and its plan is
 scattered back into the full n x m array with zeros elsewhere; everything
 else runs on the full arrays.  When every weight is positive nothing is
-copied.  The returned TransportPlan holds the engine's array, which the
-coupling check has just checked, and builds its matrix of Python floats,
-or of Fractions (x / weight scale), only when it is asked for; an exact
-plan's ints also serve cost_of_plan and glue as they are.  The cost is a
-Python float, or a Fraction (divided once by both scales).  So a solve
-makes no Python call per cell from input to plan.
+copied.  A rational plan stays in int64 through the forbidden-mass
+decision and the coupling check, which are exact there because every row
+and column sum is at most the total supply; its cost is an integer dot
+product over the cells with mass, and it becomes Python ints once, for
+the TransportPlan.  The returned TransportPlan holds the engine's array,
+which the coupling check has just checked, and builds its matrix of
+Python floats, or of Fractions (x / weight scale), only when it is asked
+for; an exact plan's ints also serve cost_of_plan and glue as they are.
+The cost is a Python float, or a Fraction (divided once by both scales).
+So a solve makes no Python call per cell from input to plan.
 
 The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
 (which builds it with the system C compiler on first import).  Its float
@@ -38,8 +46,8 @@ the total scaled supply is below 2^62, (n + m) max|scaled finite cost| and
 floor(tol * cost scale) below 2^60 (a potential is a signed sum of at most
 n + m costs, and a reduced cost adds two of them).  It gets that floor as
 its tolerance: on integers r < -t iff r < -floor(t), so it pivots as the
-Python engine does on the unfloored tolerance.  Its plan comes back as
-Python ints, so the cost and the checks stay exact.  Rational problems that
+Python engine does on the unfloored tolerance.  Its plan comes back in
+int64, so the cost and the checks stay exact.  Rational problems that
 do not fit, and every problem when the C kernel cannot be built or loaded
 or FINITEOT_FORCE_PURE=1 turns it off, go through the same simplex in
 Python (simplex.py), on Python lists of the arrays.  _dense.c is a port of
@@ -51,7 +59,8 @@ the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
 
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
-the finite part of that plan is a maximum flow.  The problem has no finite-cost
+the finite part of that plan is a maximum flow.  When no cell is forbidden,
+both price the value part alone, which picks the same entering cells.  The problem has no finite-cost
 plan exactly when that mass exceeds the tolerance, and then the rows that
 reach each other through the plan's residual graph give the Hall-type cut
 certificate.
@@ -300,7 +309,8 @@ def solve_kantorovich(
         a, b, C, wscale, cscale = _exact_input(mu1, mu2, cm)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    forbidden = C == INF  # only +inf: CostMatrix rejects -inf and NaN
+    # the mask of the +inf cells (CostMatrix rejects -inf and NaN), or None
+    forbidden = C == INF if cm.has_inf else None
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
 
@@ -310,7 +320,8 @@ def solve_kantorovich(
         rows, cols = a > 0, b > 0
         support = np.ix_(rows, cols)
         on_support, iters, engine = _run_engine(
-            mode, a[rows], b[cols], C[support], forbidden[support], tol * cscale
+            mode, a[rows], b[cols], C[support],
+            None if forbidden is None else forbidden[support], tol * cscale,
         )
         X = np.zeros(C.shape, dtype=on_support.dtype)
         X[support] = on_support
@@ -318,22 +329,29 @@ def solve_kantorovich(
     # the engines minimise the M part exactly whatever tol is, so in rational
     # mode any mass on forbidden cells proves that no finite-cost plan exists
     flow_tol = tol if mode == FLOAT else 0
-    if forbidden.any() and _sum_in_order(X[forbidden]) > flow_tol:
+    if forbidden is not None and _sum_in_order(X[forbidden]) > flow_tol:
         certificate = _hall_certificate(
             a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
         )
     else:
-        if mode == FLOAT:
+        if forbidden is not None and mode == FLOAT:
             # roundoff can leave dust on forbidden basic cells; sweep it
             X[forbidden] = 0.0
         ok, report = _is_coupling_array(X, a, b, default_tol(mode))
         if not ok:
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
-        value = cost_of_plan(X, C)
         if mode == FLOAT:
+            value = cost_of_plan(X, C)
             plan = TransportPlan._of_array(X, mu1, mu2)
         else:
-            value = value if is_inf(value) else Fraction(value, wscale * cscale)
+            # no mass sits on a forbidden cell: the cost is an integer dot
+            # product over the cells with mass, whose flows are turned into
+            # Python ints once, for the plan
+            mass = X != 0
+            flows = X[mass].tolist()
+            value = Fraction(sum(map(mul, C[mass].tolist(), flows)), wscale * cscale)
+            X = np.zeros(X.shape, dtype=object)  # int 0 cells
+            X[mass] = flows
             plan = TransportPlan._of_array(X, mu1, mu2, wscale, Fraction(0))
     return OTSolution(plan, value, iters, mode, certificate, engine)
 
@@ -341,20 +359,20 @@ def solve_kantorovich(
 def _run_engine(mode, a, b, C, forbidden, tol):
     """(plan array, pivots, engine name) of the engine that solves (a, b, C).
 
-    The weights are positive; tol is in the units of C.  The C kernel runs
-    every float problem and the rational ones that fit in int64, and the
-    Python simplex the rest; a rational plan comes back as Python ints.
+    The weights are positive, forbidden is the mask of C's +inf cells or
+    None when there is none, and tol is in the units of C.  The C kernel
+    runs every float problem and the rational ones that fit in int64, and
+    the Python simplex the rest.  A rational plan comes back in the
+    weights' dtype: int64, or an object array of Python ints.
     """
     kernel_input = None
     if _kernel is not None:
         kernel_input = (a, b, C, tol) if mode == FLOAT else _int64_input(a, b, C, forbidden, tol)
     if kernel_input is not None:
         X, iters = _kernel.solve_dense(*kernel_input)
-        if mode == RATIONAL:
-            X = X.astype(object)  # Python ints: exact cost products, no float path
         return X, iters, _compiled.KERNEL_NAME
     flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
-    X = np.zeros(C.shape, dtype=a.dtype)  # object (Python ints) in rational mode
+    X = np.zeros(C.shape, dtype=a.dtype)  # int64 or object (Python ints) in rational mode
     for (i, j), f in flow.items():
         X[i, j] = f
     return X, iters, "python"
@@ -364,26 +382,29 @@ def _exact_input(mu1, mu2, cm):
     """Rational mode's engine input: (a, b, C, weight scale, cost scale).
 
     The weights are scaled by the least common multiple of their
-    denominators, into object arrays of Python ints, from each measure's
-    scaled_weights; the finite costs by that of theirs, and +inf cells
-    stay.  An int64 or bool cost array has scale 1 and comes as int64
-    (with no +inf cell); any other as an object array of Python ints and
-    +inf.  Both scales are positive, so every comparison, and hence every
+    denominators, from each measure's scaled_weights: into int64 arrays
+    when the scaled total is below _SUPPLY_BOUND, so that every flow and
+    every row and column sum of a plan fits, and else into object arrays
+    of Python ints.  The finite costs are scaled by the least common
+    multiple of theirs, and +inf cells stay.  An int64 or bool cost array
+    has scale 1 and comes as int64 (with no +inf cell); any other as an
+    object array of Python ints and +inf.  Both scales are positive, so every comparison, and hence every
     pivot, is the one the Fractions would give.  Float numbers count as
     the binary fractions they are, so two measures whose exact totals
     differ are refused rather than solved into a plan that couples neither.
     """
     (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
     wscale = math.lcm(s1, s2)
-    a = np.array(ints1, dtype=object) * (wscale // s1)
-    b = np.array(ints2, dtype=object) * (wscale // s2)
-    total_a, total_b = np.add.reduce(a), np.add.reduce(b)
+    f1, f2 = wscale // s1, wscale // s2
+    total_a, total_b = sum(ints1) * f1, sum(ints2) * f2
     if total_a != total_b:
         gap = Fraction(total_a - total_b, wscale)
         raise ParameterError(
             f"rational mode needs weights whose exact totals agree; the first "
             f"measure's total minus the second's is {float(gap)!r} ({gap})"
         )
+    dtype = np.int64 if total_a < _SUPPLY_BOUND else object
+    a, b = np.array(ints1, dtype=dtype) * f1, np.array(ints2, dtype=dtype) * f2
     if cm.array.dtype.kind in "bi":
         return a, b, cm.array.astype(np.int64, copy=False), wscale, 1
     # a float-mode matrix holds float64: read its cells as they were given
@@ -402,15 +423,19 @@ _COST_BOUND = 2**60
 def _int64_input(a, b, C, forbidden, tol):
     """The int64 build's (a, b, C, tol), or None when the scaled data may overflow.
 
-    a, b and C are rational mode's scaled ints (+inf on forbidden cells) and
-    tol the tolerance in the costs' units.  They fit when the total supply
-    is below _SUPPLY_BOUND and (n + m) max|finite cost| and |floor(tol)| are
-    below _COST_BOUND: every flow is then at most the total supply, and every
-    potential and reduced cost at most 2 (n + m) max|c| + |floor(tol)| in
-    size.  The tolerance is floored, which gives the same pivots on
-    integers; forbidden cells are marked FORBIDDEN_INT64.  An int64 C (no
-    forbidden cell) is passed on as it is.
+    a, b and C are rational mode's scaled ints (+inf on forbidden cells,
+    whose mask is forbidden, or None when there is none) and tol the
+    tolerance in the costs' units.  They fit when the total supply is below
+    _SUPPLY_BOUND, as int64 weights from _exact_input say, and
+    (n + m) max|finite cost| and |floor(tol)| are below _COST_BOUND: every
+    flow is then at most the total supply, and every potential and reduced
+    cost at most 2 (n + m) max|c| + |floor(tol)| in size.  The tolerance is
+    floored, which gives the same pivots on integers; forbidden cells are
+    marked FORBIDDEN_INT64.  An int64 C (no forbidden cell) is passed on as
+    it is.
     """
+    if a.dtype != np.int64:
+        return None
     try:
         floor_tol = math.floor(tol)
     except (OverflowError, ValueError):  # an infinite or NaN tolerance
@@ -419,19 +444,15 @@ def _int64_input(a, b, C, forbidden, tol):
     if C.dtype == np.int64:
         max_cost = max(int(C.max()), -int(C.min()))
     else:
-        finite = ~forbidden
+        finite = np.ones(C.shape, dtype=bool) if forbidden is None else ~forbidden
         costs = C[finite].tolist()
         max_cost = max(map(abs, costs), default=0)
-    if (
-        np.add.reduce(a) >= _SUPPLY_BOUND
-        or (n + m) * max_cost >= _COST_BOUND
-        or abs(floor_tol) >= _COST_BOUND
-    ):
+    if (n + m) * max_cost >= _COST_BOUND or abs(floor_tol) >= _COST_BOUND:
         return None
     if C.dtype != np.int64:
         C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
         C[finite] = costs
-    return a.astype(np.int64), b.astype(np.int64), C, floor_tol
+    return a, b, C, floor_tol
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):

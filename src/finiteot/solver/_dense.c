@@ -29,7 +29,11 @@
  * sibling of each node, and the flow on the edge to its parent.  A node's
  * potential is c_ij - pot[parent] along that edge, in two parts: a forbidden
  * cell costs (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M
- * outweighs any value.
+ * outweighs any value.  One scan of C at the start finds whether any cell
+ * is forbidden.  When none is, every M part is 0, so the M potentials stay
+ * 0, (d < best_big || r < best) reduces to r < best, and the kernel derives
+ * and prices the value part alone, as simplex.py does when _split_costs
+ * returns no M part: the same entering cells, pivots and plan.
  *
  * Start, the row-minimum rule: rows in index order ship their supply to
  * their cheapest open column (a forbidden cell only when no finite one is
@@ -96,6 +100,7 @@
 
 typedef struct {
     int64_t n, m;
+    int big; /* some cell is forbidden: keep the M potentials pot_big */
     const num *C;
     int64_t *parent, *depth, *child, *sibling, *pot_big;
     num *pot, *flow;
@@ -112,8 +117,13 @@ static void derive(Tree *t, int64_t node)
 {
     int64_t up = t->parent[node];
     num c = t->C[edge_cell(t, node, up)];
-    int forbidden = FORBIDDEN(c);
+    int forbidden;
     t->depth[node] = t->depth[up] + 1;
+    if (!t->big) {
+        t->pot[node] = c - t->pot[up];
+        return;
+    }
+    forbidden = FORBIDDEN(c);
     t->pot[node] = (forbidden ? 0 : c) - t->pot[up];
     t->pot_big[node] = forbidden - t->pot_big[up];
 }
@@ -257,6 +267,10 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
         || !t.pot_big || !t.pot || !t.flow)
         goto done;
 
+    for (k = 0; k < total && !FORBIDDEN(C[k]); k++)
+        ;
+    t.big = k < total;
+
     for (node = 0; node < nodes; node++) {
         rest[node] = node < n ? a[node] : b[node - n];
         if (!(rest[node] > 0)) {
@@ -308,7 +322,8 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
         block = 64;
 
     for (;;) {
-        /* entering cell: wraparound block search on (M, value) pairs */
+        /* entering cell: wraparound block search on (M, value) pairs, or
+         * on values alone when no cell is forbidden */
         ei = ej = -1;
         best_big = 0;
         best = -tol;
@@ -327,8 +342,19 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                 pos += stop - j0;
                 row = C + i * m;
                 ui = t.pot[i];
-                ui_big = t.pot_big[i];
                 col_up = t.parent[i] - n; /* row i's basic cell to its parent */
+                if (!t.big) {
+                    for (j = j0; j < stop; j++) {
+                        r = row[j] - ui - t.pot[n + j];
+                        if (r < best && j != col_up && t.parent[n + j] != i) {
+                            best = r;
+                            ei = i;
+                            ej = j;
+                        }
+                    }
+                    continue;
+                }
+                ui_big = t.pot_big[i];
                 for (j = j0; j < stop; j++) {
                     c = row[j];
                     d = FORBIDDEN(c) - ui_big - t.pot_big[n + j];

@@ -168,6 +168,13 @@ class CostMatrix:
     of row tuples: the input itself when it is one, built from the rows of
     any other sequence, and from array on first use when the input is an
     ndarray, whose cells then come back as Python numbers.
+
+    has_inf records whether a cell is +inf.  max_abs_finite() returns the
+    largest |cost| over the finite cells, recorded at construction: from
+    the bounds that extended_array's check has reduced, with one more
+    reduction when a cell is +inf.  An object array (exact cells, in which
+    +inf is the only float) is told by the types of its cells, and scanned
+    for max_abs_finite() when that is asked for.
     """
 
     cost: tuple
@@ -184,9 +191,20 @@ class CostMatrix:
             m = len(cost[0]) if cost else 0
             if cost and set(map(len, cost)) != {m}:
                 raise ShapeError("cost matrix is not rectangular")
-        array, mode = extended_array(cost, "cost")
-        object.__setattr__(self, "array", array)
-        object.__setattr__(self, "mode", mode)
+        array, mode, bounds = extended_array(cost, "cost")
+        if bounds is None:  # an object or empty array
+            kinds = set(map(type, array.ravel().tolist()))
+            has_inf, top = any(issubclass(kind, float) for kind in kinds), None
+        else:
+            lo, hi = bounds
+            has_inf = hi == INF
+            if has_inf:
+                top = np.maximum.reduce(
+                    np.abs(array), axis=None, where=array != INF, initial=0
+                ).item()
+            else:
+                top = max(abs(lo), abs(hi))
+        vars(self).update(array=array, mode=mode, has_inf=has_inf, _max_abs_finite=top)
         if self.lower_bound is not None:
             a1, a2 = self.lower_bound
             a1, a2 = tuple(a1), tuple(a2)
@@ -217,10 +235,6 @@ class CostMatrix:
 
     def max_abs_finite(self):
         """The largest |cost| over the finite cells, 0 when there is none."""
-        A = self.array
-        if A.dtype == object:
-            return max((abs(c) for c in A.ravel().tolist() if c != INF), default=0)
-        if A.dtype.kind == "f":
-            finite = A != INF
-            return np.maximum.reduce(np.abs(A), axis=None, where=finite, initial=0).item()
-        return max(int(A.max(initial=0)), -int(A.min(initial=0)))
+        if self._max_abs_finite is None:  # an object array
+            return max((abs(c) for c in self.array.ravel().tolist() if c != INF), default=0)
+        return self._max_abs_finite

@@ -5,10 +5,12 @@ Gluing two plans sharing a middle marginal is done by the explicit
 disintegration tensor pi12[i][j] * pi23[j][k] / mu2[j] (zero on zero-mass
 middle atoms), which makes every statement here checkable exactly in
 rational mode.  A GluedPlan keeps its factors, the two plans, and builds
-that n1 x n2 x n3 tensor only when asked for it.  Exact plans are glued on
-scaled integers: pi12 = P / s12 and pi23 = Q / s23, so the middle marginals
-compare as integer sums and the 1-3 plan is one integer matrix product, with
-one Fraction per nonzero cell.
+that n1 x n2 x n3 tensor only when asked for it.  Exact plans (int and
+Fraction cells) are glued on scaled integers: pi12 = P / s12 and
+pi23 = Q / s23, so the middle marginals compare as integer sums and the 1-3
+plan is one integer matrix product, with one Fraction per nonzero cell.
+Two plans the solver returned bring P and Q with them, and their glued plan
+builds its Fraction matrices only when they are asked for.
 """
 
 from __future__ import annotations
@@ -77,13 +79,42 @@ class GluedPlan:
     It keeps its factors, the matrices of the two plans; the middle
     marginal mu2, the integer factors and the n1 x n2 x n3 tensor
     pi12[i][j] * pi23[j][k] / mu2[j] are derived from them on first use.
+    A glued plan of two solver plans (see _of_plans) keeps the plans
+    instead, and builds pi12 and pi23 from them on first use.
     """
 
     pi12: tuple  # n1 x n2 matrix
     pi23: tuple  # n2 x n3 matrix
 
+    #: the two solver plans that pi12 and pi23 are built from (see _of_plans)
+    _plans = None
+
+    @classmethod
+    def _of_plans(cls, plan12, plan23):
+        """The glued plan of two exact solver plans, on their scaled ints.
+
+        Each plan holds Python ints X over a scale s (TransportPlan._of_array),
+        which are its integer factor; its matrix is built only when pi12 or
+        pi23 is asked for.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "_plans", (plan12, plan23))
+        vars(g)["_integer_factors"] = (plan12._array, plan12._scale, plan23._array, plan23._scale)
+        return g
+
+    def __getattr__(self, name):
+        # only a glued plan of solver plans lacks its matrices, until asked for
+        if name not in ("pi12", "pi23") or self._plans is None:
+            raise AttributeError(name)
+        matrix = self._plans[name == "pi23"].matrix
+        object.__setattr__(self, name, matrix)
+        return matrix
+
     @property
     def shape(self):
+        if self._plans is not None:
+            (n1, n2), (_, n3) = (plan.shape for plan in self._plans)
+            return n1, n2, n3
         return len(self.pi12), len(self.pi23), len(self.pi23[0])
 
     @cached_property
@@ -91,9 +122,8 @@ class GluedPlan:
         """(P, s12, Q, s23) with pi12 = P / s12 and pi23 = Q / s23, or None.
 
         P and Q are object arrays of Python ints.  They exist when every
-        tensor cell is exact arithmetic: every cell is an int or a Fraction,
-        and one of the plans holds only Fractions (int x * int y / int
-        mu2[j] is a float division, and stays one in the tensor).
+        cell of both plans is an int or a Fraction; the middle marginal is
+        then made of Fractions, so every tensor cell is exact arithmetic.
         """
         return _integer_factors(self.pi12, self.pi23, (None, None))
 
@@ -145,11 +175,7 @@ def _integer_factors(pi12, pi23, forms):
     matrix of, or None; then its cells are not scaled again.
     """
     cells12, cells23 = (list(chain(*m)) for m in (pi12, pi23))
-    only_fractions = {Fraction}.issuperset
-    if not (
-        only_fractions(map(type, cells12)) and all_exact(cells23)
-        or only_fractions(map(type, cells23)) and all_exact(cells12)
-    ):
+    if not (all_exact(cells12) and all_exact(cells23)):
         return None
     n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
     factors = []
@@ -167,17 +193,21 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     Requires column sums of pi12 to equal row sums of pi23; the glued plan
     makes the outer coordinates conditionally independent given the middle
     one.  Exact plans are compared on their integer factors, with no
-    Fraction arithmetic; a plan the solver returned brings its own.  The
+    Fraction arithmetic; a plan the solver returned brings its own, and two
+    of them are glued with no matrix built (GluedPlan._of_plans).  The
     tensor is not built here.
     """
     n2, n2b = pi12.shape[1], pi23.shape[0]
     if n2 != n2b:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
-    g = GluedPlan(pi12.matrix, pi23.matrix)
     # the (ints, scale) an exact plan from the solver carries
     forms = tuple(None if p._scale is None else (p._array, p._scale) for p in (pi12, pi23))
-    if forms != (None, None):
-        vars(g)["_integer_factors"] = _integer_factors(g.pi12, g.pi23, forms)
+    if None not in forms:
+        g = GluedPlan._of_plans(pi12, pi23)
+    else:
+        g = GluedPlan(pi12.matrix, pi23.matrix)
+        if forms != (None, None):
+            vars(g)["_integer_factors"] = _integer_factors(g.pi12, g.pi23, forms)
     exact = g._integer_factors
     if tol is None:
         tol = 0 if exact else default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))

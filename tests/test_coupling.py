@@ -7,6 +7,7 @@ import pytest
 from finiteot.coupling import (
     TransportPlan,
     _is_coupling_array,
+    _worst_first,
     is_coupling,
     marginals,
     product_coupling,
@@ -136,6 +137,87 @@ class TestIsCoupling:
                 checks += len(got)
                 bad += sum(not ok for ok, _ in got)
         assert 0 < bad < checks
+
+
+def full_report(X, a, b, tol):
+    """The (ok, report) of _is_coupling_array built cell by cell for every
+    plan, as it was before a passing plan stopped at the reductions."""
+    i, j = np.logical_not(X >= -tol).nonzero()
+    report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
+    for kind, axis, weights in (("row", 1, a), ("column", 0, b)):
+        gaps = np.abs(np.add.reduce(X, axis=axis) - weights)
+        (bad,) = np.logical_not(gaps <= tol).nonzero()
+        report += [(kind, k, gaps.item(k)) for k in bad.tolist()]
+    return _worst_first(report)
+
+
+def coupling_check_cases():
+    """(kind, X, a, b, tol): seeded plans of integer masses and their
+    marginals, as float64 (the masses over their total), int64 (also with a
+    total just below 2^62) and object arrays (Fractions), as they are or
+    with a NaN cell (the float kinds), a negative cell, a cell one unit up
+    (its row and column one unit off) or a unit moved along a row."""
+    rng = random.Random(37)
+    kinds = ("float64", "int64", "int64 near 2^62", "object")
+    cases = []
+    for trial in range(400):
+        kind, change = kinds[trial % 4], trial // 4 % 5
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        P = np.array([[rng.choice((0, rng.randint(1, 9))) for _ in range(m)] for _ in range(n)])
+        P[rng.randrange(n), rng.randrange(m)] += 1
+        total = int(P.sum())
+        if kind == "int64 near 2^62":
+            P = P * ((2**62 - 1) // total)
+        if kind == "float64":
+            X, unit, tol = P / total, rng.choice((1e-12, 1e-6)), 1e-9
+        elif kind == "object":
+            X = np.array([[F(int(x), total) for x in row] for row in P], dtype=object)
+            unit, tol = F(1, total * rng.choice((1, 1000))), rng.choice((0, F(1, 10**4)))
+        else:
+            X, unit, tol = P.astype(np.int64), 1, rng.choice((0, 0, 1))
+        a, b = np.add.reduce(X, axis=1), np.add.reduce(X, axis=0)
+        X = X.copy()
+        i, j = rng.randrange(n), rng.randrange(m)
+        if change == 1 and kind in ("float64", "object"):
+            X[i, j] = float("nan")
+        elif change == 2:
+            X[i, j] = -unit
+        elif change == 3:
+            X[i, j] += unit
+        elif change == 4:
+            X[i, j] += unit
+            X[i, rng.randrange(m)] -= unit
+        cases.append((kind, X, a, b, tol))
+    return cases
+
+
+def same_report(checked):
+    """(ok, report) with NaN magnitudes comparable: NaN != NaN."""
+    ok, report = checked
+    return ok, [(kind, at, repr(size)) for kind, at, size in report]
+
+
+class TestOnePassCouplingCheck:
+    def test_same_report_as_the_cell_by_cell_check(self):
+        outcomes = set()
+        for kind, X, a, b, tol in coupling_check_cases():
+            with np.errstate(invalid="ignore"):  # NaN cells of object arrays
+                got = _is_coupling_array(X, a, b, tol)
+                want = full_report(X, a, b, tol)
+            assert same_report(got) == same_report(want), (kind, X, tol)
+            outcomes.add((kind, got[0]))
+        # every kind both passes and fails
+        assert len(outcomes) == 8
+
+    def test_int64_gaps_near_2_62_are_exact(self):
+        big = 2**61
+        X = np.array([[big, 0], [1, big - 3]], dtype=np.int64)
+        a, b = np.add.reduce(X, axis=1), np.add.reduce(X, axis=0)
+        assert int(a.sum()) == 2**62 - 2
+        assert _is_coupling_array(X, a, b, 0) == (True, [])
+        X[1, 0] += 1
+        assert _is_coupling_array(X, a, b, 0) == (False, [("row", 1, 1), ("column", 0, 1)])
+        assert _is_coupling_array(X, a, b, 1) == (True, [])
 
 
 class TestTestFunctionCharacterization:

@@ -176,3 +176,14 @@ def test_unwritable_cache_falls_back_with_reason(tmp_path):
     info = report(start(blocker))
     assert info["kernel"] == "python"
     assert "cache not writable" in info["reason"]
+
+
+@needs_compiler
+def test_kernel_compiles_clean_under_strict_warnings(tmp_path):
+    # the loader's flags plus every warning of -Wall -Wextra -pedantic, as errors
+    lib = tmp_path / "dense.so"
+    cmd = [_compiled.find_compiler(), *_compiled.CFLAGS, "-Wall", "-Wextra", "-pedantic",
+           "-Werror", "-o", str(lib), str(_compiled.SOURCE), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert lib.exists()

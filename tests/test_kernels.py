@@ -13,6 +13,7 @@ skipped only where no C compiler is found; a failed build with a compiler
 present fails them.
 """
 
+import itertools
 import os
 import random
 from fractions import Fraction as F
@@ -106,7 +107,43 @@ def identity_instances(family):
             instances.append(support(a, b, C))
     elif family == "rational":  # as the int64 build gets them from the solver
         return [int64_input(*problem) for problem in rational_problems(1000)]
+    elif family == "lone_forbidden":
+        return lone_forbidden_instances(rng)
     return [(a, b, C, 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))) for a, b, C in instances]
+
+
+def lone_forbidden_instances(rng):
+    """(a, b, C, tol) with +inf on one cell: where the kernel's scan for a
+    forbidden cell starts or ends, or on a zero-weight row.
+
+    The cell is the first one, the last one (n m - 1), or one on a row of
+    weight 0, which the support drops, so that the value-only pricing runs.
+    Each comes as a float problem, with spread or tied costs, and as a
+    rational one through the int64 build, at shapes from 1 x 1 and n x 1
+    up to 30 x 30.
+    """
+    instances = []
+    shapes = ((1, 1), (2, 1), (7, 1), (1, 7), (2, 2), (3, 5), (9, 4), (16, 16), (30, 30))
+    for (n, m), where, k in itertools.product(shapes, ("first", "last", "zero row"), range(4)):
+        if where == "zero row" and n == 1:
+            continue
+        a, b, C = random_instance(rng, n, m)
+        if k % 2:
+            C = np.floor(C / 5)  # tied costs 0..3
+        raw = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+        i, j = (0, 0) if where == "first" else (n - 1, m - 1)
+        if where == "zero row":
+            i, j = rng.choice((0, n - 1)), rng.randrange(m)
+            a[i] = 0.0
+            a /= a.sum()
+        C[i, j] = raw[i][j] = INF
+        tol = 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))
+        instances.append((*support(a, b, C), tol))
+        wa = [0 if where == "zero row" and r == i else rng.randint(1, 30) for r in range(n)]
+        wb = [rng.randint(1, 30) for _ in range(m)]
+        mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(w)) for x in w)) for w in (wa, wb))
+        instances.append(int64_input(mu1, mu2, raw, None))
+    return instances
 
 
 def rational_problems(count):
@@ -295,6 +332,23 @@ def degenerate_starts():
     ]
 
 
+def test_rational_cost_is_the_full_array_cost():
+    # the cost over the cells with mass, as Python ints, against the earlier
+    # cost_of_plan of the whole plan and the whole scaled cost array
+    feasible = 0
+    for mu1, mu2, cost, tol in rational_problems(1000):
+        sol = solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
+        if not sol.feasible:
+            continue
+        feasible += 1
+        _, _, C, wscale, cscale = solver._exact_input(mu1, mu2, CostMatrix(cost))
+        X = sol.plan._array
+        assert X.dtype == object and sol.plan._scale == wscale
+        full = solver.cost_of_plan(X, C.astype(object))
+        assert type(sol.optimal_cost) is F and sol.optimal_cost == F(full, wscale * cscale)
+    assert 400 < feasible < 1000
+
+
 class TestStrongFeasibility:
     """The Python simplex keeps its tree strongly feasible.
 
@@ -414,7 +468,8 @@ class TestCompiled:
         check_same_pivots(compiled, a, b, C, 1e-9 * (1 + C.max()))
 
     @pytest.mark.parametrize(
-        "family", ["tied", "assignment", "edge", "large_tol", "forbidden", "rational"]
+        "family",
+        ["tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden"],
     )
     def test_twin_takes_the_same_pivots(self, compiled, family):
         instances = identity_instances(family)

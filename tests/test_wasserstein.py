@@ -154,9 +154,12 @@ class TestGlue:
     @staticmethod
     def check_against_the_formula(pi12, pi23, mode, tol=None):
         """glue's tensor and glued_marginal_13 against the gluing formula,
-        evaluated cell by cell in the plans' own arithmetic."""
+        evaluated cell by cell in the plans' own arithmetic: exact plans, int
+        ones too, divide by the middle mass as a Fraction."""
         n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
         mu2 = [sum(pi12[i][j] for i in range(n1)) for j in range(n2)]
+        if mode == "rational":
+            mu2 = list(map(F, mu2))
         want = [
             [
                 [pi12[i][j] * pi23[j][k] / mu2[j] if mu2[j] > 0 else 0 for k in range(n3)]
@@ -229,12 +232,11 @@ class TestGlue:
             self.check_against_the_formula(pi12, pi23, "rational" if exact else "float")
             if exact:
                 self.check_against_the_formula(pi12, pi23, "rational", tol=F(1, 10**9))
-        # int x * int y / int mu2[j] divides into a float, as the formula
-        # does; an int plan glued to a Fraction plan stays exact
+        # two int plans glue exactly, as an int plan and a Fraction plan do
         rng = random.Random(97)
         for _ in range(40):
             pi12, pi23 = self.int_plans(rng)
-            self.check_against_the_formula(pi12, pi23, "float")
+            self.check_against_the_formula(pi12, pi23, "rational")
             self.check_against_the_formula(pi12, [[F(y) for y in row] for row in pi23], "rational")
         # mismatched middles raise with the message of the check written out
         rng = random.Random(101)
@@ -287,6 +289,28 @@ class TestGlue:
                 pi13 = glued_marginal_13(glued)
                 assert [[(type(x), x) for x in row] for row in pi13.matrix] == typed
 
+    def test_solver_plans_glue_as_their_matrices_do(self):
+        """Two solver plans glue on their scaled ints, and build no matrix
+        until one is asked for: the same shape, middle marginal, 1-3 plan,
+        tensor and marginals, in type and value, as the plans rebuilt from
+        their matrices, zero-mass middle atoms included."""
+        rng = random.Random(151)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            space = random_rational_metric_space(rng, n)
+            mus = [random_rational_measure(rng, n) for _ in range(3)]
+            plans = [wasserstein_distance(mus[k], mus[k + 1], space)[1] for k in (0, 1)]
+            g = glue(*plans)
+            rebuilt = glue(*(TransportPlan(p.matrix) for p in plans))
+            assert g.shape == rebuilt.shape and typed(g.mu2) == typed(rebuilt.mu2)
+            pi13 = [glued_marginal_13(glued).matrix for glued in (g, rebuilt)]
+            assert typed(pi13[0]) == typed(pi13[1])
+            assert "pi12" not in vars(g) and "pi23" not in vars(g)
+            assert typed(g.tensor) == typed(rebuilt.tensor)
+            for name in ("marginal_12", "marginal_23", "total_mass"):
+                assert typed(getattr(g, name)()) == typed(getattr(rebuilt, name)())
+            assert g == rebuilt and (g.pi12, g.pi23) == tuple(p.matrix for p in plans)
+
     def test_glued_plan_keeps_its_factors(self):
         pi12 = TransportPlan(((F(1, 4), F(1, 4)), (HALF, 0)))
         pi23 = TransportPlan(((F(3, 4), 0), (0, F(1, 4))))
@@ -295,6 +319,61 @@ class TestGlue:
         assert "tensor" not in vars(g)  # built on demand only
         assert g.mu2 == (F(3, 4), F(1, 4)) and g.shape == (2, 2, 2)
         assert g == glue(pi12, pi23) and hash(g) == hash(glue(pi12, pi23))
+
+
+def typed(x):
+    """x with every number as (type, value), to compare types as well."""
+    if isinstance(x, tuple):
+        return tuple(map(typed, x))
+    return type(x), x
+
+
+def count_fractions_built(monkeypatch, run):
+    """run() with the Fractions it builds counted, and the simplex uncounted,
+    as its pivots are its own work; returns (result, count)."""
+    new = F.__new__.__code__
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    engine = solver.transportation_simplex
+
+    def uncounted(*args, **kwargs):
+        sys.setprofile(None)
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            sys.setprofile(count)
+
+    monkeypatch.setattr(solver, "transportation_simplex", uncounted)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, built
+
+
+def test_gluing_solver_plans_builds_no_fractions(monkeypatch):
+    """Two 100 x 100 solver plans glue, and give their 1-3 plan, on their
+    scaled ints: no Fraction is built (the matrices alone would build one
+    per nonzero cell and check the type of all 10,000)."""
+    n = 100
+    rng = random.Random(100)
+    cost = [[rng.randint(0, 1000) for _ in range(n)] for _ in range(n)]
+    mus = [
+        DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(3))
+    ]
+    plans = [solver.solve_kantorovich(mus[k], mus[k + 1], cost).plan for k in (0, 1)]
+    pi13, built = count_fractions_built(
+        monkeypatch, lambda: glued_marginal_13(glue(*plans))
+    )
+    assert built == 0, f"{built} Fractions built"
+    assert is_coupling(pi13, mus[0], mus[2], tol=0)[0]
 
 
 class TestTriangleWitness:
@@ -341,29 +420,7 @@ def test_rational_witness_builds_few_fractions(monkeypatch):
         DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
         for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(3))
     ]
-    new = F.__new__.__code__
-    built = 0
-
-    def count(frame, event, arg):
-        nonlocal built
-        built += event == "call" and frame.f_code is new
-
-    engine = solver.transportation_simplex
-
-    def uncounted(*args, **kwargs):
-        sys.setprofile(None)
-        try:
-            return engine(*args, **kwargs)
-        finally:
-            sys.setprofile(count)
-
-    monkeypatch.setattr(solver, "transportation_simplex", uncounted)
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        out = triangle_witness(*mus, space)
-    finally:
-        sys.setprofile(previous)
+    out, built = count_fractions_built(monkeypatch, lambda: triangle_witness(*mus, space))
     assert out["holds"] and type(out["glued_cost_13"]) is F
     assert built < n * n, f"{built} Fractions built for a {n}-point witness"
 
