@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
-from .coupling import TransportPlan
+import numpy as np
+
+from .coupling import TransportPlan, _floats, _scaled
 from .measure import DiscreteMeasure, indicator, integrate
 from .numerics import (
-    INF,
+    FLOAT,
+    RATIONAL,
     DomainError,
     ShapeError,
     check_extended,
@@ -189,56 +193,45 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
     quarter (the convention is stated in the report).  With an all-finite
     cost the inequality is an equality; +inf cells can make it strict.
     """
-    plans = [p if isinstance(p, TransportPlan) else TransportPlan(p) for p in plans]
-    limit = (
-        plan_limit
-        if isinstance(plan_limit, TransportPlan)
-        else TransportPlan(plan_limit)
-    )
+    def read(p):
+        return p if isinstance(p, TransportPlan) else TransportPlan(p)
+
+    plans, limit = list(map(read, plans)), read(plan_limit)
     if not plans:
         raise DomainError("empty plan sequence")
-    shape = limit.shape
-    for p in plans:
-        if p.shape != shape:
-            raise ShapeError("plans have mismatched shapes")
+    if any(p.shape != limit.shape for p in plans):
+        raise ShapeError("plans have mismatched shapes")
     if tol is None:
-        cells = cost.cost if isinstance(cost, CostMatrix) else cost
-        rows = chain(limit.matrix, *(p.matrix for p in plans), cells)
-        tol = default_tol(infer_mode(chain.from_iterable(rows)))
+        mode = cost.mode if isinstance(cost, CostMatrix) else infer_mode(chain.from_iterable(cost))
+        if any(p.mode != RATIONAL for p in (limit, *plans)):
+            mode = FLOAT
+        tol = default_tol(mode)
     # entrywise convergence toward the limit: the worst entry gap must
-    # never grow along the tail of the sequence
+    # never grow along the tail of the sequence; two exact plans are
+    # compared on their ints, any other two in float64
     def worst_gap(p):
-        worst = (0, (0, 0))
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                gap = abs(p.matrix[i][j] - limit.matrix[i][j])
-                if gap > worst[0]:
-                    worst = (gap, (i, j))
-        return worst
+        pair = _scaled(p), _scaled(limit)
+        if None in pair:
+            gaps, scale = np.abs(_floats(p) - _floats(limit)), None
+        else:
+            (X, s, _), (Y, t, _) = pair
+            gaps, scale = np.abs(X * t - Y * s), s * t
+        k = int(np.argmax(gaps))  # the first worst entry, in row-major order
+        gap = gaps.item(k) if scale is None else Fraction(gaps.item(k), scale)
+        return gap, divmod(k, limit.shape[1])
 
     gaps = [worst_gap(p) for p in plans]
-    conv_start = len(plans) - max(1, math.ceil(len(plans) / 4))
-    for t in range(conv_start, len(plans) - 1):
+    tail_len = max(1, math.ceil(len(plans) / 4))
+    for t in range(len(plans) - tail_len, len(plans) - 1):
         if gaps[t + 1][0] > gaps[t][0] + tol:
             raise DomainError(
                 f"sequence does not converge to the limit: entry "
                 f"{gaps[t + 1][1]} gap grows to {gaps[t + 1][0]} at step {t + 1}"
             )
 
-    tail_len = max(1, math.ceil(len(plans) / 4))
-    tail = plans[-tail_len:]
-    costs = [cost_of_plan(p, cost) for p in tail]
-    liminf_value = costs[0]
-    for cst in costs[1:]:
-        if cst < liminf_value:
-            liminf_value = cst
+    liminf_value = min(cost_of_plan(p, cost) for p in plans[-tail_len:])  # the first least
     limit_value = cost_of_plan(limit, cost)
-    if is_inf(liminf_value):
-        holds = True
-    elif is_inf(limit_value):
-        holds = False
-    else:
-        holds = limit_value <= liminf_value + tol
+    holds = is_inf(liminf_value) or not is_inf(limit_value) and limit_value <= liminf_value + tol
     return {
         "liminf_value": liminf_value,
         "limit_value": limit_value,

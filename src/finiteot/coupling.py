@@ -5,6 +5,15 @@ measure's weights and whose column sums are the second's.  Everything here
 is constructive: product plans, marginal extraction, verification both
 directly and through sum-separable test functions, the sub-rectangle tail
 bound, and restriction with renormalization.
+
+A plan's number format is decided here, once, when it is built, as
+DiscreteMeasure decides its weights': a read-only float64 array when a
+cell is a float, else Python ints X over a positive scale s (an object
+array; cell x stands for x / s).  Each check has one path per mode: an
+exact plan against exact weights or costs works on the ints, anything
+else on float64, adding in the order in which sum() added the cells.
+Sums are typed as sum() types them (_typed).  Other modules read the
+format through _as_plan, _scaled, _floats, _sum_cells and _line_sums.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -22,10 +32,11 @@ from .numerics import (
     FLOAT,
     INF,
     RATIONAL,
+    DataError,
     ShapeError,
     default_tol,
     extended_array,
-    infer_mode,
+    scaled_ints,
 )
 
 
@@ -33,32 +44,26 @@ from .numerics import (
 class TransportPlan:
     """Joint mass matrix coupling mu1 (rows) with mu2 (columns).
 
-    A plan built from a matrix holds that matrix, as a tuple of row tuples.
-    A plan the solver returns holds the solver's read-only array instead,
-    and builds matrix from it on first use: a float64 plan gives Python
-    floats; an exact one holds Python ints X over a positive scale s, and
-    its cells are Fraction(x, s), or the plan's zero where x is 0.
-    Equality, hashing and repr go by the matrix and the measures.
+    The matrix, a tuple of row tuples (an ndarray's cells become Python
+    numbers), is read once into the plan's format (_read); NaN and infinite
+    cells are refused.  Solver plans and glued_marginal_13's arrive in the
+    format (_of_array) and build their matrix on first use.  Equality,
+    hashing and repr go by the matrix and the measures.
     """
 
     matrix: tuple
     mu1: DiscreteMeasure = None
     mu2: DiscreteMeasure = None
 
-    #: the solver's array, and the scale and zero of an exact one (see _of_array)
-    _array = _scale = _zero = None
+    #: the format (see _read): the array, the scale of an exact one, and the
+    #: highest kind among the cells with mass; _of_array adds the zero cell
+    _array = _scale = _cell = _zero = None
 
     def __post_init__(self):
-        mat = tuple(map(tuple, self.matrix))
-        object.__setattr__(self, "matrix", mat)
-        if not mat or not mat[0]:
-            raise ShapeError("empty plan matrix")
-        if set(map(len, mat)) != {len(mat[0])}:
-            raise ShapeError("plan matrix is not rectangular")
-        extended_array(mat, "plan")  # raises on NaN and -inf
+        vars(self).update(_read(self.matrix, strict=True))
 
     @classmethod
-    def _of_array(cls, X, mu1=None, mu2=None, scale=None, zero=0):
+    def _of_array(cls, X, mu1=None, mu2=None, scale=None, zero=0.0):
         """The plan of an n x m array that has been checked already.
 
         X is float64, or, with scale, Python ints (an object array) whose
@@ -67,49 +72,161 @@ class TransportPlan:
         """
         plan = object.__new__(cls)
         X.flags.writeable = False
-        for name, value in (("mu1", mu1), ("mu2", mu2), ("_array", X), ("_scale", scale),
-                            ("_zero", zero)):
-            object.__setattr__(plan, name, value)
+        cell = 2 if scale is None else 1
+        vars(plan).update(mu1=mu1, mu2=mu2, _array=X, _scale=scale, _cell=cell, _zero=zero)
         return plan
 
     def __getattr__(self, name):
-        # only a plan of an array lacks its matrix, until it is asked for
-        if name != "matrix" or self._array is None:
-            raise AttributeError(name)
-        rows = self._array.tolist()
-        if self._scale is None:
-            matrix = tuple(map(tuple, rows))
+        # only a plan of an array lacks its matrix and its cells' kinds,
+        # until they are asked for
+        if name == "_kinds":
+            value = np.where(self._array != 0, self._cell, _kind(type(self._zero)))
+        elif name == "matrix":
+            rows = self._array.tolist()
+            if self._scale is not None:
+                scale, zero = self._scale, self._zero
+                # lists first: a tuple built from a generator grows by
+                # resizing, which scatters the allocator's pools
+                rows = [[Fraction(x, scale) if x else zero for x in row] for row in rows]
+            value = tuple(map(tuple, rows))
         else:
-            scale, zero = self._scale, self._zero
-            # lists first: a tuple built from a generator grows by resizing,
-            # which scatters the allocator's pools
-            cells = [[Fraction(x, scale) if x else zero for x in row] for row in rows]
-            matrix = tuple(map(tuple, cells))
-        object.__setattr__(self, "matrix", matrix)
-        return matrix
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def shape(self):
-        if self._array is not None:
-            return self._array.shape
-        return (len(self.matrix), len(self.matrix[0]))
+        return self._array.shape
 
     @property
     def mode(self) -> str:
-        if self._array is not None:
-            return FLOAT if self._scale is None else RATIONAL
-        return infer_mode(chain(*self.matrix))
+        return FLOAT if self._scale is None else RATIONAL
 
     def total_mass(self):
-        return sum(sum(row) for row in self.matrix)
+        # a float plan adds up its row sums, as sum() over the rows did
+        return _sum_cells(self) if self._scale else sum(_line_sums(self)[0])
+
+
+def _read(rows, strict):
+    """The matrix and the format of a plan given as rows or an ndarray.
+
+    The mode is extended_array's, and exact cells become scaled_ints' ints.
+    strict refuses NaN and infinite cells, else read into float64.  _kinds
+    holds each cell's kind (_kind), floats wherever a float plan has mass,
+    and _cell the highest among the cells with mass.
+    """
+    matrix = tuple(map(tuple, rows.tolist() if isinstance(rows, np.ndarray) else rows))
+    if not matrix or not matrix[0]:
+        raise ShapeError("empty plan matrix")
+    if set(map(len, matrix)) != {len(matrix[0])}:
+        raise ShapeError("plan matrix is not rectangular")
+    try:
+        X, mode, bounds = extended_array(rows, "plan")  # raises on NaN and -inf
+    except DataError:
+        if strict:
+            raise
+        X, mode, bounds = np.array(matrix, dtype=np.float64), FLOAT, None
+    cells = list(chain.from_iterable(matrix))
+    types = list(map(type, cells))
+    codes = {t: _kind(t) for t in set(types)}
+    kinds = np.fromiter(map(codes.__getitem__, types), np.int8, len(types)).reshape(X.shape)
+    # +inf: the only float cell of rational mode, or a float64 maximum
+    infinite = 2 in codes.values() if mode == RATIONAL else bool(bounds) and bounds[1] == INF
+    if infinite and strict:
+        raise DataError("+inf plan entry")
+    if mode == FLOAT or infinite:
+        X, scale = X.astype(np.float64, copy=False), None
+        kinds[X != 0] = 2
+    elif X.dtype == object:
+        ints, scale = scaled_ints(cells)
+        X = np.array(ints, dtype=object).reshape(X.shape)
+    else:  # int64 or bool
+        X, scale = X.astype(np.int64, copy=False).astype(object), 1
+    X.flags.writeable = kinds.flags.writeable = False
+    cell = kinds[X != 0].max(initial=0)
+    return {"matrix": matrix, "_array": X, "_scale": scale, "_kinds": kinds, "_cell": cell}
+
+
+def _kind(kind):
+    """The kind of the values of a type: 0 (int), 1 (Fraction) or 2 (float).
+
+    A sum() of values takes the highest kind among them, from the int 0.
+    """
+    return 2 if issubclass(kind, float) else 1 if issubclass(kind, Fraction) else 0
+
+
+def _as_plan(plan):
+    """plan, or the TransportPlan of a raw matrix or ndarray, read with its
+    NaN and infinite cells kept (see _read) for the checks to report."""
+    if isinstance(plan, TransportPlan):
+        return plan
+    read = object.__new__(TransportPlan)  # with no NaN check
+    vars(read).update(_read(plan, strict=False), mu1=None, mu2=None)
+    return read
+
+
+def _scaled(plan):
+    """(X, scale, ints) of an exact plan, its cells X / scale, where ints
+    says whether every cell with mass is an int; None for a float plan."""
+    return None if plan._scale is None else (plan._array, plan._scale, plan._cell == 0)
+
+
+def _floats(plan):
+    """The plan's cells as a float64 array, exact ones rounded as float() rounds them."""
+    X, scale = plan._array, plan._scale
+    return X if scale is None else (X / scale).astype(np.float64)
+
+
+def _mode(plan, mu1, mu2):
+    """infer_mode over the plan's cells and both measures' weights."""
+    return RATIONAL if plan.mode == mu1.mode == mu2.mode == RATIONAL else FLOAT
+
+
+def _sum_in_order(values):
+    """0 + values[0] + values[1] + ... as Python numbers, added left to right.
+
+    np.sum adds pairwise, and sum() compensates floats from Python 3.12 on;
+    either can change the last bits of a result that a plain loop produces.
+    """
+    return 0 + values.cumsum().item(-1) if values.size else 0
+
+
+def _typed(plan, sums, kinds):
+    """Sums of sets of the plan's cells, typed as sum() types them from 0:
+    sums holds each set's sum of the ints, or of the floats, and kinds the
+    highest kind among its cells (_kind)."""
+    scale = plan._scale or 1
+    return [
+        0 + s if kind == 2 else Fraction(int(s), scale) if kind else int(s) // scale
+        for s, kind in zip(sums, kinds)
+    ]
+
+
+def _sum_cells(plan, where=...):
+    """The sum of the plan's cells, or of those where the mask where is
+    true, typed by _typed; floats are added in row-major order."""
+    X, kinds = plan._array[where], plan._kinds[where]
+    total = _sum_in_order(X.ravel()) if plan._scale is None else X.sum()
+    return _typed(plan, [total], [kinds.max(initial=0)])[0]
+
+
+def _line_sums(plan):
+    """The plan's row sums and column sums, typed by _typed; floats are
+    added in order along each row and column."""
+    X, kinds = plan._array, plan._kinds
+    if plan._scale is None:
+        sums = np.cumsum(X, axis=1)[:, -1], np.cumsum(X, axis=0)[-1]
+    else:
+        sums = X.sum(axis=1), X.sum(axis=0)
+    return tuple(
+        _typed(plan, s.tolist(), kinds.max(axis=axis).tolist()) for axis, s in zip((1, 0), sums)
+    )
 
 
 def marginals(plan: TransportPlan):
     """Row-sum and column-sum measures of the plan."""
-    n, m = plan.shape
-    first = tuple(sum(row) for row in plan.matrix)
-    second = tuple(sum(plan.matrix[i][j] for i in range(n)) for j in range(m))
-    return DiscreteMeasure(first), DiscreteMeasure(second)
+    first, second = _line_sums(plan)
+    return DiscreteMeasure(tuple(first)), DiscreteMeasure(tuple(second))
 
 
 def product_coupling(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> TransportPlan:
@@ -123,46 +240,16 @@ def is_coupling(plan, mu1, mu2, tol=None):
 
     The report lists ("nonnegativity" | "row" | "column", index, magnitude)
     entries, worst violation first; a NaN cell or sum is a violation, and
-    the worst.  An array plan, and a float plan the solver returned, is
-    checked with array operations against the weights as floats.  An exact
-    plan the solver returned is checked on its scaled ints (see
-    _is_scaled_coupling) against exact weights and a tolerance in [0, inf),
-    as the default 0 is.  Any other plan is checked cell by cell in its own
-    arithmetic.
+    the worst.  An exact plan is checked on its ints (_is_scaled_coupling),
+    a float plan on float64 against the weights as floats.  A raw matrix or
+    ndarray is read by _as_plan.
     """
-    if isinstance(plan, TransportPlan) and plan._array is not None:
-        if plan._scale is None:
-            plan = plan._array
-        elif mu1.mode == mu2.mode == RATIONAL and (tol is None or 0 <= tol < INF):
-            return _is_scaled_coupling(plan, mu1, mu2, tol or 0)
-    if isinstance(plan, np.ndarray):
-        a, b = mu1.float_weights, mu2.float_weights
-        return _is_coupling_array(plan, a, b, default_tol(FLOAT) if tol is None else tol)
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else tuple(
-        tuple(row) for row in plan
-    )
-    n = len(matrix)
-    m = len(matrix[0]) if matrix else 0
-    _check_plan_shape(n, m, mu1.n, mu2.n)
+    plan = _as_plan(plan)
     if tol is None:
-        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *matrix)))
-    # zero cells are skipped: they change no sum, and an exact zero costs a
-    # Fraction addition or comparison in Python; the tests are written so
-    # that NaN fails them
-    report = []
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x and not x >= -tol:
-                report.append(("nonnegativity", (i, j), -x))
-    for i, (row, w) in enumerate(zip(matrix, mu1.weights)):
-        gap = abs(sum(filter(None, row)) - w)
-        if not gap <= tol:
-            report.append(("row", i, gap))
-    for j, (column, w) in enumerate(zip(zip(*matrix), mu2.weights)):
-        gap = abs(sum(filter(None, column)) - w)
-        if not gap <= tol:
-            report.append(("column", j, gap))
-    return _worst_first(report)
+        tol = default_tol(_mode(plan, mu1, mu2))
+    if plan.mode == RATIONAL:
+        return _is_scaled_coupling(plan, mu1, mu2, tol)
+    return _is_coupling_array(plan._array, mu1.float_weights, mu2.float_weights, tol)
 
 
 def _worst_first(report):
@@ -182,50 +269,82 @@ def _is_coupling_array(X, a, b, tol):
     a and b are the weights as arrays in the plan's arithmetic: float64;
     int64, whose sums and gaps are exact while the total supply is below
     2^62, as the solver keeps it; or object arrays of exact numbers, which
-    are compared exactly.  A NaN cell fails the nonnegativity test, and its row
-    and column sums fail theirs.  A passing plan costs one pass of
-    reductions: the least cell and the worst row and column gaps.  The
-    report, cell by cell, is built only when one of them fails.
+    are compared exactly.
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
-    gaps = [
-        (kind, np.abs(np.add.reduce(X, axis=axis) - weights))
+    lines = [
+        (kind, np.abs(np.add.reduce(X, axis=axis) - weights), tol)
         for kind, axis, weights in (("row", 1, a), ("column", 0, b))
     ]
-    if X.dtype == object or any(g.dtype == object for _, g in gaps):
+    return _worst_first(_violations(X, tol, lines))
+
+
+def _violations(X, limit, lines):
+    """is_coupling's report entries, unsorted: the cells x of X that fail
+    x >= -limit, and for each (kind, gaps, bound) of lines the gaps that
+    fail gap <= bound; NaN fails.  A passing plan costs one pass of
+    reductions, and the entries are built only when a test fails.
+    """
+    if X.dtype == object or any(g.dtype == object for _, g, _ in lines):
         # an object array's min and max can pass over a NaN: test every entry
-        passing = np.all(X >= -tol) and all(np.all(g <= tol) for _, g in gaps)
+        passing = np.all(X >= -limit) and all(np.all(g <= t) for _, g, t in lines)
     else:  # a float64 min or max is NaN when an entry is
-        passing = X.min() >= -tol and all(g.max() <= tol for _, g in gaps)
+        passing = X.min() >= -limit and all(g.max() <= t for _, g, t in lines)
     if passing:
-        return True, []
-    i, j = np.logical_not(X >= -tol).nonzero()
+        return []
+    i, j = np.logical_not(X >= -limit).nonzero()
     report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
-    for kind, g in gaps:
-        (bad,) = np.logical_not(g <= tol).nonzero()
+    for kind, g, t in lines:
+        (bad,) = np.logical_not(g <= t).nonzero()
         report += [(kind, k, g.item(k)) for k in bad.tolist()]
-    return _worst_first(report)
+    return report
+
+
+def _floor(tol, scale):
+    """floor(tol * scale), exactly; an infinite tolerance stays as it is."""
+    if isinstance(tol, float) and not math.isfinite(tol):
+        return tol
+    return math.floor(Fraction(tol) * scale)
 
 
 def _is_scaled_coupling(plan, mu1, mu2, tol):
-    """is_coupling of an exact solver plan, in integer array operations.
+    """is_coupling of an exact plan, in integer array operations.
 
-    The plan holds ints X over its scale s.  X and the measures' scaled
-    weights go over one common scale L (s itself for the measures the plan
-    was solved for), and tol to floor(tol L): on integers x >= -tol L iff
-    x >= -floor(tol L), and gap <= tol L iff gap <= floor(tol L), so every
-    test decides as in Fractions.  The magnitudes are Fractions over L.
+    X and the exact measures' scaled weights go over one common scale L,
+    and tol to floor(tol L): on integers x >= -tol L iff x >= -floor(tol L),
+    so every test decides as in Fractions.  Against float weights a line's
+    exact sum is rounded, as float() rounds it, and the gap is a float, as
+    Python computes it.  An exact magnitude is a Fraction over L, or an int
+    where the cells and the weight it comes from are ints, as in Python.
     """
     X, scale = plan._array, plan._scale
-    (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
-    common = math.lcm(scale, s1, s2)
+    _check_plan_shape(*X.shape, mu1.n, mu2.n)
+    common = math.lcm(scale, *(mu.scaled_weights[1] for mu in (mu1, mu2) if mu.mode == RATIONAL))
     if common != scale:
         X = X * (common // scale)
-    a = np.array(ints1, dtype=object) * (common // s1)
-    b = np.array(ints2, dtype=object) * (common // s2)
-    ok, report = _is_coupling_array(X, a, b, math.floor(Fraction(tol) * common))
-    return ok, [(kind, at, Fraction(size, common)) for kind, at, size in report]
+    limit, lines = _floor(tol, common), []
+    for kind, axis, mu in (("row", 1, mu1), ("column", 0, mu2)):
+        sums = np.add.reduce(X, axis=axis)
+        if mu.mode == RATIONAL:
+            ints, s = mu.scaled_weights
+            lines.append((kind, np.abs(sums - np.array(ints, dtype=object) * (common // s)), limit))
+        else:
+            lines.append((kind, np.abs((sums / common).astype(np.float64) - mu.float_weights), tol))
+    report = _violations(X, limit, lines)
+    if report:  # type the exact magnitudes
+        kinds = np.where(X != 0, plan._kinds, 0)  # of the nonzero cells
+        lines = {"row": (mu1, kinds), "column": (mu2, kinds.T)}
+        for k, (kind, at, size) in enumerate(report):
+            if isinstance(size, float):
+                continue
+            if kind in lines:
+                mu, rows = lines[kind]
+                ints = isinstance(mu.weights[at], int) and not rows[at].any()
+            else:
+                ints = not kinds[at]
+            report[k] = kind, at, size // common if ints else Fraction(size, common)
+    return _worst_first(report)
 
 
 def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> bool:
@@ -234,34 +353,30 @@ def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> 
     For each pair, compares sum_{ij} (phi1[i] + phi2[j]) pi[ij] against
     int phi1 dmu1 + int phi2 dmu2.  With all singleton-indicator pairs this
     is equivalent to the direct marginal check (given unit total mass).
+    The left side is read off the row and column sums (_line_sums).
     """
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else tuple(
-        tuple(row) for row in plan
-    )
-    n = len(matrix)
-    m = len(matrix[0]) if matrix else 0
+    plan = _as_plan(plan)
+    n, m = plan.shape
     if n != mu1.n or m != mu2.n:
         raise ShapeError("plan shape does not match the measures")
     if tol is None:
-        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *matrix)))
+        tol = default_tol(_mode(plan, mu1, mu2))
     if pairs is None:
         pairs = all_indicator_pairs(n, m)
-    # a negative cell can hide behind cancelling integrals; reject it up front
-    if any(x < -tol for row in matrix for x in row):
+    X, scale = plan._array, plan._scale
+    # a negative cell can hide behind cancelling integrals; reject it up
+    # front; the tests are written so that NaN fails them
+    if not np.all(X >= (-tol if scale is None else -_floor(tol, scale))):
         return False
+    rows, columns = _line_sums(plan)
     for phi1, phi2 in pairs:
         v1 = phi1.values if isinstance(phi1, TestFunction) else tuple(phi1)
         v2 = phi2.values if isinstance(phi2, TestFunction) else tuple(phi2)
         if len(v1) != n or len(v2) != m:
             raise ShapeError("test-function lengths do not match the plan")
-        lhs = sum(
-            (v1[i] + v2[j]) * matrix[i][j]
-            for i in range(n)
-            for j in range(m)
-            if matrix[i][j] != 0
-        )
+        lhs = sum(map(mul, v1, rows)) + sum(map(mul, v2, columns))
         rhs = integrate(mu1, v1) + integrate(mu2, v2)
-        if abs(lhs - rhs) > tol:
+        if not abs(lhs - rhs) <= tol:
             return False
     return True
 
@@ -285,25 +400,18 @@ def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=N
     """
     n, m = plan.shape
     K1, K2 = set(K1), set(K2)
-    for i in K1:
-        if not 0 <= i < n:
-            raise IndexError(f"row index {i} out of range")
-    for j in K2:
-        if not 0 <= j < m:
-            raise IndexError(f"column index {j} out of range")
+    for K, size, what in ((K1, n, "row"), (K2, m, "column")):
+        for k in K:
+            if not 0 <= k < size:
+                raise IndexError(f"{what} index {k} out of range")
     if mu1 is None or mu2 is None:
         mu1, mu2 = marginals(plan)
     if tol is None:
-        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *plan.matrix)))
-    lhs = sum(
-        plan.matrix[i][j]
-        for i in range(n)
-        for j in range(m)
-        if i not in K1 or j not in K2
-    )
-    rhs = sum(mu1.weights[i] for i in range(n) if i not in K1) + sum(
-        mu2.weights[j] for j in range(m) if j not in K2
-    )
+        tol = default_tol(_mode(plan, mu1, mu2))
+    inside = np.outer(np.isin(range(n), list(K1)), np.isin(range(m), list(K2)))
+    lhs = _sum_cells(plan, ~inside)
+    rhs = sum(w for i, w in enumerate(mu1.weights) if i not in K1)
+    rhs += sum(w for j, w in enumerate(mu2.weights) if j not in K2)
     return lhs, rhs, lhs <= rhs + tol
 
 
@@ -317,16 +425,11 @@ def restrict_and_normalize(plan: TransportPlan, mask):
     n, m = plan.shape
     if len(mask) != n or any(len(row) != m for row in mask):
         raise ShapeError("mask shape does not match the plan")
-    kept = [
-        [plan.matrix[i][j] if mask[i][j] else 0 for j in range(m)] for i in range(n)
-    ]
+    kept = [[x if keep else 0 for x, keep in zip(*rows)] for rows in zip(plan.matrix, mask)]
     Z = sum(sum(row) for row in kept)
     if Z <= 0:
         raise EmptyRestrictionError("restriction keeps zero mass")
     normalized = tuple(tuple(x / Z for x in row) for row in kept)
-    mu1p = DiscreteMeasure(tuple(sum(row) for row in normalized))
-    mu2p = DiscreteMeasure(
-        tuple(sum(normalized[i][j] for i in range(n)) for j in range(m))
-    )
+    lines = normalized, zip(*normalized)
+    mu1p, mu2p = (DiscreteMeasure(tuple(map(sum, sums))) for sums in lines)
     return TransportPlan(normalized, mu1p, mu2p), Z, mu1p, mu2p
-

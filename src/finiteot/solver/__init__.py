@@ -29,12 +29,11 @@ scattered back into the full n x m array with zeros elsewhere; everything
 else runs on the full arrays.  When every weight is positive nothing is
 copied.  A rational plan stays in int64 through the forbidden-mass
 decision and the coupling check, which are exact there because every row
-and column sum is at most the total supply; its cost is an integer dot
-product over the cells with mass, and it becomes Python ints once, for
-the TransportPlan.  The returned TransportPlan holds the engine's array,
-which the coupling check has just checked, and builds its matrix of
-Python floats, or of Fractions (x / weight scale), only when it is asked
-for; an exact plan's ints also serve cost_of_plan and glue as they are.
+and column sum is at most the total supply, and its cost is an integer
+dot product over the cells with mass.  The returned TransportPlan takes
+the engine's array in the plan format (see coupling) as it is: float64,
+or Python ints, made from the int64 plan once, over the weight scale.  Its
+matrix of Python floats, or of Fractions, is built only when asked for.
 The cost is a Python float, or a Fraction (divided once by both scales).
 So a solve makes no Python call per cell from input to plan.
 
@@ -73,12 +72,19 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
 
 import numpy as np
 
-from ..coupling import TransportPlan, _is_coupling_array
+from ..coupling import (
+    TransportPlan,
+    _as_plan,
+    _floats,
+    _is_coupling_array,
+    _scaled,
+    _sum_in_order,
+)
 from ..measure import DiscreteMeasure, integrate
 from ..numerics import (
     FLOAT,
@@ -152,76 +158,41 @@ class OTSolution:
 def cost_of_plan(plan, cost) -> object:
     """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell.
 
-    The terms on cells with nonzero mass are added left to right in
-    row-major order, starting from 0.  A plan and costs that are all exact
-    (+inf costs allowed) are scaled to integers: the cost is one integer dot
-    product over the cells with mass, and one Fraction at the end, or an int
-    when every such cell holds an int mass at an int cost.  An exact plan
-    the solver returned is read off its integer array.  An object array
-    plan (exact entries) is computed against the costs as they are, and
-    every other plan as float64 arrays, which add in that same order.
+    One path per mode, over the cells with nonzero mass.  An exact plan
+    against exact costs (+inf allowed) is one integer dot product of its
+    ints and the scaled costs: an int when every such cell holds an int
+    mass at an int cost, else one Fraction.  Any other plan and costs meet
+    in float64, and the terms are added left to right in row-major order,
+    starting from 0.  A raw matrix or ndarray is read by coupling._as_plan.
     """
-    cost_mode = cost.mode if isinstance(cost, CostMatrix) else None
-    if isinstance(plan, TransportPlan) and plan._array is not None:
-        if plan._scale is None:
-            plan = plan._array
-        elif (cost_mode or infer_mode(chain.from_iterable(cost))) == RATIONAL:
-            X = plan._array
-            C = cost.array if cost_mode else np.array(cost, dtype=object)
-            if X.shape != C.shape:
-                raise ShapeError("plan and cost shapes differ")
-            return _cost_of_exact_plan(X.ravel().tolist(), plan._scale, False, C.ravel().tolist())
-    if isinstance(plan, np.ndarray):
-        if cost_mode:
-            # a float-mode matrix holds float64: exact entries meet the costs as given
-            cost = cost.cost if plan.dtype == object and cost_mode == FLOAT else cost.array
-        return _cost_of_array_plan(plan, cost)
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else plan
-    c = cost.cost if cost_mode else cost
-    if len(matrix) != len(c) or len(matrix[0]) != len(c[0]):
+    plan = _as_plan(plan)
+    exact = _scaled(plan)
+    if isinstance(cost, CostMatrix):
+        C, cost_mode = cost.array, cost.mode
+    elif exact is not None:
+        C = np.array(cost, dtype=object)  # the cells as given
+        cost_mode = infer_mode(C.ravel().tolist())
+    else:  # a float plan settles float mode
+        C, cost_mode = cost, FLOAT
+    if exact is None or cost_mode != RATIONAL:
+        X, C, exact = _floats(plan), np.asarray(C, dtype=np.float64), None
+    else:
+        X, pscale, ints_only = exact
+    if X.shape != C.shape:
         raise ShapeError("plan and cost shapes differ")
-    cells = list(chain.from_iterable(matrix))
-    if all_exact(cells) and (cost_mode or infer_mode(chain.from_iterable(c))) == RATIONAL:
-        P, pscale = scaled_ints(cells)
-        ints_only = all(issubclass(kind, int) for kind in set(map(type, compress(cells, P))))
-        return _cost_of_exact_plan(P, pscale, ints_only, list(chain.from_iterable(c)))
-    return _cost_of_array_plan(np.array(matrix, dtype=np.float64), cost.array if cost_mode else c)
-
-
-def _cost_of_exact_plan(P, pscale, ints_only, costs):
-    """cost_of_plan of a flat exact plan P / pscale against flat costs.
-
-    P holds ints, and the costs are exact or +inf; ints_only says whether
-    every cell with mass held an int mass.
-    """
-    costs = list(compress(costs, P))  # the cells with mass
+    if exact is None:
+        mass = X != 0
+        terms = C[mass] * X[mass]
+        return INF if (abs(terms) == INF).any() else _sum_in_order(terms)
+    P = X.ravel().tolist()
+    costs = list(compress(C.ravel().tolist(), P))  # the cells with mass
     if not all_exact(costs):
         return INF  # the only inexact cost rational mode allows is +inf
-    C, cscale = scaled_ints(costs)
-    total = sum(map(mul, C, compress(P, P)))
+    ints, cscale = scaled_ints(costs)
+    total = sum(map(mul, ints, compress(P, P)))
     if ints_only and all(issubclass(kind, int) for kind in set(map(type, costs))):
         return total
     return Fraction(total, pscale * cscale)
-
-
-def _cost_of_array_plan(X, cost):
-    C = np.asarray(cost, dtype=object if X.dtype == object else np.float64)
-    if X.shape != C.shape:
-        raise ShapeError("plan and cost shapes differ")
-    mass = X != 0
-    terms = C[mass] * X[mass]
-    if (abs(terms) == INF).any():  # np.isinf takes no object arrays
-        return INF
-    return _sum_in_order(terms)
-
-
-def _sum_in_order(values):
-    """0 + values[0] + values[1] + ... as Python numbers, added left to right.
-
-    np.sum adds pairwise, and sum() compensates floats from Python 3.12 on;
-    either can change the last bits of a result that a plain loop produces.
-    """
-    return 0 + values.cumsum().item(-1) if values.size else 0
 
 
 def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
@@ -341,8 +312,8 @@ def solve_kantorovich(
         if not ok:
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
         if mode == FLOAT:
-            value = cost_of_plan(X, C)
             plan = TransportPlan._of_array(X, mu1, mu2)
+            value = cost_of_plan(plan, C)
         else:
             # no mass sits on a forbidden cell: the cost is an integer dot
             # product over the cells with mass, whose flows are turned into

@@ -6,11 +6,10 @@ disintegration tensor pi12[i][j] * pi23[j][k] / mu2[j] (zero on zero-mass
 middle atoms), which makes every statement here checkable exactly in
 rational mode.  A GluedPlan keeps its factors, the two plans, and builds
 that n1 x n2 x n3 tensor only when asked for it.  Exact plans (int and
-Fraction cells) are glued on scaled integers: pi12 = P / s12 and
-pi23 = Q / s23, so the middle marginals compare as integer sums and the 1-3
-plan is one integer matrix product, with one Fraction per nonzero cell.
-Two plans the solver returned bring P and Q with them, and their glued plan
-builds its Fraction matrices only when they are asked for.
+Fraction cells) are glued on the scaled integers every exact plan holds:
+pi12 = P / s12 and pi23 = Q / s23, so the middle marginals compare as
+integer sums and the 1-3 plan is one integer matrix product, which builds
+its Fraction cells only when they are asked for.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ from itertools import chain
 
 import numpy as np
 
-from .coupling import TransportPlan, is_coupling, marginals
-from .measure import DiscreteMeasure, measures_equal
+from .coupling import TransportPlan, _line_sums, _scaled, _sum_cells
+from .measure import measures_equal
 from .numerics import (
+    FLOAT,
     RATIONAL,
     DomainError,
     GlueError,
     ParameterError,
-    all_exact,
     default_tol,
     infer_mode,
-    scaled_ints,
 )
 from .solver import cost_of_plan, solve_kantorovich
 
@@ -72,68 +70,56 @@ def wasserstein_distance(mu1, mu2, space, params: WassersteinParams = None):
     return _root(sol.optimal_cost, params.p, sol.mode), sol.plan
 
 
-@dataclass(frozen=True)
 class GluedPlan:
     """Three-coordinate joint mass whose (1,2) and (2,3) marginals are plans.
 
-    It keeps its factors, the matrices of the two plans; the middle
-    marginal mu2, the integer factors and the n1 x n2 x n3 tensor
-    pi12[i][j] * pi23[j][k] / mu2[j] are derived from them on first use.
-    A glued plan of two solver plans (see _of_plans) keeps the plans
-    instead, and builds pi12 and pi23 from them on first use.
+    It keeps its factors, the two plans (a matrix given for either is read
+    as a TransportPlan), and reads their format off them: pi12 and pi23 are
+    their matrices, built only when asked for, and when both are exact
+    their ints P and Q glue with no Fraction built.  The middle marginal
+    mu2 and the n1 x n2 x n3 tensor pi12[i][j] * pi23[j][k] / mu2[j] are
+    derived on first use.  Equality, hashing and repr go by pi12 and pi23.
     """
 
-    pi12: tuple  # n1 x n2 matrix
-    pi23: tuple  # n2 x n3 matrix
+    def __init__(self, pi12, pi23):
+        vars(self)["_plans"] = tuple(
+            p if isinstance(p, TransportPlan) else TransportPlan(p) for p in (pi12, pi23)
+        )
 
-    #: the two solver plans that pi12 and pi23 are built from (see _of_plans)
-    _plans = None
+    pi12 = property(lambda self: self._plans[0].matrix, doc="The n1 x n2 matrix.")
+    pi23 = property(lambda self: self._plans[1].matrix, doc="The n2 x n3 matrix.")
 
-    @classmethod
-    def _of_plans(cls, plan12, plan23):
-        """The glued plan of two exact solver plans, on their scaled ints.
+    def __eq__(self, other):
+        return isinstance(other, GluedPlan) and (self.pi12, self.pi23) == (other.pi12, other.pi23)
 
-        Each plan holds Python ints X over a scale s (TransportPlan._of_array),
-        which are its integer factor; its matrix is built only when pi12 or
-        pi23 is asked for.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "_plans", (plan12, plan23))
-        vars(g)["_integer_factors"] = (plan12._array, plan12._scale, plan23._array, plan23._scale)
-        return g
+    def __hash__(self):
+        return hash((self.pi12, self.pi23))
 
-    def __getattr__(self, name):
-        # only a glued plan of solver plans lacks its matrices, until asked for
-        if name not in ("pi12", "pi23") or self._plans is None:
-            raise AttributeError(name)
-        matrix = self._plans[name == "pi23"].matrix
-        object.__setattr__(self, name, matrix)
-        return matrix
+    def __repr__(self):
+        return f"GluedPlan(pi12={self.pi12!r}, pi23={self.pi23!r})"
 
     @property
     def shape(self):
-        if self._plans is not None:
-            (n1, n2), (_, n3) = (plan.shape for plan in self._plans)
-            return n1, n2, n3
-        return len(self.pi12), len(self.pi23), len(self.pi23[0])
+        (n1, n2), (_, n3) = (plan.shape for plan in self._plans)
+        return n1, n2, n3
 
-    @cached_property
+    @property
     def _integer_factors(self):
-        """(P, s12, Q, s23) with pi12 = P / s12 and pi23 = Q / s23, or None.
-
-        P and Q are object arrays of Python ints.  They exist when every
-        cell of both plans is an int or a Fraction; the middle marginal is
-        then made of Fractions, so every tensor cell is exact arithmetic.
-        """
-        return _integer_factors(self.pi12, self.pi23, (None, None))
+        """(P, s12, Q, s23) with pi12 = P / s12 and pi23 = Q / s23, the two
+        plans' ints (coupling._scaled) when both are exact, else None; mu2
+        is then made of Fractions, so every tensor cell is exact."""
+        factors = [_scaled(plan) for plan in self._plans]
+        if None in factors:
+            return None
+        (P, s12, _), (Q, s23, _) = factors
+        return P, s12, Q, s23
 
     @cached_property
     def mu2(self):
         """The middle marginal: the column sums of pi12."""
         exact = self._integer_factors
         if exact is None:
-            n1, n2, _ = self.shape
-            return tuple(sum(self.pi12[i][j] for i in range(n1)) for j in range(n2))
+            return tuple(_line_sums(self._plans[0])[1])
         P, s12, _, _ = exact
         return tuple(Fraction(c, s12) for c in P.sum(axis=0).tolist())
 
@@ -151,40 +137,14 @@ class GluedPlan:
         )
 
     def marginal_12(self):
-        n1, n2, n3 = self.shape
-        return tuple(
-            tuple(sum(self.tensor[i][j][k] for k in range(n3)) for j in range(n2))
-            for i in range(n1)
-        )
+        return tuple(tuple(map(sum, sl)) for sl in self.tensor)
 
     def marginal_23(self):
-        n1, n2, n3 = self.shape
-        return tuple(
-            tuple(sum(self.tensor[i][j][k] for i in range(n1)) for k in range(n3))
-            for j in range(n2)
-        )
+        # each sum runs over i, in order
+        return tuple(tuple(map(sum, zip(*column))) for column in zip(*self.tensor))
 
     def total_mass(self):
         return sum(sum(sum(r) for r in sl) for sl in self.tensor)
-
-
-def _integer_factors(pi12, pi23, forms):
-    """GluedPlan._integer_factors of the matrices pi12 and pi23.
-
-    forms holds, for each, the (ints, scale) of the solver plan it is the
-    matrix of, or None; then its cells are not scaled again.
-    """
-    cells12, cells23 = (list(chain(*m)) for m in (pi12, pi23))
-    if not (all_exact(cells12) and all_exact(cells23)):
-        return None
-    n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
-    factors = []
-    for cells, shape, form in ((cells12, (n1, n2), forms[0]), (cells23, (n2, n3), forms[1])):
-        if form is None:
-            ints, scale = scaled_ints(cells)
-            form = np.array(ints, dtype=object).reshape(shape), scale
-        factors += form
-    return tuple(factors)
 
 
 def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
@@ -192,35 +152,26 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
 
     Requires column sums of pi12 to equal row sums of pi23; the glued plan
     makes the outer coordinates conditionally independent given the middle
-    one.  Exact plans are compared on their integer factors, with no
-    Fraction arithmetic; a plan the solver returned brings its own, and two
-    of them are glued with no matrix built (GluedPlan._of_plans).  The
-    tensor is not built here.
+    one.  Two exact plans are compared on their integer factors, with no
+    Fraction arithmetic and no matrix built; any other two on their
+    column and row sums (coupling._line_sums).  The tensor is not built
+    here.
     """
     n2, n2b = pi12.shape[1], pi23.shape[0]
     if n2 != n2b:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
-    # the (ints, scale) an exact plan from the solver carries
-    forms = tuple(None if p._scale is None else (p._array, p._scale) for p in (pi12, pi23))
-    if None not in forms:
-        g = GluedPlan._of_plans(pi12, pi23)
-    else:
-        g = GluedPlan(pi12.matrix, pi23.matrix)
-        if forms != (None, None):
-            vars(g)["_integer_factors"] = _integer_factors(g.pi12, g.pi23, forms)
+    g = GluedPlan(pi12, pi23)
     exact = g._integer_factors
     if tol is None:
-        tol = 0 if exact else default_tol(infer_mode(chain(*pi12.matrix, *pi23.matrix)))
+        tol = default_tol(RATIONAL if exact else FLOAT)
     if exact:
         P, s12, Q, s23 = exact
         # both sums over the common scale s12 * s23
         gaps = np.abs(P.sum(axis=0) * s23 - Q.sum(axis=1) * s12).tolist()
     else:
-        gaps = [abs(x - sum(row)) for x, row in zip(g.mu2, pi23.matrix)]
-    worst_j, worst_gap = None, 0
-    for j, gap in enumerate(gaps):
-        if gap > worst_gap:
-            worst_gap, worst_j = gap, j
+        gaps = [abs(x - y) for x, y in zip(g.mu2, _line_sums(g._plans[1])[0])]
+    worst_j = max(range(n2), key=gaps.__getitem__)  # the first worst
+    worst_gap = gaps[worst_j]
     if exact and worst_gap:
         worst_gap = Fraction(worst_gap, s12 * s23)
     if worst_gap > tol:
@@ -256,7 +207,7 @@ def glued_marginal_13(g: GluedPlan) -> TransportPlan:
     i, j = P.nonzero()
     product = np.zeros((P.shape[0], Q.shape[1]), dtype=object)  # int 0 cells
     np.add.at(product, i, (P[i, j] * f[j])[:, None] * Q[j])
-    return TransportPlan._of_array(product, scale=s23 * L)
+    return TransportPlan._of_array(product, scale=s23 * L, zero=0)
 
 
 def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):
@@ -299,25 +250,16 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
     if len(measures) < 2:
         raise DomainError("need at least two measures")
     k = len(measures)
-    dist = {}
-    plans = {}
+    dist, plans = {}, {}
     for i in range(k):
-        for j in range(k):
-            if i <= j:
-                w, plan = wasserstein_distance(measures[i], measures[j], space, params)
-                dist[(i, j)] = w
-                plans[(i, j)] = plan
+        for j in range(i, k):
+            dist[i, j], plans[i, j] = wasserstein_distance(measures[i], measures[j], space, params)
     tol = params.tol
     if tol is None:
         tol = default_tol(infer_mode(dist.values()))
 
-    failures = {
-        "nonnegativity": [],
-        "symmetry": [],
-        "identity": [],
-        "discernibility": [],
-        "triangle": [],
-    }
+    axioms = "nonnegativity", "symmetry", "identity", "discernibility", "triangle"
+    failures = {axiom: [] for axiom in axioms}
     for i in range(k):
         if dist[(i, i)] > tol:
             failures["identity"].append({"i": i, "value": dist[(i, i)]})
@@ -333,16 +275,8 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
                 )
             if i != j and dist[(i, j)] <= tol:
                 # derived weight tolerance: W >= min-positive-distance * off-diag mass
-                wtol = (
-                    tol / space.min_positive_distance() if tol else 0
-                )
-                plan = plans[(i, j)]
-                off_diag = sum(
-                    plan.matrix[x][y]
-                    for x in range(space.n)
-                    for y in range(space.n)
-                    if x != y
-                )
+                wtol = tol / space.min_positive_distance() if tol else 0
+                off_diag = _sum_cells(plans[(i, j)], ~np.eye(space.n, dtype=bool))
                 if off_diag > wtol or not measures_equal(
                     measures[i], measures[j], "weights", tol=wtol
                 ):
@@ -358,9 +292,7 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
             for l in range(k):
                 gap = w(i, l) - w(i, j) - w(j, l)
                 if gap > tol:
-                    failures["triangle"].append(
-                        {"i": i, "j": j, "k": l, "gap": gap}
-                    )
+                    failures["triangle"].append({"i": i, "j": j, "k": l, "gap": gap})
 
     passed = all(not v for v in failures.values())
     return {
@@ -374,16 +306,15 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
 
 def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
     """Both marginal invariants and unit mass; returns (ok, report)."""
-    if tol is None:
-        tol = default_tol(infer_mode(chain(*chain(*g.tensor), *pi12.matrix, *pi23.matrix)))
-    report = []
-    m12 = g.marginal_12()
-    m23 = g.marginal_23()
-    for name, got, want in (("(1,2)", m12, pi12.matrix), ("(2,3)", m23, pi23.matrix)):
-        for a_row, b_row in zip(got, want):
-            for x, y in zip(a_row, b_row):
-                if abs(x - y) > tol:
-                    report.append((name, abs(x - y)))
+    if tol is None:  # the tensor is exact when both plans are
+        tol = default_tol(RATIONAL if pi12.mode == pi23.mode == RATIONAL else FLOAT)
+    pairs = ("(1,2)", g.marginal_12(), pi12.matrix), ("(2,3)", g.marginal_23(), pi23.matrix)
+    report = [
+        (name, abs(x - y))
+        for name, got, want in pairs
+        for x, y in zip(chain(*got), chain(*want))
+        if abs(x - y) > tol
+    ]
     mass = g.total_mass()
     if abs(mass - 1) > tol:
         report.append(("total_mass", abs(mass - 1)))

@@ -1,13 +1,21 @@
+import ast
 import random
 from fractions import Fraction as F
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finiteot
+from finiteot.analysis import liminf_cost_check
 from finiteot.coupling import (
     TransportPlan,
     _is_coupling_array,
+    _line_sums,
+    _sum_cells,
     _worst_first,
+    all_indicator_pairs,
     is_coupling,
     marginals,
     product_coupling,
@@ -19,10 +27,21 @@ from finiteot.generators import (
     random_coupling,
     random_positive_rational_measure,
     random_rational_measure,
+    random_rational_metric_space,
+    random_vertex_coupling,
 )
-from finiteot.measure import new_measure
-from finiteot.numerics import EmptyRestrictionError, ShapeError
-from finiteot.solver import solve_kantorovich
+from finiteot.measure import DiscreteMeasure, integrate, new_measure
+from finiteot.numerics import (
+    INF,
+    DomainError,
+    EmptyRestrictionError,
+    ShapeError,
+    default_tol,
+    infer_mode,
+)
+from finiteot.solver import cost_of_plan, solve_kantorovich
+from finiteot.space import CostMatrix
+from finiteot.wasserstein import glue, glued_marginal_13, wasserstein_distance
 
 HALF = F(1, 2)
 UNIFORM2 = new_measure([HALF, HALF])
@@ -97,6 +116,9 @@ class TestIsCoupling:
         }
         ok, report = _is_coupling_array(np.array(plan), mu.float_weights, mu.float_weights, 1e-9)
         assert not ok and len(report) == 3
+        # the test-function check: its tests are written so that NaN fails them
+        plan = [[nan, 0.5], [0, 0.5]]
+        assert not verify_coupling_via_test_functions(np.array(plan) if as_array else plan, mu, mu)
 
     def test_solver_plans_are_checked_on_their_arrays(self):
         mu = new_measure((0.25, 0.75))
@@ -132,8 +154,7 @@ class TestIsCoupling:
             for p in (plan, moved):
                 got = [is_coupling(p, *case) for case in cases]
                 assert "matrix" not in vars(p)  # read off the ints
-                cells = TransportPlan(p.matrix)
-                assert got == [is_coupling(cells, *case) for case in cases]
+                assert typed(got) == typed([reference_is_coupling(p.matrix, *case) for case in cases])
                 checks += len(got)
                 bad += sum(not ok for ok, _ in got)
         assert 0 < bad < checks
@@ -340,3 +361,275 @@ class TestRestriction:
             for i in range(n):
                 for j in range(m):
                     assert restricted.matrix[i][j] * Z <= plan.matrix[i][j]
+
+
+def test_int_array_plan_is_exact():
+    """An int64 plan is an exact plan of Python ints, as a tuple of ints is."""
+    plan = TransportPlan(np.array([[1, 0], [0, 0]]))
+    assert plan.mode == "rational"
+    assert typed(plan.matrix) == typed(((1, 0), (0, 0)))
+    assert typed(marginals(plan)) == typed((new_measure((1, 0)), new_measure((1, 0))))
+    value = cost_of_plan(plan, [[3, 1], [1, 0]])
+    assert type(value) is int and value == 3
+
+
+def test_plan_format_is_read_in_coupling_only():
+    """No module but coupling.py reads a TransportPlan's private fields, so
+    that the plan's number format is decided, and read, in one place."""
+    half = new_measure((F(1, 2), F(1, 2)))
+    plans = [TransportPlan(((F(1, 2), 0), (0, F(1, 2)))), TransportPlan(((0.5, 0.0), (0.0, 0.5)))]
+    for mu in (half, new_measure((0.5, 0.5))):
+        plans.append(solve_kantorovich(mu, mu, ((0, 1), (1, 0))).plan)
+    for plan in plans:
+        plan.total_mass()  # builds what a plan builds on first use
+    fields = {name for plan in plans for name in vars(plan) if name.startswith("_")}
+    assert {"_array", "_scale"} <= fields
+    package = Path(finiteot.__file__).parent
+    readers = [
+        f"{path.relative_to(package)}:{node.lineno} reads .{node.attr}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "coupling.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert not readers, readers
+
+
+def typed(x):
+    """x with every number as (type, repr): types compare too, NaN equals NaN."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(typed, x))
+    if isinstance(x, DiscreteMeasure):
+        return DiscreteMeasure, typed(x.weights)
+    if isinstance(x, dict):
+        return tuple((key, typed(value)) for key, value in x.items())
+    return type(x), repr(x)
+
+
+# The cell-by-cell paths that the plan's format replaced, kept as the
+# references of the battery below.  They run on the cells as the plan holds
+# them (as_read), in Python's own arithmetic.
+
+
+def as_read(plan):
+    """The plan's cells as its format holds them: in a float plan every cell
+    with mass is a float, exact ones rounded; zero cells keep their types."""
+    if plan.mode == "rational":
+        return plan.matrix
+    return tuple(tuple(float(x) if x else x for x in row) for row in plan.matrix)
+
+
+def reference_marginals(cells):
+    rows = tuple(sum(row) for row in cells)
+    return DiscreteMeasure(rows), DiscreteMeasure(tuple(sum(column) for column in zip(*cells)))
+
+
+def reference_is_coupling(cells, mu1, mu2, tol=None):
+    if tol is None:
+        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *cells)))
+    report = [
+        ("nonnegativity", (i, j), -x)
+        for i, row in enumerate(cells)
+        for j, x in enumerate(row)
+        if x and not x >= -tol
+    ]
+    for kind, lines, weights in (("row", cells, mu1.weights), ("column", zip(*cells), mu2.weights)):
+        for k, (line, w) in enumerate(zip(lines, weights)):
+            gap = abs(sum(filter(None, line)) - w)
+            if not gap <= tol:
+                report.append((kind, k, gap))
+    return _worst_first(report)
+
+
+def reference_cost(cells, cost):
+    rows = cost.cost if isinstance(cost, CostMatrix) else cost
+    pairs = [(x, c) for xs, cs in zip(cells, rows) for x, c in zip(xs, cs) if x != 0]
+    cost_mode = cost.mode if isinstance(cost, CostMatrix) else infer_mode(chain(*rows))
+    if infer_mode(chain(*cells)) == cost_mode == "rational":
+        return INF if any(c == INF for _, c in pairs) else sum(x * c for x, c in pairs)
+    terms = [float(c) * float(x) for x, c in pairs]
+    if any(abs(t) == INF for t in terms):
+        return INF
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def reference_tail(cells, K1, K2, mu1, mu2):
+    tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *cells)))
+    outside = ((i, j) for i in range(len(cells)) for j in range(len(cells[0])))
+    lhs = sum(cells[i][j] for i, j in outside if i not in K1 or j not in K2)
+    rhs = sum(w for i, w in enumerate(mu1.weights) if i not in K1)
+    rhs = rhs + sum(w for j, w in enumerate(mu2.weights) if j not in K2)
+    return lhs, rhs, lhs <= rhs + tol
+
+
+def reference_verify(cells, mu1, mu2, tol=None):
+    n, m = len(cells), len(cells[0])
+    if tol is None:
+        tol = default_tol(infer_mode(chain(mu1.weights, mu2.weights, *cells)))
+    if any(not x >= -tol for row in cells for x in row):
+        return False
+    for phi1, phi2 in all_indicator_pairs(n, m):
+        v1, v2 = phi1.values, phi2.values
+        lhs = sum(
+            (v1[i] + v2[j]) * x for i, row in enumerate(cells) for j, x in enumerate(row) if x != 0
+        )
+        if not abs(lhs - integrate(mu1, v1) - integrate(mu2, v2)) <= tol:
+            return False
+    return True
+
+
+def reference_liminf(plans, limit, cost):
+    """liminf_cost_check's report, or its message, from the cells (tol=None)."""
+    cells = [as_read(p) for p in plans]
+    rows = cost.cost if isinstance(cost, CostMatrix) else cost
+    tol = default_tol(infer_mode(chain(*as_read(limit), *chain(*cells), *rows)))
+    gaps = []
+    for c in cells:
+        worst = (0, (0, 0))
+        for i, (row, lrow) in enumerate(zip(c, as_read(limit))):
+            for j, (x, y) in enumerate(zip(row, lrow)):
+                if abs(x - y) > worst[0]:
+                    worst = (abs(x - y), (i, j))
+        gaps.append(worst)
+    tail = max(1, -(-len(plans) // 4))
+    for t in range(len(plans) - tail, len(plans) - 1):
+        if gaps[t + 1][0] > gaps[t][0] + tol:
+            return (f"sequence does not converge to the limit: entry "
+                    f"{gaps[t + 1][1]} gap grows to {gaps[t + 1][0]} at step {t + 1}")
+    liminf = min(reference_cost(c, cost) for c in cells[-tail:])
+    value = reference_cost(as_read(limit), cost)
+    holds = liminf == INF or value != INF and value <= liminf + tol
+    return {"liminf_value": liminf, "limit_value": value, "tail_length": tail, "holds": holds}
+
+
+def outcome(check, *args):
+    """typed(check(*args)), or the type and message of the error it raises."""
+    try:
+        return typed(check(*args))
+    except (DomainError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def battery_plans(rng, trial):
+    """(name, plan as given, mu1, mu2) cases of n x m plans, n, m < 8."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    mu1, mu2 = random_rational_measure(rng, n), random_rational_measure(rng, m)
+    make = random_vertex_coupling if trial % 2 else random_coupling
+    frac = [list(row) for row in make(rng, mu1, mu2).matrix]
+    if trial % 3 == 0:  # off a coupling by one cell, which may turn negative
+        frac[rng.randrange(n)][rng.randrange(m)] += F(rng.choice((-1, 1)), rng.randint(2, 9))
+    floats = [[float(x) for x in row] for row in frac]
+    ints = [[rng.choice((0, 0, rng.randint(1, 5))) for _ in range(m)] for _ in range(n)]
+    mixed = [[float(x) if rng.random() < 0.5 else x for x in row] for row in frac]
+    int_zeros = [[x if x else 0 for x in row] for row in frac]
+    fmu1, fmu2 = (new_measure(map(float, mu.weights)) for mu in (mu1, mu2))
+    dirac1, dirac2 = new_measure([1] + [0] * (n - 1)), new_measure([0] * (m - 1) + [1])
+    return [
+        ("Fraction", frac, mu1, mu2), ("Fraction, float weights", frac, fmu1, fmu2),
+        ("Fraction, int weights", frac, dirac1, dirac2), ("int zeros", int_zeros, mu1, mu2),
+        ("int", ints, dirac1, dirac2), ("int, Fraction weights", ints, mu1, mu2),
+        ("float", floats, fmu1, fmu2), ("float, Fraction weights", floats, mu1, mu2),
+        ("mixed", mixed, mu1, mu2), ("float64 array", np.array(floats), fmu1, fmu2),
+        ("int64 array", np.array(ints), dirac1, dirac2),
+        ("object array", np.array(frac, dtype=object), mu1, mu2),
+    ]
+
+
+def battery_solved(rng, trial):
+    """Solver plans in both modes and glued 1-3 plans, with their measures."""
+    n = rng.randint(1, 6)
+    space = random_rational_metric_space(rng, n)
+    mus = [random_rational_measure(rng, n) for _ in range(3)]
+    if trial % 2:
+        mus = [new_measure(map(float, mu.weights)) for mu in mus]
+    plans = [wasserstein_distance(mus[k], mus[k + 1], space)[1] for k in (0, 1)]
+    tuples = [random_coupling(rng, mus[k], mus[k + 1]) for k in (0, 1)]
+    return [
+        ("solver plan", plans[0], mus[0], mus[1]),
+        ("glued solver plans", glued_marginal_13(glue(*plans)), mus[0], mus[2]),
+        ("glued couplings", glued_marginal_13(glue(*tuples)), mus[0], mus[2]),
+    ]
+
+
+class TestOnePlanFormat:
+    """Every plan consumer against its cell-by-cell reference, in value and
+    type, on int, Fraction, float and mixed tuples, on float64, int64 and
+    object arrays, on solver plans of both modes and on glued 1-3 plans.
+    The plans are below 8 cells a side, where np.add.reduce adds a float
+    row in order, as sum() does."""
+
+    @staticmethod
+    def costs(rng, n, m):
+        ints = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+        fractions = [[F(rng.randint(0, 90), 7) for _ in range(m)] for _ in range(n)]
+        floats = [[float(x) for x in row] for row in fractions]
+        forbidden = [[INF if rng.random() < 0.2 else x for x in row] for row in ints]
+        return [ints, fractions, floats, forbidden, CostMatrix(ints), CostMatrix(floats),
+                CostMatrix(forbidden), np.array(floats)]
+
+    def check(self, rng, given, mu1, mu2):
+        plan = given if isinstance(given, TransportPlan) else TransportPlan(given)
+        cells = as_read(plan)
+        n, m = plan.shape
+        assert outcome(marginals, plan) == outcome(reference_marginals, cells)
+        assert typed(plan.total_mass()) == typed(sum(sum(row) for row in cells))
+        for raw in {id(given): given, id(plan): plan}.values():
+            for tol in (None, 0, F(1, 1000), 1e-3):
+                assert typed(is_coupling(raw, mu1, mu2, tol)) == typed(
+                    reference_is_coupling(cells, mu1, mu2, tol)
+                )
+            for tol in (None, 0):
+                got = verify_coupling_via_test_functions(raw, mu1, mu2, None, tol)
+                assert got is reference_verify(cells, mu1, mu2, tol)
+            for cost in self.costs(rng, n, m):
+                assert typed(cost_of_plan(raw, cost)) == typed(reference_cost(cells, cost))
+        K1, K2 = ({k for k in range(size) if rng.random() < 0.5} for size in (n, m))
+        assert typed(tail_mass_bound_check(plan, K1, K2, mu1, mu2)) == typed(
+            reference_tail(cells, K1, K2, mu1, mu2)
+        )
+        try:
+            got = tail_mass_bound_check(plan, K1, K2)
+        except DomainError:  # the plan's marginals are not probability measures
+            return
+        assert typed(got) == typed(reference_tail(cells, K1, K2, *reference_marginals(cells)))
+        other = TransportPlan(plan.matrix[::-1])
+        cost = self.costs(rng, n, m)[rng.randrange(8)]
+        for sequence in ([other] * 7 + [plan], [plan] * 7 + [other]):
+            try:
+                got = typed(liminf_cost_check(sequence, plan, cost))
+            except DomainError as exc:
+                got = str(exc)
+            want = reference_liminf(sequence, plan, cost)
+            assert got == (want if isinstance(want, str) else typed(want))
+
+    def test_every_consumer_matches_its_reference(self):
+        rng = random.Random(1717)
+        for trial in range(40):
+            for _, given, mu1, mu2 in battery_plans(rng, trial) + battery_solved(rng, trial):
+                self.check(rng, given, mu1, mu2)
+
+    def test_off_diagonal_mass_is_the_cell_sum(self):
+        # the sum metric_axiom_suite reads off its plans, in row-major order
+        rng = random.Random(1719)
+        for trial in range(40):
+            for _, plan, _, _ in battery_solved(rng, trial):
+                n = plan.shape[0]
+                cells = enumerate(as_read(plan))
+                off = [x for i, row in cells for j, x in enumerate(row) if i != j]
+                assert typed(_sum_cells(plan, ~np.eye(n, dtype=bool))) == typed(sum(off))
+
+    def test_float_sums_add_in_order(self):
+        # rows of 20 cells, which np.add.reduce would add pairwise
+        rng = random.Random(1721)
+        for _ in range(20):
+            plan = TransportPlan([[rng.random() for _ in range(20)] for _ in range(3)])
+            cells = as_read(plan)
+            rows = tuple(sum(row) for row in cells), tuple(sum(column) for column in zip(*cells))
+            assert typed(_line_sums(plan)) == typed(rows)
+            assert typed(plan.total_mass()) == typed(sum(rows[0]))
+            K2 = {j for j in range(20) if rng.random() < 0.5}
+            lhs = tail_mass_bound_check(plan, {0, 1, 2}, K2, new_measure((1,)), new_measure((1,)))[0]
+            assert typed(lhs) == typed(sum(x for row in cells for j, x in enumerate(row) if j not in K2))

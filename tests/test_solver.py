@@ -555,6 +555,12 @@ class TestArrayChecks:
             assert sorted(r[:2] for r in report) == sorted(r[:2] for r in report_loop)
             assert all(type(r[2]) is float for r in report)
 
+    def test_int_array_plan_cost_is_exact(self):
+        # an int64 plan is exact: its cost is the int, not a rounded float
+        value = cost_of_plan(np.array([[2**60 + 1]]), [[3]])
+        assert type(value) is int and value == 3458764513820540931
+        assert cost_of_plan(TransportPlan(np.array([[2**60 + 1]])), CostMatrix([[3]])) == value
+
     def test_array_plan_shape_checked(self):
         with pytest.raises(ShapeError):
             is_coupling(np.ones((1, 1)), UNIFORM2, UNIFORM2)
@@ -747,6 +753,10 @@ class TestFloatValidation:
             TransportPlan(((0.5, 0.0), (0.0, float("nan"))))
         with pytest.raises(DataError, match="-inf plan entry"):
             TransportPlan(((F(1, 2), 0), (0, -INF)))
+        # a cell is a mass: +inf is refused too, in an exact plan and a float one
+        for plan in (((1, INF), (0, 0)), ((0.5, INF), (0.0, 0.5)), np.array([[0.5, INF]])):
+            with pytest.raises(DataError, match=r"\+inf plan entry"):
+                TransportPlan(plan)
 
     def test_ragged_input_refused(self):
         mu1, mu2, cost = self.problem()
@@ -888,3 +898,32 @@ def test_rational_solve_builds_few_fractions(monkeypatch):
         sys.setprofile(previous)
     assert sol.mode == "rational" and type(sol.optimal_cost) is F
     assert built < 4 * (n + n), f"{built} Fractions built for {n * n} cells"
+
+
+def test_plan_checks_make_no_python_call_per_cell(monkeypatch):
+    """Once a 100 x 100 plan of Fractions exists, is_coupling, cost_of_plan,
+    marginals and total_mass each make fewer Python calls than one per ten
+    cells: they read the plan's ints, not its cells (the cell-by-cell checks
+    made several calls per cell)."""
+    from finiteot.coupling import marginals
+
+    n = 100
+    rng = random.Random(100)
+    mu1, mu2 = (
+        DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+        for raw in ([rng.randint(1, 1000) for _ in range(n)] for _ in range(2))
+    )
+    plan = product_coupling(mu1, mu2)
+    cost = [[rng.randint(0, 1000) for _ in range(n)] for _ in range(n)]
+    checks = (
+        lambda: is_coupling(plan, mu1, mu2),
+        lambda: cost_of_plan(plan, cost),
+        lambda: marginals(plan),
+        plan.total_mass,
+    )
+    (c1, ok), (c2, value), (c3, (m1, m2)), (c4, mass) = count_python_calls(monkeypatch, *checks)
+    assert ok == (True, []) and m1 == mu1 and m2 == mu2 and mass == 1
+    weights = zip(mu1.weights, cost)
+    assert value == sum(a * b * c for a, row in weights for b, c in zip(mu2.weights, row))
+    for calls in (c1, c2, c3, c4):
+        assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"

@@ -292,8 +292,8 @@ class TestGlue:
     def test_solver_plans_glue_as_their_matrices_do(self):
         """Two solver plans glue on their scaled ints, and build no matrix
         until one is asked for: the same shape, middle marginal, 1-3 plan,
-        tensor and marginals, in type and value, as the plans rebuilt from
-        their matrices, zero-mass middle atoms included."""
+        tensor and marginals, in type and value, as glue_reference finds
+        cell by cell from their matrices, zero-mass middle atoms included."""
         rng = random.Random(151)
         for _ in range(40):
             n = rng.randint(1, 7)
@@ -301,15 +301,16 @@ class TestGlue:
             mus = [random_rational_measure(rng, n) for _ in range(3)]
             plans = [wasserstein_distance(mus[k], mus[k + 1], space)[1] for k in (0, 1)]
             g = glue(*plans)
-            rebuilt = glue(*(TransportPlan(p.matrix) for p in plans))
-            assert g.shape == rebuilt.shape and typed(g.mu2) == typed(rebuilt.mu2)
-            pi13 = [glued_marginal_13(glued).matrix for glued in (g, rebuilt)]
-            assert typed(pi13[0]) == typed(pi13[1])
-            assert "pi12" not in vars(g) and "pi23" not in vars(g)
-            assert typed(g.tensor) == typed(rebuilt.tensor)
+            pi13 = glued_marginal_13(g)
+            assert all("matrix" not in vars(p) for p in plans)  # read off the ints
+            want = glue_reference(*(p.matrix for p in plans))
+            assert g.shape == (n, n, n) and typed(g.mu2) == typed(want["mu2"])
+            assert typed(pi13.matrix) == typed(want["pi13"])
+            assert typed(g.tensor) == typed(want["tensor"])
             for name in ("marginal_12", "marginal_23", "total_mass"):
-                assert typed(getattr(g, name)()) == typed(getattr(rebuilt, name)())
-            assert g == rebuilt and (g.pi12, g.pi23) == tuple(p.matrix for p in plans)
+                assert typed(getattr(g, name)()) == typed(want[name])
+            assert g == glue(*(TransportPlan(p.matrix) for p in plans))
+            assert (g.pi12, g.pi23) == tuple(p.matrix for p in plans)
 
     def test_glued_plan_keeps_its_factors(self):
         pi12 = TransportPlan(((F(1, 4), F(1, 4)), (HALF, 0)))
@@ -319,6 +320,37 @@ class TestGlue:
         assert "tensor" not in vars(g)  # built on demand only
         assert g.mu2 == (F(3, 4), F(1, 4)) and g.shape == (2, 2, 2)
         assert g == glue(pi12, pi23) and hash(g) == hash(glue(pi12, pi23))
+
+
+def glue_reference(pi12, pi23):
+    """The glued plan of two exact plans, cell by cell from their matrices:
+    the middle marginal as Fractions, the tensor, its marginals and total
+    mass, and the 1-3 plan, a Fraction on each nonzero cell and an int 0
+    elsewhere."""
+    n1, n2, n3 = len(pi12), len(pi23), len(pi23[0])
+    mu2 = tuple(F(sum(row[j] for row in pi12)) for j in range(n2))
+    tensor = tuple(
+        tuple(
+            tuple(x * y / m for y in row23) if x and m > 0 else (0,) * n3
+            for x, m, row23 in zip(row, mu2, pi23)
+        )
+        for row in pi12
+    )
+    t = tensor
+    return {
+        "mu2": mu2,
+        "tensor": tensor,
+        "marginal_12": tuple(
+            tuple(sum(t[i][j][k] for k in range(n3)) for j in range(n2)) for i in range(n1)
+        ),
+        "marginal_23": tuple(
+            tuple(sum(t[i][j][k] for i in range(n1)) for k in range(n3)) for j in range(n2)
+        ),
+        "total_mass": sum(sum(sum(r) for r in sl) for sl in tensor),
+        "pi13": tuple(
+            tuple(sum(t[i][j][k] for j in range(n2)) or 0 for k in range(n3)) for i in range(n1)
+        ),
+    }
 
 
 def typed(x):
