@@ -2,9 +2,11 @@
 
 The inf-convolution approximants f_n(x) = min_z (f(z) + n * d(x, z)) squeeze
 any extended function from below; on a finite space they reach f exactly
-once n clears (max f - min f) / (min positive distance).  The liminf of a
-finite sequence of plan costs is taken over the final quarter of the
-sequence, and that convention is reported alongside the result.
+once n clears (max f - min f) / (min positive distance).  Each f_n is one
+min-plus product on the space's distance array, and the ladder's checks
+are array tests on the same numbers (space._decision).  The liminf of a
+finite sequence of plan costs is taken over its final quarter, and that
+convention is reported alongside the result.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .coupling import TransportPlan, _floats, _scaled
 from .measure import DiscreteMeasure, indicator, integrate
 from .numerics import (
     FLOAT,
+    INF,
     RATIONAL,
     DomainError,
     ShapeError,
@@ -29,7 +32,7 @@ from .numerics import (
     is_inf,
 )
 from .solver import cost_of_plan
-from .space import CostMatrix
+from .space import CostMatrix, _cells, _decision
 
 
 @dataclass(frozen=True)
@@ -59,25 +62,29 @@ def moreau_yosida(f, space, n):
     """f_n(x) = min_z (f(z) + n * d(x, z)); always finite-valued.
 
     The paper's construction assumes f >= 0; any f bounded below works the
-    same way since the whole envelope just shifts with f.
+    same way since the whole envelope just shifts with f.  The minimum is a
+    min-plus product on the space's array (space._decision, exact values
+    scaled by L^2); f_n(x) is f(z) + n * d(x, z) at the first minimising z.
     """
     values = f.values if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f)).values
     if n <= 0:
         raise DomainError(f"approximation index must be positive, got {n}")
-    size = len(values)
-    if size != space.n:
+    if len(values) != space.n:
         raise ShapeError("function does not match the space size")
-    out = []
-    for x in range(size):
-        best = None
-        for z in range(size):
-            if is_inf(values[z]):
-                continue
-            cand = values[z] + n * space.dist[x][z]
-            if best is None or cand < best:
-                best = cand
-        out.append(best)
-    return tuple(out)
+    finite = _finite(values).nonzero()[0]
+    anchors = [values[z] for z in finite.tolist()]
+    D, X, _, scale = _decision(
+        space._matrix, [*anchors, n], lambda cell, number, t, scale: number * (scale + cell)
+    )
+    candidates = X[-1] * (D if finite.size == len(values) else D[:, finite])
+    candidates += X[:-1] if scale is None else X[:-1] * scale  # in place
+    d, anchor = space.dist, finite[candidates.argmin(axis=1)].tolist()
+    return tuple([values[z] + n * d[x][z] for x, z in enumerate(anchor)])
+
+
+def _finite(values):
+    """The mask of the values that are not +inf, with no call per value."""
+    return np.array([not (isinstance(v, float) and v == INF) for v in values], dtype=bool)
 
 
 def exact_recovery_threshold(f, space):
@@ -96,40 +103,43 @@ def check_moreau_yosida_properties(f, space, N, tol=None):
     n-Lipschitz bound, and convergence: equality with f at finite points
     once n passes the finite-space threshold, divergence at +inf points.
     Returns a report dict with per-property pass flags and counterexamples.
+    Each property is one array test on the N envelopes, f and the distances
+    (space._decision; the Lipschitz bound is one (n, n) test per n).
     """
     fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
     if tol is None:
-        tol = default_tol(infer_mode(chain(fn.values, *space.dist)))
-    tables = {n: moreau_yosida(fn, space, n) for n in range(1, N + 1)}
-    failures = {"monotone": [], "dominated": [], "lipschitz": [], "convergence": []}
-    size = fn.n
-    for n in range(1, N + 1):
-        tab = tables[n]
-        if n < N:
-            nxt = tables[n + 1]
-            for x in range(size):
-                if tab[x] > nxt[x] + tol:
-                    failures["monotone"].append({"n": n, "x": x})
-        for x in range(size):
-            if not is_inf(fn.values[x]) and tab[x] > fn.values[x] + tol:
-                failures["dominated"].append({"n": n, "x": x})
-        for x in range(size):
-            for y in range(size):
-                if abs(tab[x] - tab[y]) > n * space.dist[x][y] + tol:
-                    failures["lipschitz"].append({"n": n, "x": x, "y": y})
+        exact = space._matrix.mode == RATIONAL and infer_mode(fn.values) == RATIONAL
+        tol = default_tol(RATIONAL if exact else FLOAT)
+    tables = [moreau_yosida(fn, space, n) for n in range(1, N + 1)]
+    finite, size = _finite(fn.values), fn.n
+    # tol is one of the numbers, as the tests add it: a float tol adds in floats
+    numbers = [*chain.from_iterable(tables), *compress(fn.values, finite), tol]
+    D, X, _, _ = _decision(
+        space._matrix, numbers, lambda cell, number, t, scale: 3 * number + N * cell
+    )
+    T, F, t = X[: N * size].reshape(N, size), np.zeros(size, X.dtype), X[-1]
+    F[finite] = X[N * size : -1]
 
+    def lipschitz(n):  # |f_n(x) - f_n(y)| > n d(x, y) + tol
+        gaps = T[n - 1, :, None] - T[n - 1]
+        np.abs(gaps, out=gaps)
+        return _cells(gaps > n * D + t)
+
+    failures = {
+        "monotone": [{"n": n + 1, "x": x} for n, x in _cells(T[:-1] > T[1:] + t)],
+        "dominated": [{"n": n + 1, "x": x} for n, x in _cells(finite & (T > F + t))],
+        "lipschitz": [{"n": n, "x": x, "y": y} for n in range(1, N + 1) for x, y in lipschitz(n)],
+        "convergence": [],
+    }
     threshold = exact_recovery_threshold(fn, space)
     n_star = max(1, math.ceil(float(threshold)))
     if n_star <= N:
-        tab = tables[n_star]
-        for x in range(size):
-            if not is_inf(fn.values[x]) and abs(tab[x] - fn.values[x]) > tol:
-                failures["convergence"].append({"n": n_star, "x": x})
+        missed = finite & (abs(T[n_star - 1] - F) > t)
+        failures["convergence"] += [{"n": n_star, "x": x} for (x,) in _cells(missed)]
     # at +inf points the envelope must keep climbing without bound
-    for x in range(size):
-        if is_inf(fn.values[x]) and N >= 2 and not tables[N][x] > tables[1][x] - tol:
-            if any(space.dist[x][z] > 0 and not is_inf(fn.values[z]) for z in range(size)):
-                failures["convergence"].append({"x": x, "divergence": False})
+    if N >= 2:
+        stuck = ~finite & ~(T[-1] > T[0] - t) & ((D > 0) & finite).any(axis=1)
+        failures["convergence"] += [{"x": x, "divergence": False} for (x,) in _cells(stuck)]
     return {
         "N": N,
         "threshold": threshold,

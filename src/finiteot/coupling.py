@@ -34,6 +34,7 @@ from .numerics import (
     RATIONAL,
     DataError,
     ShapeError,
+    _floor,
     default_tol,
     extended_array,
     scaled_ints,
@@ -301,13 +302,6 @@ def _violations(X, limit, lines):
     return report
 
 
-def _floor(tol, scale):
-    """floor(tol * scale), exactly; an infinite tolerance stays as it is."""
-    if isinstance(tol, float) and not math.isfinite(tol):
-        return tol
-    return math.floor(Fraction(tol) * scale)
-
-
 def _is_scaled_coupling(plan, mu1, mu2, tol):
     """is_coupling of an exact plan, in integer array operations.
 
@@ -420,16 +414,20 @@ def restrict_and_normalize(plan: TransportPlan, mask):
 
     Returns (restricted plan, Z, mu1', mu2') where Z is the retained mass.
     The mask is any n x m truth-valued matrix; an all-false (or zero-mass)
-    selection is an error since renormalization needs positive mass.
+    selection is an error since renormalization needs positive mass.  An
+    exact plan's kept ints go over their own total, as Fractions; a float
+    plan adds Z up row by row, as sum() did, and divides in float64.
     """
     n, m = plan.shape
     if len(mask) != n or any(len(row) != m for row in mask):
         raise ShapeError("mask shape does not match the plan")
-    kept = [[x if keep else 0 for x, keep in zip(*rows)] for rows in zip(plan.matrix, mask)]
-    Z = sum(sum(row) for row in kept)
+    keep = np.array(mask, dtype=bool).reshape(n, m)
+    X = np.where(keep, plan._array, 0)
+    exact = plan._scale is not None
+    Z = _sum_cells(plan, keep) if exact else _sum_in_order(np.cumsum(X, axis=1)[:, -1])
     if Z <= 0:
         raise EmptyRestrictionError("restriction keeps zero mass")
-    normalized = tuple(tuple(x / Z for x in row) for row in kept)
-    lines = normalized, zip(*normalized)
-    mu1p, mu2p = (DiscreteMeasure(tuple(map(sum, sums))) for sums in lines)
-    return TransportPlan(normalized, mu1p, mu2p), Z, mu1p, mu2p
+    X = X if exact else X / Z
+    scale, zero = (X.sum(), Fraction(0)) if exact else (None, 0.0)
+    mu1p, mu2p = marginals(TransportPlan._of_array(X, scale=scale, zero=zero))
+    return TransportPlan._of_array(X, mu1p, mu2p, scale, zero), Z, mu1p, mu2p

@@ -220,6 +220,13 @@ def scaled_ints(values):
     return [p * (scale // q) if p else 0 for p, q in ratios], scale
 
 
+def _floor(tol, scale):
+    """floor(tol * scale), exactly; an infinite tolerance stays as it is."""
+    if isinstance(tol, float) and not math.isfinite(tol):
+        return tol
+    return tol * scale if isinstance(tol, int) else math.floor(Fraction(tol) * scale)
+
+
 def default_tol(mode: str):
     return 0 if mode == RATIONAL else FLOAT_TOL
 

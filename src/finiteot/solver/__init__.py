@@ -12,10 +12,10 @@ once for both modes:
 - rational mode works on integers: the weights are scaled by the least
   common multiple of their denominators, into int64 arrays while their
   scaled total is below 2^62 (else object arrays of Python ints), and the
-  finite costs by that of theirs (an int64 cost array stays as it is, with
-  scale 1), and +inf cells stay.  Float numbers are read as the binary
-  fractions they are, so two measures whose exact totals differ are
-  refused rather than solved into a plan that couples neither.
+  costs are the CostMatrix's own exact format (_scaled_costs).  Float
+  numbers are read as the binary fractions they are, so two measures
+  whose exact totals differ are refused rather than solved into a plan
+  that couples neither.
 
 On those arrays come the tolerance, the engine, the forbidden-mass decision
 and its certificate, the coupling check and the cost, each once, on the
@@ -356,13 +356,9 @@ def _exact_input(mu1, mu2, cm):
     denominators, from each measure's scaled_weights: into int64 arrays
     when the scaled total is below _SUPPLY_BOUND, so that every flow and
     every row and column sum of a plan fits, and else into object arrays
-    of Python ints.  The finite costs are scaled by the least common
-    multiple of theirs, and +inf cells stay.  An int64 or bool cost array
-    has scale 1 and comes as int64 (with no +inf cell); any other as an
-    object array of Python ints and +inf.  Both scales are positive, so every comparison, and hence every
-    pivot, is the one the Fractions would give.  Float numbers count as
-    the binary fractions they are, so two measures whose exact totals
-    differ are refused rather than solved into a plan that couples neither.
+    of Python ints.  The costs are the CostMatrix's _scaled_costs.  Both
+    scales are positive, so every comparison, and hence every pivot, is
+    the one the Fractions would give.
     """
     (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
     wscale = math.lcm(s1, s2)
@@ -376,13 +372,7 @@ def _exact_input(mu1, mu2, cm):
         )
     dtype = np.int64 if total_a < _SUPPLY_BOUND else object
     a, b = np.array(ints1, dtype=dtype) * f1, np.array(ints2, dtype=dtype) * f2
-    if cm.array.dtype.kind in "bi":
-        return a, b, cm.array.astype(np.int64, copy=False), wscale, 1
-    # a float-mode matrix holds float64: read its cells as they were given
-    C = np.array(cm.cost, dtype=object) if cm.mode == FLOAT else cm.array.astype(object)
-    finite = C != INF
-    costs, cscale = scaled_ints(C[finite].tolist())
-    C[finite] = costs
+    C, cscale = cm._scaled_costs
     return a, b, C, wscale, cscale
 
 

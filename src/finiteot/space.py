@@ -1,8 +1,11 @@
 """Finite metric spaces and ground cost matrices.
 
-A space is a list of labelled points with a validated distance matrix; the
-only costs built here are powers d^p of the distance, which carry a trivial
-(zero, zero) additive lower bound since distances are nonnegative.
+A space is a list of labelled points with a validated distance matrix, read
+once into the CostMatrix that power_cost(1) returns.  Every check of the
+distances decides on that matrix's array (_decision), and builds what it
+reports from the original cells, so each value keeps its type and its
+float bits.  The other costs built here are the powers d^p, cell by cell
+in Python; each carries the (zero, zero) lower bound of a nonnegative cost.
 """
 
 from __future__ import annotations
@@ -10,19 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .numerics import (
+    FLOAT,
     INF,
+    RATIONAL,
     DataError,
     ParameterError,
     ShapeError,
+    _floor,
+    all_exact,
     default_tol,
     extended_array,
     infer_mode,
     is_inf,
+    scaled_ints,
 )
 
 
@@ -30,42 +39,83 @@ def validate_metric(dist, tol=0):
     """Check the three metric axioms, returning a report of violations.
 
     Each violation is a (axiom, indices, magnitude) tuple, where axiom is one
-    of "identity", "symmetry", "triangle".  Empty report == valid metric.
-    The triangle scan is the full O(n^3) loop; spaces here are small.
+    of "identity", "nonnegativity", "symmetry", "triangle".  Empty report ==
+    valid metric.  Each axiom is one test on the whole array, the triangle
+    inequality one (n, n) test per middle point, in the order of a scan of
+    the cells: row by row, then the triangles by (i, j, k).
     """
+    return _validated(dist, tol)[1]
+
+
+def _validated(dist, tol):
+    """(dist read into a CostMatrix, validate_metric's report)."""
     n = len(dist)
-    for row in dist:
-        if len(row) != n:
-            raise ShapeError(f"distance matrix is not square: {len(row)} != {n}")
-        for x in row:
-            if isinstance(x, float) and math.isnan(x):
-                raise DataError("NaN entry in distance matrix")
-            if is_inf(x):
-                raise DataError("infinite entry in distance matrix")
-    report = []
-    for i in range(n):
-        if abs(dist[i][i]) > tol:
-            report.append(("identity", (i, i), abs(dist[i][i])))
-        for j in range(n):
-            if i != j:
-                if dist[i][j] < -tol:
-                    report.append(("nonnegativity", (i, j), dist[i][j]))
-                elif abs(dist[i][j]) <= tol:
-                    report.append(("identity", (i, j), dist[i][j]))
-            if j > i and abs(dist[i][j] - dist[j][i]) > tol:
-                report.append(("symmetry", (i, j), abs(dist[i][j] - dist[j][i])))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gap = dist[i][k] - dist[i][j] - dist[j][k]
-                if gap > tol:
-                    report.append(("triangle", (i, j, k), gap))
-    return report
+    width = next((k for k in map(len, dist) if k != n), n)
+    if width != n:
+        raise ShapeError(f"distance matrix is not square: {width} != {n}")
+    try:
+        matrix = CostMatrix(dist)
+        bad = "infinite" if matrix.has_inf else None
+    except DataError as exc:  # a NaN or -inf cell
+        bad = "NaN" if str(exc).startswith("NaN") else "infinite"
+    if bad:
+        raise DataError(f"{bad} entry in distance matrix")
+    d = matrix.cost
+    D, _, t, _ = _decision(matrix, [], lambda cell, number, t, scale: 3 * cell, tol)
+    off = ~np.eye(n, dtype=bool)
+    negative = off & (D < -t)
+    zero, asymmetric = off & ~negative & (abs(D) <= t), np.triu(abs(D - D.T) > t, 1)
+    # (sort key, entry): the diagonal first in its row, symmetry after its cell
+    found = [((i, -1), "identity", (i, i), abs(d[i][i])) for (i,) in _cells(abs(D.diagonal()) > t)]
+    found += [((i, j), "nonnegativity", (i, j), d[i][j]) for i, j in _cells(negative)]
+    found += [((i, j), "identity", (i, j), d[i][j]) for i, j in _cells(zero)]
+    found += [((i, j, 1), "symmetry", (i, j), abs(d[i][j] - d[j][i])) for i, j in _cells(asymmetric)]
+    for j in range(n):
+        gaps = D - D[:, j, None]
+        gaps -= D[j]  # in place: one (n, n) array per middle point
+        found += [
+            ((n + i, j, k), "triangle", (i, j, k), d[i][k] - d[i][j] - d[j][k])
+            for i, k in _cells(gaps > t)
+        ]
+    return matrix, [entry[1:] for entry in sorted(found, key=lambda entry: entry[0])]
+
+
+def _decision(matrix, numbers, size, tol=0):
+    """(D, X, t, scale): the matrix's cells, the numbers and tol as arrays on
+    which sums, differences and comparisons decide as Python's do on the
+    given numbers, for a caller that reads indices, not values, off them.
+
+    Exact data become integers over one scale L, and tol floor(tol * L):
+    int64 while size(largest |cell|, largest |number|, t, L), the caller's
+    bound on what it computes, is below 2^63, else Python ints.  Any other
+    data stay as given, in object arrays, with scale None.
+    """
+    if matrix.mode == RATIONAL and all_exact(numbers):
+        D, s = matrix._scaled_costs
+        ints, scale = scaled_ints(numbers)
+        L = math.lcm(s, scale)
+        D = D if L == s else D.astype(object) * (L // s)
+        X, t = np.array([x * (L // scale) for x in ints], dtype=object), _floor(tol, L)
+        largest = [max(-int(A.min(initial=0)), int(A.max(initial=0))) for A in (D, X)]
+        dtype = np.int64 if size(*largest, t, L) < 2**63 else object
+        return D.astype(dtype, copy=False), X.astype(dtype), t, L
+    D = np.array(matrix.cost, dtype=object).reshape(matrix.shape)
+    return D, np.array(numbers, dtype=object), tol, None
+
+
+def _cells(mask):
+    """The indices of mask's true cells, as tuples of ints in row-major order."""
+    if not mask.any():  # much cheaper than nonzero() on a passing test
+        return ()
+    return zip(*(index.tolist() for index in mask.nonzero()))
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Ground set with a distance matrix satisfying the metric axioms."""
+    """Ground set with a distance matrix satisfying the metric axioms.
+
+    dist is the cost of the space's CostMatrix, of Python numbers also when
+    it is given as an ndarray."""
 
     labels: tuple
     dist: tuple  # tuple of row tuples
@@ -75,35 +125,37 @@ class FiniteMetricSpace:
     _power_costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dist = tuple(tuple(row) for row in self.dist)
-        object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != len(dist):
+        if len(self.labels) != len(self.dist):
             raise ShapeError("labels and distance matrix sizes differ")
-        report = validate_metric(dist, self.tol)
+        matrix, report = _validated(self.dist, self.tol)
         if report:
             axiom, idx, mag = report[0]
             raise DataError(
                 f"not a metric: {axiom} violated at {idx} (magnitude {mag}); "
                 f"{len(report)} violation(s) total"
             )
+        vars(self).update(dist=matrix.cost, _matrix=matrix)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def min_positive_distance(self):
-        return min(
-            self.dist[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.dist[i][j] > 0
-        )
+        """The least positive distance, the first such cell in row-major
+        order; +inf, the infimum of the empty set, when no two points exist."""
+        D = _decision(self._matrix, [], lambda cell, number, t, scale: cell)[0]
+        (cells,) = np.nonzero(D.ravel() > 0)
+        if not cells.size:
+            return INF
+        i, j = divmod(cells.item(np.argmin(D.ravel()[cells])), self.n)
+        return self.dist[i][j]
 
     def power_cost(self, p=1) -> "CostMatrix":
         """Ground cost d^p with the zero lower-bound pair attached.
 
-        The space is frozen, so the matrix is built once per p and kept.
+        The space is frozen, so the matrix is built once per p and kept;
+        for p == 1 it is the space's own matrix.
         """
         key = (type(p), p)
         if key not in self._power_costs:
@@ -115,14 +167,14 @@ class FiniteMetricSpace:
             raise ParameterError("p = inf is not supported")
         if p < 1:
             raise ParameterError(f"p must be >= 1, got {p}")
+        zero = (0,) * self.n
         if p == 1:
-            cost = self.dist
-        elif isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
+            return self._matrix._attach((zero, zero))
+        if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
             k = int(p)
             cost = tuple(tuple(d**k for d in row) for row in self.dist)
         else:
             cost = tuple(tuple(float(d) ** float(p) for d in row) for row in self.dist)
-        zero = (0,) * self.n
         return CostMatrix(cost, lower_bound=(zero, zero))
 
 
@@ -164,17 +216,15 @@ class CostMatrix:
     The numeric mode is decided once, here, mostly by a dtype test (see
     numerics.extended_array), and array holds the costs, read-only, in that
     mode's arithmetic: float64 in float mode; int64, bool, or an object
-    array of the exact cells and +inf in rational mode.  cost is the tuple
-    of row tuples: the input itself when it is one, built from the rows of
-    any other sequence, and from array on first use when the input is an
-    ndarray, whose cells then come back as Python numbers.
-
-    has_inf records whether a cell is +inf.  max_abs_finite() returns the
-    largest |cost| over the finite cells, recorded at construction: from
-    the bounds that extended_array's check has reduced, with one more
-    reduction when a cell is +inf.  An object array (exact cells, in which
-    +inf is the only float) is told by the types of its cells, and scanned
-    for max_abs_finite() when that is asked for.
+    array of the exact cells and +inf in rational mode.  _scaled_costs is
+    their exact format, integers over a scale, built on first use.  cost is
+    the tuple of row tuples: the input itself when it is one, built from
+    the rows of any other sequence, and from array on first use when the
+    input is an ndarray, whose cells then come back as Python numbers.
+    has_inf records whether a cell is +inf, and max_abs_finite() returns
+    the largest |cost| over the finite cells: recorded at construction
+    from extended_array's bounds, or, for an object array, scanned when
+    asked for.
     """
 
     cost: tuple
@@ -205,21 +255,46 @@ class CostMatrix:
             else:
                 top = max(abs(lo), abs(hi))
         vars(self).update(array=array, mode=mode, has_inf=has_inf, _max_abs_finite=top)
+        if array.dtype == np.int64:  # already in the exact format
+            vars(self)["_scaled_costs"] = array, 1
         if self.lower_bound is not None:
-            a1, a2 = self.lower_bound
-            a1, a2 = tuple(a1), tuple(a2)
-            object.__setattr__(self, "lower_bound", (a1, a2))
-            if len(a1) != len(array) or len(a2) != array.shape[1]:
-                raise ShapeError("lower-bound vectors do not match cost shape")
-            # c < a1[i] + a2[j] - tol in Python arithmetic, cell by cell in C
-            bound = np.add.outer(np.array(a1, dtype=object), np.array(a2, dtype=object))
-            below = np.less(array, bound - self.tol).nonzero()
-            if below[0].size:
-                i, j = below[0].item(0), below[1].item(0)
-                raise DataError(
-                    f"cost[{i}][{j}] = {self.cost[i][j]} below lower bound "
-                    f"{a1[i]} + {a2[j]}"
-                )
+            self._attach(self.lower_bound)
+
+    def _attach(self, lower_bound):
+        """Check the pair (a1, a2) against the finite costs, and make it this
+        matrix's lower_bound; returns the matrix."""
+        a1, a2 = map(tuple, lower_bound)
+        array = self.array
+        if len(a1) != len(array) or len(a2) != array.shape[1]:
+            raise ShapeError("lower-bound vectors do not match cost shape")
+        # c < a1[i] + a2[j] - tol in Python arithmetic, cell by cell in C
+        bound = np.add.outer(np.array(a1, dtype=object), np.array(a2, dtype=object))
+        below = np.less(array, bound - self.tol).nonzero()
+        if below[0].size:
+            i, j = below[0].item(0), below[1].item(0)
+            raise DataError(
+                f"cost[{i}][{j}] = {self.cost[i][j]} below lower bound "
+                f"{a1[i]} + {a2[j]}"
+            )
+        object.__setattr__(self, "lower_bound", (a1, a2))
+        return self
+
+    @cached_property
+    def _scaled_costs(self):
+        """(C, scale), the one exact format of the costs, built on first use
+        (a float solve never builds it): int64 with scale 1 from an int64 or
+        bool array, else Python ints over the least common multiple of the
+        finite cells' denominators, and +inf.  A consumer computes in int64
+        only under a bound that rules out overflow."""
+        if self.array.dtype == bool:
+            return self.array.astype(np.int64), 1
+        # a float-mode matrix holds float64: read its cells as they were given
+        C = np.array(self.cost, dtype=object) if self.mode == FLOAT else self.array.astype(object)
+        finite = C != INF if self.has_inf else np.ones(C.shape, dtype=bool)
+        costs, scale = scaled_ints(C[finite].tolist())
+        C[finite] = costs
+        C.flags.writeable = False
+        return C, scale
 
     def __getattr__(self, name):
         # only a matrix built from an ndarray lacks cost, until it is asked for

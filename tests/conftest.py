@@ -1,4 +1,10 @@
-"""Prints one verdict line per acceptance criterion at the end of the run."""
+"""Prints one verdict line per acceptance criterion at the end of the run,
+and holds count_python_calls, the helper of the tests that bound a
+routine's Python-level calls."""
+
+import sys
+
+from finiteot import solver
 
 CRITERIA = {
     "test_criterion_01_oracle_equivalence": (1, "oracle equivalence"),
@@ -34,3 +40,53 @@ def pytest_terminal_summary(terminalreporter):
             continue
         verdict = "PASS" if _RESULTS[name] == "passed" else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d} ({label}): {verdict}")
+
+
+def count_python_calls(monkeypatch, *solves):
+    """[(calls, result)] of each solve(): its Python-level calls, as "call"
+    events of sys.setprofile, and what it returned.
+
+    Counting calls, unlike timing them, does not depend on the host's
+    speed.  The engine runs uncounted, its pivots being its own work: the C
+    kernel when it is loaded, else the Python simplex.  So with the kernel
+    loaded, a solve sent to the Python simplex instead counts its calls for
+    every pivot.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    def uncounted(engine):
+        def run(*args, **kwargs):
+            sys.setprofile(None)
+            try:
+                return engine(*args, **kwargs)
+            finally:
+                sys.setprofile(count)
+
+        return run
+
+    if solver._kernel is not None:
+        kernel = solver._kernel
+
+        class Uncounted:
+            solve_dense = staticmethod(uncounted(kernel.solve_dense))
+
+        monkeypatch.setattr(solver, "_kernel", Uncounted)
+    else:
+        monkeypatch.setattr(
+            solver, "transportation_simplex", uncounted(solver.transportation_simplex)
+        )
+    counts = []
+    for solve in solves:
+        calls = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = solve()
+        finally:
+            sys.setprofile(previous)
+        counts.append((calls, result))
+    return counts

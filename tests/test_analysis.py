@@ -1,7 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
+from itertools import chain
 
+import numpy as np
 import pytest
+from conftest import count_python_calls
+from test_space import battery_distances, reference_min_positive, typed
 
 from finiteot.analysis import (
     ExtendedFunction,
@@ -16,7 +21,7 @@ from finiteot.coupling import TransportPlan
 from finiteot.generators import random_rational_metric_space
 from finiteot.measure import dirac, new_measure
 from finiteot.numerics import INF, DomainError, is_inf
-from finiteot.space import FiniteMetricSpace, from_point_cloud
+from finiteot.space import FiniteMetricSpace, from_point_cloud, validate_metric
 
 HALF = F(1, 2)
 TWO_POINT = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
@@ -185,3 +190,159 @@ class TestMeasureSequence:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             MeasureSequence(())
+
+
+class TestInt64Distances:
+    """A space given as an int64 array holds Python ints, so its envelopes
+    do not wrap around (they were np.int64(-2**63), with a RuntimeWarning,
+    and the ladder failed where the same tuples passed)."""
+
+    D = np.array([[0, 2**62, 2**62], [2**62, 0, 2**62], [2**62, 2**62, 0]])
+
+    def test_envelope_does_not_overflow(self):
+        S = FiniteMetricSpace(("a", "b", "c"), self.D)
+        assert typed(moreau_yosida((0, 0, 0), S, 2)) == typed((0, 0, 0))
+
+    def test_ladder_as_from_tuples(self):
+        S = FiniteMetricSpace(("a", "b", "c"), self.D)
+        T = FiniteMetricSpace(("a", "b", "c"), tuple(map(tuple, self.D.tolist())))
+        assert check_moreau_yosida_properties((0, 10, 10), S, 4)["passed"]
+        assert check_moreau_yosida_properties((0, 10, 10), S, 4) == (
+            check_moreau_yosida_properties((0, 10, 10), T, 4)
+        )
+
+
+# The cell-by-cell envelope and ladder that the min-plus product on the
+# space's array replaced, kept as the references of the battery below.
+
+
+def reference_moreau_yosida(values, dist, n):
+    out = []
+    for x in range(len(values)):
+        best = None
+        for z in range(len(values)):
+            if is_inf(values[z]):
+                continue
+            cand = values[z] + n * dist[x][z]
+            if best is None or cand < best:
+                best = cand
+        out.append(best)
+    return tuple(out)
+
+
+def reference_ladder(values, dist, N, tol):
+    if tol is None:
+        tol = 0 if all(isinstance(v, (int, F)) or is_inf(v) for v in chain(values, *dist)) else 1e-9
+    tables = {n: reference_moreau_yosida(values, dist, n) for n in range(1, N + 1)}
+    failures = {"monotone": [], "dominated": [], "lipschitz": [], "convergence": []}
+    size = len(values)
+    for n in range(1, N + 1):
+        tab = tables[n]
+        if n < N:
+            for x in range(size):
+                if tab[x] > tables[n + 1][x] + tol:
+                    failures["monotone"].append({"n": n, "x": x})
+        for x in range(size):
+            if not is_inf(values[x]) and tab[x] > values[x] + tol:
+                failures["dominated"].append({"n": n, "x": x})
+        for x in range(size):
+            for y in range(size):
+                if abs(tab[x] - tab[y]) > n * dist[x][y] + tol:
+                    failures["lipschitz"].append({"n": n, "x": x, "y": y})
+    finite = [v for v in values if not is_inf(v)]
+    spread = max(finite) - min(finite)
+    threshold = 1 if spread == 0 else spread / reference_min_positive(dist)
+    n_star = max(1, math.ceil(float(threshold)))
+    if n_star <= N:
+        for x in range(size):
+            if not is_inf(values[x]) and abs(tables[n_star][x] - values[x]) > tol:
+                failures["convergence"].append({"n": n_star, "x": x})
+    for x in range(size):
+        if is_inf(values[x]) and N >= 2 and not tables[N][x] > tables[1][x] - tol:
+            if any(dist[x][z] > 0 and not is_inf(values[z]) for z in range(size)):
+                failures["convergence"].append({"x": x, "divergence": False})
+    passed = all(not v for v in failures.values())
+    return {"N": N, "threshold": threshold, "passed": passed, "failures": failures}
+
+
+class TestEnvelopesOnTheArray:
+    """moreau_yosida, exact_recovery_threshold and the ladder check against
+    the cell-by-cell loops, in value, type and order, on the metrics of the
+    distance battery: f of int, Fraction, float and mixed values with +inf,
+    n exact and float, N from 1 to 12, and tol None, 0, float and exact."""
+
+    @staticmethod
+    def values(rng, n, kind):
+        def value():
+            x = rng.randint(0, 30)
+            if kind == "Fraction":
+                return F(x, rng.randint(1, 5))
+            if kind == "float":
+                return x / rng.choice((1, 3, 7))
+            return rng.choice((x, F(x, 3), x / 7)) if kind == "mixed" else x
+
+        vals = [INF if rng.random() < 0.25 else value() for _ in range(n)]
+        return tuple(vals) if not all(map(is_inf, vals)) else (value(), *vals[1:])
+
+    def test_every_envelope_matches_its_reference(self):
+        rng = random.Random(1820)
+        for trial in range(96):
+            for cells, given in battery_distances(rng, trial):
+                if validate_metric(cells):
+                    continue
+                space = FiniteMetricSpace(tuple(map(str, range(len(cells)))), given)
+                for kind in ("int", "Fraction", "float", "mixed"):
+                    f = self.values(rng, len(cells), kind)
+                    for n in (1, 2, 3, F(5, 2), 0.5):
+                        assert typed(moreau_yosida(f, space, n)) == typed(
+                            reference_moreau_yosida(f, cells, n)
+                        )
+                    want = reference_ladder(f, cells, 1, 0)["threshold"]
+                    assert typed(exact_recovery_threshold(f, space)) == typed(want)
+                    N = rng.randint(1, 12)
+                    for tol in (None, 0, 0.5, F(1, 7)):
+                        assert typed(check_moreau_yosida_properties(f, space, N, tol)) == typed(
+                            reference_ladder(f, cells, N, tol)
+                        )
+
+
+def line_space(n, exact):
+    """n points of a line drawn from 0..99,999 (over 1..9 when exact), with
+    f of n values from 0..100 (over 1..5 when exact)."""
+    rng = random.Random(n)
+    points = sorted(rng.sample(range(100_000), n))
+    if exact:
+        points = sorted(F(p, rng.randint(1, 9)) for p in points)
+    dist = tuple(tuple(abs(a - b) for b in points) for a in points)
+    f = tuple(F(rng.randint(0, 100), rng.randint(1, 5)) if exact else rng.randint(0, 100)
+              for _ in range(n))
+    return tuple(map(str, range(n))), dist, f
+
+
+@pytest.mark.parametrize("n, exact", [(100, False), (60, True)])
+def test_distance_checks_make_no_python_call_per_cell(monkeypatch, n, exact):
+    """Building a space, min_positive_distance, one envelope and the N=12
+    ladder decide on the distance array.  On the 100-point integer space
+    each makes fewer Python calls than one per ten cells (the cell loops
+    made 10,003 to 131,650).  On the 60-point Fraction space, reading the
+    Fractions once takes about one call per cell, and each envelope's
+    values (computed from the given Fractions) about 16 per point: the
+    bounds are 2 calls per cell to build, one per ten cells for the least
+    distance, and 30 per point and envelope (the loops made 32,098 to
+    3,725,527)."""
+    labels, dist, f = line_space(n, exact)
+    (build, space), = count_python_calls(monkeypatch, lambda: FiniteMetricSpace(labels, dist))
+    counts = count_python_calls(
+        monkeypatch,
+        space.min_positive_distance,
+        lambda: moreau_yosida(f, space, 3),
+        lambda: check_moreau_yosida_properties(f, space, 12),
+    )
+    (least, _), (envelope, _), (ladder, report) = counts
+    assert report["passed"]
+    if exact:
+        bounds = 2 * n * n, n * n // 10, 30 * n, 30 * n * 12
+    else:
+        bounds = (n * n // 10,) * 4
+    for calls, bound in zip((build, least, envelope, ladder), bounds):
+        assert calls < bound, f"{calls} Python calls, bound {bound}"

@@ -363,6 +363,43 @@ class TestRestriction:
                     assert restricted.matrix[i][j] * Z <= plan.matrix[i][j]
 
 
+def reference_restrict(plan, mask):
+    """The cell loop restrict_and_normalize replaced, on the cells as the
+    plan holds them, with an exact plan divided as Fractions (the loop
+    divided an int plan's ints into floats)."""
+    cells = as_read(plan)
+    kept = [[x if keep else 0 for x, keep in zip(*rows)] for rows in zip(cells, mask)]
+    Z = sum(sum(row) for row in kept)
+    if Z <= 0:
+        raise EmptyRestrictionError("restriction keeps zero mass")
+    divide = (lambda x: F(x) / Z) if plan.mode == "rational" else (lambda x: x / Z)
+    normalized = tuple(tuple(map(divide, row)) for row in kept)
+    mu1p, mu2p = (DiscreteMeasure(tuple(map(sum, sums))) for sums in (normalized, zip(*normalized)))
+    return TransportPlan(normalized, mu1p, mu2p), Z, mu1p, mu2p
+
+
+class TestRestrictOnThePlanFormat:
+    def test_int_plan_divides_exactly(self):
+        # it returned ((1.0, 0.0), (0.0, 0.0)) with float marginals
+        plan = TransportPlan(((1, 0), (0, 0)))
+        restricted, Z, m1, m2 = restrict_and_normalize(plan, [[True, False], [False, False]])
+        assert typed(restricted.matrix) == typed(((F(1), F(0)), (F(0), F(0))))
+        assert typed(Z) == typed(1)
+        assert typed((m1, m2)) == typed((new_measure((F(1), F(0))),) * 2)
+
+    def test_every_restriction_matches_its_reference(self):
+        rng = random.Random(1822)
+        for trial in range(40):
+            for _, given, _, _ in battery_plans(rng, trial) + battery_solved(rng, trial):
+                plan = given if isinstance(given, TransportPlan) else TransportPlan(given)
+                n, m = plan.shape
+                mask = [[rng.random() < 0.6 for _ in range(m)] for _ in range(n)]
+                for keep in (mask, np.array(mask), [[True] * m] * n):
+                    assert outcome(restrict_and_normalize, plan, keep) == outcome(
+                        reference_restrict, plan, keep
+                    )
+
+
 def test_int_array_plan_is_exact():
     """An int64 plan is an exact plan of Python ints, as a tuple of ints is."""
     plan = TransportPlan(np.array([[1, 0], [0, 0]]))

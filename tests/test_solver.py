@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from conftest import count_python_calls
 
 from finiteot import solver
 from finiteot.coupling import TransportPlan, is_coupling, product_coupling
@@ -767,56 +768,6 @@ class TestFloatValidation:
             CostMatrix(cost)
         with pytest.raises(ShapeError):
             TransportPlan(((0.5, 0.0), (0.5,)))
-
-
-def count_python_calls(monkeypatch, *solves):
-    """[(calls, result)] of each solve(): its Python-level calls, as "call"
-    events of sys.setprofile, and what it returned.
-
-    Counting calls, unlike timing them, does not depend on the host's
-    speed.  The engine runs uncounted, its pivots being its own work: the C
-    kernel when it is loaded, else the Python simplex.  So with the kernel
-    loaded, a solve sent to the Python simplex instead counts its calls for
-    every pivot.
-    """
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    def uncounted(engine):
-        def run(*args, **kwargs):
-            sys.setprofile(None)
-            try:
-                return engine(*args, **kwargs)
-            finally:
-                sys.setprofile(count)
-
-        return run
-
-    if solver._kernel is not None:
-        kernel = solver._kernel
-
-        class Uncounted:
-            solve_dense = staticmethod(uncounted(kernel.solve_dense))
-
-        monkeypatch.setattr(solver, "_kernel", Uncounted)
-    else:
-        monkeypatch.setattr(
-            solver, "transportation_simplex", uncounted(solver.transportation_simplex)
-        )
-    counts = []
-    for solve in solves:
-        calls = 0
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            result = solve()
-        finally:
-            sys.setprofile(previous)
-        counts.append((calls, result))
-    return counts
 
 
 def test_float_solve_does_no_python_work_per_cell(monkeypatch):

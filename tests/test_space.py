@@ -1,10 +1,15 @@
+import math
+import random
 from fractions import Fraction as F
 from itertools import chain
 
+import numpy as np
 import pytest
 
-from finiteot.numerics import INF, DataError, ParameterError, ShapeError, infer_mode
+from finiteot.measure import new_measure
+from finiteot.numerics import INF, DataError, ParameterError, ShapeError, infer_mode, is_inf
 from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
+from finiteot.wasserstein import metric_axiom_suite
 
 
 class TestValidateMetric:
@@ -127,3 +132,174 @@ class TestCostMatrix:
     def test_inf_entries_satisfy_bound_vacuously(self):
         cm = CostMatrix(((INF, 5), (5, INF)), lower_bound=((2, 2), (3, 3)))
         assert cm.cost == ((INF, 5), (5, INF))
+
+
+class TestMinPositiveDistance:
+    def test_first_least_positive_cell(self):
+        # 1 and 1.0 tie: the first in row-major order is returned, as min() did
+        s = FiniteMetricSpace(("a", "b", "c"), ((0, 2, 1.0), (2, 0, 1), (1.0, 1, 0)))
+        got = s.min_positive_distance()
+        assert got == 1 and type(got) is float
+
+    def test_one_point_space_is_infinite(self):
+        # the infimum of the empty set; it raised ValueError from min()
+        assert s1().min_positive_distance() == INF
+
+    def test_axiom_suite_on_one_point(self):
+        mus = [new_measure((1.0,)), new_measure((1.0,))]
+        assert metric_axiom_suite(mus, s1())["passed"]
+
+
+def s1():
+    return FiniteMetricSpace(("a",), ((0.0,),))
+
+
+# The cell-by-cell scans that the space's array replaced, kept as the
+# references of the battery below.  They run on the cells as the space
+# holds them, in Python's own arithmetic.
+
+
+def reference_validate(dist, tol=0):
+    n = len(dist)
+    for row in dist:
+        if len(row) != n:
+            raise ShapeError(f"distance matrix is not square: {len(row)} != {n}")
+        for x in row:
+            if isinstance(x, float) and math.isnan(x):
+                raise DataError("NaN entry in distance matrix")
+            if is_inf(x):
+                raise DataError("infinite entry in distance matrix")
+    report = []
+    for i in range(n):
+        if abs(dist[i][i]) > tol:
+            report.append(("identity", (i, i), abs(dist[i][i])))
+        for j in range(n):
+            if i != j:
+                if dist[i][j] < -tol:
+                    report.append(("nonnegativity", (i, j), dist[i][j]))
+                elif abs(dist[i][j]) <= tol:
+                    report.append(("identity", (i, j), dist[i][j]))
+            if j > i and abs(dist[i][j] - dist[j][i]) > tol:
+                report.append(("symmetry", (i, j), abs(dist[i][j] - dist[j][i])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gap = dist[i][k] - dist[i][j] - dist[j][k]
+                if gap > tol:
+                    report.append(("triangle", (i, j, k), gap))
+    return report
+
+
+def reference_min_positive(dist):
+    n = len(dist)
+    return min((dist[i][j] for i in range(n) for j in range(n) if dist[i][j] > 0), default=INF)
+
+
+def typed(x):
+    """x with every number paired with its type, to compare repr and type."""
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(typed, x))
+    if isinstance(x, dict):
+        return tuple((key, typed(value)) for key, value in x.items())
+    return type(x), repr(x)
+
+
+def outcome(check, *args):
+    """typed(check(*args)), or the type and message of the error it raises."""
+    try:
+        return typed(check(*args))
+    except (DataError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+def battery_distances(rng, trial):
+    """(cells, given) pairs: distance matrices of int, Fraction, float and
+    mixed cells, metrics and non-metrics (a negative, asymmetric, zero,
+    triangle-breaking or diagonal cell), given as tuples and as int64,
+    float64 and object arrays; cells holds them as Python numbers."""
+    n = rng.randint(1, 7)
+    kind = ("int", "Fraction", "float", "mixed")[trial % 4]
+    points = sorted(rng.sample(range(1, 60), n))
+
+    def cell(x):
+        if kind == "Fraction":
+            return F(x, rng.choice((1, 2, 3, 6)))
+        if kind == "float":
+            return x / rng.choice((1, 2, 3, 7))
+        return rng.choice((x, F(x, 2), x / 3)) if kind == "mixed" else x
+
+    D = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i][j] = D[j][i] = cell(abs(points[i] - points[j]))
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        spoil = trial // 4 % 6
+        if spoil == 1:
+            D[i][j] = D[j][i] = -D[i][j]
+        elif spoil == 2:
+            D[i][j] += 1
+        elif spoil == 3:
+            D[i][j] = D[j][i] = 0 * D[i][j]
+        elif spoil == 4:
+            D[i][j] = D[j][i] = 5 * D[i][j]
+        elif spoil == 5:
+            D[i][i] = 1
+    if kind == "int" and trial % 8 == 0:  # the int64 sums of these overflow
+        top = max(abs(x) for row in D for x in row) or 1
+        D = [[x * (2**62 // top) for x in row] for row in D]
+    cases = [(tuple(map(tuple, D)), tuple(map(tuple, D)))]
+    dtypes = [object] + {"int": [np.int64, np.float64], "float": [np.float64]}.get(kind, [])
+    for dtype in dtypes:
+        A = np.array(D, dtype=dtype)
+        cases.append((CostMatrix(A).cost, A))  # the cells a CostMatrix reads
+    return cases
+
+
+class TestOneReadOfTheDistances:
+    """validate_metric, the space's acceptance and min_positive_distance
+    against the cell-by-cell scans, in value, type and order."""
+
+    def test_every_check_matches_its_reference(self):
+        rng = random.Random(1818)
+        for trial in range(96):
+            for cells, given in battery_distances(rng, trial):
+                labels = tuple(map(str, range(len(cells))))
+                for tol in (0, 0.5, 1e-9, F(1, 3)):
+                    assert outcome(validate_metric, given, tol) == outcome(
+                        reference_validate, cells, tol
+                    )
+                    report = reference_validate(cells, tol)
+                    if report:
+                        (axiom, idx, mag), total = report[0], len(report)
+                        message = (f"not a metric: {axiom} violated at {idx} (magnitude {mag}); "
+                                   f"{total} violation(s) total")
+                        with pytest.raises(DataError) as exc:
+                            FiniteMetricSpace(labels, given, tol)
+                        assert str(exc.value) == message
+                        continue
+                    space = FiniteMetricSpace(labels, given, tol)
+                    assert typed(space.dist) == typed(cells)
+                    assert typed(space.min_positive_distance()) == typed(
+                        reference_min_positive(cells)
+                    )
+
+    def test_malformed_matrices(self):
+        for dist in ([[0, 1, 2], [1, 0, 2]], [[0.0, float("nan")], [1.0, 0.0]],
+                     [[0, INF], [INF, 0]], [[0.0, -INF], [1.0, 0.0]]):
+            assert outcome(validate_metric, dist) == outcome(reference_validate, dist)
+
+    def test_the_space_reads_its_distances_once(self):
+        # dist is the matrix's cost, and power_cost(1) is that matrix
+        A = np.array([[0, 3], [3, 0]])
+        s = FiniteMetricSpace(("a", "b"), A)
+        assert typed(s.dist) == typed(((0, 3), (3, 0)))
+        assert s.power_cost(1) is s.power_cost(1.0) and s.power_cost(1).cost is s.dist
+        assert s.power_cost(1).lower_bound == ((0, 0), (0, 0))
+
+    def test_negative_cell_within_tol_refuses_p1_only(self):
+        # accepted by its tolerance, the cell is below the zero lower bound
+        s = FiniteMetricSpace(("a", "b"), ((-F(1, 10), 1), (1, 0)), tol=F(1, 5))
+        with pytest.raises(DataError, match="below lower bound"):
+            s.power_cost(1)
+        assert s.power_cost(2).cost == ((F(1, 100), 1), (1, 0))
