@@ -14,22 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 import numpy as np
 
 from .coupling import TransportPlan, _floats, _scaled
 from .measure import DiscreteMeasure, indicator, integrate
 from .numerics import (
-    FLOAT,
     INF,
-    RATIONAL,
     DomainError,
     ShapeError,
     check_extended,
     default_tol,
     infer_mode,
     is_inf,
+    mode_of,
 )
 from .solver import cost_of_plan
 from .space import CostMatrix, _cells, _decision
@@ -37,24 +36,36 @@ from .space import CostMatrix, _cells, _decision
 
 @dataclass(frozen=True)
 class ExtendedFunction:
-    """Point values, possibly +inf, with at least one finite value."""
+    """Point values, possibly +inf, with at least one finite value.
+
+    Its mode (infer_mode's) and _finite, the read-only mask of the values
+    that are not +inf, are decided once, at construction, with no Python
+    call per value: the floats, the only values that can be NaN or
+    infinite, are found by type and checked as one float64 array.
+    """
 
     values: tuple
 
     def __post_init__(self):
         vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        for v in vals:
-            check_extended(v, "function value")
-        if all(is_inf(v) for v in vals):
+        is_float = np.fromiter(map(isinstance, vals, repeat(float)), bool, len(vals))
+        floats = np.array(list(compress(vals, is_float)), dtype=np.float64)
+        (bad,) = np.nonzero(np.isnan(floats) | (floats == -INF))
+        if bad.size:  # the first NaN or -inf value
+            check_extended(floats.item(bad[0]), "function value")
+        finite = ~is_float
+        finite[is_float] = floats < INF
+        if not finite.any():
             raise DomainError("function is +inf everywhere")
+        finite.flags.writeable = False
+        vars(self).update(values=vals, mode=infer_mode(vals), _finite=finite)
 
     @property
     def n(self):
         return len(self.values)
 
     def finite_range(self):
-        finite = [v for v in self.values if not is_inf(v)]
+        finite = list(compress(self.values, self._finite))
         return min(finite), max(finite)
 
 
@@ -66,12 +77,13 @@ def moreau_yosida(f, space, n):
     min-plus product on the space's array (space._decision, exact values
     scaled by L^2); f_n(x) is f(z) + n * d(x, z) at the first minimising z.
     """
-    values = f.values if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f)).values
+    fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
     if n <= 0:
         raise DomainError(f"approximation index must be positive, got {n}")
+    values = fn.values
     if len(values) != space.n:
         raise ShapeError("function does not match the space size")
-    finite = _finite(values).nonzero()[0]
+    finite = fn._finite.nonzero()[0]
     anchors = [values[z] for z in finite.tolist()]
     D, X, _, scale = _decision(
         space._matrix, [*anchors, n], lambda cell, number, t, scale: number * (scale + cell)
@@ -80,11 +92,6 @@ def moreau_yosida(f, space, n):
     candidates += X[:-1] if scale is None else X[:-1] * scale  # in place
     d, anchor = space.dist, finite[candidates.argmin(axis=1)].tolist()
     return tuple([values[z] + n * d[x][z] for x, z in enumerate(anchor)])
-
-
-def _finite(values):
-    """The mask of the values that are not +inf, with no call per value."""
-    return np.array([not (isinstance(v, float) and v == INF) for v in values], dtype=bool)
 
 
 def exact_recovery_threshold(f, space):
@@ -108,10 +115,9 @@ def check_moreau_yosida_properties(f, space, N, tol=None):
     """
     fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
     if tol is None:
-        exact = space._matrix.mode == RATIONAL and infer_mode(fn.values) == RATIONAL
-        tol = default_tol(RATIONAL if exact else FLOAT)
+        tol = default_tol(mode_of(space._matrix, fn))
     tables = [moreau_yosida(fn, space, n) for n in range(1, N + 1)]
-    finite, size = _finite(fn.values), fn.n
+    finite, size = fn._finite, fn.n
     # tol is one of the numbers, as the tests add it: a float tol adds in floats
     numbers = [*chain.from_iterable(tables), *compress(fn.values, finite), tol]
     D, X, _, _ = _decision(
@@ -211,11 +217,9 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
         raise DomainError("empty plan sequence")
     if any(p.shape != limit.shape for p in plans):
         raise ShapeError("plans have mismatched shapes")
+    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)  # read once
     if tol is None:
-        mode = cost.mode if isinstance(cost, CostMatrix) else infer_mode(chain.from_iterable(cost))
-        if any(p.mode != RATIONAL for p in (limit, *plans)):
-            mode = FLOAT
-        tol = default_tol(mode)
+        tol = default_tol(mode_of(cm, limit, *plans))
     # entrywise convergence toward the limit: the worst entry gap must
     # never grow along the tail of the sequence; two exact plans are
     # compared on their ints, any other two in float64
@@ -239,8 +243,8 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
                 f"{gaps[t + 1][1]} gap grows to {gaps[t + 1][0]} at step {t + 1}"
             )
 
-    liminf_value = min(cost_of_plan(p, cost) for p in plans[-tail_len:])  # the first least
-    limit_value = cost_of_plan(limit, cost)
+    liminf_value = min(cost_of_plan(p, cm) for p in plans[-tail_len:])  # the first least
+    limit_value = cost_of_plan(limit, cm)
     holds = is_inf(liminf_value) or not is_inf(limit_value) and limit_value <= liminf_value + tol
     return {
         "liminf_value": liminf_value,

@@ -30,7 +30,7 @@ from .generators import (
     random_rational_metric_space,
     rng_from_seed,
 )
-from .io import dump_json, load_measure, load_plan, load_problem, load_space
+from .io import _matrix, dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
 from .numerics import FLOAT_TOL, INF, default_tol, is_inf
 from .solver import (
@@ -92,6 +92,14 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+def _violations(report):
+    """The first ten entries of an is_coupling report, as JSON objects."""
+    return [
+        {"kind": k, "index": list(i) if isinstance(i, tuple) else i, "magnitude": m}
+        for k, i, m in report[:10]
+    ]
+
+
 def _verify_coupling(args, rng):
     if args.plan:
         plan = load_plan(args.plan[0], args.mode)
@@ -100,10 +108,7 @@ def _verify_coupling(args, rng):
         return ok and agree, {
             "valid_coupling": ok,
             "test_function_agreement": agree,
-            "violations": [
-                {"kind": k, "index": list(i) if isinstance(i, tuple) else i, "magnitude": m}
-                for k, i, m in report[:10]
-            ],
+            "violations": _violations(report),
         }
     failures = []
     for t in range(args.trials):
@@ -278,17 +283,13 @@ def cmd_oracle_check(args) -> int:
 def cmd_validate(args) -> int:
     if args.kind == "metric":
         # parse the raw matrix so violations report instead of raising
-        from .numerics import parse_number
-
         with open(args.file) as fh:
             doc = json.load(fh)
         if "dist" not in doc:
             space_doc = load_space(args.file, args.mode)
             dist = space_doc.dist
         else:
-            dist = tuple(
-                tuple(parse_number(x, args.mode) for x in row) for row in doc["dist"]
-            )
+            dist = _matrix(doc["dist"], args.mode)
         report = validate_metric(dist, default_tol(args.mode))
         _emit({"valid": not report, "violations": [list(map(str, r)) for r in report]}, args.out)
         return EXIT_OK if not report else EXIT_VERIFY
@@ -299,16 +300,7 @@ def cmd_validate(args) -> int:
     if args.kind == "plan":
         plan = load_plan(args.file, args.mode)
         ok, report = is_coupling(plan, plan.mu1, plan.mu2)
-        _emit(
-            {
-                "valid": ok,
-                "violations": [
-                    {"kind": k, "index": list(i) if isinstance(i, tuple) else i, "magnitude": m}
-                    for k, i, m in report[:10]
-                ],
-            },
-            args.out,
-        )
+        _emit({"valid": ok, "violations": _violations(report)}, args.out)
         return EXIT_OK if ok else EXIT_VERIFY
     return EXIT_INPUT
 

@@ -37,6 +37,7 @@ from .numerics import (
     _floor,
     default_tol,
     extended_array,
+    mode_of,
     scaled_ints,
 )
 
@@ -178,11 +179,6 @@ def _floats(plan):
     return X if scale is None else (X / scale).astype(np.float64)
 
 
-def _mode(plan, mu1, mu2):
-    """infer_mode over the plan's cells and both measures' weights."""
-    return RATIONAL if plan.mode == mu1.mode == mu2.mode == RATIONAL else FLOAT
-
-
 def _sum_in_order(values):
     """0 + values[0] + values[1] + ... as Python numbers, added left to right.
 
@@ -247,7 +243,7 @@ def is_coupling(plan, mu1, mu2, tol=None):
     """
     plan = _as_plan(plan)
     if tol is None:
-        tol = default_tol(_mode(plan, mu1, mu2))
+        tol = default_tol(mode_of(plan, mu1, mu2))
     if plan.mode == RATIONAL:
         return _is_scaled_coupling(plan, mu1, mu2, tol)
     return _is_coupling_array(plan._array, mu1.float_weights, mu2.float_weights, tol)
@@ -354,7 +350,7 @@ def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> 
     if n != mu1.n or m != mu2.n:
         raise ShapeError("plan shape does not match the measures")
     if tol is None:
-        tol = default_tol(_mode(plan, mu1, mu2))
+        tol = default_tol(mode_of(plan, mu1, mu2))
     if pairs is None:
         pairs = all_indicator_pairs(n, m)
     X, scale = plan._array, plan._scale
@@ -401,7 +397,7 @@ def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=N
     if mu1 is None or mu2 is None:
         mu1, mu2 = marginals(plan)
     if tol is None:
-        tol = default_tol(_mode(plan, mu1, mu2))
+        tol = default_tol(mode_of(plan, mu1, mu2))
     inside = np.outer(np.isin(range(n), list(K1)), np.isin(range(m), list(K2)))
     lhs = _sum_cells(plan, ~inside)
     rhs = sum(w for i, w in enumerate(mu1.weights) if i not in K1)

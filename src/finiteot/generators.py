@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .coupling import TransportPlan
 from .measure import DiscreteMeasure
+from .numerics import RATIONAL, mode_of
 from .space import FiniteMetricSpace, from_point_cloud
 
 
@@ -98,7 +99,7 @@ def random_coupling(rng, mu1, mu2, mixture=3) -> TransportPlan:
 
     parts = [random_vertex_coupling(rng, mu1, mu2) for _ in range(mixture)]
     parts.append(product_coupling(mu1, mu2))
-    exact = mu1.mode == "rational" and mu2.mode == "rational"
+    exact = mode_of(mu1, mu2) == RATIONAL
     raw = [rng.randint(1, 10) for _ in parts]
     total = sum(raw)
     if exact:

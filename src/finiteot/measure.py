@@ -26,8 +26,8 @@ from .numerics import (
     all_exact,
     check_extended,
     default_tol,
-    infer_mode,
     is_inf,
+    mode_of,
     scaled_ints,
 )
 
@@ -42,7 +42,7 @@ class DiscreteMeasure:
     Exact weights (ints and Fractions) are checked on their scaled ints,
     and any others as one float64 array; the check keeps what it built as
     the cached scaled_weights or float_weights, and the other is derived on
-    first use.
+    first use.  The check also sets mode: rational iff every weight is exact.
     """
 
     weights: tuple
@@ -85,10 +85,6 @@ class DiscreteMeasure:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @cached_property
-    def mode(self) -> str:
-        return infer_mode(self.weights)
 
     @cached_property
     def float_weights(self):
@@ -196,7 +192,7 @@ def measures_equal(mu1, mu2, mode="weights", tol=None) -> bool:
     """
     _check_same_space(mu1, mu2)
     if tol is None:
-        tol = default_tol(infer_mode(mu1.weights + mu2.weights))
+        tol = default_tol(mode_of(mu1, mu2))
     if mode == "weights":
         return all(abs(a - b) <= tol for a, b in zip(mu1.weights, mu2.weights))
     if mode == "test_functions":

@@ -5,9 +5,11 @@ quantities are `fractions.Fraction` (or int) and comparisons are exact; in
 "float" mode quantities are floats and comparisons carry a tolerance.
 +inf is always represented by the float infinity, even in rational mode,
 where it marks forbidden cost cells.  -inf and NaN are rejected at the door.
-The mode of a routine is infer_mode over all the numbers it compares, and
-its default tolerance default_tol of that mode; only the solver's pricing
-tolerance also scales with the costs.
+The mode of a routine is mode_of its inputs, the one place where modes
+combine: rational iff every input is, where a measure, cost matrix, plan
+or extended function decided its mode when it was built and bare numbers
+are read by infer_mode.  Its default tolerance is default_tol of that
+mode; only the solver's pricing tolerance also scales with the costs.
 """
 
 from __future__ import annotations
@@ -189,6 +191,19 @@ def infer_mode(values) -> str:
         return RATIONAL
     floats = [x for x in values if isinstance(x, float)]
     return RATIONAL if floats.count(INF) == len(floats) else FLOAT
+
+
+def mode_of(*parts) -> str:
+    """Rational iff every part is: an object that decided its mode when it
+    was built (its .mode), or bare numbers, read by infer_mode.
+
+    A plain loop: a generator would add a Python call per part.
+    """
+    for part in parts:
+        mode = getattr(part, "mode", None)
+        if (infer_mode(part) if mode is None else mode) != RATIONAL:
+            return FLOAT
+    return RATIONAL
 
 
 def all_exact(values) -> bool:

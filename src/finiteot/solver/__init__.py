@@ -1,12 +1,12 @@
 """Exact solution of the discrete Kantorovich problem.
 
 The public entry point is solve_kantorovich, the one place that decides the
-numeric mode and the path.  The problem arrives as arrays and leaves as
-one: the CostMatrix holds its costs as one ndarray and knows their mode
-(see numerics.extended_array), and each DiscreteMeasure keeps the array its
+path.  The problem arrives as arrays and leaves as one: the CostMatrix
+holds its costs as one ndarray and knows their mode (see
+numerics.extended_array), and each DiscreteMeasure keeps the array its
 own check built (float_weights) or its scaled ints (scaled_weights).  The
-mode is rational when all three are, and everything after it is written
-once for both modes:
+mode is numerics.mode_of the three, rational when all three are, and
+everything after it is written once for both modes:
 
 - float mode works on those float64 arrays as they are, with no copy;
 - rational mode works on integers: the weights are scaled by the least
@@ -60,9 +60,10 @@ Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
 the finite part of that plan is a maximum flow.  When no cell is forbidden,
 both price the value part alone, which picks the same entering cells.  The problem has no finite-cost
-plan exactly when that mass exceeds the tolerance, and then the rows that
-reach each other through the plan's residual graph give the Hall-type cut
-certificate.
+plan exactly when that mass exceeds the tolerance, and then a closure on
+the engine's boolean masks gives the Hall-type cut certificate: from the
+rows with forbidden mass, rows reach columns over finite cells and columns
+reach rows over finite cells with flow, each row and column expanded once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 import numpy as np
@@ -92,12 +92,10 @@ from ..numerics import (
     RATIONAL,
     ParameterError,
     ShapeError,
-    all_exact,
     default_tol,
-    infer_mode,
     is_inf,
+    mode_of,
     pricing_tol,
-    scaled_ints,
 )
 from ..space import CostMatrix
 from . import _compiled
@@ -158,40 +156,34 @@ class OTSolution:
 def cost_of_plan(plan, cost) -> object:
     """sum c_ij pi_ij with 0 * inf = 0; +inf if mass sits on an inf cell.
 
-    One path per mode, over the cells with nonzero mass.  An exact plan
-    against exact costs (+inf allowed) is one integer dot product of its
-    ints and the scaled costs: an int when every such cell holds an int
-    mass at an int cost, else one Fraction.  Any other plan and costs meet
-    in float64, and the terms are added left to right in row-major order,
-    starting from 0.  A raw matrix or ndarray is read by coupling._as_plan.
+    One path per mode, over the cells with nonzero mass.  Any cost is read
+    through CostMatrix, so it is checked as every cost input is.  An exact
+    plan against exact costs (+inf allowed) is one integer dot product of
+    its ints and the matrix's cached scaled costs: an int when every such
+    cell holds an int mass at an int cost, else one Fraction.  Any other
+    plan and costs meet in float64, and the terms are added left to right
+    in row-major order, starting from 0.  A raw plan matrix or ndarray is
+    read by coupling._as_plan.
     """
     plan = _as_plan(plan)
-    exact = _scaled(plan)
-    if isinstance(cost, CostMatrix):
-        C, cost_mode = cost.array, cost.mode
-    elif exact is not None:
-        C = np.array(cost, dtype=object)  # the cells as given
-        cost_mode = infer_mode(C.ravel().tolist())
-    else:  # a float plan settles float mode
-        C, cost_mode = cost, FLOAT
-    if exact is None or cost_mode != RATIONAL:
-        X, C, exact = _floats(plan), np.asarray(C, dtype=np.float64), None
-    else:
-        X, pscale, ints_only = exact
-    if X.shape != C.shape:
+    cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
+    if plan.shape != cm.shape:
         raise ShapeError("plan and cost shapes differ")
-    if exact is None:
+    if mode_of(plan, cm) == FLOAT:
+        X = _floats(plan)
         mass = X != 0
-        terms = C[mass] * X[mass]
+        terms = cm.array[mass].astype(np.float64) * X[mass]
         return INF if (abs(terms) == INF).any() else _sum_in_order(terms)
-    P = X.ravel().tolist()
-    costs = list(compress(C.ravel().tolist(), P))  # the cells with mass
-    if not all_exact(costs):
-        return INF  # the only inexact cost rational mode allows is +inf
-    ints, cscale = scaled_ints(costs)
-    total = sum(map(mul, ints, compress(P, P)))
-    if ints_only and all(issubclass(kind, int) for kind in set(map(type, costs))):
-        return total
+    X, pscale, ints_only = _scaled(plan)
+    C, cscale = cm._scaled_costs
+    mass = X != 0
+    costs = C[mass].tolist()
+    if INF in costs:
+        return INF
+    total = sum(map(mul, X[mass].tolist(), costs))
+    given = cm.array[mass].tolist()  # the cells as given: ints, Fractions
+    if ints_only and all(issubclass(kind, int) for kind in set(map(type, given))):
+        return total // (pscale * cscale)
     return Fraction(total, pscale * cscale)
 
 
@@ -214,38 +206,31 @@ def _hall_certificate(a, b, forbidden, X, tol, scale=None):
 
     a, b, the n x m mask forbidden of the +inf cells and the plan X are the
     engine's arrays, and tol is in the units of X.  The finite cells of the
-    plan form a maximum flow.  Starting from the rows whose forbidden cells
-    carry more than tol, walk row -> column over finite cells and column ->
-    row over finite cells whose flow exceeds tol: the rows reached are the
-    source side of a minimum cut, and their finite neighbourhood cannot take
-    their mass.  The masses are reported in input units: as Fractions over
-    scale when one is given (rational mode), else as they are.
+    plan form a maximum flow.  The rows whose forbidden cells carry more
+    than tol start a closure on two boolean masks: rows reach columns over
+    finite cells, and columns reach rows over finite cells whose flow
+    exceeds tol.  Only the newest rows and columns are expanded, so each is
+    expanded once and the closure costs O(nm).  The rows reached are the
+    source side of a minimum cut, and their finite neighbourhood cannot
+    take their mass.  The masses are summed in order (_sum_in_order) and
+    reported in input units: as Fractions over scale when one is given
+    (rational mode), else as they are.
     """
-    n, m = X.shape
-    a, b, forbidden, matrix = a.tolist(), b.tolist(), forbidden.tolist(), X.tolist()
-    finite = [[j for j in range(m) if not forbidden[i][j]] for i in range(n)]
-    rows = {
-        i for i in range(n)
-        if sum(x for x, f in zip(matrix[i], forbidden[i]) if f) > tol
-    }
-    cols = set()
-    stack = list(rows)
-    while stack:
-        for j in finite[stack.pop()]:
-            if j in cols:
-                continue
-            cols.add(j)
-            for k in range(n):
-                if k not in rows and not forbidden[k][j] and matrix[k][j] > tol:
-                    rows.add(k)
-                    stack.append(k)
-    rows, cols = sorted(rows), sorted(cols)
-    row_mass, column_mass = sum(a[i] for i in rows), sum(b[j] for j in cols)
+    finite = ~forbidden
+    flows = finite & (X > tol)
+    rows = np.cumsum(np.where(forbidden, X, 0), axis=1)[:, -1] > tol
+    cols, new_rows = np.zeros(X.shape[1], dtype=bool), rows
+    while new_rows.any():
+        new_cols = finite[new_rows].any(axis=0) & ~cols
+        cols |= new_cols
+        new_rows = flows[:, new_cols].any(axis=1) & ~rows
+        rows |= new_rows
+    row_mass, column_mass = _sum_in_order(a[rows]), _sum_in_order(b[cols])
     if scale is not None:
         row_mass, column_mass = Fraction(row_mass, scale), Fraction(column_mass, scale)
     certificate = {
-        "rows": rows,
-        "reachable_columns": cols,
+        "rows": rows.nonzero()[0].tolist(),
+        "reachable_columns": cols.nonzero()[0].tolist(),
         "row_mass": row_mass,
         "column_mass": column_mass,
     }
@@ -271,7 +256,7 @@ def solve_kantorovich(
     if n != mu1.n or m != mu2.n:
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     if mode is None:
-        mode = RATIONAL if cm.mode == mu1.mode == mu2.mode == RATIONAL else FLOAT
+        mode = mode_of(cm, mu1, mu2)
     if mode == FLOAT:
         a, b = mu1.float_weights, mu2.float_weights
         C = np.asarray(cm.array, dtype=np.float64)
@@ -313,7 +298,7 @@ def solve_kantorovich(
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
         if mode == FLOAT:
             plan = TransportPlan._of_array(X, mu1, mu2)
-            value = cost_of_plan(plan, C)
+            value = cost_of_plan(plan, cm)
         else:
             # no mass sits on a forbidden cell: the cost is an integer dot
             # product over the cells with mass, whose flows are turned into

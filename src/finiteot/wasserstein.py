@@ -25,13 +25,13 @@ import numpy as np
 from .coupling import TransportPlan, _line_sums, _scaled, _sum_cells
 from .measure import measures_equal
 from .numerics import (
-    FLOAT,
     RATIONAL,
     DomainError,
     GlueError,
     ParameterError,
     default_tol,
     infer_mode,
+    mode_of,
 )
 from .solver import cost_of_plan, solve_kantorovich
 
@@ -163,7 +163,7 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     g = GluedPlan(pi12, pi23)
     exact = g._integer_factors
     if tol is None:
-        tol = default_tol(RATIONAL if exact else FLOAT)
+        tol = default_tol(mode_of(*g._plans))
     if exact:
         P, s12, Q, s23 = exact
         # both sums over the common scale s12 * s23
@@ -307,7 +307,7 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
 def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
     """Both marginal invariants and unit mass; returns (ok, report)."""
     if tol is None:  # the tensor is exact when both plans are
-        tol = default_tol(RATIONAL if pi12.mode == pi23.mode == RATIONAL else FLOAT)
+        tol = default_tol(mode_of(pi12, pi23))
     pairs = ("(1,2)", g.marginal_12(), pi12.matrix), ("(2,3)", g.marginal_23(), pi23.matrix)
     report = [
         (name, abs(x - y))

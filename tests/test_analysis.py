@@ -20,8 +20,8 @@ from finiteot.analysis import (
 from finiteot.coupling import TransportPlan
 from finiteot.generators import random_rational_metric_space
 from finiteot.measure import dirac, new_measure
-from finiteot.numerics import INF, DomainError, is_inf
-from finiteot.space import FiniteMetricSpace, from_point_cloud, validate_metric
+from finiteot.numerics import INF, DataError, DomainError, ShapeError, is_inf
+from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
 
 HALF = F(1, 2)
 TWO_POINT = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
@@ -346,3 +346,60 @@ def test_distance_checks_make_no_python_call_per_cell(monkeypatch, n, exact):
         bounds = (n * n // 10,) * 4
     for calls, bound in zip((build, least, envelope, ladder), bounds):
         assert calls < bound, f"{calls} Python calls, bound {bound}"
+
+
+def test_extended_function_makes_no_python_call_per_value(monkeypatch):
+    """ExtendedFunction decides its finite mask and its mode from the types
+    of its values: 10,000 values take fewer than 100 Python calls (a
+    check_extended and an is_inf call per value took at least 20,000)."""
+    rng = random.Random(10_000)
+    for kinds, mode in (((0, 7, INF), "rational"), ((1, 2.5, F(1, 3), INF), "float")):
+        values = tuple(rng.choice(kinds) for _ in range(10_000))
+        [(calls, fn)] = count_python_calls(monkeypatch, lambda: ExtendedFunction(values))
+        assert calls < 100, f"{calls} Python calls for 10,000 values"
+        assert fn.mode == mode
+        assert fn._finite.tolist() == [not is_inf(v) for v in values]
+
+
+def test_first_bad_function_value_is_refused():
+    """NaN and -inf are refused at the first such value, as the check of
+    one value at a time refused them."""
+    nan = float("nan")
+    for values, error in [((0, INF, -INF, nan), "-inf"), ((F(1, 2), nan, -INF), "NaN")]:
+        with pytest.raises(DataError, match=f"^{error} function value$"):
+            ExtendedFunction(values)
+
+
+def test_liminf_reads_its_cost_once(monkeypatch):
+    """40 plans against a raw tuple cost build one CostMatrix, which prices
+    every plan on its cached scaled costs."""
+    built = []
+    post_init = CostMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CostMatrix, "__post_init__", counted)
+    plans = [
+        ((HALF - F(1, 2 * k), F(1, 2 * k)), (F(1, 2 * k), HALF - F(1, 2 * k)))
+        for k in range(1, 41)
+    ]
+    out = liminf_cost_check(plans, ((HALF, 0), (0, HALF)), ((0, F(1, 3)), (1, 0)))
+    assert out["holds"] and out["liminf_value"] == F(4, 3 * 80)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "cost, error",
+    [
+        (((-INF, 0.0), (0.0, 0.0)), "-inf cost entry"),  # liminf_value was +inf
+        (((float("nan"), 0.0), (0.0, 0.0)), "NaN cost entry"),  # was nan
+        (((0.0, 1.0), (1.0,)), "not rectangular"),  # was numpy's ValueError
+    ],
+)
+def test_liminf_refuses_bad_costs(cost, error):
+    kind = ShapeError if error == "not rectangular" else DataError
+    for plan in (((1, 0), (0, 0)), ((1.0, 0.0), (0.0, 0.0))):
+        with pytest.raises(kind, match=error):
+            liminf_cost_check([plan] * 4, plan, cost)

@@ -93,6 +93,20 @@ class TestCostOfPlan:
         with pytest.raises(ShapeError):
             cost_of_plan(((1,),), D2)
 
+    @pytest.mark.parametrize(
+        "cost, error",
+        [
+            (((-INF, 0.0), (0.0, 0.0)), "-inf cost entry"),  # was +inf
+            (((float("nan"), 0.0), (0.0, 0.0)), "NaN cost entry"),  # was nan
+            (((0.0, 1.0), (1.0,)), "not rectangular"),  # was numpy's ValueError
+        ],
+    )
+    def test_bad_costs_are_refused_as_every_cost_is(self, cost, error):
+        kind = ShapeError if error == "not rectangular" else DataError
+        for plan in (((1, 0), (0, 0)), ((1.0, 0.0), (0.0, 0.0))):
+            with pytest.raises(kind, match=error):
+                cost_of_plan(plan, cost)
+
     @staticmethod
     def loop_reference(matrix, cost):
         """cost_of_plan as the cell-by-cell loop it used to be."""
@@ -303,6 +317,104 @@ class TestSolve:
             sol = solve_kantorovich(mu1, mu2, cm)
             bound, cost, holds = check_lower_bound(cm, mu1, mu2, sol.plan)
             assert holds and sol.optimal_cost >= bound
+
+
+def reference_hall_certificate(a, b, forbidden, X, tol, scale=None):
+    """_hall_certificate as the walk over lists and sets it used to be."""
+    n, m = X.shape
+    a, b, forbidden, matrix = a.tolist(), b.tolist(), forbidden.tolist(), X.tolist()
+    finite = [[j for j in range(m) if not forbidden[i][j]] for i in range(n)]
+    rows = {
+        i for i in range(n)
+        if sum(x for x, f in zip(matrix[i], forbidden[i]) if f) > tol
+    }
+    cols = set()
+    stack = list(rows)
+    while stack:
+        for j in finite[stack.pop()]:
+            if j in cols:
+                continue
+            cols.add(j)
+            for k in range(n):
+                if k not in rows and not forbidden[k][j] and matrix[k][j] > tol:
+                    rows.add(k)
+                    stack.append(k)
+    rows, cols = sorted(rows), sorted(cols)
+    row_mass, column_mass = sum(a[i] for i in rows), sum(b[j] for j in cols)
+    if scale is not None:
+        row_mass, column_mass = F(row_mass, scale), F(column_mass, scale)
+    certificate = {
+        "rows": rows,
+        "reachable_columns": cols,
+        "row_mass": row_mass,
+        "column_mass": column_mass,
+    }
+    if not row_mass > column_mass:
+        raise RuntimeError(f"solver found no Hall cut: {certificate}")
+    return certificate
+
+
+class TestHallCertificate:
+    """The closure on masks against the walk it replaced."""
+
+    @staticmethod
+    def outcome(cut, *args):
+        try:
+            certificate = cut(*args)
+        except RuntimeError as exc:
+            return "no cut", str(exc)
+        return repr(certificate), [type(value) for value in certificate.values()]
+
+    @staticmethod
+    def instance(rng, exact, density):
+        """An n x m problem with about density of its cells at +inf, and
+        zero weights (the support path) about one time in five."""
+        n, m = rng.randint(2, 9), rng.randint(2, 9)
+        measures = []
+        for size in (n, m):
+            raw = [rng.choice((0, 1, 1, 2, 3, 5)) for _ in range(size)]
+            raw[rng.randrange(size)] += 1
+            weights = [F(x, sum(raw)) for x in raw]
+            measures.append(DiscreteMeasure(tuple(weights if exact else map(float, weights))))
+        number = F if exact else float
+        cost = tuple(
+            tuple(INF if rng.random() < density else number(rng.randint(0, 20)) for _ in range(m))
+            for _ in range(n)
+        )
+        return (*measures, cost)
+
+    def test_closure_matches_the_walk(self, monkeypatch):
+        cut, compared = solver._hall_certificate, []
+
+        def both(a, b, forbidden, X, tol, scale=None):
+            # at the solver's tol, and at tols equal to flows of the plan
+            for t in [tol, *sorted(set(X[X > 0].tolist()))[:3]]:
+                args = a, b, forbidden, X, t, scale
+                assert self.outcome(cut, *args) == self.outcome(reference_hall_certificate, *args)
+                compared.append(t)
+            return reference_hall_certificate(a, b, forbidden, X, tol, scale)
+
+        rng = random.Random(600)
+        infeasible = zero_weights = 0
+        for trial in range(600):
+            exact, density = trial % 2 == 0, (0.3, 0.6, 0.85)[trial % 3]
+            mu1, mu2, cost = self.instance(rng, exact, density)
+            sol = solve_kantorovich(mu1, mu2, cost)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_hall_certificate", both)
+                ref = solve_kantorovich(mu1, mu2, cost)
+            got, want = (
+                (repr(s.infeasibility_certificate), s.iterations, repr(s.optimal_cost),
+                 type(s.optimal_cost), s.mode)
+                for s in (sol, ref)
+            )
+            assert got == want, (trial, cost)
+            infeasible += not sol.feasible
+            zero_weights += not (sol.feasible or all(mu1.weights) and all(mu2.weights))
+        # with this seed: 448 infeasible, 339 of them with a zero weight, and
+        # 1,763 cuts compared
+        assert infeasible >= 400 and zero_weights >= 300
+        assert len(compared) > 3 * infeasible  # the flows-equal-to-tol cases ran
 
 
 class TestFeasibilityBattery:
