@@ -266,15 +266,17 @@ def _is_coupling_array(X, a, b, tol):
     a and b are the weights as arrays in the plan's arithmetic: float64;
     int64, whose sums and gaps are exact while the total supply is below
     2^62, as the solver keeps it; or object arrays of exact numbers, which
-    are compared exactly.
+    are compared exactly.  When the gaps of both lines share a dtype other
+    than object, as a solver plan's do, a plan passes on one minimum of its
+    cells and one maximum of its gaps (a NaN makes either NaN, and fails).
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
-    lines = [
-        (kind, np.abs(np.add.reduce(X, axis=axis) - weights), tol)
-        for kind, axis, weights in (("row", 1, a), ("column", 0, b))
-    ]
-    return _worst_first(_violations(X, tol, lines))
+    gaps = np.abs(np.add.reduce(X, axis=1) - a), np.abs(np.add.reduce(X, axis=0) - b)
+    if gaps[0].dtype == gaps[1].dtype != object and np.minimum.reduce(X.ravel()) >= -tol:
+        if np.maximum.reduce(np.concatenate(gaps)) <= tol:
+            return True, []
+    return _worst_first(_violations(X, tol, [("row", gaps[0], tol), ("column", gaps[1], tol)]))
 
 
 def _violations(X, limit, lines):

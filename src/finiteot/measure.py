@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from operator import le
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .numerics import (
     DomainError,
     NormalizationError,
     ShapeError,
-    all_exact,
     check_extended,
     default_tol,
     is_inf,
@@ -42,7 +42,8 @@ class DiscreteMeasure:
     Exact weights (ints and Fractions) are checked on their scaled ints,
     and any others as one float64 array; the check keeps what it built as
     the cached scaled_weights or float_weights, and the other is derived on
-    first use.  The check also sets mode: rational iff every weight is exact.
+    first use.  The check also sets mode, rational iff every weight is exact,
+    and for exact weights _positive, from the least scaled int.
     """
 
     weights: tuple
@@ -53,25 +54,33 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", w)
         if not w:
             raise DomainError("measure needs at least one point")
-        if all_exact(w):
+        scaled = scaled_ints(w, exact=True)
+        if scaled is not None:
             # rational mode, checked on the weights' scaled ints
-            ints, scale = scaled_ints(w)
-            if min(ints) < 0:
+            ints, scale = scaled
+            lo = min(ints)
+            if lo < 0:
                 raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
             if sum(ints) != scale:
                 raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
-            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale))  # cached
+            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale), _positive=lo > 0)
         else:
             a = np.array(w, dtype=np.float64)
-            # every weight that is not a float in [0, inf) reads as one with
-            # its sign bit set, or as NaN or +inf; -0.0 passes, but a tiny
-            # negative Fraction also rounds to it, so each is judged as given
-            for k in np.logical_or(np.signbit(a), np.logical_not(a < INF)).nonzero()[0].tolist():
-                x = check_extended(w[k], "weight")
-                if is_inf(x):
-                    raise DomainError("infinite weight")
-                if x < 0:
-                    raise DomainError(f"negative weight {x}")
+            # weights at least 0 as given (not NaN) and below +inf pass; of
+            # others, those whose floats have the sign bit set, or are NaN or
+            # +inf, are judged as given (a tiny negative Fraction reads -0.0)
+            try:
+                screened = all(map(partial(le, 0), w)) and max(w) < INF
+            except TypeError:  # not numbers: judged one by one below
+                screened = False
+            if not screened:
+                flagged = np.logical_or(np.signbit(a), np.logical_not(a < INF))
+                for k in flagged.nonzero()[0].tolist():
+                    x = check_extended(w[k], "weight")
+                    if is_inf(x):
+                        raise DomainError("infinite weight")
+                    if x < 0:
+                        raise DomainError(f"negative weight {x}")
             # added left to right: np.sum adds pairwise, which can change the
             # last bits that WEIGHT_SUM_TOL is compared with
             total = sum(w)
@@ -97,6 +106,11 @@ class DiscreteMeasure:
     def scaled_weights(self):
         """(ints, scale) of scaled_ints: floats read as the binary fractions they are."""
         return scaled_ints(self.weights)
+
+    @cached_property
+    def _positive(self):
+        """Whether every weight is positive, read off scaled_weights."""
+        return min(self.scaled_weights[0]) > 0
 
     def support(self):
         return [i for i, w in enumerate(self.weights) if w > 0]

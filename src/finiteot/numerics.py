@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import chain
+from operator import ne
 
 import numpy as np
 
@@ -58,8 +60,9 @@ def extended_array(rows, what: str):
 
     The mode is read off the dtype wherever it can be:
 
-    - a finite float first cell settles float mode, and the cells are read
-      into float64 in one pass, with no dtype discovery;
+    - a finite float as the first cell of row 0 that is not +inf (which
+      decides no mode) settles float mode, and the cells are read into
+      float64 in one pass, with no dtype discovery;
     - otherwise numpy's reading of the cells decides: int and bool arrays
       are rational; a float64 array is float when every cell is below 2^63
       in size, and else (+inf cells, or ints that numpy read as floats
@@ -75,13 +78,14 @@ def extended_array(rows, what: str):
         A = np.array(rows)  # a copy: the caller keeps its own
         if A.ndim != 2:
             raise ShapeError(f"{what} matrix must be 2-D, not of shape {A.shape}")
-    elif rows and rows[0] and type(rows[0][0]) is float and abs(rows[0][0]) < INF:
-        n, m = len(rows), len(rows[0])
-        A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
-        bounds = _check_floats(A, what)
-        A.flags.writeable = False
-        return A, FLOAT, bounds
     else:
+        first = next(filter(partial(ne, INF), rows[0]), None) if rows else None
+        if type(first) is float and abs(first) < INF:
+            n, m = len(rows), len(rows[0])
+            A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
+            bounds = _check_floats(A, what)
+            A.flags.writeable = False
+            return A, FLOAT, bounds
         A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
     kind = A.dtype.kind
     bounds = None
@@ -206,16 +210,7 @@ def mode_of(*parts) -> str:
     return RATIONAL
 
 
-def all_exact(values) -> bool:
-    """True iff every value is an int or Fraction: no float, not even +inf.
-
-    As in infer_mode, values are told apart by type, with no Python call per
-    value; these are the values scaled_ints takes.
-    """
-    return all(issubclass(kind, (int, Fraction)) for kind in set(map(type, values)))
-
-
-def scaled_ints(values):
+def scaled_ints(values, exact=False):
     """(ints, scale): exact numbers as integers over one positive scale.
 
     scale is the least common multiple of the denominators and ints[k] is
@@ -223,10 +218,16 @@ def scaled_ints(values):
     When every value is an int they come back as they are with scale 1,
     with no per-value call.  Floats are read as the binary fractions they
     are; +inf has no ratio, and as_integer_ratio raises OverflowError on it.
+    With exact, it is None unless every value is an int or a Fraction (not
+    even +inf), told apart by type as infer_mode tells them.
     """
     values = list(values)
-    if set(map(type, values)) <= {int}:
+    kinds = set(map(type, values))
+    if kinds <= {int}:
         return values, 1
+    if exact and not kinds <= {int, Fraction}:
+        if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
+            return None
     try:
         ratios = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integers have no as_integer_ratio

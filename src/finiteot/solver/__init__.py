@@ -19,23 +19,25 @@ everything after it is written once for both modes:
 
 On those arrays come the tolerance, the engine, the forbidden-mass decision
 and its certificate, the coupling check and the cost, each once, on the
-engine's own plan array.  The CostMatrix has recorded whether a cell is
-+inf and its largest |finite cost|, so a problem with no +inf cell builds
-no mask of forbidden cells and has no mass on them to decide or sweep.
-The engines need positive weights (a zero weight can leave them no
-strongly feasible tree), so when a weight is zero the engine runs on the
-support, the rows and columns of positive weight, and its plan is
-scattered back into the full n x m array with zeros elsewhere; everything
-else runs on the full arrays.  When every weight is positive nothing is
-copied.  A rational plan stays in int64 through the forbidden-mass
-decision and the coupling check, which are exact there because every row
-and column sum is at most the total supply, and its cost is an integer
-dot product over the cells with mass.  The returned TransportPlan takes
-the engine's array in the plan format (see coupling) as it is: float64,
-or Python ints, made from the int64 plan once, over the weight scale.  Its
-matrix of Python floats, or of Fractions, is built only when asked for.
-The cost is a Python float, or a Fraction (divided once by both scales).
-So a solve makes no Python call per cell from input to plan.
+engine's own plan array.  A solve reads what its inputs decided when they
+were built: the CostMatrix's mode, whether a cell is +inf (with none, no
+mask of forbidden cells is built or swept), its largest |finite cost| and
+its float64 costs; a measure's mode, its arrays and, if exact, whether
+every weight is positive.  The engines need positive weights (a zero weight
+can leave them no strongly feasible tree), so when a weight is zero the
+engine runs on the support, the rows and columns of positive weight, and
+its plan is scattered back into the full n x m array with zeros elsewhere;
+when every weight is positive nothing is copied.  A rational plan stays in
+int64 through the forbidden-mass decision and the coupling check, which are
+exact there because every row and column sum is at most the total supply;
+its cost is one dot product, in int64 while max|c| times the total supply
+fits, else in Python ints over the cells with mass.  A float plan is priced
+as cost_of_plan prices it.  The returned TransportPlan takes the engine's
+array in the plan format (see coupling): float64, or Python ints made from
+the int64 plan in one pass, over the weight scale.  Its matrix of Python
+floats, or of Fractions, is built only when asked for.  The cost is a
+Python float, or a Fraction (divided once by both scales).  So a solve
+makes no Python call per cell from input to plan, and few numpy calls.
 
 The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
 (which builds it with the system C compiler on first import).  Its float
@@ -258,11 +260,16 @@ def solve_kantorovich(
     if mode is None:
         mode = mode_of(cm, mu1, mu2)
     if mode == FLOAT:
-        a, b = mu1.float_weights, mu2.float_weights
-        C = np.asarray(cm.array, dtype=np.float64)
-        wscale = cscale = 1
+        a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
+        wscale, cscale, top = 1, 1, None
+        # weights are >= 0; count_nonzero makes no Python call, unlike all()
+        positive = np.count_nonzero(a) == n and np.count_nonzero(b) == m
     elif mode == RATIONAL:
         a, b, C, wscale, cscale = _exact_input(mu1, mu2, cm)
+        positive = mu1._positive and mu2._positive  # as their scaled ints are
+        # top: the largest |finite cost| in C's units, which a float matrix
+        # records only for its rounded cells
+        top = cm.max_abs_finite() * cscale if cm.mode == RATIONAL else None
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     # the mask of the +inf cells (CostMatrix rejects -inf and NaN), or None
@@ -270,8 +277,8 @@ def solve_kantorovich(
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
 
-    if a.all() and b.all():  # weights are >= 0
-        X, iters, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale)
+    if positive:
+        X, iters, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale, top)
     else:  # the engines need positive weights: solve on the support
         rows, cols = a > 0, b > 0
         support = np.ix_(rows, cols)
@@ -297,33 +304,42 @@ def solve_kantorovich(
         if not ok:
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
         if mode == FLOAT:
+            # cost_of_plan's price; only a sum that is not finite has an infinite term
+            mass = X != 0
+            terms = C[mass] * X[mass]
+            value = _sum_in_order(terms)
+            if not math.isfinite(value) and (abs(terms) == INF).any():
+                value = INF
             plan = TransportPlan._of_array(X, mu1, mu2)
-            value = cost_of_plan(plan, cm)
         else:
             # no mass sits on a forbidden cell: the cost is an integer dot
-            # product over the cells with mass, whose flows are turned into
-            # Python ints once, for the plan
-            mass = X != 0
-            flows = X[mass].tolist()
-            value = Fraction(sum(map(mul, C[mass].tolist(), flows)), wscale * cscale)
-            X = np.zeros(X.shape, dtype=object)  # int 0 cells
-            X[mass] = flows
-            plan = TransportPlan._of_array(X, mu1, mu2, wscale, Fraction(0))
+            # product, in int64 when max|c| times the total supply (which
+            # bounds every partial sum) fits, else over the cells with mass
+            if top is not None and X.dtype == C.dtype == np.int64 and top * wscale < 2**63:
+                total = int(np.dot(X.ravel(), C.ravel()))
+            else:
+                mass = X != 0
+                total = sum(map(mul, C[mass].tolist(), X[mass].tolist()))
+            value = Fraction(total, wscale * cscale)
+            # the plan's Python ints, int 0 on the cells without mass
+            plan = TransportPlan._of_array(X.astype(object), mu1, mu2, wscale, _ZERO)
     return OTSolution(plan, value, iters, mode, certificate, engine)
 
 
-def _run_engine(mode, a, b, C, forbidden, tol):
+def _run_engine(mode, a, b, C, forbidden, tol, max_cost=None):
     """(plan array, pivots, engine name) of the engine that solves (a, b, C).
 
     The weights are positive, forbidden is the mask of C's +inf cells or
-    None when there is none, and tol is in the units of C.  The C kernel
-    runs every float problem and the rational ones that fit in int64, and
-    the Python simplex the rest.  A rational plan comes back in the
+    None, and tol and max_cost (see _int64_input) are in C's units.  The C
+    kernel runs every float problem and the rational ones that fit in int64,
+    and the Python simplex the rest.  A rational plan comes back in the
     weights' dtype: int64, or an object array of Python ints.
     """
     kernel_input = None
     if _kernel is not None:
-        kernel_input = (a, b, C, tol) if mode == FLOAT else _int64_input(a, b, C, forbidden, tol)
+        kernel_input = (a, b, C, tol) if mode == FLOAT else _int64_input(
+            a, b, C, forbidden, tol, max_cost
+        )
     if kernel_input is not None:
         X, iters = _kernel.solve_dense(*kernel_input)
         return X, iters, _compiled.KERNEL_NAME
@@ -364,9 +380,10 @@ def _exact_input(mu1, mu2, cm):
 #: rational mode's scaled data run the int64 build only below these bounds
 _SUPPLY_BOUND = 2**62
 _COST_BOUND = 2**60
+_ZERO = Fraction(0)  # the zero cell of a rational solver plan
 
 
-def _int64_input(a, b, C, forbidden, tol):
+def _int64_input(a, b, C, forbidden, tol, max_cost=None):
     """The int64 build's (a, b, C, tol), or None when the scaled data may overflow.
 
     a, b and C are rational mode's scaled ints (+inf on forbidden cells,
@@ -375,10 +392,10 @@ def _int64_input(a, b, C, forbidden, tol):
     _SUPPLY_BOUND, as int64 weights from _exact_input say, and
     (n + m) max|finite cost| and |floor(tol)| are below _COST_BOUND: every
     flow is then at most the total supply, and every potential and reduced
-    cost at most 2 (n + m) max|c| + |floor(tol)| in size.  The tolerance is
-    floored, which gives the same pivots on integers; forbidden cells are
-    marked FORBIDDEN_INT64.  An int64 C (no forbidden cell) is passed on as
-    it is.
+    cost at most 2 (n + m) max|c| + |floor(tol)| in size; max_cost is that
+    maximum when a CostMatrix has recorded it, else it is found here.  The
+    tolerance is floored, which gives the same pivots on integers; forbidden
+    cells are marked FORBIDDEN_INT64.  An int64 C is passed on as it is.
     """
     if a.dtype != np.int64:
         return None
@@ -387,12 +404,12 @@ def _int64_input(a, b, C, forbidden, tol):
     except (OverflowError, ValueError):  # an infinite or NaN tolerance
         return None
     n, m = C.shape
-    if C.dtype == np.int64:
-        max_cost = max(int(C.max()), -int(C.min()))
-    else:
+    if C.dtype != np.int64:
         finite = np.ones(C.shape, dtype=bool) if forbidden is None else ~forbidden
         costs = C[finite].tolist()
-        max_cost = max(map(abs, costs), default=0)
+    if max_cost is None:
+        int64 = C.dtype == np.int64
+        max_cost = max(int(C.max()), -int(C.min())) if int64 else max(map(abs, costs), default=0)
     if (n + m) * max_cost >= _COST_BOUND or abs(floor_tol) >= _COST_BOUND:
         return None
     if C.dtype != np.int64:

@@ -161,6 +161,7 @@ class CompiledKernel:
             np.float64: _bind(lib.fot_solve_dense, ctypes.c_double),
             np.int64: _bind(lib.fot_solve_exact, ctypes.c_int64),
         }
+        self._data_at = _data_offset()
 
     def solve_dense(self, a, b, C, tol):
         """Minimize <C, X> over the transportation polytope; +inf cells are forbidden.
@@ -173,18 +174,22 @@ class CompiledKernel:
         forbidden cells, as transportation_simplex does.
         """
         dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
-        a, b, C = (np.ascontiguousarray(x, dtype=dtype) for x in (a, b, C))
+        a = np.ascontiguousarray(a, dtype)
+        b = np.ascontiguousarray(b, dtype)
+        C = np.ascontiguousarray(C, dtype)
         n, m = C.shape
         if n == 0 or m == 0 or a.shape != (n,) or b.shape != (m,):
             raise ValueError(
                 f"solve_dense needs a (n,), b (m,), C (n, m) with n, m >= 1; "
                 f"got {a.shape}, {b.shape}, {C.shape}"
             )
-        X = np.empty((n, m), dtype=dtype)
+        X = np.empty((n, m), dtype)
         # the arrays pass as bare addresses: ascontiguousarray and empty have
         # fixed their dtype and layout, and they outlive the call
+        at, address = self._data_at, ctypes.c_void_p.from_address
         iterations = self._fns[dtype](
-            n, m, a.ctypes.data, b.ctypes.data, C.ctypes.data, tol, X.ctypes.data
+            n, m, address(id(a) + at).value, address(id(b) + at).value,
+            address(id(C) + at).value, tol, address(id(X) + at).value,
         )
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
@@ -193,6 +198,17 @@ class CompiledKernel:
         if iterations == _NOT_POSITIVE:
             raise ValueError("solve_dense needs positive weights; pass the support")
         return X, iterations
+
+
+def _data_offset():
+    """The offset from an ndarray's id at which it keeps its data address,
+    found on a probe rather than assumed; read there, an address costs a
+    part of .ctypes or __array_interface__, which build Python objects."""
+    probe = np.zeros(4)
+    for offset in range(0, 64, ctypes.sizeof(ctypes.c_void_p)):
+        if ctypes.c_void_p.from_address(id(probe) + offset).value == probe.ctypes.data:
+            return offset
+    raise KernelUnavailable("cannot find where an ndarray keeps the address of its data")
 
 
 def _bind(fn, number):

@@ -26,7 +26,6 @@ from .numerics import (
     ParameterError,
     ShapeError,
     _floor,
-    all_exact,
     default_tol,
     extended_array,
     infer_mode,
@@ -90,9 +89,10 @@ def _decision(matrix, numbers, size, tol=0):
     bound on what it computes, is below 2^63, else Python ints.  Any other
     data stay as given, in object arrays, with scale None.
     """
-    if matrix.mode == RATIONAL and all_exact(numbers):
+    scaled = scaled_ints(numbers, exact=True) if matrix.mode == RATIONAL else None
+    if scaled is not None:
         D, s = matrix._scaled_costs
-        ints, scale = scaled_ints(numbers)
+        ints, scale = scaled
         L = math.lcm(s, scale)
         D = D if L == s else D.astype(object) * (L // s)
         X, t = np.array([x * (L // scale) for x in ints], dtype=object), _floor(tol, L)
@@ -223,8 +223,8 @@ class CostMatrix:
     input is an ndarray, whose cells then come back as Python numbers.
     has_inf records whether a cell is +inf, and max_abs_finite() returns
     the largest |cost| over the finite cells: recorded at construction
-    from extended_array's bounds, or, for an object array, scanned when
-    asked for.
+    from extended_array's bounds, or, for an object array, found on first
+    use, as _float_costs (array itself when float64) is; both are kept.
     """
 
     cost: tuple
@@ -257,6 +257,8 @@ class CostMatrix:
         vars(self).update(array=array, mode=mode, has_inf=has_inf, _max_abs_finite=top)
         if array.dtype == np.int64:  # already in the exact format
             vars(self)["_scaled_costs"] = array, 1
+        elif array.dtype == np.float64:  # already float64
+            vars(self)["_float_costs"] = array
         if self.lower_bound is not None:
             self._attach(self.lower_bound)
 
@@ -308,8 +310,16 @@ class CostMatrix:
     def shape(self):
         return self.array.shape
 
+    @cached_property
+    def _float_costs(self):
+        """The costs as a read-only float64 array, exact ones rounded as float() rounds them."""
+        C = self.array.astype(np.float64)
+        C.flags.writeable = False
+        return C
+
     def max_abs_finite(self):
         """The largest |cost| over the finite cells, 0 when there is none."""
-        if self._max_abs_finite is None:  # an object array
-            return max((abs(c) for c in self.array.ravel().tolist() if c != INF), default=0)
+        if self._max_abs_finite is None:  # an object array, scanned once
+            cells = self.array.ravel().tolist()
+            vars(self)["_max_abs_finite"] = max((abs(c) for c in cells if c != INF), default=0)
         return self._max_abs_finite

@@ -1,6 +1,6 @@
 """Prints one verdict line per acceptance criterion at the end of the run,
-and holds count_python_calls, the helper of the tests that bound a
-routine's Python-level calls."""
+and holds count_python_calls and count_calls, the helpers of the tests that
+bound a routine's calls."""
 
 import sys
 
@@ -79,6 +79,48 @@ def count_python_calls(monkeypatch, *solves):
         monkeypatch.setattr(
             solver, "transportation_simplex", uncounted(solver.transportation_simplex)
         )
+    counts = []
+    for solve in solves:
+        calls = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = solve()
+        finally:
+            sys.setprofile(previous)
+        counts.append((calls, result))
+    return counts
+
+
+def count_calls(monkeypatch, *solves):
+    """[(calls, result)] of each solve(): its "call" and "c_call" events of
+    sys.setprofile, and what it returned.
+
+    Unlike count_python_calls, this also counts each call of a function or
+    method written in C: len, isinstance, np.empty, an ndarray method such
+    as tolist, a ufunc method such as np.add.reduce.  Calling a ufunc itself
+    (np.abs(X)) and operators on arrays (X != 0, X[mask], a - b) raise no
+    profiler event, so they are not counted.  The engine runs uncounted: the
+    C kernel's ctypes call raises no event, and when the kernel is not
+    loaded the Python simplex runs with the profiler off.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" or event == "c_call"
+
+    if solver._kernel is None:
+        engine = solver.transportation_simplex
+
+        def uncounted(*args, **kwargs):
+            sys.setprofile(None)
+            try:
+                return engine(*args, **kwargs)
+            finally:
+                sys.setprofile(count)
+
+        monkeypatch.setattr(solver, "transportation_simplex", uncounted)
     counts = []
     for solve in solves:
         calls = 0

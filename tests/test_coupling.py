@@ -241,6 +241,113 @@ class TestOnePassCouplingCheck:
         assert _is_coupling_array(X, a, b, 1) == (True, [])
 
 
+def reference_is_coupling_array(X, a, b, tol):
+    """_is_coupling_array as it was before its one-minimum, one-maximum
+    test: the row and column gaps as two arrays, passed or reported by the
+    reductions and entry tests of _violations, written out here."""
+    lines = [
+        (kind, np.abs(np.add.reduce(X, axis=axis) - weights), tol)
+        for kind, axis, weights in (("row", 1, a), ("column", 0, b))
+    ]
+    if X.dtype == object or any(g.dtype == object for _, g, _ in lines):
+        passing = np.all(X >= -tol) and all(np.all(g <= t) for _, g, t in lines)
+    else:
+        passing = X.min() >= -tol and all(g.max() <= t for _, g, t in lines)
+    if passing:
+        return _worst_first([])
+    i, j = np.logical_not(X >= -tol).nonzero()
+    report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
+    for kind, g, t in lines:
+        (bad,) = np.logical_not(g <= t).nonzero()
+        report += [(kind, k, g.item(k)) for k in bad.tolist()]
+    return _worst_first(report)
+
+
+def as_kind(kind, P, total):
+    """The integer masses P over total as an array of the kind: float64,
+    int64 (total 1 only) or object (Python ints over 1, else Fractions)."""
+    if kind == "float64":
+        return P / total
+    if kind == "int64":
+        return P.astype(np.int64)
+    cells = [[int(x) if total == 1 else F(int(x), total) for x in row] for row in P.tolist()]
+    return np.array(cells, dtype=object).reshape(P.shape)
+
+
+def coupling_array_battery():
+    """(X, a, b, tol): seeded plans of integer masses, over 1 or over their
+    total, as float64, int64 (some near 2^62) or object arrays, against
+    their line sums as float64, int64 or object arrays of the same numbers,
+    as they are or with a NaN cell, a negative cell, a cell one unit up, a
+    unit moved along a row, a weight one unit up, or mass moved around a
+    2 x 2 cycle that keeps every line sum and leaves a cell one unit below
+    zero; tol is 0, 1e-9, 1 or 1/1000."""
+    rng = random.Random(4242)
+    cases = []
+    for trial in range(1200):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        P = np.array([[rng.choice((0, rng.randint(1, 50))) for _ in range(m)] for _ in range(n)])
+        P[rng.randrange(n), rng.randrange(m)] += 1
+        if rng.random() < 0.2:
+            P = P * ((2**62 - 1) // int(P.sum()))
+        total = 1 if trial % 2 else int(P.sum())
+        kinds = ("float64", "int64", "object") if total == 1 else ("float64", "object")
+        X = as_kind(kinds[trial // 2 % len(kinds)], P, total).copy()
+        a = np.add.reduce(as_kind(rng.choice(kinds), P, total), axis=1)
+        b = np.add.reduce(as_kind(rng.choice(kinds), P, total), axis=0)
+        unit = 1 / total if X.dtype == np.float64 else F(1, total)
+        i, j, change = rng.randrange(n), rng.randrange(m), trial // 6 % 7
+        if change == 1 and X.dtype != np.int64:
+            X[i, j] = float("nan")
+        elif change == 2:
+            X[i, j] = -unit
+        elif change == 3:
+            X[i, j] += unit
+        elif change == 4:
+            X[i, j] += unit
+            X[i, rng.randrange(m)] -= unit
+        elif change == 5:
+            a = a.copy()
+            a[i] += 1 if a.dtype == np.int64 else F(1, total) if a.dtype == object else 1 / total
+        elif change == 6 and n > 1 and m > 1:
+            k, r = rng.choice([c for c in range(m) if c != j]), rng.choice([r for r in range(n) if r != i])
+            moved = X[i, j] + unit
+            X[i, j] -= moved
+            X[i, k] += moved
+            X[r, k] -= moved
+            X[r, j] += moved
+        cases.append((X, a, b, rng.choice((0, 1e-9, 1, F(1, 1000)))))
+    return cases
+
+
+def reported(checked):
+    """(ok, report) with each magnitude as its type and repr: NaN != NaN."""
+    ok, report = checked
+    return ok, [(kind, at, type(size).__name__, repr(size)) for kind, at, size in report]
+
+
+class TestCouplingArrayReference:
+    def test_same_ok_and_report_as_the_reference(self):
+        outcomes = set()
+        for X, a, b, tol in coupling_array_battery():
+            with np.errstate(invalid="ignore"):  # NaN cells of object arrays
+                got = _is_coupling_array(X, a, b, tol)
+                want = reference_is_coupling_array(X, a, b, tol)
+            assert reported(got) == reported(want), (X, a, b, tol)
+            outcomes.add((X.dtype.name, a.dtype.name, got[0]))
+        # every plan kind against every weight kind both passes and fails
+        assert len(outcomes) == 18, sorted(outcomes)
+
+    def test_gaps_of_two_dtypes_are_not_compared_as_one(self):
+        # float64 row gaps and int64 column gaps: one maximum over both would
+        # round the column gap 2^53 + 1 down to the tol 2^53 and pass it
+        X = np.array([[2**53 + 1, 0], [0, 0]], dtype=np.int64)
+        a, b = np.array([2.0**53, 0.0]), np.zeros(2, dtype=np.int64)
+        want = reference_is_coupling_array(X, a, b, 2**53)
+        assert want == (False, [("column", 0, 2**53 + 1)])
+        assert _is_coupling_array(X, a, b, 2**53) == want
+
+
 class TestTestFunctionCharacterization:
     def test_zero_functions_always_pass(self):
         plan = product_coupling(UNIFORM2, UNIFORM2)

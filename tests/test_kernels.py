@@ -447,6 +447,19 @@ class TestCompiled:
     def test_kernel_is_selected(self):
         assert KERNEL == "compiled", KERNEL_INFO.reason
 
+    def test_data_addresses_are_read_where_the_probe_found_them(self, compiled):
+        """solve_dense reads each array's data address at the offset from
+        its id that load() found on a probe: it is the address .ctypes
+        gives, for views, read-only and int64 arrays alike."""
+        import ctypes
+
+        base = np.arange(60, dtype=np.float64).reshape(6, 10)
+        frozen = base.copy()
+        frozen.flags.writeable = False
+        arrays = [base, base[2:], base[:, 3], base.T, frozen, np.zeros(1, np.int64), np.ones(7)[3:]]
+        for x in arrays:
+            assert ctypes.c_void_p.from_address(id(x) + compiled._data_at).value == x.ctypes.data
+
     def test_random_instances_feasible(self, compiled):
         rng = random.Random(97)
         for _ in range(20):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +16,15 @@ from finiteot.measure import (
     new_measure,
     pushforward,
 )
-from finiteot.numerics import INF, DataError, DomainError, NormalizationError, ShapeError
+from finiteot.numerics import (
+    INF,
+    DataError,
+    DomainError,
+    NormalizationError,
+    ShapeError,
+    check_extended,
+    is_inf,
+)
 
 
 def rational_measures(max_n=6):
@@ -176,3 +185,87 @@ class TestEquality:
         assert measures_equal(mu1, mu2, "weights") == measures_equal(
             mu1, mu2, "test_functions"
         )
+
+
+def reference_float_check(w):
+    """The float weights' check as it was before its screen of the weights
+    as given: every weight whose float reads with its sign bit set, or as
+    NaN or +inf, judged as given; then the total, added left to right."""
+    a = np.array(w, dtype=np.float64)
+    for k in np.logical_or(np.signbit(a), np.logical_not(a < INF)).nonzero()[0].tolist():
+        x = check_extended(w[k], "weight")
+        if is_inf(x):
+            raise DomainError("infinite weight")
+        if x < 0:
+            raise DomainError(f"negative weight {x}")
+    total = sum(w)
+    if abs(total - 1) > 1e-12:
+        raise NormalizationError(f"weights sum to {total!r}, not 1")
+    return a
+
+
+def float_check_outcome(check, w):
+    try:
+        a = check(w)
+    except Exception as exc:  # compared, not hidden
+        return type(exc).__name__, str(exc)
+    return a.tobytes(), a.flags.writeable
+
+
+class TestFloatWeightScreen:
+    """Float weights that are all at least 0 as given and below +inf pass a
+    screen of Python comparisons; any others are judged one by one as
+    before, with the same errors and the same array."""
+
+    WEIRD = [
+        (None, 1.0),
+        ("0.5", "0.5"),
+        (float("nan"), 1.0),
+        (1.0, float("nan")),
+        (-0.0, 1.0),
+        (F(-1, 10**400), 1.0),
+        (F(1, 10**400), 1.0),
+        (0.5, F(1, 2)),
+        (float("inf"), 0.0),
+        (0.0, -float("inf")),
+        (np.float64(0.5), 0.5),
+        (True, 0.0),
+        (-1e-300, 1.0),
+        (0.25, 0.25, 0.5, -0.0),
+        (0.5, 0.5 + 1e-13),
+        (2.0, -1.0),
+    ]
+
+    @staticmethod
+    def ours(w):
+        measure = DiscreteMeasure(w)
+        return measure.float_weights if measure.mode == "float" else None
+
+    @pytest.mark.parametrize("w", WEIRD, ids=range(len(WEIRD)))
+    def test_edge_weights(self, w):
+        with np.errstate(all="ignore"):
+            want = float_check_outcome(reference_float_check, w)
+            got = float_check_outcome(self.ours, w)
+        assert got[0] == want[0] and (len(got) == 2 or got[1] == want[1])
+
+    def test_seeded_battery(self):
+        rng = random.Random(91)
+        kinds = [
+            lambda: rng.random(),
+            lambda: -rng.random() * 10 ** -rng.randint(0, 300),
+            lambda: F(rng.randint(0, 9), rng.randint(1, 9)),
+            lambda: rng.randint(0, 3),
+            lambda: rng.choice((0.0, -0.0, INF, float("nan"))),
+        ]
+        passed = 0
+        for _ in range(400):
+            raw = [rng.choice(kinds[: rng.randint(1, 5)])() for _ in range(rng.randint(1, 8))]
+            raw.append(rng.random())  # a float, so the weights read as float
+            total = sum(x for x in raw if x == x and not is_inf(x) and x > 0) or 1
+            w = tuple(x / total for x in raw) if rng.random() < 0.8 else tuple(raw)
+            with np.errstate(all="ignore"):
+                want = float_check_outcome(reference_float_check, w)
+                got = float_check_outcome(self.ours, w)
+            assert got == (want if isinstance(want[0], str) else (want[0], False)), w
+            passed += not isinstance(want[0], str)
+        assert 100 < passed < 300, passed

@@ -2,7 +2,7 @@ import ast
 import random
 import sys
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,18 @@ from finiteot.coupling import (
     verify_coupling_via_test_functions,
 )
 from finiteot.measure import DiscreteMeasure, measures_equal
-from finiteot.numerics import FLOAT, INF, RATIONAL, GlueError, infer_mode
+from finiteot.numerics import (
+    _INT64_SIZE,
+    FLOAT,
+    INF,
+    RATIONAL,
+    GlueError,
+    _check_floats,
+    extended_array,
+    infer_mode,
+)
 from finiteot.solver import solve_kantorovich
-from finiteot.space import FiniteMetricSpace
+from finiteot.space import CostMatrix, FiniteMetricSpace
 from finiteot.wasserstein import GluedPlan, glue, glued_plan_is_valid
 
 
@@ -174,3 +183,127 @@ class TestModeRuleTable:
             mu1, mu2 = (DiscreteMeasure((as_kind(k, 1), as_kind(k, 0))) for k in (k1, k2))
             mode = solve_kantorovich(mu1, mu2, cost).mode
             assert mode == ("rational" if exact(cost_kind, k1, k2) else "float")
+
+
+def reference_extended_array(rows, what):
+    """extended_array as it was when only a finite float in cell (0, 0)
+    took the one-pass float64 read: any other list of rows went through
+    numpy's dtype discovery."""
+    if isinstance(rows, np.ndarray):
+        A = np.array(rows)
+    elif rows and rows[0] and type(rows[0][0]) is float and abs(rows[0][0]) < INF:
+        n, m = len(rows), len(rows[0])
+        A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
+        bounds = _check_floats(A, what)
+        A.flags.writeable = False
+        return A, FLOAT, bounds
+    else:
+        A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
+    kind = A.dtype.kind
+    bounds = None
+    if A.size == 0:
+        mode = infer_mode(())
+    elif kind == "b" or kind in "iu" and np.can_cast(A.dtype, np.int64):
+        mode = RATIONAL
+        A = A if kind == "b" else A.astype(np.int64, copy=False)
+        bounds = A.min().item(), A.max().item()
+    elif kind == "f":
+        A = A.astype(np.float64, copy=False)
+        bounds = lo, hi = _check_floats(A, what)
+        mode = FLOAT
+        if lo <= -_INT64_SIZE or hi >= _INT64_SIZE:
+            cells = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            mode = infer_mode(chain.from_iterable(cells))
+            if mode == RATIONAL:
+                A = np.array(cells, dtype=object)
+                bounds = None
+    else:
+        A = A.astype(object, copy=False)
+        mode = infer_mode(A.ravel().tolist())
+        if mode == FLOAT:
+            A = A.astype(np.float64)
+            bounds = _check_floats(A, what)
+    A.flags.writeable = False
+    return A, mode, bounds
+
+
+def read_outcome(read, rows):
+    """What a read of rows gives: the array's dtype and bytes (object
+    arrays: their cells' types and reprs), the mode and the bounds' reprs;
+    or the error's type and message."""
+    try:
+        A, mode, bounds = read(rows, "cost")
+    except Exception as exc:  # compared, not hidden
+        return type(exc).__name__, str(exc)
+    cells = [(type(x).__name__, repr(x)) for x in A.ravel().tolist()] if A.dtype == object else A.tobytes()
+    return A.dtype.name, A.shape, cells, mode, repr(bounds), A.flags.writeable
+
+
+class TestFloatReadPastLeadingInf:
+    """A list of rows whose row 0 starts with +inf cells is read in one
+    float64 pass when its first other cell is a finite float, as a finite
+    float in cell (0, 0) is: with the same array, mode and bounds as
+    numpy's dtype discovery gives, and the same errors."""
+
+    @staticmethod
+    def matrices(rng):
+        for trial in range(200):
+            n, m = rng.randint(1, 20), rng.randint(1, 20)
+            lead = rng.randint(1, m)  # row 0 starts with this many +inf cells
+            cell = [
+                lambda: float(rng.randint(0, 1000)),
+                lambda: rng.random() * 10 ** rng.randint(-300, 300),
+                lambda: rng.randint(-1000, 1000),
+                lambda: F(rng.randint(0, 1000), rng.randint(1, 9)),
+                lambda: INF,
+                lambda: float(2**70 + rng.randint(0, 2**20)),
+                lambda: 2**70 + rng.randint(0, 2**20),
+            ]
+            kinds = [cell[0]] + rng.sample(cell[1:], rng.randint(0, 3))
+            rows = [[rng.choice(kinds)() for _ in range(m)] for _ in range(n)]
+            rows[0][:lead] = [INF] * lead
+            if lead < m and trial % 4:
+                rows[0][lead] = float(rng.randint(0, 1000))  # the cell that decides
+            yield rows
+
+    def test_same_read_as_dtype_discovery(self):
+        rng = random.Random(77)
+        fast = 0
+        for rows in self.matrices(rng):
+            got = read_outcome(extended_array, rows)
+            assert got == read_outcome(reference_extended_array, rows), rows
+            first = next((x for x in rows[0] if x != INF), None)
+            fast += type(first) is float and abs(first) < INF
+        assert fast > 100  # the cases the one-pass read now takes
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[INF, 1.0], [float("nan"), 2.0]],
+            [[INF, 1.0], [-INF, 2.0]],
+            [[INF, 1.0], [2.0, "x"]],
+            [[INF, 1.0], [2.0, "2"]],
+            [[INF, 1.0], [None, 2.0]],
+            [[INF, 1.0], [2.0, 10**400]],
+            [[INF, float("nan")], [1.0, 2.0]],
+            [[INF, -INF], [1.0, 2.0]],
+            [[INF, INF], [2.0, 1.0]],
+            [[INF, INF], [2, F(1, 3)]],
+            [[INF, 2], [3, INF]],
+            [[INF, 2**70], [3, 1]],
+            [[INF, True], [1.0, 2.0]],
+            [[INF, INF], [INF, INF]],
+            [[INF, F(1, 2)], [2.0, 1.0]],
+            [[INF], [2.0]],
+        ],
+    )
+    def test_same_outcome_on_bad_and_edge_rows(self, rows):
+        with np.errstate(all="ignore"):
+            assert read_outcome(extended_array, rows) == read_outcome(reference_extended_array, rows)
+
+    def test_ragged_rows_are_refused_before_the_read(self):
+        for rows in ([[INF, 1.0], [2.0]], [[INF, 1.0, 2.0], [3.0, 4.0]]):
+            with pytest.raises(ValueError, match="not rectangular"):
+                CostMatrix(rows)
+            with pytest.raises(ValueError, match="not rectangular"):
+                TransportPlan(rows)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from conftest import count_python_calls
+from conftest import count_calls, count_python_calls
 
 from finiteot import solver
 from finiteot.coupling import TransportPlan, is_coupling, product_coupling
@@ -990,3 +990,99 @@ def test_plan_checks_make_no_python_call_per_cell(monkeypatch):
     assert value == sum(a * b * c for a, row in weights for b, c in zip(mu2.weights, row))
     for calls in (c1, c2, c3, c4):
         assert calls < n * n // 10, f"{calls} Python calls for {n * n} cells"
+
+
+def test_small_solves_make_few_calls(monkeypatch):
+    """A small solve's fixed cost is its calls, C calls included
+    (count_calls): a 16-point rational W1 solve on a prebuilt space, and a
+    20 x 20 float solve with +inf cells from a prebuilt CostMatrix, each
+    read the values their built inputs recorded (the measures' scaled ints
+    and positivity, the matrix's largest cost and float64 costs) and make
+    few numpy calls between them and the plan (101 and 89 calls before)."""
+    from finiteot.space import FiniteMetricSpace
+    from finiteot.wasserstein import WassersteinParams, wasserstein_distance
+
+    rng = random.Random(16)
+    points = sorted(rng.sample(range(1000), 16))
+    space = FiniteMetricSpace(tuple(map(str, points)), [[abs(x - y) for y in points] for x in points])
+    space.power_cost(1)
+    raws = [[rng.randint(1, 1000) for _ in range(16)] for _ in range(2)]
+    mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw)) for raw in raws)
+    params = WassersteinParams(p=1, mode="rational")
+    raws = [[rng.randint(1, 1000) for _ in range(20)] for _ in range(2)]
+    nu1, nu2 = (DiscreteMeasure(tuple(x / sum(raw) for x in raw)) for raw in raws)
+    cm = CostMatrix(
+        [[INF if rng.random() < 0.1 else float(rng.randint(0, 1000)) for _ in range(20)] for _ in range(20)]
+    )
+    solves = (
+        lambda: wasserstein_distance(mu1, mu2, space, params),
+        lambda: solve_kantorovich(nu1, nu2, cm, mode="float"),
+    )
+    wasserstein_distance(mu1, mu2, space, params)  # warm: nothing left to build
+    (w1_calls, (w1, plan)), (float_calls, sol) = count_calls(monkeypatch, *solves)
+    assert type(w1) is F and plan.mode == "rational" and sol.feasible and cm.has_inf
+    assert w1_calls <= 75, f"{w1_calls} calls for a 16-point W1 solve"
+    assert float_calls <= 65, f"{float_calls} calls for a 20 x 20 float solve"
+
+
+def test_second_float_solve_of_a_fraction_matrix_reads_what_the_first_kept(monkeypatch):
+    """The largest |cost| of a CostMatrix of Fractions and its float64
+    copy are found by the first float solve and kept: the second solve
+    against the same matrix makes under a tenth of the first's Python calls
+    (each made about 50,800 when both were found again)."""
+    n = 60
+    rng = random.Random(60)
+    raws = [[rng.randint(1, 1000) for _ in range(n)] for _ in range(2)]
+    mu1, mu2 = (DiscreteMeasure(tuple(x / sum(raw) for x in raw)) for raw in raws)
+    cm = CostMatrix([[F(rng.randint(0, 1000), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)])
+    solve = lambda: solve_kantorovich(mu1, mu2, cm)  # noqa: E731
+    (first, s1), (second, s2) = count_python_calls(monkeypatch, solve, solve)
+    assert s1.mode == "float" and repr(s1.optimal_cost) == repr(s2.optimal_cost)
+    assert second < first / 10, f"{second} calls after {first}"
+
+
+def test_recorded_cost_bound_is_the_scanned_one():
+    """The int64 fit bound reads the CostMatrix's largest |finite cost|
+    times the cost scale; it is the largest scaled int that the scan of
+    _int64_input finds, and so decides the same engine, on both sides of
+    the bound."""
+    rng = random.Random(61)
+    big = solver._COST_BOUND // 8
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        top = rng.choice((1000, big - 1, big, big + 1))
+        cells = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        cells[rng.randrange(n)][rng.randrange(n)] = rng.choice((top, -top))
+        if trial % 3 == 1:
+            cells = [[F(c, rng.randint(1, 4)) for c in row] for row in cells]
+        if trial % 3 == 2:
+            cells[rng.randrange(n)][rng.randrange(n)] = INF
+        mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
+        cm = CostMatrix(cells)
+        a, b, C, _, cscale = solver._exact_input(mu, mu, cm)
+        forbidden = C == INF if cm.has_inf else None
+        scanned = solver._int64_input(a, b, C, forbidden, 0)
+        recorded = solver._int64_input(a, b, C, forbidden, 0, cm.max_abs_finite() * cscale)
+        assert (scanned is None) == (recorded is None)
+        if scanned is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(scanned, recorded))
+        sol = solve_kantorovich(mu, mu, cm)
+        assert sol.engine == ("python" if scanned is None or solver._kernel is None else "compiled")
+
+
+@pytest.mark.parametrize("cost_size", [10**3, 2**40])
+def test_rational_cost_is_exact_on_both_sides_of_the_int64_dot(cost_size):
+    """A rational solve prices its int64 plan by an int64 dot product only
+    while max|c| times the total supply fits in int64; past that, on the
+    cells with mass in Python ints.  Either way the cost is the plan's
+    exact cost in Fractions."""
+    rng = random.Random(cost_size % 97)
+    for n in (5, 12, 20):
+        raws = [[rng.randint(1, 10**6) for _ in range(n)] for _ in range(2)]
+        mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw)) for raw in raws)
+        cost = [[rng.randint(0, cost_size) for _ in range(n)] for _ in range(n)]
+        sol = solve_kantorovich(mu1, mu2, cost)
+        exact = sum(c * x for crow, xrow in zip(cost, sol.plan.matrix) for c, x in zip(crow, xrow))
+        assert type(sol.optimal_cost) is F and sol.optimal_cost == exact
+        assert sol.plan._array.dtype == object
+        assert {type(x) for x in sol.plan._array.ravel().tolist()} == {int}
