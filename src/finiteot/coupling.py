@@ -266,17 +266,15 @@ def _is_coupling_array(X, a, b, tol):
     a and b are the weights as arrays in the plan's arithmetic: float64;
     int64, whose sums and gaps are exact while the total supply is below
     2^62, as the solver keeps it; or object arrays of exact numbers, which
-    are compared exactly.  When the gaps of both lines share a dtype other
-    than object, as a solver plan's do, a plan passes on one minimum of its
-    cells and one maximum of its gaps (a NaN makes either NaN, and fails).
+    are compared exactly.
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
-    gaps = np.abs(np.add.reduce(X, axis=1) - a), np.abs(np.add.reduce(X, axis=0) - b)
-    if gaps[0].dtype == gaps[1].dtype != object and np.minimum.reduce(X.ravel()) >= -tol:
-        if np.maximum.reduce(np.concatenate(gaps)) <= tol:
-            return True, []
-    return _worst_first(_violations(X, tol, [("row", gaps[0], tol), ("column", gaps[1], tol)]))
+    lines = [
+        ("row", np.abs(np.add.reduce(X, axis=1) - a), tol),
+        ("column", np.abs(np.add.reduce(X, axis=0) - b), tol),
+    ]
+    return _worst_first(_violations(X, tol, lines))
 
 
 def _violations(X, limit, lines):
@@ -285,11 +283,13 @@ def _violations(X, limit, lines):
     fail gap <= bound; NaN fails.  A passing plan costs one pass of
     reductions, and the entries are built only when a test fails.
     """
-    if X.dtype == object or any(g.dtype == object for _, g, _ in lines):
+    (_, g1, t1), (_, g2, t2) = lines
+    if X.dtype == object or g1.dtype == object or g2.dtype == object:
         # an object array's min and max can pass over a NaN: test every entry
-        passing = np.all(X >= -limit) and all(np.all(g <= t) for _, g, t in lines)
+        passing = np.all(X >= -limit) and np.all(g1 <= t1) and np.all(g2 <= t2)
     else:  # a float64 min or max is NaN when an entry is
-        passing = X.min() >= -limit and all(g.max() <= t for _, g, t in lines)
+        low, high = np.minimum.reduce, np.maximum.reduce
+        passing = low(X, None) >= -limit and high(g1) <= t1 and high(g2) <= t2
     if passing:
         return []
     i, j = np.logical_not(X >= -limit).nonzero()

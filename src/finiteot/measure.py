@@ -43,7 +43,7 @@ class DiscreteMeasure:
     and any others as one float64 array; the check keeps what it built as
     the cached scaled_weights or float_weights, and the other is derived on
     first use.  The check also sets mode, rational iff every weight is exact,
-    and for exact weights _positive, from the least scaled int.
+    and _positive, whether every weight is above 0 as given.
     """
 
     weights: tuple
@@ -87,7 +87,7 @@ class DiscreteMeasure:
             if abs(total - 1) > WEIGHT_SUM_TOL:
                 raise NormalizationError(f"weights sum to {total!r}, not 1")
             a.flags.writeable = False
-            vars(self).update(mode=FLOAT, float_weights=a)  # cached
+            vars(self).update(mode=FLOAT, float_weights=a, _positive=0 not in w)
         if self.space is not None and self.space.n != len(w):
             raise ShapeError("weights do not match the space size")
 
@@ -106,11 +106,6 @@ class DiscreteMeasure:
     def scaled_weights(self):
         """(ints, scale) of scaled_ints: floats read as the binary fractions they are."""
         return scaled_ints(self.weights)
-
-    @cached_property
-    def _positive(self):
-        """Whether every weight is positive, read off scaled_weights."""
-        return min(self.scaled_weights[0]) > 0
 
     def support(self):
         return [i for i, w in enumerate(self.weights) if w > 0]

@@ -225,9 +225,8 @@ def scaled_ints(values, exact=False):
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 1
-    if exact and not kinds <= {int, Fraction}:
-        if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
-            return None
+    if exact and not all(issubclass(kind, (int, Fraction)) for kind in kinds):
+        return None
     try:
         ratios = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integers have no as_integer_ratio

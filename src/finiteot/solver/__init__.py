@@ -25,19 +25,18 @@ mask of forbidden cells is built or swept), its largest |finite cost| and
 its float64 costs; a measure's mode, its arrays and, if exact, whether
 every weight is positive.  The engines need positive weights (a zero weight
 can leave them no strongly feasible tree), so when a weight is zero the
-engine runs on the support, the rows and columns of positive weight, and
-its plan is scattered back into the full n x m array with zeros elsewhere;
-when every weight is positive nothing is copied.  A rational plan stays in
-int64 through the forbidden-mass decision and the coupling check, which are
-exact there because every row and column sum is at most the total supply;
-its cost is one dot product, in int64 while max|c| times the total supply
-fits, else in Python ints over the cells with mass.  A float plan is priced
-as cost_of_plan prices it.  The returned TransportPlan takes the engine's
-array in the plan format (see coupling): float64, or Python ints made from
-the int64 plan in one pass, over the weight scale.  Its matrix of Python
-floats, or of Fractions, is built only when asked for.  The cost is a
-Python float, or a Fraction (divided once by both scales).  So a solve
-makes no Python call per cell from input to plan, and few numpy calls.
+engine runs on the support, and its plan is scattered back into the full
+n x m array with zeros elsewhere.  A rational plan stays in int64 through
+the forbidden-mass decision and the coupling check, which are exact there
+because every row and column sum is at most the total supply; its cost is
+one dot product, in int64 while max|c| times the total supply fits, else
+in Python ints.  A float plan is priced by _float_price, as cost_of_plan
+prices one.  The returned TransportPlan takes the engine's array in the
+plan format (see coupling): float64, or Python ints made from the int64
+plan in one pass, over the weight scale; its matrix of Python floats, or
+of Fractions, is built only when asked for.  The cost is a Python float,
+or a Fraction (divided once by both scales).  So a solve makes no Python
+call per cell from input to plan, and few numpy calls.
 
 The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
 (which builds it with the system C compiler on first import).  Its float
@@ -172,10 +171,7 @@ def cost_of_plan(plan, cost) -> object:
     if plan.shape != cm.shape:
         raise ShapeError("plan and cost shapes differ")
     if mode_of(plan, cm) == FLOAT:
-        X = _floats(plan)
-        mass = X != 0
-        terms = cm.array[mass].astype(np.float64) * X[mass]
-        return INF if (abs(terms) == INF).any() else _sum_in_order(terms)
+        return _float_price(cm._float_costs, _floats(plan))
     X, pscale, ints_only = _scaled(plan)
     C, cscale = cm._scaled_costs
     mass = X != 0
@@ -187,6 +183,15 @@ def cost_of_plan(plan, cost) -> object:
     if ints_only and all(issubclass(kind, int) for kind in set(map(type, given))):
         return total // (pscale * cscale)
     return Fraction(total, pscale * cscale)
+
+
+def _float_price(C, X):
+    """sum c_ij x_ij over the cells of X with mass, on float64 C and X: +inf
+    when a term is infinite, else the terms added left to right in
+    row-major order (_sum_in_order)."""
+    mass = X != 0
+    terms = C[mass] * X[mass]
+    return INF if INF in abs(terms) else _sum_in_order(terms)
 
 
 def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
@@ -304,18 +309,14 @@ def solve_kantorovich(
         if not ok:
             raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
         if mode == FLOAT:
-            # cost_of_plan's price; only a sum that is not finite has an infinite term
-            mass = X != 0
-            terms = C[mass] * X[mass]
-            value = _sum_in_order(terms)
-            if not math.isfinite(value) and (abs(terms) == INF).any():
-                value = INF
+            value = _float_price(C, X)
             plan = TransportPlan._of_array(X, mu1, mu2)
         else:
             # no mass sits on a forbidden cell: the cost is an integer dot
-            # product, in int64 when max|c| times the total supply (which
-            # bounds every partial sum) fits, else over the cells with mass
-            if top is not None and X.dtype == C.dtype == np.int64 and top * wscale < 2**63:
+            # product, in int64 when max|c| times the total supply (a's total,
+            # which bounds every partial sum) fits, else over the cells with mass
+            fits = top is not None and X.dtype == C.dtype == np.int64
+            if fits and top * int(np.add.reduce(a)) < 2**63:
                 total = int(np.dot(X.ravel(), C.ravel()))
             else:
                 mass = X != 0
@@ -337,9 +338,8 @@ def _run_engine(mode, a, b, C, forbidden, tol, max_cost=None):
     """
     kernel_input = None
     if _kernel is not None:
-        kernel_input = (a, b, C, tol) if mode == FLOAT else _int64_input(
-            a, b, C, forbidden, tol, max_cost
-        )
+        exact = mode == RATIONAL
+        kernel_input = _int64_input(a, b, C, forbidden, tol, max_cost) if exact else (a, b, C, tol)
     if kernel_input is not None:
         X, iters = _kernel.solve_dense(*kernel_input)
         return X, iters, _compiled.KERNEL_NAME

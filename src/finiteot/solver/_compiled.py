@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -186,11 +187,12 @@ class CompiledKernel:
         X = np.empty((n, m), dtype)
         # the arrays pass as bare addresses: ascontiguousarray and empty have
         # fixed their dtype and layout, and they outlive the call
-        at, address = self._data_at, ctypes.c_void_p.from_address
-        iterations = self._fns[dtype](
-            n, m, address(id(a) + at).value, address(id(b) + at).value,
-            address(id(C) + at).value, tol, address(id(X) + at).value,
-        )
+        at = self._data_at
+        if at is None:
+            p = [x.__array_interface__["data"][0] for x in (a, b, C, X)]
+        else:
+            p = [ctypes.c_void_p.from_address(id(x) + at).value for x in (a, b, C, X)]
+        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, p[3])
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
@@ -201,14 +203,17 @@ class CompiledKernel:
 
 
 def _data_offset():
-    """The offset from an ndarray's id at which it keeps its data address,
-    found on a probe rather than assumed; read there, an address costs a
-    part of .ctypes or __array_interface__, which build Python objects."""
-    probe = np.zeros(4)
+    """The offset from an ndarray's id of the data pointer PyArray_DATA reads
+    (part of numpy's ABI), found on a probe; None outside CPython, where
+    id() need not be an address.  Read there, an address costs a fraction of what
+    .ctypes or __array_interface__ cost, which build Python objects."""
+    if sys.implementation.name != "cpython":
+        return None
+    probe, read = np.zeros(4), ctypes.c_void_p.from_address
     for offset in range(0, 64, ctypes.sizeof(ctypes.c_void_p)):
-        if ctypes.c_void_p.from_address(id(probe) + offset).value == probe.ctypes.data:
+        if read(id(probe) + offset).value == probe.ctypes.data:
             return offset
-    raise KernelUnavailable("cannot find where an ndarray keeps the address of its data")
+    return None
 
 
 def _bind(fn, number):

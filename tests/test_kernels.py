@@ -460,6 +460,16 @@ class TestCompiled:
         for x in arrays:
             assert ctypes.c_void_p.from_address(id(x) + compiled._data_at).value == x.ctypes.data
 
+    def test_data_addresses_without_an_offset(self, compiled, monkeypatch):
+        """Where no offset is found (id() is an address only in CPython),
+        solve_dense reads __array_interface__ and returns the same plan."""
+        rng = random.Random(41)
+        a, b, C = random_instance(rng, 7, 9)
+        X, iters = compiled.solve_dense(a, b, C, 1e-9)
+        monkeypatch.setattr(compiled, "_data_at", None)
+        Y, iters_again = compiled.solve_dense(a, b, C, 1e-9)
+        assert iters == iters_again and np.array_equal(X, Y)
+
     def test_random_instances_feasible(self, compiled):
         rng = random.Random(97)
         for _ in range(20):

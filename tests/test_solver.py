@@ -1086,3 +1086,16 @@ def test_rational_cost_is_exact_on_both_sides_of_the_int64_dot(cost_size):
         assert type(sol.optimal_cost) is F and sol.optimal_cost == exact
         assert sol.plan._array.dtype == object
         assert {type(x) for x in sol.plan._array.ravel().tolist()} == {int}
+
+
+def test_rational_cost_bound_is_the_real_total_supply(monkeypatch):
+    """A float measure sums to 1 within WEIGHT_SUM_TOL, so in a forced
+    rational solve its scaled total can exceed the weight scale: the int64
+    dot product is bounded by the real total supply, and a plan whose
+    cost reaches 2^63 in C's units is priced in Python ints, not wrapped."""
+    mu = DiscreteMeasure((1.0, F(1, 2**43 - 1)))
+    assert mu.mode == "float"
+    for kernel in (solver._kernel, None):  # the compiled kernel, the Python simplex
+        monkeypatch.setattr(solver, "_kernel", kernel)
+        sol = solve_kantorovich(mu, mu, [[2**20] * 2] * 2, mode="rational")
+        assert sol.optimal_cost == F(2**63, 2**43 - 1), (kernel, sol.optimal_cost)
