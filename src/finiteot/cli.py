@@ -242,6 +242,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if min(args.n, args.m) < 1:
+        print(f"error: --n and --m must be >= 1, got {args.n} and {args.m}", file=sys.stderr)
+        return EXIT_INPUT
     if args.n + args.m > 8 and not args.uniform:
         print(f"error: basis-enumeration oracle limited to n+m <= 8, got {args.n + args.m}",
               file=sys.stderr)

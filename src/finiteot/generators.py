@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .coupling import TransportPlan
 from .measure import DiscreteMeasure
-from .numerics import RATIONAL, mode_of
+from .numerics import RATIONAL, DomainError, mode_of
 from .space import FiniteMetricSpace, from_point_cloud
 
 
@@ -21,7 +21,13 @@ def rng_from_seed(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _check_size(n):
+    if n < 1:
+        raise DomainError(f"a measure needs at least one point, got n={n}")
+
+
 def random_rational_measure(rng, n, max_weight=10) -> DiscreteMeasure:
+    _check_size(n)
     while True:
         raw = [rng.randint(0, max_weight) for _ in range(n)]
         total = sum(raw)
@@ -30,6 +36,7 @@ def random_rational_measure(rng, n, max_weight=10) -> DiscreteMeasure:
 
 
 def random_positive_rational_measure(rng, n, max_weight=10) -> DiscreteMeasure:
+    _check_size(n)
     raw = [rng.randint(1, max_weight) for _ in range(n)]
     total = sum(raw)
     return DiscreteMeasure(tuple(Fraction(w, total) for w in raw))

@@ -198,14 +198,18 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
     """Integral of the lower-bound pair against the marginals vs plan cost.
 
     The bound is the same for every coupling, so it lower-bounds the
-    optimum.  Returns (bound, cost, holds).
+    optimum; on a tight pair every plan costs it exactly.  holds compares
+    them within default_tol of the mode of the cost, the measures and the
+    plan.  Returns (bound, cost, holds).
     """
     if cost.lower_bound is None:
         raise ParameterError("cost matrix carries no lower-bound pair")
     a1, a2 = cost.lower_bound
     bound = integrate(mu1, a1) + integrate(mu2, a2)
+    plan = _as_plan(plan)
     value = cost_of_plan(plan, cost)
-    return bound, value, is_inf(value) or value >= bound
+    tol = default_tol(mode_of(cost, mu1, mu2, plan))
+    return bound, value, is_inf(value) or value >= bound - tol
 
 
 def _hall_certificate(a, b, forbidden, X, tol, scale=None):

@@ -11,52 +11,32 @@ kernel is off (it cannot be built or loaded, or FINITEOT_FORCE_PURE=1).  On
 any problem, forbidden cells included, it takes the C kernel's pivots one
 for one and returns the same plan, bit for bit on floats.
 
+Both engines keep one basis layout and one pivot walk; the header of
+_dense.c describes the algorithm in full.  The basis is a spanning tree
+over the row nodes 0..n-1 and the column nodes n..n+m-1, rooted at row 0:
+each node's parent, depth, potentials (pot, and pot_big for the M part)
+and the flow on the edge to its parent.  The C links each node's children
+as first child and next sibling, this engine as a list.  The start is the
+row-minimum rule (the start of Gottschlich & Schuhmacher's shortlist
+method, PLoS ONE 2014), and the entering cell comes from a wraparound block
+search (LEMON's NetworkSimplex, which POT's emd uses).  A pivot is one
+climb from both ends of the entering cell to their common ancestor, which
+picks theta and the leaving edge; the flows move along the two paths; the
+cut path is re-hung, each flow moving one edge along it; and one refresh
+recomputes the re-hung subtree's depths and potentials.
+
+The leaving rule keeps the tree strongly feasible (Cunningham, Math.
+Programming 11, 1976; Ahuja, Magnanti & Orlin, Network Flows, section
+11.6): every zero-flow edge hangs a row from its column, so a degenerate
+pivot never repeats a basis.  A zero-weight column, or a zero-weight row 0,
+has only zero-flow edges and so admits no strongly feasible tree: the
+engines need positive weights.
+
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
 and 0 elsewhere, and a value part, 0 on a forbidden cell.  A unit of M
 outweighs any value, so the optimum carries mass on a forbidden cell only
 when no finite-cost feasible plan exists.
-
-The basis is a spanning tree over the n row nodes 0..n-1 and the m column
-nodes n..n+m-1, rooted at row 0 and kept across pivots as parent, depth and
-children arrays.  The edge from a node to its parent is a basic cell, and a
-node's potential is c_ij - pot[parent] along that edge (pot[row 0] = 0).
-The entering cell's cycle is found by climbing depths to the common
-ancestor.  After a pivot only the re-hung subtree changes: its parent links
-are reversed along the cut path, and its depths and potentials are
-recomputed top-down with the same c_ij - pot[parent], so float potentials
-are bit-identical to a full recompute.
-
-Start, the C kernel's row-minimum rule (the start of Gottschlich &
-Schuhmacher's shortlist method, PLoS ONE 2014): rows in index order ship
-their supply to their cheapest open column, lowest index first on ties,
-and the last row takes every column's remaining demand.  Each shipment
-closes its row or its column, so the shipped cells form a forest, and each
-carries positive flow.  _Tree.grow roots it at row 0 and hangs every
-further component, by its lowest row, from a column already in the tree
-through a zero-flow cell.
-
-Pivot rule, the C kernel's.  The entering cell comes from a block search
-(LEMON's NetworkSimplex, which POT's emd uses): the cells are scanned in
-row-major order in blocks of max(64, floor(exp(log(n m) / 2))) cells,
-wrapping around, from where the last scan stopped, and the most negative
-reduced cost in the first block that holds a negative one enters.  The tree
-is kept strongly feasible (Cunningham, Math. Programming 11, 1976; Ahuja,
-Magnanti & Orlin, Network Flows, section 11.6): every edge with zero flow
-hangs a row from its column, so each node can send a little flow up to the
-root.  Among the cycle's decreasing cells with the least flow, the last one
-met on the walk from the common ancestor down the row side to the entering
-row, across the entering cell and up the column side leaves: the
-column-side one nearest the ancestor if there is one, else the row-side one
-nearest the entering row.  That keeps the tree strongly feasible, and a
-degenerate pivot then never repeats a basis, so the rule terminates without
-an anti-cycling switch.  The start is strongly feasible by construction:
-within a component every edge carries positive flow, and the only zero-flow
-edges are those that join the components, each of which hangs a row from
-its column.  With positive weights every column gets a positive cell, so
-every component has a row to hang by.  A zero-weight column, or a
-zero-weight row 0, has only zero-flow edges and so admits no strongly
-feasible tree: the engines need positive weights.
 """
 
 from __future__ import annotations
@@ -95,7 +75,8 @@ def row_minimum_start(a, b, cost, tree):
     for j in open_cols:
         if rest[n + j] > 0:
             cells[(n - 1, j)] = rest[n + j]
-    return tree.grow(cells, cost)
+    tree.grow(cells, cost)
+    return tree.flows()
 
 
 def _split_costs(cost):
@@ -108,7 +89,8 @@ def _split_costs(cost):
 
 
 class _Tree:
-    """Spanning-tree basis rooted at row 0, with potentials for each cost part."""
+    """Spanning-tree basis rooted at row 0: per node its parent, depth,
+    children, potentials for each cost part, and the flow to its parent."""
 
     def __init__(self, n, m, value, big):
         self.n = n
@@ -121,22 +103,22 @@ class _Tree:
         self.children = [[] for _ in range(size)]
         self.pot = [0] * size
         self.pot_big = [0] * size if big is not None else None
+        self.flow = [0] * size
 
     def grow(self, cells, cost):
-        """Root the tree at row 0 on a forest of cells; returns their flows.
+        """Root the tree at row 0 on a forest of cells, with their flows.
 
         cells maps each cell of the forest to its flow, and every column
         must lie on one.  Row 0's component comes first, then each further
         one in the order of its lowest row, which hangs from the cheapest
         column already in the tree (costs compared as in the start) by a
-        zero-flow cell, added to the returned flows.
+        zero-flow cell.
         """
         n, m = self.n, self.m
         near = [[] for _ in range(n + m)]
-        for i, j in cells:
-            near[i].append(n + j)
-            near[n + j].append(i)
-        flow = dict(cells)
+        for (i, j), f in cells.items():
+            near[i].append((n + j, f))
+            near[n + j].append((i, f))
         placed = [False] * (n + m)
         for i in range(n):
             if placed[i]:
@@ -145,29 +127,37 @@ class _Tree:
             if i:
                 row = cost[i]
                 j = min((j for j in range(m) if placed[n + j]), key=row.__getitem__)
-                self.hang(i, n + j)
-                flow[(i, j)] = 0
+                self.hang(i, n + j, 0)
             stack = [i]
             while stack:
                 node = stack.pop()
-                for other in near[node]:
+                for other, f in near[node]:
                     if not placed[other]:
                         placed[other] = True
-                        self.hang(other, node)
+                        self.hang(other, node, f)
                         stack.append(other)
-        return flow
 
-    def hang(self, node, up):
-        """Make the leaf node a child of up, with its depth and potentials."""
+    def hang(self, node, up, flow):
+        """Make the leaf node a child of up, with its flow, depth and potentials."""
         self.parent[node] = up
         self.children[up].append(node)
-        self._refresh((node,))
+        self.flow[node] = flow
+        self._refresh(node)
 
-    def _refresh(self, tops):
-        """Recompute depth and potentials of tops and everything below them."""
+    def flows(self):
+        """Each basic cell's flow, as a dict keyed by (row, column)."""
+        n = self.n
+        return {
+            (node, up - n) if node < n else (up, node - n): f
+            for node, (up, f) in enumerate(zip(self.parent, self.flow))
+            if node
+        }
+
+    def _refresh(self, top):
+        """Recompute depth and potentials of top and everything below it."""
         n, parent, depth, children = self.n, self.parent, self.depth, self.children
         pot, value, big, pot_big = self.pot, self.value, self.big, self.pot_big
-        stack = list(tops)
+        stack = [top]
         while stack:
             node = stack.pop()
             up = parent[node]
@@ -178,57 +168,52 @@ class _Tree:
                 pot_big[node] = big[i][j] - pot_big[up]
             stack.extend(children[node])
 
-    def cycle(self, ei, ej):
-        """Cells of the cycle closed by (ei, ej), split by sign.
+    def pivot(self, ei, ej):
+        """Bring the cell (ei, ej) into the basis, as fot_solve does.
 
-        Returns (decreasing, increasing).  An increasing entry is a cell; a
-        decreasing one is (cell, lower node, entering endpoint below it),
-        where the cell is the tree edge from the lower node to its parent.
-        Going round the cycle from the entering cell the edges alternate in
-        sign: below the common ancestor, an edge on the row's side decreases
-        when its lower node is a row, and one on the column's side when its
-        lower node is a column.
+        Edges are named by their lower node.  One climb from both ends to
+        their common ancestor picks theta and the leaving edge: of the
+        decreasing edges (below a row on the row's side, below a column on
+        the column's side) with the least flow, the last one met walking
+        from the ancestor down to ei, across the cell and up from its
+        column, so a column-side edge wins a tie.  The flows move by theta
+        along both paths.  Then below, the cell's end under the leaving
+        edge, hangs from the other end, the path from it up to the leaving
+        edge reverses with each flow moving one edge along, and the
+        re-hung subtree is refreshed.
         """
-        n, parent, depth = self.n, self.parent, self.depth
+        n, parent, depth, children, flow = self.n, self.parent, self.depth, self.children, self.flow
         x, y = ei, n + ej
-        down, up = [], []
+        leave = -1
         while x != y:
             if depth[x] >= depth[y]:
-                above = parent[x]
-                if x < n:
-                    down.append(((x, above - n), x, ei))
-                else:
-                    up.append((above, x - n))
-                x = above
+                if x < n and (leave < 0 or flow[x] < theta):
+                    theta, leave, below = flow[x], x, ei
+                x = parent[x]
             else:
-                above = parent[y]
-                if y < n:
-                    up.append((y, above - n))
+                if y >= n and (leave < 0 or flow[y] <= theta):
+                    theta, leave, below = flow[y], y, n + ej
+                y = parent[y]
+        apex = x
+        for x in ei, n + ej:  # from each end, an edge below a node of its kind decreases
+            side = x < n
+            while x != apex:
+                if (x < n) == side:
+                    flow[x] -= theta
                 else:
-                    down.append(((above, y - n), y, n + ej))
-                y = above
-        return down, up
-
-    def pivot(self, ei, ej, lower, endpoint):
-        """Add (ei, ej) and drop the edge from lower to its parent.
-
-        endpoint is the end of (ei, ej) inside lower's subtree: it hangs
-        from the other end, and the path from it up to lower reverses.
-        """
-        n, parent, children = self.n, self.parent, self.children
-        other = n + ej if endpoint == ei else ei
-        children[parent[lower]].remove(lower)
-        prev, node = other, endpoint
+                    flow[x] += theta
+                x = parent[x]
+        prev = n + ej if below == ei else ei
+        node, carried = below, theta
         while True:
-            above = parent[node]
-            if node != lower:
-                children[above].remove(node)
-            parent[node] = prev
+            up, f = parent[node], flow[node]
+            children[up].remove(node)
+            parent[node], flow[node] = prev, carried
             children[prev].append(node)
-            if node == lower:
+            if node == leave:
                 break
-            prev, node = node, above
-        self._refresh((endpoint,))
+            prev, node, carried = node, up, f
+        self._refresh(below)
 
     def block_search(self, ntol, start, block):
         """Wraparound block search for the entering cell.
@@ -290,7 +275,7 @@ def transportation_simplex(a, b, cost, tol=0):
     n, m = len(a), len(b)
     big, value = _split_costs(cost)
     tree = _Tree(n, m, value, big)
-    flow = row_minimum_start(a, b, cost, tree)
+    row_minimum_start(a, b, cost, tree)
     ntol = -tol
     limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
@@ -299,23 +284,9 @@ def transportation_simplex(a, b, cost, tol=0):
     while True:
         found = tree.block_search(ntol, pos, block)
         if found is None:
-            return flow, iterations
+            return tree.flows(), iterations
         ei, ej, pos = found
-        entering = ei, ej
         iterations += 1
         if iterations > limit:
             raise RuntimeError(f"simplex exceeded {limit} pivots on a {n}x{m} problem")
-        down, up = tree.cycle(ei, ej)
-        theta = None
-        for cell, node, endpoint in down:
-            f = flow[cell]
-            # a column-side tie wins: it is met later on the walk from the apex
-            if theta is None or f < theta or (f == theta and endpoint != ei):
-                theta, leaving, lower, below = f, cell, node, endpoint
-        for cell, _, _ in down:
-            flow[cell] -= theta
-        for cell in up:
-            flow[cell] += theta
-        flow[entering] = theta
-        del flow[leaving]
-        tree.pivot(ei, ej, lower, below)
+        tree.pivot(ei, ej)

@@ -180,6 +180,8 @@ class FiniteMetricSpace:
 
 def from_point_cloud(points, norm_order=2, labels=None) -> FiniteMetricSpace:
     """Build a space from vectors under the l^p norm (p in [1, inf])."""
+    if not (isinstance(norm_order, (int, float, Fraction)) and norm_order >= 1):
+        raise ParameterError(f"norm order must be a number >= 1 or inf, got {norm_order!r}")
     if not points:
         raise ShapeError("empty point cloud")
     dim = len(points[0])

@@ -266,6 +266,8 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
         for j in range(i, k):
             if dist[(i, j)] < -tol:
                 failures["nonnegativity"].append({"i": i, "j": j, "value": dist[(i, j)]})
+            if i == j:
+                continue  # W(i, i) has no arguments to swap
             # W is computed once per unordered pair, so symmetry is checked
             # by re-solving with the arguments swapped
             w_ji, _ = wasserstein_distance(measures[j], measures[i], space, params)
@@ -273,7 +275,7 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
                 failures["symmetry"].append(
                     {"i": i, "j": j, "w_ij": dist[(i, j)], "w_ji": w_ji}
                 )
-            if i != j and dist[(i, j)] <= tol:
+            if dist[(i, j)] <= tol:
                 # derived weight tolerance: W >= min-positive-distance * off-diag mass
                 wtol = tol / space.min_positive_distance() if tol else 0
                 off_diag = _sum_cells(plans[(i, j)], ~np.eye(space.n, dtype=bool))

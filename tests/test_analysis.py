@@ -19,7 +19,7 @@ from finiteot.analysis import (
 )
 from finiteot.coupling import TransportPlan
 from finiteot.generators import random_rational_metric_space
-from finiteot.measure import dirac, new_measure
+from finiteot.measure import dirac, indicator, integrate, new_measure
 from finiteot.numerics import INF, DataError, DomainError, ShapeError, is_inf
 from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
 
@@ -123,6 +123,19 @@ class TestNarrowLimit:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             narrow_limit_check([dirac(0, 2)], dirac(0, 3), tol=0)
+
+    def test_weights_are_indicator_integrals(self):
+        # narrow_limit_check compares weights directly: integrating a point's
+        # indicator only adds zeros to its weight, so the two agree exactly
+        rng = random.Random(31)
+        for trial in range(200):
+            n = rng.randint(1, 12)
+            raw = [rng.randint(0 if k else 1, 1000) for k in range(n)]
+            total = sum(raw)
+            weights = [F(x, total) for x in raw] if trial % 2 else [x / total for x in raw]
+            mu = new_measure(weights)
+            for i in range(n):
+                assert integrate(mu, indicator(i, n)) == mu.weights[i], (weights, i)
 
 
 class TestLiminf:

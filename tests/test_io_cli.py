@@ -1,11 +1,13 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from finiteot.cli import main
+from finiteot.generators import random_positive_rational_measure, random_rational_measure
 from finiteot.io import dump_json, load_measure, load_plan, load_problem, load_space
-from finiteot.numerics import INF, DataError
+from finiteot.numerics import INF, DataError, DomainError
 from finiteot.solver import KERNEL
 
 HALF = "1/2"
@@ -204,6 +206,13 @@ class TestCLIDistance:
         mu = write(tmp_path, "mu.json", {"weights": [HALF, HALF]})
         assert main(["distance", two_point_space, mu, mu, "--p", "0.5"]) == 1
 
+    @pytest.mark.parametrize("norm", [0, "two"])
+    def test_rejects_a_bad_norm(self, tmp_path, capsys, norm):
+        space = write(tmp_path, "pts.json", {"points": [["0", "0"], ["3", "4"]], "norm": norm})
+        mu = write(tmp_path, "mu.json", {"weights": [HALF, HALF]})
+        assert main(["distance", space, mu, mu]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCLIVerify:
     @pytest.mark.parametrize(
@@ -243,6 +252,19 @@ class TestCLIOracleCheck:
 
     def test_size_limit_exit_1(self, capsys):
         assert main(["oracle-check", "--n", "9", "--m", "9", "--trials", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "sizes", [["--n", "0"], ["--m", "0"], ["--n", "-1"], ["--uniform", "--n", "0"]]
+    )
+    def test_sizes_below_one_exit_1(self, capsys, sizes):
+        assert main(["oracle-check", *sizes, "--trials", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("make", [random_rational_measure, random_positive_rational_measure])
+    def test_measure_generators_refuse_no_points(self, make):
+        for n in (0, -1):
+            with pytest.raises(DomainError):
+                make(random.Random(0), n)
 
 
 class TestCLIValidate:

@@ -359,21 +359,20 @@ class TestStrongFeasibility:
     """
 
     @staticmethod
-    def zero_edges(tree, flow, weights=None):
+    def zero_edges(tree, weights=None):
         """The tree's zero-flow edges, after asserting the property.
 
-        flow is the simplex's flow on each basic cell; with weights, the
-        engine's (a, b), each flow must equal its subtree's net supply.
+        tree.flow holds each node's flow on the edge to its parent; with
+        weights, the engine's (a, b), each flow must equal its subtree's
+        net supply.
         """
         n, m = tree.n, tree.m
-        assert len(flow) == n + m - 1
         # each node's supply minus demand, gathered into its parent's as the
         # loop climbs, so a node's entry is its subtree's when it is reached
         net = [*weights[0], *(-w for w in weights[1])] if weights else None
         zeros = 0
         for node in sorted(range(1, n + m), key=tree.depth.__getitem__, reverse=True):
-            up = tree.parent[node]
-            f = flow[(node, up - n) if node < n else (up, node - n)]
+            up, f = tree.parent[node], tree.flow[node]
             assert f > 0 or (f == 0 and node < n), (node, up, f)
             if net is not None:
                 assert f == (net[node] if node < n else -net[node]), (node, up, f)
@@ -389,11 +388,11 @@ class TestStrongFeasibility:
         def check(tree):
             nonlocal trees, zeros
             trees += 1
-            zeros += self.zero_edges(tree, tree.flow, tree.weights if exact else None)
+            zeros += self.zero_edges(tree, tree.weights if exact else None)
 
         def checked_start(a, b, cost, tree):
             flow = start(a, b, cost, tree)
-            tree.flow, tree.weights = flow, (a, b)
+            tree.weights = a, b
             check(tree)
             return flow
 

@@ -97,6 +97,19 @@ def test_modes_combine_in_numerics_only():
     assert not found, found
 
 
+def test_package_holds_no_assert():
+    """python -O drops an assert, so library code checks with a raise and
+    leaves cross-checks to the tests."""
+    package = Path(finiteot.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
 E = F(1, 10**12)  # the perturbation that a default tol of 1e-9 absorbs and 0 does not
 NUMBER = {"int": int, "Fraction": F, "float": float}
 

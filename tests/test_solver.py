@@ -195,6 +195,21 @@ class TestLowerBound:
             plan = random_coupling(rng, mu1, mu2)
             assert cost_of_plan(plan, sep) == expected
 
+    def test_tight_float_pair_holds(self):
+        # c_ij = a1_i + a2_j: every plan costs the bound, up to rounding,
+        # which the float mode's default tolerance absorbs
+        rng = random.Random(7)
+        for _ in range(300):
+            n, m = rng.randint(2, 8), rng.randint(2, 8)
+            a1 = tuple(rng.uniform(0, 10) for _ in range(n))
+            a2 = tuple(rng.uniform(0, 10) for _ in range(m))
+            cm = CostMatrix(tuple(tuple(x + y for y in a2) for x in a1), lower_bound=(a1, a2))
+            w1, w2 = ([rng.random() + 0.01 for _ in range(k)] for k in (n, m))
+            mu1, mu2 = (new_measure([x / sum(w) for x in w]) for w in (w1, w2))
+            plan = solve_kantorovich(mu1, mu2, cm).plan
+            bound, cost, holds = check_lower_bound(cm, mu1, mu2, plan)
+            assert holds and abs(cost - bound) <= 1e-12 * (1 + bound), (bound, cost)
+
 
 class TestSolve:
     def test_forced_single_plan(self):

@@ -457,6 +457,59 @@ def test_rational_witness_builds_few_fractions(monkeypatch):
     assert built < n * n, f"{built} Fractions built for a {n}-point witness"
 
 
+def reference_axiom_suite(measures, space, params):
+    """metric_axiom_suite as it was, re-solving W(i, i) for its symmetry check."""
+    from finiteot.coupling import _sum_cells
+    from finiteot.measure import measures_equal
+    from finiteot.numerics import default_tol
+
+    k = len(measures)
+    dist, plans = {}, {}
+    for i in range(k):
+        for j in range(i, k):
+            dist[i, j], plans[i, j] = wasserstein_distance(measures[i], measures[j], space, params)
+    tol = params.tol
+    if tol is None:
+        tol = default_tol(infer_mode(dist.values()))
+    axioms = "nonnegativity", "symmetry", "identity", "discernibility", "triangle"
+    failures = {axiom: [] for axiom in axioms}
+    for i in range(k):
+        if dist[(i, i)] > tol:
+            failures["identity"].append({"i": i, "value": dist[(i, i)]})
+        for j in range(i, k):
+            if dist[(i, j)] < -tol:
+                failures["nonnegativity"].append({"i": i, "j": j, "value": dist[(i, j)]})
+            w_ji, _ = wasserstein_distance(measures[j], measures[i], space, params)
+            if abs(dist[(i, j)] - w_ji) > tol:
+                failures["symmetry"].append({"i": i, "j": j, "w_ij": dist[(i, j)], "w_ji": w_ji})
+            if i != j and dist[(i, j)] <= tol:
+                wtol = tol / space.min_positive_distance() if tol else 0
+                off_diag = _sum_cells(plans[(i, j)], ~np.eye(space.n, dtype=bool))
+                if off_diag > wtol or not measures_equal(
+                    measures[i], measures[j], "weights", tol=wtol
+                ):
+                    failures["discernibility"].append(
+                        {"i": i, "j": j, "off_diagonal_mass": off_diag}
+                    )
+
+    def w(i, j):
+        return dist[(i, j)] if i <= j else dist[(j, i)]
+
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                gap = w(i, l) - w(i, j) - w(j, l)
+                if gap > tol:
+                    failures["triangle"].append({"i": i, "j": j, "k": l, "gap": gap})
+    return {
+        "p": params.p,
+        "n_measures": k,
+        "passed": all(not v for v in failures.values()),
+        "failures": failures,
+        "distances": {f"{i},{j}": dist[(i, j)] for i, j in dist},
+    }
+
+
 class TestMetricSuite:
     def test_two_point_family(self):
         measures = [
@@ -493,6 +546,37 @@ class TestMetricSuite:
     def test_duplicate_measures_share_identity(self):
         report = metric_axiom_suite([UNIFORM2, UNIFORM2], TWO_POINT)
         assert report["passed"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetry_skips_the_self_pairs(self, seed, monkeypatch):
+        # k^2 solves, not k^2 + k: the same reports as when W(i, i) was
+        # solved again, in both modes
+        import finiteot.wasserstein as w
+
+        rng = random.Random(seed)
+        k, n = 5, 6
+        exact = random_rational_metric_space(rng, n)
+        cloud = random_point_cloud_space(rng, n)
+        exacts, floats = [random_rational_measure(rng, n) for _ in range(k)], []
+        for _ in range(k):
+            floats.append(new_measure([float(x) for x in random_rational_measure(rng, n).weights]))
+        batteries = [
+            (exacts, exact, WassersteinParams()),
+            (exacts, exact, WassersteinParams(mode="float")),
+            (floats, cloud, WassersteinParams(p=2)),
+        ]
+        solve, solves = w.solve_kantorovich, []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(w, "solve_kantorovich", counted)
+        for measures, space, params in batteries:
+            solves.clear()
+            report = metric_axiom_suite(measures, space, params)
+            assert len(solves) == k * k
+            assert report == reference_axiom_suite(measures, space, params)
 
     def test_needs_two(self):
         from finiteot.numerics import DomainError
