@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     if args.command == "distance" and args.p < 1:
         print("error: --p must be >= 1", file=sys.stderr)
         return EXIT_INPUT
+    if args.command in ("verify", "oracle-check") and args.trials < 1:
+        # a battery of no trials checks nothing, so it must not pass
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -17,21 +17,31 @@ everything after it is written once for both modes:
   whose exact totals differ are refused rather than solved into a plan
   that couples neither.
 
-On those arrays come the tolerance, the engine, the forbidden-mass decision
-and its certificate, the coupling check and the cost, each once, on the
-engine's own plan array.  A solve reads what its inputs decided when they
-were built: the CostMatrix's mode, whether a cell is +inf (with none, no
-mask of forbidden cells is built or swept), its largest |finite cost| and
-its float64 costs; a measure's mode, its arrays and, if exact, whether
-every weight is positive.  The engines need positive weights (a zero weight
-can leave them no strongly feasible tree), so when a weight is zero the
-engine runs on the support, and its plan is scattered back into the full
-n x m array with zeros elsewhere.  A rational plan stays in int64 through
-the forbidden-mass decision and the coupling check, which are exact there
-because every row and column sum is at most the total supply; its cost is
-one dot product, in int64 while max|c| times the total supply fits, else
-in Python ints.  A float plan is priced by _float_price, as cost_of_plan
-prices one.  The returned TransportPlan takes the engine's array in the
+On those arrays come the tolerance and the engine, and the engine checks
+and prices its own plan: with the plan it returns a summary of five
+numbers from one row-major pass over it (summarize in _dense.c,
+simplex.plan_summary in Python), the mass on forbidden cells, the price,
+the worst row and column gaps and the least cell, with forbidden cells
+counted as swept to 0.  The forbidden-mass decision, the coupling check
+and the cost are read off that summary; the plan is checked again, by
+coupling._is_coupling_array, only to report a failed check.  A solve
+reads what its inputs decided when they were built: the CostMatrix's
+mode, whether a cell is +inf, its largest |finite cost| and its float64
+costs; a measure's mode, its arrays and, if exact, whether every weight
+is positive.  A mask of the forbidden cells is built in rational mode,
+whose int64 input reads it, and in float mode only when the plan has
+mass on them, to sweep float dust or to find the Hall cut.  The engines
+need positive weights (a zero weight can leave them no strongly feasible
+tree), so when a weight is zero the engine runs on the support, and its
+plan is scattered back into the full n x m array with zeros elsewhere;
+zero-weight lines add nothing to any sum, so the support's summary is
+the full plan's.  A rational plan stays in int64, and so do its summary's
+sums, which are exact because every row and column sum is at most the
+total supply; its price, which the int64 build adds modulo 2^64, is the
+cost while max|c| times the total supply fits, else the cost is one dot
+product in Python ints.  A float plan's price adds its terms as
+_float_price does, so it is the cost cost_of_plan gives it.  The
+returned TransportPlan takes the engine's array in the
 plan format (see coupling): float64, or Python ints made from the int64
 plan in one pass, over the weight scale; its matrix of Python floats, or
 of Fractions, is built only when asked for.  The cost is a Python float,
@@ -100,7 +110,7 @@ from ..numerics import (
 )
 from ..space import CostMatrix
 from . import _compiled
-from .simplex import transportation_simplex
+from .simplex import plan_summary, transportation_simplex
 
 
 @dataclass(frozen=True)
@@ -274,54 +284,66 @@ def solve_kantorovich(
         # weights are >= 0; count_nonzero makes no Python call, unlike all()
         positive = np.count_nonzero(a) == n and np.count_nonzero(b) == m
     elif mode == RATIONAL:
-        a, b, C, wscale, cscale = _exact_input(mu1, mu2, cm)
+        a, b, C, wscale, cscale, supply = _exact_input(mu1, mu2, cm)
         positive = mu1._positive and mu2._positive  # as their scaled ints are
         # top: the largest |finite cost| in C's units, which a float matrix
         # records only for its rounded cells
         top = cm.max_abs_finite() * cscale if cm.mode == RATIONAL else None
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    # the mask of the +inf cells (CostMatrix rejects -inf and NaN), or None
-    forbidden = C == INF if cm.has_inf else None
+    # the mask of the +inf cells (CostMatrix rejects -inf and NaN), or None:
+    # rational mode's int64 input reads it, and a float solve builds it only
+    # when its plan puts mass on a forbidden cell
+    forbidden = C == INF if cm.has_inf and mode == RATIONAL else None
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
 
     if positive:
-        X, iters, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale, top)
+        X, iters, summary, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale, top)
     else:  # the engines need positive weights: solve on the support
         rows, cols = a > 0, b > 0
         support = np.ix_(rows, cols)
-        on_support, iters, engine = _run_engine(
+        on_support, iters, summary, engine = _run_engine(
             mode, a[rows], b[cols], C[support],
             None if forbidden is None else forbidden[support], tol * cscale,
         )
+        # zero-weight lines add nothing to any sum, and np.ix_ keeps the
+        # row-major order: the support's summary is the full plan's
         X = np.zeros(C.shape, dtype=on_support.dtype)
         X[support] = on_support
+    forbidden_mass, price, row_gap, column_gap, least = summary
     plan, value, certificate = None, INF, None
     # the engines minimise the M part exactly whatever tol is, so in rational
     # mode any mass on forbidden cells proves that no finite-cost plan exists
     flow_tol = tol if mode == FLOAT else 0
-    if forbidden is not None and _sum_in_order(X[forbidden]) > flow_tol:
-        certificate = _hall_certificate(
-            a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
-        )
-    else:
-        if forbidden is not None and mode == FLOAT:
-            # roundoff can leave dust on forbidden basic cells; sweep it
+    if forbidden_mass:  # only a problem with +inf cells has any
+        if forbidden is None:
+            forbidden = C == INF
+        if forbidden_mass > flow_tol:
+            certificate = _hall_certificate(
+                a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
+            )
+        else:
+            # float roundoff left dust on forbidden basic cells; sweep it
+            # (the summary counts them as swept)
             X[forbidden] = 0.0
-        ok, report = _is_coupling_array(X, a, b, default_tol(mode))
-        if not ok:
-            raise RuntimeError(f"solver returned an invalid plan: {report[:3]}")
+    if certificate is None:
+        check = default_tol(mode)
+        if not (least >= -check and row_gap <= check and column_gap <= check):  # NaN fails
+            _, report = _is_coupling_array(X, a, b, check)
+            raise RuntimeError(
+                f"solver returned an invalid plan: {report[:3]} (engine summary {summary})"
+            )
         if mode == FLOAT:
-            value = _float_price(C, X)
+            value = price
             plan = TransportPlan._of_array(X, mu1, mu2)
         else:
-            # no mass sits on a forbidden cell: the cost is an integer dot
-            # product, in int64 when max|c| times the total supply (a's total,
-            # which bounds every partial sum) fits, else over the cells with mass
-            fits = top is not None and X.dtype == C.dtype == np.int64
-            if fits and top * int(np.add.reduce(a)) < 2**63:
-                total = int(np.dot(X.ravel(), C.ravel()))
+            # no mass sits on a forbidden cell, and the price is exact where
+            # max|c| times the total supply, which bounds it, fits in int64
+            # (the int64 build adds it modulo 2^64); else it is the integer
+            # dot product over the cells with mass
+            if top is not None and top * supply < 2**63:
+                total = price
             else:
                 mass = X != 0
                 total = sum(map(mul, C[mass].tolist(), X[mass].tolist()))
@@ -332,30 +354,34 @@ def solve_kantorovich(
 
 
 def _run_engine(mode, a, b, C, forbidden, tol, max_cost=None):
-    """(plan array, pivots, engine name) of the engine that solves (a, b, C).
+    """(plan array, pivots, summary, engine name) of the engine that solves (a, b, C).
 
     The weights are positive, forbidden is the mask of C's +inf cells or
     None, and tol and max_cost (see _int64_input) are in C's units.  The C
     kernel runs every float problem and the rational ones that fit in int64,
     and the Python simplex the rest.  A rational plan comes back in the
-    weights' dtype: int64, or an object array of Python ints.
+    weights' dtype: int64, or an object array of Python ints.  Either engine
+    checks and prices its own plan: summary is [forbidden mass, price, worst
+    row gap, worst column gap, least cell] (simplex.plan_summary), the same
+    numbers from both.
     """
     kernel_input = None
     if _kernel is not None:
         exact = mode == RATIONAL
         kernel_input = _int64_input(a, b, C, forbidden, tol, max_cost) if exact else (a, b, C, tol)
     if kernel_input is not None:
-        X, iters = _kernel.solve_dense(*kernel_input)
-        return X, iters, _compiled.KERNEL_NAME
-    flow, iters = transportation_simplex(a.tolist(), b.tolist(), C.tolist(), tol=tol)
+        return (*_kernel.solve_dense(*kernel_input), _compiled.KERNEL_NAME)
     X = np.zeros(C.shape, dtype=a.dtype)  # int64 or object (Python ints) in rational mode
+    a, b, cost = a.tolist(), b.tolist(), C.tolist()
+    flow, iters = transportation_simplex(a, b, cost, tol=tol)
     for (i, j), f in flow.items():
         X[i, j] = f
-    return X, iters, "python"
+    return X, iters, plan_summary(a, b, cost, flow), "python"
 
 
 def _exact_input(mu1, mu2, cm):
-    """Rational mode's engine input: (a, b, C, weight scale, cost scale).
+    """Rational mode's engine input: (a, b, C, weight scale, cost scale,
+    total scaled supply).
 
     The weights are scaled by the least common multiple of their
     denominators, from each measure's scaled_weights: into int64 arrays
@@ -378,7 +404,7 @@ def _exact_input(mu1, mu2, cm):
     dtype = np.int64 if total_a < _SUPPLY_BOUND else object
     a, b = np.array(ints1, dtype=dtype) * f1, np.array(ints2, dtype=dtype) * f2
     C, cscale = cm._scaled_costs
-    return a, b, C, wscale, cscale
+    return a, b, C, wscale, cscale, total_a
 
 
 #: rational mode's scaled data run the int64 build only below these bounds

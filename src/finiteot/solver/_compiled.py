@@ -13,9 +13,13 @@ The one library holds two builds of the same algorithm, the C port of
 simplex.transportation_simplex: fot_solve_dense over doubles, and
 fot_solve_exact over int64 numbers, which runs rational problems whose
 scaled data fit.  load() returns a kernel with KERNEL_NAME and
-solve_dense(a, b, C, tol) -> (X, iterations), which picks the build by the
-dtype of C.  On the same input, +inf cells included, both builds take the
-Python simplex's pivots and return its plan.  load() raises
+solve_dense(a, b, C, tol) -> (X, iterations, summary), which picks the build
+by the dtype of C.  The engine checks and prices its own plan: summary holds
+the mass on forbidden cells, the price, the worst row and column gaps and
+the least cell, from one pass over X in C (summarize in _dense.c), as
+simplex.plan_summary computes them.  On the same input, +inf cells
+included, both builds take the Python simplex's pivots and return its plan
+and its summary.  load() raises
 KernelUnavailable, whose message is the reason, when the library can be
 neither found nor built.
 """
@@ -172,7 +176,10 @@ class CompiledKernel:
         the float build on float64 arrays.  Every weight must be positive,
         as the strongly feasible start needs (ValueError otherwise).  On a
         problem with no finite-cost plan, X puts the least possible mass on
-        forbidden cells, as transportation_simplex does.
+        forbidden cells, as transportation_simplex does.  Returns (X,
+        iterations, summary), summary a list of five Python numbers of X's
+        type: [forbidden mass, price, worst row gap, worst column gap, least
+        cell] (see simplex.plan_summary).
         """
         dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
         a = np.ascontiguousarray(a, dtype)
@@ -184,22 +191,22 @@ class CompiledKernel:
                 f"solve_dense needs a (n,), b (m,), C (n, m) with n, m >= 1; "
                 f"got {a.shape}, {b.shape}, {C.shape}"
             )
-        X = np.empty((n, m), dtype)
+        X, summary = np.empty((n, m), dtype), np.empty(5, dtype)
         # the arrays pass as bare addresses: ascontiguousarray and empty have
         # fixed their dtype and layout, and they outlive the call
-        at = self._data_at
+        arrays, at = (a, b, C, X, summary), self._data_at
         if at is None:
-            p = [x.__array_interface__["data"][0] for x in (a, b, C, X)]
+            p = [x.__array_interface__["data"][0] for x in arrays]
         else:
-            p = [ctypes.c_void_p.from_address(id(x) + at).value for x in (a, b, C, X)]
-        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, p[3])
+            p = [ctypes.c_void_p.from_address(id(x) + at).value for x in arrays]
+        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, p[3], p[4])
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
         if iterations == _NOT_POSITIVE:
             raise ValueError("solve_dense needs positive weights; pass the support")
-        return X, iterations
+        return X, iterations, summary.tolist()
 
 
 def _data_offset():
@@ -220,7 +227,7 @@ def _bind(fn, number):
     """fn with the argument types of fot_solve_dense over one number type."""
     array = ctypes.c_void_p
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array]
+    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array, array]
     return fn
 
 

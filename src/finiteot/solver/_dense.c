@@ -14,11 +14,15 @@
  *                    n + m costs and a reduced cost adds two of them, so no
  *                    sum overflows and no finite cost reaches the mark.
  *
- * Both take balanced supplies and demands and return the plan and the pivot
- * count.  They are a port of transportation_simplex in simplex.py, the
+ * Both take balanced supplies and demands and return the plan, the pivot
+ * count and the plan's summary: the engine checks and prices its own plan,
+ * in one row-major pass over it (summarize, below), and the caller decides
+ * feasibility, validity and the cost from those five numbers with no pass
+ * of its own.  They are a port of transportation_simplex in simplex.py, the
  * exact twin and the fallback without a compiler: on the same input both
  * take the same pivots and return the same plan (bit for bit on floats),
- * so a change here must be made there too.  Loaded through ctypes by
+ * and simplex.plan_summary gives the same summary, so a change here must
+ * be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
  * system C compiler; it needs no Python or numpy headers.  The file
  * includes itself once per number type: the part under FOT_NUM below is
@@ -74,17 +78,30 @@
 #define FOT_NO_MEMORY (-2)
 #define FOT_NOT_POSITIVE (-3)
 
+/* FOT_SUM adds up the price, INFINITE(t) says whether a term of it is
+ * infinite, and PRICE is the price from the sum.  An int64 price adds up
+ * modulo 2^64, which is exact wherever the true price fits in int64: the
+ * caller takes it only where it provably does */
 #define FOT_NUM double
+#define FOT_SUM double
 #define FOT(name) name##_dense
 #define FORBIDDEN(c) ((c) == INFINITY)
+#define INFINITE(t) ((t) == INFINITY || (t) == -INFINITY)
+#define PRICE(sum, infinite) ((infinite) ? INFINITY : (sum))
 #include "_dense.c"
 #undef FOT_NUM
+#undef FOT_SUM
 #undef FOT
 #undef FORBIDDEN
+#undef INFINITE
+#undef PRICE
 
 #define FOT_NUM int64_t
+#define FOT_SUM uint64_t
 #define FOT(name) name##_exact
 #define FORBIDDEN(c) ((c) == INT64_MAX)
+#define INFINITE(t) 0
+#define PRICE(sum, infinite) ((int64_t)(sum))
 #include "_dense.c"
 
 #else /* one build over FOT_NUM numbers; FOT names its functions */
@@ -97,6 +114,8 @@
 #define unhang FOT(unhang)
 #define refresh FOT(refresh)
 #define grow FOT(grow)
+#define worse FOT(worse)
+#define summarize FOT(summarize)
 
 typedef struct {
     int64_t n, m;
@@ -226,15 +245,76 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
     }
 }
 
+/* the larger of worst and g, and NaN once either is NaN: !(g <= worst)
+ * holds for a larger g and for a NaN, and a NaN sum keeps the NaN */
+static num worse(num worst, num g)
+{
+    if (!(g <= worst))
+        return g > worst ? g : g + worst;
+    return worst;
+}
+
+/*
+ * The summary of the plan X, in one row-major pass with every forbidden
+ * cell counted as swept to 0: out[0] the mass on forbidden cells, out[1]
+ * the price, the sum of c x over the other cells with x != 0 (+inf when a
+ * term is infinite), out[2] and out[3] the worst row and column gaps
+ * |sum of the line - its weight|, and out[4] the least cell.  Every sum
+ * runs left to right from 0, and a NaN gap or cell makes its entry NaN.
+ * colsum is scratch space for m numbers.
+ */
+static void summarize(int64_t n, int64_t m, const num *a, const num *b, const num *C,
+                      const num *X, num *colsum, num *out)
+{
+    int64_t i, j, k;
+    int infinite = 0;
+    num x, c, g, sum, mass = 0, rowgap = 0, colgap = 0;
+    num least = FORBIDDEN(C[0]) ? 0 : X[0];
+    FOT_SUM t, price = 0;
+
+    for (j = 0; j < m; j++)
+        colsum[j] = 0;
+    for (i = k = 0; i < n; i++) {
+        sum = 0;
+        for (j = 0; j < m; j++, k++) {
+            x = X[k];
+            c = C[k];
+            if (FORBIDDEN(c)) {
+                mass += x;
+                x = 0;
+            } else if (x != 0) {
+                t = (FOT_SUM)c * (FOT_SUM)x;
+                infinite |= INFINITE(t);
+                price += t;
+            }
+            sum += x;
+            colsum[j] += x;
+            least = -worse(-least, -x);
+        }
+        g = sum - a[i];
+        rowgap = worse(rowgap, g < 0 ? -g : g);
+    }
+    for (j = 0; j < m; j++) {
+        g = colsum[j] - b[j];
+        colgap = worse(colgap, g < 0 ? -g : g);
+    }
+    out[0] = mass;
+    out[1] = PRICE(price, infinite);
+    out[2] = rowgap;
+    out[3] = colgap;
+    out[4] = least;
+}
+
 /*
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
- * is +inf, or INT64_MAX), X: n x m output (overwritten).  Returns the pivot
- * count, FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m)
- * is exceeded, FOT_NOT_POSITIVE when a weight is not positive, or
- * FOT_NO_MEMORY.
+ * is +inf, or INT64_MAX), X: n x m output (overwritten), summary: 5 outputs,
+ * the plan's summary (see summarize).  Returns the pivot count,
+ * FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m) is
+ * exceeded, FOT_NOT_POSITIVE when a weight is not positive, or
+ * FOT_NO_MEMORY; the summary is written only with a pivot count.
  */
 int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
-                       const num *C, num tol, num *X)
+                       const num *C, num tol, num *X, num *summary)
 {
     int64_t nodes = n + m, total = n * m;
     int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
@@ -433,6 +513,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
         X[k] = 0;
     for (node = 1; node < nodes; node++)
         X[edge_cell(&t, node, t.parent[node])] = t.flow[node];
+    summarize(n, m, a, b, C, X, rest, summary);
     result = iterations;
 
 done:
@@ -457,5 +538,7 @@ done:
 #undef unhang
 #undef refresh
 #undef grow
+#undef worse
+#undef summarize
 
 #endif

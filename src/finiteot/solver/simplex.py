@@ -23,7 +23,8 @@ search (LEMON's NetworkSimplex, which POT's emd uses).  A pivot is one
 climb from both ends of the entering cell to their common ancestor, which
 picks theta and the leaving edge; the flows move along the two paths; the
 cut path is re-hung, each flow moving one edge along it; and one refresh
-recomputes the re-hung subtree's depths and potentials.
+recomputes the re-hung subtree's depths and potentials.  plan_summary
+checks and prices the plan as fot_solve's last pass does.
 
 The leaving rule keeps the tree strongly feasible (Cunningham, Math.
 Programming 11, 1976; Ahuja, Magnanti & Orlin, Network Flows, section
@@ -260,6 +261,52 @@ class _Tree:
             if found is not None:
                 return (*found, pos)
         return None
+
+
+def plan_summary(a, b, cost, flow):
+    """fot_solve's summary of the plan flow (basic cells to flows): the same
+    numbers from the same sums in the same order (summarize in _dense.c).
+
+    Every forbidden cell counts as swept to 0.  Returns [the mass on
+    forbidden cells, the price (the sum of c x over the other cells with
+    x != 0, +inf when a term is infinite), the worst row gap and the worst
+    column gap |sum of the line - its weight|, the least cell].  Every sum
+    runs left to right from a zero of the weights' type, in row-major order
+    over the basic cells: the cells off the basis hold 0, which changes no
+    sum.  A NaN gap or cell makes its entry NaN (not x >= least, as
+    not g <= worst, holds for a NaN, and a sum with a NaN is NaN).  Written
+    with operators, not calls, so that it makes no call per cell.
+    """
+    n, m = len(a), len(b)
+    zero = type(a[0])()  # 0.0 or 0, as the C build's num
+    mass = price = zero
+    infinite = False
+    rows, cols = [zero] * n, [zero] * m
+    least = zero if len(flow) < n * m else INF  # a cell off the basis holds 0
+    for (i, j), x in sorted(flow.items()):
+        c = cost[i][j]
+        if c == INF:
+            mass += x
+            x = zero
+        elif x != 0:
+            t = c * x
+            infinite |= t == INF or t == -INF
+            price += t
+        rows[i] += x
+        cols[j] += x
+        if not x >= least:
+            least = x if x < least else x + least
+    gaps = []
+    for sums, weights in (rows, a), (cols, b):
+        worst = zero
+        for s, w in zip(sums, weights):
+            g = s - w
+            if g < 0:
+                g = -g
+            if not g <= worst:
+                worst = g if g > worst else g + worst
+        gaps.append(worst)
+    return [mass, INF if infinite else price, *gaps, least]
 
 
 def transportation_simplex(a, b, cost, tol=0):

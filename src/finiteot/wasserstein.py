@@ -307,9 +307,19 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
 
 
 def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
-    """Both marginal invariants and unit mass; returns (ok, report)."""
+    """Both marginal invariants and unit mass; returns (ok, report).
+
+    The report lists each (1,2) and each (2,3) marginal cell of the tensor
+    that is more than tol away from pi12's or pi23's, as (name, |gap|) in
+    row-major order, then ("total_mass", |mass - 1|).  When g's plans and
+    pi12 and pi23 are all exact, it is read off the integer factors with no
+    tensor built (_factor_report); otherwise the tensor is summed.
+    """
     if tol is None:  # the tensor is exact when both plans are
         tol = default_tol(mode_of(pi12, pi23))
+    report = _factor_report(g, pi12, pi23, tol)
+    if report is not None:
+        return (not report), report
     pairs = ("(1,2)", g.marginal_12(), pi12.matrix), ("(2,3)", g.marginal_23(), pi23.matrix)
     report = [
         (name, abs(x - y))
@@ -321,3 +331,49 @@ def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
     if abs(mass - 1) > tol:
         report.append(("total_mass", abs(mass - 1)))
     return (not report), report
+
+
+def _factor_report(g, pi12, pi23, tol):
+    """glued_plan_is_valid's report from the integer factors, or None unless
+    g's plans, pi12 and pi23 are all exact, pi12 and pi23 have g's shapes
+    and tol is a finite number.
+
+    With g's plans P / s12 and Q / s23, M_j = sum_i P_ij and R_j =
+    sum_k Q_jk, the tensor's cell (i, j, k) is P_ij Q_jk / (s23 M_j) where
+    M_j > 0 and 0 elsewhere.  Summed exactly, its (1,2) marginal is
+    P_ij R_j / (s23 M_j), its (2,3) marginal Q_jk / s23 and its mass the
+    sum of R_j / s23, each where M_j > 0 and 0 elsewhere.  Each gap to
+    pi12's ints A / sa and pi23's B / sb is an integer over a positive
+    denominator, compared with tol = p / q by cross-multiplying, and a
+    reported gap is that Fraction: the tensor's exact sums, with no
+    Fraction built for a cell that passes.
+    """
+    factors, wanted = g._integer_factors, (_scaled(pi12), _scaled(pi23))
+    if factors is None or None in wanted:
+        return None
+    try:
+        p, q = Fraction(tol).as_integer_ratio()
+    except (TypeError, ValueError, OverflowError):  # NaN, infinite or not a number
+        return None
+    P, _, Q, s23 = factors
+    (A, sa, _), (B, sb, _) = wanted
+    if A.shape != P.shape or B.shape != Q.shape:
+        return None
+    M, R = P.sum(axis=0), Q.sum(axis=1)
+    kept = M > 0
+    den = np.where(kept, M * s23, 1)  # of the (1,2) marginal, per column
+    gap12 = np.abs(np.where(kept, P * R, 0) * sa - A * den)
+    den12 = den * sa
+    gap23 = np.abs(np.where(kept[:, None], Q, 0) * sb - B * s23)
+    den23 = s23 * sb
+    report = [
+        ("(1,2)", Fraction(gap12[i, j], den12[j]))
+        for i, j in zip(*np.nonzero(gap12 * q > p * den12))
+    ]
+    report += [
+        ("(2,3)", Fraction(gap23[j, k], den23)) for j, k in zip(*np.nonzero(gap23 * q > p * den23))
+    ]
+    mass_gap = abs(sum(R[kept].tolist()) - s23)
+    if mass_gap * q > p * s23:
+        report.append(("total_mass", Fraction(mass_gap, s23)))
+    return report

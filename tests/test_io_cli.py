@@ -240,6 +240,13 @@ class TestCLIVerify:
         )
         assert main(["verify", "coupling", "--plan", path, "--mode", "rational"]) == 3
 
+    @pytest.mark.parametrize("suite", ["coupling", "metric", "glue", "tail"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_1(self, capsys, suite, trials):
+        assert main(["verify", suite, "--trials", trials, "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --trials")
+
 
 class TestCLIOracleCheck:
     def test_small_battery(self, capsys):
@@ -259,6 +266,13 @@ class TestCLIOracleCheck:
     def test_sizes_below_one_exit_1(self, capsys, sizes):
         assert main(["oracle-check", *sizes, "--trials", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_1(self, capsys, trials):
+        # a battery of no trials checks nothing: refused, with nothing written
+        assert main(["oracle-check", "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --trials")
 
     @pytest.mark.parametrize("make", [random_rational_measure, random_positive_rational_measure])
     def test_measure_generators_refuse_no_points(self, make):

@@ -1,11 +1,12 @@
 """The compiled kernel and its Python twin, simplex.transportation_simplex.
 
 The compiled kernel's solve_dense(a, b, C, tol) returns (flow_matrix,
-iterations), from its float build on float arrays and from its int64 build
-on the scaled ints of rational problems; the twin, which is the fallback
-when the kernel cannot load and for rational data that do not fit in int64,
-must return the same pivot count and the same plan, bit for bit, also on
-+inf cells and on problems that they leave without a finite-cost plan.
+iterations, summary), from its float build on float arrays and from its
+int64 build on the scaled ints of rational problems; the twin, which is the
+fallback when the kernel cannot load and for rational data that do not fit
+in int64, must return the same pivot count, the same plan and the same
+summary (simplex.plan_summary), bit for bit, also on +inf cells and on
+problems that they leave without a finite-cost plan.
 Both engines need positive weights, so a problem with zero weights is fed
 to them as solve_kantorovich feeds it, on its support.  The compiled kernel
 is built by its loader with the system C compiler, so the cross-checks are
@@ -14,6 +15,7 @@ present fails them.
 """
 
 import itertools
+import operator
 import os
 import random
 from fractions import Fraction as F
@@ -22,8 +24,9 @@ import numpy as np
 import pytest
 
 import finiteot.solver as solver
+from finiteot.coupling import _is_coupling_array, _sum_in_order
 from finiteot.measure import DiscreteMeasure
-from finiteot.numerics import INF
+from finiteot.numerics import FLOAT, INF, default_tol
 from finiteot.space import CostMatrix
 from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
 from finiteot.solver.simplex import transportation_simplex
@@ -264,7 +267,7 @@ def rational_instance(n):
 
 def int64_input(mu1, mu2, cost, tol):
     """The int64 build's input for a rational problem, as solve_kantorovich makes it."""
-    a, b, C, _, cscale = solver._exact_input(mu1, mu2, CostMatrix(cost))
+    a, b, C, _, cscale, _ = solver._exact_input(mu1, mu2, CostMatrix(cost))
     a, b, C = support(a, b, C)
     return solver._int64_input(a, b, C, C == INF, (tol or 0) * cscale)
 
@@ -288,6 +291,52 @@ def twin(a, b, C, tol):
     return X, iterations
 
 
+def twin_summary(a, b, C, tol):
+    """The Python simplex's summary of its plan on the kernel's input
+    (simplex.plan_summary), its int64 input on Python ints as twin runs it."""
+    cells = C.tolist()
+    if C.dtype == np.int64:
+        cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
+    a, b = a.tolist(), b.tolist()
+    flow, _ = transportation_simplex(a, b, cells, tol=tol)
+    return simplex.plan_summary(a, b, cells, flow)
+
+
+def bits(summary):
+    """The summary's numbers with each float as its bits: == then tells
+    two summaries apart bit for bit."""
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in summary]
+
+
+def check_summary(a, b, C, X, summary):
+    """An engine's summary of the plan X against numpy on the same arrays.
+
+    The forbidden mass is _sum_in_order(X[forbidden]) and the price, over
+    the plan with its forbidden cells swept to 0, is _float_price or the
+    exact integer dot product, bit for bit; the gaps and the least cell give
+    _is_coupling_array's verdict on the swept plan at the solver's
+    tolerance.  C's forbidden cells are +inf, or FORBIDDEN_INT64 in an
+    int64 array.  Returns that verdict.
+    """
+    forbidden = forbidden_cells(C) if C.dtype != object else C == INF
+    swept = np.where(forbidden, 0, X)
+    mass, price, row_gap, column_gap, least = summary
+    if X.dtype == np.float64:
+        # numpy's empty sum is the int 0, the engines' is 0.0
+        want = _sum_in_order(X[forbidden]), solver._float_price(C, swept)
+        assert bits([mass, price]) == bits([0.0 + want[0], 0.0 + want[1]])
+        tol = default_tol(FLOAT)
+    else:
+        finite = ~forbidden
+        exact_price = sum(map(operator.mul, C[finite].tolist(), swept[finite].tolist()))
+        assert [mass, price] == [int(_sum_in_order(X[forbidden])), exact_price]
+        assert type(mass) is type(price) is int
+        tol = 0
+    ok = _is_coupling_array(swept, a, b, tol)[0]
+    assert (least >= -tol and row_gap <= tol and column_gap <= tol) == ok
+    return ok
+
+
 def outcome(mu1, mu2, cost, tol):
     """What a solve returns: the engine that ran and the solution's fields."""
     sol = solver.solve_kantorovich(mu1, mu2, cost, tol=tol)
@@ -302,7 +351,7 @@ def check_feasible(a, b, flow, tol=1e-9):
 
 
 def check_same_pivots(compiled, a, b, C, tol):
-    X, iterations = compiled.solve_dense(a, b, C, tol)
+    X, iterations, _ = compiled.solve_dense(a, b, C, tol)
     check_feasible(a, b, X)
     X_twin, iterations_twin = twin(a, b, C, tol)
     assert iterations_twin == iterations
@@ -341,7 +390,7 @@ def test_rational_cost_is_the_full_array_cost():
         if not sol.feasible:
             continue
         feasible += 1
-        _, _, C, wscale, cscale = solver._exact_input(mu1, mu2, CostMatrix(cost))
+        _, _, C, wscale, cscale, _ = solver._exact_input(mu1, mu2, CostMatrix(cost))
         X = sol.plan._array
         assert X.dtype == object and sol.plan._scale == wscale
         full = solver.cost_of_plan(X, C.astype(object))
@@ -464,9 +513,9 @@ class TestCompiled:
         solve_dense reads __array_interface__ and returns the same plan."""
         rng = random.Random(41)
         a, b, C = random_instance(rng, 7, 9)
-        X, iters = compiled.solve_dense(a, b, C, 1e-9)
+        X, iters, _ = compiled.solve_dense(a, b, C, 1e-9)
         monkeypatch.setattr(compiled, "_data_at", None)
-        Y, iters_again = compiled.solve_dense(a, b, C, 1e-9)
+        Y, iters_again, _ = compiled.solve_dense(a, b, C, 1e-9)
         assert iters == iters_again and np.array_equal(X, Y)
 
     def test_random_instances_feasible(self, compiled):
@@ -474,7 +523,7 @@ class TestCompiled:
         for _ in range(20):
             n, m = rng.randint(2, 12), rng.randint(2, 12)
             a, b, C = random_instance(rng, n, m)
-            flow, _ = compiled.solve_dense(a, b, C, 1e-9)
+            flow, _, _ = compiled.solve_dense(a, b, C, 1e-9)
             check_feasible(a, b, flow)
 
     def test_costs_agree_with_fallback(self, compiled):
@@ -499,8 +548,76 @@ class TestCompiled:
         for a, b, C, tol in instances:
             X = check_same_pivots(compiled, a, b, C, tol)
             infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
+            _, _, summary = compiled.solve_dense(a, b, C, tol)
+            assert bits(summary) == bits(twin_summary(a, b, C, tol))
         if family in ("forbidden", "rational"):  # with and without a finite plan
             assert 0 < infeasible < len(instances)
+
+    @pytest.mark.parametrize(
+        "family", ["tied", "assignment", "edge", "forbidden", "rational", "lone_forbidden"]
+    )
+    def test_summary_is_the_numpy_one(self, compiled, family):
+        # dense floats, +inf cells with and without a finite plan, and the
+        # int64 build's rational inputs: the kernel's summary and the twin's
+        # are numpy's sums, and give its verdict
+        verdicts = []
+        for a, b, C, tol in identity_instances(family):
+            X, _, summary = compiled.solve_dense(a, b, C, tol)
+            verdicts.append(check_summary(a, b, C, X, summary))
+            X_twin, _ = twin(a, b, C, tol)
+            assert check_summary(a, b, C, X_twin, twin_summary(a, b, C, tol)) == verdicts[-1]
+        if family in ("tied", "assignment", "edge"):  # every cell finite
+            assert all(verdicts)
+        else:  # with and without a finite plan: the infeasible plans fail
+            assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_a_nan_gap_sticks_in_both_summaries(self, compiled):
+        # an infinite weight, which no solve passes, makes a line's sum
+        # inf - inf; a later finite gap must not hide that NaN, in either
+        # engine's summary, and a term c x = inf makes the price +inf
+        a, b = [1.0, INF, 1.0], [INF, 1.0, 2.0]
+        C = [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]
+        _, _, summary = compiled.solve_dense(np.array(a), np.array(b), np.array(C), 1e-9)
+        flow, _ = transportation_simplex(a, b, C, tol=1e-9)
+        assert bits(summary) == bits(simplex.plan_summary(a, b, C, flow))
+        mass, price, row_gap, column_gap, least = summary
+        assert price == INF and row_gap != row_gap and column_gap != column_gap
+
+    def test_support_summary_is_the_full_plans(self, compiled, monkeypatch):
+        # a problem with a zero weight runs on its support; the summary of
+        # the support's plan is numpy's on the full plan and the full
+        # weights and costs, from the float build, the int64 build and the
+        # Python simplex
+        runs = []
+        run_engine = solver._run_engine
+
+        def spy(*args, **kwargs):
+            runs.append(run_engine(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "_run_engine", spy)
+        problems = [(*problem, None) for problem in zero_weight_problems(150)]
+        problems += rational_problems(150)
+        verdicts, engines = [], set()
+        for mu1, mu2, cost, tol in problems:
+            if 0 not in mu1.weights and 0 not in mu2.weights:
+                continue
+            cm = CostMatrix(cost)
+            if mu1.mode == mu2.mode == cm.mode == "rational":
+                a, b, C, *_ = solver._exact_input(mu1, mu2, cm)
+            else:
+                a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
+            for kernel in (compiled, None):
+                monkeypatch.setattr(solver, "_kernel", kernel)
+                solver.solve_kantorovich(mu1, mu2, cm, tol=tol)
+                on_support, _, summary, engine = runs.pop()
+                X = np.zeros(C.shape, dtype=on_support.dtype)
+                X[np.ix_(a > 0, b > 0)] = on_support
+                verdicts.append(check_summary(a, b, C, X, summary))
+                engines.add((engine, X.dtype.name))
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert engines == {("compiled", "float64"), ("python", "float64"),
+                           ("compiled", "int64"), ("python", "int64")}
 
     def test_rational_solves_repeat_the_python_simplex(self, compiled, monkeypatch):
         # the same pivots, Fraction plans, costs and Hall cuts from the int64
@@ -621,7 +738,7 @@ class TestCompiled:
         # engines take these pivot counts from the row-minimum start
         for n, pivots in ((120, 796), (200, 1613)):
             a, b, C = integer_instance(n)
-            flow, iterations = compiled.solve_dense(a, b, C, 1e-6)
+            flow, iterations, _ = compiled.solve_dense(a, b, C, 1e-6)
             check_feasible(a, b, flow)
             assert iterations == pivots
             flow_twin, iterations_twin = twin(a, b, C, 1e-6)

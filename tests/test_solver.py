@@ -788,7 +788,7 @@ class TestPivotIdentity:
 
         def recorded(*args):
             flow = row_minimum_start(*args)
-            starts.append(dict(flow))  # the simplex updates flow in place
+            starts.append(flow)
             return flow
 
         monkeypatch.setattr(simplex, "row_minimum_start", recorded)
@@ -1074,7 +1074,7 @@ def test_recorded_cost_bound_is_the_scanned_one():
             cells[rng.randrange(n)][rng.randrange(n)] = INF
         mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
         cm = CostMatrix(cells)
-        a, b, C, _, cscale = solver._exact_input(mu, mu, cm)
+        a, b, C, _, cscale, _ = solver._exact_input(mu, mu, cm)
         forbidden = C == INF if cm.has_inf else None
         scanned = solver._int64_input(a, b, C, forbidden, 0)
         recorded = solver._int64_input(a, b, C, forbidden, 0, cm.max_abs_finite() * cscale)
@@ -1114,3 +1114,46 @@ def test_rational_cost_bound_is_the_real_total_supply(monkeypatch):
         monkeypatch.setattr(solver, "_kernel", kernel)
         sol = solve_kantorovich(mu, mu, [[2**20] * 2] * 2, mode="rational")
         assert sol.optimal_cost == F(2**63, 2**43 - 1), (kernel, sol.optimal_cost)
+
+
+@pytest.mark.parametrize("kernel", ["selected", "python"])
+@pytest.mark.parametrize("fault", ["row gap", "NaN cell", "NaN in the summary only"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
+    """A solve decides validity from its engine's summary: a plan whose
+    summary shows a row gap above default_tol, or a NaN, is not returned.
+    The RuntimeError carries _is_coupling_array's report of that plan."""
+    from finiteot.coupling import _is_coupling_array
+    from finiteot.numerics import default_tol
+
+    if kernel == "python":
+        monkeypatch.setattr(solver, "_kernel", None)
+    run_engine, bad = solver._run_engine, []
+
+    def faulty(*args, **kwargs):
+        X, iterations, summary, engine = run_engine(*args, **kwargs)
+        a, b, C = (x.tolist() for x in args[1:4])
+        if fault == "NaN in the summary only":
+            summary[2] = float("nan")
+        else:
+            X = X.astype(np.float64) if fault == "NaN cell" else X.copy()
+            X[0, 0] = np.nan if fault == "NaN cell" else X[0, 0] + 1
+            flow = {(i, j): x for i, row in enumerate(X.tolist()) for j, x in enumerate(row)}
+            summary = simplex.plan_summary(a, b, C, flow)
+        bad.append((X, args[1], args[2]))
+        return X, iterations, summary, engine
+
+    monkeypatch.setattr(solver, "_run_engine", faulty)
+    n = 6
+    rng = random.Random(6)
+    raws = [[rng.randint(1, 9) for _ in range(n)] for _ in range(2)]
+    mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw)) for raw in raws)
+    if not exact:
+        mu1, mu2 = (DiscreteMeasure(tuple(map(float, mu.weights))) for mu in (mu1, mu2))
+    cost = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+    with pytest.raises(RuntimeError, match="invalid plan") as raised:
+        solve_kantorovich(mu1, mu2, cost)
+    X, a, b = bad[-1]
+    ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
+    assert ok == (fault == "NaN in the summary only")
+    assert str(report[:3]) in str(raised.value)

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from finiteot.generators import (
     random_vertex_coupling,
 )
 from finiteot.measure import DiscreteMeasure, dirac, new_measure
-from finiteot.numerics import GlueError, ParameterError, infer_mode
+from finiteot.numerics import GlueError, ParameterError, default_tol, infer_mode, mode_of
 from finiteot.space import FiniteMetricSpace
 from finiteot.wasserstein import (
     GluedPlan,
@@ -406,6 +407,83 @@ def test_gluing_solver_plans_builds_no_fractions(monkeypatch):
     )
     assert built == 0, f"{built} Fractions built"
     assert is_coupling(pi13, mus[0], mus[2], tol=0)[0]
+
+
+def reference_glued_plan_is_valid(g, pi12, pi23, tol=None):
+    """glued_plan_is_valid as it was before it read exact plans' integer
+    factors: every marginal cell and the mass summed from the tensor."""
+    if tol is None:
+        tol = default_tol(mode_of(pi12, pi23))
+    pairs = ("(1,2)", g.marginal_12(), pi12.matrix), ("(2,3)", g.marginal_23(), pi23.matrix)
+    report = [
+        (name, abs(x - y))
+        for name, got, want in pairs
+        for x, y in zip(chain(*got), chain(*want))
+        if abs(x - y) > tol
+    ]
+    mass = g.total_mass()
+    if abs(mass - 1) > tol:
+        report.append(("total_mass", abs(mass - 1)))
+    return (not report), report
+
+
+def glued_plan_battery(rng, exact):
+    """(g, pi12, pi23, tol) with the cases the report must keep: middle
+    marginals that differ, zero-mass middle atoms, plans given to the check
+    that differ from g's by a cell or by their mass, solver plans with their
+    Fraction zeros, and several tolerances."""
+    def plan(rows):
+        return TransportPlan(rows if exact else tuple(tuple(map(float, row)) for row in rows))
+
+    for trial in range(400):
+        n1, n2, n3 = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        mu1, mu2, mu3 = (random_rational_measure(rng, n) for n in (n1, n2, n3))
+        pi12 = random_coupling(rng, mu1, mu2)
+        middle = mu2 if rng.random() < 0.6 else random_rational_measure(rng, n2)
+        pi23 = random_coupling(rng, middle, mu3)
+        if trial % 10 == 0:  # the solver's plans, with Fraction(0) cells
+            cost = [[rng.randint(0, 9) for _ in range(n2)] for _ in range(n1)]
+            pi12 = solver.solve_kantorovich(mu1, middle, cost).plan
+        if not exact:
+            pi12, pi23 = plan(pi12.matrix), plan(pi23.matrix)
+        given12, given23 = pi12, pi23
+        if trial % 3 == 1:  # a cell moved, or the mass scaled
+            cells = [list(row) for row in pi12.matrix]
+            cells[rng.randrange(n1)][rng.randrange(n2)] += F(1, rng.randint(2, 9))
+            given12 = plan(cells)
+        if trial % 5 == 2:
+            given23 = plan([[x * 2 for x in row] for row in pi23.matrix])
+        tol = rng.choice((None, 0, F(1, 40), 0.01, -1 if trial % 50 == 0 else 0))
+        yield GluedPlan(pi12, pi23), given12, given23, tol
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_glued_plan_is_valid_repeats_the_tensor_sums(exact):
+    """The same reports as the tensor's sums, entry for entry and in order,
+    with exact magnitudes: on the integer factors when every plan is exact,
+    and on the tensor, as before, otherwise."""
+    failing = 0
+    for g, pi12, pi23, tol in glued_plan_battery(random.Random(91), exact):
+        got = glued_plan_is_valid(g, pi12, pi23, tol)
+        want = reference_glued_plan_is_valid(g, pi12, pi23, tol)
+        assert got == want, (g, pi12, pi23, tol)
+        assert [type(m) is float for _, m in got[1]] == [not exact] * len(got[1])
+        failing += not got[0]
+    assert 100 < failing < 350
+
+
+def test_glued_plan_is_valid_builds_no_tensor_on_exact_plans(monkeypatch):
+    """Two 24-point rational solver plans are checked on their integer
+    factors: the n1 n2 n3 tensor is never built."""
+    space = random_rational_metric_space(random.Random(24), 24)
+    rng = random.Random(25)
+    mus = [random_rational_measure(rng, 24) for _ in range(3)]
+    _, pi12 = wasserstein_distance(mus[0], mus[1], space)
+    _, pi23 = wasserstein_distance(mus[1], mus[2], space)
+    g = glue(pi12, pi23)
+    monkeypatch.setattr(GluedPlan, "tensor", property(lambda self: pytest.fail("tensor built")))
+    assert glued_plan_is_valid(g, pi12, pi23) == (True, [])
+    assert glued_plan_is_valid(g, pi23, pi12, tol=0)[0] is False
 
 
 class TestTriangleWitness:
