@@ -42,8 +42,7 @@ class DiscreteMeasure:
     Exact weights (ints and Fractions) are checked on their scaled ints,
     and any others as one float64 array; the check keeps what it built as
     the cached scaled_weights or float_weights, and the other is derived on
-    first use.  The check also sets mode, rational iff every weight is exact,
-    and _positive, whether every weight is above 0 as given.
+    first use.  The check also sets mode, rational iff every weight is exact.
     """
 
     weights: tuple
@@ -58,12 +57,11 @@ class DiscreteMeasure:
         if scaled is not None:
             # rational mode, checked on the weights' scaled ints
             ints, scale = scaled
-            lo = min(ints)
-            if lo < 0:
+            if min(ints) < 0:
                 raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
             if sum(ints) != scale:
                 raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
-            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale), _positive=lo > 0)
+            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale))
         else:
             a = np.array(w, dtype=np.float64)
             # weights at least 0 as given (not NaN) and below +inf pass; of
@@ -87,7 +85,7 @@ class DiscreteMeasure:
             if abs(total - 1) > WEIGHT_SUM_TOL:
                 raise NormalizationError(f"weights sum to {total!r}, not 1")
             a.flags.writeable = False
-            vars(self).update(mode=FLOAT, float_weights=a, _positive=0 not in w)
+            vars(self).update(mode=FLOAT, float_weights=a)
         if self.space is not None and self.space.n != len(w):
             raise ShapeError("weights do not match the space size")
 

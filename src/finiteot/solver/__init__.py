@@ -10,12 +10,12 @@ everything after it is written once for both modes:
 
 - float mode works on those float64 arrays as they are, with no copy;
 - rational mode works on integers: the weights are scaled by the least
-  common multiple of their denominators, into int64 arrays while their
-  scaled total is below 2^62 (else object arrays of Python ints), and the
-  costs are the CostMatrix's own exact format (_scaled_costs).  Float
-  numbers are read as the binary fractions they are, so two measures
-  whose exact totals differ are refused rather than solved into a plan
-  that couples neither.
+  common multiple of their denominators and the costs are the
+  CostMatrix's own exact format (_scaled_costs); _exact_input decides,
+  once for the full problem, whether they go to the engine as int64
+  arrays or as object arrays of Python ints.  Float numbers are read as
+  the binary fractions they are, so two measures whose exact totals
+  differ are refused rather than solved into a plan that couples neither.
 
 On those arrays come the tolerance and the engine, and the engine checks
 and prices its own plan: with the plan it returns a summary of five
@@ -27,42 +27,40 @@ and the cost are read off that summary; the plan is checked again, by
 coupling._is_coupling_array, only to report a failed check.  A solve
 reads what its inputs decided when they were built: the CostMatrix's
 mode, whether a cell is +inf, its largest |finite cost| and its float64
-costs; a measure's mode, its arrays and, if exact, whether every weight
-is positive.  A mask of the forbidden cells is built in rational mode,
-whose int64 input reads it, and in float mode only when the plan has
-mass on them, to sweep float dust or to find the Hall cut.  The engines
-need positive weights (a zero weight can leave them no strongly feasible
-tree), so when a weight is zero the engine runs on the support, and its
-plan is scattered back into the full n x m array with zeros elsewhere;
+costs; a measure's mode and its arrays.  In both modes a mask of the
+forbidden cells is built only when the plan has mass on them, to sweep
+float dust or to find the Hall cut.  The engines need positive weights
+(a zero weight can leave them no strongly feasible tree), so when a
+weight is zero the engine runs on the support, and its plan is
+scattered back into the full n x m array with zeros elsewhere;
 zero-weight lines add nothing to any sum, so the support's summary is
-the full plan's.  A rational plan stays in int64, and so do its summary's
-sums, which are exact because every row and column sum is at most the
-total supply; its price, which the int64 build adds modulo 2^64, is the
-cost while max|c| times the total supply fits, else the cost is one dot
-product in Python ints.  A float plan's price adds its terms as
-_float_price does, so it is the cost cost_of_plan gives it.  The
-returned TransportPlan takes the engine's array in the
-plan format (see coupling): float64, or Python ints made from the int64
-plan in one pass, over the weight scale; its matrix of Python floats, or
-of Fractions, is built only when asked for.  The cost is a Python float,
-or a Fraction (divided once by both scales).  So a solve makes no Python
-call per cell from input to plan, and few numpy calls.
+the full plan's.  A rational plan comes back in its weights' dtype, and
+so do its summary's sums, which are exact because every row and column
+sum is at most the total supply; its price is the cost where
+_exact_input says so, else the cost is one dot product in Python ints.
+A float plan's price adds its terms as _float_price does, so it is the
+cost cost_of_plan gives it.  The returned TransportPlan takes the
+engine's array in the plan format (see coupling): float64, or Python
+ints made from the engine's plan in one pass, over the weight scale; its
+matrix of Python floats, or of Fractions, is built only when asked for.
+The cost is a Python float, or a Fraction (divided once by both scales).
+So a solve makes no Python call per cell from input to plan, and few
+numpy calls.
 
-The engine is the C kernel in _dense.c, loaded through ctypes by _compiled
-(which builds it with the system C compiler on first import).  Its float
-build runs every float problem, forbidden +inf cells included.  Its int64
-build runs every rational problem whose scaled data provably fit in int64:
-the total scaled supply is below 2^62, (n + m) max|scaled finite cost| and
-floor(tol * cost scale) below 2^60 (a potential is a signed sum of at most
-n + m costs, and a reduced cost adds two of them).  It gets that floor as
-its tolerance: on integers r < -t iff r < -floor(t), so it pivots as the
-Python engine does on the unfloored tolerance.  Its plan comes back in
-int64, so the cost and the checks stay exact.  Rational problems that
-do not fit, and every problem when the C kernel cannot be built or loaded
-or FINITEOT_FORCE_PURE=1 turns it off, go through the same simplex in
-Python (simplex.py), on Python lists of the arrays.  _dense.c is a port of
-simplex.py, so either engine returns the same plan, bit for bit on floats,
-after the same number of pivots.
+The engine is picked by the weights' dtype (_run_engine).  Float64 and
+int64 weights go to the C kernel in _dense.c, loaded through ctypes by
+_compiled (which builds it with the system C compiler on first import).
+Its float build runs every float problem, forbidden +inf cells included.
+Its int64 build runs the rational problems that _exact_input, the one
+place that decides it, finds to fit in int64 (see there): it gets them
+with forbidden cells marked and the tolerance floored, which on integers
+gives the pivots of the unfloored one, and its plan comes back in int64,
+so the cost and the checks stay exact.  Object weights (the rational
+problems that do not fit), and every problem when the C kernel cannot be
+built or loaded or FINITEOT_FORCE_PURE=1 turns it off, go through the
+same simplex in Python (simplex.py), on Python lists of the arrays.
+_dense.c is a port of simplex.py, so either engine returns the same
+plan, bit for bit on floats, after the same number of pivots.
 OTSolution.engine names the engine that ran ("compiled" or "python").
 KERNEL names the engine of float problems; KERNEL_INFO adds its library and
 the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
@@ -278,35 +276,24 @@ def solve_kantorovich(
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     if mode is None:
         mode = mode_of(cm, mu1, mu2)
+    if tol is None:
+        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
     if mode == FLOAT:
-        a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
-        wscale, cscale, top = 1, 1, None
+        a, b, C, wscale = mu1.float_weights, mu2.float_weights, cm._float_costs, None
         # weights are >= 0; count_nonzero makes no Python call, unlike all()
         positive = np.count_nonzero(a) == n and np.count_nonzero(b) == m
     elif mode == RATIONAL:
-        a, b, C, wscale, cscale, supply = _exact_input(mu1, mu2, cm)
-        positive = mu1._positive and mu2._positive  # as their scaled ints are
-        # top: the largest |finite cost| in C's units, which a float matrix
-        # records only for its rounded cells
-        top = cm.max_abs_finite() * cscale if cm.mode == RATIONAL else None
+        a, b, C, tol, wscale, cscale, priced = _exact_input(mu1, mu2, cm, tol)
+        positive = 0 not in mu1.scaled_weights[0] and 0 not in mu2.scaled_weights[0]
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    # the mask of the +inf cells (CostMatrix rejects -inf and NaN), or None:
-    # rational mode's int64 input reads it, and a float solve builds it only
-    # when its plan puts mass on a forbidden cell
-    forbidden = C == INF if cm.has_inf and mode == RATIONAL else None
-    if tol is None:
-        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
 
     if positive:
-        X, iters, summary, engine = _run_engine(mode, a, b, C, forbidden, tol * cscale, top)
+        X, iters, summary, engine = _run_engine(a, b, C, tol)
     else:  # the engines need positive weights: solve on the support
         rows, cols = a > 0, b > 0
         support = np.ix_(rows, cols)
-        on_support, iters, summary, engine = _run_engine(
-            mode, a[rows], b[cols], C[support],
-            None if forbidden is None else forbidden[support], tol * cscale,
-        )
+        on_support, iters, summary, engine = _run_engine(a[rows], b[cols], C[support], tol)
         # zero-weight lines add nothing to any sum, and np.ix_ keeps the
         # row-major order: the support's summary is the full plan's
         X = np.zeros(C.shape, dtype=on_support.dtype)
@@ -316,13 +303,10 @@ def solve_kantorovich(
     # the engines minimise the M part exactly whatever tol is, so in rational
     # mode any mass on forbidden cells proves that no finite-cost plan exists
     flow_tol = tol if mode == FLOAT else 0
-    if forbidden_mass:  # only a problem with +inf cells has any
-        if forbidden is None:
-            forbidden = C == INF
+    if forbidden_mass:  # only a problem with forbidden cells has any
+        forbidden = _compiled.forbidden_cells(C)
         if forbidden_mass > flow_tol:
-            certificate = _hall_certificate(
-                a, b, forbidden, X, flow_tol, wscale if mode == RATIONAL else None
-            )
+            certificate = _hall_certificate(a, b, forbidden, X, flow_tol, wscale)
         else:
             # float roundoff left dust on forbidden basic cells; sweep it
             # (the summary counts them as swept)
@@ -330,7 +314,8 @@ def solve_kantorovich(
     if certificate is None:
         check = default_tol(mode)
         if not (least >= -check and row_gap <= check and column_gap <= check):  # NaN fails
-            _, report = _is_coupling_array(X, a, b, check)
+            with np.errstate(invalid="ignore"):  # a NaN is reported, not warned of
+                _, report = _is_coupling_array(X, a, b, check)
             raise RuntimeError(
                 f"solver returned an invalid plan: {report[:3]} (engine summary {summary})"
             )
@@ -338,40 +323,32 @@ def solve_kantorovich(
             value = price
             plan = TransportPlan._of_array(X, mu1, mu2)
         else:
-            # no mass sits on a forbidden cell, and the price is exact where
-            # max|c| times the total supply, which bounds it, fits in int64
-            # (the int64 build adds it modulo 2^64); else it is the integer
-            # dot product over the cells with mass
-            if top is not None and top * supply < 2**63:
-                total = price
-            else:
+            # no mass sits on a forbidden cell; unless _exact_input found the
+            # price exact, the cost is the integer dot product over the
+            # cells with mass
+            if not priced:
                 mass = X != 0
-                total = sum(map(mul, C[mass].tolist(), X[mass].tolist()))
-            value = Fraction(total, wscale * cscale)
+                price = sum(map(mul, C[mass].tolist(), X[mass].tolist()))
+            value = Fraction(price, wscale * cscale)
             # the plan's Python ints, int 0 on the cells without mass
             plan = TransportPlan._of_array(X.astype(object), mu1, mu2, wscale, _ZERO)
     return OTSolution(plan, value, iters, mode, certificate, engine)
 
 
-def _run_engine(mode, a, b, C, forbidden, tol, max_cost=None):
+def _run_engine(a, b, C, tol):
     """(plan array, pivots, summary, engine name) of the engine that solves (a, b, C).
 
-    The weights are positive, forbidden is the mask of C's +inf cells or
-    None, and tol and max_cost (see _int64_input) are in C's units.  The C
-    kernel runs every float problem and the rational ones that fit in int64,
-    and the Python simplex the rest.  A rational plan comes back in the
-    weights' dtype: int64, or an object array of Python ints.  Either engine
-    checks and prices its own plan: summary is [forbidden mass, price, worst
-    row gap, worst column gap, least cell] (simplex.plan_summary), the same
-    numbers from both.
+    The weights are positive and tol is in C's units.  Their dtype picks
+    the engine: float64 and int64 weights (see _exact_input) go to the C
+    kernel while it is loaded, and object weights, or every problem when it
+    is not, to the Python simplex.  The plan comes back in the weights'
+    dtype.  Either engine checks and prices its own plan: summary is
+    [forbidden mass, price, worst row gap, worst column gap, least cell]
+    (simplex.plan_summary), the same numbers from both.
     """
-    kernel_input = None
-    if _kernel is not None:
-        exact = mode == RATIONAL
-        kernel_input = _int64_input(a, b, C, forbidden, tol, max_cost) if exact else (a, b, C, tol)
-    if kernel_input is not None:
-        return (*_kernel.solve_dense(*kernel_input), _compiled.KERNEL_NAME)
-    X = np.zeros(C.shape, dtype=a.dtype)  # int64 or object (Python ints) in rational mode
+    if _kernel is not None and a.dtype != object:
+        return (*_kernel.solve_dense(a, b, C, tol), _compiled.KERNEL_NAME)
+    X = np.zeros(C.shape, dtype=a.dtype)  # object (Python ints) in rational mode
     a, b, cost = a.tolist(), b.tolist(), C.tolist()
     flow, iters = transportation_simplex(a, b, cost, tol=tol)
     for (i, j), f in flow.items():
@@ -379,73 +356,64 @@ def _run_engine(mode, a, b, C, forbidden, tol, max_cost=None):
     return X, iters, plan_summary(a, b, cost, flow), "python"
 
 
-def _exact_input(mu1, mu2, cm):
-    """Rational mode's engine input: (a, b, C, weight scale, cost scale,
-    total scaled supply).
+def _exact_input(mu1, mu2, cm, tol):
+    """Rational mode's engine input, decided once for the full problem:
+    (a, b, C, tol, weight scale, cost scale, priced).
 
     The weights are scaled by the least common multiple of their
-    denominators, from each measure's scaled_weights: into int64 arrays
-    when the scaled total is below _SUPPLY_BOUND, so that every flow and
-    every row and column sum of a plan fits, and else into object arrays
-    of Python ints.  The costs are the CostMatrix's _scaled_costs.  Both
-    scales are positive, so every comparison, and hence every pivot, is
-    the one the Fractions would give.
+    denominators, from each measure's scaled_weights, the costs are the
+    CostMatrix's _scaled_costs, and tol is taken into the costs' units.
+    Both scales are positive, so every comparison, and hence every pivot,
+    is the one the Fractions would give.  The numbers are int64 arrays, for
+    the int64 build, exactly when the kernel is loaded and they provably
+    fit: the total supply, which bounds every flow and line sum, is below
+    2^62, and (n + m) max|finite cost| and |floor(tol)| are below 2^60 (a
+    potential is a signed sum of at most n + m costs, and a reduced cost
+    adds two of them).  max|c| is the CostMatrix's max_abs_finite(), or
+    for a float matrix, which records it for its rounded cells only, a
+    scan of the scaled cells.  There forbidden cells are marked
+    FORBIDDEN_INT64 (an int64 C passes as it is) and tol is floored: on
+    integers r < -t iff r < -floor(t).  Otherwise they are object arrays of
+    Python ints.  priced says whether the engine's price is the plan's
+    cost: it always is in Python ints, and in int64, which adds it modulo
+    2^64, while max|c| times the total supply, which bounds it, is below
+    2^63.
     """
     (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
     wscale = math.lcm(s1, s2)
     f1, f2 = wscale // s1, wscale // s2
-    total_a, total_b = sum(ints1) * f1, sum(ints2) * f2
-    if total_a != total_b:
-        gap = Fraction(total_a - total_b, wscale)
+    supply, demand = sum(ints1) * f1, sum(ints2) * f2
+    if supply != demand:
+        gap = Fraction(supply - demand, wscale)
         raise ParameterError(
             f"rational mode needs weights whose exact totals agree; the first "
             f"measure's total minus the second's is {float(gap)!r} ({gap})"
         )
-    dtype = np.int64 if total_a < _SUPPLY_BOUND else object
-    a, b = np.array(ints1, dtype=dtype) * f1, np.array(ints2, dtype=dtype) * f2
     C, cscale = cm._scaled_costs
-    return a, b, C, wscale, cscale, total_a
-
-
-#: rational mode's scaled data run the int64 build only below these bounds
-_SUPPLY_BOUND = 2**62
-_COST_BOUND = 2**60
-_ZERO = Fraction(0)  # the zero cell of a rational solver plan
-
-
-def _int64_input(a, b, C, forbidden, tol, max_cost=None):
-    """The int64 build's (a, b, C, tol), or None when the scaled data may overflow.
-
-    a, b and C are rational mode's scaled ints (+inf on forbidden cells,
-    whose mask is forbidden, or None when there is none) and tol the
-    tolerance in the costs' units.  They fit when the total supply is below
-    _SUPPLY_BOUND, as int64 weights from _exact_input say, and
-    (n + m) max|finite cost| and |floor(tol)| are below _COST_BOUND: every
-    flow is then at most the total supply, and every potential and reduced
-    cost at most 2 (n + m) max|c| + |floor(tol)| in size; max_cost is that
-    maximum when a CostMatrix has recorded it, else it is found here.  The
-    tolerance is floored, which gives the same pivots on integers; forbidden
-    cells are marked FORBIDDEN_INT64.  An int64 C is passed on as it is.
-    """
-    if a.dtype != np.int64:
-        return None
+    tol = tol * cscale
     try:
         floor_tol = math.floor(tol)
     except (OverflowError, ValueError):  # an infinite or NaN tolerance
-        return None
-    n, m = C.shape
-    if C.dtype != np.int64:
-        finite = np.ones(C.shape, dtype=bool) if forbidden is None else ~forbidden
+        floor_tol = 2**60
+    fits = _kernel is not None and supply < 2**62 and abs(floor_tol) < 2**60
+    if fits and C.dtype != np.int64:
+        finite = C != INF if cm.has_inf else np.ones(C.shape, dtype=bool)
         costs = C[finite].tolist()
-    if max_cost is None:
-        int64 = C.dtype == np.int64
-        max_cost = max(int(C.max()), -int(C.min())) if int64 else max(map(abs, costs), default=0)
-    if (n + m) * max_cost >= _COST_BOUND or abs(floor_tol) >= _COST_BOUND:
-        return None
+    if fits:
+        # a float matrix records its largest |cost| for its rounded cells only
+        top = max(map(abs, costs), default=0) if cm.mode == FLOAT else cm.max_abs_finite() * cscale
+        fits = sum(C.shape) * top < 2**60
+    if not fits:
+        a, b = np.array(ints1, dtype=object) * f1, np.array(ints2, dtype=object) * f2
+        return a, b, C, tol, wscale, cscale, True
     if C.dtype != np.int64:
         C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
         C[finite] = costs
-    return a, b, C, floor_tol
+    a, b = np.array(ints1, dtype=np.int64) * f1, np.array(ints2, dtype=np.int64) * f2
+    return a, b, C, floor_tol, wscale, cscale, top * supply < 2**63
+
+
+_ZERO = Fraction(0)  # the zero cell of a rational solver plan
 
 
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):

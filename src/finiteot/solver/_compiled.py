@@ -11,10 +11,13 @@ hashes the source and opens the cached library, starting no child process.
 
 The one library holds two builds of the same algorithm, the C port of
 simplex.transportation_simplex: fot_solve_dense over doubles, and
-fot_solve_exact over int64 numbers, which runs rational problems whose
-scaled data fit.  load() returns a kernel with KERNEL_NAME and
-solve_dense(a, b, C, tol) -> (X, iterations, summary), which picks the build
-by the dtype of C.  The engine checks and prices its own plan: summary holds
+fot_solve_exact over int64 numbers, which runs the rational problems that
+solver._exact_input finds to fit in int64 and hands over as int64 arrays,
+forbidden cells marked FORBIDDEN_INT64 and the tolerance floored.  load()
+returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol) -> (X,
+iterations, summary), which picks the build by the dtype of C, and
+forbidden_cells(C) is the mask of C's forbidden cells in either build's
+marking.  The engine checks and prices its own plan: summary holds
 the mass on forbidden cells, the price, the worst row and column gaps and
 the least cell, from one pass over X in C (summarize in _dense.c), as
 simplex.plan_summary computes them.  On the same input, +inf cells
@@ -57,6 +60,11 @@ _STDERR_TAIL = 10
 #: the mark of a forbidden cell in an int64 cost array, where +inf has no
 #: place; the caller keeps every finite cost below it (see _dense.c)
 FORBIDDEN_INT64 = np.iinfo(np.int64).max
+
+
+def forbidden_cells(C):
+    """The mask of C's forbidden cells: FORBIDDEN_INT64 in an int64 array, else +inf."""
+    return C == (FORBIDDEN_INT64 if C.dtype == np.int64 else np.inf)
 
 
 class KernelUnavailable(RuntimeError):
@@ -174,9 +182,10 @@ class CompiledKernel:
         An int64 array C runs the exact build, on int64 weights and an int
         tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
         the float build on float64 arrays.  Every weight must be positive,
-        as the strongly feasible start needs (ValueError otherwise).  On a
-        problem with no finite-cost plan, X puts the least possible mass on
-        forbidden cells, as transportation_simplex does.  Returns (X,
+        as the strongly feasible start needs, and finite (ValueError
+        otherwise, as from transportation_simplex).  On a problem with no
+        finite-cost plan, X puts the least possible mass on forbidden
+        cells, as transportation_simplex does.  Returns (X,
         iterations, summary), summary a list of five Python numbers of X's
         type: [forbidden mass, price, worst row gap, worst column gap, least
         cell] (see simplex.plan_summary).
@@ -205,7 +214,7 @@ class CompiledKernel:
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
         if iterations == _NOT_POSITIVE:
-            raise ValueError("solve_dense needs positive weights; pass the support")
+            raise ValueError("the engines need positive weights, none infinite; pass the support")
         return X, iterations, summary.tolist()
 
 

@@ -7,8 +7,10 @@
  *   fot_solve_dense  doubles, a forbidden cell costing +inf.  It runs every
  *                    float problem while it is loaded.
  *   fot_solve_exact  int64_t, a forbidden cell marked INT64_MAX.  It runs
- *                    every rational problem whose scaled weights and costs
- *                    fit: the caller checks that the total supply is below
+ *                    the rational problems whose scaled weights and costs
+ *                    fit, as one function of the caller decides
+ *                    (solver._exact_input, which also marks the forbidden
+ *                    cells and floors tol): the total supply is below
  *                    2^62, (n + m) max|finite cost| below 2^60 and |tol|
  *                    below 2^60.  A potential is a signed sum of at most
  *                    n + m costs and a reduced cost adds two of them, so no
@@ -65,7 +67,7 @@
  * no second rule.  The path from the entering cell's end below the leaving
  * edge up to that edge reverses, each flow moving one edge along it, and
  * only the re-hung subtree gets new depths and potentials.  A weight that
- * is not positive is refused (see simplex.py).
+ * is not positive, or is infinite, is refused (see simplex.py).
  */
 
 #ifndef FOT_NUM
@@ -78,10 +80,10 @@
 #define FOT_NO_MEMORY (-2)
 #define FOT_NOT_POSITIVE (-3)
 
-/* FOT_SUM adds up the price, INFINITE(t) says whether a term of it is
- * infinite, and PRICE is the price from the sum.  An int64 price adds up
- * modulo 2^64, which is exact wherever the true price fits in int64: the
- * caller takes it only where it provably does */
+/* FOT_SUM adds up the price, INFINITE(t) says whether a term of it, or a
+ * weight, is infinite, and PRICE is the price from the sum.  An int64
+ * price adds up modulo 2^64, which is exact wherever the true price fits
+ * in int64: the caller takes it only where it provably does */
 #define FOT_NUM double
 #define FOT_SUM double
 #define FOT(name) name##_dense
@@ -310,7 +312,7 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
  * is +inf, or INT64_MAX), X: n x m output (overwritten), summary: 5 outputs,
  * the plan's summary (see summarize).  Returns the pivot count,
  * FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m) is
- * exceeded, FOT_NOT_POSITIVE when a weight is not positive, or
+ * exceeded, FOT_NOT_POSITIVE when a weight is not positive or infinite, or
  * FOT_NO_MEMORY; the summary is written only with a pivot count.
  */
 int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
@@ -353,7 +355,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
 
     for (node = 0; node < nodes; node++) {
         rest[node] = node < n ? a[node] : b[node - n];
-        if (!(rest[node] > 0)) {
+        if (!(rest[node] > 0) || INFINITE(rest[node])) {
             result = FOT_NOT_POSITIVE;
             goto done;
         }

@@ -31,7 +31,8 @@ Programming 11, 1976; Ahuja, Magnanti & Orlin, Network Flows, section
 11.6): every zero-flow edge hangs a row from its column, so a degenerate
 pivot never repeats a basis.  A zero-weight column, or a zero-weight row 0,
 has only zero-flow edges and so admits no strongly feasible tree: the
-engines need positive weights.
+engines need positive weights, and both refuse a weight that is not
+positive or not finite.
 
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
@@ -43,6 +44,8 @@ when no finite-cost feasible plan exists.
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import gt, lt
 
 from ..numerics import INF
 
@@ -313,13 +316,17 @@ def transportation_simplex(a, b, cost, tol=0):
     """Minimize sum c_ij x_ij subject to row sums a and column sums b.
 
     cost entries are numbers of one ordered type, or +inf for a forbidden
-    cell; a and b are positive supplies/demands with equal totals (a zero
-    weight admits no strongly feasible start, so solve_kantorovich passes
-    only the support).  A cell enters when its reduced cost has a negative
-    M part, or a zero M part and a value part below -tol.  Returns (flow
-    dict on basic cells, iterations).
+    cell; a and b are positive finite supplies/demands with equal totals (a
+    zero weight admits no strongly feasible start, so solve_kantorovich
+    passes only the support), else ValueError, as from the C kernel.  A
+    cell enters when its reduced cost has a negative M part, or a zero M
+    part and a value part below -tol.  Returns (flow dict on basic cells,
+    iterations).
     """
     n, m = len(a), len(b)
+    weights = [*a, *b]  # as fot_solve refuses them, with no call per weight
+    if not (all(map(partial(lt, 0), weights)) and all(map(partial(gt, INF), weights))):
+        raise ValueError("the engines need positive weights, none infinite; pass the support")
     big, value = _split_costs(cost)
     tree = _Tree(n, m, value, big)
     row_minimum_start(a, b, cost, tree)

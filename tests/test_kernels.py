@@ -19,6 +19,7 @@ import operator
 import os
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -266,10 +267,12 @@ def rational_instance(n):
 
 
 def int64_input(mu1, mu2, cost, tol):
-    """The int64 build's input for a rational problem, as solve_kantorovich makes it."""
-    a, b, C, _, cscale, _ = solver._exact_input(mu1, mu2, CostMatrix(cost))
-    a, b, C = support(a, b, C)
-    return solver._int64_input(a, b, C, C == INF, (tol or 0) * cscale)
+    """The int64 build's input for a rational problem, as solve_kantorovich
+    makes it with the kernel loaded."""
+    with mock.patch.object(solver, "_kernel", _compiled.load()):
+        a, b, C, tol, *_ = solver._exact_input(mu1, mu2, CostMatrix(cost), tol or 0)
+    assert a.dtype == b.dtype == C.dtype == np.int64
+    return (*support(a, b, C), tol)
 
 
 def forbidden_cells(C):
@@ -390,7 +393,7 @@ def test_rational_cost_is_the_full_array_cost():
         if not sol.feasible:
             continue
         feasible += 1
-        _, _, C, wscale, cscale, _ = solver._exact_input(mu1, mu2, CostMatrix(cost))
+        _, _, C, _, wscale, cscale, _ = solver._exact_input(mu1, mu2, CostMatrix(cost), 0)
         X = sol.plan._array
         assert X.dtype == object and sol.plan._scale == wscale
         full = solver.cost_of_plan(X, C.astype(object))
@@ -571,17 +574,47 @@ class TestCompiled:
         else:  # with and without a finite plan: the infeasible plans fail
             assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_a_nan_gap_sticks_in_both_summaries(self, compiled):
-        # an infinite weight, which no solve passes, makes a line's sum
-        # inf - inf; a later finite gap must not hide that NaN, in either
-        # engine's summary, and a term c x = inf makes the price +inf
-        a, b = [1.0, INF, 1.0], [INF, 1.0, 2.0]
+    def test_a_nan_gap_sticks_in_the_twins_summary(self, compiled):
+        # the engines refuse the infinite weights whose line sums once gave
+        # inf - inf, so a NaN reaches a summary only in a plan handed to
+        # plan_summary: a NaN cell on row and column 0 must not be hidden by
+        # the larger finite gaps after it.  A term c x = inf still makes
+        # both engines' price +inf.
+        ones = [1.0, 1.0, 1.0]
         C = [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]
-        _, _, summary = compiled.solve_dense(np.array(a), np.array(b), np.array(C), 1e-9)
-        flow, _ = transportation_simplex(a, b, C, tol=1e-9)
-        assert bits(summary) == bits(simplex.plan_summary(a, b, C, flow))
-        mass, price, row_gap, column_gap, least = summary
-        assert price == INF and row_gap != row_gap and column_gap != column_gap
+        flow = {(0, 0): np.nan, (1, 1): 1.0, (2, 2): 3.0}
+        _, _, row_gap, column_gap, least = simplex.plan_summary(ones, ones, C, flow)
+        assert row_gap != row_gap and column_gap != column_gap and least != least
+        a, C = np.array([2.0, 2.0]), np.full((2, 2), 1e308)
+        _, _, summary = compiled.solve_dense(a, a, C, 1e-9)
+        assert summary[1] == INF and bits(summary) == bits(twin_summary(a, a, C, 1e-9))
+
+    def test_both_engines_refuse_the_same_weights(self, compiled):
+        # a weight of 0, -1, NaN or +inf on either side gets the same
+        # ValueError from the float build, the twin, and for 0 and -1 the
+        # int64 build and the twin on ints
+        C = [[0.0, 1.0], [1.0, 0.0]]
+        messages = set()
+        for bad, side in itertools.product((0, -1, np.nan, INF), (0, 1)):
+            a, b = [bad, 2.0], [1.0, 1.0]
+            if side:
+                a, b = b, a
+            runs = [
+                lambda: compiled.solve_dense(np.array(a), np.array(b), np.array(C), 1e-9),
+                lambda: transportation_simplex(a, b, C, tol=1e-9),
+            ]
+            if bad in (0, -1):
+                ints = [list(map(int, w)) for w in (a, b, *C)]
+                runs += [
+                    lambda: compiled.solve_dense(*(np.array(w, dtype=np.int64) for w in ints[:2]),
+                                                 np.array(ints[2:], dtype=np.int64), 0),
+                    lambda: transportation_simplex(ints[0], ints[1], ints[2:], tol=0),
+                ]
+            for run in runs:
+                with pytest.raises(ValueError) as raised:
+                    run()
+                messages.add(str(raised.value))
+        assert len(messages) == 1, messages
 
     def test_support_summary_is_the_full_plans(self, compiled, monkeypatch):
         # a problem with a zero weight runs on its support; the summary of
@@ -603,12 +636,12 @@ class TestCompiled:
             if 0 not in mu1.weights and 0 not in mu2.weights:
                 continue
             cm = CostMatrix(cost)
-            if mu1.mode == mu2.mode == cm.mode == "rational":
-                a, b, C, *_ = solver._exact_input(mu1, mu2, cm)
-            else:
-                a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
             for kernel in (compiled, None):
                 monkeypatch.setattr(solver, "_kernel", kernel)
+                if mu1.mode == mu2.mode == cm.mode == "rational":
+                    a, b, C, *_ = solver._exact_input(mu1, mu2, cm, 0)
+                else:
+                    a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
                 solver.solve_kantorovich(mu1, mu2, cm, tol=tol)
                 on_support, _, summary, engine = runs.pop()
                 X = np.zeros(C.shape, dtype=on_support.dtype)
@@ -617,7 +650,7 @@ class TestCompiled:
                 engines.add((engine, X.dtype.name))
         assert 0 < sum(verdicts) < len(verdicts)
         assert engines == {("compiled", "float64"), ("python", "float64"),
-                           ("compiled", "int64"), ("python", "int64")}
+                           ("compiled", "int64"), ("python", "object")}
 
     def test_rational_solves_repeat_the_python_simplex(self, compiled, monkeypatch):
         # the same pivots, Fraction plans, costs and Hall cuts from the int64

@@ -97,6 +97,42 @@ def test_modes_combine_in_numerics_only():
     assert not found, found
 
 
+def test_int64_fit_is_decided_in_one_function():
+    """The int64 bounds 2^60, 2^62 and 2^63 and the name FORBIDDEN_INT64
+    appear in solver/__init__.py only inside _exact_input, the one function
+    that decides which numbers a rational solve's engine gets."""
+    path = Path(finiteot.__file__).parent / "solver" / "__init__.py"
+    module = ast.parse(path.read_text())
+    bounds = {2**60, 2**62, 2**63}
+
+    def marks(root):
+        found = {}
+        for node in ast.walk(root):
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift)):
+                left, right = (getattr(side, "value", None) for side in (node.left, node.right))
+                if isinstance(left, int) and isinstance(right, int) and 0 <= right < 100:
+                    value = left**right if isinstance(node.op, ast.Pow) else left << right
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):  # an import of the name
+                name = node.name
+            if (isinstance(node, (ast.BinOp, ast.Constant)) and value in bounds) or (
+                name == "FORBIDDEN_INT64"
+            ):
+                found[node] = f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        return found
+
+    fit = next(
+        node for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_exact_input"
+    )
+    inside = marks(fit)
+    outside = [where for node, where in marks(module).items() if node not in inside]
+    assert not outside, outside
+    assert {ast.unparse(node) for node in inside} >= {"2 ** 60", "2 ** 62", "2 ** 63"}
+    assert any("FORBIDDEN_INT64" in where for where in inside.values())
+
+
 def test_package_holds_no_assert():
     """python -O drops an assert, so library code checks with a raise and
     leaves cross-checks to the tests."""

@@ -1056,33 +1056,72 @@ def test_second_float_solve_of_a_fraction_matrix_reads_what_the_first_kept(monke
     assert second < first / 10, f"{second} calls after {first}"
 
 
-def test_recorded_cost_bound_is_the_scanned_one():
-    """The int64 fit bound reads the CostMatrix's largest |finite cost|
-    times the cost scale; it is the largest scaled int that the scan of
-    _int64_input finds, and so decides the same engine, on both sides of
-    the bound."""
-    rng = random.Random(61)
-    big = solver._COST_BOUND // 8
-    for trial in range(60):
-        n = rng.randint(1, 6)
-        top = rng.choice((1000, big - 1, big, big + 1))
-        cells = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
-        cells[rng.randrange(n)][rng.randrange(n)] = rng.choice((top, -top))
-        if trial % 3 == 1:
-            cells = [[F(c, rng.randint(1, 4)) for c in row] for row in cells]
-        if trial % 3 == 2:
-            cells[rng.randrange(n)][rng.randrange(n)] = INF
-        mu = DiscreteMeasure(tuple(F(1, n) for _ in range(n)))
-        cm = CostMatrix(cells)
-        a, b, C, _, cscale, _ = solver._exact_input(mu, mu, cm)
-        forbidden = C == INF if cm.has_inf else None
-        scanned = solver._int64_input(a, b, C, forbidden, 0)
-        recorded = solver._int64_input(a, b, C, forbidden, 0, cm.max_abs_finite() * cscale)
-        assert (scanned is None) == (recorded is None)
-        if scanned is not None:
-            assert all(np.array_equal(x, y) for x, y in zip(scanned, recorded))
-        sol = solve_kantorovich(mu, mu, cm)
-        assert sol.engine == ("python" if scanned is None or solver._kernel is None else "compiled")
+def test_int64_fit_is_decided_once_on_the_full_problem(monkeypatch):
+    """_exact_input alone decides whether a rational solve runs the int64
+    build.  On each side of the total supply 2^62, of (n + m) max|c| 2^60
+    and of |floor(tol)| 2^60 (scaled, with n + m = 4), sol.engine names the
+    engine the bounds pick, and the Python simplex gives the same answer.
+    On each side of the price bound, max|c| times the supply 2^63, the
+    int64 build runs and the cost is exact: at the bound the int64 price
+    would wrap to -2^63.  The costs come as a rational CostMatrix and as a
+    float one forced to rational mode, whose recorded largest cost is that
+    of its rounded cells: 2^58 - 1 given as an int reads 2^58 in float64.
+    A zero-weight problem is decided on its full matrix, whose zero-weight
+    line breaks the cost bound, not on its support, which would fit."""
+    half = DiscreteMeasure((F(1, 2), F(1, 2)))
+    padded = DiscreteMeasure((F(1, 2), F(1, 2), 0))
+    top = 2**58  # (n + m) max|c| = 2^60 with n + m = 4
+
+    def thin(d):  # total scaled supply d against half, d even
+        return DiscreteMeasure((F(1, d), F(d - 1, d)))
+
+    swap = [[0, 1], [1, 0]]
+    cases = [  # (mu1, mu2, cells, tol, engine when the kernel is loaded)
+        (thin(2**62 - 2), half, [[3, 1], [1, INF]], None, "compiled"),
+        (thin(2**62), half, [[3, 1], [1, INF]], None, "python"),
+        (half, half, [[top - 1, 0], [-top + 1, 1]], None, "compiled"),
+        (half, half, [[top, 0], [0, 1]], None, "python"),
+        (half, half, [[0, -top], [1, 0]], None, "python"),
+        (half, half, swap, 2**60 - 1, "compiled"),
+        (half, half, swap, F(2**62 - 1, 4), "compiled"),  # floored to 2^60 - 1
+        (half, half, swap, 2**60, "python"),
+        (thin(62), half, [[2**57] * 2] * 2, None, "compiled"),  # price 62 * 2^57
+        (thin(64), half, [[2**57] * 2] * 2, None, "compiled"),  # price 2^63
+        (padded, padded, [[0, 1, top], [1, 0, 0], [0, 0, top]], None, "python"),
+    ]
+    for mu1, mu2, cells, tol, engine in cases:
+        # a float matrix: every cell that a float holds exactly as a float
+        floats = [[float(c) if float(c) == c else c for c in row] for row in cells]
+        for cost in (CostMatrix(cells), CostMatrix(floats)):
+            kernel = solver._kernel
+            sol = solve_kantorovich(mu1, mu2, cost, mode="rational", tol=tol)
+            assert sol.engine == (engine if kernel is not None else "python"), (cells, tol)
+            monkeypatch.setattr(solver, "_kernel", None)
+            twin = solve_kantorovich(mu1, mu2, cost, mode="rational", tol=tol)
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            assert (sol.iterations, repr(sol.optimal_cost), sol.infeasibility_certificate) == (
+                twin.iterations, repr(twin.optimal_cost), twin.infeasibility_certificate)
+            if sol.feasible:
+                assert sol.plan.matrix == twin.plan.matrix
+            if cells[0][0] == 2**57:
+                assert sol.optimal_cost == 2**57
+    assert CostMatrix([[top - 1, 0.0], [0.0, 1.0]]).max_abs_finite() == top
+
+
+def test_a_float_weight_that_rounds_to_zero_is_off_the_float_support():
+    """A float measure's exact weight 1/10^400 is positive as given but 0.0
+    in its float64 weights: a float solve counts the nonzero float64
+    weights, so the engine solves on the support and the line of that weight
+    is exact zeros.  Forced to rational mode the weight is exact and
+    positive, and the solve runs on every line."""
+    mu = DiscreteMeasure((0.5, F(1, 10**400), 0.5))
+    assert mu.mode == "float" and mu.float_weights.tolist() == [0.5, 0.0, 0.5]
+    cost = [[abs(i - j) for j in range(3)] for i in range(3)]
+    sol = solve_kantorovich(mu, mu, cost)
+    assert sol.engine == solver.KERNEL and repr(sol.optimal_cost) == "0.0"
+    assert sol.plan.matrix == ((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.5))
+    exact = solve_kantorovich(mu, mu, cost, mode="rational")
+    assert exact.optimal_cost == 0 and exact.plan.matrix[1][1] == F(1, 10**400)
 
 
 @pytest.mark.parametrize("cost_size", [10**3, 2**40])
@@ -1132,7 +1171,7 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
 
     def faulty(*args, **kwargs):
         X, iterations, summary, engine = run_engine(*args, **kwargs)
-        a, b, C = (x.tolist() for x in args[1:4])
+        a, b, C = (x.tolist() for x in args[0:3])
         if fault == "NaN in the summary only":
             summary[2] = float("nan")
         else:
@@ -1140,7 +1179,7 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
             X[0, 0] = np.nan if fault == "NaN cell" else X[0, 0] + 1
             flow = {(i, j): x for i, row in enumerate(X.tolist()) for j, x in enumerate(row)}
             summary = simplex.plan_summary(a, b, C, flow)
-        bad.append((X, args[1], args[2]))
+        bad.append((X, args[0], args[1]))
         return X, iterations, summary, engine
 
     monkeypatch.setattr(solver, "_run_engine", faulty)
@@ -1154,6 +1193,7 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
     with pytest.raises(RuntimeError, match="invalid plan") as raised:
         solve_kantorovich(mu1, mu2, cost)
     X, a, b = bad[-1]
-    ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
+    with np.errstate(invalid="ignore"):  # NaN cells against object weights
+        ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
     assert ok == (fault == "NaN in the summary only")
     assert str(report[:3]) in str(raised.value)
