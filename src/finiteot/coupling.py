@@ -280,23 +280,23 @@ def _is_coupling_array(X, a, b, tol):
 def _violations(X, limit, lines):
     """is_coupling's report entries, unsorted: the cells x of X that fail
     x >= -limit, and for each (kind, gaps, bound) of lines the gaps that
-    fail gap <= bound; NaN fails.  A passing plan costs one pass of
+    fail gap <= bound; NaN fails.  A passing float64 plan costs one pass of
     reductions, and the entries are built only when a test fails.
     """
     (_, g1, t1), (_, g2, t2) = lines
-    if X.dtype == object or g1.dtype == object or g2.dtype == object:
-        # an object array's min and max can pass over a NaN: test every entry
-        passing = np.all(X >= -limit) and np.all(g1 <= t1) and np.all(g2 <= t2)
-    else:  # a float64 min or max is NaN when an entry is
+    if X.dtype != object and g1.dtype != object and g2.dtype != object:
         low, high = np.minimum.reduce, np.maximum.reduce
-        passing = low(X, None) >= -limit and high(g1) <= t1 and high(g2) <= t2
-    if passing:
-        return []
-    i, j = np.logical_not(X >= -limit).nonzero()
-    report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
-    for kind, g, t in lines:
-        (bad,) = np.logical_not(g <= t).nonzero()
-        report += [(kind, k, g.item(k)) for k in bad.tolist()]
+        # a float64 min or max is NaN when an entry is
+        if low(X, None) >= -limit and high(g1) <= t1 and high(g2) <= t2:
+            return []
+    # an object array's min and max can pass over a NaN, so every entry is
+    # tested; a numpy float64 NaN warns when compared as an object
+    with np.errstate(invalid="ignore"):
+        i, j = np.logical_not(X >= -limit).nonzero()
+        report = [("nonnegativity", (r, c), -X.item(r, c)) for r, c in zip(i.tolist(), j.tolist())]
+        for kind, g, t in lines:
+            (bad,) = np.logical_not(g <= t).nonzero()
+            report += [(kind, k, g.item(k)) for k in bad.tolist()]
     return report
 
 

@@ -15,9 +15,10 @@ mode; only the solver's pricing tolerance also scales with the costs.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, starmap
 from operator import ne
 
 import numpy as np
@@ -56,18 +57,30 @@ def extended_array(rows, what: str):
     float() rounds them); int64, bool, or an object array of the exact
     cells and +inf in rational mode.  NaN and -inf are rejected as
     check_extended rejects them ("NaN <what> entry", at the first such
-    cell), by array operations on the float64 cells.
+    cell), by array operations on the float64 cells.  A str or bytes cell
+    is refused with a DataError that names it: text is not a number here,
+    though numpy would parse it as one.
 
-    The mode is read off the dtype wherever it can be:
+    The mode is read off the first cell of row 0 that is not +inf (which
+    decides no mode) wherever it can be.  Then each row is packed with one
+    struct call, which converts a cell as float() or operator.index() does,
+    with no numpy dispatch per cell, and numpy reads the joined bytes as
+    they are:
 
-    - a finite float as the first cell of row 0 that is not +inf (which
-      decides no mode) settles float mode, and the cells are read into
-      float64 in one pass, with no dtype discovery;
-    - otherwise numpy's reading of the cells decides: int and bool arrays
-      are rational; a float64 array is float when every cell is below 2^63
-      in size, and else (+inf cells, or ints that numpy read as floats
-      because they fit neither int64 nor uint64 together) infer_mode reads
-      the cells' types; an object array gets that type scan too.
+    - after a finite float, the rows pack as float64, in float mode;
+    - after a Python int (not a bool), they pack as int64, in rational
+      mode, when every cell is an int, a bool or a numpy integer in int64's
+      range.  numpy's reading gives the same, except for numpy.uint64
+      cells, which it reads as float64 beside ints.
+
+    Any other matrix, and any whose rows do not pack (+inf, a float or a
+    Fraction among ints, an int beyond int64's or float's range, None,
+    text), goes to numpy's dtype discovery, which decides as infer_mode
+    does: int and bool arrays are rational; a float64 array is float when
+    every cell is below 2^63 in size, and else (+inf cells, or ints that
+    numpy read as floats because they fit neither int64 nor uint64
+    together) infer_mode reads the cells' types; an object array gets that
+    type scan too.
 
     bounds is (min, max) over the cells as Python numbers, for a nonempty
     float64, int64 or bool array: on floats from the two reductions that
@@ -81,11 +94,13 @@ def extended_array(rows, what: str):
     else:
         first = next(filter(partial(ne, INF), rows[0]), None) if rows else None
         if type(first) is float and abs(first) < INF:
-            n, m = len(rows), len(rows[0])
-            A = np.fromiter(chain.from_iterable(rows), np.float64, n * m).reshape(n, m)
-            bounds = _check_floats(A, what)
-            A.flags.writeable = False
-            return A, FLOAT, bounds
+            A = _packed(rows, "d")
+            if A is not None:
+                return A, FLOAT, _check_floats(A, what)
+        elif type(first) is int:
+            A = _packed(rows, "q")
+            if A is not None:
+                return A, RATIONAL, (A.min().item(), A.max().item())
         A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
     kind = A.dtype.kind
     bounds = None
@@ -107,12 +122,34 @@ def extended_array(rows, what: str):
                 bounds = None
     else:
         A = A.astype(object, copy=False)
-        mode = infer_mode(A.ravel().tolist())
+        # the cells as given: numpy makes every cell of a list text when one is
+        cells = A.ravel().tolist() if isinstance(rows, np.ndarray) else [*chain.from_iterable(rows)]
+        _refuse_text(cells, A.shape[1], what)
+        mode = infer_mode(cells)
         if mode == FLOAT:
             A = A.astype(np.float64)
             bounds = _check_floats(A, what)
     A.flags.writeable = False
     return A, mode, bounds
+
+
+def _packed(rows, code):
+    """The rows as one read-only n x m array of struct code "d" (float64) or
+    "q" (int64), or None when a cell does not pack into it."""
+    n, m = len(rows), len(rows[0])
+    try:
+        data = b"".join(starmap(struct.Struct(f"{m}{code}").pack, rows))
+    except (struct.error, OverflowError):
+        return None
+    return np.frombuffer(data, np.float64 if code == "d" else np.int64).reshape(n, m)
+
+
+def _refuse_text(cells, m, what):
+    """Raise DataError at the first str or bytes cell of cells, the
+    row-major cells of a matrix of m columns."""
+    if any(issubclass(kind, (str, bytes)) for kind in set(map(type, cells))):
+        k = next(k for k, x in enumerate(cells) if isinstance(x, (str, bytes)))
+        raise DataError(f"{what} entry [{k // m}][{k % m}] is text, not a number: {cells[k]!r}")
 
 
 #: the size from which a float64 cell may be an int that numpy read as a float

@@ -269,6 +269,8 @@ def solve_kantorovich(
 
     +inf cost cells are forbidden moves; when they disconnect the problem
     the result has optimal_cost = +inf and a Hall-type cut certificate.
+    A tol that is given must be a nonnegative number (ParameterError on a
+    negative one or NaN, before any engine runs).
     """
     cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     n, m = cm.shape
@@ -278,6 +280,8 @@ def solve_kantorovich(
         mode = mode_of(cm, mu1, mu2)
     if tol is None:
         tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
+    elif not tol >= 0:  # a NaN fails too
+        raise ParameterError(f"tol must be a nonnegative number, not {tol!r}")
     if mode == FLOAT:
         a, b, C, wscale = mu1.float_weights, mu2.float_weights, cm._float_costs, None
         # weights are >= 0; count_nonzero makes no Python call, unlike all()
@@ -314,8 +318,7 @@ def solve_kantorovich(
     if certificate is None:
         check = default_tol(mode)
         if not (least >= -check and row_gap <= check and column_gap <= check):  # NaN fails
-            with np.errstate(invalid="ignore"):  # a NaN is reported, not warned of
-                _, report = _is_coupling_array(X, a, b, check)
+            _, report = _is_coupling_array(X, a, b, check)
             raise RuntimeError(
                 f"solver returned an invalid plan: {report[:3]} (engine summary {summary})"
             )
@@ -393,7 +396,7 @@ def _exact_input(mu1, mu2, cm, tol):
     tol = tol * cscale
     try:
         floor_tol = math.floor(tol)
-    except (OverflowError, ValueError):  # an infinite or NaN tolerance
+    except OverflowError:  # an infinite tolerance
         floor_tol = 2**60
     fits = _kernel is not None and supply < 2**62 and abs(floor_tol) < 2**60
     if fits and C.dtype != np.int64:

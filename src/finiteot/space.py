@@ -215,8 +215,11 @@ class CostMatrix:
     An optional additive lower-bound pair (a1, a2) certifies
     cost[i][j] >= a1[i] + a2[j] on finite entries.
 
-    The numeric mode is decided once, here, mostly by a dtype test (see
-    numerics.extended_array), and array holds the costs, read-only, in that
+    The numeric mode is decided once, here, by numerics.extended_array:
+    rows whose first cell other than +inf is a finite float or an int are
+    packed with one struct call per row into float64 or int64, when every
+    cell packs, and any other cost is read by numpy's dtype discovery; a
+    str or bytes cell is refused.  array holds the costs, read-only, in that
     mode's arithmetic: float64 in float mode; int64, bool, or an object
     array of the exact cells and +inf in rational mode.  _scaled_costs is
     their exact format, integers over a scale, built on first use.  cost is

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import sys
 from fractions import Fraction as F
 from itertools import chain, product
@@ -22,6 +23,7 @@ from finiteot.numerics import (
     FLOAT,
     INF,
     RATIONAL,
+    DataError,
     GlueError,
     _check_floats,
     extended_array,
@@ -277,61 +279,90 @@ def reference_extended_array(rows, what):
 
 
 def read_outcome(read, rows):
-    """What a read of rows gives: the array's dtype and bytes (object
-    arrays: their cells' types and reprs), the mode and the bounds' reprs;
-    or the error's type and message."""
+    """What a read of rows gives: the array's dtype code (which tells
+    int64's two C types apart) and bytes (object arrays: their cells' types
+    and reprs), the mode and the bounds' reprs; or the error's type and
+    message."""
     try:
         A, mode, bounds = read(rows, "cost")
     except Exception as exc:  # compared, not hidden
         return type(exc).__name__, str(exc)
     cells = [(type(x).__name__, repr(x)) for x in A.ravel().tolist()] if A.dtype == object else A.tobytes()
-    return A.dtype.name, A.shape, cells, mode, repr(bounds), A.flags.writeable
+    return A.dtype.char, A.shape, cells, mode, repr(bounds), A.flags.writeable
 
 
 class TestFloatReadPastLeadingInf:
-    """A list of rows whose row 0 starts with +inf cells is read in one
-    float64 pass when its first other cell is a finite float, as a finite
-    float in cell (0, 0) is: with the same array, mode and bounds as
-    numpy's dtype discovery gives, and the same errors."""
+    """A list of rows whose first cell other than +inf is a finite float, or
+    an int, is packed row by row into one float64 or int64 buffer: with the
+    same array, mode and bounds as numpy's dtype discovery gives (or, for a
+    finite float in cell (0, 0), the one-pass float64 read that preceded
+    it), and the same errors."""
 
     @staticmethod
-    def matrices(rng):
+    def matrices(rng, decider):
+        """Random matrices whose deciding cell is a finite float or an int."""
+        common = [
+            lambda: rng.randint(-1000, 1000),
+            lambda: float(rng.randint(0, 1000)),
+            lambda: F(rng.randint(0, 1000), rng.randint(1, 9)),
+            lambda: INF,
+            lambda: float(2**70 + rng.randint(0, 2**20)),
+            lambda: 2**70 + rng.randint(0, 2**20),
+        ]
+        if decider == "float":
+            first = lambda: float(rng.randint(0, 1000))  # noqa: E731
+            own = [
+                lambda: rng.random() * 10 ** rng.randint(-300, 300),
+                lambda: -0.0,
+                lambda: 5e-324 * rng.randint(1, 2**52),  # subnormal
+                lambda: 2**53 + 1,
+                lambda: np.float32(rng.random()),
+            ]
+        else:
+            first = lambda: rng.randint(-1000, 1000)  # noqa: E731
+            own = [
+                lambda: rng.choice([2**63 - 1, -(2**63)]),
+                lambda: rng.random() < 0.5,
+                lambda: np.int64(rng.randint(-(2**40), 2**40)),
+            ]
+            common.append(lambda: rng.choice([2**63, -(2**63) - 1]))  # past int64
         for trial in range(200):
             n, m = rng.randint(1, 20), rng.randint(1, 20)
-            lead = rng.randint(1, m)  # row 0 starts with this many +inf cells
-            cell = [
-                lambda: float(rng.randint(0, 1000)),
-                lambda: rng.random() * 10 ** rng.randint(-300, 300),
-                lambda: rng.randint(-1000, 1000),
-                lambda: F(rng.randint(0, 1000), rng.randint(1, 9)),
-                lambda: INF,
-                lambda: float(2**70 + rng.randint(0, 2**20)),
-                lambda: 2**70 + rng.randint(0, 2**20),
-            ]
-            kinds = [cell[0]] + rng.sample(cell[1:], rng.randint(0, 3))
+            # +inf cells that start row 0 (beside ints, they leave int64)
+            lead = rng.randint(0, m) if decider == "float" or trial % 5 == 0 else 0
+            pool = own + common if trial % 3 == 0 else own  # any cells, or cells that pack
+            kinds = [first] + rng.sample(pool, rng.randint(0, min(3, len(pool))))
             rows = [[rng.choice(kinds)() for _ in range(m)] for _ in range(n)]
             rows[0][:lead] = [INF] * lead
-            if lead < m and trial % 4:
-                rows[0][lead] = float(rng.randint(0, 1000))  # the cell that decides
+            if lead < m:
+                rows[0][lead] = first()  # the cell that decides
             yield rows
 
-    def test_same_read_as_dtype_discovery(self):
+    def test_same_read_as_dtype_discovery(self, monkeypatch):
+        packs = []
+
+        def packed(rows, code):
+            A = numerics_packed(rows, code)
+            packs.append((code, A is not None))
+            return A
+
+        numerics_packed = finiteot.numerics._packed
+        monkeypatch.setattr(finiteot.numerics, "_packed", packed)
         rng = random.Random(77)
-        fast = 0
-        for rows in self.matrices(rng):
-            got = read_outcome(extended_array, rows)
-            assert got == read_outcome(reference_extended_array, rows), rows
-            first = next((x for x in rows[0] if x != INF), None)
-            fast += type(first) is float and abs(first) < INF
-        assert fast > 100  # the cases the one-pass read now takes
+        for decider in ("float", "int"):
+            for rows in self.matrices(rng, decider):
+                got = read_outcome(extended_array, rows)
+                assert got == read_outcome(reference_extended_array, rows), rows
+        # the cases each packed read takes
+        assert packs.count(("d", True)) > 100 and packs.count(("q", True)) > 100
 
     @pytest.mark.parametrize(
         "rows",
         [
             [[INF, 1.0], [float("nan"), 2.0]],
             [[INF, 1.0], [-INF, 2.0]],
-            [[INF, 1.0], [2.0, "x"]],
-            [[INF, 1.0], [2.0, "2"]],
+            [[INF, 1], [2**63, 2]],
+            [[1, INF], [2, 2.5]],
             [[INF, 1.0], [None, 2.0]],
             [[INF, 1.0], [2.0, 10**400]],
             [[INF, float("nan")], [1.0, 2.0]],
@@ -349,6 +380,32 @@ class TestFloatReadPastLeadingInf:
     def test_same_outcome_on_bad_and_edge_rows(self, rows):
         with np.errstate(all="ignore"):
             assert read_outcome(extended_array, rows) == read_outcome(reference_extended_array, rows)
+
+    @pytest.mark.parametrize(
+        "rows, cell",
+        [
+            ([[INF, 1.0], [2.0, "x"]], "[1][1] is text, not a number: 'x'"),
+            ([[INF, 1.0], [2.0, "2"]], "[1][1] is text, not a number: '2'"),
+            ([["1.5", 2.0], [3.0, 4.0]], "[0][0] is text, not a number: '1.5'"),
+            ([[1, "2"], [3, 4]], "[0][1] is text, not a number: '2'"),
+            ([[1, 2], [b"3", 4]], "[1][0] is text, not a number: b'3'"),
+            ([[None, 2], [3, "4"]], "[1][1] is text, not a number: '4'"),
+            (np.array([["1", "2"], ["3", "4"]]), "[0][0] is text, not a number: '1'"),
+            (np.array([[1.0, 2.0], [3.0, "4"]], dtype=object), "[1][1] is text, not a number: '4'"),
+        ],
+    )
+    def test_text_cells_are_refused(self, rows, cell):
+        with pytest.raises(DataError, match=re.escape(f"cost entry {cell}")):
+            extended_array(rows, "cost")
+
+    def test_text_costs_are_refused_by_the_matrix_and_the_solver(self):
+        with pytest.raises(DataError, match=r"cost entry \[0\]\[0\] is text"):
+            CostMatrix((("1.5", 2.0), (3.0, 4.0)))
+        h = DiscreteMeasure((F(1, 2), F(1, 2)))
+        with pytest.raises(DataError, match=r"cost entry \[0\]\[1\] is text"):
+            solve_kantorovich(h, h, ((1, "2"), (3, 4)))
+        with pytest.raises(DataError, match=r"plan entry \[1\]\[0\] is text"):
+            TransportPlan(((0.5, 0.0), ("0", 0.5)))
 
     def test_ragged_rows_are_refused_before_the_read(self):
         for rows in ([[INF, 1.0], [2.0]], [[INF, 1.0, 2.0], [3.0, 4.0]]):

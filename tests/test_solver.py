@@ -897,6 +897,31 @@ class TestFloatValidation:
             TransportPlan(((0.5, 0.0), (0.5,)))
 
 
+@pytest.mark.parametrize("kernel", ["selected", "python"])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("tol", [-5, -1e-12, F(-1, 3), float("nan")])
+def test_a_negative_or_nan_tol_is_refused(monkeypatch, kernel, exact, tol):
+    """A negative tol lets the entering rule take cells of positive reduced
+    cost, so the engines cycle to their pivot limit; a NaN one takes no
+    cell, so the start plan came back as optimal.  Both are refused before
+    any engine runs."""
+    if kernel == "python":
+        monkeypatch.setattr(solver, "_kernel", None)
+    run_engine, runs = solver._run_engine, []
+    monkeypatch.setattr(solver, "_run_engine", lambda *args: runs.append(args) or run_engine(*args))
+    n = 8
+    rng = random.Random(3)
+    cost = [[float(rng.randint(0, 100)) for _ in range(n)] for _ in range(n)]
+    uniform = DiscreteMeasure((F(1, n) if exact else 1 / n,) * n)
+    mode = "rational" if exact else "float"
+    assert solve_kantorovich(uniform, uniform, cost, mode=mode).optimal_cost == F(129, 8)
+    h = DiscreteMeasure((HALF, HALF) if exact else (0.5, 0.5))
+    for mu, c in ((h, D2), (uniform, cost)):
+        with pytest.raises(ParameterError, match="tol must be a nonnegative number"):
+            solve_kantorovich(mu, mu, c, mode=mode, tol=tol)
+    assert len(runs) == 1  # the reference solve only
+
+
 def test_float_solve_does_no_python_work_per_cell(monkeypatch):
     """Python-level calls during a 150 x 150 float solve, all-finite and with
     about 10% +inf cells, stay far below one per ten cells (the list-based
@@ -1193,7 +1218,6 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
     with pytest.raises(RuntimeError, match="invalid plan") as raised:
         solve_kantorovich(mu1, mu2, cost)
     X, a, b = bad[-1]
-    with np.errstate(invalid="ignore"):  # NaN cells against object weights
-        ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
+    ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
     assert ok == (fault == "NaN in the summary only")
     assert str(report[:3]) in str(raised.value)
