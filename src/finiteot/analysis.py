@@ -21,6 +21,7 @@ import numpy as np
 from .coupling import TransportPlan, _floats, _scaled
 from .measure import DiscreteMeasure
 from .numerics import (
+    FLOATS,
     INF,
     DomainError,
     ShapeError,
@@ -29,6 +30,7 @@ from .numerics import (
     infer_mode,
     is_inf,
     mode_of,
+    python_numbers,
 )
 from .solver import cost_of_plan
 from .space import CostMatrix, _cells, _decision
@@ -36,19 +38,20 @@ from .space import CostMatrix, _cells, _decision
 
 @dataclass(frozen=True)
 class ExtendedFunction:
-    """Point values, possibly +inf, with at least one finite value.
+    """Point values, possibly +inf, with at least one finite value; numpy
+    scalars are read as the Python numbers they equal.
 
     Its mode (infer_mode's) and _finite, the read-only mask of the values
     that are not +inf, are decided once, at construction, with no Python
-    call per value: the floats, the only values that can be NaN or
-    infinite, are found by type and checked as one float64 array.
+    call per value: the floats (numerics.FLOATS), the only values that can
+    be NaN or infinite, are found by type and checked as one float64 array.
     """
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(self.values)
-        is_float = np.fromiter(map(isinstance, vals, repeat(float)), bool, len(vals))
+        vals = python_numbers(self.values)
+        is_float = np.fromiter(map(isinstance, vals, repeat(FLOATS)), bool, len(vals))
         floats = np.array(list(compress(vals, is_float)), dtype=np.float64)
         (bad,) = np.nonzero(np.isnan(floats) | (floats == -INF))
         if bad.size:  # the first NaN or -inf value

@@ -32,7 +32,7 @@ from .generators import (
 )
 from .io import _matrix, dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
-from .numerics import FLOAT_TOL, INF, default_tol, is_inf
+from .numerics import FLOAT_TOL, INF, is_inf
 from .solver import (
     oracle_basis_enumeration,
     oracle_permutation,
@@ -293,7 +293,7 @@ def cmd_validate(args) -> int:
             dist = space_doc.dist
         else:
             dist = _matrix(doc["dist"], args.mode)
-        report = validate_metric(dist, default_tol(args.mode))
+        report = validate_metric(dist)
         _emit({"valid": not report, "violations": [list(map(str, r)) for r in report]}, args.out)
         return EXIT_OK if not report else EXIT_VERIFY
     if args.kind == "measure":

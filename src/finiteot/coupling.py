@@ -38,6 +38,7 @@ from .numerics import (
     default_tol,
     extended_array,
     mode_of,
+    number_kind,
     scaled_ints,
 )
 
@@ -82,7 +83,7 @@ class TransportPlan:
         # only a plan of an array lacks its matrix and its cells' kinds,
         # until they are asked for
         if name == "_kinds":
-            value = np.where(self._array != 0, self._cell, _kind(type(self._zero)))
+            value = np.where(self._array != 0, self._cell, number_kind(type(self._zero)))
         elif name == "matrix":
             rows = self._array.tolist()
             if self._scale is not None:
@@ -114,7 +115,7 @@ def _read(rows, strict):
 
     The mode is extended_array's, and exact cells become scaled_ints' ints.
     strict refuses NaN and infinite cells, else read into float64.  _kinds
-    holds each cell's kind (_kind), floats wherever a float plan has mass,
+    holds each cell's kind (numerics.number_kind), floats wherever a float plan has mass,
     and _cell the highest among the cells with mass.
     """
     matrix = tuple(map(tuple, rows.tolist() if isinstance(rows, np.ndarray) else rows))
@@ -130,7 +131,7 @@ def _read(rows, strict):
         X, mode, bounds = np.array(matrix, dtype=np.float64), FLOAT, None
     cells = list(chain.from_iterable(matrix))
     types = list(map(type, cells))
-    codes = {t: _kind(t) for t in set(types)}
+    codes = {t: number_kind(t) for t in set(types)}
     kinds = np.fromiter(map(codes.__getitem__, types), np.int8, len(types)).reshape(X.shape)
     # +inf: the only float cell of rational mode, or a float64 maximum
     infinite = 2 in codes.values() if mode == RATIONAL else bool(bounds) and bounds[1] == INF
@@ -142,19 +143,11 @@ def _read(rows, strict):
     elif X.dtype == object:
         ints, scale = scaled_ints(cells)
         X = np.array(ints, dtype=object).reshape(X.shape)
-    else:  # int64 or bool
-        X, scale = X.astype(np.int64, copy=False).astype(object), 1
+    else:  # int64
+        X, scale = X.astype(object), 1
     X.flags.writeable = kinds.flags.writeable = False
     cell = kinds[X != 0].max(initial=0)
     return {"matrix": matrix, "_array": X, "_scale": scale, "_kinds": kinds, "_cell": cell}
-
-
-def _kind(kind):
-    """The kind of the values of a type: 0 (int), 1 (Fraction) or 2 (float).
-
-    A sum() of values takes the highest kind among them, from the int 0.
-    """
-    return 2 if issubclass(kind, float) else 1 if issubclass(kind, Fraction) else 0
 
 
 def _as_plan(plan):
@@ -191,7 +184,8 @@ def _sum_in_order(values):
 def _typed(plan, sums, kinds):
     """Sums of sets of the plan's cells, typed as sum() types them from 0:
     sums holds each set's sum of the ints, or of the floats, and kinds the
-    highest kind among its cells (_kind)."""
+    highest kind among its cells (numerics.number_kind), as a sum() of
+    values takes the highest kind among them, from the int 0."""
     scale = plan._scale or 1
     return [
         0 + s if kind == 2 else Fraction(int(s), scale) if kind else int(s) // scale
@@ -328,11 +322,11 @@ def _is_scaled_coupling(plan, mu1, mu2, tol):
         kinds = np.where(X != 0, plan._kinds, 0)  # of the nonzero cells
         lines = {"row": (mu1, kinds), "column": (mu2, kinds.T)}
         for k, (kind, at, size) in enumerate(report):
-            if isinstance(size, float):
+            if number_kind(type(size)) == 2:
                 continue
             if kind in lines:
                 mu, rows = lines[kind]
-                ints = isinstance(mu.weights[at], int) and not rows[at].any()
+                ints = number_kind(type(mu.weights[at])) == 0 and not rows[at].any()
             else:
                 ints = not kinds[at]
             report[k] = kind, at, size // common if ints else Fraction(size, common)

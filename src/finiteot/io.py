@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .coupling import TransportPlan
 from .measure import DiscreteMeasure
-from .numerics import DataError, default_tol, format_number, parse_number
+from .numerics import DataError, format_number, parse_number
 from .space import CostMatrix, FiniteMetricSpace, from_point_cloud
 
 
@@ -36,7 +36,7 @@ def load_space(source, mode="float") -> FiniteMetricSpace:
         dist = _matrix(doc["dist"], mode)
         if labels is None:
             labels = tuple(str(i) for i in range(len(dist)))
-        return FiniteMetricSpace(tuple(labels), dist, tol=default_tol(mode))
+        return FiniteMetricSpace(tuple(labels), dist)
     if "points" in doc:
         points = [[parse_number(x, mode) for x in pt] for pt in doc["points"]]
         norm = doc.get("norm", 2)
@@ -99,7 +99,7 @@ def load_problem(source, mode="float"):
                 tuple(parse_number(x, mode) for x in doc["a1"]),
                 tuple(parse_number(x, mode) for x in doc["a2"]),
             )
-        cost = CostMatrix(rows, lower_bound=lb, tol=default_tol(mode))
+        cost = CostMatrix(rows, lower_bound=lb)
     return mu1, mu2, cost
 
 

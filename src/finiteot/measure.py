@@ -28,6 +28,7 @@ from .numerics import (
     default_tol,
     is_inf,
     mode_of,
+    python_numbers,
     scaled_ints,
 )
 
@@ -38,18 +39,19 @@ WEIGHT_SUM_TOL = 1e-12  # float-mode slack on the total mass
 class DiscreteMeasure:
     """Probability weights on the points of a finite space.
 
-    Zero-weight points are kept; indices stay aligned with the space.
-    Exact weights (ints and Fractions) are checked on their scaled ints,
-    and any others as one float64 array; the check keeps what it built as
-    the cached scaled_weights or float_weights, and the other is derived on
-    first use.  The check also sets mode, rational iff every weight is exact.
+    Zero-weight points are kept; indices stay aligned with the space; a
+    numpy scalar is kept as the Python number it equals.  Exact weights are
+    checked on their scaled ints, and any others as one float64 array; the
+    check keeps what it built as the cached scaled_weights or float_weights,
+    and the other is derived on first use.  The check also sets mode,
+    rational iff every weight is exact.
     """
 
     weights: tuple
     space: object = None  # optional FiniteMetricSpace
 
     def __post_init__(self):
-        w = tuple(self.weights)
+        w = python_numbers(self.weights)
         object.__setattr__(self, "weights", w)
         if not w:
             raise DomainError("measure needs at least one point")
@@ -153,14 +155,14 @@ def pushforward(mu: DiscreteMeasure, index_map, n_target=None, space=None):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A function on the points, given by its value vector."""
+    """A function on the points: its value vector, numpy scalars read as Python numbers."""
 
     __test__ = False  # not a pytest class despite the name
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(self.values)
+        vals = python_numbers(self.values)
         object.__setattr__(self, "values", vals)
         for v in vals:
             check_extended(v, "test-function value")

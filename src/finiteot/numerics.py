@@ -1,15 +1,17 @@
 """Number handling shared by every module: exact rationals, floats, and +inf.
 
+What a number is, is decided here, by one rule (INTEGERS, EXACT, FLOATS).
 Two numeric modes run through the whole library.  In "rational" mode all
-quantities are `fractions.Fraction` (or int) and comparisons are exact; in
-"float" mode quantities are floats and comparisons carry a tolerance.
-+inf is always represented by the float infinity, even in rational mode,
-where it marks forbidden cost cells.  -inf and NaN are rejected at the door.
-The mode of a routine is mode_of its inputs, the one place where modes
-combine: rational iff every input is, where a measure, cost matrix, plan
-or extended function decided its mode when it was built and bare numbers
-are read by infer_mode.  Its default tolerance is default_tol of that
-mode; only the solver's pricing tolerance also scales with the costs.
+quantities are exact and comparisons are exact; in "float" mode
+quantities are floats and comparisons carry a tolerance, which meets the
+integers of exact data through _floor only.  +inf is always a float
+infinity, even in rational mode, where it marks forbidden cost cells.
+-inf and NaN are rejected at the door.  The mode of a routine is mode_of
+its inputs, the one place where modes combine: rational iff every input
+is, where a measure, cost matrix, plan or extended function decided its
+mode when it was built and bare numbers are read by infer_mode.  Its
+default tolerance is default_tol of that mode; only the solver's pricing
+tolerance also scales with the costs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import ne
 
 import numpy as np
@@ -32,13 +34,34 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 
+#: The rule: integers (read as the Python ints they equal), exact numbers
+#: and floats; text is refused where a matrix is read, and any other value
+#: reads as a float.
+INTEGERS = (int, np.integer, np.bool_)
+EXACT = (*INTEGERS, Fraction)
+FLOATS = (float, np.floating)
+
+
+def python_numbers(values) -> tuple:
+    """values as a tuple, each numpy scalar the Python number it equals."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int, bool, Fraction, float}:
+        return values
+    return tuple(x.item() if isinstance(x, np.generic) else x for x in values)
+
+
+def number_kind(kind) -> int:
+    """The kind of a type's values in sum()'s order: 0 integer, 1 Fraction, 2 float or other."""
+    return 0 if issubclass(kind, INTEGERS) else 1 if issubclass(kind, Fraction) else 2
+
+
 def is_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x)
+    return isinstance(x, FLOATS) and math.isinf(x)
 
 
 def check_extended(x, where: str = "entry"):
     """Reject NaN and -inf; +inf passes through."""
-    if isinstance(x, float):
+    if isinstance(x, FLOATS):
         if math.isnan(x):
             raise DataError(f"NaN {where}")
         if x == -INF:
@@ -48,89 +71,69 @@ def check_extended(x, where: str = "entry"):
 
 def extended_array(rows, what: str):
     """(array, mode, bounds) of a rectangular matrix: one read-only ndarray,
-    its mode, and its least and largest cell.
+    its mode (infer_mode's over the cells), and its least and largest cell.
 
     rows is a 2-D ndarray or a sequence of rows of one length (the caller
     checks that, with its own message); what names the matrix in errors.
-    The mode is infer_mode's over the cells, and the array holds them in
-    that mode's arithmetic: float64 in float mode (exact cells rounded as
-    float() rounds them); int64, bool, or an object array of the exact
-    cells and +inf in rational mode.  NaN and -inf are rejected as
-    check_extended rejects them ("NaN <what> entry", at the first such
-    cell), by array operations on the float64 cells.  A str or bytes cell
-    is refused with a DataError that names it: text is not a number here,
-    though numpy would parse it as one.
+    The array holds the cells in the mode's arithmetic: float64 in float
+    mode (exact cells rounded as float() rounds them); int64, or an object
+    array of Python ints, Fractions and +inf, in rational mode.  NaN and
+    -inf are refused as check_extended refuses them ("NaN <what> entry", at
+    the first such cell), by array operations on the float64 cells.
 
-    The mode is read off the first cell of row 0 that is not +inf (which
-    decides no mode) wherever it can be.  Then each row is packed with one
-    struct call, which converts a cell as float() or operator.index() does,
-    with no numpy dispatch per cell, and numpy reads the joined bytes as
-    they are:
-
-    - after a finite float, the rows pack as float64, in float mode;
-    - after a Python int (not a bool), they pack as int64, in rational
-      mode, when every cell is an int, a bool or a numpy integer in int64's
-      range.  numpy's reading gives the same, except for numpy.uint64
-      cells, which it reads as float64 beside ints.
-
-    Any other matrix, and any whose rows do not pack (+inf, a float or a
-    Fraction among ints, an int beyond int64's or float's range, None,
-    text), goes to numpy's dtype discovery, which decides as infer_mode
-    does: int and bool arrays are rational; a float64 array is float when
-    every cell is below 2^63 in size, and else (+inf cells, or ints that
-    numpy read as floats because they fit neither int64 nor uint64
-    together) infer_mode reads the cells' types; an object array gets that
-    type scan too.
+    A list of rows is packed with one struct call per row, which converts
+    a cell as float() or operator.index() does, where the first cell of
+    row 0 other than +inf (which decides no mode) says how: as float64
+    after a finite float, and as int64 after an integer, if every cell
+    packs.  An ndarray is read by its dtype: integers within int64's range
+    as int64, and floats as float64 unless every cell is +inf.  Any other
+    matrix is decided by one scan of its cells' types (_scanned).
 
     bounds is (min, max) over the cells as Python numbers, for a nonempty
-    float64, int64 or bool array: on floats from the two reductions that
-    the NaN and -inf check makes (max is +inf when a cell is).  An object
-    or empty array has bounds None.
+    float64 or int64 array (max is +inf when a cell is), else None.
     """
     if isinstance(rows, np.ndarray):
         A = np.array(rows)  # a copy: the caller keeps its own
         if A.ndim != 2:
             raise ShapeError(f"{what} matrix must be 2-D, not of shape {A.shape}")
+        if A.dtype.kind in "biu" and np.can_cast(A.dtype, np.int64):
+            A = A.astype(np.int64, copy=False)
+            A.flags.writeable = False
+            return A, RATIONAL, (A.min().item(), A.max().item()) if A.size else None
+        if A.dtype.kind == "f" and (A != INF).any():  # not all +inf
+            A = A.astype(np.float64, copy=False)
+            A.flags.writeable = False
+            return A, FLOAT, _check_floats(A, what)
+        shape, cells = A.shape, A.ravel().tolist()
     else:
         first = next(filter(partial(ne, INF), rows[0]), None) if rows else None
         if type(first) is float and abs(first) < INF:
             A = _packed(rows, "d")
             if A is not None:
                 return A, FLOAT, _check_floats(A, what)
-        elif type(first) is int:
+        elif isinstance(first, INTEGERS):
             A = _packed(rows, "q")
             if A is not None:
                 return A, RATIONAL, (A.min().item(), A.max().item())
-        A = np.array(rows).reshape(len(rows), -1 if rows and rows[0] else 0)
-    kind = A.dtype.kind
-    bounds = None
-    if A.size == 0:
-        mode = infer_mode(())
-    elif kind == "b" or kind in "iu" and np.can_cast(A.dtype, np.int64):
-        mode = RATIONAL
-        A = A if kind == "b" else A.astype(np.int64, copy=False)
-        bounds = A.min().item(), A.max().item()
-    elif kind == "f":
-        A = A.astype(np.float64, copy=False)
-        bounds = lo, hi = _check_floats(A, what)
-        mode = FLOAT
-        if lo <= -_INT64_SIZE or hi >= _INT64_SIZE:
-            cells = rows.tolist() if isinstance(rows, np.ndarray) else rows
-            mode = infer_mode(chain.from_iterable(cells))
-            if mode == RATIONAL:
-                A = np.array(cells, dtype=object)
-                bounds = None
-    else:
-        A = A.astype(object, copy=False)
-        # the cells as given: numpy makes every cell of a list text when one is
-        cells = A.ravel().tolist() if isinstance(rows, np.ndarray) else [*chain.from_iterable(rows)]
-        _refuse_text(cells, A.shape[1], what)
-        mode = infer_mode(cells)
-        if mode == FLOAT:
-            A = A.astype(np.float64)
-            bounds = _check_floats(A, what)
+        shape, cells = (len(rows), len(rows[0]) if rows else 0), [*chain.from_iterable(rows)]
+    return _scanned(cells, shape, what)
+
+
+def _scanned(cells, shape, what):
+    """extended_array of the row-major cells of a matrix of the shape, by
+    their types: a str or bytes cell is refused by name (numpy would parse
+    it), and exact cells are held as Python numbers in an object array."""
+    kinds = set(map(type, cells))
+    if any(issubclass(kind, (str, bytes)) for kind in kinds):
+        k = next(k for k, x in enumerate(cells) if isinstance(x, (str, bytes)))
+        raise DataError(f"{what} entry [{k // shape[1]}][{k % shape[1]}] is text, not a number: {cells[k]!r}")
+    if _mode(cells, kinds) == FLOAT:
+        A = np.array(cells, dtype=np.float64).reshape(shape)
+        A.flags.writeable = False
+        return A, FLOAT, _check_floats(A, what)
+    A = np.array(python_numbers(cells), dtype=object).reshape(shape)
     A.flags.writeable = False
-    return A, mode, bounds
+    return A, RATIONAL, None
 
 
 def _packed(rows, code):
@@ -142,18 +145,6 @@ def _packed(rows, code):
     except (struct.error, OverflowError):
         return None
     return np.frombuffer(data, np.float64 if code == "d" else np.int64).reshape(n, m)
-
-
-def _refuse_text(cells, m, what):
-    """Raise DataError at the first str or bytes cell of cells, the
-    row-major cells of a matrix of m columns."""
-    if any(issubclass(kind, (str, bytes)) for kind in set(map(type, cells))):
-        k = next(k for k, x in enumerate(cells) if isinstance(x, (str, bytes)))
-        raise DataError(f"{what} entry [{k // m}][{k % m}] is text, not a number: {cells[k]!r}")
-
-
-#: the size from which a float64 cell may be an int that numpy read as a float
-_INT64_SIZE = 2.0**63
 
 
 def _check_floats(F, what):
@@ -218,20 +209,24 @@ def mul0(cost, mass):
 
 
 def infer_mode(values) -> str:
-    """Rational iff every value other than +inf is an int or Fraction.
+    """Rational iff every value other than +inf is exact (EXACT).
 
     +inf is any float equal to it, as is_inf sees it: it marks forbidden
     cells in both modes, so it decides nothing.  Values are told apart by
     type, with no Python call per value.
     """
     values = list(values)
-    kinds = set(map(type, values))
-    if not all(issubclass(kind, (int, float, Fraction)) for kind in kinds):
-        return FLOAT
-    if not any(issubclass(kind, float) for kind in kinds):
+    return _mode(values, set(map(type, values)))
+
+
+def _mode(values, kinds):
+    """infer_mode of the list values, whose set of types is kinds."""
+    if all(issubclass(kind, EXACT) for kind in kinds):
         return RATIONAL
-    floats = [x for x in values if isinstance(x, float)]
-    return RATIONAL if floats.count(INF) == len(floats) else FLOAT
+    if not all(issubclass(kind, (*EXACT, *FLOATS)) for kind in kinds):
+        return FLOAT
+    floats = compress(values, map(isinstance, values, repeat(FLOATS)))
+    return FLOAT if any(map(partial(ne, INF), floats)) else RATIONAL
 
 
 def mode_of(*parts) -> str:
@@ -248,35 +243,38 @@ def mode_of(*parts) -> str:
 
 
 def scaled_ints(values, exact=False):
-    """(ints, scale): exact numbers as integers over one positive scale.
+    """(ints, scale): exact numbers as Python ints over one positive scale.
 
     scale is the least common multiple of the denominators and ints[k] is
     values[k] * scale, so ints compare, add and multiply as the numbers do.
     When every value is an int they come back as they are with scale 1,
-    with no per-value call.  Floats are read as the binary fractions they
-    are; +inf has no ratio, and as_integer_ratio raises OverflowError on it.
-    With exact, it is None unless every value is an int or a Fraction (not
-    even +inf), told apart by type as infer_mode tells them.
+    with no per-value call.  Integers are the ints they equal, and floats
+    are read as the binary fractions they are; +inf has no ratio, and
+    as_integer_ratio raises OverflowError on it.  With exact, it is None
+    unless every value is exact (not even +inf), told apart by type.
     """
     values = list(values)
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 1
-    if exact and not all(issubclass(kind, (int, Fraction)) for kind in kinds):
+    if exact and not all(issubclass(kind, EXACT) for kind in kinds):
         return None
     try:
         ratios = [x.as_integer_ratio() for x in values]
-    except AttributeError:  # numpy integers have no as_integer_ratio
-        ratios = [(int(x.numerator), int(x.denominator)) for x in map(Fraction, values)]
+    except AttributeError:  # numpy integers and bools have no as_integer_ratio
+        ratios = [(int(x), 1) if isinstance(x, INTEGERS) else x.as_integer_ratio() for x in values]
     scale = math.lcm(*{q for _, q in ratios})
     return [p * (scale // q) if p else 0 for p, q in ratios], scale
 
 
 def _floor(tol, scale):
-    """floor(tol * scale), exactly; an infinite tolerance stays as it is."""
-    if isinstance(tol, float) and not math.isfinite(tol):
+    """floor(tol * scale) as a Python int, exactly, for a positive int scale
+    (an infinite or NaN tol stays as it is): on integers x, x < -tol * scale
+    iff x < -_floor(tol, scale).  A tolerance meets integers here only."""
+    if isinstance(tol, FLOATS) and not math.isfinite(tol):
         return tol
-    return tol * scale if isinstance(tol, int) else math.floor(Fraction(tol) * scale)
+    p, q = (int(tol), 1) if isinstance(tol, INTEGERS) else tol.as_integer_ratio()
+    return p * scale // q
 
 
 def default_tol(mode: str):

@@ -10,12 +10,13 @@ everything after it is written once for both modes:
 
 - float mode works on those float64 arrays as they are, with no copy;
 - rational mode works on integers: the weights are scaled by the least
-  common multiple of their denominators and the costs are the
-  CostMatrix's own exact format (_scaled_costs); _exact_input decides,
-  once for the full problem, whether they go to the engine as int64
-  arrays or as object arrays of Python ints.  Float numbers are read as
-  the binary fractions they are, so two measures whose exact totals
-  differ are refused rather than solved into a plan that couples neither.
+  common multiple of their denominators, the costs are the CostMatrix's
+  own exact format (_scaled_costs), and the tolerance is floored on their
+  scale (numerics._floor); _exact_input decides, once for the full
+  problem, whether they go to the engine as int64 arrays or as object
+  arrays of Python ints.  Float numbers are read as the binary fractions
+  they are, so two measures whose exact totals differ are refused rather
+  than solved into a plan that couples neither.
 
 On those arrays come the tolerance and the engine, and the engine checks
 and prices its own plan: with the plan it returns a summary of five
@@ -52,13 +53,12 @@ int64 weights go to the C kernel in _dense.c, loaded through ctypes by
 _compiled (which builds it with the system C compiler on first import).
 Its float build runs every float problem, forbidden +inf cells included.
 Its int64 build runs the rational problems that _exact_input, the one
-place that decides it, finds to fit in int64 (see there): it gets them
-with forbidden cells marked and the tolerance floored, which on integers
-gives the pivots of the unfloored one, and its plan comes back in int64,
-so the cost and the checks stay exact.  Object weights (the rational
-problems that do not fit), and every problem when the C kernel cannot be
-built or loaded or FINITEOT_FORCE_PURE=1 turns it off, go through the
-same simplex in Python (simplex.py), on Python lists of the arrays.
+place that decides it, finds to fit in int64 (see there), with forbidden
+cells marked, and its plan comes back in int64, so the cost and the
+checks stay exact.  Object weights (the rational problems that do not
+fit), and every problem when the C kernel cannot be built or loaded or
+FINITEOT_FORCE_PURE=1 turns it off, go through the same simplex in
+Python (simplex.py), on Python lists of the arrays.
 _dense.c is a port of simplex.py, so either engine returns the same
 plan, bit for bit on floats, after the same number of pivots.
 OTSolution.engine names the engine that ran ("compiled" or "python").
@@ -101,9 +101,11 @@ from ..numerics import (
     RATIONAL,
     ParameterError,
     ShapeError,
+    _floor,
     default_tol,
     is_inf,
     mode_of,
+    number_kind,
     pricing_tol,
 )
 from ..space import CostMatrix
@@ -187,8 +189,8 @@ def cost_of_plan(plan, cost) -> object:
     if INF in costs:
         return INF
     total = sum(map(mul, X[mass].tolist(), costs))
-    given = cm.array[mass].tolist()  # the cells as given: ints, Fractions
-    if ints_only and all(issubclass(kind, int) for kind in set(map(type, given))):
+    given = cm.array[mass].tolist()  # the exact cells as Python ints and Fractions
+    if ints_only and all(number_kind(kind) == 0 for kind in set(map(type, given))):
         return total // (pscale * cscale)
     return Fraction(total, pscale * cscale)
 
@@ -365,22 +367,23 @@ def _exact_input(mu1, mu2, cm, tol):
 
     The weights are scaled by the least common multiple of their
     denominators, from each measure's scaled_weights, the costs are the
-    CostMatrix's _scaled_costs, and tol is taken into the costs' units.
-    Both scales are positive, so every comparison, and hence every pivot,
-    is the one the Fractions would give.  The numbers are int64 arrays, for
-    the int64 build, exactly when the kernel is loaded and they provably
-    fit: the total supply, which bounds every flow and line sum, is below
-    2^62, and (n + m) max|finite cost| and |floor(tol)| are below 2^60 (a
-    potential is a signed sum of at most n + m costs, and a reduced cost
-    adds two of them).  max|c| is the CostMatrix's max_abs_finite(), or
-    for a float matrix, which records it for its rounded cells only, a
-    scan of the scaled cells.  There forbidden cells are marked
-    FORBIDDEN_INT64 (an int64 C passes as it is) and tol is floored: on
-    integers r < -t iff r < -floor(t).  Otherwise they are object arrays of
-    Python ints.  priced says whether the engine's price is the plan's
-    cost: it always is in Python ints, and in int64, which adds it modulo
-    2^64, while max|c| times the total supply, which bounds it, is below
-    2^63.
+    CostMatrix's _scaled_costs, and tol goes to the costs' units as the
+    floor that numerics._floor takes of tol * cost scale, exactly (an
+    infinite tol stays infinite): on integers r < -t iff r < -floor(t),
+    and both engines get that floor.  Both scales are positive, so every
+    comparison, and hence every pivot, is the one the Fractions would
+    give.  The numbers are int64 arrays, for the int64 build, exactly when
+    the kernel is loaded and they provably fit: the total supply, which
+    bounds every flow and line sum, is below 2^62, and (n + m) max|finite
+    cost| and |floor(tol)| are below 2^60 (a potential is a signed sum of
+    at most n + m costs, and a reduced cost adds two of them).  max|c| is
+    the CostMatrix's max_abs_finite(), or for a float matrix, which
+    records it for its rounded cells only, a scan of the scaled cells.
+    There forbidden cells are marked FORBIDDEN_INT64 (an int64 C passes as
+    it is).  Otherwise they are object arrays of Python ints.  priced says
+    whether the engine's price is the plan's cost: it always is in Python
+    ints, and in int64, which adds it modulo 2^64, while max|c| times the
+    total supply, which bounds it, is below 2^63.
     """
     (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
     wscale = math.lcm(s1, s2)
@@ -393,12 +396,8 @@ def _exact_input(mu1, mu2, cm, tol):
             f"measure's total minus the second's is {float(gap)!r} ({gap})"
         )
     C, cscale = cm._scaled_costs
-    tol = tol * cscale
-    try:
-        floor_tol = math.floor(tol)
-    except OverflowError:  # an infinite tolerance
-        floor_tol = 2**60
-    fits = _kernel is not None and supply < 2**62 and abs(floor_tol) < 2**60
+    tol = _floor(tol, cscale)
+    fits = _kernel is not None and supply < 2**62 and abs(tol) < 2**60
     if fits and C.dtype != np.int64:
         finite = C != INF if cm.has_inf else np.ones(C.shape, dtype=bool)
         costs = C[finite].tolist()
@@ -413,7 +412,7 @@ def _exact_input(mu1, mu2, cm, tol):
         C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
         C[finite] = costs
     a, b = np.array(ints1, dtype=np.int64) * f1, np.array(ints2, dtype=np.int64) * f2
-    return a, b, C, floor_tol, wscale, cscale, top * supply < 2**63
+    return a, b, C, tol, wscale, cscale, top * supply < 2**63
 
 
 _ZERO = Fraction(0)  # the zero cell of a rational solver plan

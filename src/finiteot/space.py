@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -28,14 +27,16 @@ from .numerics import (
     _floor,
     default_tol,
     extended_array,
-    infer_mode,
     is_inf,
+    mode_of,
+    number_kind,
     scaled_ints,
 )
 
 
-def validate_metric(dist, tol=0):
-    """Check the three metric axioms, returning a report of violations.
+def validate_metric(dist, tol=None):
+    """Check the three metric axioms within tol (None: default_tol of the
+    distances' mode), returning a report of violations.
 
     Each violation is a (axiom, indices, magnitude) tuple, where axiom is one
     of "identity", "nonnegativity", "symmetry", "triangle".  Empty report ==
@@ -59,6 +60,8 @@ def _validated(dist, tol):
         bad = "NaN" if str(exc).startswith("NaN") else "infinite"
     if bad:
         raise DataError(f"{bad} entry in distance matrix")
+    if tol is None:
+        tol = default_tol(matrix.mode)
     d = matrix.cost
     D, _, t, _ = _decision(matrix, [], lambda cell, number, t, scale: 3 * cell, tol)
     off = ~np.eye(n, dtype=bool)
@@ -115,11 +118,11 @@ class FiniteMetricSpace:
     """Ground set with a distance matrix satisfying the metric axioms.
 
     dist is the cost of the space's CostMatrix, of Python numbers also when
-    it is given as an ndarray."""
+    it is given as an ndarray; tol None checks the axioms within the mode's."""
 
     labels: tuple
     dist: tuple  # tuple of row tuples
-    tol: float = 0
+    tol: float = None
     # power_cost's CostMatrix per (type(p), p): 2, 2.0 and Fraction(2) are
     # equal keys, but 2.0 gives float costs and the others int costs
     _power_costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -204,8 +207,7 @@ def from_point_cloud(points, norm_order=2, labels=None) -> FiniteMetricSpace:
             dist[i][j] = dist[j][i] = d(points[i], points[j])
     if labels is None:
         labels = tuple(str(i) for i in range(n))
-    mode = infer_mode(chain(*dist))
-    return FiniteMetricSpace(labels, tuple(map(tuple, dist)), tol=default_tol(mode))
+    return FiniteMetricSpace(labels, tuple(map(tuple, dist)))
 
 
 @dataclass(frozen=True)
@@ -213,16 +215,18 @@ class CostMatrix:
     """Pairwise transport costs; entries may be +inf (forbidden moves).
 
     An optional additive lower-bound pair (a1, a2) certifies
-    cost[i][j] >= a1[i] + a2[j] on finite entries.
+    cost[i][j] >= a1[i] + a2[j] on finite entries, within tol, which None
+    makes default_tol of mode_of(matrix, a1, a2).
 
     The numeric mode is decided once, here, by numerics.extended_array:
-    rows whose first cell other than +inf is a finite float or an int are
-    packed with one struct call per row into float64 or int64, when every
-    cell packs, and any other cost is read by numpy's dtype discovery; a
-    str or bytes cell is refused.  array holds the costs, read-only, in that
-    mode's arithmetic: float64 in float mode; int64, bool, or an object
-    array of the exact cells and +inf in rational mode.  _scaled_costs is
-    their exact format, integers over a scale, built on first use.  cost is
+    rows whose first cell other than +inf is a finite float or an integer
+    are packed with one struct call per row into float64 or int64, when
+    every cell packs, and any other cost is decided by one scan of its
+    cells' types; a str or bytes cell is refused.  array holds the costs,
+    read-only, in that mode's arithmetic: float64 in float mode; int64, or
+    an object array of the exact cells and +inf as Python numbers, in
+    rational mode.  _scaled_costs is their exact format, integers over a
+    scale, built on first use.  cost is
     the tuple of row tuples: the input itself when it is one, built from
     the rows of any other sequence, and from array on first use when the
     input is an ndarray, whose cells then come back as Python numbers.
@@ -234,7 +238,7 @@ class CostMatrix:
 
     cost: tuple
     lower_bound: tuple = None
-    tol: float = field(default=0, compare=False)
+    tol: float = field(default=None, compare=False)
 
     def __post_init__(self):
         cost = self.cost
@@ -249,7 +253,7 @@ class CostMatrix:
         array, mode, bounds = extended_array(cost, "cost")
         if bounds is None:  # an object or empty array
             kinds = set(map(type, array.ravel().tolist()))
-            has_inf, top = any(issubclass(kind, float) for kind in kinds), None
+            has_inf, top = any(number_kind(kind) == 2 for kind in kinds), None
         else:
             lo, hi = bounds
             has_inf = hi == INF
@@ -276,7 +280,8 @@ class CostMatrix:
             raise ShapeError("lower-bound vectors do not match cost shape")
         # c < a1[i] + a2[j] - tol in Python arithmetic, cell by cell in C
         bound = np.add.outer(np.array(a1, dtype=object), np.array(a2, dtype=object))
-        below = np.less(array, bound - self.tol).nonzero()
+        tol = default_tol(mode_of(self, a1, a2)) if self.tol is None else self.tol
+        below = np.less(array, bound - tol).nonzero()
         if below[0].size:
             i, j = below[0].item(0), below[1].item(0)
             raise DataError(
@@ -289,12 +294,10 @@ class CostMatrix:
     @cached_property
     def _scaled_costs(self):
         """(C, scale), the one exact format of the costs, built on first use
-        (a float solve never builds it): int64 with scale 1 from an int64 or
-        bool array, else Python ints over the least common multiple of the
-        finite cells' denominators, and +inf.  A consumer computes in int64
-        only under a bound that rules out overflow."""
-        if self.array.dtype == bool:
-            return self.array.astype(np.int64), 1
+        (a float solve never builds it): int64 with scale 1 from an int64
+        array (set at construction), else Python ints over the least common
+        multiple of the finite cells' denominators, and +inf.  A consumer
+        computes in int64 only under a bound that rules out overflow."""
         # a float-mode matrix holds float64: read its cells as they were given
         C = np.array(self.cost, dtype=object) if self.mode == FLOAT else self.array.astype(object)
         finite = C != INF if self.has_inf else np.ones(C.shape, dtype=bool)

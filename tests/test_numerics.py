@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import finiteot
-from finiteot.analysis import check_moreau_yosida_properties, liminf_cost_check
+from finiteot.analysis import (
+    ExtendedFunction,
+    check_moreau_yosida_properties,
+    exact_recovery_threshold,
+    liminf_cost_check,
+    moreau_yosida,
+)
 from finiteot.coupling import (
     TransportPlan,
     is_coupling,
@@ -19,7 +25,6 @@ from finiteot.coupling import (
 )
 from finiteot.measure import DiscreteMeasure, measures_equal
 from finiteot.numerics import (
-    _INT64_SIZE,
     FLOAT,
     INF,
     RATIONAL,
@@ -28,8 +33,9 @@ from finiteot.numerics import (
     _check_floats,
     extended_array,
     infer_mode,
+    mode_of,
 )
-from finiteot.solver import solve_kantorovich
+from finiteot.solver import cost_of_plan, solve_kantorovich
 from finiteot.space import CostMatrix, FiniteMetricSpace
 from finiteot.wasserstein import GluedPlan, glue, glued_plan_is_valid
 
@@ -41,7 +47,7 @@ class TestInferMode:
             ([F(1), INF], RATIONAL),
             ([1, 0.5], FLOAT),
             ([np.float64("inf"), 2], RATIONAL),
-            ([np.int64(1)], FLOAT),
+            ([np.int64(1)], RATIONAL),
             ([True], RATIONAL),
         ],
     )
@@ -96,6 +102,62 @@ def test_modes_combine_in_numerics_only():
                 getattr(node.body, "id", None), getattr(node.orelse, "id", None)
             ) == ("RATIONAL", "FLOAT"):
                 found.append(f"{path.relative_to(package)}:{node.lineno} picks a mode")
+    assert not found, found
+
+
+#: number-kind tests outside numerics.py that check a parameter, not a
+#: number: power_cost's p, from_point_cloud's norm order, io.encode's counters
+PARAMETER_CHECKS = {
+    ("space.py", "_build_power_cost"),
+    ("space.py", "from_point_cloud"),
+    ("io.py", "encode"),
+}
+
+
+def test_number_kinds_and_the_tolerance_floor_live_in_numerics():
+    """No module but numerics.py calls issubclass, tests a value against
+    float, int or Fraction (isinstance, directly or mapped, or type(x) is
+    ...), or calls math.floor: what a number is, and how a tolerance meets
+    integers (numerics._floor), are decided in numerics only.  The
+    parameter checks named in PARAMETER_CHECKS are allowed."""
+    package = Path(finiteot.__file__).parent
+    classes = {"float", "int", "Fraction"}
+
+    def names(nodes):
+        return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "numerics.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> name of the innermost function holding it
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(package)}:{getattr(node, 'lineno', 0)} in {owner.get(node)}"
+            if isinstance(node, ast.Name) and node.id == "issubclass":
+                found.append(f"{where}: issubclass")
+            elif (isinstance(node, ast.Attribute) and node.attr == "floor" and names([node.value]) == {"math"}) or (
+                isinstance(node, ast.ImportFrom) and node.module == "math"
+                and "floor" in {alias.name for alias in node.names}
+            ):
+                found.append(f"{where}: math.floor")
+            elif (path.name, owner.get(node)) in PARAMETER_CHECKS:
+                continue
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                if names(node.args[1:]) & classes:
+                    found.append(f"{where}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and "isinstance" in names(
+                arg for arg in node.args if isinstance(arg, ast.Name)
+            ):
+                if names(node.args) & classes:
+                    found.append(f"{where}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Compare) and "type" in names(
+                [getattr(node.left, "func", node.left)]
+            ) and names(node.comparators) & classes:
+                found.append(f"{where}: {ast.unparse(node)}")
     assert not found, found
 
 
@@ -236,10 +298,90 @@ class TestModeRuleTable:
             assert mode == ("rational" if exact(cost_kind, k1, k2) else "float")
 
 
+class TestNumpyScalarsTable:
+    """Each kind of number (numerics.INTEGERS, EXACT, FLOATS), numpy scalars
+    included, gives the mode and the answers of the Python numbers it
+    equals: as weights, as costs with and without +inf, as plan cells, as
+    function values and as bare numbers.  The answers are compared by
+    repr, which tells a Python number from a numpy one, wherever the
+    library computes them from the numbers it read."""
+
+    #: kind -> the kind of the Python numbers it equals
+    TWINS = {
+        int: int, bool: bool, np.int64: int, np.uint64: int, np.bool_: bool,
+        F: F, float: float, np.float32: float, np.float64: float,
+    }
+    SPACE = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
+    HALF = DiscreteMeasure((F(1, 2), F(1, 2)))
+
+    @staticmethod
+    def solved(mu1, mu2, cost):
+        sol = solve_kantorovich(mu1, mu2, cost)
+        plan = None if sol.plan is None else sol.plan.matrix
+        return sol.mode, repr(sol.optimal_cost), sol.iterations, repr(plan), sol.infeasibility_certificate
+
+    def outcome(self, kind, infinite):
+        """What the library gives for numbers 0 and 1 of the kind."""
+        zero, one = kind(0), kind(1)
+        cost = ((zero, one), (INF if infinite else one, zero))
+        mu, cm = DiscreteMeasure((one, zero)), CostMatrix(cost)
+        plan = TransportPlan(((zero, one), (zero, zero)))
+        f = ExtendedFunction((zero, INF if infinite else one))
+        return [
+            infer_mode([one, INF]), mode_of((zero,), (one,)),
+            mu.mode, repr(mu.weights), cm.mode, repr(cm.max_abs_finite()),
+            self.solved(mu, self.HALF, ((0, 1), (1, 0))),
+            self.solved(self.HALF, self.HALF, cost),
+            self.solved(mu, self.HALF, cost),
+            plan.mode, repr(cost_of_plan(plan, cost)),
+            repr(is_coupling(plan, mu, DiscreteMeasure((0, 1)))),
+            f.mode, moreau_yosida(f, self.SPACE, 2), repr(exact_recovery_threshold(f, self.SPACE)),
+            measures_equal(mu, DiscreteMeasure((1, 0))),
+        ]
+
+    def test_each_kind_reads_as_its_python_twin(self):
+        for (kind, twin), infinite in product(self.TWINS.items(), (False, True)):
+            assert self.outcome(kind, infinite) == self.outcome(twin, infinite), (kind, infinite)
+
+    def test_exact_cells_reach_the_engines_as_python_ints(self):
+        for cells in (
+            [[np.int64(2), INF], [F(1, 3), 0]],
+            [[np.uint64(2**63), 1], [1, 0]],
+            [[np.True_, np.False_], [np.int8(-3), np.uint8(4)]],
+        ):
+            cm = CostMatrix(cells)
+            C, scale = cm._scaled_costs
+            assert cm.mode == RATIONAL and cm.array.dtype == object
+            assert {type(x) for x in cm.array.ravel().tolist()} <= {int, bool, F, float}
+            assert {type(x) for x in C.ravel().tolist()} <= {int, float}
+            assert type(cm.max_abs_finite()) is type(CostMatrix(np.array(cells, dtype=object)).max_abs_finite())
+
+    @pytest.mark.parametrize(
+        "cells, twin, optimum",
+        [
+            ([[np.True_, np.False_], [np.False_, np.True_]], [[True, False], [False, True]], 0),
+            ([[np.uint64(2**63), 1], [1, 0]], [[2**63, 1], [1, 0]], 1),
+            ([[np.int64(1), INF], [np.int64(0), np.int64(0)]], [[1, INF], [0, 0]], F(1, 2)),
+        ],
+    )
+    def test_numpy_integer_costs_solve_exactly(self, cells, twin, optimum):
+        half = DiscreteMeasure((np.int64(1), np.int64(0)))
+        for mu in (self.HALF, half):
+            assert self.solved(mu, self.HALF, cells) == self.solved(mu, self.HALF, twin)
+        sol = solve_kantorovich(self.HALF, self.HALF, cells)
+        assert sol.mode == RATIONAL and sol.optimal_cost == optimum
+
+
+#: the size from which a float64 cell may be an int that numpy read as a float
+_INT64_SIZE = 2.0**63
+
+
 def reference_extended_array(rows, what):
     """extended_array as it was when only a finite float in cell (0, 0)
     took the one-pass float64 read: any other list of rows went through
-    numpy's dtype discovery."""
+    numpy's dtype discovery.  Its modes are infer_mode's, and its object
+    arrays hold numpy scalars as the Python numbers they equal, as the
+    number rule reads them."""
     if isinstance(rows, np.ndarray):
         A = np.array(rows)
     elif rows and rows[0] and type(rows[0][0]) is float and abs(rows[0][0]) < INF:
@@ -274,6 +416,9 @@ def reference_extended_array(rows, what):
         if mode == FLOAT:
             A = A.astype(np.float64)
             bounds = _check_floats(A, what)
+    if A.dtype == object:  # numpy scalars read as the Python numbers they equal
+        cells = [x.item() if isinstance(x, np.generic) else x for x in A.ravel().tolist()]
+        A = np.array(cells, dtype=object).reshape(A.shape)
     A.flags.writeable = False
     return A, mode, bounds
 

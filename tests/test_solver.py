@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -1221,3 +1222,49 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
     ok, report = _is_coupling_array(X, a, b, default_tol("rational" if exact else "float"))
     assert ok == (fault == "NaN in the summary only")
     assert str(report[:3]) in str(raised.value)
+
+
+def tol_battery():
+    """3,000 seeded rational problems of 2..4 points a side: weights from
+    1..9 normalised as Fractions, costs in tenths from 0 to 3."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        a, b = ([rng.randint(1, 9) for _ in range(k)] for k in (n, m))
+        mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(w)) for x in w)) for w in (a, b))
+        cost = tuple(tuple(F(rng.randint(0, 30), 10) for _ in range(m)) for _ in range(n))
+        yield mu1, mu2, cost
+
+
+def test_a_float_tol_meets_the_costs_as_its_exact_value(monkeypatch):
+    """A rational solve floors tol on the cost scale exactly, in both
+    engines: tol=0.7 is the binary fraction just below 7/10, so on costs in
+    tenths it floors to 6, as Fraction(0.7) does; 0.7 * 10 in floats reads
+    7.000000000000001, which floored to 7 and changed 162 of these solves."""
+    for kernel in (solver._kernel, None):  # the compiled kernel, the Python simplex
+        monkeypatch.setattr(solver, "_kernel", kernel)
+        for mu1, mu2, cost in tol_battery():
+            s, t = (solve_kantorovich(mu1, mu2, cost, tol=tol) for tol in (0.7, F(0.7)))
+            assert (s.optimal_cost, s.iterations, s.engine) == (t.optimal_cost, t.iterations, t.engine)
+
+
+def test_an_infinite_tol_runs_the_python_simplex_from_its_start():
+    """No cell enters under an infinite tol, which fits no int64 bound: the
+    Python simplex returns its row-minimum start after 0 pivots."""
+    for mu1, mu2, cost in islice(tol_battery(), 200):
+        sol = solve_kantorovich(mu1, mu2, cost, tol=INF)
+        flow, pivots = transportation_simplex(list(mu1.weights), list(mu2.weights), cost, tol=INF)
+        start = [[flow.get((i, j), 0) for j in range(mu2.n)] for i in range(mu1.n)]
+        assert (sol.engine, sol.iterations, pivots) == ("python", 0, 0)
+        assert sol.plan.matrix == tuple(map(tuple, start))
+
+
+def test_the_tol_floor_is_exact_on_numpy_integers():
+    """numerics._floor reads a numpy integer tol as the Python int it
+    equals, so tol * scale is not taken in int64, where it would wrap."""
+    from finiteot.numerics import _floor
+
+    assert _floor(np.int64(2**40), 2**40) == 2**80
+    assert _floor(np.uint64(2**63), 3) == 3 * 2**63
+    assert _floor(np.float32(0.7), 10) == 6 and _floor(0.7, 10) == 6 and _floor(F(7, 10), 10) == 7
+    assert type(_floor(np.int64(3), 2)) is int and _floor(INF, 5) == INF

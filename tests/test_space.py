@@ -39,6 +39,47 @@ class TestValidateMetric:
             validate_metric([[0.0, float("nan")], [1.0, 0.0]])
 
 
+class TestDefaultTolerance:
+    """A tol left as None is default_tol of the mode: 1e-9 for float
+    distances or costs, 0 for exact ones."""
+
+    E = F(1, 10**12)
+
+    def test_validate_metric(self):
+        d = [[0, 1, 2 + self.E], [1, 0, 1], [2 + self.E, 1, 0]]
+        floats = [[float(x) for x in row] for row in d]
+        assert validate_metric(floats) == []
+        assert [r[:2] for r in validate_metric(d)] == [("triangle", (0, 1, 2)), ("triangle", (2, 1, 0))]
+        assert len(validate_metric(floats, tol=0)) == 2
+
+    def test_space(self):
+        d = [[0.0, 1.0, 2.0 + 1e-12], [1.0, 0.0, 1.0], [2.0 + 1e-12, 1.0, 0.0]]
+        assert FiniteMetricSpace(("a", "b", "c"), d).tol is None
+        with pytest.raises(DataError, match="triangle"):
+            FiniteMetricSpace(("a", "b", "c"), d, tol=0)
+
+    def test_lower_bound(self):
+        exact = ((1 - self.E, 1), (1, 1))
+        floats = tuple(tuple(map(float, row)) for row in exact)
+        bound = ((1, 0), (0, 0))
+        assert CostMatrix(floats, lower_bound=bound).lower_bound == bound
+        # the bound's mode counts: float bound numbers make the tol 1e-9
+        assert CostMatrix(exact, lower_bound=((1.0, 0), (0, 0))).lower_bound
+        with pytest.raises(DataError, match="below lower bound"):
+            CostMatrix(exact, lower_bound=bound)
+        with pytest.raises(DataError, match="below lower bound"):
+            CostMatrix(floats, lower_bound=bound, tol=0)
+
+    def test_point_cloud_distances_are_scanned_once(self, monkeypatch):
+        from finiteot import numerics
+
+        mode, sizes = numerics._mode, []
+        monkeypatch.setattr(numerics, "_mode", lambda values, kinds: sizes.append(len(values)) or mode(values, kinds))
+        space = from_point_cloud([[0.0, 0.5 * k] for k in range(12)])
+        assert space.tol is None and space._matrix.mode == "float"
+        assert sizes.count(144) == 1
+
+
 class TestFromPointCloud:
     def test_unit_interval_endpoints(self):
         s = from_point_cloud([[0], [1]], norm_order=2)

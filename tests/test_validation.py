@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from finiteot import new_measure, solve_kantorovich
+from finiteot.analysis import ExtendedFunction, moreau_yosida
+from finiteot.measure import TestFunction
 from finiteot.numerics import DataError, DomainError, NormalizationError, ShapeError
-from finiteot.space import CostMatrix
+from finiteot.space import CostMatrix, FiniteMetricSpace
 
 INF, NAN = float("inf"), float("nan")
 HALF = F(1, 2)
@@ -99,11 +101,43 @@ def test_cost_array_is_in_the_modes_arithmetic():
         ((0.25, 0.25, 0.25), NormalizationError, "weights sum to 0.75, not 1"),
         # rounds to -0.0 as a float, but is negative
         ((F(-1, 10**400), 0.5, 0.5), DomainError, f"negative weight {F(-1, 10**400)}"),
+        # numpy floats are floats, checked at the door as Python floats are
+        ((np.float32(NAN), 1.0), DataError, "NaN weight"),
+        ((0.5, np.float32(INF)), DomainError, "infinite weight"),
+        ((0.5, np.float32(-INF)), DataError, "-inf weight"),
+        ((np.float64(NAN), 1.0), DataError, "NaN weight"),
+        ((np.float32(-0.25), 1.25), DomainError, "negative weight -0.25"),
     ],
 )
 def test_float_weight_errors(weights, error, message):
     with pytest.raises(error) as info:
         new_measure(weights)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, np.float64])
+@pytest.mark.parametrize(
+    "read, value, error, message",
+    [
+        ("test function", NAN, DataError, "NaN test-function value"),
+        ("test function", -INF, DataError, "-inf test-function value"),
+        ("test function", INF, DomainError, "test functions must be finite"),
+        ("extended function", NAN, DataError, "NaN function value"),
+        ("extended function", -INF, DataError, "-inf function value"),
+        ("moreau-yosida", -INF, DataError, "-inf function value"),
+    ],
+)
+def test_function_value_errors(kind, read, value, error, message):
+    """A NaN or infinite value of any float kind is refused as a Python float is."""
+    values = (kind(value), 1.0)
+    space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
+    reads = {
+        "test function": TestFunction,
+        "extended function": ExtendedFunction,
+        "moreau-yosida": lambda values: moreau_yosida(values, space, 1),
+    }
+    with pytest.raises(error) as info:
+        reads[read](values)
     assert type(info.value) is error and str(info.value) == message
 
 
