@@ -54,7 +54,10 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-TOL_HELP = f"solver pricing tolerance (default: 0 in rational mode, scaled {FLOAT_TOL:g} in float)"
+TOL_HELP = (
+    f"solver pricing tolerance (default: 0 in rational mode, {FLOAT_TOL:g} per cell"
+    " of |c| + |u| + |v| in float)"
+)
 
 SUITES = ("coupling", "metric", "glue", "restriction", "moreau-yosida", "liminf", "tail")
 

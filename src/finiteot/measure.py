@@ -40,56 +40,69 @@ class DiscreteMeasure:
     """Probability weights on the points of a finite space.
 
     Zero-weight points are kept; indices stay aligned with the space; a
-    numpy scalar is kept as the Python number it equals.  Exact weights are
-    checked on their scaled ints, and any others as one float64 array; the
-    check keeps what it built as the cached scaled_weights or float_weights,
-    and the other is derived on first use.  The check also sets mode,
-    rational iff every weight is exact.
+    numpy scalar is kept as the Python number it equals.  The weights'
+    types are scanned once.  Python floats are screened by min, max and
+    their left-to-right sum (the total, NaN when a weight is), and only a
+    failed screen checks them one by one.  Other weights are checked on
+    their scaled ints when every one is exact, else as one float64 array.
+    The check keeps what it built as the cached scaled_weights or
+    float_weights, and the other is derived on first use.  It also sets
+    mode, rational iff every weight is exact.  float_positive and scaled_positive say whether
+    every weight is positive in those two formats: set by the check from
+    the minimum it took, else found on first use (an exact weight such as
+    Fraction(1, 10**400) is positive but rounds to 0.0).
     """
 
     weights: tuple
     space: object = None  # optional FiniteMetricSpace
 
     def __post_init__(self):
-        w = python_numbers(self.weights)
-        object.__setattr__(self, "weights", w)
-        if not w:
-            raise DomainError("measure needs at least one point")
-        scaled = scaled_ints(w, exact=True)
-        if scaled is not None:
-            # rational mode, checked on the weights' scaled ints
-            ints, scale = scaled
-            if min(ints) < 0:
-                raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
-            if sum(ints) != scale:
-                raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
-            vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale))
-        else:
-            a = np.array(w, dtype=np.float64)
-            # weights at least 0 as given (not NaN) and below +inf pass; of
-            # others, those whose floats have the sign bit set, or are NaN or
-            # +inf, are judged as given (a tiny negative Fraction reads -0.0)
-            try:
-                screened = all(map(partial(le, 0), w)) and max(w) < INF
-            except TypeError:  # not numbers: judged one by one below
-                screened = False
-            if not screened:
-                flagged = np.logical_or(np.signbit(a), np.logical_not(a < INF))
-                for k in flagged.nonzero()[0].tolist():
-                    x = check_extended(w[k], "weight")
-                    if is_inf(x):
-                        raise DomainError("infinite weight")
-                    if x < 0:
-                        raise DomainError(f"negative weight {x}")
+        w = tuple(self.weights)
+        kinds = set(map(type, w))
+        if kinds == {float}:
             # added left to right: np.sum adds pairwise, which can change the
             # last bits that WEIGHT_SUM_TOL is compared with
-            total = sum(w)
-            if abs(total - 1) > WEIGHT_SUM_TOL:
-                raise NormalizationError(f"weights sum to {total!r}, not 1")
-            a.flags.writeable = False
-            vars(self).update(mode=FLOAT, float_weights=a)
+            total, lo = sum(w), min(w)
+            # min and max may pass over a NaN, but the sum then is NaN
+            if not (lo >= 0 and max(w) < INF and total == total):
+                _refuse_weights(w)
+            self._set_floats(w, total)
+            vars(self)["float_positive"] = lo > 0
+        else:
+            w = python_numbers(w, kinds)
+            if not w:
+                raise DomainError("measure needs at least one point")
+            scaled = scaled_ints(w, exact=True, kinds=kinds)
+            if scaled is not None:
+                # rational mode, checked on the weights' scaled ints
+                ints, scale = scaled
+                lo = min(ints)
+                if lo < 0:
+                    raise DomainError(f"negative weight {next(x for x, k in zip(w, ints) if k < 0)}")
+                if sum(ints) != scale:
+                    raise NormalizationError(f"weights sum to {Fraction(sum(ints), scale)}, not 1")
+                vars(self).update(mode=RATIONAL, scaled_weights=(ints, scale), scaled_positive=lo > 0)
+            else:
+                # weights at least 0 as given (not NaN) and below +inf pass
+                try:
+                    screened = all(map(partial(le, 0), w)) and max(w) < INF
+                except TypeError:  # not numbers: judged one by one below
+                    screened = False
+                if not screened:
+                    _refuse_weights(w)
+                self._set_floats(w, sum(w))
+        object.__setattr__(self, "weights", w)
         if self.space is not None and self.space.n != len(w):
             raise ShapeError("weights do not match the space size")
+
+    def _set_floats(self, w, total):
+        """Check the total of the float-mode weights w, then record float
+        mode and their float64 array."""
+        if abs(total - 1) > WEIGHT_SUM_TOL:
+            raise NormalizationError(f"weights sum to {total!r}, not 1")
+        a = np.array(w, dtype=np.float64)
+        a.flags.writeable = False
+        vars(self).update(mode=FLOAT, float_weights=a)
 
     @property
     def n(self) -> int:
@@ -107,8 +120,32 @@ class DiscreteMeasure:
         """(ints, scale) of scaled_ints: floats read as the binary fractions they are."""
         return scaled_ints(self.weights)
 
+    @cached_property
+    def float_positive(self) -> bool:
+        """Whether every weight of float_weights is positive (they are all >= 0)."""
+        return bool(self.float_weights.all())
+
+    @cached_property
+    def scaled_positive(self) -> bool:
+        """Whether every weight of scaled_weights is positive."""
+        return 0 not in self.scaled_weights[0]
+
     def support(self):
         return [i for i, w in enumerate(self.weights) if w > 0]
+
+
+def _refuse_weights(w):
+    """Raise at the first weight of w, in order, that is NaN or -inf (as
+    check_extended does), +inf or negative; of the others, those whose
+    floats have the sign bit set, or are NaN or +inf, are judged as given
+    (a tiny negative Fraction reads -0.0)."""
+    a = np.array(w, dtype=np.float64)
+    for k in np.logical_or(np.signbit(a), np.logical_not(a < INF)).nonzero()[0].tolist():
+        x = check_extended(w[k], "weight")
+        if is_inf(x):
+            raise DomainError("infinite weight")
+        if x < 0:
+            raise DomainError(f"negative weight {x}")
 
 
 def new_measure(weights, space=None) -> DiscreteMeasure:

@@ -10,8 +10,8 @@ infinity, even in rational mode, where it marks forbidden cost cells.
 its inputs, the one place where modes combine: rational iff every input
 is, where a measure, cost matrix, plan or extended function decided its
 mode when it was built and bare numbers are read by infer_mode.  Its
-default tolerance is default_tol of that mode; only the solver's pricing
-tolerance also scales with the costs.
+default tolerance is default_tol of that mode; only the solver's float
+pricing also scales, cell by cell.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, repeat, starmap
 from operator import ne
 
@@ -42,10 +42,13 @@ EXACT = (*INTEGERS, Fraction)
 FLOATS = (float, np.floating)
 
 
-def python_numbers(values) -> tuple:
-    """values as a tuple, each numpy scalar the Python number it equals."""
+def python_numbers(values, kinds=None) -> tuple:
+    """values as a tuple, each numpy scalar the Python number it equals.
+
+    kinds, when given, is the set of the values' types, which saves a scan.
+    """
     values = tuple(values)
-    if set(map(type, values)) <= {int, bool, Fraction, float}:
+    if (set(map(type, values)) if kinds is None else kinds) <= {int, bool, Fraction, float}:
         return values
     return tuple(x.item() if isinstance(x, np.generic) else x for x in values)
 
@@ -85,9 +88,12 @@ def extended_array(rows, what: str):
     a cell as float() or operator.index() does, where the first cell of
     row 0 other than +inf (which decides no mode) says how: as float64
     after a finite float, and as int64 after an integer, if every cell
-    packs.  An ndarray is read by its dtype: integers within int64's range
-    as int64, and floats as float64 unless every cell is +inf.  Any other
-    matrix is decided by one scan of its cells' types (_scanned).
+    packs.  Rows that do not pack so are scanned for their types once, and
+    rows of ints, bools and floats in float mode (a float other than +inf
+    among them) are then packed as float64.  An ndarray is read by its
+    dtype: integers within int64's range as int64, and floats as float64
+    unless every cell is +inf.  Any other matrix is decided by that one
+    scan of its cells' types (_scanned).
 
     bounds is (min, max) over the cells as Python numbers, for a nonempty
     float64 or int64 array (max is +inf when a cell is), else None.
@@ -116,14 +122,22 @@ def extended_array(rows, what: str):
             if A is not None:
                 return A, RATIONAL, (A.min().item(), A.max().item())
         shape, cells = (len(rows), len(rows[0]) if rows else 0), [*chain.from_iterable(rows)]
-    return _scanned(cells, shape, what)
+        kinds = set(map(type, cells))
+        if kinds <= {int, bool, float} and _mode(cells, kinds) == FLOAT:
+            # ints among floats (a point cloud's int 0 diagonal): float mode
+            # rounds them as float() does, and so does the "d" pack
+            A = _packed(rows, "d")
+            if A is not None:
+                return A, FLOAT, _check_floats(A, what)
+        return _scanned(cells, shape, what, kinds)
+    return _scanned(cells, shape, what, set(map(type, cells)))
 
 
-def _scanned(cells, shape, what):
+def _scanned(cells, shape, what, kinds):
     """extended_array of the row-major cells of a matrix of the shape, by
-    their types: a str or bytes cell is refused by name (numpy would parse
-    it), and exact cells are held as Python numbers in an object array."""
-    kinds = set(map(type, cells))
+    their types, the set kinds: a str or bytes cell is refused by name
+    (numpy would parse it), and exact cells are held as Python numbers in an
+    object array."""
     if any(issubclass(kind, (str, bytes)) for kind in kinds):
         k = next(k for k, x in enumerate(cells) if isinstance(x, (str, bytes)))
         raise DataError(f"{what} entry [{k // shape[1]}][{k % shape[1]}] is text, not a number: {cells[k]!r}")
@@ -138,13 +152,20 @@ def _scanned(cells, shape, what):
 
 def _packed(rows, code):
     """The rows as one read-only n x m array of struct code "d" (float64) or
-    "q" (int64), or None when a cell does not pack into it."""
+    "q" (int64), or None when a cell does not pack into it.  The rows are
+    packed by one struct.Struct per (width, code), kept across calls."""
     n, m = len(rows), len(rows[0])
     try:
-        data = b"".join(starmap(struct.Struct(f"{m}{code}").pack, rows))
+        data = b"".join(starmap(_row_struct(m, code).pack, rows))
     except (struct.error, OverflowError):
         return None
     return np.frombuffer(data, np.float64 if code == "d" else np.int64).reshape(n, m)
+
+
+@lru_cache(maxsize=256)
+def _row_struct(m, code):
+    """The struct.Struct of a row of m cells of struct code code."""
+    return struct.Struct(f"{m}{code}")
 
 
 def _check_floats(F, what):
@@ -242,7 +263,7 @@ def mode_of(*parts) -> str:
     return RATIONAL
 
 
-def scaled_ints(values, exact=False):
+def scaled_ints(values, exact=False, kinds=None):
     """(ints, scale): exact numbers as Python ints over one positive scale.
 
     scale is the least common multiple of the denominators and ints[k] is
@@ -252,9 +273,12 @@ def scaled_ints(values, exact=False):
     are read as the binary fractions they are; +inf has no ratio, and
     as_integer_ratio raises OverflowError on it.  With exact, it is None
     unless every value is exact (not even +inf), told apart by type.
+    kinds, when given, is the set of the values' types (or of the numpy
+    scalars python_numbers made them from), which saves a scan.
     """
     values = list(values)
-    kinds = set(map(type, values))
+    if kinds is None:
+        kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 1
     if exact and not all(issubclass(kind, EXACT) for kind in kinds):
@@ -282,7 +306,9 @@ def default_tol(mode: str):
 
 
 def pricing_tol(mode: str, max_abs_cost):
-    """Default solver tolerance: 0 in rational mode, FLOAT_TOL scaled by the costs."""
+    """0 in rational mode, else FLOAT_TOL scaled by the largest cost: the
+    float solver's roundoff bound on mass left on forbidden cells when it
+    gets no tol (it prices cells by FLOAT_TOL * (|c| + |u| + |v|))."""
     return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(max_abs_cost))
 
 

@@ -18,7 +18,13 @@ everything after it is written once for both modes:
   they are, so two measures whose exact totals differ are refused rather
   than solved into a plan that couples neither.
 
-On those arrays come the tolerance and the engine, and the engine checks
+On those arrays come the tolerance and the engine.  A cell enters the
+basis when its reduced cost r = c - u - v is below -tol; a float solve
+given no tol passes tol 0 and rel_tol FLOAT_TOL, and a cell must then
+also have r < -FLOAT_TOL * (|c| + |u| + |v|), beyond the rounding error
+of its own sum.  Only when the plan has mass on forbidden cells does a
+float solve given no tol read the largest |finite cost|, for the
+pricing_tol below which that mass is roundoff.  The engine checks
 and prices its own plan: with the plan it returns a summary of five
 numbers from one row-major pass over it (summarize in _dense.c,
 simplex.plan_summary in Python), the mass on forbidden cells, the price,
@@ -27,8 +33,9 @@ counted as swept to 0.  The forbidden-mass decision, the coupling check
 and the cost are read off that summary; the plan is checked again, by
 coupling._is_coupling_array, only to report a failed check.  A solve
 reads what its inputs decided when they were built: the CostMatrix's
-mode, whether a cell is +inf, its largest |finite cost| and its float64
-costs; a measure's mode and its arrays.  In both modes a mask of the
+mode, whether a cell is +inf and its float64 costs; a measure's mode, its
+arrays, and whether its weights are positive in the format the solve
+reads (float_positive, scaled_positive).  In both modes a mask of the
 forbidden cells is built only when the plan has mass on them, to sweep
 float dust or to find the Hall cut.  The engines need positive weights
 (a zero weight can leave them no strongly feasible tree), so when a
@@ -97,6 +104,7 @@ from ..coupling import (
 from ..measure import DiscreteMeasure, integrate
 from ..numerics import (
     FLOAT,
+    FLOAT_TOL,
     INF,
     RATIONAL,
     ParameterError,
@@ -272,7 +280,10 @@ def solve_kantorovich(
     +inf cost cells are forbidden moves; when they disconnect the problem
     the result has optimal_cost = +inf and a Hall-type cut certificate.
     A tol that is given must be a nonnegative number (ParameterError on a
-    negative one or NaN, before any engine runs).
+    negative one or NaN, before any engine runs), and a cell enters when
+    its reduced cost is below -tol.  With no tol, rational mode prices
+    exactly, and float mode lets a cell enter when its reduced cost r is
+    below -FLOAT_TOL * (|c| + |u| + |v|).
     """
     cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     n, m = cm.shape
@@ -280,36 +291,44 @@ def solve_kantorovich(
         raise ShapeError(f"cost is {n}x{m} but measures have {mu1.n}, {mu2.n} points")
     if mode is None:
         mode = mode_of(cm, mu1, mu2)
-    if tol is None:
-        tol = 0 if mode == RATIONAL else pricing_tol(FLOAT, cm.max_abs_finite())
+    # a float solve given no tol prices each cell against its own rounding
+    # error (rel_tol), not against one tolerance scaled by the largest cost
+    given, rel_tol = tol is not None, 0.0
+    if not given:
+        tol, rel_tol = 0, FLOAT_TOL if mode == FLOAT else 0.0
     elif not tol >= 0:  # a NaN fails too
         raise ParameterError(f"tol must be a nonnegative number, not {tol!r}")
     if mode == FLOAT:
         a, b, C, wscale = mu1.float_weights, mu2.float_weights, cm._float_costs, None
-        # weights are >= 0; count_nonzero makes no Python call, unlike all()
-        positive = np.count_nonzero(a) == n and np.count_nonzero(b) == m
+        positive = mu1.float_positive and mu2.float_positive
     elif mode == RATIONAL:
         a, b, C, tol, wscale, cscale, priced = _exact_input(mu1, mu2, cm, tol)
-        positive = 0 not in mu1.scaled_weights[0] and 0 not in mu2.scaled_weights[0]
+        positive = mu1.scaled_positive and mu2.scaled_positive
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
     if positive:
-        X, iters, summary, engine = _run_engine(a, b, C, tol)
+        X, iters, summary, engine = _run_engine(a, b, C, tol, rel_tol)
     else:  # the engines need positive weights: solve on the support
         rows, cols = a > 0, b > 0
         support = np.ix_(rows, cols)
-        on_support, iters, summary, engine = _run_engine(a[rows], b[cols], C[support], tol)
+        on_support, iters, summary, engine = _run_engine(
+            a[rows], b[cols], C[support], tol, rel_tol
+        )
         # zero-weight lines add nothing to any sum, and np.ix_ keeps the
         # row-major order: the support's summary is the full plan's
         X = np.zeros(C.shape, dtype=on_support.dtype)
         X[support] = on_support
     forbidden_mass, price, row_gap, column_gap, least = summary
     plan, value, certificate = None, INF, None
-    # the engines minimise the M part exactly whatever tol is, so in rational
-    # mode any mass on forbidden cells proves that no finite-cost plan exists
-    flow_tol = tol if mode == FLOAT else 0
     if forbidden_mass:  # only a problem with forbidden cells has any
+        # the engines minimise the M part exactly whatever tol is, so in
+        # rational mode any mass on forbidden cells proves that no
+        # finite-cost plan exists; in float mode mass up to tol, or without
+        # one pricing_tol of the costs, is roundoff
+        flow_tol = 0
+        if mode == FLOAT:
+            flow_tol = tol if given else pricing_tol(FLOAT, cm.max_abs_finite())
         forbidden = _compiled.forbidden_cells(C)
         if forbidden_mass > flow_tol:
             certificate = _hall_certificate(a, b, forbidden, X, flow_tol, wscale)
@@ -340,10 +359,11 @@ def solve_kantorovich(
     return OTSolution(plan, value, iters, mode, certificate, engine)
 
 
-def _run_engine(a, b, C, tol):
+def _run_engine(a, b, C, tol, rel_tol):
     """(plan array, pivots, summary, engine name) of the engine that solves (a, b, C).
 
-    The weights are positive and tol is in C's units.  Their dtype picks
+    The weights are positive, tol is in C's units and rel_tol is the
+    per-cell factor of float pricing (0 for none).  Their dtype picks
     the engine: float64 and int64 weights (see _exact_input) go to the C
     kernel while it is loaded, and object weights, or every problem when it
     is not, to the Python simplex.  The plan comes back in the weights'
@@ -352,10 +372,10 @@ def _run_engine(a, b, C, tol):
     (simplex.plan_summary), the same numbers from both.
     """
     if _kernel is not None and a.dtype != object:
-        return (*_kernel.solve_dense(a, b, C, tol), _compiled.KERNEL_NAME)
+        return (*_kernel.solve_dense(a, b, C, tol, rel_tol), _compiled.KERNEL_NAME)
     X = np.zeros(C.shape, dtype=a.dtype)  # object (Python ints) in rational mode
     a, b, cost = a.tolist(), b.tolist(), C.tolist()
-    flow, iters = transportation_simplex(a, b, cost, tol=tol)
+    flow, iters = transportation_simplex(a, b, cost, tol=tol, rel_tol=rel_tol)
     for (i, j), f in flow.items():
         X[i, j] = f
     return X, iters, plan_summary(a, b, cost, flow), "python"

@@ -14,8 +14,8 @@ simplex.transportation_simplex: fot_solve_dense over doubles, and
 fot_solve_exact over int64 numbers, which runs the rational problems that
 solver._exact_input finds to fit in int64 and hands over as int64 arrays,
 forbidden cells marked FORBIDDEN_INT64 and the tolerance floored.  load()
-returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol) -> (X,
-iterations, summary), which picks the build by the dtype of C, and
+returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol, rel_tol)
+-> (X, iterations, summary), which picks the build by the dtype of C, and
 forbidden_cells(C) is the mask of C's forbidden cells in either build's
 marking.  The engine checks and prices its own plan: summary holds
 the mass on forbidden cells, the price, the worst row and column gaps and
@@ -176,13 +176,15 @@ class CompiledKernel:
         }
         self._data_at = _data_offset()
 
-    def solve_dense(self, a, b, C, tol):
+    def solve_dense(self, a, b, C, tol, rel_tol=0.0):
         """Minimize <C, X> over the transportation polytope; +inf cells are forbidden.
 
         An int64 array C runs the exact build, on int64 weights and an int
         tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
-        the float build on float64 arrays.  Every weight must be positive,
-        as the strongly feasible start needs, and finite (ValueError
+        the float build on float64 arrays.  A cell enters when its reduced
+        cost r = c - u - v is below -tol and, in the float build, below
+        -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every weight must be
+        positive, as the strongly feasible start needs, and finite (ValueError
         otherwise, as from transportation_simplex).  On a problem with no
         finite-cost plan, X puts the least possible mass on forbidden
         cells, as transportation_simplex does.  Returns (X,
@@ -208,7 +210,7 @@ class CompiledKernel:
             p = [x.__array_interface__["data"][0] for x in arrays]
         else:
             p = [ctypes.c_void_p.from_address(id(x) + at).value for x in arrays]
-        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, p[3], p[4])
+        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, rel_tol, p[3], p[4])
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
@@ -222,7 +224,14 @@ def _data_offset():
     """The offset from an ndarray's id of the data pointer PyArray_DATA reads
     (part of numpy's ABI), found on a probe; None outside CPython, where
     id() need not be an address.  Read there, an address costs a fraction of what
-    .ctypes or __array_interface__ cost, which build Python objects."""
+    .ctypes or __array_interface__ cost, which build Python objects.
+
+    Measured end to end (BENCH_input_checks.json, ablation_address_read):
+    benchmark ops run in one process with the two reads interleaved, 40
+    passes a side, took longer per pass with __array_interface__ by a
+    median 4.7% (float-dense) and 9.9% (rational-forbidden) with the
+    caches cold, and by 2.7% and 10.3% with them warm; the address read
+    was faster in 38 to 40 of the 40 passes of each."""
     if sys.implementation.name != "cpython":
         return None
     probe, read = np.zeros(4), ctypes.c_void_p.from_address
@@ -236,7 +245,9 @@ def _bind(fn, number):
     """fn with the argument types of fot_solve_dense over one number type."""
     array = ctypes.c_void_p
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, array, array, array, number, array, array]
+    fn.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, array, array, array, number, ctypes.c_double, array, array
+    ]
     return fn
 
 

@@ -58,7 +58,13 @@
  * Pivot rule: the cells are scanned in row-major order in blocks of
  * max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
  * last scan stopped, and the least (M, value) reduced cost in the first
- * block that holds a negative one enters.  The cycle is found by climbing
+ * block that holds a negative one enters.  Negative means a negative M
+ * part, or an M part of 0 and a value part r below -tol; a float solve
+ * given no tol passes tol 0 and rel 1e-9, and its r must also lie below
+ * -rel (|c| + |u| + |v|), beyond the few units in the last place that
+ * rounding can leave in c - u - v.  One absolute tolerance scaled by the
+ * largest cost hid every improving cell of small cost when the costs
+ * spanned many orders of magnitude.  The cycle is found by climbing
  * depths to the common ancestor.  The tree stays strongly feasible (every
  * zero-flow edge hangs a row from its column): of the decreasing cells with
  * the least flow, the last one met walking from the ancestor down to the
@@ -83,13 +89,17 @@
 /* FOT_SUM adds up the price, INFINITE(t) says whether a term of it, or a
  * weight, is infinite, and PRICE is the price from the sum.  An int64
  * price adds up modulo 2^64, which is exact wherever the true price fits
- * in int64: the caller takes it only where it provably does */
+ * in int64: the caller takes it only where it provably does.  BEYOND
+ * says whether a reduced cost r = c - u - v with r < -tol lies beyond the
+ * rounding error of its sum: r < -rel (|c| + |u| + |v|), always true when
+ * rel is 0 and in the int64 build, whose sums are exact */
 #define FOT_NUM double
 #define FOT_SUM double
 #define FOT(name) name##_dense
 #define FORBIDDEN(c) ((c) == INFINITY)
 #define INFINITE(t) ((t) == INFINITY || (t) == -INFINITY)
 #define PRICE(sum, infinite) ((infinite) ? INFINITY : (sum))
+#define BEYOND(r, c, u, v) (rel == 0 || (r) < -(rel * ((fabs(c) + fabs(u)) + fabs(v))))
 #include "_dense.c"
 #undef FOT_NUM
 #undef FOT_SUM
@@ -97,6 +107,7 @@
 #undef FORBIDDEN
 #undef INFINITE
 #undef PRICE
+#undef BEYOND
 
 #define FOT_NUM int64_t
 #define FOT_SUM uint64_t
@@ -104,6 +115,7 @@
 #define FORBIDDEN(c) ((c) == INT64_MAX)
 #define INFINITE(t) 0
 #define PRICE(sum, infinite) ((int64_t)(sum))
+#define BEYOND(r, c, u, v) 1
 #include "_dense.c"
 
 #else /* one build over FOT_NUM numbers; FOT names its functions */
@@ -310,13 +322,16 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
 /*
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
  * is +inf, or INT64_MAX), X: n x m output (overwritten), summary: 5 outputs,
- * the plan's summary (see summarize).  Returns the pivot count,
+ * the plan's summary (see summarize).  A cell enters when its reduced cost
+ * has a negative M part, or a zero M part and a value part r below -tol
+ * and, in the float build, below -rel (|c| + |u| + |v|) (BEYOND; the
+ * int64 build ignores rel).  Returns the pivot count,
  * FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m) is
  * exceeded, FOT_NOT_POSITIVE when a weight is not positive or infinite, or
  * FOT_NO_MEMORY; the summary is written only with a pivot count.
  */
 int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
-                       const num *C, num tol, num *X, num *summary)
+                       const num *C, num tol, double rel, num *X, num *summary)
 {
     int64_t nodes = n + m, total = n * m;
     int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
@@ -345,6 +360,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
     t.pot_big = malloc(nodes * sizeof *t.pot_big);
     t.pot = malloc(nodes * sizeof *t.pot);
     t.flow = malloc(nodes * sizeof *t.flow);
+    (void)rel; /* read by BEYOND in the float build only */
     if (!rest || !amount || !open || !t.parent || !t.depth || !t.child || !t.sibling
         || !t.pot_big || !t.pot || !t.flow)
         goto done;
@@ -428,7 +444,8 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                 if (!t.big) {
                     for (j = j0; j < stop; j++) {
                         r = row[j] - ui - t.pot[n + j];
-                        if (r < best && j != col_up && t.parent[n + j] != i) {
+                        if (r < best && j != col_up && t.parent[n + j] != i
+                            && BEYOND(r, row[j], ui, t.pot[n + j])) {
                             best = r;
                             ei = i;
                             ej = j;
@@ -441,9 +458,12 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                     c = row[j];
                     d = FORBIDDEN(c) - ui_big - t.pot_big[n + j];
                     if (d <= best_big) {
-                        r = (FORBIDDEN(c) ? 0 : c) - ui - t.pot[n + j];
-                        if ((d < best_big || r < best) && j != col_up
-                            && t.parent[n + j] != i) {
+                        c = FORBIDDEN(c) ? 0 : c;
+                        r = c - ui - t.pot[n + j];
+                        /* the value part decides entry only when the M part is 0 */
+                        if ((d < best_big
+                             || (r < best && (d < 0 || BEYOND(r, c, ui, t.pot[n + j]))))
+                            && j != col_up && t.parent[n + j] != i) {
                             best_big = d;
                             best = r;
                             ei = i;

@@ -219,14 +219,16 @@ class _Tree:
             prev, node, carried = node, up, f
         self._refresh(below)
 
-    def block_search(self, ntol, start, block):
+    def block_search(self, ntol, rel, start, block):
         """Wraparound block search for the entering cell.
 
         Scans the cells in row-major order from position start (i * m + j),
         block cells at a time, until a block holds a non-basic cell whose
         reduced cost is negative: M part below 0, or M part 0 and value part
-        below ntol.  Returns the least reduced cost in that block, (M, value)
-        pairs compared lexicographically and the first cell winning ties, as
+        r = c - u - v below ntol and, when rel is not 0, below
+        -rel * (|c| + |u| + |v|), summed as _dense.c's BEYOND sums it.
+        Returns the least reduced cost in that block, (M, value) pairs
+        compared lexicographically and the first cell winning ties, as
         (i, j, position after the block), or None when no cell qualifies.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
@@ -250,7 +252,12 @@ class _Tree:
                 if big is None:
                     for j in range(j0, stop):
                         r = ci[j] - ui - v[j]
-                        if r < best and j != up and parent[n + j] != i:
+                        if (
+                            r < best
+                            and j != up
+                            and parent[n + j] != i
+                            and (not rel or r < -(rel * (abs(ci[j]) + abs(ui) + abs(v[j]))))
+                        ):
                             best, found = r, (i, j)
                 else:
                     bi, ui_big = big[i], pot_big[i]
@@ -258,7 +265,11 @@ class _Tree:
                         d = bi[j] - ui_big - v_big[j]
                         if d <= best_big:
                             r = ci[j] - ui - v[j]
-                            if (d < best_big or r < best) and j != up and parent[n + j] != i:
+                            # the value part decides entry only when the M part is 0
+                            enters = d < best_big or r < best and (
+                                d < 0 or not rel or r < -(rel * (abs(ci[j]) + abs(ui) + abs(v[j])))
+                            )
+                            if enters and j != up and parent[n + j] != i:
                                 best_big, best, found = d, r, (i, j)
             pos %= total
             if found is not None:
@@ -312,7 +323,7 @@ def plan_summary(a, b, cost, flow):
     return [mass, INF if infinite else price, *gaps, least]
 
 
-def transportation_simplex(a, b, cost, tol=0):
+def transportation_simplex(a, b, cost, tol=0, rel_tol=0):
     """Minimize sum c_ij x_ij subject to row sums a and column sums b.
 
     cost entries are numbers of one ordered type, or +inf for a forbidden
@@ -320,8 +331,9 @@ def transportation_simplex(a, b, cost, tol=0):
     zero weight admits no strongly feasible start, so solve_kantorovich
     passes only the support), else ValueError, as from the C kernel.  A
     cell enters when its reduced cost has a negative M part, or a zero M
-    part and a value part below -tol.  Returns (flow dict on basic cells,
-    iterations).
+    part and a value part r = c - u - v below -tol and, when rel_tol is not
+    0 (floats only), below -rel_tol * (|c| + |u| + |v|).  Returns (flow
+    dict on basic cells, iterations).
     """
     n, m = len(a), len(b)
     weights = [*a, *b]  # as fot_solve refuses them, with no call per weight
@@ -336,7 +348,7 @@ def transportation_simplex(a, b, cost, tol=0):
     block = max(64, int(math.exp(0.5 * math.log(n * m))))
     pos = iterations = 0
     while True:
-        found = tree.block_search(ntol, pos, block)
+        found = tree.block_search(ntol, rel_tol, pos, block)
         if found is None:
             return tree.flows(), iterations
         ei, ej, pos = found

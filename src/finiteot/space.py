@@ -232,8 +232,10 @@ class CostMatrix:
     input is an ndarray, whose cells then come back as Python numbers.
     has_inf records whether a cell is +inf, and max_abs_finite() returns
     the largest |cost| over the finite cells: recorded at construction
-    from extended_array's bounds, or, for an object array, found on first
-    use, as _float_costs (array itself when float64) is; both are kept.
+    from extended_array's bounds when no cell is +inf, else found on first
+    use, as _float_costs (array itself when float64) is, and kept.  For a
+    float64 array with +inf cells it is -(least cell) or one masked
+    maximum, whichever is larger; for an object array, a scan of its cells.
     """
 
     cost: tuple
@@ -251,19 +253,16 @@ class CostMatrix:
             if cost and set(map(len, cost)) != {m}:
                 raise ShapeError("cost matrix is not rectangular")
         array, mode, bounds = extended_array(cost, "cost")
+        lo = top = None  # top found on first use
         if bounds is None:  # an object or empty array
             kinds = set(map(type, array.ravel().tolist()))
-            has_inf, top = any(number_kind(kind) == 2 for kind in kinds), None
+            has_inf = any(number_kind(kind) == 2 for kind in kinds)
         else:
             lo, hi = bounds
             has_inf = hi == INF
-            if has_inf:
-                top = np.maximum.reduce(
-                    np.abs(array), axis=None, where=array != INF, initial=0
-                ).item()
-            else:
+            if not has_inf:
                 top = max(abs(lo), abs(hi))
-        vars(self).update(array=array, mode=mode, has_inf=has_inf, _max_abs_finite=top)
+        vars(self).update(array=array, mode=mode, has_inf=has_inf, _least=lo, _max_abs_finite=top)
         if array.dtype == np.int64:  # already in the exact format
             vars(self)["_scaled_costs"] = array, 1
         elif array.dtype == np.float64:  # already float64
@@ -327,7 +326,12 @@ class CostMatrix:
 
     def max_abs_finite(self):
         """The largest |cost| over the finite cells, 0 when there is none."""
-        if self._max_abs_finite is None:  # an object array, scanned once
-            cells = self.array.ravel().tolist()
-            vars(self)["_max_abs_finite"] = max((abs(c) for c in cells if c != INF), default=0)
-        return self._max_abs_finite
+        top, A = self._max_abs_finite, self.array
+        if top is None:  # found once
+            if self._least is None:  # an object array: a scan of its cells
+                top = max((abs(c) for c in A.ravel().tolist() if c != INF), default=0)
+            else:  # float64 with +inf cells: -(least cell) or the largest finite cell
+                finite_top = np.maximum.reduce(A, axis=None, where=A != INF, initial=0)
+                top = max(finite_top.item(), -self._least)
+            vars(self)["_max_abs_finite"] = top
+        return top

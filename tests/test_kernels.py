@@ -27,12 +27,12 @@ import pytest
 import finiteot.solver as solver
 from finiteot.coupling import _is_coupling_array, _sum_in_order
 from finiteot.measure import DiscreteMeasure
-from finiteot.numerics import FLOAT, INF, default_tol
+from finiteot.numerics import FLOAT, FLOAT_TOL, INF, default_tol
 from finiteot.space import CostMatrix
 from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
 from finiteot.solver.simplex import transportation_simplex
 
-from test_solver import check_hall_cut
+from test_solver import check_hall_cut, wide_range_instance
 
 needs_compiler = pytest.mark.skipif(
     _compiled.find_compiler() is None, reason="no C compiler found"
@@ -69,7 +69,8 @@ def support(a, b, C):
 
 
 def identity_instances(family):
-    """(a, b, C, tol) of one family on which the twin must repeat the kernel."""
+    """(a, b, C, tol) of one family on which the twin must repeat the kernel,
+    with rel_tol after tol where the family prices cells by it."""
     rng = random.Random(family)
     instances = []
     if family == "tied":  # costs 0..3
@@ -113,6 +114,14 @@ def identity_instances(family):
         return [int64_input(*problem) for problem in rational_problems(1000)]
     elif family == "lone_forbidden":
         return lone_forbidden_instances(rng)
+    elif family == "wide_range":
+        # costs U(0, 1) * 10^U(0, 12), some with +inf cells, priced as a
+        # float solve with no tol prices them: tol 0 and the per-cell factor
+        instances = []
+        for seed, inf_share in itertools.product(range(1, 11), (0.0, 0.1)):
+            mu1, mu2, cost = wide_range_instance(seed, 60, inf_share)
+            instances.append((mu1.float_weights, mu2.float_weights, np.array(cost), 0.0, FLOAT_TOL))
+        return instances
     return [(a, b, C, 1e-9 * (1 + C[np.isfinite(C)].max(initial=0))) for a, b, C in instances]
 
 
@@ -279,7 +288,7 @@ def forbidden_cells(C):
     return C == _compiled.FORBIDDEN_INT64 if C.dtype == np.int64 else np.isinf(C)
 
 
-def twin(a, b, C, tol):
+def twin(a, b, C, tol, rel_tol=0.0):
     """transportation_simplex on the kernel's input, as (plan, iterations).
 
     An int64 input runs on Python ints, its forbidden cells as +inf.
@@ -287,21 +296,21 @@ def twin(a, b, C, tol):
     cells = C.tolist()
     if C.dtype == np.int64:
         cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
-    flow, iterations = transportation_simplex(a.tolist(), b.tolist(), cells, tol=tol)
+    flow, iterations = transportation_simplex(a.tolist(), b.tolist(), cells, tol, rel_tol)
     X = np.zeros(C.shape, dtype=C.dtype)
     for (i, j), f in flow.items():
         X[i, j] = f
     return X, iterations
 
 
-def twin_summary(a, b, C, tol):
+def twin_summary(a, b, C, tol, rel_tol=0.0):
     """The Python simplex's summary of its plan on the kernel's input
     (simplex.plan_summary), its int64 input on Python ints as twin runs it."""
     cells = C.tolist()
     if C.dtype == np.int64:
         cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
     a, b = a.tolist(), b.tolist()
-    flow, _ = transportation_simplex(a, b, cells, tol=tol)
+    flow, _ = transportation_simplex(a, b, cells, tol, rel_tol)
     return simplex.plan_summary(a, b, cells, flow)
 
 
@@ -353,10 +362,10 @@ def check_feasible(a, b, flow, tol=1e-9):
     np.testing.assert_allclose(flow.sum(axis=0), b, atol=tol)
 
 
-def check_same_pivots(compiled, a, b, C, tol):
-    X, iterations, _ = compiled.solve_dense(a, b, C, tol)
+def check_same_pivots(compiled, a, b, C, tol, rel_tol=0.0):
+    X, iterations, _ = compiled.solve_dense(a, b, C, tol, rel_tol)
     check_feasible(a, b, X)
-    X_twin, iterations_twin = twin(a, b, C, tol)
+    X_twin, iterations_twin = twin(a, b, C, tol, rel_tol)
     assert iterations_twin == iterations
     assert np.array_equal(X_twin, X)
     return X
@@ -543,16 +552,19 @@ class TestCompiled:
 
     @pytest.mark.parametrize(
         "family",
-        ["tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden"],
+        [
+            "tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden",
+            "wide_range",
+        ],
     )
     def test_twin_takes_the_same_pivots(self, compiled, family):
         instances = identity_instances(family)
         infeasible = 0
-        for a, b, C, tol in instances:
-            X = check_same_pivots(compiled, a, b, C, tol)
+        for a, b, C, tol, *rel_tol in instances:
+            X = check_same_pivots(compiled, a, b, C, tol, *rel_tol)
             infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
-            _, _, summary = compiled.solve_dense(a, b, C, tol)
-            assert bits(summary) == bits(twin_summary(a, b, C, tol))
+            _, _, summary = compiled.solve_dense(a, b, C, tol, *rel_tol)
+            assert bits(summary) == bits(twin_summary(a, b, C, tol, *rel_tol))
         if family in ("forbidden", "rational"):  # with and without a finite plan
             assert 0 < infeasible < len(instances)
 

@@ -17,7 +17,15 @@ from finiteot.generators import (
     random_rational_metric_space,
 )
 from finiteot.measure import DiscreteMeasure, new_measure
-from finiteot.numerics import INF, DataError, ParameterError, ShapeError, is_inf, pricing_tol
+from finiteot.numerics import (
+    FLOAT_TOL,
+    INF,
+    DataError,
+    ParameterError,
+    ShapeError,
+    is_inf,
+    pricing_tol,
+)
 from finiteot.solver import (
     check_lower_bound,
     cost_of_plan,
@@ -278,8 +286,8 @@ class TestSolve:
             # iterations counts the simplex pivots that found the cut; every
             # weight is positive, so the engine's input is the whole problem
             assert min(mu1.weights) > 0 and min(mu2.weights) > 0
-            tol = pricing_tol(sol.mode, max(x for r in cost for x in r if not is_inf(x)))
-            _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, tol=tol)
+            rel_tol = FLOAT_TOL if sol.mode == "float" else 0  # as the solve prices
+            _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, 0, rel_tol)
             assert sol.iterations == pivots > 0
 
     def test_numpy_integer_costs_in_rational_mode(self):
@@ -844,6 +852,84 @@ class TestPivotIdentity:
         assert type(sol.optimal_cost) is float
 
 
+def wide_range_instance(seed, n, inf_share=0.0):
+    """The wide-range family: float weights rng.random(n) normalised, costs
+    U(0, 1) * 10^U(0, 12), and, with inf_share, about that share of the
+    cells +inf, drawn from np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(n), rng.random(n)
+    C = rng.uniform(0, 1, (n, n)) * 10 ** rng.uniform(0, 12, (n, n))
+    if inf_share:
+        C[rng.random((n, n)) < inf_share] = INF
+    return new_measure((a / a.sum()).tolist()), new_measure((b / b.sum()).tolist()), C.tolist()
+
+
+def exact_optimum(mu1, mu2, cost):
+    """The optimum, as a Fraction, of the float weights and costs read as
+    the binary fractions they are, the weights normalised exactly."""
+    exact = []
+    for mu in mu1, mu2:
+        weights = [F(w) for w in mu.weights]
+        exact.append(new_measure([w / sum(weights) for w in weights]))
+    cells = [[c if is_inf(c) else F(c) for c in row] for row in cost]
+    sol = solve_kantorovich(*exact, cells)
+    assert sol.mode == "rational"
+    return sol.optimal_cost
+
+
+class TestWideRangeCosts:
+    """A float solve given no tol prices each cell against its own rounding
+    error, FLOAT_TOL * (|c| + |u| + |v|): one tolerance scaled by the largest
+    cost, about 1e3 on these costs, hid the improving cells of small cost,
+    and every solve of this family returned a plan that was not optimal."""
+
+    def test_the_repro_is_pinned_in_both_engines(self, monkeypatch):
+        mu1, mu2, cost = wide_range_instance(1, 30)
+        # the exact optimum rounds to the float solve's answer
+        assert float(exact_optimum(mu1, mu2, cost)) == 5.856765185932088
+        for kernel in (solver._kernel, None):
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            sol = solve_kantorovich(mu1, mu2, cost)
+            assert (sol.iterations, sol.optimal_cost) == (96, 5.856765185932088)
+
+    @pytest.mark.parametrize(
+        "instance, pin, exact_pivots",
+        [((10, 60, 0.0), (425, 1.8990271777968117), 426), ((9, 60, 0.1), (375, 0.9545315906465534), 384)],
+    )
+    def test_the_rule_declines_cells_within_roundoff(self, monkeypatch, instance, pin, exact_pivots):
+        # with tol=0 every negative reduced cost enters, also one that is
+        # only the rounding error of c - u - v: the rule declines it, in the
+        # value-only scan and in the value part of the (M, value) scan
+        mu1, mu2, cost = wide_range_instance(*instance)
+        for kernel in (solver._kernel, None):
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            sol = solve_kantorovich(mu1, mu2, cost)
+            assert (sol.iterations, sol.optimal_cost) == pin
+            assert solve_kantorovich(mu1, mu2, cost, tol=0).iterations == exact_pivots
+
+    def test_an_explicit_tol_keeps_its_absolute_meaning(self):
+        # the old default, passed as tol, finds the old non-optimal plan
+        mu1, mu2, cost = wide_range_instance(1, 30)
+        tol = pricing_tol("float", max(map(max, cost)))
+        sol = solve_kantorovich(mu1, mu2, cost, tol=tol)
+        assert (sol.iterations, sol.optimal_cost) == (48, 19.347259069054964)
+
+    @pytest.mark.parametrize(
+        "n, seeds, inf_share",
+        [(30, range(1, 41), 0.0), (60, range(1, 21), 0.0), (30, range(1, 21), 0.1)],
+    )
+    def test_the_seeded_battery_meets_the_exact_optima(self, n, seeds, inf_share):
+        # with +inf cells the value part decides among cells whose M part is 0
+        for seed in seeds:
+            mu1, mu2, cost = wide_range_instance(seed, n, inf_share)
+            sol = solve_kantorovich(mu1, mu2, cost)
+            want = exact_optimum(mu1, mu2, cost)
+            if is_inf(want):
+                assert not sol.feasible
+            else:
+                assert abs(sol.optimal_cost - want) <= 1e-12 * want, (n, seed)
+
+
 class TestFloatValidation:
     """NaN, -inf and ragged input are still refused on the float array path."""
 
@@ -921,6 +1007,32 @@ def test_a_negative_or_nan_tol_is_refused(monkeypatch, kernel, exact, tol):
         with pytest.raises(ParameterError, match="tol must be a nonnegative number"):
             solve_kantorovich(mu, mu, c, mode=mode, tol=tol)
     assert len(runs) == 1  # the reference solve only
+
+
+def test_a_float_solve_reads_positivity_off_the_measures(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve counted the nonzero weights")
+
+    monkeypatch.setattr(np, "count_nonzero", refuse)
+    cost = ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))
+    for weights in (0.25, 0.25, 0.5), (0.0, 0.5, 0.5):
+        mu = new_measure(weights)
+        sol = solve_kantorovich(mu, new_measure((0.5, 0.25, 0.25)), cost)
+        assert sol.mode == "float" and [sum(row) for row in sol.plan.matrix] == list(weights)
+
+
+def test_an_exact_weight_that_rounds_to_zero_takes_the_support_path(monkeypatch):
+    # Fraction(1, 10**400) is positive, but its float64 copy is 0.0, which
+    # the engines refuse: a float solve reads positivity off the float copy
+    tiny = F(1, 10**400)
+    mu = new_measure((tiny, 1 - tiny))
+    assert mu.mode == "rational" and mu.scaled_positive and not mu.float_positive
+    inputs, run = [], solver._run_engine
+    monkeypatch.setattr(solver, "_run_engine", lambda a, *rest: inputs.append(a.tolist()) or run(a, *rest))
+    sol = solve_kantorovich(mu, new_measure((0.5, 0.5)), ((1.0, 2.0), (3.0, 0.5)))
+    assert inputs == [[1.0]]
+    assert sol.mode == "float" and sol.plan.matrix == ((0.0, 0.0), (0.5, 0.5))
+    assert (sol.optimal_cost, sol.iterations) == (1.75, 0)
 
 
 def test_float_solve_does_no_python_work_per_cell(monkeypatch):

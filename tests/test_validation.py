@@ -115,6 +115,45 @@ def test_float_weight_errors(weights, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("weights", [(1.0, NAN), (NAN, 0.5, 0.5), (0.5, NAN, -0.25)])
+def test_a_nan_that_min_and_max_pass_over_is_refused(weights):
+    # min and max of Python floats may skip a NaN; their sum is NaN, and the
+    # weights are then judged one by one, in order
+    with pytest.raises(DataError) as info:
+        new_measure(weights)
+    assert type(info.value) is DataError and str(info.value) == "NaN weight"
+
+
+@pytest.mark.parametrize(
+    "weights, positive, plan",
+    [((5e-324, 1.0), True, ((5e-324, 0.0), (0.0, 1.0))), ((-0.0, 1.0), False, ((0.0, 0.0), (0.0, 1.0)))],
+)
+def test_float_weights_at_the_screens_edges(weights, positive, plan):
+    # the least subnormal is positive and solved as it is; -0.0 passes the
+    # screen as a zero weight, and the solve runs on the support
+    mu = new_measure(weights)
+    assert mu.mode == "float" and repr(mu.weights) == repr(weights)
+    assert repr(mu.float_weights.tolist()) == repr(list(weights))
+    assert mu.float_positive is positive
+    sol = solve_kantorovich(mu, mu, ((1.0, 2.0), (3.0, 0.5)))
+    assert (sol.plan.matrix, sol.optimal_cost, sol.iterations) == (plan, 0.5, 0)
+
+
+def test_a_measure_of_python_floats_takes_one_type_scan(monkeypatch):
+    from finiteot import measure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float measure scanned its weights again")
+
+    monkeypatch.setattr(measure, "python_numbers", refuse)
+    monkeypatch.setattr(measure, "scaled_ints", refuse)
+    for weights, positive in ((0.25, 0.75), True), ((0.0, 0.5, 0.5), False):
+        mu = new_measure(weights)
+        assert (mu.mode, mu.float_positive, mu.float_weights.tolist()) == ("float", positive, list(weights))
+    with pytest.raises(DomainError, match="negative weight -0.25"):
+        new_measure((1.25, -0.25))
+
+
 @pytest.mark.parametrize("kind", [float, np.float32, np.float64])
 @pytest.mark.parametrize(
     "read, value, error, message",
