@@ -293,8 +293,8 @@ def solve_kantorovich(
         mode = mode_of(cm, mu1, mu2)
     # a float solve given no tol prices each cell against its own rounding
     # error (rel_tol), not against one tolerance scaled by the largest cost
-    given, rel_tol = tol is not None, 0.0
-    if not given:
+    rel_tol = 0.0
+    if tol is None:
         tol, rel_tol = 0, FLOAT_TOL if mode == FLOAT else 0.0
     elif not tol >= 0:  # a NaN fails too
         raise ParameterError(f"tol must be a nonnegative number, not {tol!r}")
@@ -328,7 +328,7 @@ def solve_kantorovich(
         # one pricing_tol of the costs, is roundoff
         flow_tol = 0
         if mode == FLOAT:
-            flow_tol = tol if given else pricing_tol(FLOAT, cm.max_abs_finite())
+            flow_tol = pricing_tol(FLOAT, cm.max_abs_finite()) if rel_tol else tol
         forbidden = _compiled.forbidden_cells(C)
         if forbidden_mass > flow_tol:
             certificate = _hall_certificate(a, b, forbidden, X, flow_tol, wscale)
