@@ -40,17 +40,18 @@ class DiscreteMeasure:
     """Probability weights on the points of a finite space.
 
     Zero-weight points are kept; indices stay aligned with the space; a
-    numpy scalar is kept as the Python number it equals.  The weights'
-    types are scanned once.  Python floats are screened by min, max and
-    their left-to-right sum (the total, NaN when a weight is), and only a
-    failed screen checks them one by one.  Other weights are checked on
+    numpy scalar is kept as the Python number it equals.  Weights that are
+    all Python floats (one scan of their types) are screened by min, max
+    and their left-to-right sum (the total, NaN when a weight is), and only
+    a failed screen checks them one by one.  Other weights are checked on
     their scaled ints when every one is exact, else as one float64 array.
     The check keeps what it built as the cached scaled_weights or
     float_weights, and the other is derived on first use.  It also sets
-    mode, rational iff every weight is exact.  float_positive and scaled_positive say whether
-    every weight is positive in those two formats: set by the check from
-    the minimum it took, else found on first use (an exact weight such as
-    Fraction(1, 10**400) is positive but rounds to 0.0).
+    mode, rational iff every weight is exact.  float_positive and
+    scaled_positive say whether every weight is positive in those two
+    formats: set by the check from the minimum it took, else found on
+    first use (an exact weight such as Fraction(1, 10**400) is positive
+    but rounds to 0.0).
     """
 
     weights: tuple
@@ -69,10 +70,10 @@ class DiscreteMeasure:
             self._set_floats(w, total)
             vars(self)["float_positive"] = lo > 0
         else:
-            w = python_numbers(w, kinds)
+            w = python_numbers(w)
             if not w:
                 raise DomainError("measure needs at least one point")
-            scaled = scaled_ints(w, exact=True, kinds=kinds)
+            scaled = scaled_ints(w, exact=True)
             if scaled is not None:
                 # rational mode, checked on the weights' scaled ints
                 ints, scale = scaled

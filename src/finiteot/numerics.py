@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, compress, repeat, starmap
 from operator import ne
 
@@ -42,13 +42,10 @@ EXACT = (*INTEGERS, Fraction)
 FLOATS = (float, np.floating)
 
 
-def python_numbers(values, kinds=None) -> tuple:
-    """values as a tuple, each numpy scalar the Python number it equals.
-
-    kinds, when given, is the set of the values' types, which saves a scan.
-    """
+def python_numbers(values) -> tuple:
+    """values as a tuple, each numpy scalar the Python number it equals."""
     values = tuple(values)
-    if (set(map(type, values)) if kinds is None else kinds) <= {int, bool, Fraction, float}:
+    if set(map(type, values)) <= {int, bool, Fraction, float}:
         return values
     return tuple(x.item() if isinstance(x, np.generic) else x for x in values)
 
@@ -88,12 +85,9 @@ def extended_array(rows, what: str):
     a cell as float() or operator.index() does, where the first cell of
     row 0 other than +inf (which decides no mode) says how: as float64
     after a finite float, and as int64 after an integer, if every cell
-    packs.  Rows that do not pack so are scanned for their types once, and
-    rows of ints, bools and floats in float mode (a float other than +inf
-    among them) are then packed as float64.  An ndarray is read by its
-    dtype: integers within int64's range as int64, and floats as float64
-    unless every cell is +inf.  Any other matrix is decided by that one
-    scan of its cells' types (_scanned).
+    packs.  An ndarray is read by its dtype: integers within int64's range
+    as int64, and floats as float64 unless every cell is +inf.  Any other
+    matrix is decided by one scan of its cells' types (_scanned).
 
     bounds is (min, max) over the cells as Python numbers, for a nonempty
     float64 or int64 array (max is +inf when a cell is), else None.
@@ -122,22 +116,14 @@ def extended_array(rows, what: str):
             if A is not None:
                 return A, RATIONAL, (A.min().item(), A.max().item())
         shape, cells = (len(rows), len(rows[0]) if rows else 0), [*chain.from_iterable(rows)]
-        kinds = set(map(type, cells))
-        if kinds <= {int, bool, float} and _mode(cells, kinds) == FLOAT:
-            # ints among floats (a point cloud's int 0 diagonal): float mode
-            # rounds them as float() does, and so does the "d" pack
-            A = _packed(rows, "d")
-            if A is not None:
-                return A, FLOAT, _check_floats(A, what)
-        return _scanned(cells, shape, what, kinds)
-    return _scanned(cells, shape, what, set(map(type, cells)))
+    return _scanned(cells, shape, what)
 
 
-def _scanned(cells, shape, what, kinds):
+def _scanned(cells, shape, what):
     """extended_array of the row-major cells of a matrix of the shape, by
-    their types, the set kinds: a str or bytes cell is refused by name
-    (numpy would parse it), and exact cells are held as Python numbers in an
-    object array."""
+    their types: a str or bytes cell is refused by name (numpy would parse
+    it), and exact cells are held as Python numbers in an object array."""
+    kinds = set(map(type, cells))
     if any(issubclass(kind, (str, bytes)) for kind in kinds):
         k = next(k for k, x in enumerate(cells) if isinstance(x, (str, bytes)))
         raise DataError(f"{what} entry [{k // shape[1]}][{k % shape[1]}] is text, not a number: {cells[k]!r}")
@@ -152,20 +138,13 @@ def _scanned(cells, shape, what, kinds):
 
 def _packed(rows, code):
     """The rows as one read-only n x m array of struct code "d" (float64) or
-    "q" (int64), or None when a cell does not pack into it.  The rows are
-    packed by one struct.Struct per (width, code), kept across calls."""
+    "q" (int64), or None when a cell does not pack into it."""
     n, m = len(rows), len(rows[0])
     try:
-        data = b"".join(starmap(_row_struct(m, code).pack, rows))
+        data = b"".join(starmap(struct.Struct(f"{m}{code}").pack, rows))
     except (struct.error, OverflowError):
         return None
     return np.frombuffer(data, np.float64 if code == "d" else np.int64).reshape(n, m)
-
-
-@lru_cache(maxsize=256)
-def _row_struct(m, code):
-    """The struct.Struct of a row of m cells of struct code code."""
-    return struct.Struct(f"{m}{code}")
 
 
 def _check_floats(F, what):
@@ -263,7 +242,7 @@ def mode_of(*parts) -> str:
     return RATIONAL
 
 
-def scaled_ints(values, exact=False, kinds=None):
+def scaled_ints(values, exact=False):
     """(ints, scale): exact numbers as Python ints over one positive scale.
 
     scale is the least common multiple of the denominators and ints[k] is
@@ -273,12 +252,9 @@ def scaled_ints(values, exact=False, kinds=None):
     are read as the binary fractions they are; +inf has no ratio, and
     as_integer_ratio raises OverflowError on it.  With exact, it is None
     unless every value is exact (not even +inf), told apart by type.
-    kinds, when given, is the set of the values' types (or of the numpy
-    scalars python_numbers made them from), which saves a scan.
     """
     values = list(values)
-    if kinds is None:
-        kinds = set(map(type, values))
+    kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 1
     if exact and not all(issubclass(kind, EXACT) for kind in kinds):

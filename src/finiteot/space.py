@@ -233,9 +233,7 @@ class CostMatrix:
     has_inf records whether a cell is +inf, and max_abs_finite() returns
     the largest |cost| over the finite cells: recorded at construction
     from extended_array's bounds when no cell is +inf, else found on first
-    use, as _float_costs (array itself when float64) is, and kept.  For a
-    float64 array with +inf cells it is -(least cell) or one masked
-    maximum, whichever is larger; for an object array, a scan of its cells.
+    use, as _float_costs (array itself when float64) is, and kept.
     """
 
     cost: tuple
@@ -253,7 +251,7 @@ class CostMatrix:
             if cost and set(map(len, cost)) != {m}:
                 raise ShapeError("cost matrix is not rectangular")
         array, mode, bounds = extended_array(cost, "cost")
-        lo = top = None  # top found on first use
+        top = None  # found on first use
         if bounds is None:  # an object or empty array
             kinds = set(map(type, array.ravel().tolist()))
             has_inf = any(number_kind(kind) == 2 for kind in kinds)
@@ -262,7 +260,7 @@ class CostMatrix:
             has_inf = hi == INF
             if not has_inf:
                 top = max(abs(lo), abs(hi))
-        vars(self).update(array=array, mode=mode, has_inf=has_inf, _least=lo, _max_abs_finite=top)
+        vars(self).update(array=array, mode=mode, has_inf=has_inf, _max_abs_finite=top)
         if array.dtype == np.int64:  # already in the exact format
             vars(self)["_scaled_costs"] = array, 1
         elif array.dtype == np.float64:  # already float64
@@ -328,10 +326,9 @@ class CostMatrix:
         """The largest |cost| over the finite cells, 0 when there is none."""
         top, A = self._max_abs_finite, self.array
         if top is None:  # found once
-            if self._least is None:  # an object array: a scan of its cells
+            if A.dtype == object:  # a scan of its cells
                 top = max((abs(c) for c in A.ravel().tolist() if c != INF), default=0)
-            else:  # float64 with +inf cells: -(least cell) or the largest finite cell
-                finite_top = np.maximum.reduce(A, axis=None, where=A != INF, initial=0)
-                top = max(finite_top.item(), -self._least)
+            else:  # float64 with +inf cells
+                top = np.maximum.reduce(np.abs(A), axis=None, where=A != INF, initial=0).item()
             vars(self)["_max_abs_finite"] = top
         return top

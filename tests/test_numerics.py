@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import finiteot
-from finiteot import numerics
 from finiteot.analysis import (
     ExtendedFunction,
     check_moreau_yosida_properties,
@@ -552,30 +551,6 @@ class TestFloatReadPastLeadingInf:
             solve_kantorovich(h, h, ((1, "2"), (3, 4)))
         with pytest.raises(DataError, match=r"plan entry \[1\]\[0\] is text"):
             TransportPlan(((0.5, 0.0), ("0", 0.5)))
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[0, 0.5], [0.5, 0]],  # a point cloud's int 0 diagonal
-            [[0, 2**53 + 1], [0.5, 0]],  # float() rounds it
-            [[1, 2**63 + 1], [2.5, -(2**64)]],  # past int64, so the "q" pack fails
-            [[True, 0.5], [False, 1]],
-            [[0, INF], [INF, 0.25]],
-            [[INF, 0], [0.25, True]],
-            [[0, float("nan")], [1.0, 0]],
-            [[0, 1.0], [-INF, 0]],
-            [[0, -INF], [float("nan"), 0]],
-        ],
-    )
-    def test_mixed_int_and_float_rows_read_as_the_scan_reads_them(self, monkeypatch, rows):
-        # the rows fail the int64 pack and are packed as doubles after one
-        # type scan, to the array, mode and bounds of _scanned, or its error
-        shape, cells = (len(rows), len(rows[0])), [*chain.from_iterable(rows)]
-        scanned = lambda rows, what: numerics._scanned(cells, shape, what, set(map(type, cells)))  # noqa: E731
-        want = read_outcome(scanned, rows)
-        monkeypatch.setattr(numerics, "_scanned", None)  # not called
-        assert read_outcome(extended_array, rows) == want
-        assert want[0] == "d" or want[0] == "DataError"
 
     def test_ragged_rows_are_refused_before_the_read(self):
         for rows in ([[INF, 1.0], [2.0]], [[INF, 1.0, 2.0], [3.0, 4.0]]):
