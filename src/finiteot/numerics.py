@@ -282,9 +282,9 @@ def default_tol(mode: str):
 
 
 def pricing_tol(mode: str, max_abs_cost):
-    """0 in rational mode, else FLOAT_TOL scaled by the largest cost: the
-    float solver's roundoff bound on mass left on forbidden cells when it
-    gets no tol (it prices cells by FLOAT_TOL * (|c| + |u| + |v|))."""
+    """0 in rational mode, else FLOAT_TOL scaled by the largest cost: a
+    cost tolerance, within which two float plan costs on those costs agree
+    (verify_restriction_optimality's default).  No mass is judged by it."""
     return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(max_abs_cost))
 
 

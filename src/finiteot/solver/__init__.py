@@ -22,9 +22,8 @@ On those arrays come the tolerance and the engine.  A cell enters the
 basis when its reduced cost r = c - u - v is below -tol; a float solve
 given no tol passes tol 0 and rel_tol FLOAT_TOL, and a cell must then
 also have r < -FLOAT_TOL * (|c| + |u| + |v|), beyond the rounding error
-of its own sum.  Only when the plan has mass on forbidden cells does a
-float solve given no tol read the largest |finite cost|, for the
-pricing_tol below which that mass is roundoff.  The engine checks
+of its own sum.  tol prices costs, and masses use the mode's
+tolerance, default_tol (see solve_kantorovich).  The engine checks
 and prices its own plan: with the plan it returns a summary of five
 numbers from one row-major pass over it (summarize in _dense.c,
 simplex.plan_summary in Python), the mass on forbidden cells, the price,
@@ -75,11 +74,12 @@ the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
 the finite part of that plan is a maximum flow.  When no cell is forbidden,
-both price the value part alone, which picks the same entering cells.  The problem has no finite-cost
-plan exactly when that mass exceeds the tolerance, and then a closure on
-the engine's boolean masks gives the Hall-type cut certificate: from the
-rows with forbidden mass, rows reach columns over finite cells and columns
-reach rows over finite cells with flow, each row and column expanded once.
+both price the value part alone, which picks the same entering cells.  The
+problem has no finite-cost plan exactly when that mass exceeds default_tol
+of the mode, and then a closure on the engine's boolean masks gives the
+Hall-type cut certificate: from the rows with forbidden mass, rows reach
+columns over finite cells and columns reach rows over finite cells with
+flow, each row and column expanded once.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ from ..numerics import (
     FLOAT_TOL,
     INF,
     RATIONAL,
+    DomainError,
     ParameterError,
     ShapeError,
     _floor,
@@ -283,7 +284,9 @@ def solve_kantorovich(
     negative one or NaN, before any engine runs), and a cell enters when
     its reduced cost is below -tol.  With no tol, rational mode prices
     exactly, and float mode lets a cell enter when its reduced cost r is
-    below -FLOAT_TOL * (|c| + |u| + |v|).
+    below -FLOAT_TOL * (|c| + |u| + |v|).  tol prices costs only: every
+    mass (forbidden, swept, in the Hall cut or the plan check) is judged
+    within default_tol(mode), 0 or FLOAT_TOL, whatever the costs.
     """
     cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     n, m = cm.shape
@@ -321,23 +324,17 @@ def solve_kantorovich(
         X[support] = on_support
     forbidden_mass, price, row_gap, column_gap, least = summary
     plan, value, certificate = None, INF, None
+    check = default_tol(mode)
     if forbidden_mass:  # only a problem with forbidden cells has any
-        # the engines minimise the M part exactly whatever tol is, so in
-        # rational mode any mass on forbidden cells proves that no
-        # finite-cost plan exists; in float mode mass up to tol, or without
-        # one pricing_tol of the costs, is roundoff
-        flow_tol = 0
-        if mode == FLOAT:
-            flow_tol = pricing_tol(FLOAT, cm.max_abs_finite()) if rel_tol else tol
+        # the engines minimise the M part exactly whatever tol is, so the
+        # mass on forbidden cells is the true deficit or float dust, and
+        # neither grows with the costs
         forbidden = _compiled.forbidden_cells(C)
-        if forbidden_mass > flow_tol:
-            certificate = _hall_certificate(a, b, forbidden, X, flow_tol, wscale)
-        else:
-            # float roundoff left dust on forbidden basic cells; sweep it
-            # (the summary counts them as swept)
+        if forbidden_mass > check:
+            certificate = _hall_certificate(a, b, forbidden, X, check, wscale)
+        else:  # float dust on forbidden basic cells; the summary counts it swept
             X[forbidden] = 0.0
     if certificate is None:
-        check = default_tol(mode)
         if not (least >= -check and row_gap <= check and column_gap <= check):  # NaN fails
             _, report = _is_coupling_array(X, a, b, check)
             raise RuntimeError(
@@ -446,6 +443,8 @@ def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
     """
     from ..coupling import restrict_and_normalize
 
+    if solution.plan is None:
+        raise DomainError("an infeasible solution (optimal cost +inf) has no plan to restrict")
     cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     restricted, Z, mu1p, mu2p = restrict_and_normalize(solution.plan, mask)
     restricted_cost = cost_of_plan(restricted, cm)

@@ -3,9 +3,10 @@
 A space is a list of labelled points with a validated distance matrix, read
 once into the CostMatrix that power_cost(1) returns.  Every check of the
 distances decides on that matrix's array (_decision), and builds what it
-reports from the original cells, so each value keeps its type and its
-float bits.  The other costs built here are the powers d^p, cell by cell
-in Python; each carries the (zero, zero) lower bound of a nonnegative cost.
+reports from the matrix's cells, the given numbers with each numpy scalar
+read as the Python number it equals, so each value keeps its float bits.
+The other costs built here are the powers d^p, cell by cell in Python;
+each carries the (zero, zero) lower bound of a nonnegative cost.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .numerics import (
     is_inf,
     mode_of,
     number_kind,
+    python_numbers,
     scaled_ints,
 )
 
@@ -49,6 +51,8 @@ def validate_metric(dist, tol=None):
 
 def _validated(dist, tol):
     """(dist read into a CostMatrix, validate_metric's report)."""
+    if not isinstance(dist, np.ndarray):  # an ndarray's cost is read by tolist()
+        dist = tuple(map(python_numbers, dist))
     n = len(dist)
     width = next((k for k in map(len, dist) if k != n), n)
     if width != n:
@@ -117,8 +121,9 @@ def _cells(mask):
 class FiniteMetricSpace:
     """Ground set with a distance matrix satisfying the metric axioms.
 
-    dist is the cost of the space's CostMatrix, of Python numbers also when
-    it is given as an ndarray; tol None checks the axioms within the mode's."""
+    dist is the cost of the space's CostMatrix, of Python numbers however
+    it is given (a numpy scalar is the number it equals, an ndarray is read
+    by tolist()); tol None checks the axioms within the mode's."""
 
     labels: tuple
     dist: tuple  # tuple of row tuples
@@ -233,7 +238,9 @@ class CostMatrix:
     has_inf records whether a cell is +inf, and max_abs_finite() returns
     the largest |cost| over the finite cells: recorded at construction
     from extended_array's bounds when no cell is +inf, else found on first
-    use, as _float_costs (array itself when float64) is, and kept.
+    use, as _float_costs (array itself when float64) is, and kept.  It is
+    read by a rational solve's int64 fit (solver._exact_input) and by
+    verify_restriction_optimality's cost tolerance, never by a float solve.
     """
 
     cost: tuple

@@ -56,6 +56,13 @@ class TestMoreauYosida:
         assert moreau_yosida(f, LINE3, 2) == (0, 1, 1)
         assert moreau_yosida(f, LINE3, 4) == (0, 2, 1)
 
+    def test_numpy_distances_give_envelopes_in_python_arithmetic(self):
+        # float32 distances are read as the Python floats they equal, so
+        # f(z) + n d(x, z) is not rounded to float32
+        d = np.float32(0.1)
+        space = FiniteMetricSpace(("a", "b"), ((np.float32(0), d), (d, np.float32(0))))
+        assert typed(moreau_yosida((0.3, 5.0), space, 1)) == typed((0.3, 0.4000000014901161))
+
     def test_rejects_nonpositive_index(self):
         with pytest.raises(DomainError):
             moreau_yosida(ExtendedFunction((0, 1)), TWO_POINT, 0)

@@ -197,6 +197,25 @@ def test_int64_fit_is_decided_in_one_function():
     assert any("FORBIDDEN_INT64" in where for where in inside.values())
 
 
+def test_a_solve_reads_no_cost_scaled_tolerance():
+    """solve_kantorovich calls neither max_abs_finite nor pricing_tol: tol
+    prices costs, and every mass is decided on default_tol of the mode.
+    pricing_tol has one caller in the package, verify_restriction_optimality,
+    which compares two plan costs."""
+    root = Path(finiteot.__file__).parent
+    callers = {}
+    for path in sorted(root.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    callers.setdefault(name, []).append(function.name)
+    assert "solve_kantorovich" not in callers.get("max_abs_finite", [])
+    assert callers.get("pricing_tol") == ["verify_restriction_optimality"]
+
+
 def test_package_holds_no_assert():
     """python -O drops an assert, so library code checks with a raise and
     leaves cross-checks to the tests."""

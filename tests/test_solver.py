@@ -21,6 +21,7 @@ from finiteot.numerics import (
     FLOAT_TOL,
     INF,
     DataError,
+    DomainError,
     ParameterError,
     ShapeError,
     is_inf,
@@ -325,6 +326,42 @@ class TestSolve:
             assert sol.infeasibility_certificate["rows"] == rows
             check_hall_cut(sol.infeasibility_certificate, mu1, mu2, cost)
 
+    @pytest.mark.parametrize("tol", [None, 0.25])
+    @pytest.mark.parametrize("scale", [1, 1e6, 1e9, 1e12])
+    def test_float_infeasibility_is_decided_on_mass_not_costs(self, monkeypatch, tol, scale):
+        # row 0 reaches column 0 only, so 0.2 of its mass is left on a
+        # forbidden cell; a mass tolerance scaled by the costs, or read off
+        # a given tol, swept it as roundoff and the plan check then raised
+        mu1, mu2 = DiscreteMeasure((0.5, 0.5)), DiscreteMeasure((0.3, 0.7))
+        cost = ((scale, INF), (2 * scale, 3 * scale))
+        for kernel in (solver._kernel, None):
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            sol = solve_kantorovich(mu1, mu2, cost, tol=tol)
+            assert sol.mode == "float" and sol.plan is None and not sol.feasible
+            assert sol.infeasibility_certificate == {
+                "rows": [0], "reachable_columns": [0], "row_mass": 0.5, "column_mass": 0.3
+            }
+
+    def test_float_forbidden_solves_do_not_depend_on_the_cost_scale(self, monkeypatch):
+        # costs times 2^k are exact, and both the pricing rule and the mass
+        # tolerance are scale free: the same pivots, and the same cut or
+        # the cost times 2^k
+        cases = [forbidden_instance(seed, 10, False, density=0.5) for seed in range(1, 9)]
+        cases += [forbidden_instance(seed, n, exact) for seed, n, exact, _, _ in PINNED_CUTS if not exact]
+        for kernel in (solver._kernel, None):
+            monkeypatch.setattr(solver, "_kernel", kernel)
+            outcomes = set()
+            for mu1, mu2, cost in cases:
+                base = solve_kantorovich(mu1, mu2, cost)
+                outcomes.add(base.feasible)
+                for k in (10, 20, 30, 40):
+                    scaled = tuple(tuple(c * 2.0**k for c in row) for row in cost)
+                    sol = solve_kantorovich(mu1, mu2, scaled)
+                    assert sol.iterations == base.iterations
+                    assert sol.infeasibility_certificate == base.infeasibility_certificate
+                    assert sol.optimal_cost == base.optimal_cost * 2.0**k
+            assert outcomes == {True, False}
+
     def test_lower_bound_respected(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -579,6 +616,12 @@ class TestRestrictionOptimality:
             _, _, holds = verify_restriction_optimality(sol, mask, c)
             assert holds
             checked += 1
+
+    def test_an_infeasible_solution_is_refused(self):
+        cost = ((0, INF), (INF, INF))
+        sol = solve_kantorovich(UNIFORM2, UNIFORM2, cost)
+        with pytest.raises(DomainError, match="infeasible solution"):
+            verify_restriction_optimality(sol, [[True] * 2] * 2, cost)
 
 
 class TestFloatMode:

@@ -338,6 +338,16 @@ class TestOneReadOfTheDistances:
         assert s.power_cost(1) is s.power_cost(1.0) and s.power_cost(1).cost is s.dist
         assert s.power_cost(1).lower_bound == ((0, 0), (0, 0))
 
+    def test_numpy_scalar_distances_are_read_as_python_numbers(self):
+        f32 = np.float32
+        given = ((f32(0), f32(-0.1)), (f32(0.2), f32(0)))
+        assert typed(validate_metric(given)) == typed(
+            [("nonnegativity", (0, 1), -0.10000000149011612), ("symmetry", (0, 1), 0.30000000447034836)]
+        )
+        s = FiniteMetricSpace(("a", "b"), ((np.int64(0), np.int64(3)), (np.int64(3), np.int64(0))))
+        assert typed(s.dist) == typed(((0, 3), (3, 0)))
+        assert s.power_cost(1).cost is s.dist
+
     def test_negative_cell_within_tol_refuses_p1_only(self):
         # accepted by its tolerance, the cell is below the zero lower bound
         s = FiniteMetricSpace(("a", "b"), ((-F(1, 10), 1), (1, 0)), tol=F(1, 5))
