@@ -23,10 +23,12 @@ from .measure import DiscreteMeasure
 from .numerics import (
     FLOATS,
     INF,
+    INTEGERS,
     DomainError,
+    ParameterError,
     ShapeError,
     check_extended,
-    default_tol,
+    check_tol,
     infer_mode,
     is_inf,
     mode_of,
@@ -81,8 +83,8 @@ def moreau_yosida(f, space, n):
     scaled by L^2); f_n(x) is f(z) + n * d(x, z) at the first minimising z.
     """
     fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
-    if n <= 0:
-        raise DomainError(f"approximation index must be positive, got {n}")
+    if not 0 < n < INF:  # a NaN fails too
+        raise DomainError(f"approximation index must be a finite positive number, got {n}")
     values = fn.values
     if len(values) != space.n:
         raise ShapeError("function does not match the space size")
@@ -117,8 +119,11 @@ def check_moreau_yosida_properties(f, space, N, tol=None):
     (space._decision; the Lipschitz bound is one (n, n) test per n).
     """
     fn = f if isinstance(f, ExtendedFunction) else ExtendedFunction(tuple(f))
-    if tol is None:
-        tol = default_tol(mode_of(space._matrix, fn))
+    if not (isinstance(N, INTEGERS) and N >= 1):
+        raise ParameterError(f"N must be an integer >= 1, got {N!r}")
+    # scaled by max |finite f| + N max d, which bounds every envelope
+    top = space._matrix.max_abs_finite
+    tol = check_tol(tol, mode_of(space._matrix, fn), lambda: max(map(abs, fn.finite_range())) + N * top())
     tables = [moreau_yosida(fn, space, n) for n in range(1, N + 1)]
     finite, size = fn._finite, fn.n
     # tol is one of the numbers, as the tests add it: a float tol adds in floats
@@ -184,6 +189,7 @@ def narrow_limit_check(seq: MeasureSequence, limit: DiscreteMeasure, tol) -> boo
         seq = MeasureSequence(tuple(seq))
     if seq.items[0].n != limit.n:
         raise DomainError("limit lives on a different space")
+    tol = check_tol(tol, mode_of(limit, *seq.items))
     devs = [
         max(abs(a - b) for a, b in zip(mu.weights, limit.weights))
         for mu in seq.items
@@ -213,8 +219,9 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
     if any(p.shape != limit.shape for p in plans):
         raise ShapeError("plans have mismatched shapes")
     cm = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)  # read once
-    if tol is None:
-        tol = default_tol(mode_of(cm, limit, *plans))
+    # the entry gaps are masses, and the costs scale with the largest |finite cost|
+    mode = mode_of(cm, limit, *plans)
+    tol, cost_tol = check_tol(tol, mode), check_tol(tol, mode, cm.max_abs_finite)
     # entrywise convergence toward the limit: the worst entry gap must
     # never grow along the tail of the sequence; two exact plans are
     # compared on their ints, any other two in float64
@@ -240,7 +247,7 @@ def liminf_cost_check(plans, plan_limit, cost, tol=None):
 
     liminf_value = min(cost_of_plan(p, cm) for p in plans[-tail_len:])  # the first least
     limit_value = cost_of_plan(limit, cm)
-    holds = is_inf(liminf_value) or not is_inf(limit_value) and limit_value <= liminf_value + tol
+    holds = is_inf(liminf_value) or not is_inf(limit_value) and limit_value <= liminf_value + cost_tol
     return {
         "liminf_value": liminf_value,
         "limit_value": limit_value,

@@ -35,7 +35,7 @@ from .numerics import (
     DataError,
     ShapeError,
     _floor,
-    default_tol,
+    check_tol,
     extended_array,
     mode_of,
     number_kind,
@@ -236,8 +236,7 @@ def is_coupling(plan, mu1, mu2, tol=None):
     ndarray is read by _as_plan.
     """
     plan = _as_plan(plan)
-    if tol is None:
-        tol = default_tol(mode_of(plan, mu1, mu2))
+    tol = check_tol(tol, mode_of(plan, mu1, mu2))
     if plan.mode == RATIONAL:
         return _is_scaled_coupling(plan, mu1, mu2, tol)
     return _is_coupling_array(plan._array, mu1.float_weights, mu2.float_weights, tol)
@@ -345,8 +344,7 @@ def verify_coupling_via_test_functions(plan, mu1, mu2, pairs=None, tol=None) -> 
     n, m = plan.shape
     if n != mu1.n or m != mu2.n:
         raise ShapeError("plan shape does not match the measures")
-    if tol is None:
-        tol = default_tol(mode_of(plan, mu1, mu2))
+    tol = check_tol(tol, mode_of(plan, mu1, mu2))
     if pairs is None:
         pairs = all_indicator_pairs(n, m)
     X, scale = plan._array, plan._scale
@@ -392,8 +390,7 @@ def tail_mass_bound_check(plan: TransportPlan, K1, K2, mu1=None, mu2=None, tol=N
                 raise IndexError(f"{what} index {k} out of range")
     if mu1 is None or mu2 is None:
         mu1, mu2 = marginals(plan)
-    if tol is None:
-        tol = default_tol(mode_of(plan, mu1, mu2))
+    tol = check_tol(tol, mode_of(plan, mu1, mu2))
     inside = np.outer(np.isin(range(n), list(K1)), np.isin(range(m), list(K2)))
     lhs = _sum_cells(plan, ~inside)
     rhs = sum(w for i, w in enumerate(mu1.weights) if i not in K1)

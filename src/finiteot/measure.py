@@ -21,18 +21,17 @@ from .numerics import (
     FLOAT,
     INF,
     RATIONAL,
+    WEIGHT_SUM_TOL,
     DomainError,
     NormalizationError,
     ShapeError,
     check_extended,
-    default_tol,
+    check_tol,
     is_inf,
     mode_of,
     python_numbers,
     scaled_ints,
 )
-
-WEIGHT_SUM_TOL = 1e-12  # float-mode slack on the total mass
 
 
 @dataclass(frozen=True)
@@ -238,8 +237,7 @@ def measures_equal(mu1, mu2, mode="weights", tol=None) -> bool:
     itself testable.
     """
     _check_same_space(mu1, mu2)
-    if tol is None:
-        tol = default_tol(mode_of(mu1, mu2))
+    tol = check_tol(tol, mode_of(mu1, mu2))
     if mode == "weights":
         return all(abs(a - b) <= tol for a, b in zip(mu1.weights, mu2.weights))
     if mode == "test_functions":

@@ -9,9 +9,11 @@ infinity, even in rational mode, where it marks forbidden cost cells.
 -inf and NaN are rejected at the door.  The mode of a routine is mode_of
 its inputs, the one place where modes combine: rational iff every input
 is, where a measure, cost matrix, plan or extended function decided its
-mode when it was built and bare numbers are read by infer_mode.  Its
-default tolerance is default_tol of that mode; only the solver's float
-pricing also scales, cell by cell.
+mode when it was built and bare numbers are read by infer_mode.  Every
+check takes its tolerance from check_tol: a given one must be a
+nonnegative number, and None is 0 in rational mode and in float mode
+FLOAT_TOL * (1 + the largest magnitude compared), masses counting as 0.
+Only solve_kantorovich decides its own: its tol prices costs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import numpy as np
 
 INF = float("inf")
 
-#: default float-mode tolerance
+#: default float-mode tolerance, relative to the largest magnitude compared
 FLOAT_TOL = 1e-9
+#: float-mode slack on a measure's total mass
+WEIGHT_SUM_TOL = 1e-12
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -277,15 +281,22 @@ def _floor(tol, scale):
     return p * scale // q
 
 
-def default_tol(mode: str):
-    return 0 if mode == RATIONAL else FLOAT_TOL
+def default_tol(mode: str, scale=0):
+    """0 in rational mode, else FLOAT_TOL * (1 + scale), where scale is the
+    largest magnitude a check compares (0 for masses): roundoff grows with it."""
+    return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(scale))
 
 
-def pricing_tol(mode: str, max_abs_cost):
-    """0 in rational mode, else FLOAT_TOL scaled by the largest cost: a
-    cost tolerance, within which two float plan costs on those costs agree
-    (verify_restriction_optimality's default).  No mass is judged by it."""
-    return 0 if mode == RATIONAL else FLOAT_TOL * (1 + float(max_abs_cost))
+def check_tol(tol, mode: str, scale=None):
+    """The tolerance a check compares within: a given tol, which must be a
+    nonnegative number (ParameterError on anything else, NaN included), or
+    for None default_tol(mode, scale()).  scale, a function of no arguments
+    (None for masses, 0), is called only for a float-mode default."""
+    if tol is None:
+        return default_tol(mode, scale() if scale and mode != RATIONAL else 0)
+    if not (isinstance(tol, (*EXACT, *FLOATS)) and tol >= 0):
+        raise ParameterError(f"tol must be a nonnegative number, not {tol!r}")
+    return tol
 
 
 class ShapeError(ValueError):

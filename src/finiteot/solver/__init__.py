@@ -111,11 +111,11 @@ from ..numerics import (
     ParameterError,
     ShapeError,
     _floor,
+    check_tol,
     default_tol,
     is_inf,
     mode_of,
     number_kind,
-    pricing_tol,
 )
 from ..space import CostMatrix
 from . import _compiled
@@ -218,8 +218,8 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
 
     The bound is the same for every coupling, so it lower-bounds the
     optimum; on a tight pair every plan costs it exactly.  holds compares
-    them within default_tol of the mode of the cost, the measures and the
-    plan.  Returns (bound, cost, holds).
+    them within their mode's default (numerics.check_tol), scaled by the
+    largest |finite cost|.  Returns (bound, cost, holds).
     """
     if cost.lower_bound is None:
         raise ParameterError("cost matrix carries no lower-bound pair")
@@ -227,7 +227,7 @@ def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
     bound = integrate(mu1, a1) + integrate(mu2, a2)
     plan = _as_plan(plan)
     value = cost_of_plan(plan, cost)
-    tol = default_tol(mode_of(cost, mu1, mu2, plan))
+    tol = check_tol(None, mode_of(cost, mu1, mu2, plan), cost.max_abs_finite)
     return bound, value, is_inf(value) or value >= bound - tol
 
 
@@ -299,8 +299,7 @@ def solve_kantorovich(
     rel_tol = 0.0
     if tol is None:
         tol, rel_tol = 0, FLOAT_TOL if mode == FLOAT else 0.0
-    elif not tol >= 0:  # a NaN fails too
-        raise ParameterError(f"tol must be a nonnegative number, not {tol!r}")
+    tol = check_tol(tol, mode)
     if mode == FLOAT:
         a, b, C, wscale = mu1.float_weights, mu2.float_weights, cm._float_costs, None
         positive = mu1.float_positive and mu2.float_positive
@@ -438,8 +437,9 @@ _ZERO = Fraction(0)  # the zero cell of a rational solver plan
 def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
     """Restricted-and-renormalized optimal plans stay optimal.
 
-    Returns (restricted_cost, resolved_cost, holds).  The input solution is
-    assumed optimal; that precondition is not checked here.
+    Returns (restricted_cost, resolved_cost, holds), the costs compared
+    within numerics.check_tol(tol), scaled by the largest |finite cost|.
+    The input solution is assumed optimal, which is not checked here.
     """
     from ..coupling import restrict_and_normalize
 
@@ -449,8 +449,7 @@ def verify_restriction_optimality(solution: OTSolution, mask, cost, tol=None):
     restricted, Z, mu1p, mu2p = restrict_and_normalize(solution.plan, mask)
     restricted_cost = cost_of_plan(restricted, cm)
     resolved = solve_kantorovich(mu1p, mu2p, cm, mode=solution.mode)
-    if tol is None:
-        tol = pricing_tol(solution.mode, cm.max_abs_finite())
+    tol = check_tol(tol, solution.mode, cm.max_abs_finite)
     if is_inf(restricted_cost) or is_inf(resolved.optimal_cost):
         holds = is_inf(restricted_cost) and is_inf(resolved.optimal_cost)
     else:

@@ -26,7 +26,7 @@ from .numerics import (
     ParameterError,
     ShapeError,
     _floor,
-    default_tol,
+    check_tol,
     extended_array,
     is_inf,
     mode_of,
@@ -37,8 +37,9 @@ from .numerics import (
 
 
 def validate_metric(dist, tol=None):
-    """Check the three metric axioms within tol (None: default_tol of the
-    distances' mode), returning a report of violations.
+    """Check the three metric axioms within numerics.check_tol(tol) of the
+    distances' mode, scaled by the largest |distance|, returning a report
+    of violations.
 
     Each violation is a (axiom, indices, magnitude) tuple, where axiom is one
     of "identity", "nonnegativity", "symmetry", "triangle".  Empty report ==
@@ -64,8 +65,7 @@ def _validated(dist, tol):
         bad = "NaN" if str(exc).startswith("NaN") else "infinite"
     if bad:
         raise DataError(f"{bad} entry in distance matrix")
-    if tol is None:
-        tol = default_tol(matrix.mode)
+    tol = check_tol(tol, matrix.mode, matrix.max_abs_finite)
     d = matrix.cost
     D, _, t, _ = _decision(matrix, [], lambda cell, number, t, scale: 3 * cell, tol)
     off = ~np.eye(n, dtype=bool)
@@ -123,7 +123,8 @@ class FiniteMetricSpace:
 
     dist is the cost of the space's CostMatrix, of Python numbers however
     it is given (a numpy scalar is the number it equals, an ndarray is read
-    by tolist()); tol None checks the axioms within the mode's."""
+    by tolist()); tol None checks the axioms within the mode's default,
+    scaled by the largest |distance| (validate_metric)."""
 
     labels: tuple
     dist: tuple  # tuple of row tuples
@@ -173,8 +174,8 @@ class FiniteMetricSpace:
     def _build_power_cost(self, p):
         if is_inf(p):
             raise ParameterError("p = inf is not supported")
-        if p < 1:
-            raise ParameterError(f"p must be >= 1, got {p}")
+        if not p >= 1:  # a NaN fails too
+            raise ParameterError(f"order p must be >= 1, got {p}")
         zero = (0,) * self.n
         if p == 1:
             return self._matrix._attach((zero, zero))
@@ -220,8 +221,9 @@ class CostMatrix:
     """Pairwise transport costs; entries may be +inf (forbidden moves).
 
     An optional additive lower-bound pair (a1, a2) certifies
-    cost[i][j] >= a1[i] + a2[j] on finite entries, within tol, which None
-    makes default_tol of mode_of(matrix, a1, a2).
+    cost[i][j] >= a1[i] + a2[j] on finite entries, within
+    numerics.check_tol(tol) of mode_of(matrix, a1, a2), scaled by the
+    largest |finite cost|.
 
     The numeric mode is decided once, here, by numerics.extended_array:
     rows whose first cell other than +inf is a finite float or an integer
@@ -239,8 +241,9 @@ class CostMatrix:
     the largest |cost| over the finite cells: recorded at construction
     from extended_array's bounds when no cell is +inf, else found on first
     use, as _float_costs (array itself when float64) is, and kept.  It is
-    read by a rational solve's int64 fit (solver._exact_input) and by
-    verify_restriction_optimality's cost tolerance, never by a float solve.
+    read by a rational solve's int64 fit (solver._exact_input), never by a
+    float solve, and by the float-mode default tolerance of the checks on
+    costs and distances (numerics.check_tol).
     """
 
     cost: tuple
@@ -284,7 +287,7 @@ class CostMatrix:
             raise ShapeError("lower-bound vectors do not match cost shape")
         # c < a1[i] + a2[j] - tol in Python arithmetic, cell by cell in C
         bound = np.add.outer(np.array(a1, dtype=object), np.array(a2, dtype=object))
-        tol = default_tol(mode_of(self, a1, a2)) if self.tol is None else self.tol
+        tol = check_tol(self.tol, mode_of(self, a1, a2), self.max_abs_finite)
         below = np.less(array, bound - tol).nonzero()
         if below[0].size:
             i, j = below[0].item(0), below[1].item(0)

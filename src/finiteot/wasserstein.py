@@ -18,18 +18,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
 from .coupling import TransportPlan, _line_sums, _scaled, _sum_cells
 from .measure import measures_equal
 from .numerics import (
+    INF,
     RATIONAL,
     DomainError,
     GlueError,
     ParameterError,
-    default_tol,
+    check_tol,
     infer_mode,
     mode_of,
 )
@@ -40,10 +41,10 @@ from .solver import cost_of_plan, solve_kantorovich
 class WassersteinParams:
     p: object = 1
     mode: str = None  # None = infer from the data
-    tol: object = None  # solver and comparison tolerance; None = the mode default
+    tol: object = None  # the solve's pricing and the checks' tolerance; None = each one's default
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # a NaN fails too
             raise ParameterError(f"order p must be >= 1, got {self.p}")
 
 
@@ -162,8 +163,7 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
         raise GlueError(f"middle sizes differ: {n2} vs {n2b}")
     g = GluedPlan(pi12, pi23)
     exact = g._integer_factors
-    if tol is None:
-        tol = default_tol(mode_of(*g._plans))
+    tol = check_tol(tol, mode_of(*g._plans))
     if exact:
         P, s12, Q, s23 = exact
         # both sums over the common scale s12 * s23
@@ -225,9 +225,8 @@ def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):
     pi13 = glued_marginal_13(glued)
     cost = space.power_cost(params.p)
     glued_cost_13 = _root(cost_of_plan(pi13, cost), params.p, infer_mode((w13,)))
-    tol = params.tol
-    if tol is None:
-        tol = default_tol(infer_mode((w12, w23, w13, glued_cost_13)))
+    # every W_p and the glued cost's root lie below the largest distance
+    tol = check_tol(params.tol, infer_mode((w12, w23, w13, glued_cost_13)), space._matrix.max_abs_finite)
     holds = (w13 <= glued_cost_13 + tol) and (glued_cost_13 <= w12 + w23 + tol)
     return {
         "w12": w12,
@@ -252,49 +251,33 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
     k = len(measures)
     dist, plans = {}, {}
     for i in range(k):
-        for j in range(i, k):
+        for j in range(k):  # W(j, i) too, solved with the arguments swapped
             dist[i, j], plans[i, j] = wasserstein_distance(measures[i], measures[j], space, params)
-    tol = params.tol
-    if tol is None:
-        tol = default_tol(infer_mode(dist.values()))
+    # every W_p lies below the largest distance
+    tol = check_tol(params.tol, infer_mode(dist.values()), space._matrix.max_abs_finite)
 
     axioms = "nonnegativity", "symmetry", "identity", "discernibility", "triangle"
     failures = {axiom: [] for axiom in axioms}
     for i in range(k):
-        if dist[(i, i)] > tol:
-            failures["identity"].append({"i": i, "value": dist[(i, i)]})
+        if dist[i, i] > tol:
+            failures["identity"].append({"i": i, "value": dist[i, i]})
         for j in range(i, k):
-            if dist[(i, j)] < -tol:
-                failures["nonnegativity"].append({"i": i, "j": j, "value": dist[(i, j)]})
+            if dist[i, j] < -tol:
+                failures["nonnegativity"].append({"i": i, "j": j, "value": dist[i, j]})
             if i == j:
                 continue  # W(i, i) has no arguments to swap
-            # W is computed once per unordered pair, so symmetry is checked
-            # by re-solving with the arguments swapped
-            w_ji, _ = wasserstein_distance(measures[j], measures[i], space, params)
-            if abs(dist[(i, j)] - w_ji) > tol:
-                failures["symmetry"].append(
-                    {"i": i, "j": j, "w_ij": dist[(i, j)], "w_ji": w_ji}
-                )
-            if dist[(i, j)] <= tol:
+            if abs(dist[i, j] - dist[j, i]) > tol:
+                failures["symmetry"].append({"i": i, "j": j, "w_ij": dist[i, j], "w_ji": dist[j, i]})
+            if dist[i, j] <= tol:
                 # derived weight tolerance: W >= min-positive-distance * off-diag mass
-                wtol = tol / space.min_positive_distance() if tol else 0
-                off_diag = _sum_cells(plans[(i, j)], ~np.eye(space.n, dtype=bool))
-                if off_diag > wtol or not measures_equal(
-                    measures[i], measures[j], "weights", tol=wtol
-                ):
-                    failures["discernibility"].append(
-                        {"i": i, "j": j, "off_diagonal_mass": off_diag}
-                    )
-
-    def w(i, j):
-        return dist[(i, j)] if i <= j else dist[(j, i)]
-
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                gap = w(i, l) - w(i, j) - w(j, l)
-                if gap > tol:
-                    failures["triangle"].append({"i": i, "j": j, "k": l, "gap": gap})
+                wtol = tol / space.min_positive_distance() if 0 < tol < INF else tol
+                off_diag = _sum_cells(plans[i, j], ~np.eye(space.n, dtype=bool))
+                if off_diag > wtol or not measures_equal(measures[i], measures[j], "weights", tol=wtol):
+                    failures["discernibility"].append({"i": i, "j": j, "off_diagonal_mass": off_diag})
+    for i, j, l in product(range(k), repeat=3):
+        gap = dist[i, l] - dist[i, j] - dist[j, l]
+        if gap > tol:
+            failures["triangle"].append({"i": i, "j": j, "k": l, "gap": gap})
 
     passed = all(not v for v in failures.values())
     return {
@@ -302,7 +285,7 @@ def metric_axiom_suite(measures, space, params: WassersteinParams = None):
         "n_measures": k,
         "passed": passed,
         "failures": failures,
-        "distances": {f"{i},{j}": dist[(i, j)] for i, j in dist},
+        "distances": {f"{i},{j}": w for (i, j), w in dist.items() if i <= j},
     }
 
 
@@ -315,8 +298,7 @@ def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
     pi12 and pi23 are all exact, it is read off the integer factors with no
     tensor built (_factor_report); otherwise the tensor is summed.
     """
-    if tol is None:  # the tensor is exact when both plans are
-        tol = default_tol(mode_of(pi12, pi23))
+    tol = check_tol(tol, mode_of(pi12, pi23))  # the tensor is exact when both plans are
     report = _factor_report(g, pi12, pi23, tol)
     if report is not None:
         return (not report), report
@@ -353,7 +335,7 @@ def _factor_report(g, pi12, pi23, tol):
         return None
     try:
         p, q = Fraction(tol).as_integer_ratio()
-    except (TypeError, ValueError, OverflowError):  # NaN, infinite or not a number
+    except (TypeError, OverflowError):  # an infinite tol, or a numpy scalar Fraction does not take
         return None
     P, _, Q, s23 = factors
     (A, sa, _), (B, sb, _) = wanted

@@ -20,7 +20,7 @@ from finiteot.analysis import (
 from finiteot.coupling import TransportPlan
 from finiteot.generators import random_rational_metric_space
 from finiteot.measure import dirac, indicator, integrate, new_measure
-from finiteot.numerics import INF, DataError, DomainError, ShapeError, is_inf
+from finiteot.numerics import INF, DataError, DomainError, ParameterError, ShapeError, is_inf
 from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
 
 HALF = F(1, 2)
@@ -66,6 +66,18 @@ class TestMoreauYosida:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(DomainError):
             moreau_yosida(ExtendedFunction((0, 1)), TWO_POINT, 0)
+
+    @pytest.mark.parametrize("n", [float("nan"), INF, -INF, -F(1, 2)], ids=repr)
+    def test_rejects_an_index_that_is_not_finite_and_positive(self, n):
+        # a NaN index gave (nan, nan), and +inf gave (nan, inf)
+        with pytest.raises(DomainError, match="finite positive number"):
+            moreau_yosida((0, 5), TWO_POINT, n)
+
+    @pytest.mark.parametrize("N", [0, -1, 2.0, 1.5, F(3), float("nan"), "3"], ids=repr)
+    def test_the_ladder_rejects_an_N_that_is_not_an_integer_from_1(self, N):
+        # N = 0 reported passed: True after checking nothing
+        with pytest.raises(ParameterError, match="N must be an integer >= 1"):
+            check_moreau_yosida_properties((0, 5), TWO_POINT, N)
 
     def test_rejects_all_infinite(self):
         with pytest.raises(DomainError):
@@ -251,8 +263,10 @@ def reference_moreau_yosida(values, dist, n):
 
 
 def reference_ladder(values, dist, N, tol):
-    if tol is None:
-        tol = 0 if all(isinstance(v, (int, F)) or is_inf(v) for v in chain(values, *dist)) else 1e-9
+    if tol is None:  # in float mode scaled by max |finite f| + N max |d|
+        exact = all(isinstance(v, (int, F)) or is_inf(v) for v in chain(values, *dist))
+        top = max(abs(v) for v in values if not is_inf(v)) + N * max(abs(d) for d in chain(*dist))
+        tol = 0 if exact else 1e-9 * (1 + float(top))
     tables = {n: reference_moreau_yosida(values, dist, n) for n in range(1, N + 1)}
     failures = {"monotone": [], "dominated": [], "lipschitz": [], "convergence": []}
     size = len(values)

@@ -16,6 +16,7 @@ from finiteot.analysis import (
     exact_recovery_threshold,
     liminf_cost_check,
     moreau_yosida,
+    narrow_limit_check,
 )
 from finiteot.coupling import (
     TransportPlan,
@@ -23,21 +24,31 @@ from finiteot.coupling import (
     tail_mass_bound_check,
     verify_coupling_via_test_functions,
 )
-from finiteot.measure import DiscreteMeasure, measures_equal
+from finiteot.measure import DiscreteMeasure, measures_equal, new_measure
 from finiteot.numerics import (
     FLOAT,
     INF,
     RATIONAL,
     DataError,
     GlueError,
+    ParameterError,
     _check_floats,
+    check_tol,
+    default_tol,
     extended_array,
     infer_mode,
     mode_of,
 )
-from finiteot.solver import cost_of_plan, solve_kantorovich
-from finiteot.space import CostMatrix, FiniteMetricSpace
-from finiteot.wasserstein import GluedPlan, glue, glued_plan_is_valid
+from finiteot.solver import cost_of_plan, solve_kantorovich, verify_restriction_optimality
+from finiteot.space import CostMatrix, FiniteMetricSpace, from_point_cloud, validate_metric
+from finiteot.wasserstein import (
+    GluedPlan,
+    WassersteinParams,
+    glue,
+    glued_plan_is_valid,
+    metric_axiom_suite,
+    triangle_witness,
+)
 
 
 class TestInferMode:
@@ -197,23 +208,58 @@ def test_int64_fit_is_decided_in_one_function():
     assert any("FORBIDDEN_INT64" in where for where in inside.values())
 
 
-def test_a_solve_reads_no_cost_scaled_tolerance():
-    """solve_kantorovich calls neither max_abs_finite nor pricing_tol: tol
-    prices costs, and every mass is decided on default_tol of the mode.
-    pricing_tol has one caller in the package, verify_restriction_optimality,
-    which compares two plan costs."""
+def package_functions():
+    """(module path, function node) of every function in the package."""
     root = Path(finiteot.__file__).parent
-    callers = {}
     for path in sorted(root.rglob("*.py")):
         for function in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(function, ast.FunctionDef):
-                continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    callers.setdefault(name, []).append(function.name)
+            if isinstance(function, ast.FunctionDef):
+                yield path.relative_to(root), function
+
+
+def test_a_solve_reads_no_cost_scaled_tolerance():
+    """solve_kantorovich calls no max_abs_finite: tol prices costs, and
+    every mass is decided on default_tol of the mode."""
+    callers = {}
+    for _, function in package_functions():
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                callers.setdefault(name, []).append(function.name)
     assert "solve_kantorovich" not in callers.get("max_abs_finite", [])
-    assert callers.get("pricing_tol") == ["verify_restriction_optimality"]
+
+
+def test_one_module_decides_the_check_tolerance():
+    """Every check resolves its tol through numerics.check_tol: outside
+    numerics only solve_kantorovich, whose tol prices costs, holds an
+    "if tol is None", no other module scales FLOAT_TOL (the solver passes
+    it on as rel_tol), pricing_tol, the second rule, is gone, and every
+    tolerance constant lives in numerics."""
+    defaults, scaled = [], []
+    for path, function in package_functions():
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "tol is None":
+                defaults.append(function.name)
+            if isinstance(node, ast.BinOp) and "FLOAT_TOL" in ast.unparse(node):
+                scaled.append(f"{path}:{node.lineno} {ast.unparse(node)}")
+    assert defaults == ["solve_kantorovich"]
+    assert not scaled, scaled
+    root = Path(finiteot.__file__).parent
+    assert not hasattr(finiteot.numerics, "pricing_tol")
+    assert not [path for path in root.rglob("*.py") if "pricing_tol" in path.read_text()]
+    # every tolerance constant lives in numerics
+    constants = {
+        f"{path.relative_to(root)} {target.id}"
+        for path in root.rglob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if getattr(target, "id", "").endswith("_TOL")
+    }
+    assert constants == {"numerics.py FLOAT_TOL", "numerics.py WEIGHT_SUM_TOL"}
+    assert finiteot.numerics.WEIGHT_SUM_TOL == 1e-12
 
 
 def test_package_holds_no_assert():
@@ -577,3 +623,150 @@ class TestFloatReadPastLeadingInf:
                 CostMatrix(rows)
             with pytest.raises(ValueError, match="not rectangular"):
                 TransportPlan(rows)
+
+
+# One tolerance rule for every check (numerics.check_tol): a given tol is a
+# nonnegative number, and a float default scales with what the check compares.
+
+
+def cloud(seed, n, scale, line=False):
+    """n points drawn uniformly from [0, scale)^2, or from [0, scale) x {0}."""
+    rng = random.Random(seed)
+    return [[rng.random() * scale, 0.0 if line else rng.random() * scale] for _ in range(n)]
+
+
+def float_measures(rng, n, k):
+    """k float measures of n positive weights, each normalised by its sum."""
+    out = []
+    for _ in range(k):
+        w = [rng.random() for _ in range(n)]
+        out.append(new_measure([x / sum(w) for x in w]))
+    return out
+
+
+class TestTolerancesScaleWithTheData:
+    """Float sums err in proportion to their terms, so a float default
+    compares within FLOAT_TOL * (1 + the largest magnitude compared); an
+    absolute 1e-9 refused valid data above about 1e7."""
+
+    def test_the_rule(self):
+        assert default_tol(RATIONAL, 1e9) == check_tol(None, RATIONAL, lambda: 1 / 0) == 0
+        assert default_tol(FLOAT) == check_tol(None, FLOAT) == 1e-9
+        assert check_tol(None, FLOAT, lambda: 1e9) == default_tol(FLOAT, 1e9) == 1e-9 * (1 + 1e9)
+        for tol in (0, 0.5, F(1, 3), INF, np.float64(0.25)):
+            assert check_tol(tol, FLOAT, lambda: 1e9) is tol
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9, 1e12])
+    def test_collinear_clouds_are_metrics(self, scale):
+        for seed in range(10):
+            space = from_point_cloud(cloud(seed, 8, scale, line=True))
+            assert validate_metric(space.dist) == []
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_a_real_violation_at_scale_is_still_reported(self, scale):
+        for seed in range(5):
+            points = cloud(seed, 8, scale, line=True)
+            d = [list(row) for row in from_point_cloud(points).dist]
+            order = sorted(range(8), key=lambda k: points[k][0])
+            i, j = order[0], order[-1]  # the two ends: every other point lies between
+            d[i][j] = d[j][i] = 3 * d[i][j]
+            want = sorted(
+                ("triangle", (a, m, b)) for a, b in ((i, j), (j, i)) for m in range(8) if m not in (i, j)
+            )
+            assert sorted(r[:2] for r in validate_metric(d)) == want
+            with pytest.raises(DataError, match="triangle"):
+                FiniteMetricSpace(tuple(map(str, range(8))), d)
+
+    @pytest.mark.parametrize("p, scale", [(1, 1e8), (2, 1e8), (1, 1e9), (2, 1e12)])
+    def test_the_metric_suite_reports_no_roundoff_asymmetry(self, p, scale):
+        for seed in range(6):
+            rng = random.Random(seed)
+            space = from_point_cloud(cloud(seed, 10, scale))
+            report = metric_axiom_suite(float_measures(rng, 10, 4), space, WassersteinParams(p=p))
+            assert report["passed"], (seed, report["failures"])
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9, 1e12])
+    def test_the_ladder_reports_no_roundoff_lipschitz_failure(self, scale):
+        for seed in range(6):
+            rng = random.Random(seed)
+            space = from_point_cloud(cloud(seed, 12, scale))
+            f = [INF if rng.random() < 0.2 else rng.random() * 3 * scale for _ in range(12)]
+            f[0] = min(f[0], scale)  # one finite value at least
+            report = check_moreau_yosida_properties(f, space, 12)
+            assert report["passed"], (seed, report["failures"])
+
+    def test_a_rational_check_reads_no_largest_cost(self, monkeypatch):
+        read = CostMatrix.max_abs_finite
+
+        def guarded(self):  # a rational solve reads it for its int64 fit only
+            caller = sys._getframe(1).f_code.co_name
+            assert caller == "_exact_input", f"max_abs_finite read by {caller} in rational mode"
+            return read(self)
+
+        monkeypatch.setattr(CostMatrix, "max_abs_finite", guarded)
+        d = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        space = FiniteMetricSpace(("a", "b", "c"), d)
+        assert validate_metric(d) == [] and space.power_cost(2).lower_bound
+        mus = [new_measure(w) for w in ((F(1, 2), F(1, 2), 0), (0, F(1, 3), F(2, 3)), (1, 0, 0))]
+        assert triangle_witness(*mus, space)["holds"]
+        assert metric_axiom_suite(mus, space)["passed"]
+        assert check_moreau_yosida_properties((0, 3, INF), space, 4)["passed"]
+
+
+def tolerance_checks():
+    """(name, call of tol) for every check that takes a tol."""
+    half = F(1, 2)
+    space = FiniteMetricSpace(("a", "b"), ((0, 1), (1, 0)))
+    mu = new_measure((half, half))
+    plan = TransportPlan(((half, 0), (0, half)))
+    cost = ((0, 1), (1, 0))
+    solution = solve_kantorovich(mu, mu, cost)
+    return {
+        "validate_metric": lambda tol: validate_metric(cost, tol),
+        "FiniteMetricSpace": lambda tol: FiniteMetricSpace(("a", "b"), cost, tol),
+        "CostMatrix": lambda tol: CostMatrix(cost, ((0, 0), (0, 0)), tol),
+        "metric_axiom_suite": lambda tol: metric_axiom_suite([mu, mu], space, WassersteinParams(tol=tol)),
+        "triangle_witness": lambda tol: triangle_witness(mu, mu, mu, space, WassersteinParams(tol=tol)),
+        "check_moreau_yosida_properties": lambda tol: check_moreau_yosida_properties((0, 1), space, 2, tol),
+        "verify_restriction_optimality": lambda tol: verify_restriction_optimality(
+            solution, ((1, 1), (1, 1)), cost, tol
+        ),
+        "liminf_cost_check": lambda tol: liminf_cost_check([plan], plan, cost, tol),
+        "is_coupling": lambda tol: is_coupling(plan, mu, mu, tol),
+        "verify_coupling_via_test_functions": lambda tol: verify_coupling_via_test_functions(
+            plan, mu, mu, tol=tol
+        ),
+        "tail_mass_bound_check": lambda tol: tail_mass_bound_check(plan, [0], [0], tol=tol),
+        "measures_equal": lambda tol: measures_equal(mu, mu, tol=tol),
+        "glue": lambda tol: glue(plan, plan, tol),
+        "glued_plan_is_valid": lambda tol: glued_plan_is_valid(GluedPlan(plan, plan), plan, plan, tol),
+        "narrow_limit_check": lambda tol: narrow_limit_check([mu], mu, tol),
+        "solve_kantorovich": lambda tol: solve_kantorovich(mu, mu, cost, tol=tol),
+    }
+
+
+class TestAGivenToleranceIsChecked:
+    """A tol given to a check must be a nonnegative number: a NaN one made
+    every comparison pass, and a negative one failed valid data."""
+
+    @pytest.mark.parametrize("name", sorted(tolerance_checks()))
+    @pytest.mark.parametrize("tol", [float("nan"), -1, F(-1, 3), "1e-9"], ids=repr)
+    def test_a_bad_tol_is_refused(self, name, tol):
+        check = tolerance_checks()[name]
+        check(0)  # the check runs on its data with a valid tol
+        with pytest.raises(ParameterError, match="tol must be a nonnegative number"):
+            check(tol)
+
+    def test_the_nan_repros(self):
+        nan = float("nan")
+        with pytest.raises(ParameterError):
+            validate_metric(((0, -5), (7, 0)), tol=nan)
+        with pytest.raises(ParameterError):
+            FiniteMetricSpace(("a", "b"), ((0, -5), (7, 0)), nan)
+        pi12, pi23 = TransportPlan(((0.5, 0), (0, 0.5))), TransportPlan(((0.9, 0), (0, 0.1)))
+        with pytest.raises(GlueError, match="middle marginals differ at index 0 by 0.4"):
+            glue(pi12, pi23)
+        with pytest.raises(ParameterError):
+            glue(pi12, pi23, nan)
+        with pytest.raises(ParameterError):
+            narrow_limit_check([new_measure((0.9, 0.1))], new_measure((0.1, 0.9)), nan)

@@ -24,8 +24,8 @@ from finiteot.numerics import (
     DomainError,
     ParameterError,
     ShapeError,
+    default_tol,
     is_inf,
-    pricing_tol,
 )
 from finiteot.solver import (
     check_lower_bound,
@@ -953,7 +953,7 @@ class TestWideRangeCosts:
     def test_an_explicit_tol_keeps_its_absolute_meaning(self):
         # the old default, passed as tol, finds the old non-optimal plan
         mu1, mu2, cost = wide_range_instance(1, 30)
-        tol = pricing_tol("float", max(map(max, cost)))
+        tol = default_tol("float", max(map(max, cost)))
         sol = solve_kantorovich(mu1, mu2, cost, tol=tol)
         assert (sol.iterations, sol.optimal_cost) == (48, 19.347259069054964)
 

@@ -89,6 +89,14 @@ class TestDistance:
         with pytest.raises(ParameterError):
             WassersteinParams(p=F(1, 2))
 
+    def test_rejects_a_nan_p(self):
+        # nan < 1 is False: the order was taken, and the solve failed later
+        # on a "NaN cost entry"
+        with pytest.raises(ParameterError, match="order p must be >= 1, got nan"):
+            WassersteinParams(p=float("nan"))
+        with pytest.raises(ParameterError, match="order p must be >= 1, got nan"):
+            TWO_POINT.power_cost(float("nan"))
+
     def test_plan_is_a_coupling(self):
         mu = new_measure([F(1, 3), F(2, 3)])
         _, plan = wasserstein_distance(mu, UNIFORM2, TWO_POINT)
@@ -625,6 +633,13 @@ class TestMetricSuite:
         report = metric_axiom_suite([UNIFORM2, UNIFORM2], TWO_POINT)
         assert report["passed"]
 
+    def test_an_infinite_tol_on_one_point(self):
+        # the weight tolerance was inf / inf, a NaN: a false discernibility
+        # failure, and a NaN tol for measures_equal once tols are checked
+        point, dirac1 = FiniteMetricSpace(("a",), ((0,),)), new_measure((1,))
+        for tol in (float("inf"), 0.5, 0):
+            assert metric_axiom_suite([dirac1, dirac1], point, WassersteinParams(tol=tol))["passed"]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry_skips_the_self_pairs(self, seed, monkeypatch):
         # k^2 solves, not k^2 + k: the same reports as when W(i, i) was
@@ -655,6 +670,27 @@ class TestMetricSuite:
             report = metric_axiom_suite(measures, space, params)
             assert len(solves) == k * k
             assert report == reference_axiom_suite(measures, space, params)
+
+    def test_every_test_reads_the_solves_made(self, monkeypatch):
+        # W(j, i) is solved with the arguments swapped: the symmetry test and
+        # the triangle test read it, where the triangle test read W(i, j)
+        import finiteot.wasserstein as w
+
+        measures = [UNIFORM2, dirac(0, 2), dirac(1, 2)]
+        table = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1, (1, 2): 1, (2, 1): 5}
+        solves = []
+
+        def distance(mu, nu, space, params):
+            pair = measures.index(mu), measures.index(nu)
+            solves.append(pair)
+            return F(table.get(pair, 0)), None
+
+        monkeypatch.setattr(w, "wasserstein_distance", distance)
+        report = metric_axiom_suite(measures, TWO_POINT)
+        assert sorted(solves) == [(i, j) for i in range(3) for j in range(3)]
+        assert report["failures"]["symmetry"] == [{"i": 1, "j": 2, "w_ij": 1, "w_ji": 5}]
+        assert report["failures"]["triangle"] == [{"i": 2, "j": 0, "k": 1, "gap": 3}]
+        assert list(report["distances"]) == ["0,0", "0,1", "0,2", "1,1", "1,2", "2,2"]
 
     def test_needs_two(self):
         from finiteot.numerics import DomainError
