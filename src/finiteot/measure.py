@@ -20,6 +20,7 @@ import numpy as np
 from .numerics import (
     FLOAT,
     INF,
+    PYTHON_NUMBERS,
     RATIONAL,
     WEIGHT_SUM_TOL,
     DomainError,
@@ -31,6 +32,7 @@ from .numerics import (
     mode_of,
     python_numbers,
     scaled_ints,
+    _scaled_ints,
 )
 
 
@@ -39,11 +41,13 @@ class DiscreteMeasure:
     """Probability weights on the points of a finite space.
 
     Zero-weight points are kept; indices stay aligned with the space; a
-    numpy scalar is kept as the Python number it equals.  Weights that are
-    all Python floats (one scan of their types) are screened by min, max
-    and their left-to-right sum (the total, NaN when a weight is), and only
-    a failed screen checks them one by one.  Other weights are checked on
-    their scaled ints when every one is exact, else as one float64 array.
+    numpy scalar is kept as the Python number it equals.  One scan of the
+    weights' types decides how they are read, and only numpy scalars are
+    scanned again, once converted.  Weights that are all Python floats are
+    screened by min, max and their left-to-right sum (the total, NaN when
+    a weight is), and only a failed screen checks them one by one.  Other
+    weights are checked on their scaled ints when every one is exact, else
+    as one float64 array.
     The check keeps what it built as the cached scaled_weights or
     float_weights, and the other is derived on first use.  It also sets
     mode, rational iff every weight is exact.  float_positive and
@@ -69,10 +73,12 @@ class DiscreteMeasure:
             self._set_floats(w, total)
             vars(self)["float_positive"] = lo > 0
         else:
-            w = python_numbers(w)
+            if not kinds <= PYTHON_NUMBERS:  # numpy scalars: read again once converted
+                w = python_numbers(w)
+                kinds = set(map(type, w))
             if not w:
                 raise DomainError("measure needs at least one point")
-            scaled = scaled_ints(w, exact=True)
+            scaled = _scaled_ints(w, kinds, exact=True)
             if scaled is not None:
                 # rational mode, checked on the weights' scaled ints
                 ints, scale = scaled

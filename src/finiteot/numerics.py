@@ -46,10 +46,14 @@ EXACT = (*INTEGERS, Fraction)
 FLOATS = (float, np.floating)
 
 
+#: the types python_numbers keeps as they are
+PYTHON_NUMBERS = {int, bool, Fraction, float}
+
+
 def python_numbers(values) -> tuple:
     """values as a tuple, each numpy scalar the Python number it equals."""
     values = tuple(values)
-    if set(map(type, values)) <= {int, bool, Fraction, float}:
+    if set(map(type, values)) <= PYTHON_NUMBERS:
         return values
     return tuple(x.item() if isinstance(x, np.generic) else x for x in values)
 
@@ -258,7 +262,11 @@ def scaled_ints(values, exact=False):
     unless every value is exact (not even +inf), told apart by type.
     """
     values = list(values)
-    kinds = set(map(type, values))
+    return _scaled_ints(values, set(map(type, values)), exact)
+
+
+def _scaled_ints(values, kinds, exact=False):
+    """scaled_ints of the sequence values, whose set of types is kinds."""
     if kinds <= {int}:
         return values, 1
     if exact and not all(issubclass(kind, EXACT) for kind in kinds):

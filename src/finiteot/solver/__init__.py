@@ -74,7 +74,8 @@ the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
 the finite part of that plan is a maximum flow.  When no cell is forbidden,
-both price the value part alone, which picks the same entering cells.  The
+both price the value part alone, which picks the same entering cells, and
+a float problem does so too while no forbidden cell is basic.  The
 problem has no finite-cost plan exactly when that mass exceeds default_tol
 of the mode, and then a closure on the engine's boolean masks gives the
 Hall-type cut certificate: from the rows with forbidden mass, rows reach
@@ -421,13 +422,15 @@ def _exact_input(mu1, mu2, cm, tol):
         # a float matrix records its largest |cost| for its rounded cells only
         top = max(map(abs, costs), default=0) if cm.mode == FLOAT else cm.max_abs_finite() * cscale
         fits = sum(C.shape) * top < 2**60
+    # each weight array in one numpy call, scaled in Python ints
+    dtype = np.int64 if fits else object
+    a = np.array(ints1 if f1 == 1 else [x * f1 for x in ints1], dtype)
+    b = np.array(ints2 if f2 == 1 else [x * f2 for x in ints2], dtype)
     if not fits:
-        a, b = np.array(ints1, dtype=object) * f1, np.array(ints2, dtype=object) * f2
         return a, b, C, tol, wscale, cscale, True
     if C.dtype != np.int64:
         C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
         C[finite] = costs
-    a, b = np.array(ints1, dtype=np.int64) * f1, np.array(ints2, dtype=np.int64) * f2
     return a, b, C, tol, wscale, cscale, top * supply < 2**63
 
 

@@ -17,7 +17,12 @@ forbidden cells marked FORBIDDEN_INT64 and the tolerance floored.  load()
 returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol, rel_tol)
 -> (X, iterations, summary), which picks the build by the dtype of C, and
 forbidden_cells(C) is the mask of C's forbidden cells in either build's
-marking.  The engine checks and prices its own plan: summary holds
+marking.  solve_dense passes each array as the address of its ndarray
+object (its id), with the offset of the data pointer in it that
+_data_offset finds on a probe, and the kernel reads the pointer itself;
+outside CPython, where no offset is found, it passes the addresses of
+the data pointers from __array_interface__, stored in a ctypes array,
+and offset 0.  The engine checks and prices its own plan: summary holds
 the mass on forbidden cells, the price, the worst row and column gaps and
 the least cell, from one pass over X in C (summarize in _dense.c), as
 simplex.plan_summary computes them.  On the same input, +inf cells
@@ -181,11 +186,13 @@ class CompiledKernel:
 
         An int64 array C runs the exact build, on int64 weights and an int
         tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
-        the float build on float64 arrays.  A cell enters when its reduced
-        cost r = c - u - v is below -tol and, in the float build, below
-        -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every weight must be
-        positive, as the strongly feasible start needs, and finite (ValueError
-        otherwise, as from transportation_simplex).  On a problem with no
+        the float build on float64 arrays.  Each array goes to the kernel
+        as its id and the offset _data_offset found, so the call builds no
+        Python object per array (see the module docstring).  A cell enters
+        when its reduced cost r = c - u - v is below -tol and, in the float
+        build, below -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every
+        weight must be positive, as the strongly feasible start needs, and
+        finite (ValueError otherwise, as from transportation_simplex).  On a problem with no
         finite-cost plan, X puts the least possible mass on forbidden
         cells, as transportation_simplex does.  Returns (X,
         iterations, summary), summary a list of five Python numbers of X's
@@ -203,14 +210,20 @@ class CompiledKernel:
                 f"got {a.shape}, {b.shape}, {C.shape}"
             )
         X, summary = np.empty((n, m), dtype), np.empty(5, dtype)
-        # the arrays pass as bare addresses: ascontiguousarray and empty have
-        # fixed their dtype and layout, and they outlive the call
-        arrays, at = (a, b, C, X, summary), self._data_at
-        if at is None:
-            p = [x.__array_interface__["data"][0] for x in arrays]
-        else:
-            p = [ctypes.c_void_p.from_address(id(x) + at).value for x in arrays]
-        iterations = self._fns[dtype](n, m, p[0], p[1], p[2], tol, rel_tol, p[3], p[4])
+        # the kernel reads each data pointer at offset at from the address
+        # it is given: ascontiguousarray and empty have fixed the arrays'
+        # dtype and layout, and they outlive the call
+        at = self._data_at
+        if at is None:  # the addresses of the data pointers, held in a ctypes array
+            held = (ctypes.c_void_p * 5)(
+                *(x.__array_interface__["data"][0] for x in (a, b, C, X, summary))
+            )
+            step = ctypes.sizeof(ctypes.c_void_p)
+            pa, pb, pC, pX, ps = (ctypes.addressof(held) + k * step for k in range(5))
+            at = 0
+        else:  # the arrays' own addresses
+            pa, pb, pC, pX, ps = id(a), id(b), id(C), id(X), id(summary)
+        iterations = self._fns[dtype](n, m, pa, pb, pC, tol, rel_tol, pX, ps, at)
         if iterations == _PIVOT_LIMIT:
             raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
         if iterations == _NO_MEMORY:
@@ -223,8 +236,10 @@ class CompiledKernel:
 def _data_offset():
     """The offset from an ndarray's id of the data pointer PyArray_DATA reads
     (part of numpy's ABI), found on a probe; None outside CPython, where
-    id() need not be an address.  Read there, an address costs a fraction of what
-    .ctypes or __array_interface__ cost, which build Python objects.
+    id() need not be an address.  solve_dense passes each array's id and
+    this offset, and the kernel reads the pointer itself, so a call builds
+    no Python object per array: .ctypes and __array_interface__ build
+    several, and ctypes.c_void_p.from_address one.
 
     Measured end to end (BENCH_input_checks.json, ablation_address_read):
     benchmark ops run in one process with the two reads interleaved, 40
@@ -242,11 +257,14 @@ def _data_offset():
 
 
 def _bind(fn, number):
-    """fn with the argument types of fot_solve_dense over one number type."""
+    """fn with the argument types of fot_solve_dense over one number type:
+    each array is an address the kernel reads its data pointer from, at
+    the offset that is the last argument."""
     array = ctypes.c_void_p
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, array, array, array, number, ctypes.c_double, array, array
+        ctypes.c_int64, ctypes.c_int64, array, array, array, number, ctypes.c_double, array,
+        array, ctypes.c_int64,
     ]
     return fn
 

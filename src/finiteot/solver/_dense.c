@@ -26,7 +26,11 @@
  * and simplex.plan_summary gives the same summary, so a change here must
  * be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
- * system C compiler; it needs no Python or numpy headers.  The file
+ * system C compiler; it needs no Python or numpy headers.  Each array
+ * comes as the address of its ndarray object and the kernel reads the
+ * data pointer stored at a fixed offset from it (data, below), so the
+ * caller builds no Python object to pass an array.  A call allocates
+ * one block for all its working arrays and frees it once.  The file
  * includes itself once per number type: the part under FOT_NUM below is
  * the algorithm, written once over num.
  *
@@ -39,7 +43,14 @@
  * is forbidden.  When none is, every M part is 0, so the M potentials stay
  * 0, (d < best_big || r < best) reduces to r < best, and the kernel derives
  * and prices the value part alone, as simplex.py does when _split_costs
- * returns no M part: the same entering cells, pivots and plan.
+ * returns no M part: the same entering cells, pivots and plan.  The float
+ * build also prices values alone while no forbidden cell is basic, which
+ * a count of the forbidden basic cells, kept at grow and at each pivot,
+ * tells: every M potential is then 0, a forbidden cell's reduced cost is
+ * (1, value) and never enters, and its value part c - u - v, read as
+ * it is, is +inf and never enters either.  The int64 build keeps the
+ * (M, value) scan whenever a cell is forbidden: INT64_MAX - u - v would
+ * overflow.
  *
  * Start, the row-minimum rule: rows in index order ship their supply to
  * their cheapest open column (a forbidden cell only when no finite one is
@@ -104,10 +115,23 @@
 #define RARELY(x) (x)
 #endif
 
+/* the data pointer of the ndarray whose object is at obj: the pointer
+ * stored at offset at from it, where PyArray_DATA reads it (at is the
+ * offset _compiled._data_offset finds; without one the caller passes the
+ * address of a stored data pointer and 0) */
+static void *data(const void *obj, int64_t at)
+{
+    return *(void *const *)((const char *)obj + at);
+}
+
+/* PRICES_MARK says whether the value scan may price a forbidden cell as
+ * it is: in the float build c - u - v is +inf there and never enters,
+ * where the int64 build's INT64_MAX - u - v would overflow */
 #define FOT_NUM double
 #define FOT_SUM double
 #define FOT(name) name##_dense
 #define FORBIDDEN(c) ((c) == INFINITY)
+#define PRICES_MARK 1
 #define INFINITE(t) ((t) == INFINITY || (t) == -INFINITY)
 #define PRICE(sum, infinite) ((infinite) ? INFINITY : (sum))
 #define BEYOND(r, c, u, v) ((r) < -(rel * ((fabs(c) + fabs(u)) + fabs(v))))
@@ -116,6 +140,7 @@
 #undef FOT_SUM
 #undef FOT
 #undef FORBIDDEN
+#undef PRICES_MARK
 #undef INFINITE
 #undef PRICE
 #undef BEYOND
@@ -124,6 +149,7 @@
 #define FOT_SUM uint64_t
 #define FOT(name) name##_exact
 #define FORBIDDEN(c) ((c) == INT64_MAX)
+#define PRICES_MARK 0
 #define INFINITE(t) 0
 #define PRICE(sum, infinite) ((int64_t)(sum))
 #define BEYOND(r, c, u, v) 1
@@ -145,6 +171,7 @@
 typedef struct {
     int64_t n, m;
     int big; /* some cell is forbidden: keep the M potentials pot_big */
+    int64_t basic_big; /* the forbidden basic cells, counted at grow and each pivot */
     const num *C;
     int64_t *parent, *depth, *child, *sibling, *pot_big;
     num *pot, *flow;
@@ -268,6 +295,9 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
             }
         }
     }
+    t->basic_big = 0;
+    for (node = 1; node < n + m; node++)
+        t->basic_big += FORBIDDEN(t->C[edge_cell(t, node, t->parent[node])]);
 }
 
 /* the larger of worst and g, and NaN once either is NaN: !(g <= worst)
@@ -333,7 +363,8 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
 /*
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
  * is +inf, or INT64_MAX), X: n x m output (overwritten), summary: 5 outputs,
- * the plan's summary (see summarize).  A cell enters when its reduced cost
+ * the plan's summary (see summarize), each read through data() from the
+ * address given for it and the offset at.  A cell enters when its reduced cost
  * has a negative M part, or a zero M part and a value part r below -tol
  * and, in the float build, below -rel (|c| + |u| + |v|) (BEYOND; the
  * int64 build ignores rel).  Returns the pivot count,
@@ -341,9 +372,12 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
  * exceeded, FOT_NOT_POSITIVE when a weight is not positive or infinite, or
  * FOT_NO_MEMORY; the summary is written only with a pivot count.
  */
-int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
-                       const num *C, num tol, double rel, num *X, num *summary)
+int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_obj,
+                       const void *C_obj, num tol, double rel, const void *X_obj,
+                       const void *summary_obj, int64_t at)
 {
+    const num *a = data(a_obj, at), *b = data(b_obj, at), *C = data(C_obj, at);
+    num *X = data(X_obj, at), *summary = data(summary_obj, at);
     int64_t nodes = n + m, total = n * m;
     int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
     /* about sqrt(n m) cells per block, but floor(exp(log(n m) / 2)): the
@@ -351,30 +385,35 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
      * just short of the integer at most perfect squares (499 at 500 x 500),
      * and the block size decides which entering cell is found first */
     int64_t block = (int64_t)exp(0.5 * log((double)total));
-    int64_t result = FOT_NO_MEMORY, iterations = 0, scan_pos = 0;
+    int64_t result, iterations = 0, scan_pos = 0;
     int row_side;
     int64_t i, j, j0, stop, k, pos, end, scanned, node, up, prev, count, kept, nopen;
     int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
     num q, c, r, best, ui, theta, f, carried;
     const num *row;
     Tree t = {.n = n, .m = m, .C = C};
-    num *rest = malloc(nodes * sizeof *rest); /* supplies, then demands */
-    num *amount = malloc(nodes * sizeof *amount);
+    num *rest, *amount; /* rest: supplies, then demands */
+    int64_t *open, *cell, *head, *next, *stack;
+    /* one block for every array: num and int64_t are both 8 bytes wide, so
+     * each array starts aligned */
+    rest = malloc(4 * nodes * sizeof(num) + (m + 10 * nodes) * sizeof(int64_t));
+    if (!rest)
+        return FOT_NO_MEMORY;
+    amount = rest + nodes;
     /* the start's scratch space: open columns, cells, and grow's */
-    int64_t *open = malloc((m + 5 * nodes) * sizeof *open);
-    int64_t *cell = open + m, *head = cell + nodes, *next = head + nodes;
-    int64_t *stack = next + 2 * nodes;
-    t.parent = malloc(nodes * sizeof *t.parent);
-    t.depth = malloc(nodes * sizeof *t.depth);
-    t.child = malloc(nodes * sizeof *t.child);
-    t.sibling = malloc(nodes * sizeof *t.sibling);
-    t.pot_big = malloc(nodes * sizeof *t.pot_big);
-    t.pot = malloc(nodes * sizeof *t.pot);
-    t.flow = malloc(nodes * sizeof *t.flow);
+    open = (int64_t *)(amount + nodes);
+    cell = open + m;
+    head = cell + nodes;
+    next = head + nodes;
+    stack = next + 2 * nodes;
+    t.parent = stack + nodes;
+    t.depth = t.parent + nodes;
+    t.child = t.depth + nodes;
+    t.sibling = t.child + nodes;
+    t.pot_big = t.sibling + nodes;
+    t.pot = (num *)(t.pot_big + nodes);
+    t.flow = t.pot + nodes;
     (void)rel; /* read by BEYOND in the float build only */
-    if (!rest || !amount || !open || !t.parent || !t.depth || !t.child || !t.sibling
-        || !t.pot_big || !t.pot || !t.flow)
-        goto done;
 
     for (k = 0; k < total && !FORBIDDEN(C[k]); k++)
         ;
@@ -432,7 +471,10 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
 
     for (;;) {
         /* entering cell: wraparound block search on (M, value) pairs, or
-         * on values alone when no cell is forbidden */
+         * on values alone when no cell is forbidden, or in the float build
+         * while no forbidden cell is basic: every M potential is then 0, so
+         * a forbidden cell has M part 1 and never enters, and a finite one
+         * M part 0 */
         ei = ej = -1;
         best_big = 0;
         best = -tol;
@@ -452,7 +494,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
                 row = C + i * m;
                 ui = t.pot[i];
                 col_up = t.parent[i] - n; /* row i's basic cell to its parent */
-                if (!t.big) {
+                if (!t.big || (PRICES_MARK && t.basic_big == 0)) {
                     for (j = j0; j < stop; j++) {
                         r = row[j] - ui - t.pot[n + j];
                         if (RARELY(r < best) && j != col_up && t.parent[n + j] != i
@@ -517,6 +559,8 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
             }
         }
         apex = x;
+        t.basic_big += FORBIDDEN(C[ei * m + ej])
+                       - FORBIDDEN(C[edge_cell(&t, leave, t.parent[leave])]);
         for (x = ei; x != apex; x = t.parent[x])
             t.flow[x] += x < n ? -theta : theta;
         for (y = n + ej; y != apex; y = t.parent[y])
@@ -551,15 +595,6 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const num *a, const num *b,
 
 done:
     free(rest);
-    free(amount);
-    free(open);
-    free(t.parent);
-    free(t.depth);
-    free(t.child);
-    free(t.sibling);
-    free(t.pot_big);
-    free(t.pot);
-    free(t.flow);
     return result;
 }
 

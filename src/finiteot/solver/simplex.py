@@ -38,7 +38,9 @@ Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
 value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
 and 0 elsewhere, and a value part, 0 on a forbidden cell.  A unit of M
 outweighs any value, so the optimum carries mass on a forbidden cell only
-when no finite-cost feasible plan exists.
+when no finite-cost feasible plan exists.  The tree counts its forbidden
+basic cells; while there are none, every M potential is 0, and a float
+problem prices the values alone on its costs, where +inf never enters.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 from functools import partial
 from operator import gt, lt
 
-from ..numerics import INF
+from ..numerics import FLOATS, INF
 
 
 def row_minimum_start(a, b, cost, tree):
@@ -108,6 +110,7 @@ class _Tree:
         self.pot = [0] * size
         self.pot_big = [0] * size if big is not None else None
         self.flow = [0] * size
+        self.basic_big = 0  # the forbidden basic cells, counted at grow and each pivot
 
     def grow(self, cells, cost):
         """Root the tree at row 0 on a forest of cells, with their flows.
@@ -140,6 +143,8 @@ class _Tree:
                         placed[other] = True
                         self.hang(other, node, f)
                         stack.append(other)
+        if self.big is not None:
+            self.basic_big = sum(self.big[i][j] for i, j in self.flows())
 
     def hang(self, node, up, flow):
         """Make the leaf node a child of up, with its flow, depth and potentials."""
@@ -199,6 +204,10 @@ class _Tree:
                     theta, leave, below = flow[y], y, n + ej
                 y = parent[y]
         apex = x
+        if self.big is not None:
+            up = parent[leave]
+            i, j = (leave, up - n) if leave < n else (up, leave - n)
+            self.basic_big += self.big[ei][ej] - self.big[i][j]
         for x in ei, n + ej:  # from each end, an edge below a node of its kind decreases
             side = x < n
             while x != apex:
@@ -219,7 +228,7 @@ class _Tree:
             prev, node, carried = node, up, f
         self._refresh(below)
 
-    def block_search(self, ntol, rel, start, block):
+    def block_search(self, ntol, rel, start, block, marked):
         """Wraparound block search for the entering cell.
 
         Scans the cells in row-major order from position start (i * m + j),
@@ -230,10 +239,16 @@ class _Tree:
         Returns the least reduced cost in that block, (M, value) pairs
         compared lexicographically and the first cell winning ties, as
         (i, j, position after the block), or None when no cell qualifies.
+
+        The values alone are priced when no cell is forbidden, and on
+        marked, the costs with their +inf cells, while no forbidden cell is
+        basic: every M potential is then 0, and +inf - u - v never enters.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
         value, big = self.value, self.big
         v = pot[n:]
+        if big is not None and marked is not None and not self.basic_big:
+            value, big = marked, None
         v_big = pot_big[n:] if big is not None else None
         best_big, best, found = 0, ntol, None
         total = n * m
@@ -342,13 +357,17 @@ def transportation_simplex(a, b, cost, tol=0, rel_tol=0):
     big, value = _split_costs(cost)
     tree = _Tree(n, m, value, big)
     row_minimum_start(a, b, cost, tree)
+    # a float problem may price its +inf cells as they are, as the C float
+    # build does; Python ints keep the (M, value) scan, as the int64 build
+    # does, and +inf minus an int beyond float range raises OverflowError
+    marked = cost if isinstance(a[0], FLOATS) else None
     ntol = -tol
     limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
     block = max(64, int(math.exp(0.5 * math.log(n * m))))
     pos = iterations = 0
     while True:
-        found = tree.block_search(ntol, rel_tol, pos, block)
+        found = tree.block_search(ntol, rel_tol, pos, block, marked)
         if found is None:
             return tree.flows(), iterations
         ei, ej, pos = found

@@ -209,6 +209,8 @@ def from_point_cloud(points, norm_order=2, labels=None) -> FiniteMetricSpace:
 
     dist = [[0] * n for _ in range(n)]
     for i in range(n):
+        # d(x, x) is 0.0 in a float cloud, whose rows then pack as doubles
+        dist[i][i] = d(points[i], points[i])
         for j in range(i + 1, n):
             dist[i][j] = dist[j][i] = d(points[i], points[j])
     if labels is None:

@@ -7,9 +7,12 @@ middle atoms), which makes every statement here checkable exactly in
 rational mode.  A GluedPlan keeps its factors, the two plans, and builds
 that n1 x n2 x n3 tensor only when asked for it.  Exact plans (int and
 Fraction cells) are glued on the scaled integers every exact plan holds:
-pi12 = P / s12 and pi23 = Q / s23, so the middle marginals compare as
-integer sums and the 1-3 plan is one integer matrix product, which builds
-its Fraction cells only when they are asked for.
+pi12 = P / s12 and pi23 = Q / s23, read as rows of Python ints, so the
+middle marginals compare as integer sums and the 1-3 plan is one integer
+matrix product over the nonzero cells of P and Q, which builds its
+Fraction cells only when they are asked for.  Summed on lists, the ints
+of a basic plan cost O(n1 n2 + n2 n3) to read and O(nonzero cells) to
+multiply, where numpy's object arrays call back into Python per cell.
 """
 
 from __future__ import annotations
@@ -116,13 +119,19 @@ class GluedPlan:
         return P, s12, Q, s23
 
     @cached_property
+    def _middle_ints(self):
+        """The column sums of P as Python ints, summed over its rows as
+        lists (both plans exact): the middle marginal is them over s12."""
+        return list(map(sum, zip(*self._integer_factors[0].tolist())))
+
+    @cached_property
     def mu2(self):
         """The middle marginal: the column sums of pi12."""
         exact = self._integer_factors
         if exact is None:
             return tuple(_line_sums(self._plans[0])[1])
-        P, s12, _, _ = exact
-        return tuple(Fraction(c, s12) for c in P.sum(axis=0).tolist())
+        s12 = exact[1]
+        return tuple(Fraction(c, s12) for c in self._middle_ints)
 
     @cached_property
     def tensor(self):
@@ -165,9 +174,9 @@ def glue(pi12: TransportPlan, pi23: TransportPlan, tol=None) -> GluedPlan:
     exact = g._integer_factors
     tol = check_tol(tol, mode_of(*g._plans))
     if exact:
-        P, s12, Q, s23 = exact
-        # both sums over the common scale s12 * s23
-        gaps = np.abs(P.sum(axis=0) * s23 - Q.sum(axis=1) * s12).tolist()
+        _, s12, Q, s23 = exact
+        # both sums, in Python ints, over the common scale s12 * s23
+        gaps = [abs(x * s23 - y * s12) for x, y in zip(g._middle_ints, map(sum, Q.tolist()))]
     else:
         gaps = [abs(x - y) for x, y in zip(g.mu2, _line_sums(g._plans[1])[0])]
     worst_j = max(range(n2), key=gaps.__getitem__)  # the first worst
@@ -186,11 +195,13 @@ def glued_marginal_13(g: GluedPlan) -> TransportPlan:
 
     On integer factors this is one matrix product: with M = P.sum(0),
     L = lcm of the positive M_j and f_j = L // M_j (0 where M_j is not
-    positive), pi13 = (P * f) @ Q / (s23 * L).  The product is taken over
-    the nonzero cells of P only, at most n1 + n2 - 1 of them in a basic
-    plan: cell (i, j) adds P_ij f_j Q_j to row i.  The plan holds those
-    ints, and its matrix has a Fraction on each nonzero cell and an int 0
-    elsewhere.  Any other plan sums the tensor over the middle.
+    positive), pi13 = (P * f) @ Q / (s23 * L).  The product runs on the
+    plans' rows as Python ints, over the nonzero cells of P and of Q
+    only, at most n1 + n2 - 1 and n2 + n3 - 1 of them in basic plans:
+    cells (i, j) of P and (j, k) of Q add P_ij f_j Q_jk to cell (i, k).
+    The plan holds those ints, and its matrix has a Fraction on each
+    nonzero cell and an int 0 elsewhere.  Any other plan sums the tensor
+    over the middle.
     """
     exact = g._integer_factors
     if exact is None:
@@ -201,13 +212,18 @@ def glued_marginal_13(g: GluedPlan) -> TransportPlan:
             matrix.append(tuple(map(sum, zip(*rows))) if rows else (0,) * n3)
         return TransportPlan(matrix)
     P, _, Q, s23 = exact
-    mass = P.sum(axis=0).tolist()
+    mass = g._middle_ints
     L = math.lcm(*(m for m in mass if m > 0))
-    f = np.array([L // m if m > 0 else 0 for m in mass], dtype=object)
-    i, j = P.nonzero()
-    product = np.zeros((P.shape[0], Q.shape[1]), dtype=object)  # int 0 cells
-    np.add.at(product, i, (P[i, j] * f[j])[:, None] * Q[j])
-    return TransportPlan._of_array(product, scale=s23 * L, zero=0)
+    f = [L // m if m > 0 else 0 for m in mass]
+    cells23 = [[(k, y) for k, y in enumerate(row) if y] for row in Q.tolist()]
+    product = [[0] * Q.shape[1] for _ in range(P.shape[0])]  # int 0 cells
+    for row, out in zip(P.tolist(), product):
+        for j, x in enumerate(row):
+            if x:
+                w = x * f[j]
+                for k, y in cells23[j]:
+                    out[k] += w * y
+    return TransportPlan._of_array(np.array(product, dtype=object), scale=s23 * L, zero=0)
 
 
 def triangle_witness(mu1, mu2, mu3, space, params: WassersteinParams = None):

@@ -187,3 +187,56 @@ def test_kernel_compiles_clean_under_strict_warnings(tmp_path):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert lib.exists()
+
+
+#: the twin battery through the library at sys.argv[1]: every identity
+#: family on both builds, then rational and zero-weight solves through
+#: solve_kantorovich; prints the number of kernel runs
+BATTERY = """
+import sys
+from pathlib import Path
+from unittest import mock
+import test_kernels as tk
+from finiteot import solver
+from finiteot.solver import _compiled
+
+kernel = _compiled.CompiledKernel(Path(sys.argv[1]), False)
+runs = 0
+for family in ("tied", "assignment", "edge", "large_tol", "forbidden", "rational",
+               "lone_forbidden", "wide_range", "forbidden_basis"):
+    for a, b, C, tol, *rel_tol in tk.identity_instances(family):
+        tk.check_same_pivots(kernel, a, b, C, tol, *rel_tol)
+        runs += 1
+problems = tk.rational_problems(300) + [(*p, None) for p in tk.zero_weight_problems(150)]
+with mock.patch.object(solver, "_kernel", kernel):
+    for mu1, mu2, cost, tol in problems:
+        assert tk.outcome(mu1, mu2, cost, tol)[0] == "compiled"
+        runs += 1
+print(runs)
+"""
+#: the flags that make undefined behaviour abort the process with a report
+SANITIZE = ("-fsanitize=undefined", "-fno-sanitize-recover=undefined")
+
+
+@needs_compiler
+def test_kernel_runs_the_twin_battery_free_of_undefined_behaviour(tmp_path):
+    # the loader's build with every undefined-behaviour check on: a signed
+    # overflow, an out-of-bounds shift or a misaligned read in either build
+    # stops the battery with the sanitizer's report
+    compiler = _compiled.find_compiler()
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x + 1; }\n")
+    cmd = [compiler, "-shared", "-fPIC", *SANITIZE, "-o", str(tmp_path / "probe.so"), str(probe)]
+    if subprocess.run(cmd, capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("the C compiler cannot build with -fsanitize=undefined (no libubsan)")
+    lib = tmp_path / "dense-ubsan.so"
+    cmd = [compiler, *_compiled.CFLAGS, *SANITIZE, "-o", str(lib), str(_compiled.SOURCE), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)))
+    env.pop("FINITEOT_FORCE_PURE", None)
+    proc = subprocess.run([sys.executable, "-c", BATTERY, str(lib)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert "runtime error" not in proc.stderr, proc.stderr[-3000:]
+    assert int(proc.stdout.split()[-1]) > 1000

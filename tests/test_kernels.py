@@ -114,6 +114,8 @@ def identity_instances(family):
         return [int64_input(*problem) for problem in rational_problems(1000)]
     elif family == "lone_forbidden":
         return lone_forbidden_instances(rng)
+    elif family == "forbidden_basis":
+        return forbidden_basis_instances(rng)
     elif family == "wide_range":
         # costs U(0, 1) * 10^U(0, 12), some with +inf cells, priced as a
         # float solve with no tol prices them: tol 0 and the per-cell factor
@@ -155,6 +157,40 @@ def lone_forbidden_instances(rng):
         wa = [0 if where == "zero row" and r == i else rng.randint(1, 30) for r in range(n)]
         wb = [rng.randint(1, 30) for _ in range(m)]
         mu1, mu2 = (DiscreteMeasure(tuple(F(x, sum(w)) for x in w)) for w in (wa, wb))
+        instances.append(int64_input(mu1, mu2, raw, None))
+    return instances
+
+
+def forbidden_basis_instances(rng):
+    """(a, b, C, tol) whose start puts forbidden cells in the basis, which
+    pivots then take out, or keep there when no finite plan exists.
+
+    The last row, which ships every open column's remaining demand, is
+    mostly forbidden, and the other rows a little; one problem in three
+    has a block of rows whose finite cells reach too few columns.  Each
+    comes as a float problem, priced with a tol or with tol 0 and the
+    per-cell factor, and as a rational one through the int64 build.
+    """
+    instances = []
+    for k in range(60):
+        n, m = rng.randint(2, 24), rng.randint(2, 24)
+        a, b, C = random_instance(rng, n, m)
+        if k % 2:
+            C = np.floor(C / 5)  # tied costs 0..3
+        forbidden = np.array([[rng.random() < 0.15 for _ in range(m)] for _ in range(n)])
+        forbidden[-1] = [rng.random() < 0.8 for _ in range(m)]
+        if k % 3 == 2:  # a Hall block: these rows reach columns cols only
+            cols = rng.sample(range(m), max(1, m // 4))
+            for i in rng.sample(range(n), max(1, n // 3)):
+                forbidden[i] = True
+                forbidden[i, cols] = False
+        C[forbidden] = np.inf
+        instances.append((a, b, C, 0.0, FLOAT_TOL) if k % 4 else (a, b, C, 1e-9))
+        raw = [[INF if f else int(c * 7) for c, f in zip(*rows)] for rows in zip(C, forbidden)]
+        mu1, mu2 = (
+            DiscreteMeasure(tuple(F(x, sum(w)) for x in w))
+            for w in ([rng.randint(1, 30) for _ in range(size)] for size in (n, m))
+        )
         instances.append(int64_input(mu1, mu2, raw, None))
     return instances
 
@@ -554,7 +590,7 @@ class TestCompiled:
         "family",
         [
             "tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden",
-            "wide_range",
+            "wide_range", "forbidden_basis",
         ],
     )
     def test_twin_takes_the_same_pivots(self, compiled, family):
@@ -565,8 +601,28 @@ class TestCompiled:
             infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
             _, _, summary = compiled.solve_dense(a, b, C, tol, *rel_tol)
             assert bits(summary) == bits(twin_summary(a, b, C, tol, *rel_tol))
-        if family in ("forbidden", "rational"):  # with and without a finite plan
+        if family in ("forbidden", "rational", "forbidden_basis"):  # with and without a finite plan
             assert 0 < infeasible < len(instances)
+
+    def test_the_twin_counts_its_forbidden_basic_cells(self, monkeypatch):
+        # the count that lets a float scan price values alone is the number
+        # of forbidden basic cells after the start and after every pivot;
+        # forbidden cells leave the basis, and stay in it without a finite plan
+        pivot, counts = simplex._Tree.pivot, []
+
+        def counted(tree, *args):
+            pivot(tree, *args)
+            basic = [tree.big[i][j] for i, j in tree.flows()]
+            assert tree.basic_big == sum(basic), (tree.basic_big, basic)
+            counts[-1].append(tree.basic_big)
+
+        monkeypatch.setattr(simplex._Tree, "pivot", counted)
+        for a, b, C, tol, *rel_tol in identity_instances("forbidden_basis"):
+            counts.append([])
+            twin(a, b, C, tol, *rel_tol)
+        left = sum(any(x > 0 and 0 in c[k + 1:] for k, x in enumerate(c)) for c in counts)
+        kept = sum(bool(c) and c[-1] > 0 for c in counts)
+        assert left > 30 and kept > 30, (left, kept)
 
     @pytest.mark.parametrize(
         "family", ["tied", "assignment", "edge", "forbidden", "rational", "lone_forbidden"]

@@ -77,7 +77,7 @@ class TestDefaultTolerance:
         monkeypatch.setattr(numerics, "_mode", lambda values, kinds: sizes.append(len(values)) or mode(values, kinds))
         space = from_point_cloud([[0.0, 0.5 * k] for k in range(12)])
         assert space.tol is None and space._matrix.mode == "float"
-        assert sizes.count(144) == 1
+        assert sizes.count(144) == 0  # the diagonal is 0.0: the rows pack as doubles
 
 
 class TestFromPointCloud:
@@ -96,6 +96,34 @@ class TestFromPointCloud:
     def test_mismatched_dims(self):
         with pytest.raises(ShapeError):
             from_point_cloud([[0, 0], [1]])
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_a_float_cloud_packs_as_doubles(self, p, monkeypatch):
+        # the diagonal is d(x, x) = 0.0, so the rows take the float64 pack
+        # and no type scan; the report is the one of the int-0 diagonal,
+        # with roundoff violations at tol 0 on collinear clouds
+        from finiteot import numerics
+
+        rng = random.Random(5)
+        clouds = [[[rng.random() * 1e9, 0.0] for _ in range(8)] for _ in range(6)]
+        clouds += [[[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(9)] for _ in range(4)]
+        scan = numerics._scanned
+        reports = []
+        for points in clouds:
+            monkeypatch.setattr(numerics, "_scanned", lambda *args: pytest.fail("type scan"))
+            dist = from_point_cloud(points, norm_order=p).dist
+            monkeypatch.setattr(numerics, "_scanned", scan)
+            assert all(type(x) is float for row in dist for x in row)
+            old = tuple(tuple(0 if i == j else x for j, x in enumerate(r)) for i, r in enumerate(dist))
+            for tol in (None, 0):
+                reports.append(validate_metric(dist, tol))
+                assert reports[-1] == validate_metric(old, tol)
+        assert any(reports)
+
+    def test_an_integer_l1_cloud_keeps_integer_distances(self):
+        s = from_point_cloud([[0, 2], [1, -3], [4, 4]], norm_order=1)
+        assert typed(s.dist) == typed(((0, 6, 6), (6, 0, 10), (6, 10, 0)))
+        assert s._matrix.mode == "rational" and s._matrix.array.dtype == np.int64
 
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_lp_norms_are_metrics(self, p):

@@ -154,6 +154,24 @@ def test_a_measure_of_python_floats_takes_one_type_scan(monkeypatch):
         new_measure((1.25, -0.25))
 
 
+def test_a_measure_of_python_numbers_takes_one_type_scan(monkeypatch):
+    # exact weights are read on the one scan of their types: no second
+    # scan to convert numpy scalars, nor a third to scale them
+    from finiteot import measure
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact measure scanned its weights again")
+
+    monkeypatch.setattr(measure, "python_numbers", refuse)
+    monkeypatch.setattr(measure, "scaled_ints", refuse)
+    mu = new_measure((F(1, 6), F(0), F(1, 2), 0, F(1, 3)))
+    assert (mu.mode, mu.scaled_weights, mu.scaled_positive) == ("rational", ([1, 0, 3, 0, 2], 6), False)
+    ints, scale = new_measure((1, 0)).scaled_weights
+    assert (list(ints), scale) == ([1, 0], 1)
+    with pytest.raises(DomainError, match="negative weight -1/4"):
+        new_measure((F(5, 4), F(-1, 4)))
+
+
 @pytest.mark.parametrize("kind", [float, np.float32, np.float64])
 @pytest.mark.parametrize(
     "read, value, error, message",

@@ -494,6 +494,92 @@ def test_glued_plan_is_valid_builds_no_tensor_on_exact_plans(monkeypatch):
     assert glued_plan_is_valid(g, pi23, pi12, tol=0)[0] is False
 
 
+def reference_glue(pi12, pi23):
+    """glue's check of two exact plans on object arrays, as the
+    library ran it before it summed the plans' rows as Python ints."""
+    g = GluedPlan(pi12, pi23)
+    P, s12, Q, s23 = g._integer_factors
+    gaps = np.abs(P.sum(axis=0) * s23 - Q.sum(axis=1) * s12).tolist()
+    worst_j = max(range(len(gaps)), key=gaps.__getitem__)
+    if gaps[worst_j]:
+        raise GlueError(
+            f"middle marginals differ at index {worst_j} by {F(gaps[worst_j], s12 * s23)}"
+        )
+    return g
+
+
+def reference_glued_marginal_13(g):
+    """glued_marginal_13 of an exact glued plan on object arrays, as the
+    library ran it before it took Q's nonzero cells: np.add.at over P's."""
+    P, _, Q, s23 = g._integer_factors
+    mass = P.sum(axis=0).tolist()
+    L = math.lcm(*(m for m in mass if m > 0))
+    f = np.array([L // m if m > 0 else 0 for m in mass], dtype=object)
+    i, j = P.nonzero()
+    product = np.zeros((P.shape[0], Q.shape[1]), dtype=object)
+    np.add.at(product, i, (P[i, j] * f[j])[:, None] * Q[j])
+    return TransportPlan._of_array(product, scale=s23 * L, zero=0)
+
+
+def exact_glue_battery(rng):
+    """(pi12, pi23) of exact plans: basic solver plans of n up to 300,
+    dense product couplings, and both with zero-mass middle atoms; every
+    third pair has a pi23 whose middle marginal differs."""
+    def measure(n, zeros=False):
+        raw = [rng.randint(0 if zeros and k else 1, 30) for k in range(n)]
+        return DiscreteMeasure(tuple(F(x, sum(raw)) for x in raw))
+
+    for trial, n in enumerate((1, 2, 3, 5, 8, 13, 21, 40, 90, 300, 2, 4, 7, 12, 30, 60)):
+        product = trial >= 10
+        zeros = trial % 2 == 1
+        mus = [measure(n), measure(n, zeros), measure(n)]
+        other = measure(n, zeros)
+        if product:
+            plans = [product_coupling(mus[0], mus[1]), product_coupling(mus[1], mus[2])]
+            wrong = product_coupling(other, mus[2])
+        else:
+            cost = [[rng.randint(0, 50) for _ in range(n)] for _ in range(n)]
+            plans = [solver.solve_kantorovich(mus[k], mus[k + 1], cost).plan for k in (0, 1)]
+            wrong = solver.solve_kantorovich(other, mus[2], cost).plan
+        yield plans
+        if n > 1 and other != mus[1]:
+            yield plans[0], wrong
+
+
+def test_exact_gluing_matches_the_object_array_reference():
+    """glue and glued_marginal_13 on the plans' rows as Python ints give
+    the object-array reference's middle marginal, 1-3 ints, scale and
+    cells, the same GlueError index and gap on mismatched middles, and
+    glued_plan_is_valid's verdicts."""
+    glued = refused = 0
+    for pi12, pi23 in exact_glue_battery(random.Random(303)):
+        try:
+            want = reference_glue(pi12, pi23)
+        except GlueError as exc:
+            with pytest.raises(GlueError) as raised:
+                glue(pi12, pi23)
+            assert str(raised.value) == str(exc)
+            refused += 1
+            continue
+        g = glue(pi12, pi23)
+        P, s12 = g._integer_factors[:2]
+        assert typed(g.mu2) == typed(tuple(F(c, s12) for c in P.sum(axis=0).tolist()))
+        got13, want13 = glued_marginal_13(g), reference_glued_marginal_13(want)
+        assert got13._scale == want13._scale
+        assert typed(tuple(map(tuple, got13._array.tolist()))) == typed(
+            tuple(map(tuple, want13._array.tolist()))
+        )
+        assert typed(got13.matrix) == typed(want13.matrix)
+        assert glued_plan_is_valid(g, pi12, pi23) == (True, [])
+        if g.shape[0] <= 13:
+            assert glued_plan_is_valid(g, pi12, pi23) == reference_glued_plan_is_valid(want, pi12, pi23)
+            assert glued_plan_is_valid(g, pi23, pi12, tol=0) == reference_glued_plan_is_valid(
+                want, pi23, pi12, tol=0
+            )
+        glued += 1
+    assert glued == 16 and refused > 10, (glued, refused)
+
+
 class TestTriangleWitness:
     def test_degenerate_triangle(self):
         out = triangle_witness(UNIFORM2, UNIFORM2, UNIFORM2, TWO_POINT)
