@@ -35,11 +35,16 @@
  * the algorithm, written once over num.
  *
  * The basis is a spanning tree over the row nodes 0..n-1 and the column
- * nodes n..n+m-1, rooted at row 0: parent, depth, first child and next
- * sibling of each node, and the flow on the edge to its parent.  A node's
- * potential is c_ij - pot[parent] along that edge, in two parts: a forbidden
- * cell costs (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M
- * outweighs any value.  One scan of C at the start finds whether any cell
+ * nodes n..n+m-1, rooted at row 0, held as each node's parent and depth,
+ * the flow and the cost c_ij on the edge to its parent, and a thread: a
+ * preorder of the tree closed into a cycle (thread), its inverse (rev),
+ * and the last node of each node's subtree in it (last), the augmented
+ * threaded index of network simplex codes.  A subtree is then one stretch
+ * of the thread, and the edge's cost, kept beside its flow, spares a read
+ * of C per node when potentials are derived.  A node's potential is
+ * c_ij - pot[parent] along that edge, in two parts: a forbidden cell costs
+ * (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M outweighs
+ * any value.  One scan of C at the start finds whether any cell
  * is forbidden.  When none is, every M part is 0, so the M potentials stay
  * 0, (d < best_big || r < best) reduces to r < best, and the kernel derives
  * and prices the value part alone, as simplex.py does when _split_costs
@@ -82,9 +87,11 @@
  * entering row, across the entering cell and up from its column leaves, so
  * a column-side cell wins a tie.  Degenerate pivots then never cycle, with
  * no second rule.  The path from the entering cell's end below the leaving
- * edge up to that edge reverses, each flow moving one edge along it, and
- * only the re-hung subtree gets new depths and potentials.  A weight that
- * is not positive, or is infinite, is refused (see simplex.py).
+ * edge up to that edge reverses, each flow and cost moving one edge along
+ * it, the re-hung subtree moves in the thread to just after its new
+ * parent, and only it gets new depths and potentials, derived along the
+ * thread.  A weight that is not positive, or is infinite, is refused (see
+ * simplex.py).
  */
 
 #ifndef FOT_NUM
@@ -161,8 +168,7 @@ static void *data(const void *obj, int64_t at)
 #define Tree FOT(Tree)
 #define edge_cell FOT(edge_cell)
 #define derive FOT(derive)
-#define hang FOT(hang)
-#define unhang FOT(unhang)
+#define rehang FOT(rehang)
 #define refresh FOT(refresh)
 #define grow FOT(grow)
 #define worse FOT(worse)
@@ -173,8 +179,8 @@ typedef struct {
     int big; /* some cell is forbidden: keep the M potentials pot_big */
     int64_t basic_big; /* the forbidden basic cells, counted at grow and each pivot */
     const num *C;
-    int64_t *parent, *depth, *child, *sibling, *pot_big;
-    num *pot, *flow;
+    int64_t *parent, *depth, *thread, *rev, *last, *pot_big;
+    num *pot, *flow, *cost; /* flow and C's cost on the edge to the parent */
 } Tree;
 
 /* row-major index of the cell on the edge from node to its parent up */
@@ -183,11 +189,11 @@ static int64_t edge_cell(const Tree *t, int64_t node, int64_t up)
     return node < t->n ? node * t->m + up - t->n : up * t->m + node - t->n;
 }
 
-/* depth and potentials of node, from its parent's */
+/* depth and potentials of node, from its parent's and its edge's cost */
 static void derive(Tree *t, int64_t node)
 {
     int64_t up = t->parent[node];
-    num c = t->C[edge_cell(t, node, up)];
+    num c = t->cost[node];
     int forbidden;
     t->depth[node] = t->depth[up] + 1;
     if (!t->big) {
@@ -199,39 +205,13 @@ static void derive(Tree *t, int64_t node)
     t->pot_big[node] = forbidden - t->pot_big[up];
 }
 
-/* make node the first child of up */
-static void hang(Tree *t, int64_t node, int64_t up)
-{
-    t->parent[node] = up;
-    t->sibling[node] = t->child[up];
-    t->child[up] = node;
-}
-
-/* take node out of its parent's list of children */
-static void unhang(Tree *t, int64_t node)
-{
-    int64_t *link = &t->child[t->parent[node]];
-    while (*link != node)
-        link = &t->sibling[*link];
-    *link = t->sibling[node];
-}
-
-/* derive top and every node below it, depth first */
+/* derive top and every node below it, along the thread: a preorder meets
+ * each parent before its children */
 static void refresh(Tree *t, int64_t top)
 {
-    int64_t node = top;
-    for (;;) {
+    int64_t node, stop = t->thread[t->last[top]];
+    for (node = top; node != stop; node = t->thread[node])
         derive(t, node);
-        if (t->child[node] >= 0) {
-            node = t->child[node];
-            continue;
-        }
-        while (node != top && t->sibling[node] < 0)
-            node = t->parent[node];
-        if (node == top)
-            return;
-        node = t->sibling[node];
-    }
 }
 
 /*
@@ -239,17 +219,19 @@ static void refresh(Tree *t, int64_t top)
  * indices cell, flows amount): row 0's component first, then each further
  * one in the order of its lowest row, which hangs from the cheapest column
  * already in the tree by a zero-flow cell.  Every column must lie on a
- * cell.  head, next and stack are scratch space for n + m, 2 count and
- * n + m entries.
+ * cell.  A component is searched depth first from a stack, and the order
+ * its nodes leave the stack is a preorder of it: the thread takes them in
+ * that order, after the column the component hangs from.  head, next and
+ * stack are scratch space for n + m, 2 count and n + m entries.
  */
 static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
                  int64_t *head, int64_t *next, int64_t *stack)
 {
-    int64_t n = t->n, m = t->m, e, h, i, j, best, node, other, top;
+    int64_t n = t->n, m = t->m, e, h, i, j, best, node, other, top, prev, after;
     const num *row;
 
     for (node = 0; node < n + m; node++) {
-        head[node] = t->child[node] = -1;
+        head[node] = -1;
         t->depth[node] = -1; /* not in the tree yet */
     }
     /* half-edge 2 e leads from cell e's row to its column, 2 e + 1 back */
@@ -261,6 +243,7 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
         next[2 * e + 1] = head[j];
         head[j] = 2 * e + 1;
     }
+    t->thread[0] = 0;
     for (i = 0; i < n; i++) {
         if (t->depth[i] >= 0)
             continue;
@@ -268,6 +251,7 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
             t->parent[0] = -1;
             t->depth[0] = t->pot_big[0] = 0;
             t->pot[0] = 0;
+            prev = 0;
         } else {
             /* a forbidden cell is above every finite one, as in the start */
             row = t->C + i * m;
@@ -275,29 +259,149 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
             for (j = 0; j < m; j++)
                 if (t->depth[n + j] >= 0 && (best < 0 || row[j] < row[best]))
                     best = j;
-            hang(t, i, n + best);
+            t->parent[i] = prev = n + best;
+            t->cost[i] = row[best];
             derive(t, i);
             t->flow[i] = 0;
         }
+        after = t->thread[prev];
         stack[0] = i;
         top = 1;
         while (top > 0) {
             node = stack[--top];
+            t->thread[prev] = node;
+            prev = node;
             for (h = head[node]; h >= 0; h = next[h]) {
                 e = h >> 1;
                 other = h & 1 ? cell[e] / m : n + cell[e] % m;
                 if (t->depth[other] >= 0)
                     continue; /* node's parent */
-                hang(t, other, node);
+                t->parent[other] = node;
+                t->cost[other] = t->C[cell[e]];
                 derive(t, other);
                 t->flow[other] = amount[e];
                 stack[top++] = other;
             }
         }
+        t->thread[prev] = after;
     }
+    /* rev inverts the thread; back along it, a node's last child in
+     * preorder comes first, and the node's subtree ends where that child's
+     * does */
     t->basic_big = 0;
-    for (node = 1; node < n + m; node++)
-        t->basic_big += FORBIDDEN(t->C[edge_cell(t, node, t->parent[node])]);
+    for (node = 0; node < n + m; node++) {
+        t->rev[t->thread[node]] = t->last[node] = node;
+        if (node > 0)
+            t->basic_big += FORBIDDEN(t->cost[node]);
+    }
+    for (node = t->rev[0]; node != 0; node = t->rev[node]) {
+        other = t->parent[node];
+        if (t->last[other] == other)
+            t->last[other] = t->last[node];
+    }
+}
+
+/*
+ * The pivot's tree update: below, the entering cell's end under the
+ * leaving edge, hangs from v_in, the cell's other end, and the stem, the
+ * path from below up to leave, reverses, each flow and cost moving one
+ * edge along it and below's edge carrying theta and c_in, the entering
+ * cell's cost.  The moved subtree goes into the thread right after v_in,
+ * and last changes on the paths from v_in and from v_out, leave's old
+ * parent, up to apex, the cycle's top.  This is updateTreeStructure of
+ * LEMON's NetworkSimplex (Kovacs, Optim. Methods Softw. 30(1), 2015)
+ * without its successor counts; the thread is the augmented threaded
+ * index of Glover, Klingman & Stutz (INFOR 12(3), 1974).  dirty is
+ * scratch space for n + m entries: the nodes whose thread the stem
+ * changes, whose successors' rev is set once the stem is done.
+ */
+static void rehang(Tree *t, int64_t below, int64_t v_in, int64_t leave, int64_t apex,
+                   num theta, num c_in, int64_t *dirty)
+{
+    int64_t *parent = t->parent, *thread = t->thread, *rev = t->rev, *last = t->last;
+    int64_t v_out = parent[leave], old_rev = rev[leave], old_last = last[leave];
+    int64_t stem, par_stem, next_stem, end, before, after, cont, limit, k, count, node;
+    num carried, f, carried_cost;
+
+    if (below == leave) {
+        parent[below] = v_in;
+        t->flow[below] = theta;
+        t->cost[below] = c_in;
+        if (thread[v_in] != below) {
+            /* take the subtree out of the thread, and put it after v_in */
+            after = thread[old_last];
+            thread[old_rev] = after;
+            rev[after] = old_rev;
+            after = thread[v_in];
+            thread[v_in] = below;
+            rev[below] = v_in;
+            thread[old_last] = after;
+            rev[after] = old_last;
+        }
+    } else {
+        /* what follows the moved subtree: v_in's successor, or, when that
+         * is leave itself, what followed leave's subtree */
+        cont = old_rev == v_in ? thread[old_last] : thread[v_in];
+        stem = below;
+        par_stem = v_in;
+        carried = theta;
+        carried_cost = c_in;
+        end = last[below]; /* where the part of the stem node's subtree moved so far ends */
+        after = thread[end];
+        thread[v_in] = below;
+        dirty[0] = v_in;
+        count = 1;
+        while (stem != leave) {
+            /* the next stem node follows this one's subtree, which leaves
+             * its old place in the thread */
+            next_stem = parent[stem];
+            thread[end] = next_stem;
+            dirty[count++] = end;
+            before = rev[stem];
+            thread[before] = after;
+            rev[after] = before;
+            parent[stem] = par_stem;
+            f = t->flow[stem];
+            t->flow[stem] = carried;
+            carried = f;
+            f = t->cost[stem];
+            t->cost[stem] = carried_cost;
+            carried_cost = f;
+            par_stem = stem;
+            stem = next_stem;
+            /* the next stem node's subtree, less the one just moved */
+            end = last[stem] == last[par_stem] ? rev[par_stem] : last[stem];
+            after = thread[end];
+        }
+        parent[leave] = par_stem;
+        t->flow[leave] = carried;
+        t->cost[leave] = carried_cost;
+        thread[end] = cont;
+        rev[cont] = end;
+        last[leave] = end;
+        if (old_rev != v_in) {
+            thread[old_rev] = after;
+            rev[after] = old_rev;
+        }
+        for (k = 0; k < count; k++)
+            rev[thread[dirty[k]]] = dirty[k];
+        /* each stem node's subtree now ends where leave's does */
+        for (node = leave; node != below; node = parent[node])
+            last[parent[node]] = end;
+    }
+
+    /* the subtrees that ended at v_in now end with the moved one; on the
+     * path from v_out, those that ended with it end before it, or, when it
+     * keeps its place after v_in, with its new last node */
+    limit = last[apex] == v_in ? apex : -1;
+    end = last[leave];
+    for (node = v_in; node != -1 && last[node] == v_in; node = parent[node])
+        last[node] = end;
+    if (apex != old_rev && v_in != old_rev)
+        end = old_rev;
+    if (end != old_last)
+        for (node = v_out; node != limit && last[node] == old_last; node = parent[node])
+            last[node] = end;
 }
 
 /* the larger of worst and g, and NaN once either is NaN: !(g <= worst)
@@ -387,20 +491,21 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
     int64_t block = (int64_t)exp(0.5 * log((double)total));
     int64_t result, iterations = 0, scan_pos = 0;
     int row_side;
-    int64_t i, j, j0, stop, k, pos, end, scanned, node, up, prev, count, kept, nopen;
+    int64_t i, j, j0, stop, k, pos, end, scanned, node, count, kept, nopen;
     int64_t ei, ej, d, best_big, ui_big, col_up, x, y, apex, leave, below;
-    num q, c, r, best, ui, theta, f, carried;
+    num q, c, r, best, ui, theta, f;
     const num *row;
     Tree t = {.n = n, .m = m, .C = C};
     num *rest, *amount; /* rest: supplies, then demands */
     int64_t *open, *cell, *head, *next, *stack;
     /* one block for every array: num and int64_t are both 8 bytes wide, so
      * each array starts aligned */
-    rest = malloc(4 * nodes * sizeof(num) + (m + 10 * nodes) * sizeof(int64_t));
+    rest = malloc(5 * nodes * sizeof(num) + (m + 11 * nodes) * sizeof(int64_t));
     if (!rest)
         return FOT_NO_MEMORY;
     amount = rest + nodes;
-    /* the start's scratch space: open columns, cells, and grow's */
+    /* the start's scratch space: open columns, cells, and grow's; stack
+     * is rehang's too */
     open = (int64_t *)(amount + nodes);
     cell = open + m;
     head = cell + nodes;
@@ -408,11 +513,13 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
     stack = next + 2 * nodes;
     t.parent = stack + nodes;
     t.depth = t.parent + nodes;
-    t.child = t.depth + nodes;
-    t.sibling = t.child + nodes;
-    t.pot_big = t.sibling + nodes;
+    t.thread = t.depth + nodes;
+    t.rev = t.thread + nodes;
+    t.last = t.rev + nodes;
+    t.pot_big = t.last + nodes;
     t.pot = (num *)(t.pot_big + nodes);
     t.flow = t.pot + nodes;
+    t.cost = t.flow + nodes;
     (void)rel; /* read by BEYOND in the float build only */
 
     for (k = 0; k < total && !FORBIDDEN(C[k]); k++)
@@ -559,30 +666,13 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
             }
         }
         apex = x;
-        t.basic_big += FORBIDDEN(C[ei * m + ej])
-                       - FORBIDDEN(C[edge_cell(&t, leave, t.parent[leave])]);
+        t.basic_big += FORBIDDEN(C[ei * m + ej]) - FORBIDDEN(t.cost[leave]);
         for (x = ei; x != apex; x = t.parent[x])
             t.flow[x] += x < n ? -theta : theta;
         for (y = n + ej; y != apex; y = t.parent[y])
             t.flow[y] += y < n ? theta : -theta;
 
-        /* re-hang: below, the entering cell's end under the leaving edge,
-         * hangs from the other end, and the path up to leave reverses */
-        prev = below == ei ? n + ej : ei;
-        node = below;
-        carried = theta;
-        for (;;) {
-            up = t.parent[node];
-            f = t.flow[node];
-            unhang(&t, node);
-            hang(&t, node, prev);
-            t.flow[node] = carried;
-            if (node == leave)
-                break;
-            carried = f;
-            prev = node;
-            node = up;
-        }
+        rehang(&t, below, below == ei ? n + ej : ei, leave, apex, theta, C[ei * m + ej], stack);
         refresh(&t, below);
     }
 
@@ -602,8 +692,7 @@ done:
 #undef Tree
 #undef edge_cell
 #undef derive
-#undef hang
-#undef unhang
+#undef rehang
 #undef refresh
 #undef grow
 #undef worse

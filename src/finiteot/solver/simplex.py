@@ -15,16 +15,19 @@ Both engines keep one basis layout and one pivot walk; the header of
 _dense.c describes the algorithm in full.  The basis is a spanning tree
 over the row nodes 0..n-1 and the column nodes n..n+m-1, rooted at row 0:
 each node's parent, depth, potentials (pot, and pot_big for the M part)
-and the flow on the edge to its parent.  The C links each node's children
-as first child and next sibling, this engine as a list.  The start is the
-row-minimum rule (the start of Gottschlich & Schuhmacher's shortlist
-method, PLoS ONE 2014), and the entering cell comes from a wraparound block
-search (LEMON's NetworkSimplex, which POT's emd uses).  A pivot is one
-climb from both ends of the entering cell to their common ancestor, which
-picks theta and the leaving edge; the flows move along the two paths; the
-cut path is re-hung, each flow moving one edge along it; and one refresh
-recomputes the re-hung subtree's depths and potentials.  plan_summary
-checks and prices the plan as fot_solve's last pass does.
+and the flow on the edge to its parent, and the thread: a preorder of the
+tree closed into a cycle, its inverse rev, and the last node of each
+node's subtree in it.  The C also keeps each edge's cost beside its flow,
+where this engine reads its cost lists.  The start is the row-minimum
+rule (the start of Gottschlich & Schuhmacher's shortlist method, PLoS ONE
+2014), and the entering cell comes from a wraparound block search (LEMON's
+NetworkSimplex, which POT's emd uses).  A pivot is one climb from both
+ends of the entering cell to their common ancestor, which picks theta and
+the leaving edge; the flows move along the two paths; the cut path is
+re-hung, each flow moving one edge along it, and spliced into the thread;
+and one walk along the thread recomputes the re-hung subtree's depths and
+potentials.  plan_summary checks and prices the plan as fot_solve's last
+pass does.
 
 The leaving rule keeps the tree strongly feasible (Cunningham, Math.
 Programming 11, 1976; Ahuja, Magnanti & Orlin, Network Flows, section
@@ -96,7 +99,9 @@ def _split_costs(cost):
 
 class _Tree:
     """Spanning-tree basis rooted at row 0: per node its parent, depth,
-    children, potentials for each cost part, and the flow to its parent."""
+    potentials for each cost part and the flow to its parent, and the
+    thread, a preorder of the tree closed into a cycle, with its inverse
+    rev and the last node of each node's subtree in it."""
 
     def __init__(self, n, m, value, big):
         self.n = n
@@ -106,7 +111,9 @@ class _Tree:
         size = n + m
         self.parent = [-1] * size
         self.depth = [0] * size
-        self.children = [[] for _ in range(size)]
+        self.thread = [0] * size
+        self.rev = [0] * size
+        self.last = list(range(size))
         self.pot = [0] * size
         self.pot_big = [0] * size if big is not None else None
         self.flow = [0] * size
@@ -119,9 +126,13 @@ class _Tree:
         must lie on one.  Row 0's component comes first, then each further
         one in the order of its lowest row, which hangs from the cheapest
         column already in the tree (costs compared as in the start) by a
-        zero-flow cell.
+        zero-flow cell.  A component is searched depth first from a stack,
+        and the thread takes its nodes in the order they leave the stack,
+        a preorder, after the column it hangs from.
         """
-        n, m = self.n, self.m
+        n, m, parent, flow, thread, rev, last = (
+            self.n, self.m, self.parent, self.flow, self.thread, self.rev, self.last
+        )
         near = [[] for _ in range(n + m)]
         for (i, j), f in cells.items():
             near[i].append((n + j, f))
@@ -131,27 +142,35 @@ class _Tree:
             if placed[i]:
                 continue
             placed[i] = True
+            prev = 0
             if i:
                 row = cost[i]
-                j = min((j for j in range(m) if placed[n + j]), key=row.__getitem__)
-                self.hang(i, n + j, 0)
+                prev = n + min((j for j in range(m) if placed[n + j]), key=row.__getitem__)
+                parent[i], flow[i] = prev, 0
+            after = thread[prev]
             stack = [i]
             while stack:
                 node = stack.pop()
+                thread[prev] = node
+                prev = node
                 for other, f in near[node]:
                     if not placed[other]:
                         placed[other] = True
-                        self.hang(other, node, f)
+                        parent[other], flow[other] = node, f
                         stack.append(other)
+            thread[prev] = after
+        for node, following in enumerate(thread):
+            rev[following] = node
+        # back along the thread, a node's last child in preorder comes first
+        node = rev[0]
+        while node:
+            up = parent[node]
+            if last[up] == up:
+                last[up] = last[node]
+            node = rev[node]
+        self._refresh(thread[0], 0)
         if self.big is not None:
             self.basic_big = sum(self.big[i][j] for i, j in self.flows())
-
-    def hang(self, node, up, flow):
-        """Make the leaf node a child of up, with its flow, depth and potentials."""
-        self.parent[node] = up
-        self.children[up].append(node)
-        self.flow[node] = flow
-        self._refresh(node)
 
     def flows(self):
         """Each basic cell's flow, as a dict keyed by (row, column)."""
@@ -162,20 +181,19 @@ class _Tree:
             if node
         }
 
-    def _refresh(self, top):
-        """Recompute depth and potentials of top and everything below it."""
-        n, parent, depth, children = self.n, self.parent, self.depth, self.children
+    def _refresh(self, node, stop):
+        """Recompute depth and potentials along the thread from node up to
+        stop: a preorder meets each parent before its children."""
+        n, parent, depth, thread = self.n, self.parent, self.depth, self.thread
         pot, value, big, pot_big = self.pot, self.value, self.big, self.pot_big
-        stack = [top]
-        while stack:
-            node = stack.pop()
+        while node != stop:
             up = parent[node]
             i, j = (node, up - n) if node < n else (up, node - n)
             depth[node] = depth[up] + 1
             pot[node] = value[i][j] - pot[up]
             if big is not None:
                 pot_big[node] = big[i][j] - pot_big[up]
-            stack.extend(children[node])
+            node = thread[node]
 
     def pivot(self, ei, ej):
         """Bring the cell (ei, ej) into the basis, as fot_solve does.
@@ -187,11 +205,10 @@ class _Tree:
         from the ancestor down to ei, across the cell and up from its
         column, so a column-side edge wins a tie.  The flows move by theta
         along both paths.  Then below, the cell's end under the leaving
-        edge, hangs from the other end, the path from it up to the leaving
-        edge reverses with each flow moving one edge along, and the
-        re-hung subtree is refreshed.
+        edge, hangs from the other end (_rehang), and the re-hung subtree
+        is refreshed along the thread.
         """
-        n, parent, depth, children, flow = self.n, self.parent, self.depth, self.children, self.flow
+        n, parent, depth, flow = self.n, self.parent, self.depth, self.flow
         x, y = ei, n + ej
         leave = -1
         while x != y:
@@ -216,17 +233,71 @@ class _Tree:
                 else:
                     flow[x] += theta
                 x = parent[x]
-        prev = n + ej if below == ei else ei
-        node, carried = below, theta
-        while True:
-            up, f = parent[node], flow[node]
-            children[up].remove(node)
-            parent[node], flow[node] = prev, carried
-            children[prev].append(node)
-            if node == leave:
-                break
-            prev, node, carried = node, up, f
-        self._refresh(below)
+        self._rehang(below, n + ej if below == ei else ei, leave, apex, theta)
+        self._refresh(below, self.thread[self.last[below]])
+
+    def _rehang(self, below, v_in, leave, apex, theta):
+        """Hang below from v_in and reverse the stem, the path from below up
+        to leave, each flow moving one edge along it and below's edge
+        carrying theta; keep the thread a preorder (rehang in _dense.c,
+        LEMON's updateTreeStructure without successor counts)."""
+        parent, thread, rev, last, flow = self.parent, self.thread, self.rev, self.last, self.flow
+        v_out, old_rev, old_last = parent[leave], rev[leave], last[leave]
+        if below == leave:
+            parent[below], flow[below] = v_in, theta
+            if thread[v_in] != below:  # move the subtree to just after v_in
+                after = thread[old_last]
+                thread[old_rev], rev[after] = after, old_rev
+                after = thread[v_in]
+                thread[v_in], rev[below] = below, v_in
+                thread[old_last], rev[after] = after, old_last
+        else:
+            cont = thread[old_last] if old_rev == v_in else thread[v_in]
+            stem, par_stem, carried = below, v_in, theta
+            end = last[below]
+            after = thread[end]
+            thread[v_in] = below
+            dirty = [v_in]  # nodes whose successor's rev is set at the end
+            while stem != leave:
+                # the next stem node follows this one's subtree, which
+                # leaves its old place in the thread
+                next_stem = parent[stem]
+                thread[end] = next_stem
+                dirty.append(end)
+                before = rev[stem]
+                thread[before], rev[after] = after, before
+                parent[stem], flow[stem], carried = par_stem, carried, flow[stem]
+                par_stem, stem = stem, next_stem
+                # the next stem node's subtree, less the one just moved
+                end = rev[par_stem] if last[stem] == last[par_stem] else last[stem]
+                after = thread[end]
+            parent[leave], flow[leave] = par_stem, carried
+            thread[end], rev[cont] = cont, end
+            last[leave] = end
+            if old_rev != v_in:
+                thread[old_rev], rev[after] = after, old_rev
+            for node in dirty:
+                rev[thread[node]] = node
+            node = leave  # each stem node's subtree now ends where leave's does
+            while node != below:
+                node = parent[node]
+                last[node] = end
+        # the subtrees that ended at v_in now end with the moved one; on the
+        # path from v_out, those that ended with it end before it, or, when
+        # it keeps its place after v_in, with its new last node
+        limit = apex if last[apex] == v_in else -1
+        end = last[leave]
+        node = v_in
+        while node != -1 and last[node] == v_in:
+            last[node] = end
+            node = parent[node]
+        if apex != old_rev and v_in != old_rev:
+            end = old_rev
+        if end != old_last:
+            node = v_out
+            while node != limit and last[node] == old_last:
+                last[node] = end
+                node = parent[node]
 
     def block_search(self, ntol, rel, start, block, marked):
         """Wraparound block search for the entering cell.

@@ -344,7 +344,11 @@ def _factor_report(g, pi12, pi23, tol):
     pi12's ints A / sa and pi23's B / sb is an integer over a positive
     denominator, compared with tol = p / q by cross-multiplying, and a
     reported gap is that Fraction: the tensor's exact sums, with no
-    Fraction built for a cell that passes.
+    Fraction built for a cell that passes.  The gaps are taken in Python
+    ints on the cells where the tensor's marginal or the given plan is
+    nonzero (n1 + n2 - 1 and n2 + n3 - 1 cells when the given plans are
+    g's basic plans): a gap of 0 fails only a negative tol, which takes
+    every cell.
     """
     factors, wanted = g._integer_factors, (_scaled(pi12), _scaled(pi23))
     if factors is None or None in wanted:
@@ -357,21 +361,27 @@ def _factor_report(g, pi12, pi23, tol):
     (A, sa, _), (B, sb, _) = wanted
     if A.shape != P.shape or B.shape != Q.shape:
         return None
-    M, R = P.sum(axis=0), Q.sum(axis=1)
-    kept = M > 0
-    den = np.where(kept, M * s23, 1)  # of the (1,2) marginal, per column
-    gap12 = np.abs(np.where(kept, P * R, 0) * sa - A * den)
-    den12 = den * sa
-    gap23 = np.abs(np.where(kept[:, None], Q, 0) * sb - B * s23)
-    den23 = s23 * sb
-    report = [
-        ("(1,2)", Fraction(gap12[i, j], den12[j]))
-        for i, j in zip(*np.nonzero(gap12 * q > p * den12))
-    ]
-    report += [
-        ("(2,3)", Fraction(gap23[j, k], den23)) for j, k in zip(*np.nonzero(gap23 * q > p * den23))
-    ]
-    mass_gap = abs(sum(R[kept].tolist()) - s23)
+
+    def cells(X, Y):
+        """(index, x, y) in row-major order over the cells a gap can fail."""
+        xs, ys = X.ravel().tolist(), Y.ravel().tolist()
+        where = range(len(xs)) if p < 0 else np.flatnonzero((X != 0) | (Y != 0)).tolist()
+        return ((k, xs[k], ys[k]) for k in where)
+
+    n2, n3 = Q.shape
+    M, R = g._middle_ints, list(map(sum, Q.tolist()))
+    report = []
+    for k, x, y in cells(P, A):
+        m = M[k % n2]
+        gap, den = (abs(x * R[k % n2] * sa - y * m * s23), m * s23 * sa) if m > 0 else (abs(y), sa)
+        if gap * q > p * den:
+            report.append(("(1,2)", Fraction(gap, den)))
+    den = s23 * sb
+    for k, x, y in cells(Q, B):
+        gap = abs((x if M[k // n3] > 0 else 0) * sb - y * s23)
+        if gap * q > p * den:
+            report.append(("(2,3)", Fraction(gap, den)))
+    mass_gap = abs(sum(r for r, m in zip(R, M) if m > 0) - s23)
     if mass_gap * q > p * s23:
         report.append(("total_mass", Fraction(mass_gap, s23)))
     return report

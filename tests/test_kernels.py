@@ -32,7 +32,7 @@ from finiteot.space import CostMatrix
 from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
 from finiteot.solver.simplex import transportation_simplex
 
-from test_solver import check_hall_cut, wide_range_instance
+from test_solver import check_hall_cut, criterion10_instance, wide_range_instance
 
 needs_compiler = pytest.mark.skipif(
     _compiled.find_compiler() is None, reason="no C compiler found"
@@ -66,6 +66,13 @@ def support(a, b, C):
     """The problem on its rows and columns of positive weight, as the engines get it."""
     rows, cols = a > 0, b > 0
     return a[rows], b[cols], C[np.ix_(rows, cols)]
+
+
+#: the families of identity_instances
+TWIN_FAMILIES = (
+    "tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden",
+    "wide_range", "forbidden_basis", "deep",
+)
 
 
 def identity_instances(family):
@@ -116,6 +123,18 @@ def identity_instances(family):
         return lone_forbidden_instances(rng)
     elif family == "forbidden_basis":
         return forbidden_basis_instances(rng)
+    elif family == "deep":
+        # line costs |i - j| make the start a staircase, a tree about n
+        # nodes deep, whose pivots re-hang long stems; and criterion 10's
+        # problems at n = 100 and 150, priced as a float solve with no tol
+        for n in range(60, 121, 10):
+            a, b, _ = random_instance(rng, n, n)
+            line = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+            instances.append((a, b, line, 1e-9 * (1 + line.max())))
+        for n in (100, 150):
+            mu1, mu2, cost = criterion10_instance(n)
+            instances.append((mu1.float_weights, mu2.float_weights, np.array(cost), 0.0, FLOAT_TOL))
+        return instances
     elif family == "wide_range":
         # costs U(0, 1) * 10^U(0, 12), some with +inf cells, priced as a
         # float solve with no tol prices them: tol 0 and the per-cell factor
@@ -398,6 +417,26 @@ def check_feasible(a, b, flow, tol=1e-9):
     np.testing.assert_allclose(flow.sum(axis=0), b, atol=tol)
 
 
+def check_thread(tree):
+    """Assert that tree's thread is a preorder of its parent links over
+    every node, from row 0 round to it, that rev inverts it, and that
+    last[x] is the last node of x's subtree in it; returns the depth."""
+    size, thread, rev, last, parent = tree.n + tree.m, tree.thread, tree.rev, tree.last, tree.parent
+    order = [0]
+    while thread[order[-1]] != 0 and len(order) <= size:
+        order.append(thread[order[-1]])
+    assert sorted(order) == list(range(size))
+    assert [rev[thread[x]] for x in range(size)] == list(range(size))
+    path = [0]  # row 0 down to the node before: each node's parent is on it
+    for before, x in zip(order, order[1:]):
+        while path and path[-1] != parent[x]:
+            assert last[path.pop()] == before  # that subtree ends here
+        assert path, f"{x} comes after its parent's subtree"
+        path.append(x)
+    assert all(last[x] == order[-1] for x in path)
+    return max(tree.depth)
+
+
 def check_same_pivots(compiled, a, b, C, tol, rel_tol=0.0):
     X, iterations, _ = compiled.solve_dense(a, b, C, tol, rel_tol)
     check_feasible(a, b, X)
@@ -523,6 +562,27 @@ class TestStrongFeasibility:
         a, b, cost, flow = starts["forbidden"]
         assert flow[(1, 1)] > 0 and cost[1][1] == INF
 
+    def test_the_twins_thread_stays_a_preorder(self, monkeypatch):
+        # the Python engine over every twin family: after the start and
+        # after every pivot, the thread is a preorder of parent covering
+        # every node, rev its inverse, and last[x] ends x's subtree in it
+        grow, pivot, checked = simplex._Tree.grow, simplex._Tree.pivot, []
+
+        def checked_grow(tree, *args):
+            grow(tree, *args)
+            check_thread(tree)
+
+        def checked_pivot(tree, *args):
+            pivot(tree, *args)
+            checked.append(check_thread(tree))
+
+        monkeypatch.setattr(simplex._Tree, "grow", checked_grow)
+        monkeypatch.setattr(simplex._Tree, "pivot", checked_pivot)
+        for family in TWIN_FAMILIES:
+            for a, b, C, tol, *rel_tol in identity_instances(family):
+                twin(a, b, C, tol, *rel_tol)
+        assert len(checked) > 20000 and max(checked) > 100, (len(checked), max(checked))
+
 
 class TestFallback:
     def test_random_instances_feasible(self):
@@ -586,13 +646,7 @@ class TestCompiled:
         a, b, C = random_instance(rng, 60, 60)
         check_same_pivots(compiled, a, b, C, 1e-9 * (1 + C.max()))
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            "tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden",
-            "wide_range", "forbidden_basis",
-        ],
-    )
+    @pytest.mark.parametrize("family", TWIN_FAMILIES)
     def test_twin_takes_the_same_pivots(self, compiled, family):
         instances = identity_instances(family)
         infeasible = 0

@@ -2,13 +2,14 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+import itertools
 from itertools import chain
 
 import numpy as np
 import pytest
 
 from finiteot import solver
-from finiteot.coupling import TransportPlan, is_coupling, product_coupling
+from finiteot.coupling import TransportPlan, _scaled, is_coupling, product_coupling
 from finiteot.generators import (
     random_coupling,
     random_point_cloud_space,
@@ -22,6 +23,7 @@ from finiteot.space import FiniteMetricSpace
 from finiteot.wasserstein import (
     GluedPlan,
     WassersteinParams,
+    _factor_report,
     glue,
     glued_marginal_13,
     glued_plan_is_valid,
@@ -578,6 +580,47 @@ def test_exact_gluing_matches_the_object_array_reference():
             )
         glued += 1
     assert glued == 16 and refused > 10, (glued, refused)
+
+
+def reference_factor_report(g, pi12, pi23, tol):
+    """_factor_report on numpy object arrays, as the library ran it before
+    it took the plans' rows as Python ints over their nonzero cells."""
+    factors, wanted = g._integer_factors, (_scaled(pi12), _scaled(pi23))
+    p, q = F(tol).as_integer_ratio()
+    P, _, Q, s23 = factors
+    (A, sa, _), (B, sb, _) = wanted
+    M, R = P.sum(axis=0), Q.sum(axis=1)
+    kept = M > 0
+    den = np.where(kept, M * s23, 1)  # of the (1,2) marginal, per column
+    gap12 = np.abs(np.where(kept, P * R, 0) * sa - A * den)
+    den12 = den * sa
+    gap23 = np.abs(np.where(kept[:, None], Q, 0) * sb - B * s23)
+    den23 = s23 * sb
+    report = [
+        ("(1,2)", F(gap12[i, j], den12[j])) for i, j in zip(*np.nonzero(gap12 * q > p * den12))
+    ]
+    report += [("(2,3)", F(gap23[j, k], den23)) for j, k in zip(*np.nonzero(gap23 * q > p * den23))]
+    mass_gap = abs(sum(R[kept].tolist()) - s23)
+    if mass_gap * q > p * s23:
+        report.append(("total_mass", F(mass_gap, s23)))
+    return report
+
+
+def test_factor_report_matches_the_object_array_reference():
+    """The same gaps, as the same Fractions in the same order, as the
+    object-array reference: for g's own plans, for the two swapped, and for
+    middles that differ (g glued with no check), at several tolerances,
+    a negative one reporting every cell."""
+    reported = 0
+    for pi12, pi23 in exact_glue_battery(random.Random(304)):
+        g = GluedPlan(pi12, pi23)
+        tols = (0, F(1, 40), 1e-3) + ((-1,) if g.shape[0] <= 13 else ())
+        for given, tol in itertools.product(((pi12, pi23), (pi23, pi12)), tols):
+            got = _factor_report(g, *given, tol)
+            assert got == reference_factor_report(g, *given, tol), (g.shape, tol)
+            assert all(type(gap) is F for _, gap in got)
+            reported += len(got)
+    assert reported > 1000, reported
 
 
 class TestTriangleWitness:
