@@ -25,16 +25,17 @@ also have r < -FLOAT_TOL * (|c| + |u| + |v|), beyond the rounding error
 of its own sum.  tol prices costs, and masses use the mode's
 tolerance, default_tol (see solve_kantorovich).  The engine checks
 and prices its own plan: with the plan it returns a summary of five
-numbers from one row-major pass over it (summarize in _dense.c,
-simplex.plan_summary in Python), the mass on forbidden cells, the price,
-the worst row and column gaps and the least cell, with forbidden cells
-counted as swept to 0.  The forbidden-mass decision, the coupling check
-and the cost are read off that summary; the plan is checked again, by
-coupling._is_coupling_array, only to report a failed check.  A solve
-reads what its inputs decided when they were built: the CostMatrix's
-mode, whether a cell is +inf and its float64 costs; a measure's mode, its
-arrays, and whether its weights are positive in the format the solve
-reads (float_positive, scaled_positive).  In both modes a mask of the
+numbers, the mass on forbidden cells, the price, the worst row and column
+gaps and the least cell, with forbidden cells counted as swept to 0.
+simplex.summary defines them, and summarize in _dense.c gives the same
+numbers, bit for bit, in one row-major pass.  The forbidden-mass
+decision, the coupling check and the cost are read off that summary; the
+plan is checked again, by coupling._is_coupling_array, only to report a
+failed check.  A solve reads what its inputs decided when they were
+built: the CostMatrix's mode, whether a cell is +inf and its float64
+costs; a measure's mode, its arrays, and whether its weights are
+positive in the format the solve reads (float_positive,
+scaled_positive).  In both modes a mask of the
 forbidden cells is built only when the plan has mass on them, to sweep
 float dust or to find the Hall cut.  The engines need positive weights
 (a zero weight can leave them no strongly feasible tree), so when a
@@ -61,12 +62,14 @@ Its float build runs every float problem, forbidden +inf cells included.
 Its int64 build runs the rational problems that _exact_input, the one
 place that decides it, finds to fit in int64 (see there), with forbidden
 cells marked, and its plan comes back in int64, so the cost and the
-checks stay exact.  Object weights (the rational problems that do not
+checks stay exact; with the kernel off, the Python simplex runs the same
+int64 arrays.  Object weights (the rational problems that do not
 fit), and every problem when the C kernel cannot be built or loaded or
 FINITEOT_FORCE_PURE=1 turns it off, go through the same simplex in
-Python (simplex.py), on Python lists of the arrays.
-_dense.c is a port of simplex.py, so either engine returns the same
-plan, bit for bit on floats, after the same number of pivots.
+Python (simplex.transportation_simplex), which takes the same arrays and
+returns the same (plan, pivots, summary).  _dense.c is a port of
+simplex.py, so either engine returns the same plan, bit for bit on
+floats, after the same number of pivots.
 OTSolution.engine names the engine that ran ("compiled" or "python").
 KERNEL names the engine of float problems; KERNEL_INFO adds its library and
 the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
@@ -120,7 +123,7 @@ from ..numerics import (
 )
 from ..space import CostMatrix
 from . import _compiled
-from .simplex import plan_summary, transportation_simplex
+from .simplex import _float_price, transportation_simplex
 
 
 @dataclass(frozen=True)
@@ -203,15 +206,6 @@ def cost_of_plan(plan, cost) -> object:
     if ints_only and all(number_kind(kind) == 0 for kind in set(map(type, given))):
         return total // (pscale * cscale)
     return Fraction(total, pscale * cscale)
-
-
-def _float_price(C, X):
-    """sum c_ij x_ij over the cells of X with mass, on float64 C and X: +inf
-    when a term is infinite, else the terms added left to right in
-    row-major order (_sum_in_order)."""
-    mass = X != 0
-    terms = C[mass] * X[mass]
-    return INF if INF in abs(terms) else _sum_in_order(terms)
 
 
 def check_lower_bound(cost: CostMatrix, mu1, mu2, plan):
@@ -360,22 +354,16 @@ def _run_engine(a, b, C, tol, rel_tol):
     """(plan array, pivots, summary, engine name) of the engine that solves (a, b, C).
 
     The weights are positive, tol is in C's units and rel_tol is the
-    per-cell factor of float pricing (0 for none).  Their dtype picks
+    per-cell factor of float pricing (0 for none).  Both engines take the
+    same arrays and return (X, pivots, summary), X in the weights' dtype
+    and summary simplex.summary's five numbers.  The weights' dtype picks
     the engine: float64 and int64 weights (see _exact_input) go to the C
     kernel while it is loaded, and object weights, or every problem when it
-    is not, to the Python simplex.  The plan comes back in the weights'
-    dtype.  Either engine checks and prices its own plan: summary is
-    [forbidden mass, price, worst row gap, worst column gap, least cell]
-    (simplex.plan_summary), the same numbers from both.
+    is not, to the Python simplex.
     """
     if _kernel is not None and a.dtype != object:
         return (*_kernel.solve_dense(a, b, C, tol, rel_tol), _compiled.KERNEL_NAME)
-    X = np.zeros(C.shape, dtype=a.dtype)  # object (Python ints) in rational mode
-    a, b, cost = a.tolist(), b.tolist(), C.tolist()
-    flow, iters = transportation_simplex(a, b, cost, tol=tol, rel_tol=rel_tol)
-    for (i, j), f in flow.items():
-        X[i, j] = f
-    return X, iters, plan_summary(a, b, cost, flow), "python"
+    return (*transportation_simplex(a, b, C, tol, rel_tol), "python")
 
 
 def _exact_input(mu1, mu2, cm, tol):
@@ -389,18 +377,19 @@ def _exact_input(mu1, mu2, cm, tol):
     infinite tol stays infinite): on integers r < -t iff r < -floor(t),
     and both engines get that floor.  Both scales are positive, so every
     comparison, and hence every pivot, is the one the Fractions would
-    give.  The numbers are int64 arrays, for the int64 build, exactly when
-    the kernel is loaded and they provably fit: the total supply, which
-    bounds every flow and line sum, is below 2^62, and (n + m) max|finite
-    cost| and |floor(tol)| are below 2^60 (a potential is a signed sum of
-    at most n + m costs, and a reduced cost adds two of them).  max|c| is
-    the CostMatrix's max_abs_finite(), or for a float matrix, which
-    records it for its rounded cells only, a scan of the scaled cells.
-    There forbidden cells are marked FORBIDDEN_INT64 (an int64 C passes as
-    it is).  Otherwise they are object arrays of Python ints.  priced says
-    whether the engine's price is the plan's cost: it always is in Python
-    ints, and in int64, which adds it modulo 2^64, while max|c| times the
-    total supply, which bounds it, is below 2^63.
+    give.  The numbers are int64 arrays, which the int64 build runs,
+    exactly when they provably fit, whichever engine runs them: the total
+    supply, which bounds every flow and line sum, is below 2^62, and
+    (n + m) max|finite cost| and |floor(tol)| are below 2^60 (a potential
+    is a signed sum of at most n + m costs, and a reduced cost adds two of
+    them).  max|c| is the CostMatrix's max_abs_finite(), or for a float
+    matrix, which records it for its rounded cells only, a scan of the
+    scaled cells.  There forbidden cells are marked FORBIDDEN_INT64 (an
+    int64 C passes as it is).  Otherwise they are object arrays of Python
+    ints and +inf.  priced says whether the engine's price is the plan's
+    cost: it always is in Python ints, and in int64, which adds it modulo
+    2^64, while max|c| times the total supply, which bounds it, is below
+    2^63.
     """
     (ints1, s1), (ints2, s2) = mu1.scaled_weights, mu2.scaled_weights
     wscale = math.lcm(s1, s2)
@@ -414,7 +403,7 @@ def _exact_input(mu1, mu2, cm, tol):
         )
     C, cscale = cm._scaled_costs
     tol = _floor(tol, cscale)
-    fits = _kernel is not None and supply < 2**62 and abs(tol) < 2**60
+    fits = supply < 2**62 and abs(tol) < 2**60
     if fits and C.dtype != np.int64:
         finite = C != INF if cm.has_inf else np.ones(C.shape, dtype=bool)
         costs = C[finite].tolist()
@@ -426,8 +415,8 @@ def _exact_input(mu1, mu2, cm, tol):
     dtype = np.int64 if fits else object
     a = np.array(ints1 if f1 == 1 else [x * f1 for x in ints1], dtype)
     b = np.array(ints2 if f2 == 1 else [x * f2 for x in ints2], dtype)
-    if not fits:
-        return a, b, C, tol, wscale, cscale, True
+    if not fits:  # an int64 C holds no forbidden cell: its costs as Python ints
+        return a, b, C.astype(object, copy=False), tol, wscale, cscale, True
     if C.dtype != np.int64:
         C = np.full(C.shape, _compiled.FORBIDDEN_INT64, dtype=np.int64)
         C[finite] = costs

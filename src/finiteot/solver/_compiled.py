@@ -24,10 +24,11 @@ outside CPython, where no offset is found, it passes the addresses of
 the data pointers from __array_interface__, stored in a ctypes array,
 and offset 0.  The engine checks and prices its own plan: summary holds
 the mass on forbidden cells, the price, the worst row and column gaps and
-the least cell, from one pass over X in C (summarize in _dense.c), as
-simplex.plan_summary computes them.  On the same input, +inf cells
-included, both builds take the Python simplex's pivots and return its plan
-and its summary.  load() raises
+the least cell, from one pass over X in C (summarize in _dense.c), the
+numbers simplex.summary defines.  simplex.transportation_simplex takes
+the same arrays and returns the same triple: on the same input, +inf
+cells included, both builds take its pivots and return its plan and its
+summary.  load() raises
 KernelUnavailable, whose message is the reason, when the library can be
 neither found nor built.
 """
@@ -67,9 +68,24 @@ _STDERR_TAIL = 10
 FORBIDDEN_INT64 = np.iinfo(np.int64).max
 
 
+#: the ValueError of both engines on a weight that is not positive, or is infinite
+NOT_POSITIVE = "the engines need positive weights, none infinite; pass the support"
+
+
 def forbidden_cells(C):
     """The mask of C's forbidden cells: FORBIDDEN_INT64 in an int64 array, else +inf."""
     return C == (FORBIDDEN_INT64 if C.dtype == np.int64 else np.inf)
+
+
+def problem_shape(a, b, C):
+    """C's shape (n, m), where a is (n,) and b (m,) with n, m >= 1; else the
+    ValueError of both engines."""
+    if C.ndim != 2 or a.shape != C.shape[:1] or b.shape != C.shape[1:] or 0 in C.shape:
+        raise ValueError(
+            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1; "
+            f"got {a.shape}, {b.shape}, {C.shape}"
+        )
+    return C.shape
 
 
 class KernelUnavailable(RuntimeError):
@@ -192,23 +208,19 @@ class CompiledKernel:
         when its reduced cost r = c - u - v is below -tol and, in the float
         build, below -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every
         weight must be positive, as the strongly feasible start needs, and
-        finite (ValueError otherwise, as from transportation_simplex).  On a problem with no
+        finite, and the shapes must agree (problem_shape): ValueError
+        otherwise, as from transportation_simplex.  On a problem with no
         finite-cost plan, X puts the least possible mass on forbidden
-        cells, as transportation_simplex does.  Returns (X,
-        iterations, summary), summary a list of five Python numbers of X's
-        type: [forbidden mass, price, worst row gap, worst column gap, least
-        cell] (see simplex.plan_summary).
+        cells, as transportation_simplex does.  Returns (X, iterations,
+        summary), summary a list of five Python numbers of X's type:
+        [forbidden mass, price, worst row gap, worst column gap, least cell]
+        (see simplex.summary).
         """
         dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
         a = np.ascontiguousarray(a, dtype)
         b = np.ascontiguousarray(b, dtype)
         C = np.ascontiguousarray(C, dtype)
-        n, m = C.shape
-        if n == 0 or m == 0 or a.shape != (n,) or b.shape != (m,):
-            raise ValueError(
-                f"solve_dense needs a (n,), b (m,), C (n, m) with n, m >= 1; "
-                f"got {a.shape}, {b.shape}, {C.shape}"
-            )
+        n, m = problem_shape(a, b, C)
         X, summary = np.empty((n, m), dtype), np.empty(5, dtype)
         # the kernel reads each data pointer at offset at from the address
         # it is given: ascontiguousarray and empty have fixed the arrays'
@@ -229,7 +241,7 @@ class CompiledKernel:
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
         if iterations == _NOT_POSITIVE:
-            raise ValueError("the engines need positive weights, none infinite; pass the support")
+            raise ValueError(NOT_POSITIVE)
         return X, iterations, summary.tolist()
 
 

@@ -21,10 +21,11 @@
  * in one row-major pass over it (summarize, below), and the caller decides
  * feasibility, validity and the cost from those five numbers with no pass
  * of its own.  They are a port of transportation_simplex in simplex.py, the
- * exact twin and the fallback without a compiler: on the same input both
- * take the same pivots and return the same plan (bit for bit on floats),
- * and simplex.plan_summary gives the same summary, so a change here must
- * be made there too.  Loaded through ctypes by
+ * exact twin and the fallback without a compiler, which takes the same
+ * arrays and returns the same (plan, pivots, summary): on the same input
+ * both take the same pivots and return the same plan (bit for bit on
+ * floats), and simplex.summary defines the summary that summarize must
+ * equal bit for bit, so a change here must be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
  * system C compiler; it needs no Python or numpy headers.  Each array
  * comes as the address of its ndarray object and the kernel reads the
@@ -47,8 +48,8 @@
  * any value.  One scan of C at the start finds whether any cell
  * is forbidden.  When none is, every M part is 0, so the M potentials stay
  * 0, (d < best_big || r < best) reduces to r < best, and the kernel derives
- * and prices the value part alone, as simplex.py does when _split_costs
- * returns no M part: the same entering cells, pivots and plan.  The float
+ * and prices the value part alone, as simplex.py does when no cell is
+ * forbidden: the same entering cells, pivots and plan.  The float
  * build also prices values alone while no forbidden cell is basic, which
  * a count of the forbidden basic cells, kept at grow and at each pivot,
  * tells: every M potential is then 0, a forbidden cell's reduced cost is
@@ -311,7 +312,9 @@ static void grow(Tree *t, int64_t count, const int64_t *cell, const num *amount,
  * parent, up to apex, the cycle's top.  This is updateTreeStructure of
  * LEMON's NetworkSimplex (Kovacs, Optim. Methods Softw. 30(1), 2015)
  * without its successor counts; the thread is the augmented threaded
- * index of Glover, Klingman & Stutz (INFOR 12(3), 1974).  dirty is
+ * index of Glover, Klingman & Stutz (INFOR 12(3), 1974).  The stem is
+ * empty when below is leave: the loop then does not run, and the splice
+ * alone moves the subtree.  dirty is
  * scratch space for n + m entries: the nodes whose thread the stem
  * changes, whose successors' rev is set once the stem is done.
  */
@@ -323,72 +326,55 @@ static void rehang(Tree *t, int64_t below, int64_t v_in, int64_t leave, int64_t 
     int64_t stem, par_stem, next_stem, end, before, after, cont, limit, k, count, node;
     num carried, f, carried_cost;
 
-    if (below == leave) {
-        parent[below] = v_in;
-        t->flow[below] = theta;
-        t->cost[below] = c_in;
-        if (thread[v_in] != below) {
-            /* take the subtree out of the thread, and put it after v_in */
-            after = thread[old_last];
-            thread[old_rev] = after;
-            rev[after] = old_rev;
-            after = thread[v_in];
-            thread[v_in] = below;
-            rev[below] = v_in;
-            thread[old_last] = after;
-            rev[after] = old_last;
-        }
-    } else {
-        /* what follows the moved subtree: v_in's successor, or, when that
-         * is leave itself, what followed leave's subtree */
-        cont = old_rev == v_in ? thread[old_last] : thread[v_in];
-        stem = below;
-        par_stem = v_in;
-        carried = theta;
-        carried_cost = c_in;
-        end = last[below]; /* where the part of the stem node's subtree moved so far ends */
+    /* what follows the moved subtree: v_in's successor, or, when that
+     * is leave itself, what followed leave's subtree */
+    cont = old_rev == v_in ? thread[old_last] : thread[v_in];
+    stem = below;
+    par_stem = v_in;
+    carried = theta;
+    carried_cost = c_in;
+    end = last[below]; /* where the part of the stem node's subtree moved so far ends */
+    after = thread[end];
+    thread[v_in] = below;
+    dirty[0] = v_in;
+    count = 1;
+    while (stem != leave) {
+        /* the next stem node follows this one's subtree, which leaves
+         * its old place in the thread */
+        next_stem = parent[stem];
+        thread[end] = next_stem;
+        dirty[count++] = end;
+        before = rev[stem];
+        thread[before] = after;
+        rev[after] = before;
+        parent[stem] = par_stem;
+        f = t->flow[stem];
+        t->flow[stem] = carried;
+        carried = f;
+        f = t->cost[stem];
+        t->cost[stem] = carried_cost;
+        carried_cost = f;
+        par_stem = stem;
+        stem = next_stem;
+        /* the next stem node's subtree, less the one just moved */
+        end = last[stem] == last[par_stem] ? rev[par_stem] : last[stem];
         after = thread[end];
-        thread[v_in] = below;
-        dirty[0] = v_in;
-        count = 1;
-        while (stem != leave) {
-            /* the next stem node follows this one's subtree, which leaves
-             * its old place in the thread */
-            next_stem = parent[stem];
-            thread[end] = next_stem;
-            dirty[count++] = end;
-            before = rev[stem];
-            thread[before] = after;
-            rev[after] = before;
-            parent[stem] = par_stem;
-            f = t->flow[stem];
-            t->flow[stem] = carried;
-            carried = f;
-            f = t->cost[stem];
-            t->cost[stem] = carried_cost;
-            carried_cost = f;
-            par_stem = stem;
-            stem = next_stem;
-            /* the next stem node's subtree, less the one just moved */
-            end = last[stem] == last[par_stem] ? rev[par_stem] : last[stem];
-            after = thread[end];
-        }
-        parent[leave] = par_stem;
-        t->flow[leave] = carried;
-        t->cost[leave] = carried_cost;
-        thread[end] = cont;
-        rev[cont] = end;
-        last[leave] = end;
-        if (old_rev != v_in) {
-            thread[old_rev] = after;
-            rev[after] = old_rev;
-        }
-        for (k = 0; k < count; k++)
-            rev[thread[dirty[k]]] = dirty[k];
-        /* each stem node's subtree now ends where leave's does */
-        for (node = leave; node != below; node = parent[node])
-            last[parent[node]] = end;
     }
+    parent[leave] = par_stem;
+    t->flow[leave] = carried;
+    t->cost[leave] = carried_cost;
+    thread[end] = cont;
+    rev[cont] = end;
+    last[leave] = end;
+    if (old_rev != v_in) {
+        thread[old_rev] = after;
+        rev[after] = old_rev;
+    }
+    for (k = 0; k < count; k++)
+        rev[thread[dirty[k]]] = dirty[k];
+    /* each stem node's subtree now ends where leave's does */
+    for (node = leave; node != below; node = parent[node])
+        last[parent[node]] = end;
 
     /* the subtrees that ended at v_in now end with the moved one; on the
      * path from v_out, those that ended with it end before it, or, when it

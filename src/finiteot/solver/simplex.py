@@ -1,7 +1,10 @@
 """Transportation simplex on a persistent spanning tree, over any ordered numbers.
 
 This is the Python twin of the C kernel (_dense.c), which is a port of it,
-and its fallback.  It runs unchanged on Python ints (rational mode:
+and its fallback, with the kernel's contract: transportation_simplex takes
+the arrays CompiledKernel.solve_dense takes and returns its (plan, pivots,
+summary), and summary() is the one definition of the summary that both
+engines return.  It runs unchanged on Python ints (rational mode:
 solve_kantorovich scales weights and costs by the least common multiple of
 their denominators, so every pivot is the one Fractions would take) and on
 floats.  The C kernel's float build runs every float problem and its int64
@@ -26,8 +29,7 @@ ends of the entering cell to their common ancestor, which picks theta and
 the leaving edge; the flows move along the two paths; the cut path is
 re-hung, each flow moving one edge along it, and spliced into the thread;
 and one walk along the thread recomputes the re-hung subtree's depths and
-potentials.  plan_summary checks and prices the plan as fot_solve's last
-pass does.
+potentials.
 
 The leaving rule keeps the tree strongly feasible (Cunningham, Math.
 Programming 11, 1976; Ahuja, Magnanti & Orlin, Network Flows, section
@@ -38,12 +40,12 @@ engines need positive weights, and both refuse a weight that is not
 positive or not finite.
 
 Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
-value), kept as two plain arrays: an integer M part, 1 on a forbidden cell
-and 0 elsewhere, and a value part, 0 on a forbidden cell.  A unit of M
-outweighs any value, so the optimum carries mass on a forbidden cell only
-when no finite-cost feasible plan exists.  The tree counts its forbidden
-basic cells; while there are none, every M potential is 0, and a float
-problem prices the values alone on its costs, where +inf never enters.
+value), read off the costs in place as _dense.c reads them: (1, 0) on a
+forbidden cell and (0, c) elsewhere.  A unit of M outweighs any value, so
+the optimum carries mass on a forbidden cell only when no finite-cost
+feasible plan exists.  The tree counts its forbidden basic cells; while
+there are none, every M potential is 0, and a float problem prices the
+values alone on its costs, where +inf never enters.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ import math
 from functools import partial
 from operator import gt, lt
 
-from ..numerics import FLOATS, INF
+import numpy as np
+
+from ..coupling import _sum_in_order
+from ..numerics import INF
+from ._compiled import NOT_POSITIVE, forbidden_cells, problem_shape
 
 
 def row_minimum_start(a, b, cost, tree):
@@ -84,17 +90,8 @@ def row_minimum_start(a, b, cost, tree):
     for j in open_cols:
         if rest[n + j] > 0:
             cells[(n - 1, j)] = rest[n + j]
-    tree.grow(cells, cost)
+    tree.grow(cells)
     return tree.flows()
-
-
-def _split_costs(cost):
-    """(M part or None when no cell is forbidden, value part), in one scan."""
-    big = [[1 if c == INF else 0 for c in row] for row in cost]
-    if not any(map(any, big)):
-        return None, cost
-    value = [[0 if f else c for c, f in zip(row, flags)] for row, flags in zip(cost, big)]
-    return big, value
 
 
 class _Tree:
@@ -103,11 +100,12 @@ class _Tree:
     thread, a preorder of the tree closed into a cycle, with its inverse
     rev and the last node of each node's subtree in it."""
 
-    def __init__(self, n, m, value, big):
+    def __init__(self, n, m, cost, big, floats):
         self.n = n
         self.m = m
-        self.value = value
-        self.big = big
+        self.cost = cost
+        self.big = big  # some cell is forbidden: keep the M potentials pot_big
+        self.floats = floats  # price values alone while no forbidden cell is basic
         size = n + m
         self.parent = [-1] * size
         self.depth = [0] * size
@@ -115,11 +113,11 @@ class _Tree:
         self.rev = [0] * size
         self.last = list(range(size))
         self.pot = [0] * size
-        self.pot_big = [0] * size if big is not None else None
+        self.pot_big = [0] * size if big else None
         self.flow = [0] * size
         self.basic_big = 0  # the forbidden basic cells, counted at grow and each pivot
 
-    def grow(self, cells, cost):
+    def grow(self, cells):
         """Root the tree at row 0 on a forest of cells, with their flows.
 
         cells maps each cell of the forest to its flow, and every column
@@ -130,8 +128,8 @@ class _Tree:
         and the thread takes its nodes in the order they leave the stack,
         a preorder, after the column it hangs from.
         """
-        n, m, parent, flow, thread, rev, last = (
-            self.n, self.m, self.parent, self.flow, self.thread, self.rev, self.last
+        n, m, cost, parent, flow, thread, rev, last = (
+            self.n, self.m, self.cost, self.parent, self.flow, self.thread, self.rev, self.last
         )
         near = [[] for _ in range(n + m)]
         for (i, j), f in cells.items():
@@ -169,8 +167,8 @@ class _Tree:
                 last[up] = last[node]
             node = rev[node]
         self._refresh(thread[0], 0)
-        if self.big is not None:
-            self.basic_big = sum(self.big[i][j] for i, j in self.flows())
+        if self.big:
+            self.basic_big = sum(cost[i][j] == INF for i, j in self.flows())
 
     def flows(self):
         """Each basic cell's flow, as a dict keyed by (row, column)."""
@@ -185,14 +183,17 @@ class _Tree:
         """Recompute depth and potentials along the thread from node up to
         stop: a preorder meets each parent before its children."""
         n, parent, depth, thread = self.n, self.parent, self.depth, self.thread
-        pot, value, big, pot_big = self.pot, self.value, self.big, self.pot_big
+        cost, big, pot, pot_big = self.cost, self.big, self.pot, self.pot_big
         while node != stop:
             up = parent[node]
-            i, j = (node, up - n) if node < n else (up, node - n)
+            c = cost[node][up - n] if node < n else cost[up][node - n]
             depth[node] = depth[up] + 1
-            pot[node] = value[i][j] - pot[up]
-            if big is not None:
-                pot_big[node] = big[i][j] - pot_big[up]
+            if big:  # a forbidden cell costs (M, value) = (1, 0)
+                forbidden = c == INF
+                pot[node] = (0 if forbidden else c) - pot[up]
+                pot_big[node] = forbidden - pot_big[up]
+            else:
+                pot[node] = c - pot[up]
             node = thread[node]
 
     def pivot(self, ei, ej):
@@ -221,10 +222,10 @@ class _Tree:
                     theta, leave, below = flow[y], y, n + ej
                 y = parent[y]
         apex = x
-        if self.big is not None:
-            up = parent[leave]
-            i, j = (leave, up - n) if leave < n else (up, leave - n)
-            self.basic_big += self.big[ei][ej] - self.big[i][j]
+        if self.big:
+            up, cost = parent[leave], self.cost
+            c = cost[leave][up - n] if leave < n else cost[up][leave - n]
+            self.basic_big += (cost[ei][ej] == INF) - (c == INF)
         for x in ei, n + ej:  # from each end, an edge below a node of its kind decreases
             side = x < n
             while x != apex:
@@ -240,48 +241,40 @@ class _Tree:
         """Hang below from v_in and reverse the stem, the path from below up
         to leave, each flow moving one edge along it and below's edge
         carrying theta; keep the thread a preorder (rehang in _dense.c,
-        LEMON's updateTreeStructure without successor counts)."""
+        LEMON's updateTreeStructure without successor counts).  The stem is
+        empty when below is leave, and the splice alone moves the subtree."""
         parent, thread, rev, last, flow = self.parent, self.thread, self.rev, self.last, self.flow
         v_out, old_rev, old_last = parent[leave], rev[leave], last[leave]
-        if below == leave:
-            parent[below], flow[below] = v_in, theta
-            if thread[v_in] != below:  # move the subtree to just after v_in
-                after = thread[old_last]
-                thread[old_rev], rev[after] = after, old_rev
-                after = thread[v_in]
-                thread[v_in], rev[below] = below, v_in
-                thread[old_last], rev[after] = after, old_last
-        else:
-            cont = thread[old_last] if old_rev == v_in else thread[v_in]
-            stem, par_stem, carried = below, v_in, theta
-            end = last[below]
+        cont = thread[old_last] if old_rev == v_in else thread[v_in]
+        stem, par_stem, carried = below, v_in, theta
+        end = last[below]
+        after = thread[end]
+        thread[v_in] = below
+        dirty = [v_in]  # nodes whose successor's rev is set at the end
+        while stem != leave:
+            # the next stem node follows this one's subtree, which
+            # leaves its old place in the thread
+            next_stem = parent[stem]
+            thread[end] = next_stem
+            dirty.append(end)
+            before = rev[stem]
+            thread[before], rev[after] = after, before
+            parent[stem], flow[stem], carried = par_stem, carried, flow[stem]
+            par_stem, stem = stem, next_stem
+            # the next stem node's subtree, less the one just moved
+            end = rev[par_stem] if last[stem] == last[par_stem] else last[stem]
             after = thread[end]
-            thread[v_in] = below
-            dirty = [v_in]  # nodes whose successor's rev is set at the end
-            while stem != leave:
-                # the next stem node follows this one's subtree, which
-                # leaves its old place in the thread
-                next_stem = parent[stem]
-                thread[end] = next_stem
-                dirty.append(end)
-                before = rev[stem]
-                thread[before], rev[after] = after, before
-                parent[stem], flow[stem], carried = par_stem, carried, flow[stem]
-                par_stem, stem = stem, next_stem
-                # the next stem node's subtree, less the one just moved
-                end = rev[par_stem] if last[stem] == last[par_stem] else last[stem]
-                after = thread[end]
-            parent[leave], flow[leave] = par_stem, carried
-            thread[end], rev[cont] = cont, end
-            last[leave] = end
-            if old_rev != v_in:
-                thread[old_rev], rev[after] = after, old_rev
-            for node in dirty:
-                rev[thread[node]] = node
-            node = leave  # each stem node's subtree now ends where leave's does
-            while node != below:
-                node = parent[node]
-                last[node] = end
+        parent[leave], flow[leave] = par_stem, carried
+        thread[end], rev[cont] = cont, end
+        last[leave] = end
+        if old_rev != v_in:
+            thread[old_rev], rev[after] = after, old_rev
+        for node in dirty:
+            rev[thread[node]] = node
+        node = leave  # each stem node's subtree now ends where leave's does
+        while node != below:
+            node = parent[node]
+            last[node] = end
         # the subtrees that ended at v_in now end with the moved one; on the
         # path from v_out, those that ended with it end before it, or, when
         # it keeps its place after v_in, with its new last node
@@ -299,7 +292,7 @@ class _Tree:
                 last[node] = end
                 node = parent[node]
 
-    def block_search(self, ntol, rel, start, block, marked):
+    def block_search(self, ntol, rel, start, block):
         """Wraparound block search for the entering cell.
 
         Scans the cells in row-major order from position start (i * m + j),
@@ -312,15 +305,15 @@ class _Tree:
         (i, j, position after the block), or None when no cell qualifies.
 
         The values alone are priced when no cell is forbidden, and on
-        marked, the costs with their +inf cells, while no forbidden cell is
-        basic: every M potential is then 0, and +inf - u - v never enters.
+        floats while no forbidden cell is basic: every M potential is then
+        0, and +inf - u - v never enters.  Python ints keep the (M, value)
+        scan, as the int64 build does: +inf minus an int beyond float range
+        raises OverflowError.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
-        value, big = self.value, self.big
-        v = pot[n:]
-        if big is not None and marked is not None and not self.basic_big:
-            value, big = marked, None
-        v_big = pot_big[n:] if big is not None else None
+        cost, v = self.cost, pot[n:]
+        big = self.big and (self.basic_big or not self.floats)
+        v_big = pot_big[n:] if big else None
         best_big, best, found = 0, ntol, None
         total = n * m
         pos = start
@@ -333,9 +326,9 @@ class _Tree:
                 i, j0 = divmod(pos % total, m)
                 stop = min(m, j0 + end - pos)
                 pos += stop - j0
-                ci, ui = value[i], pot[i]
+                ci, ui = cost[i], pot[i]
                 up = parent[i] - n  # column of the basic cell to row i's parent
-                if big is None:
+                if not big:
                     for j in range(j0, stop):
                         r = ci[j] - ui - v[j]
                         if (
@@ -346,14 +339,18 @@ class _Tree:
                         ):
                             best, found = r, (i, j)
                 else:
-                    bi, ui_big = big[i], pot_big[i]
+                    ui_big = pot_big[i]
                     for j in range(j0, stop):
-                        d = bi[j] - ui_big - v_big[j]
+                        c = ci[j]
+                        forbidden = c == INF
+                        d = forbidden - ui_big - v_big[j]
                         if d <= best_big:
-                            r = ci[j] - ui - v[j]
+                            if forbidden:
+                                c = 0
+                            r = c - ui - v[j]
                             # the value part decides entry only when the M part is 0
                             enters = d < best_big or r < best and (
-                                d < 0 or not rel or r < -(rel * (abs(ci[j]) + abs(ui) + abs(v[j])))
+                                d < 0 or not rel or r < -(rel * (abs(c) + abs(ui) + abs(v[j])))
                             )
                             if enters and j != up and parent[n + j] != i:
                                 best_big, best, found = d, r, (i, j)
@@ -363,86 +360,81 @@ class _Tree:
         return None
 
 
-def plan_summary(a, b, cost, flow):
-    """fot_solve's summary of the plan flow (basic cells to flows): the same
-    numbers from the same sums in the same order (summarize in _dense.c).
+def _float_price(C, X):
+    """sum c_ij x_ij over the cells of X with mass, on float64 C and X: +inf
+    when a term is infinite, else the terms added left to right in
+    row-major order (_sum_in_order)."""
+    mass = X != 0
+    with np.errstate(over="ignore"):  # a term past float range is +inf
+        terms = C[mass] * X[mass]
+    return INF if INF in abs(terms) else _sum_in_order(terms)
 
-    Every forbidden cell counts as swept to 0.  Returns [the mass on
-    forbidden cells, the price (the sum of c x over the other cells with
-    x != 0, +inf when a term is infinite), the worst row gap and the worst
-    column gap |sum of the line - its weight|, the least cell].  Every sum
-    runs left to right from a zero of the weights' type, in row-major order
-    over the basic cells: the cells off the basis hold 0, which changes no
-    sum.  A NaN gap or cell makes its entry NaN (not x >= least, as
-    not g <= worst, holds for a NaN, and a sum with a NaN is NaN).  Written
-    with operators, not calls, so that it makes no call per cell.
+
+def summary(a, b, C, X):
+    """[forbidden mass, price, worst row gap, worst column gap, least cell]
+    of the plan X of (a, b, C): the summary both engines return, which
+    summarize in _dense.c must equal bit for bit.
+
+    Forbidden cells (_compiled.forbidden_cells) count as swept to 0.  The
+    numbers are Python floats, 0.0 based, when X is float64, else ints.
+    Every sum runs in order, row-major or along its line.  The price adds
+    c x over the cells with x != 0: +inf when a term is (_float_price), in
+    int64 modulo 2^64 as C's uint64_t sum does, on Python ints exactly.  A
+    gap is |a line's sum - its weight|; a NaN gap or cell makes its entry NaN.
     """
-    n, m = len(a), len(b)
-    zero = type(a[0])()  # 0.0 or 0, as the C build's num
-    mass = price = zero
-    infinite = False
-    rows, cols = [zero] * n, [zero] * m
-    least = zero if len(flow) < n * m else INF  # a cell off the basis holds 0
-    for (i, j), x in sorted(flow.items()):
-        c = cost[i][j]
-        if c == INF:
-            mass += x
-            x = zero
-        elif x != 0:
-            t = c * x
-            infinite |= t == INF or t == -INF
-            price += t
-        rows[i] += x
-        cols[j] += x
-        if not x >= least:
-            least = x if x < least else x + least
-    gaps = []
-    for sums, weights in (rows, a), (cols, b):
-        worst = zero
-        for s, w in zip(sums, weights):
-            g = s - w
-            if g < 0:
-                g = -g
-            if not g <= worst:
-                worst = g if g > worst else g + worst
-        gaps.append(worst)
-    return [mass, INF if infinite else price, *gaps, least]
+    forbidden = forbidden_cells(C)
+    swept = np.where(forbidden, 0, X)
+    if X.dtype == np.float64:
+        price = _float_price(C, swept)
+    else:
+        mass = swept != 0
+        price = np.dot(C[mass], swept[mass])
+    rows, cols = np.cumsum(swept, axis=1)[:, -1], np.cumsum(swept, axis=0)[-1]
+    gaps = abs(rows - a).max(), abs(cols - b).max()
+    return np.array([_sum_in_order(X[forbidden]), price, *gaps, swept.min()], X.dtype).tolist()
 
 
-def transportation_simplex(a, b, cost, tol=0, rel_tol=0):
-    """Minimize sum c_ij x_ij subject to row sums a and column sums b.
+def transportation_simplex(a, b, C, tol=0, rel_tol=0):
+    """Minimize sum c_ij x_ij subject to row sums a and column sums b, as
+    CompiledKernel.solve_dense does: (X in the weights' dtype, iterations,
+    summary(a, b, C, X)).
 
-    cost entries are numbers of one ordered type, or +inf for a forbidden
-    cell; a and b are positive finite supplies/demands with equal totals (a
-    zero weight admits no strongly feasible start, so solve_kantorovich
-    passes only the support), else ValueError, as from the C kernel.  A
-    cell enters when its reduced cost has a negative M part, or a zero M
-    part and a value part r = c - u - v below -tol and, when rel_tol is not
-    0 (floats only), below -rel_tol * (|c| + |u| + |v|).  Returns (flow
-    dict on basic cells, iterations).
+    a (n,), b (m,) and C (n, m) are float64 arrays, a forbidden cell +inf;
+    int64 ones, a forbidden cell FORBIDDEN_INT64, run as Python ints and
+    +inf; or object arrays of Python ints (or other exact numbers, such as
+    Fractions) and +inf.  The shapes must agree
+    and the weights be positive and finite with equal totals
+    (solve_kantorovich passes the support), else ValueError, as from the C
+    kernel.  A cell enters when its reduced cost has a negative M part, or
+    a zero M part and a value part r = c - u - v below -tol and, when
+    rel_tol is not 0 (floats only), below -rel_tol * (|c| + |u| + |v|).
     """
-    n, m = len(a), len(b)
-    weights = [*a, *b]  # as fot_solve refuses them, with no call per weight
+    n, m = problem_shape(a, b, C)
+    a_list, b_list = a.tolist(), b.tolist()
+    weights = [*a_list, *b_list]  # as fot_solve refuses them, with no call per weight
     if not (all(map(partial(lt, 0), weights)) and all(map(partial(gt, INF), weights))):
-        raise ValueError("the engines need positive weights, none infinite; pass the support")
-    big, value = _split_costs(cost)
-    tree = _Tree(n, m, value, big)
-    row_minimum_start(a, b, cost, tree)
-    # a float problem may price its +inf cells as they are, as the C float
-    # build does; Python ints keep the (M, value) scan, as the int64 build
-    # does, and +inf minus an int beyond float range raises OverflowError
-    marked = cost if isinstance(a[0], FLOATS) else None
+        raise ValueError(NOT_POSITIVE)
+    forbidden = forbidden_cells(C)
+    big = bool(forbidden.any())
+    cells = np.where(forbidden, INF, C.astype(object)) if big and C.dtype == np.int64 else C
+    cost = cells.tolist()
+    tree = _Tree(n, m, cost, big, a.dtype == np.float64)
+    row_minimum_start(a_list, b_list, cost, tree)
     ntol = -tol
     limit = 10000 + 200 * (n + m) * max(n, m)
     # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
     block = max(64, int(math.exp(0.5 * math.log(n * m))))
     pos = iterations = 0
     while True:
-        found = tree.block_search(ntol, rel_tol, pos, block, marked)
+        found = tree.block_search(ntol, rel_tol, pos, block)
         if found is None:
-            return tree.flows(), iterations
+            break
         ei, ej, pos = found
         iterations += 1
         if iterations > limit:
             raise RuntimeError(f"simplex exceeded {limit} pivots on a {n}x{m} problem")
         tree.pivot(ei, ej)
+    X = np.zeros(C.shape, dtype=a.dtype)
+    flows = tree.flows()
+    X[tuple(zip(*flows))] = list(flows.values())
+    return X, iterations, summary(a, b, C, X)

@@ -242,7 +242,8 @@ class CostMatrix:
     has_inf records whether a cell is +inf, and max_abs_finite() returns
     the largest |cost| over the finite cells: recorded at construction
     from extended_array's bounds when no cell is +inf, else found on first
-    use, as _float_costs (array itself when float64) is, and kept.  It is
+    use (from _scaled_costs' ints on an object array), as _float_costs
+    (array itself when float64) is, and kept.  It is
     read by a rational solve's int64 fit (solver._exact_input), never by a
     float solve, and by the float-mode default tolerance of the checks on
     costs and distances (numerics.check_tol).
@@ -338,8 +339,10 @@ class CostMatrix:
         """The largest |cost| over the finite cells, 0 when there is none."""
         top, A = self._max_abs_finite, self.array
         if top is None:  # found once
-            if A.dtype == object:  # a scan of its cells
-                top = max((abs(c) for c in A.ravel().tolist() if c != INF), default=0)
+            if A.dtype == object:  # a scan of the exact format's ints, not of Fractions
+                C, scale = self._scaled_costs
+                top = max((abs(c) for c in C.ravel().tolist() if c != INF), default=0)
+                top = top if scale == 1 else Fraction(top, scale)
             else:  # float64 with +inf cells
                 top = np.maximum.reduce(np.abs(A), axis=None, where=A != INF, initial=0).item()
             vars(self)["_max_abs_finite"] = top

@@ -1,12 +1,13 @@
 """The compiled kernel and its Python twin, simplex.transportation_simplex.
 
-The compiled kernel's solve_dense(a, b, C, tol) returns (flow_matrix,
-iterations, summary), from its float build on float arrays and from its
-int64 build on the scaled ints of rational problems; the twin, which is the
-fallback when the kernel cannot load and for rational data that do not fit
-in int64, must return the same pivot count, the same plan and the same
-summary (simplex.plan_summary), bit for bit, also on +inf cells and on
-problems that they leave without a finite-cost plan.
+Both take the same arrays and return (plan, iterations, summary): the
+compiled kernel's solve_dense(a, b, C, tol) from its float build on float
+arrays and from its int64 build on the scaled ints of rational problems;
+the twin, which is the fallback when the kernel cannot load and for
+rational data that do not fit in int64, must return the same pivot count
+and the same plan, bit for bit, also on +inf cells and on problems that
+they leave without a finite-cost plan.  Both summaries must be
+simplex.summary of that plan, bit for bit.
 Both engines need positive weights, so a problem with zero weights is fed
 to them as solve_kantorovich feeds it, on its support.  The compiled kernel
 is built by its loader with the system C compiler, so the cross-checks are
@@ -19,18 +20,18 @@ import operator
 import os
 import random
 from fractions import Fraction as F
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import finiteot.solver as solver
-from finiteot.coupling import _is_coupling_array, _sum_in_order
+from finiteot.coupling import _is_coupling_array
 from finiteot.measure import DiscreteMeasure
-from finiteot.numerics import FLOAT, FLOAT_TOL, INF, default_tol
+from finiteot.numerics import FLOAT, FLOAT_TOL, INF, RATIONAL, default_tol
 from finiteot.space import CostMatrix
 from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumeration, simplex
-from finiteot.solver.simplex import transportation_simplex
+from finiteot.solver._compiled import forbidden_cells
+from finiteot.solver.simplex import summary, transportation_simplex
 
 from test_solver import check_hall_cut, criterion10_instance, wide_range_instance
 
@@ -332,41 +333,18 @@ def rational_instance(n):
 
 def int64_input(mu1, mu2, cost, tol):
     """The int64 build's input for a rational problem, as solve_kantorovich
-    makes it with the kernel loaded."""
-    with mock.patch.object(solver, "_kernel", _compiled.load()):
-        a, b, C, tol, *_ = solver._exact_input(mu1, mu2, CostMatrix(cost), tol or 0)
+    makes it."""
+    a, b, C, tol, *_ = solver._exact_input(mu1, mu2, CostMatrix(cost), tol or 0)
     assert a.dtype == b.dtype == C.dtype == np.int64
     return (*support(a, b, C), tol)
 
 
-def forbidden_cells(C):
-    return C == _compiled.FORBIDDEN_INT64 if C.dtype == np.int64 else np.isinf(C)
-
-
-def twin(a, b, C, tol, rel_tol=0.0):
-    """transportation_simplex on the kernel's input, as (plan, iterations).
-
-    An int64 input runs on Python ints, its forbidden cells as +inf.
-    """
-    cells = C.tolist()
-    if C.dtype == np.int64:
-        cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
-    flow, iterations = transportation_simplex(a.tolist(), b.tolist(), cells, tol, rel_tol)
-    X = np.zeros(C.shape, dtype=C.dtype)
-    for (i, j), f in flow.items():
-        X[i, j] = f
-    return X, iterations
-
-
-def twin_summary(a, b, C, tol, rel_tol=0.0):
-    """The Python simplex's summary of its plan on the kernel's input
-    (simplex.plan_summary), its int64 input on Python ints as twin runs it."""
-    cells = C.tolist()
-    if C.dtype == np.int64:
-        cells = np.where(forbidden_cells(C), INF, C.astype(object)).tolist()
-    a, b = a.tolist(), b.tolist()
-    flow, _ = transportation_simplex(a, b, cells, tol, rel_tol)
-    return simplex.plan_summary(a, b, cells, flow)
+def engine_input(mu1, mu2, cost):
+    """(a, b, C), the arrays a solve of the problem hands its engine."""
+    cm = CostMatrix(cost)
+    if mu1.mode == mu2.mode == cm.mode == "rational":
+        return solver._exact_input(mu1, mu2, cm, 0)[:3]
+    return mu1.float_weights, mu2.float_weights, cm._float_costs
 
 
 def bits(summary):
@@ -375,30 +353,26 @@ def bits(summary):
     return [(type(x), x.hex() if isinstance(x, float) else x) for x in summary]
 
 
-def check_summary(a, b, C, X, summary):
-    """An engine's summary of the plan X against numpy on the same arrays.
+def check_summary(a, b, C, X, got):
+    """Assert that an engine's summary got of the plan X is summary(a, b,
+    C, X), all five numbers bit for bit, and return its verdict.
 
-    The forbidden mass is _sum_in_order(X[forbidden]) and the price, over
-    the plan with its forbidden cells swept to 0, is _float_price or the
-    exact integer dot product, bit for bit; the gaps and the least cell give
-    _is_coupling_array's verdict on the swept plan at the solver's
-    tolerance.  C's forbidden cells are +inf, or FORBIDDEN_INT64 in an
-    int64 array.  Returns that verdict.
+    The price of an integer plan is the exact dot product over the finite
+    cells, modulo 2^64 in int64; the gaps and the least cell give
+    _is_coupling_array's verdict on the plan with its forbidden cells
+    swept to 0, at the solver's tolerance.
     """
-    forbidden = forbidden_cells(C) if C.dtype != object else C == INF
+    want = summary(a, b, C, X)
+    assert bits(got) == bits(want)
+    forbidden = forbidden_cells(C)
     swept = np.where(forbidden, 0, X)
-    mass, price, row_gap, column_gap, least = summary
-    if X.dtype == np.float64:
-        # numpy's empty sum is the int 0, the engines' is 0.0
-        want = _sum_in_order(X[forbidden]), solver._float_price(C, swept)
-        assert bits([mass, price]) == bits([0.0 + want[0], 0.0 + want[1]])
-        tol = default_tol(FLOAT)
-    else:
-        finite = ~forbidden
-        exact_price = sum(map(operator.mul, C[finite].tolist(), swept[finite].tolist()))
-        assert [mass, price] == [int(_sum_in_order(X[forbidden])), exact_price]
-        assert type(mass) is type(price) is int
-        tol = 0
+    _, price, row_gap, column_gap, least = want
+    if X.dtype != np.float64:
+        exact = sum(map(operator.mul, C[~forbidden].tolist(), swept[~forbidden].tolist()))
+        if X.dtype == np.int64:
+            exact = (exact + 2**63) % 2**64 - 2**63
+        assert type(price) is int and price == exact
+    tol = default_tol(FLOAT if X.dtype == np.float64 else RATIONAL)
     ok = _is_coupling_array(swept, a, b, tol)[0]
     assert (least >= -tol and row_gap <= tol and column_gap <= tol) == ok
     return ok
@@ -438,12 +412,17 @@ def check_thread(tree):
 
 
 def check_same_pivots(compiled, a, b, C, tol, rel_tol=0.0):
-    X, iterations, _ = compiled.solve_dense(a, b, C, tol, rel_tol)
+    """Both engines on one input: the same pivot count, the same plan in
+    the same dtype, and each summary summary(a, b, C, X) bit for bit
+    (check_summary).  Returns (X, the summary's verdict)."""
+    X, iterations, got = compiled.solve_dense(a, b, C, tol, rel_tol)
     check_feasible(a, b, X)
-    X_twin, iterations_twin = twin(a, b, C, tol, rel_tol)
+    verdict = check_summary(a, b, C, X, got)
+    X_twin, iterations_twin, got_twin = transportation_simplex(a, b, C, tol, rel_tol)
     assert iterations_twin == iterations
-    assert np.array_equal(X_twin, X)
-    return X
+    assert X_twin.dtype == X.dtype and np.array_equal(X_twin, X)
+    assert bits(got_twin) == bits(got)
+    return X, verdict
 
 
 def degenerate_starts():
@@ -550,8 +529,7 @@ class TestStrongFeasibility:
         starts = {}
         for name, mu1, mu2, cost, _ in degenerate_starts():
             a, b = list(mu1.weights), list(mu2.weights)
-            big, value = simplex._split_costs(cost)
-            tree = simplex._Tree(len(a), len(b), value, big)
+            tree = simplex._Tree(len(a), len(b), cost, any(INF in row for row in cost), False)
             starts[name] = a, b, cost, simplex.row_minimum_start(a, b, cost, tree)
         a, b, cost, flow = starts["split"]
         assert sorted(flow.values()).count(0) == 2
@@ -580,7 +558,7 @@ class TestStrongFeasibility:
         monkeypatch.setattr(simplex._Tree, "pivot", checked_pivot)
         for family in TWIN_FAMILIES:
             for a, b, C, tol, *rel_tol in identity_instances(family):
-                twin(a, b, C, tol, *rel_tol)
+                transportation_simplex(a, b, C, tol, *rel_tol)
         assert len(checked) > 20000 and max(checked) > 100, (len(checked), max(checked))
 
 
@@ -590,8 +568,72 @@ class TestFallback:
         for _ in range(20):
             n, m = rng.randint(2, 12), rng.randint(2, 12)
             a, b, C = random_instance(rng, n, m)
-            flow, _ = twin(a, b, C, 1e-9)
+            flow, _, _ = transportation_simplex(a, b, C, 1e-9)
             check_feasible(a, b, flow)
+
+
+@pytest.mark.parametrize("engine", [pytest.param("compiled", marks=needs_compiler), "python"])
+def test_both_engines_refuse_the_same_input(engine):
+    # a weight of 0, -1, NaN or +inf on either side, as float64 and (0 and
+    # -1) as int64, and arrays whose shapes do not agree: the same
+    # ValueError from the compiled kernel and from the Python simplex
+    solve = _compiled.load().solve_dense if engine == "compiled" else transportation_simplex
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad, side, dtype in itertools.product((0, -1, np.nan, INF), (0, 1), (np.float64, np.int64)):
+        if dtype == np.int64 and bad not in (0, -1):
+            continue
+        a, b = np.array([bad, 2], dtype), np.array([1, 1], dtype)
+        if side:
+            a, b = b, a
+        with pytest.raises(ValueError) as raised:
+            solve(a, b, C.astype(dtype), 0)
+        assert str(raised.value) == (
+            "the engines need positive weights, none infinite; pass the support"
+        )
+    two, three = np.ones(2), np.ones(3)
+    for a, b, C in ((three, two, C), (two, two, np.ones((2, 3))), (two, two, two),
+                    (np.ones(0), np.ones(0), np.ones((0, 0))), (np.ones((2, 1)), two, C)):
+        with pytest.raises(ValueError) as raised:
+            solve(a, b, C, 0)
+        assert str(raised.value) == (
+            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1; "
+            f"got {a.shape}, {b.shape}, {C.shape}"
+        )
+
+
+def test_fitting_rational_problems_reach_the_python_simplex_as_int64(monkeypatch):
+    # with the kernel off, rational problems that fit still reach the Python
+    # simplex as int64 arrays; the same numbers as object arrays give the
+    # same pivots, plans, costs and Hall cuts, also where the int64 price
+    # wraps and _exact_input says the engine's price is not the cost
+    monkeypatch.setattr(solver, "_kernel", None)
+    engine, exact_input, dtypes = solver.transportation_simplex, solver._exact_input, []
+
+    def spy(a, b, C, *args):
+        dtypes.append(a.dtype.name)
+        return engine(a, b, C, *args)
+
+    def as_objects(*args):
+        a, b, C, *rest, _ = exact_input(*args)
+        C = np.where(forbidden_cells(C), INF, C.astype(object))
+        return (a.astype(object), b.astype(object), C, *rest, True)
+
+    monkeypatch.setattr(solver, "transportation_simplex", spy)
+    thin = DiscreteMeasure((F(1, 2**40), F(2**40 - 1, 2**40)))
+    half = DiscreteMeasure((F(1, 2), F(1, 2)))
+    wide = [[2**50, 2**50 + 1], [2**50 + 3, 2**50 - 7]]  # a price near 2^90 in C's units
+    assert exact_input(thin, half, CostMatrix(wide), 0)[-1] is False
+    problems = rational_problems(200) + [(thin, half, wide, None)]
+    infeasible = 0
+    for problem in problems:
+        solved = outcome(*problem)
+        monkeypatch.setattr(solver, "_exact_input", as_objects)
+        assert outcome(*problem) == solved
+        monkeypatch.setattr(solver, "_exact_input", exact_input)
+        infeasible += solved[1][1] is None
+    assert dtypes == ["int64", "object"] * len(problems)
+    assert 0 < infeasible < len(problems)
+    assert solver.solve_kantorovich(thin, half, wide).optimal_cost > 2**49  # over 2^89 scaled
 
 
 @needs_compiler
@@ -651,10 +693,8 @@ class TestCompiled:
         instances = identity_instances(family)
         infeasible = 0
         for a, b, C, tol, *rel_tol in instances:
-            X = check_same_pivots(compiled, a, b, C, tol, *rel_tol)
+            X, _ = check_same_pivots(compiled, a, b, C, tol, *rel_tol)
             infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
-            _, _, summary = compiled.solve_dense(a, b, C, tol, *rel_tol)
-            assert bits(summary) == bits(twin_summary(a, b, C, tol, *rel_tol))
         if family in ("forbidden", "rational", "forbidden_basis"):  # with and without a finite plan
             assert 0 < infeasible < len(instances)
 
@@ -666,14 +706,14 @@ class TestCompiled:
 
         def counted(tree, *args):
             pivot(tree, *args)
-            basic = [tree.big[i][j] for i, j in tree.flows()]
+            basic = [tree.cost[i][j] == INF for i, j in tree.flows()]
             assert tree.basic_big == sum(basic), (tree.basic_big, basic)
             counts[-1].append(tree.basic_big)
 
         monkeypatch.setattr(simplex._Tree, "pivot", counted)
         for a, b, C, tol, *rel_tol in identity_instances("forbidden_basis"):
             counts.append([])
-            twin(a, b, C, tol, *rel_tol)
+            transportation_simplex(a, b, C, tol, *rel_tol)
         left = sum(any(x > 0 and 0 in c[k + 1:] for k, x in enumerate(c)) for c in counts)
         kept = sum(bool(c) and c[-1] > 0 for c in counts)
         assert left > 30 and kept > 30, (left, kept)
@@ -684,13 +724,8 @@ class TestCompiled:
     def test_summary_is_the_numpy_one(self, compiled, family):
         # dense floats, +inf cells with and without a finite plan, and the
         # int64 build's rational inputs: the kernel's summary and the twin's
-        # are numpy's sums, and give its verdict
-        verdicts = []
-        for a, b, C, tol in identity_instances(family):
-            X, _, summary = compiled.solve_dense(a, b, C, tol)
-            verdicts.append(check_summary(a, b, C, X, summary))
-            X_twin, _ = twin(a, b, C, tol)
-            assert check_summary(a, b, C, X_twin, twin_summary(a, b, C, tol)) == verdicts[-1]
+        # are summary's numbers, and give _is_coupling_array's verdict
+        verdicts = [check_same_pivots(compiled, *case)[1] for case in identity_instances(family)]
         if family in ("tied", "assignment", "edge"):  # every cell finite
             assert all(verdicts)
         else:  # with and without a finite plan: the infeasible plans fail
@@ -699,80 +734,57 @@ class TestCompiled:
     def test_a_nan_gap_sticks_in_the_twins_summary(self, compiled):
         # the engines refuse the infinite weights whose line sums once gave
         # inf - inf, so a NaN reaches a summary only in a plan handed to
-        # plan_summary: a NaN cell on row and column 0 must not be hidden by
+        # summary: a NaN cell on row and column 0 must not be hidden by
         # the larger finite gaps after it.  A term c x = inf still makes
         # both engines' price +inf.
-        ones = [1.0, 1.0, 1.0]
-        C = [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]
-        flow = {(0, 0): np.nan, (1, 1): 1.0, (2, 2): 3.0}
-        _, _, row_gap, column_gap, least = simplex.plan_summary(ones, ones, C, flow)
+        ones = np.ones(3)
+        C = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+        X = np.diag([np.nan, 1.0, 3.0])
+        _, _, row_gap, column_gap, least = summary(ones, ones, C, X)
         assert row_gap != row_gap and column_gap != column_gap and least != least
         a, C = np.array([2.0, 2.0]), np.full((2, 2), 1e308)
-        _, _, summary = compiled.solve_dense(a, a, C, 1e-9)
-        assert summary[1] == INF and bits(summary) == bits(twin_summary(a, a, C, 1e-9))
-
-    def test_both_engines_refuse_the_same_weights(self, compiled):
-        # a weight of 0, -1, NaN or +inf on either side gets the same
-        # ValueError from the float build, the twin, and for 0 and -1 the
-        # int64 build and the twin on ints
-        C = [[0.0, 1.0], [1.0, 0.0]]
-        messages = set()
-        for bad, side in itertools.product((0, -1, np.nan, INF), (0, 1)):
-            a, b = [bad, 2.0], [1.0, 1.0]
-            if side:
-                a, b = b, a
-            runs = [
-                lambda: compiled.solve_dense(np.array(a), np.array(b), np.array(C), 1e-9),
-                lambda: transportation_simplex(a, b, C, tol=1e-9),
-            ]
-            if bad in (0, -1):
-                ints = [list(map(int, w)) for w in (a, b, *C)]
-                runs += [
-                    lambda: compiled.solve_dense(*(np.array(w, dtype=np.int64) for w in ints[:2]),
-                                                 np.array(ints[2:], dtype=np.int64), 0),
-                    lambda: transportation_simplex(ints[0], ints[1], ints[2:], tol=0),
-                ]
-            for run in runs:
-                with pytest.raises(ValueError) as raised:
-                    run()
-                messages.add(str(raised.value))
-        assert len(messages) == 1, messages
+        got = compiled.solve_dense(a, a, C, 1e-9)[2]
+        assert got[1] == INF and bits(got) == bits(transportation_simplex(a, a, C, 1e-9)[2])
 
     def test_support_summary_is_the_full_plans(self, compiled, monkeypatch):
         # a problem with a zero weight runs on its support; the summary of
-        # the support's plan is numpy's on the full plan and the full
-        # weights and costs, from the float build, the int64 build and the
-        # Python simplex
+        # the support's plan is summary's on the support, and on the full
+        # plan and the full weights and costs but for the least cell, from
+        # the float build, the int64 build and the Python simplex on float64,
+        # int64 and object arrays
         runs = []
         run_engine = solver._run_engine
 
         def spy(*args, **kwargs):
-            runs.append(run_engine(*args, **kwargs))
-            return runs[-1]
+            runs.append((args, run_engine(*args, **kwargs)))
+            return runs[-1][1]
 
         monkeypatch.setattr(solver, "_run_engine", spy)
         problems = [(*problem, None) for problem in zero_weight_problems(150)]
         problems += rational_problems(150)
+        # costs that do not fit in int64: object arrays
+        padded = DiscreteMeasure((F(1, 2), 0, F(1, 2)))
+        problems.append((padded, padded, [[2**62, 1, 0], [1, 0, 1], [0, 1, 2**62]], None))
         verdicts, engines = [], set()
         for mu1, mu2, cost, tol in problems:
             if 0 not in mu1.weights and 0 not in mu2.weights:
                 continue
-            cm = CostMatrix(cost)
+            cm, (a, b, C) = CostMatrix(cost), engine_input(mu1, mu2, cost)
             for kernel in (compiled, None):
                 monkeypatch.setattr(solver, "_kernel", kernel)
-                if mu1.mode == mu2.mode == cm.mode == "rational":
-                    a, b, C, *_ = solver._exact_input(mu1, mu2, cm, 0)
-                else:
-                    a, b, C = mu1.float_weights, mu2.float_weights, cm._float_costs
                 solver.solve_kantorovich(mu1, mu2, cm, tol=tol)
-                on_support, _, summary, engine = runs.pop()
+                (a_in, b_in, C_in, *_), (on_support, _, got, engine) = runs.pop()
+                assert bits(got) == bits(summary(a_in, b_in, C_in, on_support))
                 X = np.zeros(C.shape, dtype=on_support.dtype)
                 X[np.ix_(a > 0, b > 0)] = on_support
-                verdicts.append(check_summary(a, b, C, X, summary))
+                full = summary(a, b, C, X)
+                # zero-weight lines add nothing to a sum, and put zeros in the plan
+                assert bits(got[:4]) == bits(full[:4]) and min(got[4], 0) == full[4]
+                verdicts.append(check_summary(a, b, C, X, full))
                 engines.add((engine, X.dtype.name))
         assert 0 < sum(verdicts) < len(verdicts)
-        assert engines == {("compiled", "float64"), ("python", "float64"),
-                           ("compiled", "int64"), ("python", "object")}
+        assert engines == {("compiled", "float64"), ("python", "float64"), ("compiled", "int64"),
+                           ("python", "int64"), ("python", "object")}
 
     def test_rational_solves_repeat_the_python_simplex(self, compiled, monkeypatch):
         # the same pivots, Fraction plans, costs and Hall cuts from the int64
@@ -896,6 +908,6 @@ class TestCompiled:
             flow, iterations, _ = compiled.solve_dense(a, b, C, 1e-6)
             check_feasible(a, b, flow)
             assert iterations == pivots
-            flow_twin, iterations_twin = twin(a, b, C, 1e-6)
+            flow_twin, iterations_twin, _ = transportation_simplex(a, b, C, 1e-6)
             assert iterations_twin == pivots
             assert np.array_equal(flow_twin, flow)

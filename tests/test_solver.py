@@ -288,7 +288,10 @@ class TestSolve:
             # weight is positive, so the engine's input is the whole problem
             assert min(mu1.weights) > 0 and min(mu2.weights) > 0
             rel_tol = FLOAT_TOL if sol.mode == "float" else 0  # as the solve prices
-            _, pivots = transportation_simplex(mu1.weights, mu2.weights, cost, 0, rel_tol)
+            # on the problem's own numbers: Fractions and +inf, or floats
+            dtype = object if exact else np.float64
+            arrays = (np.array(x, dtype) for x in (mu1.weights, mu2.weights, cost))
+            _, pivots, _ = transportation_simplex(*arrays, 0, rel_tol)
             assert sol.iterations == pivots > 0
 
     def test_numpy_integer_costs_in_rational_mode(self):
@@ -1352,14 +1355,12 @@ def test_a_failing_engine_summary_raises(monkeypatch, kernel, fault, exact):
 
     def faulty(*args, **kwargs):
         X, iterations, summary, engine = run_engine(*args, **kwargs)
-        a, b, C = (x.tolist() for x in args[0:3])
         if fault == "NaN in the summary only":
             summary[2] = float("nan")
         else:
             X = X.astype(np.float64) if fault == "NaN cell" else X.copy()
             X[0, 0] = np.nan if fault == "NaN cell" else X[0, 0] + 1
-            flow = {(i, j): x for i, row in enumerate(X.tolist()) for j, x in enumerate(row)}
-            summary = simplex.plan_summary(a, b, C, flow)
+            summary = simplex.summary(*args[0:3], X)
         bad.append((X, args[0], args[1]))
         return X, iterations, summary, engine
 
@@ -1408,10 +1409,10 @@ def test_an_infinite_tol_runs_the_python_simplex_from_its_start():
     Python simplex returns its row-minimum start after 0 pivots."""
     for mu1, mu2, cost in islice(tol_battery(), 200):
         sol = solve_kantorovich(mu1, mu2, cost, tol=INF)
-        flow, pivots = transportation_simplex(list(mu1.weights), list(mu2.weights), cost, tol=INF)
-        start = [[flow.get((i, j), 0) for j in range(mu2.n)] for i in range(mu1.n)]
+        arrays = (np.array(x, object) for x in (mu1.weights, mu2.weights, cost))
+        X, pivots, _ = transportation_simplex(*arrays, tol=INF)
         assert (sol.engine, sol.iterations, pivots) == ("python", 0, 0)
-        assert sol.plan.matrix == tuple(map(tuple, start))
+        assert sol.plan.matrix == tuple(map(tuple, X.tolist()))
 
 
 def test_the_tol_floor_is_exact_on_numpy_integers():

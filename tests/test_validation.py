@@ -87,6 +87,18 @@ def test_cost_array_is_in_the_modes_arithmetic():
     assert cm.max_abs_finite() == 2.0
 
 
+def test_max_abs_finite_reads_exact_cells_at_their_value():
+    # an object array's largest |cost| comes from the exact format's ints
+    for cost, top in (
+        (((F(-7, 3), INF), (2, F(1, 6))), F(7, 3)),
+        (((0, INF), (-5, 3)), 5),
+        (((F(1, 2), INF), (3, 0)), 3),
+        (((INF, INF), (INF, INF)), 0),
+    ):
+        cm = CostMatrix(cost)
+        assert cm.array.dtype == object and cm.max_abs_finite() == top
+
+
 @pytest.mark.parametrize(
     "weights, error, message",
     [
