@@ -32,7 +32,7 @@ from .generators import (
 )
 from .io import _matrix, dump_json, load_measure, load_plan, load_problem, load_space
 from .measure import DiscreteMeasure
-from .numerics import FLOAT_TOL, INF, is_inf
+from .numerics import FLOAT_TOL, INF, GlueError, is_inf
 from .solver import (
     oracle_basis_enumeration,
     oracle_permutation,
@@ -60,6 +60,8 @@ TOL_HELP = (
 )
 
 SUITES = ("coupling", "metric", "glue", "restriction", "moreau-yosida", "liminf", "tail")
+#: the number of --plan files a suite reads in place of its random trials
+PLAN_FILES = {"coupling": 1, "glue": 2}
 
 
 def _emit(doc, out_path):
@@ -139,12 +141,11 @@ def _verify_metric(args, rng):
 
 
 def _verify_glue(args, rng):
-    if args.plan and len(args.plan) >= 2:
-        pi12 = load_plan(args.plan[0], args.mode)
-        pi23 = load_plan(args.plan[1], args.mode)
+    if args.plan:
+        pi12, pi23 = (load_plan(path, args.mode) for path in args.plan)
         try:
             g = glue(pi12, pi23)
-        except Exception as exc:
+        except GlueError as exc:  # the plans do not chain
             return False, {"error": str(exc)}
         ok, rep = glued_plan_is_valid(g, pi12, pi23)
         return ok, {"valid": ok, "violations": [list(map(str, r)) for r in rep[:10]]}
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--plan", action="append", default=None,
-                   help="check specific plan file(s) instead of random instances")
+                   help="check this plan (coupling) or glue these two (glue), not random trials")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -374,6 +375,11 @@ def main(argv=None) -> int:
     if args.command in ("verify", "oracle-check") and args.trials < 1:
         # a battery of no trials checks nothing, so it must not pass
         print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.command == "verify" and args.plan and len(args.plan) != PLAN_FILES.get(args.suite, 0):
+        # a plan file the suite would not read must not let it pass
+        print(f"error: verify {args.suite} reads {PLAN_FILES.get(args.suite, 0)} --plan "
+              f"file(s), got {len(args.plan)}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

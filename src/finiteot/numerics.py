@@ -281,7 +281,7 @@ def _scaled_ints(values, kinds, exact=False):
 
 def _floor(tol, scale):
     """floor(tol * scale) as a Python int, exactly, for a positive int scale
-    (an infinite or NaN tol stays as it is): on integers x, x < -tol * scale
+    (an infinite tol stays as it is): on integers x, x < -tol * scale
     iff x < -_floor(tol, scale).  A tolerance meets integers here only."""
     if isinstance(tol, FLOATS) and not math.isfinite(tol):
         return tol

@@ -76,11 +76,11 @@ the reason it was chosen, and is logged at DEBUG on the "finiteot" logger.
 
 Both engines price a forbidden +inf cell as an (M, value) pair, so the
 optimal plan they return puts the least possible mass on forbidden cells:
-the finite part of that plan is a maximum flow.  When no cell is forbidden,
-both price the value part alone, which picks the same entering cells, and
-a float problem does so too while no forbidden cell is basic.  The
-problem has no finite-cost plan exactly when that mass exceeds default_tol
-of the mode, and then a closure on the engine's boolean masks gives the
+the finite part of that plan is a maximum flow.  While no forbidden cell
+is basic (always, when no cell is forbidden), both price the value part
+alone, which picks the same entering cells.  The problem has no
+finite-cost plan exactly when that mass exceeds default_tol of the mode,
+and then a closure on the engine's boolean masks gives the
 Hall-type cut certificate: from the rows with forbidden mass, rows reach
 columns over finite cells and columns reach rows over finite cells with
 flow, each row and column expanded once.

@@ -13,7 +13,8 @@ The one library holds two builds of the same algorithm, the C port of
 simplex.transportation_simplex: fot_solve_dense over doubles, and
 fot_solve_exact over int64 numbers, which runs the rational problems that
 solver._exact_input finds to fit in int64 and hands over as int64 arrays,
-forbidden cells marked FORBIDDEN_INT64 and the tolerance floored.  load()
+forbidden cells marked FORBIDDEN_INT64, which it prices as the float
+build prices +inf, and the tolerance floored.  load()
 returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol, rel_tol)
 -> (X, iterations, summary), which picks the build by the dtype of C, and
 forbidden_cells(C) is the mask of C's forbidden cells in either build's
@@ -64,8 +65,11 @@ _NOT_POSITIVE = -3
 _STDERR_TAIL = 10
 
 #: the mark of a forbidden cell in an int64 cost array, where +inf has no
-#: place; the caller keeps every finite cost below it (see _dense.c)
-FORBIDDEN_INT64 = np.iinfo(np.int64).max
+#: place.  Under solver._exact_input's fit every potential is below 2^60 in
+#: magnitude, so the mark less two of them lies between 2^61 and
+#: 2^62 + 2^61: above every finite cost and reduced cost, and short of
+#: int64's 2^63, so it is priced as it is (see _dense.c)
+FORBIDDEN_INT64 = 2**62
 
 
 #: the ValueError of both engines on a weight that is not positive, or is infinite

@@ -6,15 +6,17 @@
  *
  *   fot_solve_dense  doubles, a forbidden cell costing +inf.  It runs every
  *                    float problem while it is loaded.
- *   fot_solve_exact  int64_t, a forbidden cell marked INT64_MAX.  It runs
- *                    the rational problems whose scaled weights and costs
- *                    fit, as one function of the caller decides
+ *   fot_solve_exact  int64_t, a forbidden cell marked 2^62.  It runs the
+ *                    rational problems whose scaled weights and costs fit,
+ *                    as one function of the caller decides
  *                    (solver._exact_input, which also marks the forbidden
  *                    cells and floors tol): the total supply is below
  *                    2^62, (n + m) max|finite cost| below 2^60 and |tol|
  *                    below 2^60.  A potential is a signed sum of at most
- *                    n + m costs and a reduced cost adds two of them, so no
- *                    sum overflows and no finite cost reaches the mark.
+ *                    n + m finite costs, below 2^60 in magnitude, so no sum
+ *                    overflows, no finite cost reaches the mark, and the
+ *                    mark less two potentials lies between 2^61 and
+ *                    2^62 + 2^61.
  *
  * Both take balanced supplies and demands and return the plan, the pivot
  * count and the plan's summary: the engine checks and prices its own plan,
@@ -45,18 +47,15 @@
  * of C per node when potentials are derived.  A node's potential is
  * c_ij - pot[parent] along that edge, in two parts: a forbidden cell costs
  * (M, value) = (1, 0), any other cell (0, c_ij), and a unit of M outweighs
- * any value.  One scan of C at the start finds whether any cell
- * is forbidden.  When none is, every M part is 0, so the M potentials stay
- * 0, (d < best_big || r < best) reduces to r < best, and the kernel derives
- * and prices the value part alone, as simplex.py does when no cell is
- * forbidden: the same entering cells, pivots and plan.  The float
- * build also prices values alone while no forbidden cell is basic, which
- * a count of the forbidden basic cells, kept at grow and at each pivot,
- * tells: every M potential is then 0, a forbidden cell's reduced cost is
- * (1, value) and never enters, and its value part c - u - v, read as
- * it is, is +inf and never enters either.  The int64 build keeps the
- * (M, value) scan whenever a cell is forbidden: INT64_MAX - u - v would
- * overflow.
+ * any value.  One scan of C at the start finds whether any cell is
+ * forbidden; when none is, the kernel derives the value part alone.  It
+ * prices values alone while no forbidden cell is basic, which a count of
+ * the forbidden basic cells, kept at grow and at each pivot, tells: every
+ * M potential is then 0, so (d < best_big || r < best) reduces to
+ * r < best on a finite cell, and a forbidden cell's reduced cost is
+ * (1, value) and never enters; its mark less u and v, priced as it is, is
+ * +inf or above 2^61 and never enters either.  The same entering cells,
+ * pivots and plan follow as from the (M, value) scan, as in simplex.py.
  *
  * Start, the row-minimum rule: rows in index order ship their supply to
  * their cheapest open column (a forbidden cell only when no finite one is
@@ -132,14 +131,10 @@ static void *data(const void *obj, int64_t at)
     return *(void *const *)((const char *)obj + at);
 }
 
-/* PRICES_MARK says whether the value scan may price a forbidden cell as
- * it is: in the float build c - u - v is +inf there and never enters,
- * where the int64 build's INT64_MAX - u - v would overflow */
 #define FOT_NUM double
 #define FOT_SUM double
 #define FOT(name) name##_dense
 #define FORBIDDEN(c) ((c) == INFINITY)
-#define PRICES_MARK 1
 #define INFINITE(t) ((t) == INFINITY || (t) == -INFINITY)
 #define PRICE(sum, infinite) ((infinite) ? INFINITY : (sum))
 #define BEYOND(r, c, u, v) ((r) < -(rel * ((fabs(c) + fabs(u)) + fabs(v))))
@@ -148,7 +143,6 @@ static void *data(const void *obj, int64_t at)
 #undef FOT_SUM
 #undef FOT
 #undef FORBIDDEN
-#undef PRICES_MARK
 #undef INFINITE
 #undef PRICE
 #undef BEYOND
@@ -156,8 +150,7 @@ static void *data(const void *obj, int64_t at)
 #define FOT_NUM int64_t
 #define FOT_SUM uint64_t
 #define FOT(name) name##_exact
-#define FORBIDDEN(c) ((c) == INT64_MAX)
-#define PRICES_MARK 0
+#define FORBIDDEN(c) ((c) == ((int64_t)1 << 62))
 #define INFINITE(t) 0
 #define PRICE(sum, infinite) ((int64_t)(sum))
 #define BEYOND(r, c, u, v) 1
@@ -452,7 +445,7 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
 
 /*
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
- * is +inf, or INT64_MAX), X: n x m output (overwritten), summary: 5 outputs,
+ * is +inf, or 2^62), X: n x m output (overwritten), summary: 5 outputs,
  * the plan's summary (see summarize), each read through data() from the
  * address given for it and the offset at.  A cell enters when its reduced cost
  * has a negative M part, or a zero M part and a value part r below -tol
@@ -564,10 +557,9 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
 
     for (;;) {
         /* entering cell: wraparound block search on (M, value) pairs, or
-         * on values alone when no cell is forbidden, or in the float build
-         * while no forbidden cell is basic: every M potential is then 0, so
-         * a forbidden cell has M part 1 and never enters, and a finite one
-         * M part 0 */
+         * on values alone while no forbidden cell is basic: every M
+         * potential is then 0, so a forbidden cell has M part 1 and never
+         * enters, and a finite one M part 0 */
         ei = ej = -1;
         best_big = 0;
         best = -tol;
@@ -587,7 +579,7 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
                 row = C + i * m;
                 ui = t.pot[i];
                 col_up = t.parent[i] - n; /* row i's basic cell to its parent */
-                if (!t.big || (PRICES_MARK && t.basic_big == 0)) {
+                if (t.basic_big == 0) {
                     for (j = j0; j < stop; j++) {
                         r = row[j] - ui - t.pot[n + j];
                         if (RARELY(r < best) && j != col_up && t.parent[n + j] != i

@@ -39,13 +39,17 @@ has only zero-flow edges and so admits no strongly feasible tree: the
 engines need positive weights, and both refuse a weight that is not
 positive or not finite.
 
-Forbidden cells (+inf cost) get a two-component lexicographic cost (M,
-value), read off the costs in place as _dense.c reads them: (1, 0) on a
-forbidden cell and (0, c) elsewhere.  A unit of M outweighs any value, so
+Forbidden cells get a two-component lexicographic cost (M, value), read
+off the costs in place as _dense.c reads them: (1, 0) on a cell that
+holds the mark and (0, c) elsewhere.  A unit of M outweighs any value, so
 the optimum carries mass on a forbidden cell only when no finite-cost
-feasible plan exists.  The tree counts its forbidden basic cells; while
-there are none, every M potential is 0, and a float problem prices the
-values alone on its costs, where +inf never enters.
+feasible plan exists.  The mark is +inf on floats, FORBIDDEN_INT64 on
+int64, and on exact numbers 2 (n + m) max|finite c| + 1, which
+transportation_simplex puts in its own cost lists.  The tree counts its
+forbidden basic cells; while there are none, every M potential is 0, a
+potential is a signed sum of fewer than n + m finite costs, the mark less
+two of them stays positive, and the values alone are priced on the costs
+as they are.
 """
 
 from __future__ import annotations
@@ -58,15 +62,15 @@ import numpy as np
 
 from ..coupling import _sum_in_order
 from ..numerics import INF
-from ._compiled import NOT_POSITIVE, forbidden_cells, problem_shape
+from ._compiled import FORBIDDEN_INT64, NOT_POSITIVE, forbidden_cells, problem_shape
 
 
 def row_minimum_start(a, b, cost, tree):
     """Initial basic feasible solution on tree; returns each basic cell's flow.
 
     Rows in index order ship their supply to their cheapest open column,
-    the lowest index winning ties; +inf is above every finite cost, so a
-    forbidden cell is used only when no finite one is open.  Each shipment
+    the lowest index winning ties; the mark is above every finite cost, so
+    a forbidden cell is used only when no finite one is open.  Each shipment
     closes its row or its column, so the cells form a forest.  A row whose
     float dust finds no open column ships nothing.  The last row ships every
     open column's remaining demand, so every column gets a positive cell.
@@ -100,12 +104,12 @@ class _Tree:
     thread, a preorder of the tree closed into a cycle, with its inverse
     rev and the last node of each node's subtree in it."""
 
-    def __init__(self, n, m, cost, big, floats):
+    def __init__(self, n, m, cost, big, mark=INF):
         self.n = n
         self.m = m
         self.cost = cost
         self.big = big  # some cell is forbidden: keep the M potentials pot_big
-        self.floats = floats  # price values alone while no forbidden cell is basic
+        self.mark = mark  # the cost of a forbidden cell
         size = n + m
         self.parent = [-1] * size
         self.depth = [0] * size
@@ -115,7 +119,6 @@ class _Tree:
         self.pot = [0] * size
         self.pot_big = [0] * size if big else None
         self.flow = [0] * size
-        self.basic_big = 0  # the forbidden basic cells, counted at grow and each pivot
 
     def grow(self, cells):
         """Root the tree at row 0 on a forest of cells, with their flows.
@@ -167,8 +170,8 @@ class _Tree:
                 last[up] = last[node]
             node = rev[node]
         self._refresh(thread[0], 0)
-        if self.big:
-            self.basic_big = sum(cost[i][j] == INF for i, j in self.flows())
+        # the forbidden basic cells, counted here and at each pivot
+        self.basic_big = sum(cost[i][j] == self.mark for i, j in self.flows()) if self.big else 0
 
     def flows(self):
         """Each basic cell's flow, as a dict keyed by (row, column)."""
@@ -183,13 +186,13 @@ class _Tree:
         """Recompute depth and potentials along the thread from node up to
         stop: a preorder meets each parent before its children."""
         n, parent, depth, thread = self.n, self.parent, self.depth, self.thread
-        cost, big, pot, pot_big = self.cost, self.big, self.pot, self.pot_big
+        cost, big, mark, pot, pot_big = self.cost, self.big, self.mark, self.pot, self.pot_big
         while node != stop:
             up = parent[node]
             c = cost[node][up - n] if node < n else cost[up][node - n]
             depth[node] = depth[up] + 1
             if big:  # a forbidden cell costs (M, value) = (1, 0)
-                forbidden = c == INF
+                forbidden = c == mark
                 pot[node] = (0 if forbidden else c) - pot[up]
                 pot_big[node] = forbidden - pot_big[up]
             else:
@@ -223,9 +226,9 @@ class _Tree:
                 y = parent[y]
         apex = x
         if self.big:
-            up, cost = parent[leave], self.cost
+            up, cost, mark = parent[leave], self.cost, self.mark
             c = cost[leave][up - n] if leave < n else cost[up][leave - n]
-            self.basic_big += (cost[ei][ej] == INF) - (c == INF)
+            self.basic_big += (cost[ei][ej] == mark) - (c == mark)
         for x in ei, n + ej:  # from each end, an edge below a node of its kind decreases
             side = x < n
             while x != apex:
@@ -304,16 +307,13 @@ class _Tree:
         compared lexicographically and the first cell winning ties, as
         (i, j, position after the block), or None when no cell qualifies.
 
-        The values alone are priced when no cell is forbidden, and on
-        floats while no forbidden cell is basic: every M potential is then
-        0, and +inf - u - v never enters.  Python ints keep the (M, value)
-        scan, as the int64 build does: +inf minus an int beyond float range
-        raises OverflowError.
+        The values alone are priced while no forbidden cell is basic:
+        every M potential is then 0, and the mark less u and v is positive
+        and never enters.
         """
         n, m, parent, pot, pot_big = self.n, self.m, self.parent, self.pot, self.pot_big
-        cost, v = self.cost, pot[n:]
-        big = self.big and (self.basic_big or not self.floats)
-        v_big = pot_big[n:] if big else None
+        cost, mark, v = self.cost, self.mark, pot[n:]
+        v_big = pot_big[n:] if self.basic_big else None
         best_big, best, found = 0, ntol, None
         total = n * m
         pos = start
@@ -328,7 +328,7 @@ class _Tree:
                 pos += stop - j0
                 ci, ui = cost[i], pot[i]
                 up = parent[i] - n  # column of the basic cell to row i's parent
-                if not big:
+                if v_big is None:
                     for j in range(j0, stop):
                         r = ci[j] - ui - v[j]
                         if (
@@ -342,7 +342,7 @@ class _Tree:
                     ui_big = pot_big[i]
                     for j in range(j0, stop):
                         c = ci[j]
-                        forbidden = c == INF
+                        forbidden = c == mark
                         d = forbidden - ui_big - v_big[j]
                         if d <= best_big:
                             if forbidden:
@@ -400,9 +400,10 @@ def transportation_simplex(a, b, C, tol=0, rel_tol=0):
     summary(a, b, C, X)).
 
     a (n,), b (m,) and C (n, m) are float64 arrays, a forbidden cell +inf;
-    int64 ones, a forbidden cell FORBIDDEN_INT64, run as Python ints and
-    +inf; or object arrays of Python ints (or other exact numbers, such as
-    Fractions) and +inf.  The shapes must agree
+    int64 ones, a forbidden cell FORBIDDEN_INT64, run as Python ints; or
+    object arrays of Python ints (or other exact numbers, such as
+    Fractions) and +inf, which the engine's cost lists mark as
+    2 (n + m) max|finite c| + 1.  The shapes must agree
     and the weights be positive and finite with equal totals
     (solve_kantorovich passes the support), else ValueError, as from the C
     kernel.  A cell enters when its reduced cost has a negative M part, or
@@ -416,9 +417,12 @@ def transportation_simplex(a, b, C, tol=0, rel_tol=0):
         raise ValueError(NOT_POSITIVE)
     forbidden = forbidden_cells(C)
     big = bool(forbidden.any())
-    cells = np.where(forbidden, INF, C.astype(object)) if big and C.dtype == np.int64 else C
+    mark, cells = (FORBIDDEN_INT64 if C.dtype == np.int64 else INF), C
+    if big and C.dtype == object:  # above every reduced cost (module docstring)
+        mark = 2 * (n + m) * max(map(abs, C[~forbidden].tolist()), default=0) + 1
+        cells = np.where(forbidden, mark, C)
     cost = cells.tolist()
-    tree = _Tree(n, m, cost, big, a.dtype == np.float64)
+    tree = _Tree(n, m, cost, big, mark)
     row_minimum_start(a_list, b_list, cost, tree)
     ntol = -tol
     limit = 10000 + 200 * (n + m) * max(n, m)

@@ -334,7 +334,7 @@ def glued_plan_is_valid(g: GluedPlan, pi12, pi23, tol=None):
 def _factor_report(g, pi12, pi23, tol):
     """glued_plan_is_valid's report from the integer factors, or None unless
     g's plans, pi12 and pi23 are all exact, pi12 and pi23 have g's shapes
-    and tol is a finite number.
+    and tol, which check_tol has made nonnegative, is finite.
 
     With g's plans P / s12 and Q / s23, M_j = sum_i P_ij and R_j =
     sum_k Q_jk, the tensor's cell (i, j, k) is P_ij Q_jk / (s23 M_j) where
@@ -347,8 +347,7 @@ def _factor_report(g, pi12, pi23, tol):
     Fraction built for a cell that passes.  The gaps are taken in Python
     ints on the cells where the tensor's marginal or the given plan is
     nonzero (n1 + n2 - 1 and n2 + n3 - 1 cells when the given plans are
-    g's basic plans): a gap of 0 fails only a negative tol, which takes
-    every cell.
+    g's basic plans).
     """
     factors, wanted = g._integer_factors, (_scaled(pi12), _scaled(pi23))
     if factors is None or None in wanted:
@@ -365,8 +364,7 @@ def _factor_report(g, pi12, pi23, tol):
     def cells(X, Y):
         """(index, x, y) in row-major order over the cells a gap can fail."""
         xs, ys = X.ravel().tolist(), Y.ravel().tolist()
-        where = range(len(xs)) if p < 0 else np.flatnonzero((X != 0) | (Y != 0)).tolist()
-        return ((k, xs[k], ys[k]) for k in where)
+        return ((k, xs[k], ys[k]) for k in np.flatnonzero((X != 0) | (Y != 0)).tolist())
 
     n2, n3 = Q.shape
     M, R = g._middle_ints, list(map(sum, Q.tolist()))

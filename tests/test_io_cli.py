@@ -240,6 +240,36 @@ class TestCLIVerify:
         )
         assert main(["verify", "coupling", "--plan", path, "--mode", "rational"]) == 3
 
+    @pytest.mark.parametrize("suite, files", [("tail", 1), ("glue", 1), ("coupling", 2)])
+    def test_plan_files_the_suite_does_not_read_exit_1(self, tmp_path, capsys, suite, files):
+        # a file the suite would not read is refused before any trial runs,
+        # so a random battery cannot pass in its place
+        path = write(
+            tmp_path,
+            "plan.json",
+            {"mu1": [HALF, HALF], "mu2": [HALF, HALF], "matrix": [[HALF, "0"], ["0", HALF]]},
+        )
+        assert main(["verify", suite, *["--plan", path] * files, "--mode", "rational"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: verify {suite} reads")
+
+    def test_plans_that_do_not_chain_exit_3(self, tmp_path, capsys):
+        # pi12's column sums (1/2, 1/2) are not pi23's row sums (1/4, 3/4)
+        pi12 = write(
+            tmp_path,
+            "pi12.json",
+            {"mu1": [HALF, HALF], "mu2": [HALF, HALF], "matrix": [[HALF, "0"], ["0", HALF]]},
+        )
+        pi23 = write(
+            tmp_path,
+            "pi23.json",
+            {"mu1": ["1/4", "3/4"], "mu2": ["1/4", "3/4"], "matrix": [["1/4", "0"], ["0", "3/4"]]},
+        )
+        assert main(["verify", "glue", "--plan", pi12, "--plan", pi23, "--mode", "rational"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["report"]["error"].startswith("middle marginals differ")
+
     @pytest.mark.parametrize("suite", ["coupling", "metric", "glue", "tail"])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exit_1(self, capsys, suite, trials):

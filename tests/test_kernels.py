@@ -72,7 +72,7 @@ def support(a, b, C):
 #: the families of identity_instances
 TWIN_FAMILIES = (
     "tied", "assignment", "edge", "large_tol", "forbidden", "rational", "lone_forbidden",
-    "wide_range", "forbidden_basis", "deep",
+    "wide_range", "forbidden_basis", "deep", "int64_edge",
 )
 
 
@@ -124,6 +124,8 @@ def identity_instances(family):
         return lone_forbidden_instances(rng)
     elif family == "forbidden_basis":
         return forbidden_basis_instances(rng)
+    elif family == "int64_edge":
+        return int64_edge_instances(rng)
     elif family == "deep":
         # line costs |i - j| make the start a staircase, a tree about n
         # nodes deep, whose pivots re-hang long stems; and criterion 10's
@@ -212,6 +214,34 @@ def forbidden_basis_instances(rng):
             for w in ([rng.randint(1, 30) for _ in range(size)] for size in (n, m))
         )
         instances.append(int64_input(mu1, mu2, raw, None))
+    return instances
+
+
+def int64_edge_instances(rng):
+    """(a, b, C, tol) of the int64 build at the edge of its fit.
+
+    Line costs |i - j| K, with K as large as (n + m) max|c| < 2^60 allows,
+    make deep trees and large potentials, so that c - u - v and the
+    forbidden mark less u and v come near their extremes.  About 10% of
+    the cells are forbidden, and one problem in three has a block of rows
+    whose finite cells reach few columns, which mostly leaves it without a
+    finite plan.
+    """
+    instances = []
+    for k in range(30):
+        n, m = rng.randint(2, 40), rng.randint(2, 40)
+        K = (2**60 - 1) // ((n + m) * (max(n, m) - 1))
+        forbidden = [[rng.random() < 0.1 for _ in range(m)] for _ in range(n)]
+        if k % 3 == 2:  # a Hall block: these rows reach columns cols only
+            cols = rng.sample(range(m), max(1, m // 4))
+            for i in rng.sample(range(n), max(1, n // 3)):
+                forbidden[i] = [j not in cols for j in range(m)]
+        cost = [[INF if forbidden[i][j] else abs(i - j) * K for j in range(m)] for i in range(n)]
+        mu1, mu2 = (
+            DiscreteMeasure(tuple(F(x, sum(w)) for x in w))
+            for w in ([rng.randint(1, 30) for _ in range(size)] for size in (n, m))
+        )
+        instances.append(int64_input(mu1, mu2, cost, None))
     return instances
 
 
@@ -529,7 +559,7 @@ class TestStrongFeasibility:
         starts = {}
         for name, mu1, mu2, cost, _ in degenerate_starts():
             a, b = list(mu1.weights), list(mu2.weights)
-            tree = simplex._Tree(len(a), len(b), cost, any(INF in row for row in cost), False)
+            tree = simplex._Tree(len(a), len(b), cost, any(INF in row for row in cost))
             starts[name] = a, b, cost, simplex.row_minimum_start(a, b, cost, tree)
         a, b, cost, flow = starts["split"]
         assert sorted(flow.values()).count(0) == 2
@@ -599,6 +629,44 @@ def test_both_engines_refuse_the_same_input(engine):
             f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1; "
             f"got {a.shape}, {b.shape}, {C.shape}"
         )
+
+
+def test_the_int64_mark_clears_every_reduced_cost():
+    # under _exact_input's fit every potential is below 2^60 in magnitude:
+    # the mark less two of them stays positive and inside int64
+    assert _compiled.FORBIDDEN_INT64 - 2 * 2**60 > 0
+    assert _compiled.FORBIDDEN_INT64 + 2 * 2**60 < 2**63
+
+
+def test_costs_beyond_float_range_repeat_their_int64_solve():
+    # costs c 10^400 reach the Python engine as object arrays, whose
+    # forbidden cells it marks above every reduced cost, where +inf minus
+    # such an int would raise OverflowError; they must take the pivots,
+    # plans, Hall cuts and costs (times 10^400) of the same problem with
+    # costs c, which runs the int64 build
+    rng, big, infeasible = random.Random(400), 10**400, 0
+    for _ in range(60):
+        n, m = rng.randint(2, 9), rng.randint(2, 9)
+        density = rng.uniform(0.2, 0.8)
+        cost = [[INF if rng.random() < density else rng.randint(0, 20) for _ in range(m)]
+                for _ in range(n)]
+        cost[rng.randrange(n)][rng.randrange(m)] = rng.randint(0, 20)  # a finite cell
+        mu1, mu2 = (
+            DiscreteMeasure(tuple(F(x, sum(w)) for x in w))
+            for w in ([rng.randint(1, 30) for _ in range(size)] for size in (n, m))
+        )
+        wide = [[c if c == INF else c * big for c in row] for row in cost]
+        sol, sol_wide = (solver.solve_kantorovich(mu1, mu2, c) for c in (cost, wide))
+        assert (sol.engine, sol_wide.engine) == (KERNEL, "python")
+        assert sol_wide.iterations == sol.iterations
+        assert sol_wide.infeasibility_certificate == sol.infeasibility_certificate
+        if sol.feasible:
+            assert sol_wide.plan.matrix == sol.plan.matrix
+            assert sol_wide.optimal_cost == sol.optimal_cost * big
+        else:
+            assert not sol_wide.feasible
+            infeasible += 1
+    assert 0 < infeasible < 60, infeasible
 
 
 def test_fitting_rational_problems_reach_the_python_simplex_as_int64(monkeypatch):
@@ -695,7 +763,8 @@ class TestCompiled:
         for a, b, C, tol, *rel_tol in instances:
             X, _ = check_same_pivots(compiled, a, b, C, tol, *rel_tol)
             infeasible += X[forbidden_cells(C)].sum() > tol  # mass on +inf cells
-        if family in ("forbidden", "rational", "forbidden_basis"):  # with and without a finite plan
+        if family in ("forbidden", "rational", "forbidden_basis", "int64_edge"):
+            # with and without a finite plan
             assert 0 < infeasible < len(instances)
 
     def test_the_twin_counts_its_forbidden_basic_cells(self, monkeypatch):
@@ -706,7 +775,7 @@ class TestCompiled:
 
         def counted(tree, *args):
             pivot(tree, *args)
-            basic = [tree.cost[i][j] == INF for i, j in tree.flows()]
+            basic = [tree.cost[i][j] == tree.mark for i, j in tree.flows()]
             assert tree.basic_big == sum(basic), (tree.basic_big, basic)
             counts[-1].append(tree.basic_big)
 

@@ -609,17 +609,18 @@ def reference_factor_report(g, pi12, pi23, tol):
 def test_factor_report_matches_the_object_array_reference():
     """The same gaps, as the same Fractions in the same order, as the
     object-array reference: for g's own plans, for the two swapped, and for
-    middles that differ (g glued with no check), at several tolerances,
-    a negative one reporting every cell."""
+    middles that differ (g glued with no check), at several tolerances.
+    A negative tolerance never reaches it: glued_plan_is_valid refuses one."""
     reported = 0
     for pi12, pi23 in exact_glue_battery(random.Random(304)):
         g = GluedPlan(pi12, pi23)
-        tols = (0, F(1, 40), 1e-3) + ((-1,) if g.shape[0] <= 13 else ())
-        for given, tol in itertools.product(((pi12, pi23), (pi23, pi12)), tols):
+        for given, tol in itertools.product(((pi12, pi23), (pi23, pi12)), (0, F(1, 40), 1e-3)):
             got = _factor_report(g, *given, tol)
             assert got == reference_factor_report(g, *given, tol), (g.shape, tol)
             assert all(type(gap) is F for _, gap in got)
             reported += len(got)
+        with pytest.raises(ParameterError):
+            glued_plan_is_valid(g, pi12, pi23, -1)
     assert reported > 1000, reported
 
 
