@@ -201,12 +201,19 @@ def _sum_cells(plan, where=...):
     return _typed(plan, [total], [kinds.max(initial=0)])[0]
 
 
+def _sums_in_order(X):
+    """The row sums and column sums of the 2-D array X, each line added in
+    order from its first cell (a cumsum along it), as _sum_in_order adds;
+    np.add.reduce adds a row pairwise."""
+    return np.cumsum(X, axis=1)[:, -1], np.cumsum(X, axis=0)[-1]
+
+
 def _line_sums(plan):
     """The plan's row sums and column sums, typed by _typed; floats are
     added in order along each row and column."""
     X, kinds = plan._array, plan._kinds
     if plan._scale is None:
-        sums = np.cumsum(X, axis=1)[:, -1], np.cumsum(X, axis=0)[-1]
+        sums = _sums_in_order(X)
     else:
         sums = X.sum(axis=1), X.sum(axis=0)
     return tuple(
@@ -259,14 +266,13 @@ def _is_coupling_array(X, a, b, tol):
     a and b are the weights as arrays in the plan's arithmetic: float64;
     int64, whose sums and gaps are exact while the total supply is below
     2^62, as the solver keeps it; or object arrays of exact numbers, which
-    are compared exactly.
+    are compared exactly.  Each line is added in order (_sums_in_order),
+    as marginals and the engines' summary add it.
     """
     n, m = X.shape
     _check_plan_shape(n, m, a.size, b.size)
-    lines = [
-        ("row", np.abs(np.add.reduce(X, axis=1) - a), tol),
-        ("column", np.abs(np.add.reduce(X, axis=0) - b), tol),
-    ]
+    rows, columns = _sums_in_order(X)
+    lines = [("row", np.abs(rows - a), tol), ("column", np.abs(columns - b), tol)]
     return _worst_first(_violations(X, tol, lines))
 
 

@@ -14,29 +14,28 @@ simplex.transportation_simplex: fot_solve_dense over doubles, and
 fot_solve_exact over int64 numbers, which runs the rational problems that
 solver._exact_input finds to fit in int64 and hands over as int64 arrays,
 forbidden cells marked FORBIDDEN_INT64, which it prices as the float
-build prices +inf, and the tolerance floored.  load()
-returns a kernel with KERNEL_NAME and solve_dense(a, b, C, tol, rel_tol)
--> (X, iterations, summary), which picks the build by the dtype of C, and
+build prices +inf, and the tolerance floored.  load() returns a kernel
+with KERNEL_NAME and solve_dense(a, b, C, tol, rel_tol) -> (X,
+iterations, summary), which picks the build by the dtype of C, and
 forbidden_cells(C) is the mask of C's forbidden cells in either build's
-marking.  solve_dense passes each array as the address of its ndarray
-object (its id), with the offset of the data pointer in it that
-_data_offset finds on a probe, and the kernel reads the pointer itself;
-outside CPython, where no offset is found, it passes the addresses of
-the data pointers from __array_interface__, stored in a ctypes array,
-and offset 0.  The engine checks and prices its own plan: summary holds
-the mass on forbidden cells, the price, the worst row and column gaps and
-the least cell, from one pass over X in C (summarize in _dense.c), the
-numbers simplex.summary defines.  simplex.transportation_simplex takes
-the same arrays and returns the same triple: on the same input, +inf
-cells included, both builds take its pivots and return its plan and its
-summary.  load() raises
+marking.  Both engines run check_problem first: it refuses what neither
+takes, with one text, and gives the block size and the pivot limit both
+use.  The kernel reads each array's data pointer from its id, which
+needs CPython (_data_offset).  The engine checks and prices its own plan:
+summary holds the mass on forbidden cells, the price, the worst row and
+column gaps and the least cell, from one pass over X in C (summarize in
+_dense.c), the numbers simplex.summary defines.
+simplex.transportation_simplex takes the same arrays and returns the same
+triple: on the same input, +inf cells included, both builds take its
+pivots and return its plan and its summary.  load() raises
 KernelUnavailable, whose message is the reason, when the library can be
-neither found nor built.
+neither found, built nor used.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import shutil
 import sys
@@ -70,26 +69,51 @@ _STDERR_TAIL = 10
 #: 2^62 + 2^61: above every finite cost and reduced cost, and short of
 #: int64's 2^63, so it is priced as it is (see _dense.c)
 FORBIDDEN_INT64 = 2**62
+#: the dtypes of the float build and the int64 build: a set, which finds
+#: a dtype with no comparison of two different dtypes (numpy's is slow cold)
+_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
+_BUILDS = {_FLOAT64, _INT64}
 
 
 #: the ValueError of both engines on a weight that is not positive, or is infinite
 NOT_POSITIVE = "the engines need positive weights, none infinite; pass the support"
+#: the RuntimeError of both engines past their pivot limit
+PIVOT_LIMIT = "the engines stopped at their pivot limit, {limit} pivots, on a {n}x{m} problem"
 
 
 def forbidden_cells(C):
     """The mask of C's forbidden cells: FORBIDDEN_INT64 in an int64 array, else +inf."""
-    return C == (FORBIDDEN_INT64 if C.dtype == np.int64 else np.inf)
+    return C == (FORBIDDEN_INT64 if C.dtype == _INT64 else np.inf)
 
 
-def problem_shape(a, b, C):
-    """C's shape (n, m), where a is (n,) and b (m,) with n, m >= 1; else the
-    ValueError of both engines."""
-    if C.ndim != 2 or a.shape != C.shape[:1] or b.shape != C.shape[1:] or 0 in C.shape:
+def check_problem(a, b, C, objects=False):
+    """(n, m, block, limit) of the problem (a, b, C): the one check both
+    engines run first, and the one place of the numbers they share.
+
+    a (n,), b (m,) and C (n, m), with n, m >= 1, must share one dtype:
+    float64 or int64, or object when objects is true (the Python simplex
+    only); else the ValueError of both engines.  block is the block
+    search's size, about sqrt(n m) cells (Kovacs, Optim. Methods Softw.
+    30(1), 2015) but computed as max(64, floor(exp(log(n m) / 2))), which
+    falls one short of the root at most perfect squares: the block size
+    decides which entering cell is found first, and the recorded pivots
+    rest on it.  limit is the pivot limit, 10000 + 200 (n + m) max(n, m);
+    an engine past it raises PIVOT_LIMIT's RuntimeError.
+    """
+    dtype, shape = C.dtype, C.shape
+    if (
+        len(shape) != 2 or a.shape != shape[:1] or b.shape != shape[1:] or 0 in shape
+        or a.dtype != dtype or b.dtype != dtype
+        or not (dtype in _BUILDS or objects and dtype == object)
+    ):
         raise ValueError(
-            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1; "
-            f"got {a.shape}, {b.shape}, {C.shape}"
+            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1 and one dtype, "
+            f"float64 or int64 (or object, in the Python simplex only); got a {a.shape} "
+            f"{a.dtype}, b {b.shape} {b.dtype}, C {shape} {dtype}"
         )
-    return C.shape
+    n, m = shape
+    block = int(math.exp(0.5 * math.log(n * m)))
+    return n, m, block if block > 64 else 64, 10000 + 200 * (n + m) * (n if n > m else m)
 
 
 class KernelUnavailable(RuntimeError):
@@ -192,56 +216,47 @@ class CompiledKernel:
     KERNEL_NAME = KERNEL_NAME
 
     def __init__(self, path: Path, built: bool):
+        self._data_at = _data_offset()
+        if self._data_at is None:
+            raise KernelUnavailable(
+                "the kernel reads each array's data pointer from its id, which needs CPython"
+            )
         self.path = path
         self.built = built
         lib = ctypes.CDLL(str(path))
         self._fns = {
-            np.float64: _bind(lib.fot_solve_dense, ctypes.c_double),
-            np.int64: _bind(lib.fot_solve_exact, ctypes.c_int64),
+            _FLOAT64: _bind(lib.fot_solve_dense, ctypes.c_double),
+            _INT64: _bind(lib.fot_solve_exact, ctypes.c_int64),
         }
-        self._data_at = _data_offset()
 
     def solve_dense(self, a, b, C, tol, rel_tol=0.0):
         """Minimize <C, X> over the transportation polytope; +inf cells are forbidden.
 
-        An int64 array C runs the exact build, on int64 weights and an int
-        tol, with FORBIDDEN_INT64 marking a forbidden cell; any other C runs
-        the float build on float64 arrays.  Each array goes to the kernel
-        as its id and the offset _data_offset found, so the call builds no
-        Python object per array (see the module docstring).  A cell enters
-        when its reduced cost r = c - u - v is below -tol and, in the float
-        build, below -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every
-        weight must be positive, as the strongly feasible start needs, and
-        finite, and the shapes must agree (problem_shape): ValueError
-        otherwise, as from transportation_simplex.  On a problem with no
-        finite-cost plan, X puts the least possible mass on forbidden
-        cells, as transportation_simplex does.  Returns (X, iterations,
-        summary), summary a list of five Python numbers of X's type:
-        [forbidden mass, price, worst row gap, worst column gap, least cell]
-        (see simplex.summary).
+        a, b and C pass check_problem; an int64 C runs the exact build, on
+        an int tol, with FORBIDDEN_INT64 marking a forbidden cell, and a
+        float64 C the float build.  Each array goes to the kernel in C
+        order (one that is not is copied), as its id and the offset
+        _data_offset found, so the call builds no Python object per array,
+        and the kernel needs CPython.  A cell enters when its reduced cost
+        r = c - u - v is below -tol and, in the float build, below
+        -rel_tol (|c| + |u| + |v|) (see _dense.c).  Every weight must be
+        positive, as the strongly feasible start needs, and finite:
+        ValueError otherwise, as from transportation_simplex.  On a problem
+        with no finite-cost plan, X puts the least possible mass on
+        forbidden cells, as transportation_simplex does.  Returns (X,
+        iterations, summary), summary a list of five Python numbers of X's
+        type: [forbidden mass, price, worst row gap, worst column gap,
+        least cell] (see simplex.summary).
         """
-        dtype = np.int64 if getattr(C, "dtype", None) == np.int64 else np.float64
-        a = np.ascontiguousarray(a, dtype)
-        b = np.ascontiguousarray(b, dtype)
-        C = np.ascontiguousarray(C, dtype)
-        n, m = problem_shape(a, b, C)
-        X, summary = np.empty((n, m), dtype), np.empty(5, dtype)
-        # the kernel reads each data pointer at offset at from the address
-        # it is given: ascontiguousarray and empty have fixed the arrays'
-        # dtype and layout, and they outlive the call
-        at = self._data_at
-        if at is None:  # the addresses of the data pointers, held in a ctypes array
-            held = (ctypes.c_void_p * 5)(
-                *(x.__array_interface__["data"][0] for x in (a, b, C, X, summary))
-            )
-            step = ctypes.sizeof(ctypes.c_void_p)
-            pa, pb, pC, pX, ps = (ctypes.addressof(held) + k * step for k in range(5))
-            at = 0
-        else:  # the arrays' own addresses
-            pa, pb, pC, pX, ps = id(a), id(b), id(C), id(X), id(summary)
-        iterations = self._fns[dtype](n, m, pa, pb, pC, tol, rel_tol, pX, ps, at)
+        n, m, block, limit = check_problem(a, b, C)
+        # the arrays outlive the call, which reads their data through their ids
+        a, b, C = np.ascontiguousarray(a), np.ascontiguousarray(b), np.ascontiguousarray(C)
+        X, summary = np.empty((n, m), C.dtype), np.empty(5, C.dtype)
+        iterations = self._fns[C.dtype](
+            n, m, block, limit, id(a), id(b), id(C), tol, rel_tol, id(X), id(summary), self._data_at
+        )
         if iterations == _PIVOT_LIMIT:
-            raise RuntimeError(f"compiled simplex exceeded its pivot limit on a {n}x{m} problem")
+            raise RuntimeError(PIVOT_LIMIT.format(limit=limit, n=n, m=m))
         if iterations == _NO_MEMORY:
             raise MemoryError(f"dense kernel could not allocate for {n}x{m}")
         if iterations == _NOT_POSITIVE:
@@ -252,17 +267,11 @@ class CompiledKernel:
 def _data_offset():
     """The offset from an ndarray's id of the data pointer PyArray_DATA reads
     (part of numpy's ABI), found on a probe; None outside CPython, where
-    id() need not be an address.  solve_dense passes each array's id and
-    this offset, and the kernel reads the pointer itself, so a call builds
-    no Python object per array: .ctypes and __array_interface__ build
-    several, and ctypes.c_void_p.from_address one.
-
-    Measured end to end (BENCH_input_checks.json, ablation_address_read):
-    benchmark ops run in one process with the two reads interleaved, 40
-    passes a side, took longer per pass with __array_interface__ by a
-    median 4.7% (float-dense) and 9.9% (rational-forbidden) with the
-    caches cold, and by 2.7% and 10.3% with them warm; the address read
-    was faster in 38 to 40 of the 40 passes of each."""
+    id() need not be an address, and the kernel is then unavailable.
+    Passing ids builds no Python object per array, where .ctypes and
+    __array_interface__ build several: benchmark ops ran 2.7% to 10.3%
+    longer per pass with __array_interface__ (BENCH_input_checks.json,
+    ablation_address_read)."""
     if sys.implementation.name != "cpython":
         return None
     probe, read = np.zeros(4), ctypes.c_void_p.from_address
@@ -274,13 +283,12 @@ def _data_offset():
 
 def _bind(fn, number):
     """fn with the argument types of fot_solve_dense over one number type:
-    each array is an address the kernel reads its data pointer from, at
-    the offset that is the last argument."""
-    array = ctypes.c_void_p
+    n, m, block and limit, then each array as the id the kernel reads its
+    data pointer from, at the offset that is the last argument."""
+    size, array = ctypes.c_int64, ctypes.c_void_p
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, array, array, array, number, ctypes.c_double, array,
-        array, ctypes.c_int64,
+        size, size, size, size, array, array, array, number, ctypes.c_double, array, array, size,
     ]
     return fn
 

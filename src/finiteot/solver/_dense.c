@@ -29,11 +29,13 @@
  * floats), and simplex.summary defines the summary that summarize must
  * equal bit for bit, so a change here must be made there too.  Loaded through ctypes by
  * finiteot.solver._compiled, which builds it on first import with the
- * system C compiler; it needs no Python or numpy headers.  Each array
- * comes as the address of its ndarray object and the kernel reads the
- * data pointer stored at a fixed offset from it (data, below), so the
- * caller builds no Python object to pass an array.  A call allocates
- * one block for all its working arrays and frees it once.  The file
+ * system C compiler; it needs no Python or numpy headers.  Both engines
+ * run _compiled.check_problem first, which refuses what neither takes and
+ * gives the block size and the pivot limit that fot_solve is passed.
+ * Each array comes as the address of its ndarray object, its id, and the
+ * kernel reads the data pointer stored at a fixed offset from it (data,
+ * below), which needs CPython.  A call allocates one block for all its
+ * working arrays and frees it once.  The file
  * includes itself once per number type: the part under FOT_NUM below is
  * the algorithm, written once over num.
  *
@@ -71,10 +73,10 @@
  * row with dust left and no open column is one on its own.  Every other
  * edge carries positive flow, so the start is strongly feasible (below).
  *
- * Pivot rule: the cells are scanned in row-major order in blocks of
- * max(64, floor(exp(log(n m) / 2))) cells, wrapping around, from where the
- * last scan stopped, and the least (M, value) reduced cost in the first
- * block that holds a negative one enters.  Negative means a negative M
+ * Pivot rule: the cells are scanned in row-major order in blocks of the
+ * given size (check_problem's), wrapping around, from where the last scan
+ * stopped, and the least (M, value) reduced cost in the first block that
+ * holds a negative one enters.  Negative means a negative M
  * part, or an M part of 0 and a value part r below -tol; a float solve
  * given no tol passes tol 0 and rel 1e-9, and its r must also lie below
  * -rel (|c| + |u| + |v|), beyond the few units in the last place that
@@ -109,10 +111,10 @@
  * price adds up modulo 2^64, which is exact wherever the true price fits
  * in int64: the caller takes it only where it provably does.  BEYOND
  * says whether a reduced cost r = c - u - v with r < -tol lies beyond the
- * rounding error of its sum: r < -rel (|c| + |u| + |v|).  It is tested
- * only where r < -tol <= 0, so it holds when rel is 0, and the int64
- * build, whose sums are exact, takes it as true.  RARELY marks a test
- * that seldom holds: a scan's entering test holds about twice per pivot
+ * rounding error of its sum: r < -rel (|c| + |u| + |v|), or rel is 0, as
+ * in simplex.py, so that a negative tol admits the same cells in both
+ * engines.  The int64 build, whose sums are exact, takes it as true.
+ * RARELY marks a test that seldom holds: a scan's entering test holds about twice per pivot
  * among thousands of cells, and with the hint the compiler keeps the
  * entering code out of the scan loop (a 500x500 float solve ran 2-5%
  * faster than without it, with the same pivots) */
@@ -123,9 +125,7 @@
 #endif
 
 /* the data pointer of the ndarray whose object is at obj: the pointer
- * stored at offset at from it, where PyArray_DATA reads it (at is the
- * offset _compiled._data_offset finds; without one the caller passes the
- * address of a stored data pointer and 0) */
+ * stored at offset at from it, where PyArray_DATA reads it */
 static void *data(const void *obj, int64_t at)
 {
     return *(void *const *)((const char *)obj + at);
@@ -137,7 +137,7 @@ static void *data(const void *obj, int64_t at)
 #define FORBIDDEN(c) ((c) == INFINITY)
 #define INFINITE(t) ((t) == INFINITY || (t) == -INFINITY)
 #define PRICE(sum, infinite) ((infinite) ? INFINITY : (sum))
-#define BEYOND(r, c, u, v) ((r) < -(rel * ((fabs(c) + fabs(u)) + fabs(v))))
+#define BEYOND(r, c, u, v) (rel == 0 || (r) < -(rel * ((fabs(c) + fabs(u)) + fabs(v))))
 #include "_dense.c"
 #undef FOT_NUM
 #undef FOT_SUM
@@ -447,27 +447,23 @@ static void summarize(int64_t n, int64_t m, const num *a, const num *b, const nu
  * a: n supplies, b: m demands, C: n x m row-major costs (a FORBIDDEN cell
  * is +inf, or 2^62), X: n x m output (overwritten), summary: 5 outputs,
  * the plan's summary (see summarize), each read through data() from the
- * address given for it and the offset at.  A cell enters when its reduced cost
- * has a negative M part, or a zero M part and a value part r below -tol
- * and, in the float build, below -rel (|c| + |u| + |v|) (BEYOND; the
- * int64 build ignores rel).  Returns the pivot count,
- * FOT_PIVOT_LIMIT when the pivot limit 10000 + 200 (n + m) max(n, m) is
- * exceeded, FOT_NOT_POSITIVE when a weight is not positive or infinite, or
- * FOT_NO_MEMORY; the summary is written only with a pivot count.
+ * address given for it and the offset at.  block, the cells per block of
+ * the pivot rule's search, and limit, the most pivots, come from
+ * check_problem.  A cell enters when its reduced cost has a negative M
+ * part, or a zero M part and a value part r below -tol and, in the float
+ * build, below -rel (|c| + |u| + |v|) (BEYOND; the int64 build ignores
+ * rel).  Returns the pivot count, FOT_PIVOT_LIMIT when a solve needs more
+ * than limit pivots, FOT_NOT_POSITIVE when a weight is not positive or
+ * infinite, or FOT_NO_MEMORY; the summary is written only with a pivot
+ * count.
  */
-int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_obj,
-                       const void *C_obj, num tol, double rel, const void *X_obj,
-                       const void *summary_obj, int64_t at)
+int64_t FOT(fot_solve)(int64_t n, int64_t m, int64_t block, int64_t limit, const void *a_obj,
+                       const void *b_obj, const void *C_obj, num tol, double rel,
+                       const void *X_obj, const void *summary_obj, int64_t at)
 {
     const num *a = data(a_obj, at), *b = data(b_obj, at), *C = data(C_obj, at);
     num *X = data(X_obj, at), *summary = data(summary_obj, at);
     int64_t nodes = n + m, total = n * m;
-    int64_t limit = 10000 + 200 * nodes * (n > m ? n : m);
-    /* about sqrt(n m) cells per block, but floor(exp(log(n m) / 2)): the
-     * earlier Cython build computed the root as a complex pow, which falls
-     * just short of the integer at most perfect squares (499 at 500 x 500),
-     * and the block size decides which entering cell is found first */
-    int64_t block = (int64_t)exp(0.5 * log((double)total));
     int64_t result, iterations = 0, scan_pos = 0;
     int row_side;
     int64_t i, j, j0, stop, k, pos, end, scanned, node, count, kept, nopen;
@@ -551,9 +547,6 @@ int64_t FOT(fot_solve)(int64_t n, int64_t m, const void *a_obj, const void *b_ob
         }
     }
     grow(&t, count, cell, amount, head, next, stack);
-
-    if (block < 64)
-        block = 64;
 
     for (;;) {
         /* entering cell: wraparound block search on (M, value) pairs, or

@@ -10,7 +10,9 @@ their denominators, so every pivot is the one Fractions would take) and on
 floats.  The C kernel's float build runs every float problem and its int64
 build every rational problem whose scaled data fit in int64; this engine
 runs the rational problems that do not fit, and every problem when the C
-kernel is off (it cannot be built or loaded, or FINITEOT_FORCE_PURE=1).  On
+kernel is off (it cannot be built or loaded, the interpreter is not
+CPython, or FINITEOT_FORCE_PURE=1).  Both run _compiled.check_problem
+first, which refuses what neither takes and sizes both searches.  On
 any problem, forbidden cells included, it takes the C kernel's pivots one
 for one and returns the same plan, bit for bit on floats.
 
@@ -54,15 +56,14 @@ as they are.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from operator import gt, lt
 
 import numpy as np
 
-from ..coupling import _sum_in_order
+from ..coupling import _sum_in_order, _sums_in_order
 from ..numerics import INF
-from ._compiled import FORBIDDEN_INT64, NOT_POSITIVE, forbidden_cells, problem_shape
+from . import _compiled
 
 
 def row_minimum_start(a, b, cost, tree):
@@ -382,14 +383,14 @@ def summary(a, b, C, X):
     int64 modulo 2^64 as C's uint64_t sum does, on Python ints exactly.  A
     gap is |a line's sum - its weight|; a NaN gap or cell makes its entry NaN.
     """
-    forbidden = forbidden_cells(C)
+    forbidden = _compiled.forbidden_cells(C)
     swept = np.where(forbidden, 0, X)
     if X.dtype == np.float64:
         price = _float_price(C, swept)
     else:
         mass = swept != 0
         price = np.dot(C[mass], swept[mass])
-    rows, cols = np.cumsum(swept, axis=1)[:, -1], np.cumsum(swept, axis=0)[-1]
+    rows, cols = _sums_in_order(swept)
     gaps = abs(rows - a).max(), abs(cols - b).max()
     return np.array([_sum_in_order(X[forbidden]), price, *gaps, swept.min()], X.dtype).tolist()
 
@@ -403,21 +404,22 @@ def transportation_simplex(a, b, C, tol=0, rel_tol=0):
     int64 ones, a forbidden cell FORBIDDEN_INT64, run as Python ints; or
     object arrays of Python ints (or other exact numbers, such as
     Fractions) and +inf, which the engine's cost lists mark as
-    2 (n + m) max|finite c| + 1.  The shapes must agree
-    and the weights be positive and finite with equal totals
+    2 (n + m) max|finite c| + 1.  The arrays must pass
+    _compiled.check_problem, which also gives the block size and the
+    pivot limit, and the weights be positive and finite with equal totals
     (solve_kantorovich passes the support), else ValueError, as from the C
     kernel.  A cell enters when its reduced cost has a negative M part, or
     a zero M part and a value part r = c - u - v below -tol and, when
     rel_tol is not 0 (floats only), below -rel_tol * (|c| + |u| + |v|).
     """
-    n, m = problem_shape(a, b, C)
+    n, m, block, limit = _compiled.check_problem(a, b, C, objects=True)
     a_list, b_list = a.tolist(), b.tolist()
     weights = [*a_list, *b_list]  # as fot_solve refuses them, with no call per weight
     if not (all(map(partial(lt, 0), weights)) and all(map(partial(gt, INF), weights))):
-        raise ValueError(NOT_POSITIVE)
-    forbidden = forbidden_cells(C)
+        raise ValueError(_compiled.NOT_POSITIVE)
+    forbidden = _compiled.forbidden_cells(C)
     big = bool(forbidden.any())
-    mark, cells = (FORBIDDEN_INT64 if C.dtype == np.int64 else INF), C
+    mark, cells = (_compiled.FORBIDDEN_INT64 if C.dtype == np.int64 else INF), C
     if big and C.dtype == object:  # above every reduced cost (module docstring)
         mark = 2 * (n + m) * max(map(abs, C[~forbidden].tolist()), default=0) + 1
         cells = np.where(forbidden, mark, C)
@@ -425,9 +427,6 @@ def transportation_simplex(a, b, C, tol=0, rel_tol=0):
     tree = _Tree(n, m, cost, big, mark)
     row_minimum_start(a_list, b_list, cost, tree)
     ntol = -tol
-    limit = 10000 + 200 * (n + m) * max(n, m)
-    # floor(exp(log(n m) / 2)), not isqrt: the C kernel's block size
-    block = max(64, int(math.exp(0.5 * math.log(n * m))))
     pos = iterations = 0
     while True:
         found = tree.block_search(ntol, rel_tol, pos, block)
@@ -436,7 +435,7 @@ def transportation_simplex(a, b, C, tol=0, rel_tol=0):
         ei, ej, pos = found
         iterations += 1
         if iterations > limit:
-            raise RuntimeError(f"simplex exceeded {limit} pivots on a {n}x{m} problem")
+            raise RuntimeError(_compiled.PIVOT_LIMIT.format(limit=limit, n=n, m=m))
         tree.pivot(ei, ej)
     X = np.zeros(C.shape, dtype=a.dtype)
     flows = tree.flows()

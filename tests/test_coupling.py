@@ -40,6 +40,7 @@ from finiteot.numerics import (
     infer_mode,
 )
 from finiteot.solver import cost_of_plan, solve_kantorovich
+from finiteot.solver.simplex import summary
 from finiteot.space import CostMatrix
 from finiteot.wasserstein import glue, glued_marginal_13, wasserstein_distance
 
@@ -239,6 +240,39 @@ class TestOnePassCouplingCheck:
         X[1, 0] += 1
         assert _is_coupling_array(X, a, b, 0) == (False, [("row", 1, 1), ("column", 0, 1)])
         assert _is_coupling_array(X, a, b, 1) == (True, [])
+
+    def test_float_lines_are_added_in_order(self):
+        # numpy adds a row of 9 or more floats pairwise; is_coupling adds
+        # each line in order, as marginals and the engines' summary do, so a
+        # float plan passes against its own marginals at tol 0, and each
+        # gap it reports against other weights is the in-order gap, the
+        # one the summary's worst gap is the largest of
+        def in_order(line):
+            total = 0
+            for x in line:
+                total += x
+            return total
+
+        rng = random.Random(916)
+        for _ in range(200):
+            n, m = rng.randint(1, 4), rng.randint(9, 24)
+            cells = [[rng.random() for _ in range(m)] for _ in range(n)]
+            total = sum(map(sum, cells))
+            plan = TransportPlan(tuple(tuple(x / total for x in row) for row in cells))
+            assert is_coupling(plan, *marginals(plan), tol=0) == (True, [])
+            X = plan._array
+            rows = np.array([in_order(row) for row in X.tolist()])
+            columns = np.array([in_order(column) for column in X.T.tolist()])
+            a, b = (sums * rng.choice((1, 1 + 2**-40)) for sums in (rows, columns))
+            gaps = {"row": abs(rows - a), "column": abs(columns - b)}
+            _, report = _is_coupling_array(X, a, b, 0)
+            for kind, at, size in report:
+                assert size == gaps[kind][at], (kind, at, size)
+            assert {(kind, at) for kind, at, _ in report} == {
+                (kind, at) for kind, g in gaps.items() for at in g.nonzero()[0].tolist()
+            }
+            worst = summary(a, b, np.zeros(X.shape), X)[2:4]
+            assert worst == [max(gaps["row"]), max(gaps["column"])]
 
 
 def reference_is_coupling_array(X, a, b, tol):

@@ -15,6 +15,7 @@ skipped only where no C compiler is found; a failed build with a compiler
 present fails them.
 """
 
+import ast
 import itertools
 import operator
 import os
@@ -33,6 +34,7 @@ from finiteot.solver import KERNEL, KERNEL_INFO, _compiled, oracle_basis_enumera
 from finiteot.solver._compiled import forbidden_cells
 from finiteot.solver.simplex import summary, transportation_simplex
 
+from test_numerics import package_functions
 from test_solver import check_hall_cut, criterion10_instance, wide_range_instance
 
 needs_compiler = pytest.mark.skipif(
@@ -602,12 +604,20 @@ class TestFallback:
             check_feasible(a, b, flow)
 
 
-@pytest.mark.parametrize("engine", [pytest.param("compiled", marks=needs_compiler), "python"])
+ENGINES = [pytest.param("compiled", marks=needs_compiler), "python"]
+
+
+def engine_solve(engine):
+    return _compiled.load().solve_dense if engine == "compiled" else transportation_simplex
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_both_engines_refuse_the_same_input(engine):
     # a weight of 0, -1, NaN or +inf on either side, as float64 and (0 and
-    # -1) as int64, and arrays whose shapes do not agree: the same
-    # ValueError from the compiled kernel and from the Python simplex
-    solve = _compiled.load().solve_dense if engine == "compiled" else transportation_simplex
+    # -1) as int64; arrays whose shapes do not agree; and arrays of mixed
+    # dtypes, or object arrays given to the kernel: the same ValueError
+    # from the compiled kernel and from the Python simplex
+    solve = engine_solve(engine)
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     for bad, side, dtype in itertools.product((0, -1, np.nan, INF), (0, 1), (np.float64, np.int64)):
         if dtype == np.int64 and bad not in (0, -1):
@@ -620,15 +630,58 @@ def test_both_engines_refuse_the_same_input(engine):
         assert str(raised.value) == (
             "the engines need positive weights, none infinite; pass the support"
         )
-    two, three = np.ones(2), np.ones(3)
-    for a, b, C in ((three, two, C), (two, two, np.ones((2, 3))), (two, two, two),
-                    (np.ones(0), np.ones(0), np.ones((0, 0))), (np.ones((2, 1)), two, C)):
+    two, three, half = np.ones(2), np.ones(3), np.array([0.5, 0.5])
+    cases = [(three, two, C), (two, two, np.ones((2, 3))), (two, two, two),
+             (np.ones(0), np.ones(0), np.ones((0, 0))), (np.ones((2, 1)), two, C),
+             (half, half, C.astype(np.int64)), (two.astype(np.int64), two.astype(np.int64), C),
+             (half.astype(object), half, C)]
+    if engine == "compiled":  # the Python simplex solves exact numbers in object arrays
+        cases.append((half.astype(object), half.astype(object), C.astype(object)))
+    for a, b, C in cases:
         with pytest.raises(ValueError) as raised:
             solve(a, b, C, 0)
         assert str(raised.value) == (
-            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1; "
-            f"got {a.shape}, {b.shape}, {C.shape}"
+            f"the engines need a (n,), b (m,), C (n, m) with n, m >= 1 and one dtype, "
+            f"float64 or int64 (or object, in the Python simplex only); got a {a.shape} "
+            f"{a.dtype}, b {b.shape} {b.dtype}, C {C.shape} {C.dtype}"
         )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_both_engines_stop_at_the_same_pivot_limit(engine, monkeypatch):
+    # a negative tol lets cells of positive reduced cost enter, so both
+    # engines cycle until their pivot limit, which a lower limit in the one
+    # check makes quick; the kernel's two builds and the twin, on float64,
+    # int64 and object arrays, stop there with the same RuntimeError
+    check = _compiled.check_problem
+    monkeypatch.setattr(
+        _compiled, "check_problem", lambda *args, **kw: (*check(*args, **kw)[:3], 50)
+    )
+    half, ones, swap = np.array([0.5, 0.5]), np.ones(2, np.int64), np.array([[0.0, 1.0], [1.0, 0.0]])
+    arrays = [(half, half, swap), (ones, ones, swap.astype(np.int64))]
+    if engine == "python":
+        arrays.append(tuple(x.astype(object) for x in arrays[1]))
+    for a, b, C in arrays:
+        with pytest.raises(RuntimeError) as raised:
+            engine_solve(engine)(a, b, C, -5)
+        assert str(raised.value) == (
+            "the engines stopped at their pivot limit, 50 pivots, on a 2x2 problem"
+        )
+
+
+def test_one_check_sizes_the_blocks_and_limits_the_pivots():
+    # the block size and the pivot limit are computed once, in
+    # _compiled.check_problem, and passed to the kernel
+    source = _compiled.SOURCE.read_text()
+    assert not [word for word in ("exp(", "log(", "10000") if word in source]
+    rules = set()
+    for path, function in package_functions():
+        for node in ast.walk(function):
+            name = getattr(node, "func", None)
+            name = getattr(name, "attr", getattr(name, "id", None))
+            if name in ("exp", "log", "sqrt", "isqrt") or getattr(node, "value", None) == 10000:
+                rules.add(f"{path} {function.name}")
+    assert rules == {"solver/_compiled.py check_problem"}
 
 
 def test_the_int64_mark_clears_every_reduced_cost():
@@ -726,15 +779,26 @@ class TestCompiled:
         for x in arrays:
             assert ctypes.c_void_p.from_address(id(x) + compiled._data_at).value == x.ctypes.data
 
-    def test_data_addresses_without_an_offset(self, compiled, monkeypatch):
-        """Where no offset is found (id() is an address only in CPython),
-        solve_dense reads __array_interface__ and returns the same plan."""
-        rng = random.Random(41)
+    def test_views_solve_as_their_copies(self, compiled):
+        # the kernel reads C-contiguous data: solve_dense copies a strided
+        # weight vector and a column-major cost matrix to C order first
+        rng = random.Random(43)
         a, b, C = random_instance(rng, 7, 9)
-        X, iters, _ = compiled.solve_dense(a, b, C, 1e-9)
-        monkeypatch.setattr(compiled, "_data_at", None)
-        Y, iters_again, _ = compiled.solve_dense(a, b, C, 1e-9)
-        assert iters == iters_again and np.array_equal(X, Y)
+        X, iters, _ = compiled.solve_dense(np.repeat(a, 2)[::2], b, np.asfortranarray(C), 1e-9)
+        Y, iters_copied, _ = compiled.solve_dense(a, b, C, 1e-9)
+        assert iters == iters_copied and np.array_equal(X, Y)
+
+    def test_without_a_data_offset_the_python_simplex_runs(self, monkeypatch):
+        """Where no data offset is found (id() is an address only in
+        CPython), the kernel is unavailable, and its reason says why."""
+        monkeypatch.delenv("FINITEOT_FORCE_PURE", raising=False)
+        monkeypatch.setattr(_compiled, "_data_offset", lambda: None)
+        kernel, info = solver._select_kernel()
+        assert kernel is None and (info.kernel, info.library) == ("python", None)
+        assert info.reason == (
+            "compiled kernel unavailable: the kernel reads each array's data "
+            "pointer from its id, which needs CPython"
+        )
 
     def test_random_instances_feasible(self, compiled):
         rng = random.Random(97)
